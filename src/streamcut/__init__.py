@@ -21,7 +21,7 @@ from .edgefile import (
     write_labels,
 )
 from .errors import CapacityError, FormatError, StreamcutError
-from .grem import GremConfig, assign, bisect, cnt_nbrs, count_cuts, partition, process_chunk
+from .grem import GremConfig, bisect, count_cuts, partition
 from .model import CutReport, EdgeChunk, GraphMeta, NodeStats, PartitionState
 from .placement import (
     PlacementPlan,
@@ -66,9 +66,7 @@ __all__ = [
     "StarSpec",
     "StreamcutError",
     "TheoryCurvePoint",
-    "assign",
     "bisect",
-    "cnt_nbrs",
     "compute_node_stats",
     "convert",
     "count_cuts",
@@ -83,7 +81,6 @@ __all__ = [
     "plan_from_text",
     "plan_to_text",
     "prob_correct",
-    "process_chunk",
     "read_bucket",
     "read_index",
     "read_labels",

@@ -16,9 +16,7 @@ meaning unassigned.
 from __future__ import annotations
 
 import os
-import queue
 import struct
-import threading
 from dataclasses import dataclass
 from math import ceil
 from typing import Iterator
@@ -50,10 +48,6 @@ class EdgeFile:
     path: str
     meta: GraphMeta
     format: str  # "text" or "binary"
-
-    @property
-    def pair_bytes(self) -> int:
-        return 2 * (self.meta.node_id_width // 8)
 
 
 def _id_dtype(width: int):
@@ -355,114 +349,62 @@ class ResidencyMeter:
     def __init__(self):
         self.current = 0
         self.peak = 0
-        self._lock = threading.Lock()
 
     def acquire(self, n: int) -> None:
-        with self._lock:
-            self.current += n
-            if self.current > self.peak:
-                self.peak = self.current
+        self.current += n
+        if self.current > self.peak:
+            self.peak = self.current
 
     def release(self, n: int) -> None:
-        with self._lock:
-            self.current -= n
+        self.current -= n
 
 
-def _raw_chunks(efile: EdgeFile, plan: ChunkPlan, meter: ResidencyMeter | None):
+def stream_chunks(
+    efile: EdgeFile, plan: ChunkPlan, meter: ResidencyMeter | None = None
+) -> Iterator[EdgeChunk]:
+    """Yields the file's edges as EdgeChunks in order.
+
+    A chunk is read only when it is requested, so at most the active chunk
+    and the one being read are resident; the meter, when given, accounts a
+    chunk from the moment it is read until the next chunk has been read.
+    """
     index = 0
-    pending = np.empty((0, 2), dtype=np.int64)
-    for block in iter_edge_blocks(efile, max(plan.chunk_size, 1)):
-        pending = block if pending.shape[0] == 0 else np.concatenate([pending, block])
-        while pending.shape[0] >= plan.chunk_size:
-            if pending.shape[0] == plan.chunk_size:
-                chunk_arr = pending
-                pending = np.empty((0, 2), dtype=np.int64)
-            else:
-                # copies detach the slices from the larger buffer
-                chunk_arr = pending[: plan.chunk_size].copy()
-                pending = pending[plan.chunk_size :].copy()
+    held = 0  # edges of the chunk handed out last
+    try:
+        for block in iter_edge_blocks(efile, plan.chunk_size):
             if meter:
-                meter.acquire(chunk_arr.shape[0])
-            yield EdgeChunk(index, chunk_arr)
+                meter.acquire(block.shape[0])
+                meter.release(held)
+            held = block.shape[0]
+            yield EdgeChunk(index, block)
             index += 1
-    if pending.shape[0]:
+    finally:
         if meter:
-            meter.acquire(pending.shape[0])
-        yield EdgeChunk(index, pending)
-        index += 1
+            meter.release(held)
     if index != plan.num_chunks:
         raise FormatError(
             f"{efile.path}: produced {index} chunks, plan expected {plan.num_chunks}"
         )
 
 
-def _prefetched(source, stop: threading.Event, tokens: threading.Semaphore):
-    """Pulls ``source`` in a reader thread, at most one chunk ahead.
+def iter_labelled_blocks(
+    efile: EdgeFile, labels: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yields (block, source labels, destination labels) over the file's edges.
 
-    The reader takes a token before materializing each chunk; the consumer
-    returns a token only after it has released a previous chunk, so no more
-    than two chunks exist at any moment.
+    Raises FormatError when ``labels`` does not cover the file's nodes or an
+    edge endpoint is unlabeled (negative label).
     """
-    out: queue.Queue = queue.Queue()
-
-    def pump():
-        try:
-            while True:
-                tokens.acquire()
-                if stop.is_set():
-                    return
-                try:
-                    item = next(source)
-                except StopIteration:
-                    out.put(("done", None))
-                    return
-                out.put(("item", item))
-        except BaseException as exc:  # propagate reader failures to the consumer
-            out.put(("error", exc))
-
-    threading.Thread(target=pump, daemon=True).start()
-    while True:
-        kind, payload = out.get()
-        if kind == "done":
-            return
-        if kind == "error":
-            raise payload
-        yield payload
-
-
-def stream_chunks(
-    efile: EdgeFile,
-    plan: ChunkPlan,
-    meter: ResidencyMeter | None = None,
-    prefetch: bool = False,
-) -> Iterator[EdgeChunk]:
-    """Yields the file's edges as EdgeChunks in order.
-
-    At most the active chunk plus one prefetched chunk are resident; the
-    meter, when given, accounts a chunk from the moment it is read until the
-    next chunk is requested.
-    """
-    raw = _raw_chunks(efile, plan, meter)
-    stop = threading.Event()
-    tokens = threading.Semaphore(2)
-    if prefetch:
-        raw = _prefetched(raw, stop, tokens)
-    prev = None
-    try:
-        for chunk in raw:
-            if prev is not None:
-                if meter:
-                    meter.release(prev)
-                if prefetch:
-                    tokens.release()
-            prev = chunk.num_edges
-            yield chunk
-    finally:
-        if meter and prev is not None:
-            meter.release(prev)
-        if prefetch:
-            stop.set()
-            tokens.release()
+    if labels.shape[0] != efile.meta.num_nodes:
+        raise FormatError(
+            f"labels cover {labels.shape[0]} nodes, file has {efile.meta.num_nodes}"
+        )
+    for block in iter_edge_blocks(efile):
+        l_src = labels[block[:, 0]]
+        l_dst = labels[block[:, 1]]
+        if (l_src < 0).any() or (l_dst < 0).any():
+            raise FormatError("unlabeled endpoint encountered")
+        yield block, l_src, l_dst
 
 
 def write_labels(path: str, labels: np.ndarray, num_parts: int | None = None) -> None:

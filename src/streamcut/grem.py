@@ -35,6 +35,7 @@ from .edgefile import (
     EdgeFile,
     ResidencyMeter,
     iter_edge_blocks,
+    iter_labelled_blocks,
     stream_chunks,
 )
 from .errors import CapacityError, FormatError
@@ -77,24 +78,6 @@ class GremConfig:
 
 def default_capacity(num_nodes: int, slack: float = 0.0) -> int:
     return ceil((1.0 + slack) * num_nodes / 2)
-
-
-def cnt_nbrs(node: int, chunk: EdgeChunk, parts) -> tuple[float, float]:
-    """Chunk-local neighbors of ``node`` currently assigned to each partition.
-
-    Unassigned neighbors contribute to neither count; duplicate edges count
-    with multiplicity; self-loops never count.  A node absent from the chunk
-    yields (0, 0).
-    """
-    c0 = 0.0
-    c1 = 0.0
-    for w in chunk.neighbors(node).tolist():
-        pw = parts[w]
-        if pw == 0:
-            c0 += 1.0
-        elif pw == 1:
-            c1 += 1.0
-    return c0, c1
 
 
 def assign(nbrs0: float, nbrs1: float, sizes, capacity: int) -> int:
@@ -196,7 +179,6 @@ def bisect(
     capacity: int | None = None,
     meter: ResidencyMeter | None = None,
     on_chunk=None,
-    prefetch: bool = False,
 ) -> tuple[np.ndarray, CutReport]:
     """Streams the file once per pass and returns ({0,1} labels, CutReport).
 
@@ -212,7 +194,7 @@ def bisect(
     plan = config.plan_for(meta.num_edges)
     state = PartitionState(num_nodes, cap)
     for pass_idx in range(config.passes):
-        for chunk in stream_chunks(efile, plan, meter=meter, prefetch=prefetch):
+        for chunk in stream_chunks(efile, plan, meter=meter):
             if pass_idx == 0 and chunk.chunk_index == 0:
                 _seed_chunk(state, chunk, config.seed)
             else:
@@ -227,16 +209,8 @@ def bisect(
 def count_cuts(efile: EdgeFile, labels: np.ndarray) -> CutReport:
     """Single streaming pass counting edges whose endpoints carry different labels."""
     labels = np.asarray(labels)
-    if labels.shape[0] != efile.meta.num_nodes:
-        raise FormatError(
-            f"labels cover {labels.shape[0]} nodes, file has {efile.meta.num_nodes}"
-        )
     cut = 0
-    for block in iter_edge_blocks(efile):
-        l_src = labels[block[:, 0]]
-        l_dst = labels[block[:, 1]]
-        if (l_src < 0).any() or (l_dst < 0).any():
-            raise FormatError("unlabeled endpoint encountered")
+    for _, l_src, l_dst in iter_labelled_blocks(efile, labels):
         cut += int((l_src != l_dst).sum())
     total = efile.meta.num_edges
     assigned = labels[labels >= 0]

@@ -1,4 +1,5 @@
-"""Core value types: graph metadata, edge chunks, bisection state, reports."""
+"""Core value types (graph metadata, edge chunks, bisection state, reports)
+and the chunk adjacency builder."""
 
 from __future__ import annotations
 
@@ -33,14 +34,48 @@ def width_for(num_nodes: int) -> int:
     return 32 if num_nodes <= 2**32 else 64
 
 
+def build_adjacency(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric adjacency index of an (m, 2) edge array as (nodes, starts, ends, nbrs).
+
+    ``nodes`` holds the sorted unique endpoints, including nodes that appear
+    only in self-loops; ``nbrs[starts[i]:ends[i]]`` are the neighbors of
+    ``nodes[i]``, ascending, with duplicate edges kept and self-loops left
+    out.  Both directions of every edge are indexed.  One sort of packed
+    ``src * w + dst`` keys (w = max id + 1) orders the whole index; when
+    ``w * w`` would overflow int64 the ids are first replaced by their ranks.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if edges.size == 0:
+        return tuple(np.empty(0, dtype=np.int64) for _ in range(4))
+    width = int(edges.max()) + 1
+    if width * width > 1 << 63:
+        ids, ranks = np.unique(edges.ravel(), return_inverse=True)
+        nodes, starts, ends, nbrs = build_adjacency(ranks.reshape(-1, 2))
+        return ids[nodes], starts, ends, ids[nbrs]
+    src, dst = edges[:, 0], edges[:, 1]
+    keys = np.concatenate([src * width + dst, dst * width + src])
+    keys.sort()
+    owner = keys // width
+    nbrs = np.remainder(keys, width, out=keys)
+    # run starts of each owner, then the end of the last run
+    bounds = np.flatnonzero(np.concatenate([[True], owner[1:] != owner[:-1], [True]]))
+    nodes = owner[bounds[:-1]]
+    loops = np.flatnonzero(owner == nbrs)
+    del owner  # release before the copy that drops self-loops
+    offsets = bounds - np.searchsorted(loops, bounds)
+    if loops.size:
+        nbrs = np.delete(nbrs, loops)
+    return nodes, offsets[:-1], offsets[1:], nbrs
+
+
 class EdgeChunk:
     """A contiguous in-memory slice of the edge list with a chunk-local adjacency index.
 
-    ``nodes`` holds the sorted unique endpoints of the chunk's edges.  The
-    adjacency index is symmetric over the chunk (for an edge (u, v) both
-    directions are indexed), counts duplicate edges with multiplicity, and
-    excludes self-loops.  Neighbor lists are sorted ascending so traversals
-    over them are deterministic.
+    The index is the one ``build_adjacency`` returns: ``nodes`` holds the
+    sorted unique endpoints of the chunk's edges (self-loop-only nodes
+    included), both directions of every edge are indexed, duplicate edges
+    count with multiplicity, self-loops are excluded, and neighbor lists are
+    sorted ascending so traversals over them are deterministic.
     """
 
     __slots__ = ("chunk_index", "edges", "nodes", "_starts", "_ends", "_nbrs")
@@ -49,27 +84,11 @@ class EdgeChunk:
         edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
         self.chunk_index = int(chunk_index)
         self.edges = edges
-        src, dst = edges[:, 0], edges[:, 1]
-        mask = src != dst
-        keys = np.concatenate([src[mask], dst[mask]])
-        vals = np.concatenate([dst[mask], src[mask]])
-        order = np.lexsort((vals, keys))
-        skeys = keys[order]
-        self._nbrs = vals[order]
-        self.nodes = np.unique(edges) if edges.size else np.empty(0, dtype=np.int64)
-        self._starts = np.searchsorted(skeys, self.nodes, side="left")
-        self._ends = np.searchsorted(skeys, self.nodes, side="right")
+        self.nodes, self._starts, self._ends, self._nbrs = build_adjacency(edges)
 
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
-
-    def neighbors(self, node: int) -> np.ndarray:
-        """Chunk-local neighbors of ``node`` (empty if absent from the chunk)."""
-        i = int(np.searchsorted(self.nodes, node))
-        if i >= len(self.nodes) or self.nodes[i] != node:
-            return np.empty(0, dtype=np.int64)
-        return self._nbrs[self._starts[i] : self._ends[i]]
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Raw (nodes, starts, ends, neighbors) arrays of the adjacency index."""
@@ -100,13 +119,6 @@ class PartitionState:
     @property
     def num_nodes(self) -> int:
         return len(self.parts)
-
-    def nbr_counts(self, node: int) -> tuple[float, float]:
-        return self.nbr0[node], self.nbr1[node]
-
-    def recount_sizes(self) -> list[int]:
-        """Sizes recomputed from scratch out of ``parts``."""
-        return [self.parts.count(0), self.parts.count(1)]
 
     def labels_array(self) -> np.ndarray:
         return np.asarray(self.parts, dtype=np.int32)

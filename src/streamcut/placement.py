@@ -9,6 +9,7 @@ import numpy as np
 
 from .edgefile import EdgeFile, iter_edge_blocks, read_all_edges
 from .errors import FormatError
+from .model import build_adjacency
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,10 @@ def estimate_comm(
 
     Seed nodes are sampled uniformly without replacement; per hop, up to
     ``fanouts[h]`` neighbors of each frontier node are drawn without
-    replacement from its neighbor multiset (both edge directions).  A fetched
-    node is local when its partition lives on the seed's worker or it is
-    replicated, remote otherwise.  Returns a list of (local, remote) per
-    worker.
+    replacement from its neighbor multiset (both edge directions, self-loops
+    excluded), held as an ascending list.  A fetched node is local when its
+    partition lives on the seed's worker or it is replicated, remote
+    otherwise.  Returns a list of (local, remote) per worker.
     """
     labels = np.asarray(labels, dtype=np.int64)
     num_nodes = efile.meta.num_nodes
@@ -113,14 +114,12 @@ def estimate_comm(
         if not 0 <= node < num_nodes:
             raise FormatError(f"replicated node {node} out of range")
 
-    edges = read_all_edges(efile)  # desk-scale precondition
-    keep = edges[:, 0] != edges[:, 1]
-    keys = np.concatenate([edges[keep, 0], edges[keep, 1]])
-    vals = np.concatenate([edges[keep, 1], edges[keep, 0]])
-    order = np.argsort(keys, kind="stable")
-    skeys, snbrs = keys[order], vals[order]
-    starts = np.searchsorted(skeys, np.arange(num_nodes), side="left")
-    ends = np.searchsorted(skeys, np.arange(num_nodes), side="right")
+    # desk-scale precondition: the whole edge list is indexed in memory
+    nodes, node_starts, node_ends, snbrs = build_adjacency(read_all_edges(efile))
+    starts = np.zeros(num_nodes, dtype=np.int64)
+    ends = np.zeros(num_nodes, dtype=np.int64)
+    starts[nodes] = node_starts
+    ends[nodes] = node_ends
 
     owner = plan.worker_of()
     node_worker = owner[labels]

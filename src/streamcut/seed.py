@@ -57,22 +57,21 @@ def _bfs_grow(nodes, starts, ends, nbrs, refinement_passes: int, capacity: int) 
     n = len(nodes)
     target = ceil(n / 2)
     # local positions: neighbor node-ids -> indices into `nodes`
-    local = np.searchsorted(nodes, nbrs)
+    local = np.searchsorted(nodes, nbrs).tolist()
+    # BFS (re)starts go to the highest-degree unpicked node, lowest id on ties
+    restart_order = np.argsort(starts - ends, kind="stable").tolist()
     starts = starts.tolist()
     ends = ends.tolist()
-    local = local.tolist()
-    degrees = [ends[i] - starts[i] for i in range(n)]
 
     picked = [False] * n
     count = 0
+    cursor = 0
     queue: deque[int] = deque()
     while count < target:
         if not queue:
-            # (re)start from the highest-degree unpicked node, lowest id on ties
-            best = -1
-            for i in range(n):
-                if not picked[i] and (best < 0 or degrees[i] > degrees[best]):
-                    best = i
+            while picked[restart_order[cursor]]:
+                cursor += 1
+            best = restart_order[cursor]
             queue.append(best)
             picked[best] = True
             count += 1

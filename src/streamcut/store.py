@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edgefile import FLAG_WIDE_IDS, EdgeFile, iter_edge_blocks
+from .edgefile import FLAG_WIDE_IDS, EdgeFile, iter_edge_blocks, iter_labelled_blocks
 from .errors import FormatError
 
 BUCKET_MAGIC = b"GRPB"
@@ -59,10 +59,6 @@ def write_buckets(efile: EdgeFile, labels: np.ndarray, out_path: str) -> BucketI
     bucket's running offset.  Within a bucket, input edge order is preserved.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != efile.meta.num_nodes:
-        raise FormatError(
-            f"labels cover {labels.shape[0]} nodes, file has {efile.meta.num_nodes}"
-        )
     assigned = labels[labels >= 0]
     p = int(assigned.max()) + 1 if assigned.size else 1
     width = efile.meta.node_id_width
@@ -70,10 +66,7 @@ def write_buckets(efile: EdgeFile, labels: np.ndarray, out_path: str) -> BucketI
     dtype = np.dtype("<u4") if width == 32 else np.dtype("<u8")
 
     counts = np.zeros(p * p, dtype=np.int64)
-    for block in iter_edge_blocks(efile):
-        l_src, l_dst = labels[block[:, 0]], labels[block[:, 1]]
-        if (l_src < 0).any() or (l_dst < 0).any():
-            raise FormatError("unlabeled endpoint encountered")
+    for _, l_src, l_dst in iter_labelled_blocks(efile, labels):
         counts += np.bincount(l_src * p + l_dst, minlength=p * p)
 
     header = _BUCKET_HEADER.pack(

@@ -20,7 +20,7 @@ from math import exp, lgamma
 
 import numpy as np
 
-from .edgefile import EdgeFile, iter_edge_blocks
+from .edgefile import EdgeFile, iter_labelled_blocks
 from .errors import FormatError
 from .model import NodeStats
 
@@ -102,17 +102,13 @@ def compute_node_stats(efile: EdgeFile, labels: np.ndarray) -> NodeStats:
     """
     labels = np.asarray(labels, dtype=np.int64)
     num_nodes = efile.meta.num_nodes
-    if labels.shape[0] != num_nodes:
-        raise FormatError(f"labels cover {labels.shape[0]} nodes, file has {num_nodes}")
     if labels.max(initial=-1) > 1:
         raise FormatError("reference labels are not a bisection")
     counts = np.zeros(2 * num_nodes, dtype=np.int64)
-    for block in iter_edge_blocks(efile):
+    for block, l_src, l_dst in iter_labelled_blocks(efile, labels):
         keep = block[:, 0] != block[:, 1]
         src, dst = block[keep, 0], block[keep, 1]
-        l_src, l_dst = labels[src], labels[dst]
-        if (l_src < 0).any() or (l_dst < 0).any():
-            raise FormatError("unlabeled endpoint encountered")
+        l_src, l_dst = l_src[keep], l_dst[keep]
         counts += np.bincount(src * 2 + l_dst, minlength=2 * num_nodes)
         counts += np.bincount(dst * 2 + l_src, minlength=2 * num_nodes)
     per_side = counts.reshape(num_nodes, 2)

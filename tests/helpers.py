@@ -24,6 +24,12 @@ def random_multigraph(rng, max_nodes=40, max_edges=400, self_loops=True):
     return edges.astype(np.int64), num_nodes
 
 
+def recount_sizes(parts):
+    """Partition sizes [|0|, |1|] recounted from scratch out of a parts list."""
+    parts = list(parts)
+    return [parts.count(0), parts.count(1)]
+
+
 def brute_force_cut(edges, labels):
     """Naive recount of edges whose endpoints carry different labels."""
     return sum(1 for u, v in np.asarray(edges).tolist() if labels[u] != labels[v])

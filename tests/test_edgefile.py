@@ -175,30 +175,17 @@ def test_stream_chunks_truncated_file(tmp_path):
         list(stream_chunks(efile, ChunkPlan.plan(3, chunk_edges=2)))
 
 
-@pytest.mark.parametrize("prefetch", [False, True])
-def test_stream_chunks_residency_bound(tmp_path, prefetch):
+def test_stream_chunks_residency_bound(tmp_path):
     rng = np.random.default_rng(0)
     edges = rng.integers(0, 1000, size=(1_000_000, 2)).astype(np.int64)
     efile = make_edge_file(tmp_path / "g.grpe", edges, 1000)
     meter = ResidencyMeter()
     total = 0
-    for chunk in stream_chunks(efile, ChunkPlan.plan(1_000_000, chunk_edges=10_000), meter, prefetch):
+    for chunk in stream_chunks(efile, ChunkPlan.plan(1_000_000, chunk_edges=10_000), meter):
         total += chunk.num_edges
     assert total == 1_000_000
     assert meter.current == 0
     assert meter.peak <= 2 * 10_000
-
-
-def test_stream_chunks_prefetch_same_result(tmp_path):
-    rng = np.random.default_rng(1)
-    edges = rng.integers(0, 50, size=(1000, 2)).astype(np.int64)
-    efile = make_edge_file(tmp_path / "g.grpe", edges, 50)
-    plan = ChunkPlan.plan(1000, chunk_edges=170)
-    plain = [c.edges for c in stream_chunks(efile, plan)]
-    fetched = [c.edges for c in stream_chunks(efile, plan, prefetch=True)]
-    assert len(plain) == len(fetched)
-    for a, b in zip(plain, fetched):
-        assert np.array_equal(a, b)
 
 
 def test_labels_round_trip(tmp_path):

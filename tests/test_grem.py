@@ -11,21 +11,18 @@ from streamcut import (
     GremConfig,
     PartitionState,
     SeedConfig,
-    assign,
     bisect,
-    cnt_nbrs,
     count_cuts,
     external_shuffle,
     partition,
-    process_chunk,
     read_labels,
     seed_bisect,
     write_labels,
 )
-from streamcut.grem import default_capacity
+from streamcut.grem import assign, default_capacity, process_chunk
 from streamcut.synth import CliqueUnionSpec, generate
 
-from helpers import brute_force_cut, make_edge_file, random_multigraph
+from helpers import brute_force_cut, make_edge_file, random_multigraph, recount_sizes
 from reference_interp import count_node_neighbors, run_fixed_greedy, run_reference
 
 
@@ -40,35 +37,73 @@ def library_seed_fn(num_nodes, capacity, seed_cfg=None):
     return seed
 
 
-# ---------------------------------------------------------------- cnt_nbrs
+# -------------------------------------------------- sweep neighbor counting
 
 
-def test_cnt_nbrs_examples():
-    chunk = EdgeChunk(1, np.array([[0, 1], [0, 2], [2, 3]]))
-    assert cnt_nbrs(0, chunk, [-1, 0, 1, 0]) == (1.0, 1.0)
-    chunk2 = EdgeChunk(1, np.array([[0, 1]]))
-    assert cnt_nbrs(0, chunk2, [-1, -1]) == (0.0, 0.0)
-    assert cnt_nbrs(9, chunk2, [-1, -1]) == (0.0, 0.0)  # absent node tolerated
+def _sweep_counts(node, edges, parts, refine=False):
+    """Chunk-local (nbr0, nbr1) the sweep stores for ``node``.
+
+    Every other chunk node below ``node`` must be assigned, so with
+    refinement off the sweep skips them and counts ``node`` against ``parts``
+    exactly as given.  With refinement on, ``node`` must be the lowest chunk
+    node and its stored estimates start at (0, 0), so the stored value is
+    half the chunk-local count.
+    """
+    state = PartitionState(len(parts), capacity=len(parts))
+    state.parts = list(parts)
+    state.sizes = recount_sizes(parts)
+    config = GremConfig(chunk_frac=1.0, refine=refine)
+    process_chunk(state, EdgeChunk(1, np.asarray(edges)), config)
+    return state.nbr0[node], state.nbr1[node]
 
 
-def test_cnt_nbrs_duplicates_and_self_loops():
-    # duplicates count with multiplicity; self-loops never count
-    dup = EdgeChunk(1, np.array([[0, 1], [0, 1], [1, 0]]))
-    assert cnt_nbrs(0, dup, [-1, 1]) == (0.0, 3.0)
-    loops = EdgeChunk(1, np.array([[0, 0], [0, 1]]))
-    assert cnt_nbrs(0, loops, [0, 0]) == (1.0, 0.0)
+def test_process_chunk_neighbor_count_examples():
+    edges = [[0, 1], [0, 2], [2, 3]]
+    assert _sweep_counts(0, edges, [-1, 0, 1, 0]) == (1.0, 1.0)
+    # unassigned neighbors count for neither side
+    assert _sweep_counts(0, edges, [-1, 0, -1, 0]) == (1.0, 0.0)
+    assert _sweep_counts(0, [[0, 1]], [-1, -1]) == (0.0, 0.0)
 
 
-def test_cnt_nbrs_matches_double_loop_oracle():
+def test_process_chunk_absent_node_untouched():
+    state = PartitionState(10, capacity=10)
+    state.nbr0[9], state.nbr1[9] = 3.0, 1.0
+    chunk = EdgeChunk(1, np.array([[0, 1]]))
+    assert 9 not in chunk.csr()[0].tolist()
+    process_chunk(state, chunk, GremConfig(chunk_frac=1.0))
+    assert state.parts[9] == -1
+    assert (state.nbr0[9], state.nbr1[9]) == (3.0, 1.0)
+
+
+def test_process_chunk_duplicates_and_self_loops():
+    # duplicates count with multiplicity
+    assert _sweep_counts(0, [[0, 1], [0, 1], [1, 0]], [-1, 1]) == (0.0, 3.0)
+    # self-loops never count, even when the node is assigned while counting
+    loops = [[0, 0], [0, 0], [0, 1]]
+    assert _sweep_counts(0, loops, [0, 1], refine=True) == (0.0, 0.5)
+    assert _sweep_counts(0, [[0, 0], [0, 1]], [0, 0], refine=True) == (0.5, 0.0)
+
+
+def test_process_chunk_counts_match_double_loop_oracle():
     rng = np.random.default_rng(17)
     for _ in range(25):
         edges, num_nodes = random_multigraph(rng, max_nodes=20, max_edges=50)
-        parts = rng.integers(-1, 2, size=num_nodes).tolist()
-        chunk = EdgeChunk(1, edges)
-        for node in chunk.nodes.tolist():
-            assert cnt_nbrs(node, chunk, parts) == count_node_neighbors(
+        chunk_nodes = EdgeChunk(1, edges).nodes.tolist()
+        for node in chunk_nodes:
+            parts = rng.integers(-1, 2, size=num_nodes).tolist()
+            for other in chunk_nodes:
+                if other < node and parts[other] == -1:
+                    parts[other] = int(rng.integers(0, 2))
+            parts[node] = -1
+            assert _sweep_counts(node, edges, parts) == count_node_neighbors(
                 node, edges.tolist(), parts
             )
+        # refinement path: the lowest chunk node, assigned, counted against live labels
+        parts = rng.integers(-1, 2, size=num_nodes).tolist()
+        node = chunk_nodes[0]
+        parts[node] = int(rng.integers(0, 2))
+        c0, c1 = _sweep_counts(node, edges, parts, refine=True)
+        assert (2 * c0, 2 * c1) == count_node_neighbors(node, edges.tolist(), parts)
 
 
 # ------------------------------------------------------------------ assign
@@ -101,7 +136,7 @@ def test_process_chunk_averages_and_keeps_majority():
     process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=True))
     assert state.parts[0] == 0
     assert (state.nbr0[0], state.nbr1[0]) == (2.0, 1.0)
-    assert state.sizes == state.recount_sizes()
+    assert state.sizes == recount_sizes(state.parts)
 
 
 def test_process_chunk_fixed_mode_skips_assigned():
@@ -125,7 +160,7 @@ def test_process_chunk_assigns_fresh_nodes_in_both_modes():
         process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=refine))
         assert state.parts == [0, 1, 1, 0]
         assert (state.nbr0[2], state.nbr1[2]) == (0.0, 2.0)
-        assert state.sizes == state.recount_sizes() == [2, 2]
+        assert state.sizes == recount_sizes(state.parts) == [2, 2]
 
 
 def test_three_chunk_hand_trace_matches_interpreter(tmp_path):
@@ -167,7 +202,7 @@ def test_bisect_sizes_invariants(tmp_path):
         cap = default_capacity(num_nodes)
 
         def checkpoint(state):
-            assert state.sizes == state.recount_sizes()
+            assert state.sizes == recount_sizes(state.parts)
             assert state.sizes[0] <= cap and state.sizes[1] <= cap
 
         labels, report = bisect(efile, config, on_chunk=checkpoint)
@@ -216,9 +251,7 @@ def test_bisect_deterministic(tmp_path):
     config = GremConfig(chunk_frac=0.2)
     a, _ = bisect(efile, config)
     b, _ = bisect(efile, config)
-    c, _ = bisect(efile, config, prefetch=True)
     assert np.array_equal(a, b)
-    assert np.array_equal(a, c)
 
 
 def test_bisect_isolated_nodes_fill(tmp_path):
@@ -259,7 +292,7 @@ def test_decay_two_weighted_average(tmp_path):
         if chunk.chunk_index == 0:
             _seed_chunk(state, chunk, config.seed)
         else:
-            before = cnt_nbrs(0, chunk, state.parts)
+            before = count_node_neighbors(0, chunk.edges.tolist(), state.parts)
             process_chunk(state, chunk, config)
             per_chunk_counts.append(before)
     # chunk-local counts for node 0 were averaged into the running estimate

@@ -3,6 +3,8 @@ import pytest
 
 from streamcut import EdgeChunk, FormatError, GraphMeta, NodeStats, PartitionState
 
+from helpers import recount_sizes
+
 
 def test_graph_meta_validation():
     GraphMeta(1, 0)
@@ -17,25 +19,37 @@ def test_graph_meta_validation():
 def _brute_adjacency(edges):
     adj = {}
     for u, v in edges.tolist():
-        adj.setdefault(u, []).append(v) if u != v else adj.setdefault(u, [])
+        adj.setdefault(u, [])
+        adj.setdefault(v, [])
         if u != v:
-            adj.setdefault(v, []).append(u)
-        else:
-            adj.setdefault(v, [])
+            adj[u].append(v)
+            adj[v].append(u)
     return {n: sorted(lst) for n, lst in adj.items()}
+
+
+def _check_against_rebuild(edges):
+    chunk = EdgeChunk(0, edges)
+    oracle = _brute_adjacency(edges)
+    nodes, starts, ends, nbrs = chunk.csr()
+    assert all(a.dtype == np.int64 for a in (nodes, starts, ends, nbrs))
+    assert nodes.tolist() == sorted(oracle)
+    for i, node in enumerate(nodes.tolist()):
+        assert nbrs[starts[i] : ends[i]].tolist() == oracle[node]
 
 
 def test_chunk_adjacency_matches_rebuild():
     rng = np.random.default_rng(11)
-    for _ in range(50):
+    for trial in range(50):
         n = int(rng.integers(2, 30))
         m = int(rng.integers(1, 120))
         edges = rng.integers(0, n, size=(m, 2)).astype(np.int64)
-        chunk = EdgeChunk(0, edges)
-        oracle = _brute_adjacency(edges)
-        assert chunk.nodes.tolist() == sorted(oracle)
-        for node in chunk.nodes.tolist():
-            assert sorted(chunk.neighbors(node).tolist()) == oracle[node]
+        _check_against_rebuild(edges)
+        # ids >= 2**32 make the packed src * w + dst key overflow int64
+        _check_against_rebuild(edges * (1 << 32) + trial)
+    # nodes that appear only in self-loops stay listed, with no neighbors
+    _check_against_rebuild(np.array([[5, 5], [1, 2], [7, 7], [7, 7], [2, 1]]))
+    _check_against_rebuild(np.array([[2**40, 2**40], [3, 2**40], [3, 3]]))
+    _check_against_rebuild(np.empty((0, 2), dtype=np.int64))
 
 
 def test_chunk_adjacency_entry_count():
@@ -51,21 +65,22 @@ def test_chunk_adjacency_entry_count():
 
 def test_chunk_absent_node_and_empty():
     chunk = EdgeChunk(3, np.array([[0, 1]]))
-    assert chunk.neighbors(7).size == 0
+    assert 7 not in chunk.nodes.tolist()
     empty = EdgeChunk(0, np.empty((0, 2)))
     assert empty.nodes.size == 0
     assert empty.num_edges == 0
+    assert all(a.size == 0 for a in empty.csr())
 
 
 def test_partition_state_recount():
     state = PartitionState(5, capacity=3)
-    assert state.sizes == state.recount_sizes() == [0, 0]
+    assert state.sizes == recount_sizes(state.parts) == [0, 0]
     state.parts[0] = 0
     state.parts[3] = 1
     state.parts[4] = 1
     state.sizes = [1, 2]
-    assert state.recount_sizes() == [1, 2]
-    assert state.nbr_counts(2) == (0.0, 0.0)
+    assert recount_sizes(state.parts) == [1, 2]
+    assert (state.nbr0[2], state.nbr1[2]) == (0.0, 0.0)
     assert state.labels_array().tolist() == [0, -1, -1, 1, 1]
 
 

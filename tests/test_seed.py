@@ -117,3 +117,82 @@ def test_both_sides_within_capacity():
             labels = seed_bisect(chunk, SeedConfig(algorithm=algo), cap)
             sizes = np.bincount(labels, minlength=2)
             assert sizes.max() <= cap
+
+
+def _scan_restart_bfs_grow(edges, refinement_passes, capacity):
+    """Seed labels by the BFS-grow rule, restarting with a full scan of all nodes.
+
+    Each restart scans every node for the highest-degree unpicked one (lowest
+    id on ties); neighbor lists come straight from the edge list, ascending,
+    duplicates kept, self-loops dropped.  Returns {node: label}.
+    """
+    adj = {}
+    for u, v in edges.tolist():
+        adj.setdefault(u, [])
+        adj.setdefault(v, [])
+        if u != v:
+            adj[u].append(v)
+            adj[v].append(u)
+    nodes = sorted(adj)
+    nbrs = {u: sorted(adj[u]) for u in nodes}
+    target = ceil(len(nodes) / 2)
+    picked = set()
+    queue = []
+    while len(picked) < target:
+        if not queue:
+            best = None
+            for u in nodes:
+                if u not in picked and (best is None or len(nbrs[u]) > len(nbrs[best])):
+                    best = u
+            picked.add(best)
+            queue.append(best)
+            if len(picked) >= target:
+                break
+        v = queue.pop(0)
+        for w in nbrs[v]:
+            if w not in picked:
+                picked.add(w)
+                queue.append(w)
+                if len(picked) >= target:
+                    break
+    labels = {u: 0 if u in picked else 1 for u in nodes}
+    sizes = [target, len(nodes) - target]
+    for _ in range(refinement_passes):
+        moved = False
+        for u in nodes:
+            side = labels[u]
+            same = sum(1 for w in nbrs[u] if labels[w] == side)
+            other = len(nbrs[u]) - same
+            if other > same and sizes[1 - side] < capacity:
+                labels[u] = 1 - side
+                sizes[side] -= 1
+                sizes[1 - side] += 1
+                moved = True
+        if not moved:
+            break
+    return labels
+
+
+def test_bfs_restarts_match_full_scan_rule_on_many_components():
+    rng = np.random.default_rng(29)
+    for trial in range(30):
+        # many small components of 1 to 4 nodes over scattered ids, with
+        # duplicates and self-loops; isolated self-loop nodes have degree 0
+        n = int(rng.integers(20, 200))
+        ids = rng.permutation(10 * n)[:n]
+        edges = []
+        pos = 0
+        while pos < n:
+            size = int(rng.integers(1, 5))
+            comp = ids[pos : pos + size]
+            pos += size
+            edges.append([comp[0], comp[0]])
+            for _ in range(int(rng.integers(0, 2 * len(comp) + 1))):
+                edges.append(rng.choice(comp, size=2).tolist())
+        edges = np.asarray(edges, dtype=np.int64)
+        chunk = EdgeChunk(0, edges)
+        capacity = ceil(len(chunk.nodes) / 2) + int(rng.integers(0, 3))
+        for passes in (0, 2):
+            labels = seed_bisect(chunk, SeedConfig(refinement_passes=passes), capacity)
+            expected = _scan_restart_bfs_grow(edges, passes, capacity)
+            assert dict(zip(chunk.nodes.tolist(), labels.tolist())) == expected, trial
