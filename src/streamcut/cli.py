@@ -188,8 +188,8 @@ def cmd_convert(args) -> int:
 def cmd_cut_stats(args) -> int:
     started = time.monotonic()
     efile = open_edge_file(args.edges)
-    labels, _ = read_labels(args.labels)
-    report = count_cuts(efile, labels)
+    labels, num_parts = read_labels(args.labels)
+    report = count_cuts(efile, labels, num_parts)
     manifest = _write_manifest(args, "cut-stats", [args.edges, args.labels], [], started)
     _emit(args, {**report.to_dict(), "manifest": manifest})
     return EXIT_OK
@@ -198,8 +198,8 @@ def cmd_cut_stats(args) -> int:
 def cmd_buckets(args) -> int:
     started = time.monotonic()
     efile = open_edge_file(args.edges)
-    labels, _ = read_labels(args.labels)
-    index = write_buckets(efile, labels, args.out)
+    labels, num_parts = read_labels(args.labels)
+    index = write_buckets(efile, labels, args.out, num_parts)
     manifest = _write_manifest(
         args, "buckets", [args.edges, args.labels], [args.out, args.out + ".idx"], started
     )
@@ -218,8 +218,8 @@ def cmd_buckets(args) -> int:
 
 def cmd_features(args) -> int:
     started = time.monotonic()
-    labels, _ = read_labels(args.labels)
-    layout = reorder_features(args.features, labels, args.record_width, args.out)
+    labels, num_parts = read_labels(args.labels)
+    layout = reorder_features(args.features, labels, args.record_width, args.out, num_parts)
     manifest = _write_manifest(
         args, "features", [args.features, args.labels], [args.out, args.out + ".layout"], started
     )

@@ -256,9 +256,8 @@ def external_shuffle(
     meta = efile.meta
     mem_pair = 16  # edges are held in memory as int64 pairs
     rng = np.random.default_rng(rng_seed)
-    writer = BinaryEdgeWriter(out_path, meta.num_nodes, meta.node_id_width)
     block_edges = max(1024, (memory_budget // 4) // mem_pair)
-    tmp_serial = [0]
+    temps: list[str] = []  # every scatter temp created, for cleanup on failure
 
     def scatter(source_blocks: Iterator[np.ndarray], total_bytes: int) -> list[str]:
         nbuckets = ceil(total_bytes / max(mem_pair, memory_budget // 2))
@@ -266,23 +265,25 @@ def external_shuffle(
             raise FormatError(
                 f"memory budget too small: shuffle would need {nbuckets} scatter buckets"
             )
+        # narrowest dtype holding every bucket id: numpy radix-sorts keys of <= 16 bits
+        key_dtype = np.min_scalar_type(nbuckets - 1)
         paths = []
         handles = []
-        for _ in range(nbuckets):
-            p = f"{out_path}.scatter{tmp_serial[0]}"
-            tmp_serial[0] += 1
-            paths.append(p)
-            handles.append(open(p, "wb"))
         try:
-            for block in source_blocks:
+            for _ in range(nbuckets):
+                p = f"{out_path}.scatter{len(temps)}"
+                temps.append(p)
+                paths.append(p)
+                handles.append(open(p, "wb"))
+            for block in source_blocks:  # int64 pairs, as the temps hold them
                 ids = rng.integers(0, nbuckets, size=block.shape[0])
-                order = np.argsort(ids, kind="stable")
+                order = np.argsort(ids.astype(key_dtype), kind="stable")
                 grouped = block[order]
                 counts = np.bincount(ids, minlength=nbuckets)
                 pos = 0
                 for b, cnt in enumerate(counts):
                     if cnt:
-                        grouped[pos : pos + cnt].astype(np.int64).tofile(handles[b])
+                        grouped[pos : pos + cnt].tofile(handles[b])
                         pos += cnt
         finally:
             for fh in handles:
@@ -311,14 +312,23 @@ def external_shuffle(
         writer.write(arr[perm])
 
     total_bytes = meta.num_edges * mem_pair
-    if total_bytes <= memory_budget:
-        arr = read_all_edges(efile)
-        perm = rng.permutation(arr.shape[0])
-        writer.write(arr[perm])
-    else:
-        for bucket_path in scatter(iter_edge_blocks(efile, block_edges), total_bytes):
-            gather(bucket_path)
-    return writer.close()
+    writer = BinaryEdgeWriter(out_path, meta.num_nodes, meta.node_id_width)
+    try:
+        with writer:
+            if total_bytes <= memory_budget:
+                arr = read_all_edges(efile)
+                perm = rng.permutation(arr.shape[0])
+                writer.write(arr[perm])
+            else:
+                for bucket_path in scatter(iter_edge_blocks(efile, block_edges), total_bytes):
+                    gather(bucket_path)
+    except BaseException:
+        # no partial output or scatter temp may outlive a failed shuffle
+        for path in [out_path, *temps]:
+            if os.path.exists(path):
+                os.remove(path)
+        raise
+    return open_edge_file(out_path)
 
 
 @dataclass(frozen=True)
@@ -407,15 +417,31 @@ def iter_labelled_blocks(
         yield block, l_src, l_dst
 
 
+def num_parts_of(labels: np.ndarray, num_parts: int | None = None) -> int:
+    """Partition count of a labeling: the declared ``num_parts``, checked
+    against the largest label, or the largest label + 1 when none is declared.
+
+    Unassigned (negative) labels are ignored; with nothing assigned the count
+    is 1.  Raises FormatError on a label >= ``num_parts``.
+    """
+    top = int(np.max(labels, initial=-1))
+    if num_parts is None:
+        return top + 1 if top >= 0 else 1
+    if top >= num_parts:
+        raise FormatError(f"label {top} >= num_parts {num_parts}")
+    return max(int(num_parts), 1)
+
+
 def write_labels(path: str, labels: np.ndarray, num_parts: int | None = None) -> None:
     """Writes a label file; -1 entries are stored as the unassigned sentinel."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise FormatError("labels must be a 1-d array")
+    top = int(labels.max(initial=-1))
     if num_parts is None:
-        num_parts = int(labels.max()) + 1 if labels.size and labels.max() >= 0 else 0
-    if labels.size and int(labels.max()) >= max(num_parts, 1) and num_parts > 0:
-        raise FormatError(f"label {int(labels.max())} >= num_parts {num_parts}")
+        num_parts = top + 1
+    elif top >= num_parts:
+        raise FormatError(f"label {top} >= num_parts {num_parts}")
     payload = labels.copy()
     payload[payload < 0] = _UNASSIGNED_U32
     with open(path, "wb") as fh:

@@ -36,6 +36,7 @@ from .edgefile import (
     ResidencyMeter,
     iter_edge_blocks,
     iter_labelled_blocks,
+    num_parts_of,
     stream_chunks,
 )
 from .errors import CapacityError, FormatError
@@ -206,16 +207,19 @@ def bisect(
     return labels, count_cuts(efile, labels)
 
 
-def count_cuts(efile: EdgeFile, labels: np.ndarray) -> CutReport:
-    """Single streaming pass counting edges whose endpoints carry different labels."""
+def count_cuts(efile: EdgeFile, labels: np.ndarray, num_parts: int | None = None) -> CutReport:
+    """Single streaming pass counting edges whose endpoints carry different labels.
+
+    Sizes and balance are over ``num_parts`` partitions, or over the largest
+    label + 1 when it is not given.
+    """
     labels = np.asarray(labels)
+    num_parts = num_parts_of(labels, num_parts)
     cut = 0
     for _, l_src, l_dst in iter_labelled_blocks(efile, labels):
         cut += int((l_src != l_dst).sum())
     total = efile.meta.num_edges
-    assigned = labels[labels >= 0]
-    num_parts = int(assigned.max()) + 1 if assigned.size else 1
-    sizes = np.bincount(assigned, minlength=num_parts)
+    sizes = np.bincount(labels[labels >= 0], minlength=num_parts)
     ideal = ceil(efile.meta.num_nodes / num_parts)
     return CutReport(
         total_edges=total,
@@ -290,4 +294,4 @@ def partition(
                 os.remove(sub_path + ".remap")
 
     recurse(efile, np.arange(total_nodes, dtype=np.int64), p, 0, 0)
-    return final, count_cuts(efile, final)
+    return final, count_cuts(efile, final, p)

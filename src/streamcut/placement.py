@@ -132,22 +132,23 @@ def estimate_comm(
     counts = np.zeros((plan.num_workers, 2), dtype=np.int64)
     for s in seeds.tolist():
         w = int(node_worker[s])
-        frontier = [s]
+        frontier = np.array([s], dtype=np.int64)
         for fanout in fanouts:
-            nxt: list[int] = []
-            for u in frontier:
-                neigh = snbrs[starts[u] : ends[u]]
-                if len(neigh) > fanout:
-                    sel = neigh[rng.choice(len(neigh), size=fanout, replace=False)]
+            if frontier.size == 0:
+                break
+            # one rng.choice per frontier node with more than ``fanout``
+            # neighbors, in frontier order: the counts for an rng_seed depend
+            # on exactly this call sequence
+            picks = []
+            for lo, hi in zip(starts[frontier].tolist(), ends[frontier].tolist()):
+                if hi - lo > fanout:
+                    picks.append(snbrs[lo + rng.choice(hi - lo, size=fanout, replace=False)])
                 else:
-                    sel = neigh
-                for v in sel.tolist():
-                    if replicated[v] or node_worker[v] == w:
-                        counts[w, 0] += 1
-                    else:
-                        counts[w, 1] += 1
-                    nxt.append(v)
-            frontier = nxt
+                    picks.append(snbrs[lo:hi])
+            frontier = np.concatenate(picks)
+            local = int(np.count_nonzero(replicated[frontier] | (node_worker[frontier] == w)))
+            counts[w, 0] += local
+            counts[w, 1] += frontier.size - local
     return [(int(a), int(b)) for a, b in counts]
 
 

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edgefile import FLAG_WIDE_IDS, EdgeFile, iter_edge_blocks, iter_labelled_blocks
+from .edgefile import (
+    FLAG_WIDE_IDS,
+    EdgeFile,
+    iter_edge_blocks,
+    iter_labelled_blocks,
+    num_parts_of,
+)
 from .errors import FormatError
 
 BUCKET_MAGIC = b"GRPB"
@@ -52,15 +58,20 @@ def _index_path(store_path: str) -> str:
     return store_path + ".idx"
 
 
-def write_buckets(efile: EdgeFile, labels: np.ndarray, out_path: str) -> BucketIndex:
+def write_buckets(
+    efile: EdgeFile, labels: np.ndarray, out_path: str, num_parts: int | None = None
+) -> BucketIndex:
     """Scatters the edge list into partition buckets; two streaming passes.
 
     The first pass counts bucket sizes, the second writes each edge at its
     bucket's running offset.  Within a bucket, input edge order is preserved.
+    The store has ``num_parts`` x ``num_parts`` buckets; without it, p is the
+    largest label + 1.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    assigned = labels[labels >= 0]
-    p = int(assigned.max()) + 1 if assigned.size else 1
+    p = num_parts_of(labels, num_parts)
+    # narrowest dtype holding every bucket id: numpy radix-sorts keys of <= 16 bits
+    key_dtype = np.min_scalar_type(p * p - 1)
     width = efile.meta.node_id_width
     pair = 2 * (width // 8)
     dtype = np.dtype("<u4") if width == 32 else np.dtype("<u8")
@@ -79,7 +90,7 @@ def write_buckets(efile: EdgeFile, labels: np.ndarray, out_path: str) -> BucketI
         fh.truncate(_BUCKET_HEADER.size + int(counts.sum()) * pair)
         for block in iter_edge_blocks(efile):
             bucket_ids = labels[block[:, 0]] * p + labels[block[:, 1]]
-            order = np.argsort(bucket_ids, kind="stable")
+            order = np.argsort(bucket_ids.astype(key_dtype), kind="stable")
             grouped = block[order]
             block_counts = np.bincount(bucket_ids, minlength=p * p)
             pos = 0
@@ -192,12 +203,17 @@ class FeatureLayout:
 
 
 def reorder_features(
-    features_path: str, labels: np.ndarray, record_width: int, out_path: str
+    features_path: str,
+    labels: np.ndarray,
+    record_width: int,
+    out_path: str,
+    num_parts: int | None = None,
 ) -> FeatureLayout:
     """Rewrites fixed-width records so each partition's nodes are contiguous.
 
     Within a partition the original ascending node-id order is kept.  The
-    layout is also saved next to the output as ``<out>.layout``.
+    layout is also saved next to the output as ``<out>.layout``, with one
+    extent per partition: ``num_parts`` of them, or the largest label + 1.
     """
     labels = np.asarray(labels, dtype=np.int64)
     num_nodes = labels.shape[0]
@@ -213,7 +229,7 @@ def reorder_features(
     order = np.argsort(labels, kind="stable")  # by partition, ties by node id
     permutation = np.empty(num_nodes, dtype=np.int64)
     permutation[order] = np.arange(num_nodes)
-    p = int(labels.max()) + 1 if num_nodes else 1
+    p = num_parts_of(labels, num_parts)
     counts = np.bincount(labels, minlength=p)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     extents = tuple((int(s), int(c)) for s, c in zip(starts, counts))

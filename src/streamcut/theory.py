@@ -53,14 +53,20 @@ def hypergeom_pmf_cdf(population: int, successes: int, draws: int, at: int) -> t
     lo = max(0, d - (k - k0))
     hi = min(d, k0)
     log_denom = _log_choose(k, d)
-
-    def pmf_at(j: int) -> float:
-        return exp(_log_choose(k0, j) + _log_choose(k - k0, d - j) - log_denom)
-
-    pmf = pmf_at(t) if lo <= t <= hi else 0.0
+    pmf = (
+        exp(_log_choose(k0, t) + _log_choose(k - k0, d - t) - log_denom)
+        if lo <= t <= hi
+        else 0.0
+    )
+    # the cdf sums the same pmf terms, with the j-independent lgamma values hoisted
+    lg_k0, lg_k1 = lgamma(k0 + 1), lgamma(k - k0 + 1)
     cdf = 0.0
     for j in range(lo, min(t, hi) + 1):
-        cdf += pmf_at(j)
+        cdf += exp(
+            (lg_k0 - lgamma(j + 1) - lgamma(k0 - j + 1))
+            + (lg_k1 - lgamma(d - j + 1) - lgamma(k - k0 - d + j + 1))
+            - log_denom
+        )
     return pmf, cdf
 
 
@@ -123,17 +129,27 @@ def expected_cuts(stats: NodeStats, x: float, multiplier: float = 1.0) -> Theory
     """
     if len(stats) == 0:
         raise FormatError("empty node stats")
-    memo: dict[tuple[int, int], float] = {}
-    total = 0.0
-    for ki, k0i in zip(stats.k.tolist(), stats.k0.tolist()):
-        if ki == 0:
-            continue
-        key = (ki, k0i)
-        p = memo.get(key)
-        if p is None:
-            p = prob_correct(ki, k0i, x, multiplier)
-            memo[key] = p
-        total += (ki - k0i) * p + k0i * (1.0 - p)
+    linked = stats.k > 0
+    k, k0 = stats.k[linked], stats.k0[linked]
+    # one prob_correct call per distinct (k, k0); the pair key is built from
+    # value ranks, so it stays below (#distinct k) * (#distinct k0) whatever the degrees
+    k_vals, k_rank = np.unique(k, return_inverse=True)
+    k0_vals, k0_rank = np.unique(k0, return_inverse=True)
+    pairs, pair_of = np.unique(k_rank * k0_vals.size + k0_rank, return_inverse=True)
+    probs = np.array(
+        [
+            prob_correct(ki, k0i, x, multiplier)
+            for ki, k0i in zip(
+                k_vals[pairs // k0_vals.size].tolist(), k0_vals[pairs % k0_vals.size].tolist()
+            )
+        ],
+        dtype=np.float64,
+    )
+    p = probs[pair_of]
+    terms = (k - k0) * p + k0 * (1.0 - p)
+    # cumsum adds left to right, node by node, so the total does not depend on
+    # numpy's pairwise summation
+    total = float(np.cumsum(terms)[-1]) if terms.size else 0.0
     endpoints = stats.total_endpoints
     return TheoryCurvePoint(float(x), total, total / endpoints if endpoints else 0.0)
 

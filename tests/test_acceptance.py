@@ -12,6 +12,7 @@ import hashlib
 from contextlib import contextmanager
 from fractions import Fraction
 from math import ceil, comb
+from pathlib import Path
 
 import numpy as np
 
@@ -323,7 +324,7 @@ def test_c09_comm_monotonicity(tmp_path):
 
 
 def _digest(path) -> str:
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_c10_cli_determinism(tmp_path, capsys):

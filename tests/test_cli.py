@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from helpers import make_edge_file
 
 
 def digest(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def run(capsys, *argv):
@@ -66,8 +67,8 @@ def test_partition_rerun_is_byte_identical(tmp_path, cliques, capsys):
     code, pb = run_json(capsys, "partition", efile.path, "--out", b, *flags)
     assert code == 0
     assert digest(a) == digest(b)
-    ma = json.load(open(pa["manifest"]))
-    mb = json.load(open(pb["manifest"]))
+    ma = json.loads(Path(pa["manifest"]).read_text())
+    mb = json.loads(Path(pb["manifest"]).read_text())
     assert list(ma["outputs"].values()) == list(mb["outputs"].values())
     assert ma["input_digests"] == mb["input_digests"]
     assert ma["peak_rss_bytes"] > 0
@@ -103,7 +104,7 @@ def test_predict_multiplier_dominance_and_monotone(tmp_path, cliques, capsys):
     v2 = [p["expected_cuts"] for p in m2["points"]]
     assert all(b <= a for a, b in zip(v1, v2))
     assert all(a >= b for a, b in zip(v1, v1[1:]))  # monotone non-increasing
-    head = open(tmp_path / "m1.csv").readline().strip()
+    head = (tmp_path / "m1.csv").read_text().splitlines()[0]
     assert head == "x,expected_cuts,expected_cut_fraction,multiplier"
 
 
@@ -114,6 +115,41 @@ def test_cut_stats_all_same_label(tmp_path, capsys):
     code, payload = run_json(capsys, "cut-stats", efile.path, ref)
     assert code == 0
     assert payload["cut_fraction"] == 0.0
+
+
+def test_label_file_num_parts_is_honoured(tmp_path, capsys):
+    # partition 3 of the declared 4 is empty: the count must not shrink to 3
+    efile = make_edge_file(tmp_path / "g.grpe", [[i, i + 1] for i in range(5)], 6)
+    ref = tmp_path / "l.grpl"
+    write_labels(str(ref), np.array([0, 0, 1, 1, 2, 2]), num_parts=4)
+    code, payload = run_json(capsys, "cut-stats", efile.path, ref)
+    assert code == 0
+    assert payload["partition_sizes"] == [2, 2, 2, 0]
+    assert payload["balance_ratio"] == 2 / 2  # largest part / ceil(6 / 4)
+    code, payload = run_json(capsys, "buckets", efile.path, ref, tmp_path / "g.grpb")
+    assert code == 0
+    assert payload["parts"] == 4
+    feats = tmp_path / "f.bin"
+    feats.write_bytes(bytes(range(6)))
+    code, payload = run_json(capsys, "features", feats, ref, tmp_path / "grouped.bin",
+                             "--record-width", "1")
+    assert code == 0
+    assert payload["extents"] == [[0, 2], [2, 2], [4, 2], [6, 0]]
+
+
+def test_label_above_num_parts_is_a_data_error(tmp_path, capsys):
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2]], 3)
+    ref = tmp_path / "l.grpl"
+    write_labels(str(ref), np.array([0, 1, 2]), num_parts=3)
+    raw = bytearray(ref.read_bytes())
+    raw[16:20] = (2).to_bytes(4, "little")  # header num_parts: 3 -> 2
+    ref.write_bytes(bytes(raw))
+    feats = tmp_path / "f.bin"
+    feats.write_bytes(bytes(3))
+    for argv in (["cut-stats", efile.path, ref], ["buckets", efile.path, ref, tmp_path / "b"],
+                 ["features", feats, ref, tmp_path / "o", "--record-width", "1"]):
+        assert main([str(a) for a in argv]) == 3
+        assert "label 2 >= num_parts 2" in capsys.readouterr().err
 
 
 def test_shuffle_convert_round_trip(tmp_path, cliques, capsys):
@@ -161,7 +197,7 @@ def test_features_cli(tmp_path, capsys):
     out = tmp_path / "grouped.bin"
     code, payload = run_json(capsys, "features", feats, ref, out, "--record-width", "2")
     assert code == 0
-    assert open(out, "rb").read() == b"BBAACC"
+    assert out.read_bytes() == b"BBAACC"
     assert payload["extents"] == [[0, 1], [1, 2]]
 
 
@@ -169,7 +205,7 @@ def test_plan_single_worker(tmp_path, capsys):
     out = tmp_path / "plan.txt"
     code, _ = run_json(capsys, "plan", out, "--parts", "4", "--workers", "1")
     assert code == 0
-    lines = [l for l in open(out).read().splitlines() if l]
+    lines = [l for l in out.read_text().splitlines() if l]
     assert len(lines) == 1
     assert sorted(int(x) for x in lines[0].split(":")[1].split(",")) == [0, 1, 2, 3]
 
@@ -191,7 +227,7 @@ def test_plan_with_replication_and_comm(tmp_path, cliques, capsys):
         "--out", csv_path, "--num-seeds", "8", "--rng-seed", "1",
     )
     assert code == 0
-    lines = open(csv_path).read().splitlines()
+    lines = csv_path.read_text().splitlines()
     assert lines[0] == "worker,local,remote"
     assert len(lines) == 3
     assert sum(p["local"] for p in payload["per_worker"]) > 0

@@ -72,8 +72,8 @@ def test_id_out_of_range(tmp_path):
     src.write_text("0 9\n")
     with pytest.raises(FormatError):
         open_edge_file(str(src), num_nodes=3)
-    with pytest.raises(FormatError):
-        BinaryEdgeWriter(str(tmp_path / "o.grpe"), 3).write(np.array([[0, 9]]))
+    with pytest.raises(FormatError), BinaryEdgeWriter(str(tmp_path / "o.grpe"), 3) as writer:
+        writer.write(np.array([[0, 9]]))
 
 
 def test_header_payload_mismatch(tmp_path):
@@ -109,6 +109,21 @@ def test_shuffle_scatter_path_preserves_multiset(tmp_path):
     shuffled = read_all_edges(out)
     assert sorted(map(tuple, shuffled.tolist())) == sorted(map(tuple, edges.tolist()))
     assert not np.array_equal(shuffled, edges)
+
+
+@pytest.mark.parametrize("budget", [1 << 16, 1 << 24])  # scatter path, in-memory path
+def test_shuffle_failure_leaves_only_the_input(tmp_path, budget):
+    rng = np.random.default_rng(4)
+    edges = rng.integers(0, 300, size=(51200, 2))
+    make_edge_file(tmp_path / "g.grpe", edges, 300)
+    efile = open_edge_file(str(tmp_path / "g.grpe"))
+    # an out-of-range id in the last block, after many scatter temps are written
+    raw = bytearray((tmp_path / "g.grpe").read_bytes())
+    raw[-8:-4] = (999).to_bytes(4, "little")
+    (tmp_path / "g.grpe").write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="999"):
+        external_shuffle(efile, str(tmp_path / "out.grpe"), budget, rng_seed=0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe"]
 
 
 def test_shuffle_budget_too_small(tmp_path):
@@ -195,3 +210,6 @@ def test_labels_round_trip(tmp_path):
     back, parts = read_labels(path)
     assert parts == 4
     assert np.array_equal(back, labels)
+    for declared in (0, 3):  # a declared count the labels exceed is never written
+        with pytest.raises(FormatError, match=f"label 3 >= num_parts {declared}"):
+            write_labels(path, labels, num_parts=declared)

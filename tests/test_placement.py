@@ -13,6 +13,7 @@ from streamcut import (
     plan_to_text,
     select_replicated,
 )
+from streamcut.model import build_adjacency
 from streamcut.placement import comm_csv
 from streamcut.synth import CliqueUnionSpec, SbmSpec, StarSpec, generate
 
@@ -164,3 +165,60 @@ def test_comm_deterministic_and_validated(tmp_path):
 def test_comm_csv_format():
     text = comm_csv([(10, 2), (8, 0)])
     assert text.splitlines() == ["worker,local,remote", "0,10,2", "1,8,0"]
+
+
+def per_fetch_estimate_comm(edges, num_nodes, labels, plan, fanouts, num_seeds, rng_seed):
+    """The per-fetch sampling walk: one Python step and one tally per fetched node."""
+    nodes, node_starts, node_ends, snbrs = build_adjacency(edges)
+    starts = np.zeros(num_nodes, dtype=np.int64)
+    ends = np.zeros(num_nodes, dtype=np.int64)
+    starts[nodes] = node_starts
+    ends[nodes] = node_ends
+    node_worker = plan.worker_of()[labels]
+    replicated = np.zeros(num_nodes, dtype=bool)
+    replicated[list(plan.replicated_nodes)] = True
+    rng = np.random.default_rng(rng_seed)
+    seeds = rng.choice(num_nodes, size=num_seeds, replace=False)
+    counts = np.zeros((plan.num_workers, 2), dtype=np.int64)
+    for s in seeds.tolist():
+        w = int(node_worker[s])
+        frontier = [s]
+        for fanout in fanouts:
+            nxt = []
+            for u in frontier:
+                neigh = snbrs[starts[u] : ends[u]]
+                if len(neigh) > fanout:
+                    sel = neigh[rng.choice(len(neigh), size=fanout, replace=False)]
+                else:
+                    sel = neigh
+                for v in sel.tolist():
+                    if replicated[v] or node_worker[v] == w:
+                        counts[w, 0] += 1
+                    else:
+                        counts[w, 1] += 1
+                    nxt.append(v)
+            frontier = nxt
+    return [(int(a), int(b)) for a, b in counts]
+
+
+def test_comm_equals_per_fetch_walk(tmp_path):
+    rng = np.random.default_rng(5)
+    for case in range(12):
+        num_nodes = int(rng.integers(10, 60))
+        # ids above ``linked`` touch no edge, so a seed drawn there has an empty frontier
+        linked = int(rng.integers(3, num_nodes))
+        edges = rng.integers(0, linked, size=(int(rng.integers(1, 12 * linked)), 2))
+        efile = make_edge_file(tmp_path / f"g{case}.grpe", edges, num_nodes)
+        parts = int(rng.integers(1, 5))
+        labels = rng.integers(0, parts, size=num_nodes)
+        plan = plan_assignment(parts, int(rng.integers(1, parts + 1)), rng_seed=case)
+        replicated = rng.choice(num_nodes, size=int(rng.integers(0, 4)), replace=False)
+        plan = PlacementPlan(plan.num_workers, plan.assignment, frozenset(replicated.tolist()))
+        fanouts = tuple(int(f) for f in rng.integers(1, 12, size=int(rng.integers(1, 4))))
+        num_seeds = int(rng.integers(1, num_nodes + 1))
+        for rng_seed in range(4):
+            got = estimate_comm(efile, labels, plan, fanouts, num_seeds, rng_seed)
+            want = per_fetch_estimate_comm(
+                edges, num_nodes, labels, plan, fanouts, num_seeds, rng_seed
+            )
+            assert got == want, (case, rng_seed)

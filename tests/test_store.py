@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -111,7 +113,7 @@ def test_reorder_features_stable_grouping(tmp_path):
     feats.write_bytes(b"AAAA" + b"BBBB" + b"CCCC")
     out = str(tmp_path / "grouped.bin")
     layout = reorder_features(str(feats), np.array([1, 0, 1]), 4, out)
-    assert open(out, "rb").read() == b"BBBB" + b"AAAA" + b"CCCC"
+    assert Path(out).read_bytes() == b"BBBB" + b"AAAA" + b"CCCC"
     assert layout.slot_of(1) == 0 and layout.slot_of(0) == 1 and layout.slot_of(2) == 2
     assert layout.extents == ((0, 1), (1, 2))
 
@@ -121,7 +123,7 @@ def test_reorder_features_identity(tmp_path):
     feats.write_bytes(bytes(range(12)))
     out = str(tmp_path / "grouped.bin")
     layout = reorder_features(str(feats), np.zeros(3, dtype=np.int64), 4, out)
-    assert open(out, "rb").read() == bytes(range(12))
+    assert Path(out).read_bytes() == bytes(range(12))
     assert layout.permutation.tolist() == [0, 1, 2]
 
 
@@ -154,3 +156,22 @@ def test_reorder_features_length_mismatch(tmp_path):
     feats.write_bytes(b"123")
     with pytest.raises(FormatError):
         reorder_features(str(feats), np.array([0, 1]), 2, str(tmp_path / "o.bin"))
+
+
+@pytest.mark.parametrize("p", [2, 17, 300])  # bucket ids fit uint8, uint16, and neither
+def test_buckets_equal_stable_sort_reference(tmp_path, p):
+    rng = np.random.default_rng(p)
+    num_nodes = 2 * p + 50
+    edges = rng.integers(0, num_nodes, size=(270_000, 2))  # more than one streaming block
+    labels = rng.integers(0, p, size=num_nodes)
+    labels[:p] = np.arange(p)
+    efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
+    store = tmp_path / "g.grpb"
+    index = write_buckets(efile, labels, str(store))
+    bucket = (labels[edges[:, 0]] * p + labels[edges[:, 1]]).tolist()
+    order = sorted(range(len(bucket)), key=bucket.__getitem__)  # Python's sort is stable
+    counts = np.bincount(bucket, minlength=p * p)
+    assert index.p == p
+    assert index.counts.ravel().tolist() == counts.tolist()
+    header_size = index.offsets[0, 0]
+    assert Path(store).read_bytes()[header_size:] == edges[order].astype("<u4").tobytes()

@@ -12,6 +12,7 @@ from streamcut import (
     prob_correct,
     theory_curve,
 )
+from streamcut.model import NodeStats
 from streamcut.synth import CliqueUnionSpec, SbmSpec, StarSpec, generate
 from streamcut.theory import curve_csv, draws_for
 
@@ -235,3 +236,53 @@ def test_curve_csv_format(tmp_path):
     assert lines[0] == "x,expected_cuts,expected_cut_fraction,multiplier"
     assert len(lines) == 3
     assert lines[1].startswith("0.5,") and lines[1].endswith(",2")
+
+
+def per_node_expected_cuts(stats, x, multiplier):
+    """The per-node loop with a (k, k0) memo, summing left to right."""
+    memo = {}
+    total = 0.0
+    for ki, k0i in zip(stats.k.tolist(), stats.k0.tolist()):
+        if ki == 0:
+            continue
+        if (ki, k0i) not in memo:
+            memo[ki, k0i] = prob_correct(ki, k0i, x, multiplier)
+        p = memo[ki, k0i]
+        total += (ki - k0i) * p + k0i * (1.0 - p)
+    return total
+
+
+def random_node_stats(rng, num_nodes, max_degree):
+    k = rng.integers(0, max_degree + 1, size=num_nodes)
+    k[rng.random(num_nodes) < 0.2] = 0
+    minority = (rng.random(num_nodes) * (k // 2 + 1)).astype(np.int64)
+    return NodeStats(k, k - minority)
+
+
+@pytest.mark.parametrize("multiplier", [1.0, 2.0])
+def test_expected_cuts_equals_per_node_loop(multiplier):
+    rng = np.random.default_rng(42)
+    cases = [random_node_stats(rng, int(rng.integers(1, 300)), int(rng.integers(1, 60)))
+             for _ in range(20)]
+    cases.append(NodeStats(np.zeros(7, dtype=np.int64), np.zeros(7, dtype=np.int64)))
+    for stats in cases:
+        for x in (0.01, 0.05, 0.1, 0.37, 1.0):
+            point = expected_cuts(stats, x, multiplier)
+            want = per_node_expected_cuts(stats, x, multiplier)
+            assert point.expected_cuts == want
+            endpoints = stats.total_endpoints
+            assert point.expected_cut_fraction == (want / endpoints if endpoints else 0.0)
+
+
+def test_expected_cuts_large_degrees_equal_per_node_loop():
+    # degrees near 2**40 and 2**61: (k, k0) pairs must stay distinct keys;
+    # a tiny x keeps the draws, and so the cdf loop, short
+    big = [2**40, 2**40 + 1, 2**61 - 3, 2**61 - 3, 2**40, 5, 0]
+    k = np.array(big, dtype=np.int64)
+    k0 = np.array([2**40, 2**39 + 1, 2**61 - 3, 2**60, 2**39, 3, 0], dtype=np.int64)
+    stats = NodeStats(k, k0)
+    for x in (1e-19, 1.2e-18):
+        for multiplier in (1.0, 2.0):
+            assert expected_cuts(stats, x, multiplier).expected_cuts == per_node_expected_cuts(
+                stats, x, multiplier
+            )
