@@ -17,7 +17,7 @@ import resource
 import sys
 import time
 
-from . import __version__
+from . import __version__, _kernels
 from .edgefile import (
     BINARY,
     TEXT,
@@ -59,7 +59,9 @@ def _peak_rss_bytes() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
-def _write_manifest(args, command: str, inputs: list[str], outputs: list[str], started: float) -> str:
+def _write_manifest(
+    args, command: str, inputs: list[str], outputs: list[str], started: float, **extra
+) -> str:
     config = {
         k: v
         for k, v in vars(args).items()
@@ -72,6 +74,7 @@ def _write_manifest(args, command: str, inputs: list[str], outputs: list[str], s
         "outputs": {p: _sha256(p) for p in outputs},
         "wall_time_s": time.monotonic() - started,
         "peak_rss_bytes": _peak_rss_bytes(),
+        **extra,
     }
     path = args.manifest
     if path is None:
@@ -128,8 +131,9 @@ def cmd_partition(args) -> int:
             except OSError:
                 pass
     write_labels(args.out, labels, num_parts=args.parts)
-    manifest = _write_manifest(args, "partition", [args.edges], [args.out], started)
-    _emit(args, {**report.to_dict(), "labels": args.out, "manifest": manifest})
+    kernel = _kernels.kernel_name()
+    manifest = _write_manifest(args, "partition", [args.edges], [args.out], started, kernel=kernel)
+    _emit(args, {**report.to_dict(), "kernel": kernel, "labels": args.out, "manifest": manifest})
     return EXIT_OK
 
 

@@ -29,6 +29,7 @@ from math import ceil
 
 import numpy as np
 
+from . import _kernels
 from .edgefile import (
     BinaryEdgeWriter,
     ChunkPlan,
@@ -102,20 +103,31 @@ def assign(nbrs0: float, nbrs1: float, sizes, capacity: int) -> int:
 
 def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -> PartitionState:
     """Sweeps one non-seed chunk, updating labels, sizes and stored estimates."""
-    parts = state.parts
+    nodes, starts, ends, nbrs = chunk.csr()
+    if nodes.size and (nodes[0] < 0 or nodes[-1] >= state.num_nodes):
+        raise FormatError(f"chunk node ids outside [0, {state.num_nodes})")
+    if _kernels.sweep is not None:
+        sizes = np.array(state.sizes, dtype=np.int64)
+        failed = _kernels.sweep(nodes.size, nodes, starts, ends, nbrs, state.parts,
+                                state.nbr0, state.nbr1, sizes, state.capacity, config.refine)
+        state.sizes[:] = sizes.tolist()
+        if failed >= 0:
+            raise CapacityError("both partitions at capacity; size accounting is broken")
+        return state
+
+    # memoryviews index to Python ints and floats, several times faster than
+    # numpy scalar indexing in this per-node loop
+    parts = memoryview(state.parts)
+    nbr0 = memoryview(state.nbr0)
+    nbr1 = memoryview(state.nbr1)
     sizes = state.sizes
-    nbr0 = state.nbr0
-    nbr1 = state.nbr1
     cap = state.capacity
     refine = config.refine
-
-    nodes, starts, ends, nbrs = chunk.csr()
-    node_list = nodes.tolist()
     s_list = starts.tolist()
     e_list = ends.tolist()
     adj = nbrs.tolist()
 
-    for i, n in enumerate(node_list):
+    for i, n in enumerate(nodes.tolist()):
         old = parts[n]
         if old != -1 and not refine:
             continue
@@ -142,34 +154,28 @@ def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -
 def _seed_chunk(state: PartitionState, chunk: EdgeChunk, seed_cfg: SeedConfig) -> None:
     labels = seed_bisect(chunk, seed_cfg, state.capacity)
     nodes, starts, ends, nbrs = chunk.csr()
-    node_list = nodes.tolist()
-    for i, n in enumerate(node_list):
-        state.parts[n] = int(labels[i])
-    state.sizes = [state.parts.count(0), state.parts.count(1)]
+    parts = state.parts
+    parts[nodes] = labels
+    state.sizes = [int(np.count_nonzero(parts == 0)), int(np.count_nonzero(parts == 1))]
 
     # neighbor estimates against the freshly seeded labels
-    parts_arr = np.asarray(state.parts, dtype=np.int8)
-    adj_parts = parts_arr[nbrs] if nbrs.size else np.empty(0, dtype=np.int8)
+    adj_parts = parts[nbrs]
     seg = np.repeat(np.arange(len(nodes)), ends - starts)
-    c0 = np.bincount(seg[adj_parts == 0], minlength=len(nodes))
-    c1 = np.bincount(seg[adj_parts == 1], minlength=len(nodes))
-    for i, n in enumerate(node_list):
-        state.nbr0[n] = float(c0[i])
-        state.nbr1[n] = float(c1[i])
+    state.nbr0[nodes] = np.bincount(seg[adj_parts == 0], minlength=len(nodes))
+    state.nbr1[nodes] = np.bincount(seg[adj_parts == 1], minlength=len(nodes))
 
 
 def _fill_unassigned(state: PartitionState) -> None:
+    parts = state.parts
     sizes = state.sizes
     cap = state.capacity
-    for n, part in enumerate(state.parts):
-        if part != -1:
-            continue
+    for n in np.flatnonzero(parts == -1).tolist():
         b = 0 if sizes[0] <= sizes[1] else 1
         if sizes[b] >= cap:
             b = 1 - b
             if sizes[b] >= cap:
                 raise CapacityError("no partition has room for unassigned nodes")
-        state.parts[n] = b
+        parts[n] = b
         sizes[b] += 1
 
 

@@ -98,11 +98,13 @@ class EdgeChunk:
 class PartitionState:
     """Mutable state of one streaming bisection.
 
-    parts[n] is -1 (unassigned), 0 or 1.  ``sizes`` tracks the node count of
-    each partition and must match a recount of ``parts`` at every observable
-    point.  ``nbr0``/``nbr1`` hold the running per-node estimates of the number
-    of neighbors in each partition; they stay (0, 0) for nodes never seen in a
-    processed chunk.  ``capacity`` is the maximum node count per partition.
+    ``parts`` is an int8 array: parts[n] is -1 (unassigned), 0 or 1.
+    ``sizes`` is a two-int list tracking the node count of each partition; it
+    must match a recount of ``parts`` at every observable point.
+    ``nbr0``/``nbr1`` are float64 arrays of the running per-node estimates of
+    the number of neighbors in each partition; they stay (0, 0) for nodes
+    never seen in a processed chunk.  ``capacity`` is the maximum node count
+    per partition.
     """
 
     __slots__ = ("parts", "sizes", "nbr0", "nbr1", "capacity")
@@ -110,18 +112,18 @@ class PartitionState:
     def __init__(self, num_nodes: int, capacity: int):
         if num_nodes < 1:
             raise FormatError("PartitionState needs num_nodes >= 1")
-        self.parts: list[int] = [-1] * num_nodes
+        self.parts = np.full(num_nodes, -1, dtype=np.int8)
         self.sizes: list[int] = [0, 0]
-        self.nbr0: list[float] = [0.0] * num_nodes
-        self.nbr1: list[float] = [0.0] * num_nodes
+        self.nbr0 = np.zeros(num_nodes, dtype=np.float64)
+        self.nbr1 = np.zeros(num_nodes, dtype=np.float64)
         self.capacity = int(capacity)
 
     @property
     def num_nodes(self) -> int:
-        return len(self.parts)
+        return self.parts.shape[0]
 
     def labels_array(self) -> np.ndarray:
-        return np.asarray(self.parts, dtype=np.int32)
+        return self.parts.astype(np.int32)
 
 
 @dataclass(frozen=True)

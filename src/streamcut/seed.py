@@ -14,6 +14,7 @@ from math import ceil
 
 import numpy as np
 
+from . import _kernels
 from .errors import CapacityError, FormatError
 from .model import EdgeChunk
 
@@ -57,9 +58,18 @@ def _bfs_grow(nodes, starts, ends, nbrs, refinement_passes: int, capacity: int) 
     n = len(nodes)
     target = ceil(n / 2)
     # local positions: neighbor node-ids -> indices into `nodes`
-    local = np.searchsorted(nodes, nbrs).tolist()
+    local = np.searchsorted(nodes, nbrs)
     # BFS (re)starts go to the highest-degree unpicked node, lowest id on ties
-    restart_order = np.argsort(starts - ends, kind="stable").tolist()
+    restart_order = np.argsort(starts - ends, kind="stable")
+    if _kernels.bfs_grow is not None:
+        labels = np.ones(n, dtype=np.int8)
+        queue = np.empty(n, dtype=np.int64)
+        _kernels.bfs_grow(n, starts, ends, local, restart_order, refinement_passes, capacity,
+                          labels, queue)
+        return labels
+
+    local = local.tolist()
+    restart_order = restart_order.tolist()
     starts = starts.tolist()
     ends = ends.tolist()
 

@@ -1,8 +1,29 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+from hypothesis import HealthCheck, settings
 
-from streamcut import BinaryEdgeWriter, open_edge_file
+from streamcut import BinaryEdgeWriter, _kernels, open_edge_file
+
+# property tests: reproducible examples, no example database on disk; the
+# kernel choice made through monkeypatch holds for every example of a test
+PROPERTY_SETTINGS = settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def each_kernel(monkeypatch):
+    """Runs a loop body under the compiled kernels, then under the Python loops.
+
+    Yields "native", then sets the loader's handles to None and yields
+    "python".  The monkeypatch fixture restores the handles when the test
+    ends, however it ends.
+    """
+    yield "native"
+    monkeypatch.setattr(_kernels, "sweep", None)
+    monkeypatch.setattr(_kernels, "bfs_grow", None)
+    yield "python"
 
 
 def make_edge_file(path, edges, num_nodes):
@@ -25,8 +46,8 @@ def random_multigraph(rng, max_nodes=40, max_edges=400, self_loops=True):
 
 
 def recount_sizes(parts):
-    """Partition sizes [|0|, |1|] recounted from scratch out of a parts list."""
-    parts = list(parts)
+    """Partition sizes [|0|, |1|] recounted from scratch out of a parts list or array."""
+    parts = np.asarray(parts).tolist()
     return [parts.count(0), parts.count(1)]
 
 

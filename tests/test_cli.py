@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamcut import read_labels, write_labels
+from streamcut import _kernels, read_labels, write_labels
 from streamcut.cli import main
 from streamcut.synth import CliqueUnionSpec, write_graph
 
-from helpers import make_edge_file
+from helpers import each_kernel, make_edge_file
 
 
 def digest(path):
@@ -45,6 +45,24 @@ def test_partition_reports_single_cut(tmp_path, cliques, capsys):
     assert sorted(payload["partition_sizes"]) == [16, 16]
     labels, parts = read_labels(str(out_labels))
     assert parts == 2 and len(labels) == 32
+
+
+def test_partition_records_kernel(tmp_path, cliques, capsys, monkeypatch):
+    efile, _ = cliques
+    runs = {}
+    for kernel in each_kernel(monkeypatch):
+        out_labels = tmp_path / f"{kernel}.grpl"
+        code, payload = run_json(
+            capsys, "partition", efile.path, "--out", out_labels, "--chunk-frac", "0.3"
+        )
+        assert code == 0
+        manifest = json.loads(Path(payload["manifest"]).read_text())
+        # "native" only where a C compiler built the kernels
+        expected = "native" if _kernels.sweep is not None else "python"
+        assert payload["kernel"] == manifest["kernel"] == expected
+        assert "kernel" not in manifest["config"]
+        runs[kernel] = digest(out_labels)
+    assert runs["native"] == runs["python"]
 
 
 def test_partition_no_refine_single_chunk_identical(tmp_path, cliques, capsys):

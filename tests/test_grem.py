@@ -2,6 +2,8 @@ from math import ceil
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from streamcut import (
     CapacityError,
@@ -19,10 +21,18 @@ from streamcut import (
     seed_bisect,
     write_labels,
 )
+from streamcut import _kernels
 from streamcut.grem import assign, default_capacity, process_chunk
 from streamcut.synth import CliqueUnionSpec, generate
 
-from helpers import brute_force_cut, make_edge_file, random_multigraph, recount_sizes
+from helpers import (
+    PROPERTY_SETTINGS,
+    brute_force_cut,
+    each_kernel,
+    make_edge_file,
+    random_multigraph,
+    recount_sizes,
+)
 from reference_interp import count_node_neighbors, run_fixed_greedy, run_reference
 
 
@@ -50,60 +60,72 @@ def _sweep_counts(node, edges, parts, refine=False):
     half the chunk-local count.
     """
     state = PartitionState(len(parts), capacity=len(parts))
-    state.parts = list(parts)
+    state.parts[:] = parts
     state.sizes = recount_sizes(parts)
     config = GremConfig(chunk_frac=1.0, refine=refine)
     process_chunk(state, EdgeChunk(1, np.asarray(edges)), config)
-    return state.nbr0[node], state.nbr1[node]
+    return float(state.nbr0[node]), float(state.nbr1[node])
 
 
-def test_process_chunk_neighbor_count_examples():
-    edges = [[0, 1], [0, 2], [2, 3]]
-    assert _sweep_counts(0, edges, [-1, 0, 1, 0]) == (1.0, 1.0)
-    # unassigned neighbors count for neither side
-    assert _sweep_counts(0, edges, [-1, 0, -1, 0]) == (1.0, 0.0)
-    assert _sweep_counts(0, [[0, 1]], [-1, -1]) == (0.0, 0.0)
+def test_process_chunk_neighbor_count_examples(monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        edges = [[0, 1], [0, 2], [2, 3]]
+        assert _sweep_counts(0, edges, [-1, 0, 1, 0]) == (1.0, 1.0), kernel
+        # unassigned neighbors count for neither side
+        assert _sweep_counts(0, edges, [-1, 0, -1, 0]) == (1.0, 0.0), kernel
+        assert _sweep_counts(0, [[0, 1]], [-1, -1]) == (0.0, 0.0), kernel
 
 
-def test_process_chunk_absent_node_untouched():
-    state = PartitionState(10, capacity=10)
-    state.nbr0[9], state.nbr1[9] = 3.0, 1.0
-    chunk = EdgeChunk(1, np.array([[0, 1]]))
-    assert 9 not in chunk.csr()[0].tolist()
-    process_chunk(state, chunk, GremConfig(chunk_frac=1.0))
-    assert state.parts[9] == -1
-    assert (state.nbr0[9], state.nbr1[9]) == (3.0, 1.0)
+def test_process_chunk_absent_node_untouched(monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        state = PartitionState(10, capacity=10)
+        state.nbr0[9], state.nbr1[9] = 3.0, 1.0
+        chunk = EdgeChunk(1, np.array([[0, 1]]))
+        assert 9 not in chunk.csr()[0].tolist()
+        process_chunk(state, chunk, GremConfig(chunk_frac=1.0))
+        assert state.parts[9] == -1, kernel
+        assert (state.nbr0[9], state.nbr1[9]) == (3.0, 1.0), kernel
 
 
-def test_process_chunk_duplicates_and_self_loops():
-    # duplicates count with multiplicity
-    assert _sweep_counts(0, [[0, 1], [0, 1], [1, 0]], [-1, 1]) == (0.0, 3.0)
-    # self-loops never count, even when the node is assigned while counting
-    loops = [[0, 0], [0, 0], [0, 1]]
-    assert _sweep_counts(0, loops, [0, 1], refine=True) == (0.0, 0.5)
-    assert _sweep_counts(0, [[0, 0], [0, 1]], [0, 0], refine=True) == (0.5, 0.0)
+def test_process_chunk_duplicates_and_self_loops(monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        # duplicates count with multiplicity
+        assert _sweep_counts(0, [[0, 1], [0, 1], [1, 0]], [-1, 1]) == (0.0, 3.0), kernel
+        # self-loops never count, even when the node is assigned while counting
+        loops = [[0, 0], [0, 0], [0, 1]]
+        assert _sweep_counts(0, loops, [0, 1], refine=True) == (0.0, 0.5), kernel
+        assert _sweep_counts(0, [[0, 0], [0, 1]], [0, 0], refine=True) == (0.5, 0.0), kernel
 
 
-def test_process_chunk_counts_match_double_loop_oracle():
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        edges, num_nodes = random_multigraph(rng, max_nodes=20, max_edges=50)
-        chunk_nodes = EdgeChunk(1, edges).nodes.tolist()
-        for node in chunk_nodes:
+def test_process_chunk_counts_match_double_loop_oracle(monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        rng = np.random.default_rng(17)
+        for _ in range(25):
+            edges, num_nodes = random_multigraph(rng, max_nodes=20, max_edges=50)
+            chunk_nodes = EdgeChunk(1, edges).nodes.tolist()
+            for node in chunk_nodes:
+                parts = rng.integers(-1, 2, size=num_nodes).tolist()
+                for other in chunk_nodes:
+                    if other < node and parts[other] == -1:
+                        parts[other] = int(rng.integers(0, 2))
+                parts[node] = -1
+                assert _sweep_counts(node, edges, parts) == count_node_neighbors(
+                    node, edges.tolist(), parts
+                ), kernel
+            # refinement path: the lowest chunk node, assigned, counted against live labels
             parts = rng.integers(-1, 2, size=num_nodes).tolist()
-            for other in chunk_nodes:
-                if other < node and parts[other] == -1:
-                    parts[other] = int(rng.integers(0, 2))
-            parts[node] = -1
-            assert _sweep_counts(node, edges, parts) == count_node_neighbors(
-                node, edges.tolist(), parts
-            )
-        # refinement path: the lowest chunk node, assigned, counted against live labels
-        parts = rng.integers(-1, 2, size=num_nodes).tolist()
-        node = chunk_nodes[0]
-        parts[node] = int(rng.integers(0, 2))
-        c0, c1 = _sweep_counts(node, edges, parts, refine=True)
-        assert (2 * c0, 2 * c1) == count_node_neighbors(node, edges.tolist(), parts)
+            node = chunk_nodes[0]
+            parts[node] = int(rng.integers(0, 2))
+            c0, c1 = _sweep_counts(node, edges, parts, refine=True)
+            assert (2 * c0, 2 * c1) == count_node_neighbors(node, edges.tolist(), parts), kernel
+
+
+def test_process_chunk_rejects_ids_outside_state(monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        state = PartitionState(3, capacity=3)
+        with pytest.raises(FormatError):
+            process_chunk(state, EdgeChunk(1, np.array([[0, 3]])), GremConfig(chunk_frac=1.0))
+        assert state.parts.tolist() == [-1, -1, -1], kernel
 
 
 # ------------------------------------------------------------------ assign
@@ -125,45 +147,63 @@ def test_assign_both_full_is_an_error():
 # ----------------------------------------------------------- process_chunk
 
 
-def test_process_chunk_averages_and_keeps_majority():
-    # node 0 previously in partition 0 with stored counts (4, 0); the chunk
-    # shows two neighbors in partition 1 -> averaged (2, 1) keeps it in 0.
-    state = PartitionState(5, capacity=3)
-    state.parts = [0, 1, 1, 0, -1]
-    state.sizes = [2, 2]
-    state.nbr0[0], state.nbr1[0] = 4.0, 0.0
-    chunk = EdgeChunk(1, np.array([[0, 1], [0, 2]]))
-    process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=True))
-    assert state.parts[0] == 0
-    assert (state.nbr0[0], state.nbr1[0]) == (2.0, 1.0)
-    assert state.sizes == recount_sizes(state.parts)
+def test_process_chunk_averages_and_keeps_majority(monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        # node 0 previously in partition 0 with stored counts (4, 0); the chunk
+        # shows two neighbors in partition 1 -> averaged (2, 1) keeps it in 0.
+        state = PartitionState(5, capacity=3)
+        state.parts[:] = [0, 1, 1, 0, -1]
+        state.sizes = [2, 2]
+        state.nbr0[0], state.nbr1[0] = 4.0, 0.0
+        chunk = EdgeChunk(1, np.array([[0, 1], [0, 2]]))
+        process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=True))
+        assert state.parts[0] == 0, kernel
+        assert (state.nbr0[0], state.nbr1[0]) == (2.0, 1.0), kernel
+        assert state.sizes == recount_sizes(state.parts), kernel
 
 
-def test_process_chunk_fixed_mode_skips_assigned():
-    state = PartitionState(5, capacity=3)
-    state.parts = [0, 1, 1, 0, -1]
-    state.sizes = [2, 2]
-    state.nbr0[0], state.nbr1[0] = 4.0, 0.0
-    chunk = EdgeChunk(1, np.array([[0, 1], [0, 2]]))
-    process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=False))
-    assert state.parts == [0, 1, 1, 0, -1]
-    assert (state.nbr0[0], state.nbr1[0]) == (4.0, 0.0)
-    assert state.sizes == [2, 2]
+def test_process_chunk_fixed_mode_skips_assigned(monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        state = PartitionState(5, capacity=3)
+        state.parts[:] = [0, 1, 1, 0, -1]
+        state.sizes = [2, 2]
+        state.nbr0[0], state.nbr1[0] = 4.0, 0.0
+        chunk = EdgeChunk(1, np.array([[0, 1], [0, 2]]))
+        process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=False))
+        assert state.parts.tolist() == [0, 1, 1, 0, -1], kernel
+        assert (state.nbr0[0], state.nbr1[0]) == (4.0, 0.0), kernel
+        assert state.sizes == [2, 2], kernel
 
 
-def test_process_chunk_assigns_fresh_nodes_in_both_modes():
-    for refine in (True, False):
-        state = PartitionState(4, capacity=2)
-        state.parts = [0, 1, -1, -1]
-        state.sizes = [1, 1]
-        chunk = EdgeChunk(1, np.array([[2, 1], [2, 1], [3, 0]]))
-        process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=refine))
-        assert state.parts == [0, 1, 1, 0]
-        assert (state.nbr0[2], state.nbr1[2]) == (0.0, 2.0)
-        assert state.sizes == recount_sizes(state.parts) == [2, 2]
+def test_process_chunk_assigns_fresh_nodes_in_both_modes(monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        for refine in (True, False):
+            state = PartitionState(4, capacity=2)
+            state.parts[:] = [0, 1, -1, -1]
+            state.sizes = [1, 1]
+            chunk = EdgeChunk(1, np.array([[2, 1], [2, 1], [3, 0]]))
+            process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=refine))
+            assert state.parts.tolist() == [0, 1, 1, 0], (kernel, refine)
+            assert (state.nbr0[2], state.nbr1[2]) == (0.0, 2.0), (kernel, refine)
+            assert state.sizes == recount_sizes(state.parts) == [2, 2], (kernel, refine)
 
 
-def test_three_chunk_hand_trace_matches_interpreter(tmp_path):
+@pytest.mark.parametrize("kernel", ["native", "python"])
+def test_process_chunk_capacity_error(monkeypatch, kernel):
+    if kernel == "python":
+        monkeypatch.setattr(_kernels, "sweep", None)
+    # both sides full and a fresh node to place: the size accounting is broken
+    state = PartitionState(4, capacity=1)
+    state.parts[:] = [0, 1, -1, -1]
+    state.sizes = [1, 1]
+    with pytest.raises(CapacityError):
+        process_chunk(state, EdgeChunk(1, np.array([[2, 0], [3, 1]])), GremConfig(chunk_frac=1.0))
+    # the failing node is left unassigned and the sizes untouched
+    assert state.parts.tolist() == [0, 1, -1, -1]
+    assert state.sizes == [1, 1]
+
+
+def test_three_chunk_hand_trace_matches_interpreter(tmp_path, monkeypatch):
     edges = np.array(
         [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [2, 3], [0, 4], [1, 5]],
         dtype=np.int64,
@@ -171,106 +211,142 @@ def test_three_chunk_hand_trace_matches_interpreter(tmp_path):
     num_nodes = 6
     cap = default_capacity(num_nodes)
     efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
-    for refine in (True, False):
-        config = GremConfig(chunk_edges=3, refine=refine)
-        labels, _ = bisect(efile, config)
-        expected = run_reference(
-            edges.tolist(), num_nodes, 3, cap, library_seed_fn(num_nodes, cap), refine=refine
-        )
-        assert labels.tolist() == expected
+    for kernel in each_kernel(monkeypatch):
+        for refine in (True, False):
+            config = GremConfig(chunk_edges=3, refine=refine)
+            labels, _ = bisect(efile, config)
+            expected = run_reference(
+                edges.tolist(), num_nodes, 3, cap, library_seed_fn(num_nodes, cap), refine=refine
+            )
+            assert labels.tolist() == expected, (kernel, refine)
 
 
 # ------------------------------------------------------------------ bisect
 
 
-def test_bisect_two_cliques_full_chunk(tmp_path):
+def test_bisect_two_cliques_full_chunk(tmp_path, monkeypatch):
     edges, _ = generate(CliqueUnionSpec(2, 16, bridges=1))
     efile = make_edge_file(tmp_path / "g.grpe", edges, 32)
     shuffled = external_shuffle(efile, str(tmp_path / "s.grpe"), 1 << 22, rng_seed=5)
-    labels, report = bisect(shuffled, GremConfig(chunk_frac=1.0))
-    assert report.cut_edges == 1
-    assert sorted(report.partition_sizes) == [16, 16]
-    assert report.balance_ratio == 1.0
+    for kernel in each_kernel(monkeypatch):
+        labels, report = bisect(shuffled, GremConfig(chunk_frac=1.0))
+        assert report.cut_edges == 1, kernel
+        assert sorted(report.partition_sizes) == [16, 16], kernel
+        assert report.balance_ratio == 1.0, kernel
 
 
-def test_bisect_sizes_invariants(tmp_path):
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        edges, num_nodes = random_multigraph(rng, max_nodes=30, max_edges=200)
-        efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
-        config = GremConfig(chunk_frac=0.25)
-        cap = default_capacity(num_nodes)
+def test_bisect_sizes_invariants(tmp_path, monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            edges, num_nodes = random_multigraph(rng, max_nodes=30, max_edges=200)
+            efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
+            config = GremConfig(chunk_frac=0.25)
+            cap = default_capacity(num_nodes)
 
-        def checkpoint(state):
-            assert state.sizes == recount_sizes(state.parts)
-            assert state.sizes[0] <= cap and state.sizes[1] <= cap
+            def checkpoint(state):
+                assert state.sizes == recount_sizes(state.parts), kernel
+                assert state.sizes[0] <= cap and state.sizes[1] <= cap, kernel
 
-        labels, report = bisect(efile, config, on_chunk=checkpoint)
-        sizes = np.bincount(labels, minlength=2)
-        assert sizes[0] <= cap and sizes[1] <= cap
-        assert int(sizes.sum()) == num_nodes
-        assert report.cut_edges == brute_force_cut(edges, labels)
-
-
-def test_bisect_matches_reference_on_random_graphs(tmp_path):
-    rng = np.random.default_rng(101)
-    for trial in range(12):
-        edges, num_nodes = random_multigraph(rng, max_nodes=25, max_edges=150)
-        efile = make_edge_file(tmp_path / f"g{trial}.grpe", edges, num_nodes)
-        chunk_edges = int(rng.integers(1, len(edges) + 1))
-        passes = int(rng.integers(1, 3))
-        refine = bool(rng.integers(0, 2))
-        config = GremConfig(chunk_edges=chunk_edges, refine=refine, passes=passes)
-        cap = default_capacity(num_nodes)
-        labels, _ = bisect(efile, config)
-        expected = run_reference(
-            edges.tolist(),
-            num_nodes,
-            chunk_edges,
-            cap,
-            library_seed_fn(num_nodes, cap),
-            refine=refine,
-            passes=passes,
-        )
-        assert labels.tolist() == expected, (trial, chunk_edges, refine, passes)
+            labels, report = bisect(efile, config, on_chunk=checkpoint)
+            sizes = np.bincount(labels, minlength=2)
+            assert sizes[0] <= cap and sizes[1] <= cap, kernel
+            assert int(sizes.sum()) == num_nodes, kernel
+            assert report.cut_edges == brute_force_cut(edges, labels), kernel
 
 
-def test_bisect_full_chunk_refine_equals_fixed(tmp_path):
+def test_bisect_matches_reference_on_random_graphs(tmp_path, monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        rng = np.random.default_rng(101)
+        for trial in range(12):
+            edges, num_nodes = random_multigraph(rng, max_nodes=25, max_edges=150)
+            efile = make_edge_file(tmp_path / f"g{trial}.grpe", edges, num_nodes)
+            chunk_edges = int(rng.integers(1, len(edges) + 1))
+            passes = int(rng.integers(1, 3))
+            refine = bool(rng.integers(0, 2))
+            config = GremConfig(chunk_edges=chunk_edges, refine=refine, passes=passes)
+            cap = default_capacity(num_nodes)
+            labels, _ = bisect(efile, config)
+            expected = run_reference(
+                edges.tolist(),
+                num_nodes,
+                chunk_edges,
+                cap,
+                library_seed_fn(num_nodes, cap),
+                refine=refine,
+                passes=passes,
+            )
+            assert labels.tolist() == expected, (kernel, trial, chunk_edges, refine, passes)
+
+
+@st.composite
+def _streaming_runs(draw):
+    """A random multigraph (duplicates and self-loops allowed) and bisection settings."""
+    num_nodes = draw(st.integers(2, 40))
+    edges = draw(st.lists(st.tuples(st.integers(0, num_nodes - 1), st.integers(0, num_nodes - 1)),
+                          min_size=1, max_size=200))
+    chunk_edges = draw(st.integers(1, len(edges)))
+    slack = draw(st.sampled_from([0.0, 0.05, 0.25, 1.0]))
+    return edges, num_nodes, chunk_edges, slack, draw(st.integers(1, 3)), draw(st.booleans())
+
+
+@pytest.mark.parametrize("kernel", ["native", "python"])
+@PROPERTY_SETTINGS
+@given(run=_streaming_runs())
+def test_bisect_matches_reference_property(tmp_path, monkeypatch, kernel, run):
+    if kernel == "python":
+        monkeypatch.setattr(_kernels, "sweep", None)
+        monkeypatch.setattr(_kernels, "bfs_grow", None)
+    edges, num_nodes, chunk_edges, slack, passes, refine = run
+    efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
+    config = GremConfig(chunk_edges=chunk_edges, capacity_slack=slack, refine=refine, passes=passes)
+    cap = default_capacity(num_nodes, slack)
+    labels, _ = bisect(efile, config)
+    expected = run_reference(edges, num_nodes, chunk_edges, cap, library_seed_fn(num_nodes, cap),
+                             refine=refine, passes=passes)
+    assert labels.tolist() == expected
+
+
+def test_bisect_full_chunk_refine_equals_fixed(tmp_path, monkeypatch):
     rng = np.random.default_rng(7)
     edges, num_nodes = random_multigraph(rng, max_nodes=30, max_edges=200)
     efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
-    on_labels, _ = bisect(efile, GremConfig(chunk_frac=1.0, refine=True))
-    off_labels, _ = bisect(efile, GremConfig(chunk_frac=1.0, refine=False))
-    assert np.array_equal(on_labels, off_labels)
+    for kernel in each_kernel(monkeypatch):
+        on_labels, _ = bisect(efile, GremConfig(chunk_frac=1.0, refine=True))
+        off_labels, _ = bisect(efile, GremConfig(chunk_frac=1.0, refine=False))
+        assert np.array_equal(on_labels, off_labels), kernel
 
 
-def test_bisect_deterministic(tmp_path):
+def test_bisect_deterministic(tmp_path, monkeypatch):
     rng = np.random.default_rng(8)
     edges, num_nodes = random_multigraph(rng)
     efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
     config = GremConfig(chunk_frac=0.2)
-    a, _ = bisect(efile, config)
-    b, _ = bisect(efile, config)
-    assert np.array_equal(a, b)
+    for kernel in each_kernel(monkeypatch):
+        a, _ = bisect(efile, config)
+        b, _ = bisect(efile, config)
+        assert np.array_equal(a, b), kernel
 
 
-def test_bisect_isolated_nodes_fill(tmp_path):
+def test_bisect_isolated_nodes_fill(tmp_path, monkeypatch):
     # nodes 4..9 never appear in any edge
     efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [2, 3]], 10)
-    labels, report = bisect(efile, GremConfig(chunk_frac=1.0))
-    sizes = np.bincount(labels, minlength=2)
-    assert sizes.tolist() == [5, 5]
-    assert sum(report.partition_sizes) == 10
+    for kernel in each_kernel(monkeypatch):
+        labels, report = bisect(efile, GremConfig(chunk_frac=1.0))
+        sizes = np.bincount(labels, minlength=2)
+        assert sizes.tolist() == [5, 5], kernel
+        assert sum(report.partition_sizes) == 10, kernel
 
 
-def test_bisect_empty_edge_file(tmp_path):
+def test_bisect_empty_edge_file(tmp_path, monkeypatch):
     efile = make_edge_file(tmp_path / "g.grpe", np.empty((0, 2)), 5)
-    labels, report = bisect(efile, GremConfig(chunk_frac=0.5))
-    assert sorted(np.bincount(labels, minlength=2).tolist()) == [2, 3]
-    assert report.cut_edges == 0
+    for kernel in each_kernel(monkeypatch):
+        labels, report = bisect(efile, GremConfig(chunk_frac=0.5))
+        assert sorted(np.bincount(labels, minlength=2).tolist()) == [2, 3], kernel
+        assert report.cut_edges == 0, kernel
 
 
-def test_decay_two_weighted_average(tmp_path):
+def test_decay_two_weighted_average(tmp_path, monkeypatch):
     # node 0 appears in three chunks; stored estimate must follow the
     # halving recursion ((l1 + l2)/2 + l3)/2 verified against the interpreter
     edges = np.array(
@@ -283,39 +359,40 @@ def test_decay_two_weighted_average(tmp_path):
     plan = ChunkPlan.plan(len(edges), chunk_edges=3)
 
     from streamcut import stream_chunks
-
-    state = PartitionState(num_nodes, cap)
     from streamcut.grem import _seed_chunk
 
-    per_chunk_counts = []
-    for chunk in stream_chunks(efile, plan):
-        if chunk.chunk_index == 0:
-            _seed_chunk(state, chunk, config.seed)
-        else:
-            before = count_node_neighbors(0, chunk.edges.tolist(), state.parts)
-            process_chunk(state, chunk, config)
-            per_chunk_counts.append(before)
-    # chunk-local counts for node 0 were averaged into the running estimate
-    # once per chunk after the first
-    expected = run_reference(
-        edges.tolist(), num_nodes, 3, cap, library_seed_fn(num_nodes, cap)
-    )
-    assert state.parts == expected
-    assert len(per_chunk_counts) == 2
-
-
-def test_fixed_greedy_matches_independent_baseline(tmp_path):
-    rng = np.random.default_rng(31)
-    for trial in range(20):
-        edges, num_nodes = random_multigraph(rng, max_nodes=40, max_edges=1000)
-        efile = make_edge_file(tmp_path / f"g{trial}.grpe", edges, num_nodes)
-        chunk_edges = int(rng.integers(1, len(edges) + 1))
-        cap = default_capacity(num_nodes)
-        labels, _ = bisect(efile, GremConfig(chunk_edges=chunk_edges, refine=False))
-        baseline = run_fixed_greedy(
-            edges.tolist(), num_nodes, chunk_edges, cap, library_seed_fn(num_nodes, cap)
+    for kernel in each_kernel(monkeypatch):
+        state = PartitionState(num_nodes, cap)
+        per_chunk_counts = []
+        for chunk in stream_chunks(efile, plan):
+            if chunk.chunk_index == 0:
+                _seed_chunk(state, chunk, config.seed)
+            else:
+                before = count_node_neighbors(0, chunk.edges.tolist(), state.parts)
+                process_chunk(state, chunk, config)
+                per_chunk_counts.append(before)
+        # chunk-local counts for node 0 were averaged into the running estimate
+        # once per chunk after the first
+        expected = run_reference(
+            edges.tolist(), num_nodes, 3, cap, library_seed_fn(num_nodes, cap)
         )
-        assert labels.tolist() == baseline
+        assert state.parts.tolist() == expected, kernel
+        assert len(per_chunk_counts) == 2
+
+
+def test_fixed_greedy_matches_independent_baseline(tmp_path, monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        rng = np.random.default_rng(31)
+        for trial in range(20):
+            edges, num_nodes = random_multigraph(rng, max_nodes=40, max_edges=1000)
+            efile = make_edge_file(tmp_path / f"g{trial}.grpe", edges, num_nodes)
+            chunk_edges = int(rng.integers(1, len(edges) + 1))
+            cap = default_capacity(num_nodes)
+            labels, _ = bisect(efile, GremConfig(chunk_edges=chunk_edges, refine=False))
+            baseline = run_fixed_greedy(
+                edges.tolist(), num_nodes, chunk_edges, cap, library_seed_fn(num_nodes, cap)
+            )
+            assert labels.tolist() == baseline, (kernel, trial)
 
 
 # -------------------------------------------------------------- count_cuts

@@ -1,0 +1,64 @@
+"""The loader of the compiled sweep and seed kernels."""
+
+import os
+import stat
+
+import numpy as np
+import pytest
+
+from streamcut import _kernels
+
+
+def test_native_kernels_load_when_a_compiler_is_present():
+    if _kernels._compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    assert _kernels.sweep is not None and _kernels.bfs_grow is not None
+    assert _kernels.kernel_name() == "native"
+
+
+def _fake_compiler(tmp_path, script):
+    path = tmp_path / "fake-cc"
+    path.write_text("#!/bin/sh\n" + script)
+    path.chmod(path.stat().st_mode | stat.S_IXUSR)
+    return str(path)
+
+
+def test_failed_build_falls_back_and_leaves_nothing(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    # writes a partial library to its -o argument, then fails
+    cc = _fake_compiler(tmp_path, 'while [ "$1" != -o ]; do shift; done\necho partial > "$2"\nexit 1\n')
+    monkeypatch.setattr(_kernels, "_CACHE", str(cache))
+    monkeypatch.setattr(_kernels, "_compiler", lambda: cc)
+    assert _kernels._load() == (None, None)
+    assert os.listdir(cache) == []
+
+
+def test_no_compiler_falls_back(tmp_path, monkeypatch):
+    monkeypatch.setattr(_kernels, "_CACHE", str(tmp_path))
+    monkeypatch.setattr(_kernels, "_compiler", lambda: None)
+    assert _kernels._load() == (None, None)
+    assert os.listdir(tmp_path) == []
+
+
+def test_build_is_cached_by_source_hash(tmp_path, monkeypatch):
+    if _kernels._compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    monkeypatch.setattr(_kernels, "_CACHE", str(tmp_path))
+    sweep, bfs_grow = _kernels._load()
+    assert sweep is not None and bfs_grow is not None
+    (built,) = os.listdir(tmp_path)
+    assert built.startswith("_kernels.") and built.endswith(".so")
+    # a second load reuses the library without compiling
+    monkeypatch.setattr(_kernels, "_compiler", lambda: None)
+    sweep, _ = _kernels._load()
+    assert sweep is not None
+    assert os.listdir(tmp_path) == [built]
+    # and the loaded kernel runs: one fresh node with a neighbour in partition 1
+    nodes, starts, ends, nbrs = (np.array([v], dtype=np.int64) for v in (0, 0, 1, 1))
+    parts = np.array([-1, 1], dtype=np.int8)
+    nbr0, nbr1 = np.zeros(2), np.zeros(2)
+    sizes = np.array([0, 1], dtype=np.int64)
+    failed = sweep(1, nodes, starts, ends, nbrs, parts, nbr0, nbr1, sizes, 2, 1)
+    assert failed == -1
+    assert parts.tolist() == [1, 1] and sizes.tolist() == [0, 2]
+    assert (nbr0[0], nbr1[0]) == (0.0, 1.0)

@@ -3,11 +3,13 @@ from math import ceil
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from streamcut import CapacityError, EdgeChunk, SeedConfig, generate, seed_bisect
+from streamcut import CapacityError, EdgeChunk, SeedConfig, _kernels, generate, seed_bisect
 from streamcut.synth import CliqueUnionSpec, PathSpec
 
-
+from helpers import PROPERTY_SETTINGS, each_kernel
 
 def brute_min_balanced_cut(edges, nodes):
     """Minimum cut over all bipartitions with sizes differing by at most one."""
@@ -31,27 +33,29 @@ def _chunk_cut(chunk, labels_by_node):
     )
 
 
-def test_two_cliques_with_bridge():
+def test_two_cliques_with_bridge(monkeypatch):
     edges, _ = generate(CliqueUnionSpec(2, 4, bridges=1))
     chunk = EdgeChunk(0, edges)
     optimum = brute_min_balanced_cut(edges.tolist(), chunk.nodes.tolist())
     assert optimum == 1
-    labels = seed_bisect(chunk, SeedConfig(), capacity=4)
-    by_node = dict(zip(chunk.nodes.tolist(), labels.tolist()))
-    assert _chunk_cut(chunk, by_node) == optimum
-    # each clique on its own side
-    assert len({by_node[n] for n in range(4)}) == 1
-    assert len({by_node[n] for n in range(4, 8)}) == 1
+    for kernel in each_kernel(monkeypatch):
+        labels = seed_bisect(chunk, SeedConfig(), capacity=4)
+        by_node = dict(zip(chunk.nodes.tolist(), labels.tolist()))
+        assert _chunk_cut(chunk, by_node) == optimum, kernel
+        # each clique on its own side
+        assert len({by_node[n] for n in range(4)}) == 1, kernel
+        assert len({by_node[n] for n in range(4, 8)}) == 1, kernel
 
 
-def test_path_graph_split():
+def test_path_graph_split(monkeypatch):
     edges, _ = generate(PathSpec(4))
     chunk = EdgeChunk(0, edges)
     assert brute_min_balanced_cut(edges.tolist(), [0, 1, 2, 3]) == 1
-    labels = seed_bisect(chunk, SeedConfig(), capacity=2)
-    by_node = dict(zip(chunk.nodes.tolist(), labels.tolist()))
-    assert _chunk_cut(chunk, by_node) == 1
-    assert by_node[0] == by_node[1] and by_node[2] == by_node[3]
+    for kernel in each_kernel(monkeypatch):
+        labels = seed_bisect(chunk, SeedConfig(), capacity=2)
+        by_node = dict(zip(chunk.nodes.tolist(), labels.tolist()))
+        assert _chunk_cut(chunk, by_node) == 1, kernel
+        assert by_node[0] == by_node[1] and by_node[2] == by_node[3], kernel
 
 
 def test_random_algorithm_balance_and_determinism():
@@ -72,32 +76,34 @@ def test_random_algorithm_balance_and_determinism():
     assert np.bincount(other, minlength=2).tolist() == [5, 5]
 
 
-def test_refinement_never_increases_chunk_cut():
-    rng = np.random.default_rng(13)
-    for _ in range(30):
-        n = int(rng.integers(4, 25))
-        m = int(rng.integers(3, 120))
-        edges = rng.integers(0, n, size=(m, 2)).astype(np.int64)
-        chunk = EdgeChunk(0, edges)
-        capacity = ceil(len(chunk.nodes) / 2) + 2  # a little refinement headroom
-        cuts = []
-        for passes in (0, 1, 2, 3):
-            labels = seed_bisect(chunk, SeedConfig(refinement_passes=passes), capacity)
-            by_node = dict(zip(chunk.nodes.tolist(), labels.tolist()))
-            cuts.append(_chunk_cut(chunk, by_node))
-            sizes = np.bincount(labels, minlength=2)
-            assert int(sizes.max()) <= capacity
-            if passes == 0:
-                assert abs(int(sizes[0]) - int(sizes[1])) <= 1  # split starts balanced
-        assert all(a >= b for a, b in zip(cuts, cuts[1:])), cuts
+def test_refinement_never_increases_chunk_cut(monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            n = int(rng.integers(4, 25))
+            m = int(rng.integers(3, 120))
+            edges = rng.integers(0, n, size=(m, 2)).astype(np.int64)
+            chunk = EdgeChunk(0, edges)
+            capacity = ceil(len(chunk.nodes) / 2) + 2  # a little refinement headroom
+            cuts = []
+            for passes in (0, 1, 2, 3):
+                labels = seed_bisect(chunk, SeedConfig(refinement_passes=passes), capacity)
+                by_node = dict(zip(chunk.nodes.tolist(), labels.tolist()))
+                cuts.append(_chunk_cut(chunk, by_node))
+                sizes = np.bincount(labels, minlength=2)
+                assert int(sizes.max()) <= capacity, kernel
+                if passes == 0:
+                    assert abs(int(sizes[0]) - int(sizes[1])) <= 1, kernel  # split starts balanced
+            assert all(a >= b for a, b in zip(cuts, cuts[1:])), (kernel, cuts)
 
 
-def test_determinism_on_contents_only():
+def test_determinism_on_contents_only(monkeypatch):
     rng = np.random.default_rng(3)
     edges = rng.integers(0, 15, size=(60, 2)).astype(np.int64)
-    a = seed_bisect(EdgeChunk(0, edges), SeedConfig(), capacity=10)
-    b = seed_bisect(EdgeChunk(5, edges.copy()), SeedConfig(), capacity=10)
-    assert np.array_equal(a, b)
+    for kernel in each_kernel(monkeypatch):
+        a = seed_bisect(EdgeChunk(0, edges), SeedConfig(), capacity=10)
+        b = seed_bisect(EdgeChunk(5, edges.copy()), SeedConfig(), capacity=10)
+        assert np.array_equal(a, b), kernel
 
 
 def test_capacity_infeasible():
@@ -106,17 +112,18 @@ def test_capacity_infeasible():
         seed_bisect(EdgeChunk(0, edges), SeedConfig(), capacity=3)
 
 
-def test_both_sides_within_capacity():
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        n = int(rng.integers(3, 20))
-        edges = rng.integers(0, n, size=(40, 2)).astype(np.int64)
-        chunk = EdgeChunk(0, edges)
-        cap = ceil(len(chunk.nodes) / 2)
-        for algo in ("bfs_grow", "random"):
-            labels = seed_bisect(chunk, SeedConfig(algorithm=algo), cap)
-            sizes = np.bincount(labels, minlength=2)
-            assert sizes.max() <= cap
+def test_both_sides_within_capacity(monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            n = int(rng.integers(3, 20))
+            edges = rng.integers(0, n, size=(40, 2)).astype(np.int64)
+            chunk = EdgeChunk(0, edges)
+            cap = ceil(len(chunk.nodes) / 2)
+            for algo in ("bfs_grow", "random"):
+                labels = seed_bisect(chunk, SeedConfig(algorithm=algo), cap)
+                sizes = np.bincount(labels, minlength=2)
+                assert sizes.max() <= cap, (kernel, algo)
 
 
 def _scan_restart_bfs_grow(edges, refinement_passes, capacity):
@@ -173,26 +180,45 @@ def _scan_restart_bfs_grow(edges, refinement_passes, capacity):
     return labels
 
 
-def test_bfs_restarts_match_full_scan_rule_on_many_components():
-    rng = np.random.default_rng(29)
-    for trial in range(30):
-        # many small components of 1 to 4 nodes over scattered ids, with
-        # duplicates and self-loops; isolated self-loop nodes have degree 0
-        n = int(rng.integers(20, 200))
-        ids = rng.permutation(10 * n)[:n]
-        edges = []
-        pos = 0
-        while pos < n:
-            size = int(rng.integers(1, 5))
-            comp = ids[pos : pos + size]
-            pos += size
-            edges.append([comp[0], comp[0]])
-            for _ in range(int(rng.integers(0, 2 * len(comp) + 1))):
-                edges.append(rng.choice(comp, size=2).tolist())
-        edges = np.asarray(edges, dtype=np.int64)
-        chunk = EdgeChunk(0, edges)
-        capacity = ceil(len(chunk.nodes) / 2) + int(rng.integers(0, 3))
-        for passes in (0, 2):
-            labels = seed_bisect(chunk, SeedConfig(refinement_passes=passes), capacity)
-            expected = _scan_restart_bfs_grow(edges, passes, capacity)
-            assert dict(zip(chunk.nodes.tolist(), labels.tolist())) == expected, trial
+def test_bfs_restarts_match_full_scan_rule_on_many_components(monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        rng = np.random.default_rng(29)
+        for trial in range(30):
+            # many small components of 1 to 4 nodes over scattered ids, with
+            # duplicates and self-loops; isolated self-loop nodes have degree 0
+            n = int(rng.integers(20, 200))
+            ids = rng.permutation(10 * n)[:n]
+            edges = []
+            pos = 0
+            while pos < n:
+                size = int(rng.integers(1, 5))
+                comp = ids[pos : pos + size]
+                pos += size
+                edges.append([comp[0], comp[0]])
+                for _ in range(int(rng.integers(0, 2 * len(comp) + 1))):
+                    edges.append(rng.choice(comp, size=2).tolist())
+            edges = np.asarray(edges, dtype=np.int64)
+            chunk = EdgeChunk(0, edges)
+            capacity = ceil(len(chunk.nodes) / 2) + int(rng.integers(0, 3))
+            for passes in (0, 2):
+                labels = seed_bisect(chunk, SeedConfig(refinement_passes=passes), capacity)
+                expected = _scan_restart_bfs_grow(edges, passes, capacity)
+                assert dict(zip(chunk.nodes.tolist(), labels.tolist())) == expected, (kernel, trial)
+
+
+@pytest.mark.parametrize("kernel", ["native", "python"])
+@PROPERTY_SETTINGS
+@given(
+    edges=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=1, max_size=120),
+    headroom=st.integers(0, 3),
+    passes=st.integers(0, 3),
+)
+def test_bfs_grow_matches_full_scan_rule_property(monkeypatch, kernel, edges, headroom, passes):
+    if kernel == "python":
+        monkeypatch.setattr(_kernels, "bfs_grow", None)
+    edges = np.asarray(edges, dtype=np.int64)
+    chunk = EdgeChunk(0, edges)
+    capacity = ceil(len(chunk.nodes) / 2) + headroom
+    labels = seed_bisect(chunk, SeedConfig(refinement_passes=passes), capacity)
+    expected = _scan_restart_bfs_grow(edges, passes, capacity)
+    assert dict(zip(chunk.nodes.tolist(), labels.tolist())) == expected
