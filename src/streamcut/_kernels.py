@@ -4,7 +4,8 @@ At first import the C source is compiled with the system C compiler into
 this package's ``__pycache__/``, under a name carrying a hash of the source,
 the flags and the platform, and loaded with ``ctypes``.  The compiler writes
 to a temporary file that is then renamed into place, so concurrent processes
-never load a half-written library.  ``sweep`` and ``bfs_grow`` are the loaded
+never load a half-written library; a successful build removes every other
+``_kernels.*.so`` from the cache directory.  ``sweep`` and ``bfs_grow`` are the loaded
 functions, or ``None`` when no compiler is found or the build fails; callers
 then run their pure-Python loops, which give bit-identical results.
 """
@@ -53,6 +54,14 @@ def _build(source: bytes, target: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    # libraries built from earlier sources are never loaded again
+    for name in os.listdir(_CACHE):
+        path = os.path.join(_CACHE, name)
+        if name.startswith("_kernels.") and name.endswith(".so") and path != target:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
 
 
 def _load():

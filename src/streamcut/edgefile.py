@@ -278,7 +278,7 @@ def external_shuffle(
             for block in source_blocks:  # int64 pairs, as the temps hold them
                 ids = rng.integers(0, nbuckets, size=block.shape[0])
                 order = np.argsort(ids.astype(key_dtype), kind="stable")
-                grouped = block[order]
+                grouped = np.take(block, order, axis=0)
                 counts = np.bincount(ids, minlength=nbuckets)
                 pos = 0
                 for b, cnt in enumerate(counts):
@@ -308,8 +308,7 @@ def external_shuffle(
             return
         arr = np.fromfile(path, dtype=np.int64).reshape(-1, 2)
         os.remove(path)
-        perm = rng.permutation(arr.shape[0])
-        writer.write(arr[perm])
+        writer.write(np.take(arr, rng.permutation(arr.shape[0]), axis=0))
 
     total_bytes = meta.num_edges * mem_pair
     writer = BinaryEdgeWriter(out_path, meta.num_nodes, meta.node_id_width)
@@ -317,8 +316,7 @@ def external_shuffle(
         with writer:
             if total_bytes <= memory_budget:
                 arr = read_all_edges(efile)
-                perm = rng.permutation(arr.shape[0])
-                writer.write(arr[perm])
+                writer.write(np.take(arr, rng.permutation(arr.shape[0]), axis=0))
             else:
                 for bucket_path in scatter(iter_edge_blocks(efile, block_edges), total_bytes):
                     gather(bucket_path)

@@ -251,8 +251,7 @@ def _extract_induced(
     writer = BinaryEdgeWriter(out_path, int(members.size))
     for block in iter_edge_blocks(efile):
         keep = (labels[block[:, 0]] == side) & (labels[block[:, 1]] == side)
-        sub = block[keep]
-        writer.write(np.column_stack([new_id[sub[:, 0]], new_id[sub[:, 1]]]))
+        writer.write(new_id[np.compress(keep, block, axis=0)])
     sub_file = writer.close()
     orig_ids[members].astype("<u8").tofile(out_path + ".remap")
     return sub_file

@@ -34,6 +34,11 @@ def width_for(num_nodes: int) -> int:
     return 32 if num_nodes <= 2**32 else 64
 
 
+def packed_keys_fit(width: int) -> bool:
+    """Whether ``src * width + dst`` keys of ids below ``width`` fit in int64."""
+    return width * width <= 1 << 63
+
+
 def build_adjacency(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Symmetric adjacency index of an (m, 2) edge array as (nodes, starts, ends, nbrs).
 
@@ -48,12 +53,23 @@ def build_adjacency(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if edges.size == 0:
         return tuple(np.empty(0, dtype=np.int64) for _ in range(4))
     width = int(edges.max()) + 1
-    if width * width > 1 << 63:
+    if not packed_keys_fit(width):
         ids, ranks = np.unique(edges.ravel(), return_inverse=True)
         nodes, starts, ends, nbrs = build_adjacency(ranks.reshape(-1, 2))
         return ids[nodes], starts, ends, ids[nbrs]
     src, dst = edges[:, 0], edges[:, 1]
-    keys = np.concatenate([src * width + dst, dst * width + src])
+    return adjacency_from_keys(np.concatenate([src * width + dst, dst * width + src]), width)
+
+
+def adjacency_from_keys(
+    keys: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``build_adjacency`` index of packed ``src * width + dst`` int64 keys.
+
+    ``keys`` holds both directions of every edge; it is sorted, then
+    overwritten with the neighbor ids, in place.  Every ``width`` above the
+    largest id gives the same index.
+    """
     keys.sort()
     owner = keys // width
     nbrs = np.remainder(keys, width, out=keys)

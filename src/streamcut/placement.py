@@ -9,7 +9,7 @@ import numpy as np
 
 from .edgefile import EdgeFile, iter_edge_blocks, read_all_edges
 from .errors import FormatError
-from .model import build_adjacency
+from .model import adjacency_from_keys, build_adjacency, packed_keys_fit
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,9 @@ def select_replicated(efile: EdgeFile, budget: int) -> np.ndarray:
         raise FormatError(f"budget must be in [0, {num_nodes}], got {budget}")
     deg = np.zeros(num_nodes, dtype=np.int64)
     for block in iter_edge_blocks(efile):
-        keep = block[:, 0] != block[:, 1]
-        deg += np.bincount(block[keep, 0], minlength=num_nodes)
-        deg += np.bincount(block[keep, 1], minlength=num_nodes)
+        kept = np.compress(block[:, 0] != block[:, 1], block, axis=0)
+        deg += np.bincount(kept[:, 0], minlength=num_nodes)
+        deg += np.bincount(kept[:, 1], minlength=num_nodes)
     order = np.lexsort((np.arange(num_nodes), -deg))
     return np.sort(order[:budget])
 
@@ -115,7 +115,11 @@ def estimate_comm(
             raise FormatError(f"replicated node {node} out of range")
 
     # desk-scale precondition: the whole edge list is indexed in memory
-    nodes, node_starts, node_ends, snbrs = build_adjacency(read_all_edges(efile))
+    if packed_keys_fit(num_nodes):
+        index = adjacency_from_keys(_packed_keys(efile), num_nodes)
+    else:
+        index = build_adjacency(read_all_edges(efile))
+    nodes, node_starts, node_ends, snbrs = index
     starts = np.zeros(num_nodes, dtype=np.int64)
     ends = np.zeros(num_nodes, dtype=np.int64)
     starts[nodes] = node_starts
@@ -150,6 +154,29 @@ def estimate_comm(
             counts[w, 0] += local
             counts[w, 1] += frontier.size - local
     return [(int(a), int(b)) for a, b in counts]
+
+
+def _packed_keys(efile: EdgeFile) -> np.ndarray:
+    """Both directions of every edge as ``src * n + dst`` int64 keys, n = num_nodes.
+
+    One array of 2E keys is filled block by block, so the int64 edge list is
+    never held whole beside it.
+    """
+    width, num_edges = efile.meta.num_nodes, efile.meta.num_edges
+    keys = np.empty(2 * num_edges, dtype=np.int64)
+    fwd, rev = keys[:num_edges], keys[num_edges:]
+    pos = 0
+    for block in iter_edge_blocks(efile):
+        end = pos + block.shape[0]
+        if end > num_edges:
+            raise FormatError(f"{efile.path}: more edges than the {num_edges} declared")
+        src, dst = block[:, 0], block[:, 1]
+        np.add(np.multiply(src, width, out=fwd[pos:end]), dst, out=fwd[pos:end])
+        np.add(np.multiply(dst, width, out=rev[pos:end]), src, out=rev[pos:end])
+        pos = end
+    if pos != num_edges:
+        raise FormatError(f"{efile.path}: {pos} edges read, {num_edges} declared")
+    return keys
 
 
 def plan_to_text(plan: PlacementPlan) -> str:

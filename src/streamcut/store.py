@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,27 @@ def _index_path(store_path: str) -> str:
     return store_path + ".idx"
 
 
+@contextmanager
+def _replacing(path: str, sidecar: str):
+    """Yields temporary names for an output and its sidecar, then renames both into place.
+
+    The temporaries sit next to the outputs and are removed if the body
+    raises.  The old sidecar is removed before the two renames, so a crash
+    between them leaves a new output with no sidecar, never a mixed pair.
+    """
+    tmp_path, tmp_sidecar = path + ".tmp", sidecar + ".tmp"
+    try:
+        yield tmp_path, tmp_sidecar
+        if os.path.exists(sidecar):
+            os.remove(sidecar)
+        os.replace(tmp_path, path)
+        os.replace(tmp_sidecar, sidecar)
+    finally:
+        for tmp in (tmp_path, tmp_sidecar):
+            if os.path.exists(tmp):
+                os.remove(tmp)
+
+
 def write_buckets(
     efile: EdgeFile, labels: np.ndarray, out_path: str, num_parts: int | None = None
 ) -> BucketIndex:
@@ -66,7 +88,8 @@ def write_buckets(
     The first pass counts bucket sizes, the second writes each edge at its
     bucket's running offset.  Within a bucket, input edge order is preserved.
     The store has ``num_parts`` x ``num_parts`` buckets; without it, p is the
-    largest label + 1.
+    largest label + 1.  The store and its ``.idx`` are written under
+    temporary names and renamed into place once both are complete.
     """
     labels = np.asarray(labels, dtype=np.int64)
     p = num_parts_of(labels, num_parts)
@@ -85,27 +108,27 @@ def write_buckets(
     )
     offsets = _BUCKET_HEADER.size + np.concatenate([[0], np.cumsum(counts)[:-1]]) * pair
     write_pos = offsets.copy()
-    with open(out_path, "wb") as fh:
-        fh.write(header)
-        fh.truncate(_BUCKET_HEADER.size + int(counts.sum()) * pair)
-        for block in iter_edge_blocks(efile):
-            bucket_ids = labels[block[:, 0]] * p + labels[block[:, 1]]
-            order = np.argsort(bucket_ids.astype(key_dtype), kind="stable")
-            grouped = block[order]
-            block_counts = np.bincount(bucket_ids, minlength=p * p)
-            pos = 0
-            for b in np.flatnonzero(block_counts):
-                cnt = int(block_counts[b])
-                fh.seek(write_pos[b])
-                grouped[pos : pos + cnt].astype(dtype).tofile(fh)
-                write_pos[b] += cnt * pair
-                pos += cnt
-    index = BucketIndex(p, offsets.reshape(p, p), counts.reshape(p, p), width)
     sidecar = np.empty((p * p, 2), dtype="<u8")
     sidecar[:, 0] = offsets
     sidecar[:, 1] = counts
-    sidecar.tofile(_index_path(out_path))
-    return index
+    with _replacing(out_path, _index_path(out_path)) as (tmp_store, tmp_index):
+        with open(tmp_store, "wb") as fh:
+            fh.write(header)
+            fh.truncate(_BUCKET_HEADER.size + int(counts.sum()) * pair)
+            for block in iter_edge_blocks(efile):
+                bucket_ids = labels[block[:, 0]] * p + labels[block[:, 1]]
+                order = np.argsort(bucket_ids.astype(key_dtype), kind="stable")
+                grouped = np.take(block.astype(dtype), order, axis=0)
+                block_counts = np.bincount(bucket_ids, minlength=p * p)
+                pos = 0
+                for b in np.flatnonzero(block_counts):
+                    cnt = int(block_counts[b])
+                    fh.seek(write_pos[b])
+                    grouped[pos : pos + cnt].tofile(fh)
+                    write_pos[b] += cnt * pair
+                    pos += cnt
+        sidecar.tofile(tmp_index)
+    return BucketIndex(p, offsets.reshape(p, p), counts.reshape(p, p), width)
 
 
 def read_index(store_path: str) -> BucketIndex:
@@ -214,6 +237,8 @@ def reorder_features(
     Within a partition the original ascending node-id order is kept.  The
     layout is also saved next to the output as ``<out>.layout``, with one
     extent per partition: ``num_parts`` of them, or the largest label + 1.
+    Both files are written under temporary names and renamed into place once
+    both are complete.
     """
     labels = np.asarray(labels, dtype=np.int64)
     num_nodes = labels.shape[0]
@@ -236,9 +261,10 @@ def reorder_features(
 
     records = np.memmap(features_path, dtype=np.uint8, mode="r", shape=(num_nodes, record_width))
     block = max(1, (1 << 24) // record_width)
-    with open(out_path, "wb") as fh:
-        for lo in range(0, num_nodes, block):
-            fh.write(records[order[lo : lo + block]].tobytes())
     layout = FeatureLayout(record_width, permutation, extents)
-    layout.save(out_path + ".layout")
+    with _replacing(out_path, out_path + ".layout") as (tmp_out, tmp_layout):
+        with open(tmp_out, "wb") as fh:
+            for lo in range(0, num_nodes, block):
+                fh.write(np.take(records, order[lo : lo + block], axis=0))
+        layout.save(tmp_layout)
     return layout

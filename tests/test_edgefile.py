@@ -111,6 +111,40 @@ def test_shuffle_scatter_path_preserves_multiset(tmp_path):
     assert not np.array_equal(shuffled, edges)
 
 
+def reference_shuffle(edges, budget, rng_seed):
+    """The documented shuffle: one uniform bucket draw per edge in file order
+    (in blocks of the streaming size), stable grouping by bucket, then one
+    ``rng.permutation`` per bucket; a single permutation when all edges fit."""
+    rng = np.random.default_rng(rng_seed)
+    if len(edges) * 16 <= budget:
+        return edges[rng.permutation(len(edges))]
+    nbuckets = -(-len(edges) * 16 // (budget // 2))
+    block = max(1024, budget // 4 // 16)
+    ids = np.concatenate([
+        rng.integers(0, nbuckets, size=len(edges[lo : lo + block]))
+        for lo in range(0, len(edges), block)
+    ])
+    out = []
+    for b in range(nbuckets):
+        bucket = edges[ids == b]
+        assert len(bucket) * 16 <= budget  # no bucket is re-scattered
+        out.append(bucket[rng.permutation(len(bucket))])
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize(
+    "num_edges, budget",
+    [(3000, 1 << 20), (5000, 1 << 16), (20000, 1 << 16)],  # in memory, 3 and 10 buckets
+)
+def test_shuffle_equals_reference(tmp_path, num_edges, budget):
+    rng = np.random.default_rng(num_edges)
+    edges = rng.integers(0, 500, size=(num_edges, 2))
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 500)
+    external_shuffle(efile, str(tmp_path / "s.grpe"), budget, rng_seed=7)
+    make_edge_file(tmp_path / "want.grpe", reference_shuffle(edges, budget, 7), 500)
+    assert (tmp_path / "s.grpe").read_bytes() == (tmp_path / "want.grpe").read_bytes()
+
+
 @pytest.mark.parametrize("budget", [1 << 16, 1 << 24])  # scatter path, in-memory path
 def test_shuffle_failure_leaves_only_the_input(tmp_path, budget):
     rng = np.random.default_rng(4)

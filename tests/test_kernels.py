@@ -62,3 +62,20 @@ def test_build_is_cached_by_source_hash(tmp_path, monkeypatch):
     assert failed == -1
     assert parts.tolist() == [1, 1] and sizes.tolist() == [0, 2]
     assert (nbr0[0], nbr1[0]) == (0.0, 1.0)
+
+
+def test_build_removes_stale_libraries(tmp_path, monkeypatch):
+    if _kernels._compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale = cache / "_kernels.0000000000000000.so"
+    stale.write_bytes(b"library of an older source")
+    other = cache / "notes.txt"
+    other.write_text("not a kernel library")
+    monkeypatch.setattr(_kernels, "_CACHE", str(cache))
+    sweep, bfs_grow = _kernels._load()
+    assert sweep is not None and bfs_grow is not None
+    built = [name for name in os.listdir(cache) if name.endswith(".so")]
+    assert len(built) == 1 and built[0] != stale.name
+    assert other.exists()

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from streamcut import placement
 from streamcut import (
     FormatError,
     GremConfig,
@@ -222,3 +225,35 @@ def test_comm_equals_per_fetch_walk(tmp_path):
                 edges, num_nodes, labels, plan, fanouts, num_seeds, rng_seed
             )
             assert got == want, (case, rng_seed)
+
+
+def test_comm_same_through_the_edge_list_path(tmp_path, monkeypatch):
+    # the path for num_nodes**2 > 2**63 indexes the decoded edge list instead
+    rng = np.random.default_rng(12)
+    edges = rng.integers(0, 80, size=(900, 2))
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 100)
+    labels = rng.integers(0, 4, size=100)
+    plan = plan_assignment(4, 2, rng_seed=1)
+    want = [estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=s) for s in range(3)]
+    monkeypatch.setattr(placement, "packed_keys_fit", lambda width: False)
+    got = [estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=s) for s in range(3)]
+    assert got == want
+
+
+def test_comm_peak_memory_per_edge(tmp_path):
+    # the index is built from one 2E array of packed keys, filled block by
+    # block: no int64 edge list is held beside it
+    rng = np.random.default_rng(3)
+    num_nodes, num_edges = 20_000, 200_000
+    src = (rng.pareto(1.5, size=num_edges) * num_nodes / 50).astype(np.int64) % num_nodes
+    edges = np.column_stack([src, rng.integers(0, num_nodes, size=num_edges)])
+    efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
+    labels = rng.integers(0, 4, size=num_nodes)
+    plan = plan_assignment(4, 2, rng_seed=0)
+    tracemalloc.start()
+    try:
+        estimate_comm(efile, labels, plan, num_seeds=8, rng_seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 44 * num_edges, peak / num_edges

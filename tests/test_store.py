@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from streamcut import store as store_module
 from streamcut import (
     FeatureLayout,
     FormatError,
@@ -13,6 +14,10 @@ from streamcut import (
 )
 
 from helpers import make_edge_file, random_multigraph
+
+
+class Crash(Exception):
+    pass
 
 
 def _multiset(edges):
@@ -175,3 +180,102 @@ def test_buckets_equal_stable_sort_reference(tmp_path, p):
     assert index.counts.ravel().tolist() == counts.tolist()
     header_size = index.offsets[0, 0]
     assert Path(store).read_bytes()[header_size:] == edges[order].astype("<u4").tobytes()
+
+
+# ------------------------------------------------------------ atomic outputs
+
+
+def _crash_after_first_block(monkeypatch):
+    """Makes write_buckets' streaming pass raise after its first 1000-edge block."""
+    real = store_module.iter_edge_blocks
+
+    def blocks(efile):
+        for i, block in enumerate(real(efile, 1000)):
+            if i == 1:
+                raise Crash
+            yield block
+
+    monkeypatch.setattr(store_module, "iter_edge_blocks", blocks)
+
+
+def _dir_bytes(path):
+    return {f.name: f.read_bytes() for f in sorted(Path(path).iterdir())}
+
+
+def test_buckets_failure_leaves_no_output(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    edges = rng.integers(0, 100, size=(5000, 2))
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 100)
+    before = _dir_bytes(tmp_path)
+    _crash_after_first_block(monkeypatch)
+    with pytest.raises(Crash):
+        write_buckets(efile, rng.integers(0, 4, size=100), str(tmp_path / "g.grpb"))
+    assert _dir_bytes(tmp_path) == before  # no store, index or temporary file
+
+
+def test_buckets_failure_keeps_the_previous_pair(tmp_path, monkeypatch):
+    rng = np.random.default_rng(9)
+    edges = rng.integers(0, 100, size=(5000, 2))
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 100)
+    store = str(tmp_path / "g.grpb")
+    old_labels = rng.integers(0, 2, size=100)
+    write_buckets(efile, old_labels, store)
+    before = _dir_bytes(tmp_path)
+    _crash_after_first_block(monkeypatch)
+    with pytest.raises(Crash):
+        write_buckets(efile, rng.integers(0, 4, size=100), store)
+    assert _dir_bytes(tmp_path) == before
+    index = read_index(store)
+    assert index.p == 2
+    got = np.concatenate([read_bucket(store, i, j, index) for i in range(2) for j in range(2)])
+    assert _multiset(got) == _multiset(edges)
+
+
+def test_buckets_crash_between_renames_leaves_no_valid_pair(tmp_path, monkeypatch):
+    rng = np.random.default_rng(10)
+    edges = rng.integers(0, 50, size=(300, 2))
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 50)
+    store = str(tmp_path / "g.grpb")
+    # the old pair has the same p and counts as the new one
+    labels = rng.integers(0, 3, size=50)
+    write_buckets(efile, labels, store)
+    real_replace = store_module.os.replace
+    calls = []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise Crash
+        real_replace(src, dst)
+
+    monkeypatch.setattr(store_module.os, "replace", replace)
+    with pytest.raises(Crash):
+        write_buckets(efile, labels, store)
+    assert calls == [store, store + ".idx"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["g.grpb", "g.grpe"]
+    with pytest.raises((FormatError, OSError)):
+        read_index(store)
+
+
+def test_reorder_features_failure_leaves_no_output(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    feats = tmp_path / "f.bin"
+    feats.write_bytes(rng.integers(0, 256, size=40 * 3, dtype=np.uint8).tobytes())
+    out = str(tmp_path / "o.bin")
+    reorder_features(str(feats), rng.integers(0, 2, size=40), 3, out)
+    before = _dir_bytes(tmp_path)
+    real_save = FeatureLayout.save
+
+    def save(self, path):
+        real_save(self, path)  # a complete grouped file and layout, then the crash
+        raise Crash
+
+    monkeypatch.setattr(FeatureLayout, "save", save)
+    with pytest.raises(Crash):
+        reorder_features(str(feats), rng.integers(0, 4, size=40), 3, out)
+    assert _dir_bytes(tmp_path) == before
+    for name in ("o.bin", "o.bin.layout"):
+        (tmp_path / name).unlink()
+    with pytest.raises(Crash):
+        reorder_features(str(feats), rng.integers(0, 4, size=40), 3, out)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["f.bin"]

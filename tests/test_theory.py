@@ -3,6 +3,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from streamcut import (
     FormatError,
@@ -13,10 +15,11 @@ from streamcut import (
     theory_curve,
 )
 from streamcut.model import NodeStats
+from streamcut import theory
 from streamcut.synth import CliqueUnionSpec, SbmSpec, StarSpec, generate
 from streamcut.theory import curve_csv, draws_for
 
-from helpers import majority_align, make_edge_file
+from helpers import PROPERTY_SETTINGS, majority_align, make_edge_file
 
 
 def rational_pmf_cdf(k, k0, d, t):
@@ -275,14 +278,55 @@ def test_expected_cuts_equals_per_node_loop(multiplier):
 
 
 def test_expected_cuts_large_degrees_equal_per_node_loop():
-    # degrees near 2**40 and 2**61: (k, k0) pairs must stay distinct keys;
-    # a tiny x keeps the draws, and so the cdf loop, short
-    big = [2**40, 2**40 + 1, 2**61 - 3, 2**61 - 3, 2**40, 5, 0]
-    k = np.array(big, dtype=np.int64)
-    k0 = np.array([2**40, 2**39 + 1, 2**61 - 3, 2**60, 2**39, 3, 0], dtype=np.int64)
+    # degrees up to the 2**32 bound: (k, k0) pairs must stay distinct keys
+    # (k * (max k + 1) + k0 would overflow int64); a tiny x keeps the draws,
+    # and so the cdf loop, short
+    k = np.array([2**32, 2**32 - 1, 2**32, 2**31 + 1, 2**32, 5, 0], dtype=np.int64)
+    k0 = np.array([2**32, 2**31 + 1, 2**31, 2**31 + 1, 3 * 2**30, 3, 0], dtype=np.int64)
     stats = NodeStats(k, k0)
-    for x in (1e-19, 1.2e-18):
+    for x in (1e-9, 1.2e-9):
         for multiplier in (1.0, 2.0):
             assert expected_cuts(stats, x, multiplier).expected_cuts == per_node_expected_cuts(
                 stats, x, multiplier
             )
+
+
+@pytest.mark.parametrize("degree", [2**32 + 1, 2**61])
+def test_degrees_above_bound_are_rejected(degree):
+    # the log-gamma cdf loses all accuracy long before int64 runs out
+    with pytest.raises(FormatError):
+        prob_correct(degree, degree // 2 + 1, 1e-17)
+    with pytest.raises(FormatError):
+        hypergeom_pmf_cdf(degree, degree // 2, 1, 0)
+    stats = NodeStats(np.array([3, degree]), np.array([2, degree // 2 + 1]))
+    with pytest.raises(FormatError):
+        theory_curve(stats, [1e-17])
+    with pytest.raises(FormatError):
+        expected_cuts(stats, 1e-17)
+    # the bound itself is accepted
+    assert 0.0 <= prob_correct(2**32, 2**31, 1e-9) <= 1.0
+
+
+@st.composite
+def node_stats(draw):
+    k = draw(st.lists(st.integers(0, 90), min_size=1, max_size=40))
+    # minority degree 0 gives k0 == k; k == 0 nodes contribute nothing
+    minority = [draw(st.integers(0, ki // 2)) for ki in k]
+    return NodeStats(np.array(k), np.array(k) - np.array(minority))
+
+
+@pytest.mark.parametrize("block", [5, 1 << 16])
+@PROPERTY_SETTINGS
+@example(stats=NodeStats(np.array([0, 4, 7, 7]), np.array([0, 4, 4, 7])),
+         xs=[1.0, 0.5, 0.01], multiplier=2.0)
+@given(stats=node_stats(), xs=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4),
+       multiplier=st.sampled_from([1.0, 2.0, 3.5]))
+def test_theory_curve_equals_per_node_loop_property(monkeypatch, block, stats, xs, multiplier):
+    # a block of 5 terms splits the cdf sums of most pairs across batches
+    monkeypatch.setattr(theory, "_CURVE_BLOCK", block)
+    points = theory_curve(stats, xs, multiplier)
+    endpoints = stats.total_endpoints
+    for x, point in zip(xs, points):
+        want = per_node_expected_cuts(stats, x, multiplier)
+        assert (point.x, point.expected_cuts) == (x, want)
+        assert point.expected_cut_fraction == (want / endpoints if endpoints else 0.0)
