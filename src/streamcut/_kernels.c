@@ -1,13 +1,17 @@
-/* Compiled inner loops of the greedy chunk sweep and the BFS-grow seed.
+/* Compiled inner loops: the greedy chunk sweep, the BFS-grow seed, the tail
+ * of the adjacency builder and the traffic estimator's sampling walk.
  *
- * Each function is a line-for-line port of the Python loop it replaces
- * (grem.process_chunk, seed._bfs_grow) and must stay bit-identical to it:
- * counts are accumulated by adding 1.0, estimates are averaged as
- * (old + fresh) * 0.5, and nodes are visited in the same order.  The loader
+ * Each function is a port of the Python code it replaces
+ * (grem.process_chunk, seed._bfs_grow, model.adjacency_from_keys,
+ * placement.estimate_comm) and must stay bit-identical to it: counts are
+ * accumulated by adding 1.0, estimates are averaged as (old + fresh) * 0.5,
+ * nodes are visited and random words drawn in the same order.  The loader
  * compiles this file without -ffast-math or -march=native, so IEEE double
  * arithmetic is the same as Python's.
  */
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* grem.assign; returns -1 where the Python rule raises CapacityError. */
 static int assign(double c0, double c1, const int64_t *sizes, int64_t cap)
@@ -114,4 +118,154 @@ void bfs_grow(int64_t num, const int64_t *starts, const int64_t *ends,
         if (!moved)
             break;
     }
+}
+
+/* The tail of model.adjacency_from_keys over sorted src * width + dst keys:
+ * one pass writes each run's owner to `nodes` and its start to `offsets`,
+ * and compacts the neighbour ids, self-loops left out, to the front of
+ * `keys`.  `offsets` gets one more entry, the end of the last run.  One
+ * division per run, not per key: a key belongs to the current run while
+ * key - owner * width < width.  Returns the number of runs. */
+int64_t adjacency_tail(int64_t m, int64_t *keys, int64_t width, int64_t *nodes,
+                       int64_t *offsets)
+{
+    int64_t runs = 0, out = 0, owner = 0, base = 0;
+    for (int64_t i = 0; i < m; i++) {
+        int64_t key = keys[i];
+        int64_t nbr = key - base;
+        if (runs == 0 || nbr >= width) {
+            owner = key / width;
+            base = owner * width;
+            nbr = key - base;
+            nodes[runs] = owner;
+            offsets[runs++] = out;
+        }
+        if (nbr != owner)
+            keys[out++] = nbr;
+    }
+    offsets[runs] = out;
+    return runs;
+}
+
+/* A numpy BitGenerator's next_uint64, called with its state_address. */
+typedef uint64_t (*next_uint64_t)(void *state);
+
+/* Uniform integer in [0, n), n >= 1, from raw 64-bit words: Lemire's
+ * multiply-shift, rejecting words whose low product half is below
+ * 2**64 mod n. */
+static int64_t bounded(next_uint64_t next, void *state, uint64_t n)
+{
+    unsigned __int128 m = (unsigned __int128)next(state) * n;
+    if ((uint64_t)m < n) {
+        uint64_t threshold = -n % n;
+        while ((uint64_t)m < threshold)
+            m = (unsigned __int128)next(state) * n;
+    }
+    return (int64_t)(m >> 64);
+}
+
+/* Writes `f` distinct positions of [0, d) to `out`, 0 < f < d, by Floyd's
+ * algorithm: for j = d - f, ..., d - 1, t = bounded(j + 1), and j is taken
+ * in place of t when t already was.  stamp[t] == mark marks taken
+ * positions; each call passes a fresh mark. */
+static void floyd(next_uint64_t next, void *state, int64_t d, int64_t f, int64_t *out,
+                  uint64_t *stamp, uint64_t mark)
+{
+    for (int64_t j = d - f; j < d; j++) {
+        int64_t t = bounded(next, state, (uint64_t)j + 1);
+        if (stamp[t] == mark)
+            t = j;
+        stamp[t] = mark;
+        *out++ = t;
+    }
+}
+
+/* The sampling walk of placement.estimate_comm.  Seeds are `num_seeds`
+ * distinct node ids; per hop each frontier node contributes its whole
+ * neighbour list when its degree is at most the fanout, else `fanout`
+ * picks, in order.  Every fetched node adds one to counts[2w] (local: on
+ * the seed's worker w, or replicated) or to counts[2w + 1] (remote).
+ * Returns 0, or -1 when scratch memory cannot be allocated. */
+int64_t comm_walk(int64_t num_nodes, const int64_t *starts, const int64_t *ends,
+                  const int64_t *nbrs, const int64_t *node_worker,
+                  const uint8_t *replicated, int64_t num_seeds, const int64_t *fanouts,
+                  int64_t hops, next_uint64_t next, void *state, int64_t *counts)
+{
+    int64_t span = num_nodes;  /* stamp entries: node ids and list positions */
+    for (int64_t v = 0; v < num_nodes; v++)
+        if (ends[v] - starts[v] > span)
+            span = ends[v] - starts[v];
+    int64_t cap = 1;
+    uint64_t mark = 0;
+    uint64_t *stamp = calloc((size_t)span, sizeof *stamp);
+    int64_t *cur = malloc((size_t)cap * sizeof *cur);
+    int64_t *nxt = malloc((size_t)cap * sizeof *nxt);
+    int64_t *seeds = malloc((size_t)num_seeds * sizeof *seeds);
+    int64_t status = -1;
+    if (stamp == NULL || cur == NULL || nxt == NULL || seeds == NULL)
+        goto done;
+
+    if (num_seeds >= num_nodes) {
+        for (int64_t i = 0; i < num_nodes; i++)
+            seeds[i] = i;
+    } else {
+        floyd(next, state, num_nodes, num_seeds, seeds, stamp, ++mark);
+    }
+
+    for (int64_t s = 0; s < num_seeds; s++) {
+        int64_t w = node_worker[seeds[s]];
+        int64_t size = 1, local = 0, remote = 0;
+        cur[0] = seeds[s];
+        for (int64_t h = 0; h < hops && size > 0; h++) {
+            int64_t fanout = fanouts[h], need = 0;
+            for (int64_t i = 0; i < size; i++) {
+                int64_t deg = ends[cur[i]] - starts[cur[i]];
+                need += deg < fanout ? deg : fanout;
+            }
+            if (need > cap) {
+                int64_t *grown = realloc(nxt, (size_t)need * sizeof *nxt);
+                if (grown == NULL)
+                    goto done;
+                nxt = grown;
+                grown = realloc(cur, (size_t)need * sizeof *cur);
+                if (grown == NULL)
+                    goto done;
+                cur = grown;
+                cap = need;
+            }
+            int64_t out = 0;
+            for (int64_t i = 0; i < size; i++) {
+                int64_t lo = starts[cur[i]], deg = ends[cur[i]] - lo;
+                if (deg <= fanout) {
+                    memcpy(nxt + out, nbrs + lo, (size_t)deg * sizeof *nxt);
+                    out += deg;
+                } else {
+                    floyd(next, state, deg, fanout, nxt + out, stamp, ++mark);
+                    for (int64_t k = out; k < out + fanout; k++)
+                        nxt[k] = nbrs[lo + nxt[k]];
+                    out += fanout;
+                }
+            }
+            for (int64_t k = 0; k < out; k++) {
+                int64_t u = nxt[k];
+                if (replicated[u] || node_worker[u] == w)
+                    local++;
+                else
+                    remote++;
+            }
+            int64_t *swap = cur;
+            cur = nxt;
+            nxt = swap;
+            size = out;
+        }
+        counts[2 * w] += local;
+        counts[2 * w + 1] += remote;
+    }
+    status = 0;
+done:
+    free(stamp);
+    free(cur);
+    free(nxt);
+    free(seeds);
+    return status;
 }

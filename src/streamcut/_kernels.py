@@ -1,13 +1,23 @@
-"""Loader of the compiled sweep and seed kernels in ``_kernels.c``.
+"""Loader of the compiled kernels in ``_kernels.c``.
 
 At first import the C source is compiled with the system C compiler into
 this package's ``__pycache__/``, under a name carrying a hash of the source,
 the flags and the platform, and loaded with ``ctypes``.  The compiler writes
 to a temporary file that is then renamed into place, so concurrent processes
 never load a half-written library; a successful build removes every other
-``_kernels.*.so`` from the cache directory.  ``sweep`` and ``bfs_grow`` are the loaded
-functions, or ``None`` when no compiler is found or the build fails; callers
-then run their pure-Python loops, which give bit-identical results.
+``_kernels.*.so`` from the cache directory.
+
+The kernels, named in ``KERNELS``, each replace one Python loop:
+
+* ``sweep`` -- the greedy chunk sweep of ``grem.process_chunk``;
+* ``bfs_grow`` -- the BFS-grow seed and its refinement, ``seed._bfs_grow``;
+* ``adjacency_tail`` -- the run split and self-loop removal after the key
+  sort in ``model.adjacency_from_keys``;
+* ``comm_walk`` -- the sampling walk of ``placement.estimate_comm``.
+
+Each is the loaded function, or ``None`` for all of them when no compiler
+is found or the build fails; callers then run their Python code, which
+gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -64,7 +74,11 @@ def _build(source: bytes, target: str) -> None:
                 pass
 
 
+KERNELS = ("sweep", "bfs_grow", "adjacency_tail", "comm_walk")
+
+
 def _load():
+    """The kernels in ``KERNELS`` order, or a ``None`` for each."""
     try:
         with open(_SOURCE, "rb") as fh:
             source = fh.read()
@@ -74,22 +88,29 @@ def _load():
             _build(source, target)
         lib = ctypes.CDLL(target)
     except (OSError, subprocess.SubprocessError):
-        return None, None
-    i64 = ctypes.c_int64
+        return (None,) * len(KERNELS)
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
     ptr_i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     ptr_i8 = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
     ptr_f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    ptr_bool = np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS")
     lib.sweep.argtypes = [i64, ptr_i64, ptr_i64, ptr_i64, ptr_i64, ptr_i8, ptr_f64, ptr_f64,
                           ptr_i64, i64, ctypes.c_int32]
     lib.sweep.restype = i64
     lib.bfs_grow.argtypes = [i64, ptr_i64, ptr_i64, ptr_i64, ptr_i64, i64, i64, ptr_i8, ptr_i64]
     lib.bfs_grow.restype = None
-    return lib.sweep, lib.bfs_grow
+    lib.adjacency_tail.argtypes = [i64, ptr_i64, i64, ptr_i64, ptr_i64]
+    lib.adjacency_tail.restype = i64
+    # the bit generator's next_uint64 and state_address travel as plain pointers
+    lib.comm_walk.argtypes = [i64, ptr_i64, ptr_i64, ptr_i64, ptr_i64, ptr_bool, i64, ptr_i64,
+                              i64, ptr, ptr, ptr_i64]
+    lib.comm_walk.restype = i64
+    return tuple(getattr(lib, name) for name in KERNELS)
 
 
-sweep, bfs_grow = _load()
+sweep, bfs_grow, adjacency_tail, comm_walk = _load()
 
 
 def kernel_name() -> str:
-    """``"native"`` when the compiled kernels run, ``"python"`` for the fallback loops."""
-    return "native" if sweep is not None and bfs_grow is not None else "python"
+    """``"native"`` when every compiled kernel runs, ``"python"`` otherwise."""
+    return "native" if all(globals()[name] is not None for name in KERNELS) else "python"

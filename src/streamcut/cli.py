@@ -283,13 +283,16 @@ def cmd_comm_estimate(args) -> int:
     )
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(comm_csv(counts))
+    kernel = _kernels.kernel_name()
     manifest = _write_manifest(
-        args, "comm-estimate", [args.edges, args.labels, args.plan], [args.out], started
+        args, "comm-estimate", [args.edges, args.labels, args.plan], [args.out], started,
+        kernel=kernel,
     )
     _emit(
         args,
         {
             "csv": args.out,
+            "kernel": kernel,
             "per_worker": [{"worker": w, "local": a, "remote": b} for w, (a, b) in enumerate(counts)],
             "manifest": manifest,
         },

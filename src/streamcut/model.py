@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import FormatError
 
 
@@ -67,10 +68,16 @@ def adjacency_from_keys(
     """The ``build_adjacency`` index of packed ``src * width + dst`` int64 keys.
 
     ``keys`` holds both directions of every edge; it is sorted, then
-    overwritten with the neighbor ids, in place.  Every ``width`` above the
-    largest id gives the same index.
+    overwritten with the neighbor ids, in place, and ``nbrs`` is a view of
+    its front.  Every ``width`` above the largest id gives the same index.
     """
     keys.sort()
+    if _kernels.adjacency_tail is not None:
+        runs = min(keys.size, width)  # each run has a distinct owner and at least one key
+        nodes = np.empty(runs, dtype=np.int64)
+        offsets = np.empty(runs + 1, dtype=np.int64)
+        runs = _kernels.adjacency_tail(keys.size, keys, width, nodes, offsets)
+        return nodes[:runs], offsets[:runs], offsets[1 : runs + 1], keys[: offsets[runs]]
     owner = keys // width
     nbrs = np.remainder(keys, width, out=keys)
     # run starts of each owner, then the end of the last run

@@ -3,10 +3,12 @@ replication selection, and a static cross-worker fetch estimator."""
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .edgefile import EdgeFile, iter_edge_blocks, read_all_edges
 from .errors import FormatError
 from .model import adjacency_from_keys, build_adjacency, packed_keys_fit
@@ -93,12 +95,20 @@ def estimate_comm(
 ):
     """Simulates multi-hop neighbor sampling and tallies per-worker fetches.
 
-    Seed nodes are sampled uniformly without replacement; per hop, up to
-    ``fanouts[h]`` neighbors of each frontier node are drawn without
-    replacement from its neighbor multiset (both edge directions, self-loops
-    excluded), held as an ascending list.  A fetched node is local when its
-    partition lives on the seed's worker or it is replicated, remote
-    otherwise.  Returns a list of (local, remote) per worker.
+    ``num_seeds`` distinct seed nodes are sampled; per hop, each frontier
+    node contributes its whole neighbor multiset (both edge directions,
+    self-loops excluded, held as an ascending list) when it has at most
+    ``fanouts[h]`` entries, else ``fanouts[h]`` distinct positions of it,
+    and the fetched nodes form the next frontier in that order.  A fetched
+    node is local when its partition lives on the seed's worker or it is
+    replicated, remote otherwise.  Returns a list of (local, remote) per
+    worker.
+
+    The sampler draws raw 64-bit words from
+    ``np.random.default_rng(rng_seed).bit_generator``: bounded integers by
+    Lemire's multiply-shift with rejection (``_bounded``), distinct picks by
+    Floyd's algorithm (``_floyd``), so the counts do not depend on
+    ``Generator.choice``.
     """
     labels = np.asarray(labels, dtype=np.int64)
     num_nodes = efile.meta.num_nodes
@@ -108,6 +118,9 @@ def estimate_comm(
         raise FormatError("cannot estimate traffic on an empty graph")
     if not 1 <= num_seeds <= num_nodes:
         raise FormatError(f"num_seeds must be in [1, {num_nodes}], got {num_seeds}")
+    fanouts = np.array([int(f) for f in fanouts], dtype=np.int64)
+    if fanouts.size == 0 or fanouts.min() < 1:
+        raise FormatError(f"fanouts must be one or more counts >= 1, got {fanouts.tolist()}")
     if labels.min() < 0 or labels.max() >= plan.num_partitions:
         raise FormatError("labels must map every node to a planned partition")
     for node in plan.replicated_nodes:
@@ -131,29 +144,77 @@ def estimate_comm(
     if plan.replicated_nodes:
         replicated[list(plan.replicated_nodes)] = True
 
-    rng = np.random.default_rng(rng_seed)
-    seeds = rng.choice(num_nodes, size=num_seeds, replace=False)
+    bit_generator = np.random.default_rng(rng_seed).bit_generator
     counts = np.zeros((plan.num_workers, 2), dtype=np.int64)
-    for s in seeds.tolist():
-        w = int(node_worker[s])
-        frontier = np.array([s], dtype=np.int64)
-        for fanout in fanouts:
-            if frontier.size == 0:
-                break
-            # one rng.choice per frontier node with more than ``fanout``
-            # neighbors, in frontier order: the counts for an rng_seed depend
-            # on exactly this call sequence
-            picks = []
-            for lo, hi in zip(starts[frontier].tolist(), ends[frontier].tolist()):
-                if hi - lo > fanout:
-                    picks.append(snbrs[lo + rng.choice(hi - lo, size=fanout, replace=False)])
-                else:
-                    picks.append(snbrs[lo:hi])
-            frontier = np.concatenate(picks)
-            local = int(np.count_nonzero(replicated[frontier] | (node_worker[frontier] == w)))
-            counts[w, 0] += local
-            counts[w, 1] += frontier.size - local
+    if _kernels.comm_walk is not None:
+        raw = bit_generator.ctypes
+        status = _kernels.comm_walk(
+            num_nodes, starts, ends, snbrs, node_worker, replicated, num_seeds, fanouts,
+            fanouts.size, ctypes.cast(raw.next_uint64, ctypes.c_void_p), raw.state_address,
+            counts,
+        )
+        if status != 0:
+            raise MemoryError("estimate_comm: no memory for the sampling frontier")
+    else:
+        words = _raw_words(bit_generator)
+        seeds = range(num_nodes) if num_seeds == num_nodes else _floyd(words, num_nodes, num_seeds)
+        for s in seeds:
+            w = int(node_worker[s])
+            frontier = np.array([s], dtype=np.int64)
+            for fanout in fanouts.tolist():
+                if frontier.size == 0:
+                    break
+                picks = []
+                for lo, hi in zip(starts[frontier].tolist(), ends[frontier].tolist()):
+                    if hi - lo > fanout:
+                        picks.append(snbrs[[lo + t for t in _floyd(words, hi - lo, fanout)]])
+                    else:
+                        picks.append(snbrs[lo:hi])
+                frontier = np.concatenate(picks)
+                local = int(np.count_nonzero(replicated[frontier] | (node_worker[frontier] == w)))
+                counts[w, 0] += local
+                counts[w, 1] += frontier.size - local
     return [(int(a), int(b)) for a, b in counts]
+
+
+_LOW64 = (1 << 64) - 1
+
+
+def _raw_words(bit_generator):
+    """The bit generator's raw 64-bit output words, as Python ints, in order."""
+    while True:
+        yield from bit_generator.random_raw(1024).tolist()
+
+
+def _bounded(words, n: int) -> int:
+    """A uniform integer in [0, n), n >= 1: Lemire's multiply-shift with rejection.
+
+    The result is the high 64 bits of ``word * n``; a word whose low 64 bits
+    fall below ``2**64 mod n`` is rejected and the next one tried.
+    """
+    m = next(words) * n
+    if m & _LOW64 < n:
+        threshold = (1 << 64) % n
+        while m & _LOW64 < threshold:
+            m = next(words) * n
+    return m >> 64
+
+
+def _floyd(words, d: int, f: int) -> list[int]:
+    """``f`` distinct positions of [0, d), 0 < f < d, in Floyd's order.
+
+    For j = d - f, ..., d - 1 it draws t = ``_bounded(words, j + 1)`` and
+    appends t, or j when t was already taken.
+    """
+    picked: list[int] = []
+    taken: set[int] = set()
+    for j in range(d - f, d):
+        t = _bounded(words, j + 1)
+        if t in taken:
+            t = j
+        taken.add(t)
+        picked.append(t)
+    return picked
 
 
 def _packed_keys(efile: EdgeFile) -> np.ndarray:

@@ -132,8 +132,17 @@ def write_buckets(
 
 
 def read_index(store_path: str) -> BucketIndex:
-    """Loads and cross-checks the bucket index sidecar against the store file."""
-    size = os.path.getsize(store_path)
+    """Loads and cross-checks the bucket index sidecar against the store file.
+
+    A missing store or sidecar is a ``FormatError``: an interrupted
+    ``write_buckets`` can leave a store without its sidecar.
+    """
+    idx_path = _index_path(store_path)
+    try:
+        size = os.path.getsize(store_path)
+        idx_size = os.path.getsize(idx_path)
+    except FileNotFoundError as exc:
+        raise FormatError(f"{exc.filename}: missing") from exc
     if size < _BUCKET_HEADER.size:
         raise FormatError(f"{store_path}: too short for a bucket header")
     with open(store_path, "rb") as fh:
@@ -146,8 +155,7 @@ def read_index(store_path: str) -> BucketIndex:
         raise FormatError(f"{store_path}: unsupported version {version}")
     width = 64 if flags & FLAG_WIDE_IDS else 32
     pair = 2 * (width // 8)
-    idx_path = _index_path(store_path)
-    if os.path.getsize(idx_path) != p * p * 16:
+    if idx_size != p * p * 16:
         raise FormatError(f"{idx_path}: index size does not match p={p}")
     sidecar = np.fromfile(idx_path, dtype="<u8").reshape(p * p, 2)
     offsets = sidecar[:, 0].astype(np.int64)

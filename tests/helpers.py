@@ -16,13 +16,13 @@ PROPERTY_SETTINGS = settings(
 def each_kernel(monkeypatch):
     """Runs a loop body under the compiled kernels, then under the Python loops.
 
-    Yields "native", then sets the loader's handles to None and yields
+    Yields "native", then sets every loader handle to None and yields
     "python".  The monkeypatch fixture restores the handles when the test
     ends, however it ends.
     """
     yield "native"
-    monkeypatch.setattr(_kernels, "sweep", None)
-    monkeypatch.setattr(_kernels, "bfs_grow", None)
+    for name in _kernels.KERNELS:
+        monkeypatch.setattr(_kernels, name, None)
     yield "python"
 
 

@@ -251,6 +251,45 @@ def test_plan_with_replication_and_comm(tmp_path, cliques, capsys):
     assert sum(p["local"] for p in payload["per_worker"]) > 0
 
 
+@pytest.fixture
+def comm_inputs(tmp_path, cliques, capsys):
+    efile, truth = cliques
+    ref = tmp_path / "l.grpl"
+    write_labels(str(ref), truth.astype(np.int64), num_parts=2)
+    plan_path = tmp_path / "plan.txt"
+    assert run(capsys, "plan", plan_path, "--parts", "2", "--workers", "2")[0] == 0
+    return efile.path, ref, plan_path
+
+
+def test_comm_estimate_records_kernel(tmp_path, comm_inputs, capsys, monkeypatch):
+    runs = {}
+    for kernel in each_kernel(monkeypatch):
+        csv_path = tmp_path / f"{kernel}.csv"
+        code, payload = run_json(
+            capsys, "comm-estimate", *comm_inputs, "--out", csv_path, "--num-seeds", "8",
+            "--fanouts", "3,2",
+        )
+        assert code == 0
+        manifest = json.loads(Path(payload["manifest"]).read_text())
+        expected = "native" if _kernels.comm_walk is not None else "python"
+        assert payload["kernel"] == manifest["kernel"] == expected
+        assert "kernel" not in manifest["config"]
+        runs[kernel] = csv_path.read_text()
+    assert runs["native"] == runs["python"]
+
+
+@pytest.mark.parametrize("fanouts", ["0", "3,0,2", ""])
+def test_comm_estimate_bad_fanouts_is_a_data_error(tmp_path, comm_inputs, capsys, fanouts):
+    out = tmp_path / "comm.csv"
+    code = main([str(a) for a in ("comm-estimate", *comm_inputs, "--out", out,
+                                  "--num-seeds", "8", "--fanouts", fanouts)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: fanouts")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1\nnot numbers\n")

@@ -1,4 +1,4 @@
-"""The loader of the compiled sweep and seed kernels."""
+"""The loader of the compiled kernels."""
 
 import os
 import stat
@@ -12,7 +12,17 @@ from streamcut import _kernels
 def test_native_kernels_load_when_a_compiler_is_present():
     if _kernels._compiler() is None:
         pytest.skip("no C compiler on PATH")
-    assert _kernels.sweep is not None and _kernels.bfs_grow is not None
+    assert all(getattr(_kernels, name) is not None for name in _kernels.KERNELS)
+    assert _kernels.kernel_name() == "native"
+
+
+def test_kernel_name_is_native_only_with_every_handle(monkeypatch):
+    if _kernels._compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    for name in _kernels.KERNELS:
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, name, None)
+            assert _kernels.kernel_name() == "python", name
     assert _kernels.kernel_name() == "native"
 
 
@@ -29,14 +39,14 @@ def test_failed_build_falls_back_and_leaves_nothing(tmp_path, monkeypatch):
     cc = _fake_compiler(tmp_path, 'while [ "$1" != -o ]; do shift; done\necho partial > "$2"\nexit 1\n')
     monkeypatch.setattr(_kernels, "_CACHE", str(cache))
     monkeypatch.setattr(_kernels, "_compiler", lambda: cc)
-    assert _kernels._load() == (None, None)
+    assert _kernels._load() == (None,) * len(_kernels.KERNELS)
     assert os.listdir(cache) == []
 
 
 def test_no_compiler_falls_back(tmp_path, monkeypatch):
     monkeypatch.setattr(_kernels, "_CACHE", str(tmp_path))
     monkeypatch.setattr(_kernels, "_compiler", lambda: None)
-    assert _kernels._load() == (None, None)
+    assert _kernels._load() == (None,) * len(_kernels.KERNELS)
     assert os.listdir(tmp_path) == []
 
 
@@ -44,13 +54,12 @@ def test_build_is_cached_by_source_hash(tmp_path, monkeypatch):
     if _kernels._compiler() is None:
         pytest.skip("no C compiler on PATH")
     monkeypatch.setattr(_kernels, "_CACHE", str(tmp_path))
-    sweep, bfs_grow = _kernels._load()
-    assert sweep is not None and bfs_grow is not None
+    assert None not in _kernels._load()
     (built,) = os.listdir(tmp_path)
     assert built.startswith("_kernels.") and built.endswith(".so")
     # a second load reuses the library without compiling
     monkeypatch.setattr(_kernels, "_compiler", lambda: None)
-    sweep, _ = _kernels._load()
+    sweep = _kernels._load()[0]
     assert sweep is not None
     assert os.listdir(tmp_path) == [built]
     # and the loaded kernel runs: one fresh node with a neighbour in partition 1
@@ -74,8 +83,7 @@ def test_build_removes_stale_libraries(tmp_path, monkeypatch):
     other = cache / "notes.txt"
     other.write_text("not a kernel library")
     monkeypatch.setattr(_kernels, "_CACHE", str(cache))
-    sweep, bfs_grow = _kernels._load()
-    assert sweep is not None and bfs_grow is not None
+    assert None not in _kernels._load()
     built = [name for name in os.listdir(cache) if name.endswith(".so")]
     assert len(built) == 1 and built[0] != stale.name
     assert other.exists()

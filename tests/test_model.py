@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from streamcut import EdgeChunk, FormatError, GraphMeta, NodeStats, PartitionState
+from streamcut.model import adjacency_from_keys, build_adjacency
 
-from helpers import recount_sizes
+from helpers import PROPERTY_SETTINGS, each_kernel, recount_sizes
 
 
 def test_graph_meta_validation():
@@ -37,39 +40,71 @@ def _check_against_rebuild(edges):
         assert nbrs[starts[i] : ends[i]].tolist() == oracle[node]
 
 
-def test_chunk_adjacency_matches_rebuild():
-    rng = np.random.default_rng(11)
-    for trial in range(50):
-        n = int(rng.integers(2, 30))
-        m = int(rng.integers(1, 120))
-        edges = rng.integers(0, n, size=(m, 2)).astype(np.int64)
-        _check_against_rebuild(edges)
-        # ids >= 2**32 make the packed src * w + dst key overflow int64
-        _check_against_rebuild(edges * (1 << 32) + trial)
-    # nodes that appear only in self-loops stay listed, with no neighbors
-    _check_against_rebuild(np.array([[5, 5], [1, 2], [7, 7], [7, 7], [2, 1]]))
-    _check_against_rebuild(np.array([[2**40, 2**40], [3, 2**40], [3, 3]]))
-    _check_against_rebuild(np.empty((0, 2), dtype=np.int64))
+def test_chunk_adjacency_matches_rebuild(monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        rng = np.random.default_rng(11)
+        for trial in range(50):
+            n = int(rng.integers(2, 30))
+            m = int(rng.integers(1, 120))
+            edges = rng.integers(0, n, size=(m, 2)).astype(np.int64)
+            _check_against_rebuild(edges)
+            # ids >= 2**32 make the packed src * w + dst key overflow int64
+            _check_against_rebuild(edges * (1 << 32) + trial)
+        # nodes that appear only in self-loops stay listed, with no neighbors
+        _check_against_rebuild(np.array([[5, 5], [1, 2], [7, 7], [7, 7], [2, 1]]))
+        _check_against_rebuild(np.array([[2**40, 2**40], [3, 2**40], [3, 3]]))
+        _check_against_rebuild(np.empty((0, 2), dtype=np.int64))
 
 
-def test_chunk_adjacency_entry_count():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        edges = rng.integers(0, 12, size=(int(rng.integers(1, 60)), 2)).astype(np.int64)
-        chunk = EdgeChunk(0, edges)
-        non_loops = int((edges[:, 0] != edges[:, 1]).sum())
-        _, starts, ends, nbrs = chunk.csr()
-        assert len(nbrs) == 2 * non_loops
-        assert int((ends - starts).sum()) == 2 * non_loops
+def test_chunk_adjacency_entry_count(monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            edges = rng.integers(0, 12, size=(int(rng.integers(1, 60)), 2)).astype(np.int64)
+            chunk = EdgeChunk(0, edges)
+            non_loops = int((edges[:, 0] != edges[:, 1]).sum())
+            _, starts, ends, nbrs = chunk.csr()
+            assert len(nbrs) == 2 * non_loops, kernel
+            assert int((ends - starts).sum()) == 2 * non_loops, kernel
 
 
-def test_chunk_absent_node_and_empty():
-    chunk = EdgeChunk(3, np.array([[0, 1]]))
-    assert 7 not in chunk.nodes.tolist()
-    empty = EdgeChunk(0, np.empty((0, 2)))
-    assert empty.nodes.size == 0
-    assert empty.num_edges == 0
-    assert all(a.size == 0 for a in empty.csr())
+def test_chunk_absent_node_and_empty(monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        chunk = EdgeChunk(3, np.array([[0, 1]]))
+        assert 7 not in chunk.nodes.tolist()
+        empty = EdgeChunk(0, np.empty((0, 2)))
+        assert empty.nodes.size == 0
+        assert empty.num_edges == 0
+        assert all(a.size == 0 for a in empty.csr())
+
+
+# the largest width whose packed keys fit in int64: width**2 <= 2**63
+_WIDEST = 3_037_000_499
+
+
+@PROPERTY_SETTINGS
+@given(
+    edges=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=1, max_size=150),
+    loop_only=st.lists(st.integers(31, 40), max_size=4),
+    spare_width=st.sampled_from([0, 1, 7, 1000, 2**20]),
+)
+@example(edges=[(_WIDEST - 1, 0), (_WIDEST - 1, _WIDEST - 1), (1, _WIDEST - 1), (1, 1)],
+         loop_only=[], spare_width=0)
+def test_adjacency_tail_native_equals_python_property(edges, loop_only, spare_width):
+    # duplicates, self-loops and self-loop-only nodes; any width above the
+    # largest id must give the same index
+    edges = np.array(edges + [(n, n) for n in loop_only], dtype=np.int64)
+    width = int(edges.max()) + 1 + spare_width
+    keys = np.concatenate([edges[:, 0] * width + edges[:, 1], edges[:, 1] * width + edges[:, 0]])
+    with pytest.MonkeyPatch.context() as patch:
+        runs = {kernel: (adjacency_from_keys(keys.copy(), width), build_adjacency(edges))
+                for kernel in each_kernel(patch)}
+    for native, python in zip(runs["native"], runs["python"]):
+        assert len(native) == len(python) == 4
+        for a, b in zip(native, python):
+            assert a.dtype == b.dtype == np.int64
+            assert a.tolist() == b.tolist()
+    assert all(a.tolist() == b.tolist() for a, b in zip(*runs["python"]))
 
 
 def test_partition_state_recount():

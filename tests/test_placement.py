@@ -1,7 +1,11 @@
+import ctypes
+import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from streamcut import placement
 from streamcut import (
@@ -16,11 +20,10 @@ from streamcut import (
     plan_to_text,
     select_replicated,
 )
-from streamcut.model import build_adjacency
 from streamcut.placement import comm_csv
 from streamcut.synth import CliqueUnionSpec, SbmSpec, StarSpec, generate
 
-from helpers import make_edge_file
+from helpers import each_kernel, make_edge_file
 
 
 def test_plan_examples():
@@ -165,47 +168,75 @@ def test_comm_deterministic_and_validated(tmp_path):
         estimate_comm(efile, np.full(12, 5), plan, num_seeds=5, rng_seed=0)
 
 
+@pytest.mark.parametrize("fanouts", [(), (0,), (3, 0, 2), (2, -1)])
+def test_comm_rejects_bad_fanouts_before_indexing(tmp_path, monkeypatch, fanouts):
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2]], 3)
+    plan = plan_assignment(2, 2, rng_seed=0)
+
+    def no_index(_efile):
+        raise AssertionError("the index was built before the fanouts were checked")
+
+    monkeypatch.setattr(placement, "_packed_keys", no_index)
+    with pytest.raises(FormatError, match="fanouts"):
+        estimate_comm(efile, np.array([0, 1, 0]), plan, fanouts, num_seeds=2, rng_seed=0)
+
+
 def test_comm_csv_format():
     text = comm_csv([(10, 2), (8, 0)])
     assert text.splitlines() == ["worker,local,remote", "0,10,2", "1,8,0"]
 
 
-def per_fetch_estimate_comm(edges, num_nodes, labels, plan, fanouts, num_seeds, rng_seed):
-    """The per-fetch sampling walk: one Python step and one tally per fetched node."""
-    nodes, node_starts, node_ends, snbrs = build_adjacency(edges)
-    starts = np.zeros(num_nodes, dtype=np.int64)
-    ends = np.zeros(num_nodes, dtype=np.int64)
-    starts[nodes] = node_starts
-    ends[nodes] = node_ends
-    node_worker = plan.worker_of()[labels]
-    replicated = np.zeros(num_nodes, dtype=bool)
-    replicated[list(plan.replicated_nodes)] = True
-    rng = np.random.default_rng(rng_seed)
-    seeds = rng.choice(num_nodes, size=num_seeds, replace=False)
-    counts = np.zeros((plan.num_workers, 2), dtype=np.int64)
-    for s in seeds.tolist():
-        w = int(node_worker[s])
+def reference_estimate_comm(edges, num_nodes, labels, plan, fanouts, num_seeds, rng_seed,
+                            bit_generator=None):
+    """The documented sampler, one raw word and one fetched node at a time.
+
+    Written from the README's description, independently of ``placement``:
+    a bounded integer below n is the high half of word * n, retried while
+    the low half is below 2**64 mod n; f of d positions (f < d) come from
+    Floyd's algorithm in insertion order; d <= f takes all d in order.
+    """
+    adj = [[] for _ in range(num_nodes)]
+    for u, v in np.asarray(edges).tolist():
+        if u != v:
+            adj[u].append(v)
+            adj[v].append(u)
+    adj = [sorted(a) for a in adj]
+    if bit_generator is None:
+        bit_generator = np.random.default_rng(rng_seed).bit_generator
+
+    def below(n):
+        while True:
+            high, low = divmod(int(bit_generator.random_raw()) * n, 1 << 64)
+            if low >= (1 << 64) % n:
+                return high
+
+    def pick(d, f):
+        if d <= f:
+            return list(range(d))
+        chosen = []
+        for j in range(d - f, d):
+            t = below(j + 1)
+            chosen.append(j if t in chosen else t)
+        return chosen
+
+    worker = plan.worker_of()[np.asarray(labels)].tolist()
+    counts = [[0, 0] for _ in range(plan.num_workers)]
+    for s in pick(num_nodes, num_seeds):
+        w = worker[s]
         frontier = [s]
         for fanout in fanouts:
-            nxt = []
-            for u in frontier:
-                neigh = snbrs[starts[u] : ends[u]]
-                if len(neigh) > fanout:
-                    sel = neigh[rng.choice(len(neigh), size=fanout, replace=False)]
+            frontier = [adj[u][i] for u in frontier for i in pick(len(adj[u]), fanout)]
+            for v in frontier:
+                if v in plan.replicated_nodes or worker[v] == w:
+                    counts[w][0] += 1
                 else:
-                    sel = neigh
-                for v in sel.tolist():
-                    if replicated[v] or node_worker[v] == w:
-                        counts[w, 0] += 1
-                    else:
-                        counts[w, 1] += 1
-                    nxt.append(v)
-            frontier = nxt
-    return [(int(a), int(b)) for a, b in counts]
+                    counts[w][1] += 1
+    return [tuple(c) for c in counts]
 
 
-def test_comm_equals_per_fetch_walk(tmp_path):
+def test_comm_equals_per_fetch_walk(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
+    cases = []
     for case in range(12):
         num_nodes = int(rng.integers(10, 60))
         # ids above ``linked`` touch no edge, so a seed drawn there has an empty frontier
@@ -219,12 +250,108 @@ def test_comm_equals_per_fetch_walk(tmp_path):
         plan = PlacementPlan(plan.num_workers, plan.assignment, frozenset(replicated.tolist()))
         fanouts = tuple(int(f) for f in rng.integers(1, 12, size=int(rng.integers(1, 4))))
         num_seeds = int(rng.integers(1, num_nodes + 1))
-        for rng_seed in range(4):
-            got = estimate_comm(efile, labels, plan, fanouts, num_seeds, rng_seed)
-            want = per_fetch_estimate_comm(
-                edges, num_nodes, labels, plan, fanouts, num_seeds, rng_seed
-            )
-            assert got == want, (case, rng_seed)
+        if case % 5 == 0:
+            num_seeds = num_nodes  # every node seeds: no seed words are drawn
+        cases.append((case, edges, efile, num_nodes, labels, plan, fanouts, num_seeds))
+    for kernel in each_kernel(monkeypatch):
+        for case, edges, efile, num_nodes, labels, plan, fanouts, num_seeds in cases:
+            for rng_seed in range(4):
+                got = estimate_comm(efile, labels, plan, fanouts, num_seeds, rng_seed)
+                want = reference_estimate_comm(
+                    edges, num_nodes, labels, plan, fanouts, num_seeds, rng_seed
+                )
+                assert got == want, (kernel, case, rng_seed)
+
+
+def test_comm_golden_counts(tmp_path, monkeypatch):
+    # pins the sampler's output for fixed seeds: a change of the bit
+    # generator's stream or of the sampler shows here, not only as drift
+    edges = [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6],
+             [6, 7], [5, 7], [1, 7], [2, 6], [0, 0], [3, 4]]
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 9)
+    labels = np.array([0, 0, 1, 1, 2, 2, 3, 3, 0])
+    plan = PlacementPlan(2, ((0, 2), (1, 3)), frozenset({5}))
+    golden = {0: [(7, 5), (4, 2)], 3: [(7, 11), (4, 2)], 4: [(4, 8), (9, 3)]}
+    for kernel in each_kernel(monkeypatch):
+        for rng_seed, want in golden.items():
+            got = estimate_comm(efile, labels, plan, (2, 2), 4, rng_seed)
+            assert got == want, (kernel, rng_seed)
+            assert reference_estimate_comm(edges, 9, labels, plan, (2, 2), 4, rng_seed) == want
+
+
+@pytest.mark.parametrize("degree,fanout", [(7, 3), (12, 10)])
+def test_comm_picks_every_position_with_probability_fanout_over_degree(
+    tmp_path, monkeypatch, degree, fanout
+):
+    # disjoint stars: centre c lists its leaves c+1..c+degree in ascending
+    # order, so leaf c+1+p is list position p.  Labels put that leaf of every
+    # star alone on worker 1; the centre seeds of worker 0 then fetch it
+    # remotely exactly when position p is picked.  The picks do not depend
+    # on labels, so one rng_seed gives every position's count.
+    stars, rng_seeds = 100, range(6)
+    size = degree + 1
+    centres = np.arange(stars) * size
+    edges = np.array([[c, c + 1 + p] for c in centres for p in range(degree)])
+    efile = make_edge_file(tmp_path / "g.grpe", edges, stars * size)
+    plan = PlacementPlan(2, ((0,), (1,)))
+    trials = stars * len(rng_seeds)
+    q = fanout / degree
+    for kernel in each_kernel(monkeypatch):
+        picked = np.zeros(degree, dtype=np.int64)
+        for p in range(degree):
+            labels = np.zeros(stars * size, dtype=np.int64)
+            labels[centres + 1 + p] = 1
+            for rng_seed in rng_seeds:
+                # every node seeds once; leaf seeds take their one neighbour
+                counts = estimate_comm(efile, labels, plan, (fanout,), stars * size, rng_seed)
+                picked[p] += counts[0][1]
+        assert picked.sum() == trials * fanout, kernel
+        # a position's count is Binomial(trials, q); as one trial picks f
+        # distinct positions, the counts sum to trials * f and this sum of
+        # squares is chi-square with d - 1 degrees of freedom
+        stat = float(((picked - trials * q) ** 2).sum() / (trials * q * (1 - q)))
+        stat *= (degree - 1) / degree
+        critical = scipy.stats.chi2.ppf(0.999, df=degree - 1)
+        assert stat < critical, (kernel, picked.tolist(), stat)
+
+
+class ScriptedBitGenerator:
+    """Stands in for a numpy bit generator: yields the given raw words, then zeros.
+
+    It offers what ``estimate_comm`` reads: ``ctypes.next_uint64`` and
+    ``ctypes.state_address`` for the compiled walk, ``random_raw`` for the
+    Python one.
+    """
+
+    def __init__(self, words):
+        self._words = itertools.chain(words, itertools.repeat(0))
+        callback = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+        self._next = callback(lambda state: next(self._words))
+        self.ctypes = SimpleNamespace(next_uint64=self._next, state_address=None)
+
+    def random_raw(self, size=None):
+        if size is None:
+            return next(self._words)
+        return np.array([next(self._words) for _ in range(size)], dtype=np.uint64)
+
+
+def test_comm_bounded_draw_rejects_low_words(tmp_path, monkeypatch):
+    # star 0 - {1, 2, 3}, fanout 2: Floyd draws below 2, then below 3.  The
+    # word 0 gives 0 * 3, whose low half 0 is under 2**64 mod 3 = 1, so it is
+    # rejected and the next word, 2**64 - 1, gives position 2.  Accepting it
+    # would give position 0 (leaf 1, the only node on worker 1) instead.
+    words = [1 << 63, 0, (1 << 64) - 1]
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [0, 2], [0, 3]], 4)
+    labels = np.array([0, 1, 0, 0])
+    plan = PlacementPlan(2, ((0,), (1,)))
+    want = reference_estimate_comm([[0, 1], [0, 2], [0, 3]], 4, labels, plan, (2,), 4, None,
+                                   ScriptedBitGenerator(words))
+    assert want == [(4, 0), (0, 1)]
+    for kernel in each_kernel(monkeypatch):
+        fake = ScriptedBitGenerator(words)
+        monkeypatch.setattr(placement.np.random, "default_rng",
+                            lambda seed: SimpleNamespace(bit_generator=fake))
+        assert estimate_comm(efile, labels, plan, (2,), 4, 0) == want, kernel
 
 
 def test_comm_same_through_the_edge_list_path(tmp_path, monkeypatch):
@@ -235,9 +362,11 @@ def test_comm_same_through_the_edge_list_path(tmp_path, monkeypatch):
     labels = rng.integers(0, 4, size=100)
     plan = plan_assignment(4, 2, rng_seed=1)
     want = [estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=s) for s in range(3)]
-    monkeypatch.setattr(placement, "packed_keys_fit", lambda width: False)
-    got = [estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=s) for s in range(3)]
-    assert got == want
+    for kernel in each_kernel(monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(placement, "packed_keys_fit", lambda width: False)
+            got = [estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=s) for s in range(3)]
+        assert got == want, kernel
 
 
 def test_comm_peak_memory_per_edge(tmp_path):
@@ -257,3 +386,19 @@ def test_comm_peak_memory_per_edge(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 44 * num_edges, peak / num_edges
+
+
+def test_comm_native_equals_python_on_a_skewed_graph(tmp_path, monkeypatch):
+    # hubs of degree well above every fanout, so most frontier nodes sample
+    rng = np.random.default_rng(21)
+    num_nodes, num_edges = 3_000, 40_000
+    src = (rng.pareto(1.2, size=num_edges) * 20).astype(np.int64) % num_nodes
+    edges = np.column_stack([src, rng.integers(0, num_nodes, size=num_edges)])
+    efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
+    labels = rng.integers(0, 4, size=num_nodes)
+    plan = plan_assignment(4, 2, rng_seed=3)
+    plan = PlacementPlan(2, plan.assignment, frozenset(range(0, num_nodes, 97)))
+    runs = {}
+    for kernel in each_kernel(monkeypatch):
+        runs[kernel] = [estimate_comm(efile, labels, plan, (25, 10, 5), 16, s) for s in range(3)]
+    assert runs["native"] == runs["python"]

@@ -102,6 +102,8 @@ def test_index_reload_and_mismatch_detection(tmp_path):
     raw.tofile(store + ".idx")
     with pytest.raises(FormatError):
         read_index(store)
+    with pytest.raises(FormatError, match="missing"):
+        read_index(str(tmp_path / "absent.grpb"))
 
 
 def test_buckets_unlabeled_endpoint(tmp_path):
@@ -253,7 +255,7 @@ def test_buckets_crash_between_renames_leaves_no_valid_pair(tmp_path, monkeypatc
         write_buckets(efile, labels, store)
     assert calls == [store, store + ".idx"]
     assert sorted(f.name for f in tmp_path.iterdir()) == ["g.grpb", "g.grpe"]
-    with pytest.raises((FormatError, OSError)):
+    with pytest.raises(FormatError, match="idx: missing"):
         read_index(store)
 
 
