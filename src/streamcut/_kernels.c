@@ -1,13 +1,16 @@
 /* Compiled inner loops: the greedy chunk sweep, the BFS-grow seed, the tail
- * of the adjacency builder and the traffic estimator's sampling walk.
+ * of the adjacency builder, the traffic estimator's sampling walk and the
+ * streaming passes over edge blocks.
  *
  * Each function is a port of the Python code it replaces
  * (grem.process_chunk, seed._bfs_grow, model.adjacency_from_keys,
- * placement.estimate_comm) and must stay bit-identical to it: counts are
- * accumulated by adding 1.0, estimates are averaged as (old + fresh) * 0.5,
- * nodes are visited and random words drawn in the same order.  The loader
- * compiles this file without -ffast-math or -march=native, so IEEE double
- * arithmetic is the same as Python's.
+ * placement.estimate_comm, and the numpy passes of grem.count_cuts,
+ * store.write_buckets, edgefile.external_shuffle, theory.compute_node_stats
+ * and placement.select_replicated) and must stay bit-identical to it:
+ * counts are accumulated by adding 1.0, estimates are averaged as
+ * (old + fresh) * 0.5, nodes are visited and random words drawn in the same
+ * order.  The loader compiles this file without -ffast-math or
+ * -march=native, so IEEE double arithmetic is the same as Python's.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -268,4 +271,135 @@ done:
     free(nxt);
     free(seeds);
     return status;
+}
+
+/* The edge passes read blocks of (src, dst) rows as stored: 4-byte ids
+ * (id_bytes == 4) or 8-byte ids (id_bytes == 8), little-endian unsigned.
+ * Each checks every id against num_nodes before it indexes with it.  The
+ * bodies are inlined into one copy per id width. */
+#define PASS static inline __attribute__((always_inline))
+
+static inline uint64_t id_at(const void *rows, int wide, int64_t k)
+{
+    return wide ? ((const uint64_t *)rows)[k] : ((const uint32_t *)rows)[k];
+}
+
+PASS int64_t label_pass_body(int64_t m, const void *rows, int wide, uint64_t num_nodes,
+                             const int64_t *labels, int64_t p, int64_t *counts,
+                             int64_t *bucket, int64_t *cut)
+{
+    int64_t cuts = 0, bad = -1;
+    for (int64_t i = 0; i < m; i++) {
+        uint64_t u = id_at(rows, wide, 2 * i), v = id_at(rows, wide, 2 * i + 1);
+        if (u >= num_nodes || v >= num_nodes) {
+            bad = i;
+            break;
+        }
+        int64_t lu = labels[u], lv = labels[v];
+        if (lu < 0 || lv < 0 || (p > 0 && (lu >= p || lv >= p))) {
+            bad = i;
+            break;
+        }
+        cuts += lu != lv;
+        if (counts != NULL)
+            counts[lu * p + lv] += 1;
+        if (bucket != NULL)
+            bucket[i] = lu * p + lv;
+    }
+    *cut += cuts;
+    return bad;
+}
+
+/* Gathers both labels of each of the m rows and adds the number of rows
+ * whose labels differ to *cut.  With `counts` (p * p entries) each row also
+ * adds one to its bucket l_src * p + l_dst; with `bucket` (m entries) row i's
+ * bucket id is written to bucket[i].  Returns -1, or the position of the
+ * first row with an id >= num_nodes, an endpoint labelled below 0 or, for
+ * p > 0, at or above p (the rows before it are tallied). */
+int64_t label_pass(int64_t m, const void *rows, int64_t id_bytes, int64_t num_nodes,
+                   const int64_t *labels, int64_t p, int64_t *counts, int64_t *bucket,
+                   int64_t *cut)
+{
+    if (id_bytes == 8)
+        return label_pass_body(m, rows, 1, (uint64_t)num_nodes, labels, p, counts, bucket, cut);
+    return label_pass_body(m, rows, 0, (uint64_t)num_nodes, labels, p, counts, bucket, cut);
+}
+
+PASS int64_t scatter_rows_body(int64_t m, const void *rows, int wide, uint64_t num_nodes,
+                               const int64_t *bucket, int64_t nbuckets, int64_t *bounds,
+                               void *out)
+{
+    size_t row = wide ? 16 : 8;
+    memset(bounds, 0, (size_t)(nbuckets + 1) * sizeof *bounds);
+    for (int64_t i = 0; i < m; i++) {
+        if ((uint64_t)bucket[i] >= (uint64_t)nbuckets)
+            return i;
+        bounds[bucket[i] + 1] += 1;
+    }
+    for (int64_t b = 1; b <= nbuckets; b++)
+        bounds[b] += bounds[b - 1];
+    /* bounds[b] is the cursor of bucket b; afterwards it is the end of b */
+    for (int64_t i = 0; i < m; i++) {
+        if (id_at(rows, wide, 2 * i) >= num_nodes || id_at(rows, wide, 2 * i + 1) >= num_nodes)
+            return i;
+        int64_t at = bounds[bucket[i]]++;
+        memcpy((char *)out + (size_t)at * row, (const char *)rows + (size_t)i * row, row);
+    }
+    memmove(bounds + 1, bounds, (size_t)nbuckets * sizeof *bounds);
+    bounds[0] = 0;
+    return -1;
+}
+
+/* Stable counting scatter of m rows by bucket id: `out` gets the rows
+ * grouped by bucket, in input order within a bucket, and `bounds`
+ * (nbuckets + 1 entries) the start of each bucket's run followed by m.
+ * Returns -1, or the position of the first row with a bucket id outside
+ * [0, nbuckets) or an id >= num_nodes (`out` and `bounds` are then
+ * incomplete). */
+int64_t scatter_rows(int64_t m, const void *rows, int64_t id_bytes, int64_t num_nodes,
+                     const int64_t *bucket, int64_t nbuckets, int64_t *bounds, void *out)
+{
+    if (id_bytes == 8)
+        return scatter_rows_body(m, rows, 1, (uint64_t)num_nodes, bucket, nbuckets, bounds, out);
+    return scatter_rows_body(m, rows, 0, (uint64_t)num_nodes, bucket, nbuckets, bounds, out);
+}
+
+PASS int64_t endpoint_counts_body(int64_t m, const void *rows, int wide, uint64_t num_nodes,
+                                  const int64_t *labels, int64_t *counts)
+{
+    for (int64_t i = 0; i < m; i++) {
+        uint64_t u = id_at(rows, wide, 2 * i), v = id_at(rows, wide, 2 * i + 1);
+        if (u >= num_nodes || v >= num_nodes)
+            return i;
+        if (labels == NULL) {
+            if (u != v) {
+                counts[u] += 1;
+                counts[v] += 1;
+            }
+            continue;
+        }
+        int64_t lu = labels[u], lv = labels[v];
+        if ((uint64_t)lu > 1 || (uint64_t)lv > 1)
+            return i;
+        if (u != v) {
+            counts[2 * u + lv] += 1;
+            counts[2 * v + lu] += 1;
+        }
+    }
+    return -1;
+}
+
+/* Endpoint counts of the m rows, self-loops left out.  Without labels each
+ * row (u, v), u != v, adds one to counts[u] and to counts[v]: the degree.
+ * With labels, a bisection (0 or 1, below 0 for unlabeled), it adds one to
+ * counts[2u + labels[v]] and counts[2v + labels[u]]: each node's neighbours
+ * per side; a row with an endpoint labelled other than 0 or 1, a self-loop
+ * included, is rejected.  Returns -1, or the position of the first row with
+ * an id >= num_nodes or a rejected label. */
+int64_t endpoint_counts(int64_t m, const void *rows, int64_t id_bytes, int64_t num_nodes,
+                        const int64_t *labels, int64_t *counts)
+{
+    if (id_bytes == 8)
+        return endpoint_counts_body(m, rows, 1, (uint64_t)num_nodes, labels, counts);
+    return endpoint_counts_body(m, rows, 0, (uint64_t)num_nodes, labels, counts);
 }

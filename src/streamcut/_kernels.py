@@ -13,7 +13,20 @@ The kernels, named in ``KERNELS``, each replace one Python loop:
 * ``bfs_grow`` -- the BFS-grow seed and its refinement, ``seed._bfs_grow``;
 * ``adjacency_tail`` -- the run split and self-loop removal after the key
   sort in ``model.adjacency_from_keys``;
-* ``comm_walk`` -- the sampling walk of ``placement.estimate_comm``.
+* ``comm_walk`` -- the sampling walk of ``placement.estimate_comm``;
+* ``label_pass`` -- gathers both labels of each edge of a block, tallies cut
+  edges and optionally counts and writes p x p bucket ids: ``grem.count_cuts``
+  and both passes of ``store.write_buckets``;
+* ``scatter_rows`` -- a stable counting scatter of a block's rows by bucket
+  id: the write pass of ``store.write_buckets`` and the scatter pass of
+  ``edgefile.external_shuffle``;
+* ``endpoint_counts`` -- per-node counts of non-self-loop endpoints, plain
+  or split by the other endpoint's side: ``placement.select_replicated``
+  and ``theory.compute_node_stats``.
+
+The three edge passes take blocks of 4- or 8-byte ids as stored and check
+every id against the node count; the caller turns a rejected row into the
+``FormatError`` the numpy code raises.
 
 Each is the loaded function, or ``None`` for all of them when no compiler
 is found or the build fails; callers then run their Python code, which
@@ -74,7 +87,8 @@ def _build(source: bytes, target: str) -> None:
                 pass
 
 
-KERNELS = ("sweep", "bfs_grow", "adjacency_tail", "comm_walk")
+KERNELS = ("sweep", "bfs_grow", "adjacency_tail", "comm_walk", "label_pass", "scatter_rows",
+           "endpoint_counts")
 
 
 def _load():
@@ -105,10 +119,18 @@ def _load():
     lib.comm_walk.argtypes = [i64, ptr_i64, ptr_i64, ptr_i64, ptr_i64, ptr_bool, i64, ptr_i64,
                               i64, ptr, ptr, ptr_i64]
     lib.comm_walk.restype = i64
+    # edge rows of either id width, and optional arrays (None for NULL), as plain pointers
+    lib.label_pass.argtypes = [i64, ptr, i64, i64, ptr_i64, i64, ptr, ptr, ptr_i64]
+    lib.label_pass.restype = i64
+    lib.scatter_rows.argtypes = [i64, ptr, i64, i64, ptr_i64, i64, ptr_i64, ptr]
+    lib.scatter_rows.restype = i64
+    lib.endpoint_counts.argtypes = [i64, ptr, i64, i64, ptr, ptr_i64]
+    lib.endpoint_counts.restype = i64
     return tuple(getattr(lib, name) for name in KERNELS)
 
 
-sweep, bfs_grow, adjacency_tail, comm_walk = _load()
+(sweep, bfs_grow, adjacency_tail, comm_walk, label_pass, scatter_rows,
+ endpoint_counts) = _load()
 
 
 def kernel_name() -> str:

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import ceil
 from typing import Iterator
 
 import numpy as np
 
+from . import _kernels
 from .errors import FormatError
 from .model import EdgeChunk, GraphMeta, width_for
 
@@ -57,6 +59,30 @@ def _id_dtype(width: int):
 def _check_ids(arr: np.ndarray, num_nodes: int, where: str) -> None:
     if arr.size and int(arr.max()) >= num_nodes:
         raise FormatError(f"{where}: edge endpoint {int(arr.max())} >= num_nodes {num_nodes}")
+
+
+@contextmanager
+def _replacing(path: str, *sidecars: str):
+    """Yields temporary names for an output and its sidecars, then renames them into place.
+
+    The temporaries (``<name>.tmp``) sit next to the outputs and are removed
+    if the body raises, so an earlier output is left as it was.  Old
+    sidecars are removed before the renames, so a crash between them leaves
+    a new output with no sidecar, never a mixed set.
+    """
+    names = (path, *sidecars)
+    temps = tuple(name + ".tmp" for name in names)
+    try:
+        yield temps
+        for sidecar in sidecars:
+            if os.path.exists(sidecar):
+                os.remove(sidecar)
+        for tmp, name in zip(temps, names):
+            os.replace(tmp, name)
+    finally:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 class BinaryEdgeWriter:
@@ -177,10 +203,18 @@ def open_edge_file(path: str, num_nodes: int | None = None) -> EdgeFile:
     return EdgeFile(path, meta, TEXT)
 
 
-def iter_edge_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -> Iterator[np.ndarray]:
-    """Yields (m, 2) int64 arrays covering the file's edges in order."""
+def _raw_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -> Iterator[np.ndarray]:
+    """Yields (m, 2) arrays covering the file's edges in order, as stored.
+
+    Binary files give their u32 or u64 pairs, after the header and size
+    checks; text files give the parsed int64 pairs.  Ids
+    are not checked against num_nodes: ``iter_edge_blocks`` and the compiled
+    edge passes do that.
+    """
     if efile.format == BINARY:
         meta = _read_binary_header(efile.path)  # re-validate size before streaming
+        if meta != efile.meta:
+            raise FormatError(f"{efile.path}: header changed since the file was opened")
         dtype = _id_dtype(meta.node_id_width)
         remaining = meta.num_edges
         with open(efile.path, "rb") as fh:
@@ -190,9 +224,7 @@ def iter_edge_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -
                 raw = np.fromfile(fh, dtype=dtype, count=2 * take)
                 if raw.size != 2 * take:
                     raise FormatError(f"{efile.path}: truncated payload")
-                block = raw.astype(np.int64).reshape(-1, 2)
-                _check_ids(block, meta.num_nodes, efile.path)
-                yield block
+                yield raw.reshape(-1, 2)
                 remaining -= take
     else:
         buf: list[tuple[int, int]] = []
@@ -203,14 +235,17 @@ def iter_edge_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -
                     continue
                 buf.append(pair)
                 if len(buf) >= block_edges:
-                    block = np.asarray(buf, dtype=np.int64)
-                    _check_ids(block, efile.meta.num_nodes, efile.path)
-                    yield block
+                    yield np.asarray(buf, dtype=np.int64)
                     buf = []
         if buf:
-            block = np.asarray(buf, dtype=np.int64)
-            _check_ids(block, efile.meta.num_nodes, efile.path)
-            yield block
+            yield np.asarray(buf, dtype=np.int64)
+
+
+def iter_edge_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -> Iterator[np.ndarray]:
+    """Yields (m, 2) int64 arrays covering the file's edges in order."""
+    for block in _raw_blocks(efile, block_edges):
+        _check_ids(block, efile.meta.num_nodes, efile.path)
+        yield block.astype(np.int64, copy=False)
 
 
 def read_all_edges(efile: EdgeFile) -> np.ndarray:
@@ -249,12 +284,20 @@ def external_shuffle(
     and appended to the output.  Peak resident edge payload stays below
     ``memory_budget`` bytes; a bucket that lands above the budget (possible
     only through extreme fluctuation or tiny budgets) is re-scattered.
-    Deterministic for a fixed (seed, budget) pair.
+    The scatter temporaries hold rows at the input's width (8 bytes per edge
+    for 32-bit ids), while the bucket count, the block size and the
+    re-scatter test still budget 16 bytes per edge, an int64 pair, so the
+    draws, and the output, do not depend on the width.  Deterministic for a
+    fixed (seed, budget) pair.  The output is written under a temporary name
+    next to ``out_path`` and renamed into place when complete: a failed
+    shuffle leaves an earlier output as it was and no temporary behind.
     """
     if memory_budget < IO_BLOCK:
         raise FormatError(f"memory_budget must be at least one I/O block ({IO_BLOCK} bytes)")
     meta = efile.meta
-    mem_pair = 16  # edges are held in memory as int64 pairs
+    mem_pair = 16  # the budget per edge: an int64 pair, whatever the stored width
+    # the id dtype of the blocks _raw_blocks yields
+    row_dtype = _id_dtype(meta.node_id_width) if efile.format == BINARY else np.dtype(np.int64)
     rng = np.random.default_rng(rng_seed)
     block_edges = max(1024, (memory_budget // 4) // mem_pair)
     temps: list[str] = []  # every scatter temp created, for cleanup on failure
@@ -275,29 +318,32 @@ def external_shuffle(
                 temps.append(p)
                 paths.append(p)
                 handles.append(open(p, "wb"))
-            for block in source_blocks:  # int64 pairs, as the temps hold them
+            # one grouping buffer for every block: fresh pages would fault in per block
+            buffer = np.empty((block_edges, 2), dtype=row_dtype)
+            for block in source_blocks:  # rows at the stored width, as the temps hold them
                 ids = rng.integers(0, nbuckets, size=block.shape[0])
-                order = np.argsort(ids.astype(key_dtype), kind="stable")
-                grouped = np.take(block, order, axis=0)
-                counts = np.bincount(ids, minlength=nbuckets)
-                pos = 0
-                for b, cnt in enumerate(counts):
-                    if cnt:
-                        grouped[pos : pos + cnt].tofile(handles[b])
-                        pos += cnt
+                if _kernels.scatter_rows is not None:
+                    grouped, bounds = _scatter_block(efile, block, ids, nbuckets,
+                                                     buffer[: block.shape[0]])
+                else:
+                    _check_ids(block, meta.num_nodes, efile.path)
+                    order = np.argsort(ids.astype(key_dtype), kind="stable")
+                    grouped = np.take(block, order, axis=0)
+                    bounds = np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=nbuckets))])
+                for b in np.flatnonzero(np.diff(bounds)):
+                    grouped[bounds[b] : bounds[b + 1]].tofile(handles[b])
         finally:
             for fh in handles:
                 fh.close()
         return paths
 
     def gather(path: str) -> None:
-        size = os.path.getsize(path)
-        n_edges = size // 16  # scatter temps hold int64 pairs
+        n_edges = os.path.getsize(path) // (2 * row_dtype.itemsize)
         if n_edges * mem_pair > memory_budget and n_edges > 1:
             def reblocks():
                 with open(path, "rb") as fh:
                     while True:
-                        raw = np.fromfile(fh, dtype=np.int64, count=2 * block_edges)
+                        raw = np.fromfile(fh, dtype=row_dtype, count=2 * block_edges)
                         if raw.size == 0:
                             break
                         yield raw.reshape(-1, 2)
@@ -306,26 +352,25 @@ def external_shuffle(
             for s in sub:
                 gather(s)
             return
-        arr = np.fromfile(path, dtype=np.int64).reshape(-1, 2)
+        arr = np.fromfile(path, dtype=row_dtype).reshape(-1, 2)
         os.remove(path)
         writer.write(np.take(arr, rng.permutation(arr.shape[0]), axis=0))
 
     total_bytes = meta.num_edges * mem_pair
-    writer = BinaryEdgeWriter(out_path, meta.num_nodes, meta.node_id_width)
     try:
-        with writer:
-            if total_bytes <= memory_budget:
-                arr = read_all_edges(efile)
-                writer.write(np.take(arr, rng.permutation(arr.shape[0]), axis=0))
-            else:
-                for bucket_path in scatter(iter_edge_blocks(efile, block_edges), total_bytes):
-                    gather(bucket_path)
-    except BaseException:
-        # no partial output or scatter temp may outlive a failed shuffle
-        for path in [out_path, *temps]:
+        with _replacing(out_path) as (tmp_path,):
+            with BinaryEdgeWriter(tmp_path, meta.num_nodes, meta.node_id_width) as writer:
+                if total_bytes <= memory_budget:
+                    arr = read_all_edges(efile)
+                    writer.write(np.take(arr, rng.permutation(arr.shape[0]), axis=0))
+                else:
+                    for bucket_path in scatter(_raw_blocks(efile, block_edges), total_bytes):
+                        gather(bucket_path)
+    finally:
+        # no scatter temp outlives the shuffle; gather removes them as it goes
+        for path in temps:
             if os.path.exists(path):
                 os.remove(path)
-        raise
     return open_edge_file(out_path)
 
 
@@ -395,6 +440,15 @@ def stream_chunks(
         )
 
 
+def _checked_labels(efile: EdgeFile, labels: np.ndarray) -> np.ndarray:
+    """``labels`` as a contiguous int64 array; FormatError unless it covers the file's nodes."""
+    if labels.shape[0] != efile.meta.num_nodes:
+        raise FormatError(
+            f"labels cover {labels.shape[0]} nodes, file has {efile.meta.num_nodes}"
+        )
+    return np.ascontiguousarray(labels, dtype=np.int64)
+
+
 def iter_labelled_blocks(
     efile: EdgeFile, labels: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -403,16 +457,101 @@ def iter_labelled_blocks(
     Raises FormatError when ``labels`` does not cover the file's nodes or an
     edge endpoint is unlabeled (negative label).
     """
-    if labels.shape[0] != efile.meta.num_nodes:
-        raise FormatError(
-            f"labels cover {labels.shape[0]} nodes, file has {efile.meta.num_nodes}"
-        )
+    labels = _checked_labels(efile, labels)
     for block in iter_edge_blocks(efile):
         l_src = labels[block[:, 0]]
         l_dst = labels[block[:, 1]]
         if (l_src < 0).any() or (l_dst < 0).any():
             raise FormatError("unlabeled endpoint encountered")
         yield block, l_src, l_dst
+
+
+# The compiled edge passes over one block of ``_raw_blocks``.  Each checks
+# the block's ids against num_nodes, and the labels it reads, and reports the
+# first row it rejects, which ``_raise_rejected`` turns into the FormatError
+# of the numpy code it replaces.
+
+def _ptr(arr: np.ndarray | None, dtype, size: int):
+    """The data pointer a kernel gets for ``arr`` (NULL for None), once ``arr`` is
+    checked to be a contiguous array of ``size`` entries of ``dtype``."""
+    if arr is None:
+        return None
+    if arr.dtype != dtype or arr.size != size or not arr.flags.c_contiguous:
+        raise ValueError(f"kernel array must be contiguous {np.dtype(dtype)} of {size}, "
+                         f"got {arr.dtype} of {arr.size}")
+    return arr.ctypes
+
+
+def _rows(block: np.ndarray) -> np.ndarray:
+    rows = np.ascontiguousarray(block)
+    if rows.ndim != 2 or rows.shape[1] != 2 or rows.dtype not in (np.uint32, np.uint64, np.int64):
+        raise ValueError(f"edge rows must be (m, 2) u32, u64 or int64, "
+                         f"got {rows.dtype} {rows.shape}")
+    return rows
+
+
+def _raise_rejected(efile: EdgeFile, rows: np.ndarray, bad: int,
+                    labels: np.ndarray | None = None) -> None:
+    """Raises for row ``bad``, which a kernel rejected: the block's id check
+    first, then the label check, in the order of ``iter_labelled_blocks``."""
+    _check_ids(rows, efile.meta.num_nodes, efile.path)
+    if labels is not None and (labels[rows[bad]] < 0).any():
+        raise FormatError("unlabeled endpoint encountered")
+    raise ValueError(f"row {bad}: label or bucket id out of the kernel's range")
+
+
+def _label_block(efile: EdgeFile, block: np.ndarray, labels: np.ndarray, cut: np.ndarray,
+                 p: int = 0, counts: np.ndarray | None = None,
+                 bucket: np.ndarray | None = None) -> None:
+    """``_kernels.label_pass`` over one block, labels from ``_checked_labels``.
+
+    Adds the block's cut edges to ``cut[0]``; with p > 0 (every label below
+    p) adds its p x p bucket counts to ``counts`` and writes its bucket ids
+    to ``bucket``, each when given.
+    """
+    rows, num_nodes = _rows(block), efile.meta.num_nodes
+    _ptr(labels, np.int64, num_nodes)
+    bad = _kernels.label_pass(rows.shape[0], rows.ctypes, rows.itemsize, num_nodes, labels, p,
+                              _ptr(counts, np.int64, p * p),
+                              _ptr(bucket, np.int64, rows.shape[0]), cut)
+    if bad >= 0:
+        _raise_rejected(efile, rows, bad, labels)
+
+
+def _scatter_block(efile: EdgeFile, block: np.ndarray, bucket: np.ndarray, nbuckets: int,
+                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``_kernels.scatter_rows`` over one block: (rows grouped by bucket, run bounds).
+
+    Every ``bucket`` id must lie in [0, nbuckets); bucket b's rows are
+    ``grouped[bounds[b]:bounds[b + 1]]``, in input order.  ``grouped`` is
+    ``out`` when given, a buffer of the block's shape and dtype.
+    """
+    rows, num_nodes = _rows(block), efile.meta.num_nodes
+    grouped = np.empty_like(rows) if out is None else out
+    bounds = np.empty(nbuckets + 1, dtype=np.int64)
+    _ptr(bucket, np.int64, rows.shape[0])
+    bad = _kernels.scatter_rows(rows.shape[0], rows.ctypes, rows.itemsize, num_nodes, bucket,
+                                nbuckets, bounds, _ptr(grouped, rows.dtype, rows.size))
+    if bad >= 0:
+        _raise_rejected(efile, rows, bad)
+    return grouped, bounds
+
+
+def _endpoint_block(efile: EdgeFile, block: np.ndarray, counts: np.ndarray,
+                    labels: np.ndarray | None = None) -> None:
+    """``_kernels.endpoint_counts`` over one block, self-loops left out.
+
+    Without labels it adds each endpoint to ``counts[node]``; with a
+    bisection from ``_checked_labels`` it adds it to
+    ``counts[2 * node + side of the other endpoint]``.
+    """
+    rows, num_nodes = _rows(block), efile.meta.num_nodes
+    if counts.size != (num_nodes if labels is None else 2 * num_nodes):
+        raise ValueError("counts must have one entry per node, or two with labels")
+    bad = _kernels.endpoint_counts(rows.shape[0], rows.ctypes, rows.itemsize, num_nodes,
+                                   _ptr(labels, np.int64, num_nodes), counts)
+    if bad >= 0:
+        _raise_rejected(efile, rows, bad, labels)
 
 
 def num_parts_of(labels: np.ndarray, num_parts: int | None = None) -> int:
@@ -431,7 +570,11 @@ def num_parts_of(labels: np.ndarray, num_parts: int | None = None) -> int:
 
 
 def write_labels(path: str, labels: np.ndarray, num_parts: int | None = None) -> None:
-    """Writes a label file; -1 entries are stored as the unassigned sentinel."""
+    """Writes a label file; -1 entries are stored as the unassigned sentinel.
+
+    The file is written under a temporary name next to ``path`` and renamed
+    into place when complete, so a failed write leaves an earlier file as it was.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise FormatError("labels must be a 1-d array")
@@ -442,7 +585,7 @@ def write_labels(path: str, labels: np.ndarray, num_parts: int | None = None) ->
         raise FormatError(f"label {top} >= num_parts {num_parts}")
     payload = labels.copy()
     payload[payload < 0] = _UNASSIGNED_U32
-    with open(path, "wb") as fh:
+    with _replacing(path) as (tmp_path,), open(tmp_path, "wb") as fh:
         fh.write(_LABELS_HEADER.pack(LABELS_MAGIC, 1, labels.size, num_parts))
         payload.astype("<u4").tofile(fh)
 

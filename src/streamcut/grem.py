@@ -35,6 +35,9 @@ from .edgefile import (
     ChunkPlan,
     EdgeFile,
     ResidencyMeter,
+    _checked_labels,
+    _label_block,
+    _raw_blocks,
     iter_edge_blocks,
     iter_labelled_blocks,
     num_parts_of,
@@ -221,9 +224,16 @@ def count_cuts(efile: EdgeFile, labels: np.ndarray, num_parts: int | None = None
     """
     labels = np.asarray(labels)
     num_parts = num_parts_of(labels, num_parts)
-    cut = 0
-    for _, l_src, l_dst in iter_labelled_blocks(efile, labels):
-        cut += int((l_src != l_dst).sum())
+    if _kernels.label_pass is not None:
+        checked = _checked_labels(efile, labels)
+        tally = np.zeros(1, dtype=np.int64)
+        for block in _raw_blocks(efile):
+            _label_block(efile, block, checked, tally)
+        cut = int(tally[0])
+    else:
+        cut = 0
+        for _, l_src, l_dst in iter_labelled_blocks(efile, labels):
+            cut += int((l_src != l_dst).sum())
     total = efile.meta.num_edges
     sizes = np.bincount(labels[labels >= 0], minlength=num_parts)
     ideal = ceil(efile.meta.num_nodes / num_parts)

@@ -9,7 +9,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .edgefile import EdgeFile, iter_edge_blocks, read_all_edges
+from .edgefile import (
+    EdgeFile,
+    _check_ids,
+    _endpoint_block,
+    _raw_blocks,
+    iter_edge_blocks,
+    read_all_edges,
+)
 from .errors import FormatError
 from .model import adjacency_from_keys, build_adjacency, packed_keys_fit
 
@@ -77,10 +84,14 @@ def select_replicated(efile: EdgeFile, budget: int) -> np.ndarray:
     if not 0 <= budget <= num_nodes:
         raise FormatError(f"budget must be in [0, {num_nodes}], got {budget}")
     deg = np.zeros(num_nodes, dtype=np.int64)
-    for block in iter_edge_blocks(efile):
-        kept = np.compress(block[:, 0] != block[:, 1], block, axis=0)
-        deg += np.bincount(kept[:, 0], minlength=num_nodes)
-        deg += np.bincount(kept[:, 1], minlength=num_nodes)
+    if _kernels.endpoint_counts is not None:
+        for block in _raw_blocks(efile):
+            _endpoint_block(efile, block, deg)
+    else:
+        for block in iter_edge_blocks(efile):
+            kept = np.compress(block[:, 0] != block[:, 1], block, axis=0)
+            deg += np.bincount(kept[:, 0], minlength=num_nodes)
+            deg += np.bincount(kept[:, 1], minlength=num_nodes)
     order = np.lexsort((np.arange(num_nodes), -deg))
     return np.sort(order[:budget])
 
@@ -220,20 +231,23 @@ def _floyd(words, d: int, f: int) -> list[int]:
 def _packed_keys(efile: EdgeFile) -> np.ndarray:
     """Both directions of every edge as ``src * n + dst`` int64 keys, n = num_nodes.
 
-    One array of 2E keys is filled block by block, so the int64 edge list is
-    never held whole beside it.
+    One array of 2E keys is filled block by block from the blocks as stored,
+    so no int64 copy of the edge list, whole or per block, is held beside it;
+    the arithmetic is int64 whatever the stored width.
     """
     width, num_edges = efile.meta.num_nodes, efile.meta.num_edges
     keys = np.empty(2 * num_edges, dtype=np.int64)
     fwd, rev = keys[:num_edges], keys[num_edges:]
     pos = 0
-    for block in iter_edge_blocks(efile):
+    for block in _raw_blocks(efile):
+        _check_ids(block, width, efile.path)
         end = pos + block.shape[0]
         if end > num_edges:
             raise FormatError(f"{efile.path}: more edges than the {num_edges} declared")
         src, dst = block[:, 0], block[:, 1]
-        np.add(np.multiply(src, width, out=fwd[pos:end]), dst, out=fwd[pos:end])
-        np.add(np.multiply(dst, width, out=rev[pos:end]), src, out=rev[pos:end])
+        for out, a, b in ((fwd[pos:end], src, dst), (rev[pos:end], dst, src)):
+            np.multiply(a, width, out=out, dtype=np.int64)
+            np.add(out, b, out=out, dtype=np.int64)
         pos = end
     if pos != num_edges:
         raise FormatError(f"{efile.path}: {pos} edges read, {num_edges} declared")

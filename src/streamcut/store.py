@@ -17,15 +17,21 @@ from __future__ import annotations
 
 import os
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .edgefile import (
     FLAG_WIDE_IDS,
     EdgeFile,
-    iter_edge_blocks,
+    _check_ids,
+    _checked_labels,
+    _id_dtype,
+    _label_block,
+    _raw_blocks,
+    _replacing,
+    _scatter_block,
     iter_labelled_blocks,
     num_parts_of,
 )
@@ -59,76 +65,89 @@ def _index_path(store_path: str) -> str:
     return store_path + ".idx"
 
 
-@contextmanager
-def _replacing(path: str, sidecar: str):
-    """Yields temporary names for an output and its sidecar, then renames both into place.
-
-    The temporaries sit next to the outputs and are removed if the body
-    raises.  The old sidecar is removed before the two renames, so a crash
-    between them leaves a new output with no sidecar, never a mixed pair.
-    """
-    tmp_path, tmp_sidecar = path + ".tmp", sidecar + ".tmp"
-    try:
-        yield tmp_path, tmp_sidecar
-        if os.path.exists(sidecar):
-            os.remove(sidecar)
-        os.replace(tmp_path, path)
-        os.replace(tmp_sidecar, sidecar)
-    finally:
-        for tmp in (tmp_path, tmp_sidecar):
-            if os.path.exists(tmp):
-                os.remove(tmp)
-
-
 def write_buckets(
     efile: EdgeFile, labels: np.ndarray, out_path: str, num_parts: int | None = None
 ) -> BucketIndex:
     """Scatters the edge list into partition buckets; two streaming passes.
 
-    The first pass counts bucket sizes, the second writes each edge at its
-    bucket's running offset.  Within a bucket, input edge order is preserved.
-    The store has ``num_parts`` x ``num_parts`` buckets; without it, p is the
-    largest label + 1.  The store and its ``.idx`` are written under
-    temporary names and renamed into place once both are complete.
+    The first pass counts bucket sizes, the second writes each block's run
+    of each bucket with one ``os.pwrite`` at the bucket's running offset.
+    Within a bucket, input edge order is preserved.  The store has
+    ``num_parts`` x ``num_parts`` buckets; without it, p is the largest
+    label + 1.  The store and its ``.idx`` are written under temporary names
+    and renamed into place once both are complete.
     """
     labels = np.asarray(labels, dtype=np.int64)
     p = num_parts_of(labels, num_parts)
-    # narrowest dtype holding every bucket id: numpy radix-sorts keys of <= 16 bits
-    key_dtype = np.min_scalar_type(p * p - 1)
     width = efile.meta.node_id_width
     pair = 2 * (width // 8)
-    dtype = np.dtype("<u4") if width == 32 else np.dtype("<u8")
+    native = _kernels.label_pass is not None and _kernels.scatter_rows is not None
 
     counts = np.zeros(p * p, dtype=np.int64)
-    for _, l_src, l_dst in iter_labelled_blocks(efile, labels):
-        counts += np.bincount(l_src * p + l_dst, minlength=p * p)
+    if native:
+        checked = _checked_labels(efile, labels)
+        cut = np.zeros(1, dtype=np.int64)
+        for block in _raw_blocks(efile):
+            _label_block(efile, block, checked, cut, p, counts=counts)
+    else:
+        for _, l_src, l_dst in iter_labelled_blocks(efile, labels):
+            counts += np.bincount(l_src * p + l_dst, minlength=p * p)
 
     header = _BUCKET_HEADER.pack(
         BUCKET_MAGIC, 1, p, FLAG_WIDE_IDS if width == 64 else 0, int(counts.sum())
     )
     offsets = _BUCKET_HEADER.size + np.concatenate([[0], np.cumsum(counts)[:-1]]) * pair
-    write_pos = offsets.copy()
+    write_pos = offsets.tolist()
     sidecar = np.empty((p * p, 2), dtype="<u8")
     sidecar[:, 0] = offsets
     sidecar[:, 1] = counts
+    groups = _native_groups if native else _numpy_groups
     with _replacing(out_path, _index_path(out_path)) as (tmp_store, tmp_index):
         with open(tmp_store, "wb") as fh:
             fh.write(header)
-            fh.truncate(_BUCKET_HEADER.size + int(counts.sum()) * pair)
-            for block in iter_edge_blocks(efile):
-                bucket_ids = labels[block[:, 0]] * p + labels[block[:, 1]]
-                order = np.argsort(bucket_ids.astype(key_dtype), kind="stable")
-                grouped = np.take(block.astype(dtype), order, axis=0)
-                block_counts = np.bincount(bucket_ids, minlength=p * p)
-                pos = 0
-                for b in np.flatnonzero(block_counts):
-                    cnt = int(block_counts[b])
-                    fh.seek(write_pos[b])
-                    grouped[pos : pos + cnt].tofile(fh)
-                    write_pos[b] += cnt * pair
-                    pos += cnt
+            fh.truncate(_BUCKET_HEADER.size + int(counts.sum()) * pair)  # flushes the header
+            for grouped, bounds in groups(efile, labels, p, _id_dtype(width)):
+                data = memoryview(grouped).cast("B")
+                nonempty = np.flatnonzero(np.diff(bounds)).tolist()
+                bounds = bounds.tolist()
+                for b in nonempty:
+                    lo, hi = bounds[b] * pair, bounds[b + 1] * pair
+                    _pwrite_all(fh.fileno(), data[lo:hi], write_pos[b])
+                    write_pos[b] += hi - lo
         sidecar.tofile(tmp_index)
     return BucketIndex(p, offsets.reshape(p, p), counts.reshape(p, p), width)
+
+
+def _native_groups(efile: EdgeFile, labels: np.ndarray, p: int, dtype: np.dtype):
+    """Yields each block's rows, in ``dtype``, grouped by bucket, with the run bounds."""
+    labels = _checked_labels(efile, labels)
+    cut = np.zeros(1, dtype=np.int64)
+    bucket = grouped = np.empty(0)
+    for block in _raw_blocks(efile):
+        m = block.shape[0]
+        if bucket.shape[0] < m:  # buffers of the first, largest block, reused
+            bucket, grouped = np.empty(m, dtype=np.int64), np.empty((m, 2), dtype=dtype)
+        _label_block(efile, block, labels, cut, p, bucket=bucket[:m])
+        yield _scatter_block(efile, block.astype(dtype, copy=False), bucket[:m], p * p,
+                             grouped[:m])
+
+
+def _numpy_groups(efile: EdgeFile, labels: np.ndarray, p: int, dtype: np.dtype):
+    """``_native_groups`` by a stable argsort of the bucket ids."""
+    # narrowest dtype holding every bucket id: numpy radix-sorts keys of <= 16 bits
+    key_dtype = np.min_scalar_type(p * p - 1)
+    for block in _raw_blocks(efile):
+        _check_ids(block, efile.meta.num_nodes, efile.path)
+        bucket_ids = labels[block[:, 0]] * p + labels[block[:, 1]]
+        order = np.argsort(bucket_ids.astype(key_dtype), kind="stable")
+        grouped = np.take(block.astype(dtype, copy=False), order, axis=0)
+        yield grouped, np.concatenate([[0], np.cumsum(np.bincount(bucket_ids, minlength=p * p))])
+
+
+def _pwrite_all(fd: int, data: memoryview, offset: int) -> None:
+    while data:
+        written = os.pwrite(fd, data, offset)
+        data, offset = data[written:], offset + written
 
 
 def read_index(store_path: str) -> BucketIndex:

@@ -26,12 +26,17 @@ def each_kernel(monkeypatch):
     yield "python"
 
 
-def make_edge_file(path, edges, num_nodes):
-    """Writes edges to a binary edge file and opens it."""
+def make_edge_file(path, edges, num_nodes, node_id_width=None):
+    """Writes edges to a binary edge file (32-bit ids unless asked for 64) and opens it."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    with BinaryEdgeWriter(str(path), num_nodes) as writer:
+    with BinaryEdgeWriter(str(path), num_nodes, node_id_width) as writer:
         writer.write(edges)
     return open_edge_file(str(path))
+
+
+def dir_bytes(path):
+    """The contents of every file in a directory, by name."""
+    return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
 
 
 def random_multigraph(rng, max_nodes=40, max_edges=400, self_loops=True):

@@ -1,0 +1,249 @@
+"""The streaming edge passes: compiled kernels against the numpy fallbacks.
+
+``label_pass`` serves ``count_cuts`` and ``write_buckets``, ``scatter_rows``
+serves ``write_buckets`` and ``external_shuffle``, and ``endpoint_counts``
+serves ``compute_node_stats`` and ``select_replicated``.  Each runs on
+blocks as stored, 32- or 64-bit ids, and must give what the numpy code
+gives, errors included.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from streamcut import _kernels, edgefile
+from streamcut import (
+    FormatError,
+    compute_node_stats,
+    count_cuts,
+    estimate_comm,
+    external_shuffle,
+    plan_assignment,
+    read_bucket,
+    select_replicated,
+    write_buckets,
+)
+from streamcut.edgefile import IO_BLOCK, read_all_edges
+
+from helpers import PROPERTY_SETTINGS, each_kernel, make_edge_file
+
+
+def _multigraph(seed, num_nodes, num_edges):
+    """Edges drawn from a small pool of pairs, so duplicates abound, about a tenth self-loops."""
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, num_nodes, size=(max(1, num_edges // 3), 2))
+    edges = pool[rng.integers(0, len(pool), size=num_edges)]
+    loops = rng.random(num_edges) < 0.1
+    edges[loops, 1] = edges[loops, 0]
+    return edges
+
+
+def _passes(efile, labels, p, budget, out_dir):
+    """Every output of the converted passes over one file, as comparable values."""
+    store = str(out_dir / "b.grpb")
+    index = write_buckets(efile, labels, store, p)
+    report = count_cuts(efile, labels, p)
+    stats = compute_node_stats(efile, labels % 2)
+    return {
+        "store": Path(store).read_bytes(),
+        "idx": Path(store + ".idx").read_bytes(),
+        "counts": index.counts.tolist(),
+        "report": report.to_dict(),
+        "k": stats.k.tolist(),
+        "k0": stats.k0.tolist(),
+        "replicated": select_replicated(efile, budget).tolist(),
+    }
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_nodes=st.integers(1, 400),
+    num_edges=st.integers(0, 700),
+    p=st.sampled_from([1, 2, 17, 300]),  # bucket ids of uint8, uint16 and wider
+    width=st.sampled_from([32, 64]),
+)
+def test_label_and_endpoint_passes_native_equal_python(tmp_path, seed, num_nodes, num_edges, p,
+                                                       width):
+    edges = _multigraph(seed, num_nodes, num_edges)
+    rng = np.random.default_rng(seed + 1)
+    labels = rng.integers(0, p, size=num_nodes)
+    budget = int(rng.integers(0, num_nodes + 1))
+    efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes, width)
+    with pytest.MonkeyPatch.context() as patch:
+        runs = {kernel: _passes(efile, labels, p, budget, tmp_path)
+                for kernel in each_kernel(patch)}
+    assert runs["native"] == runs["python"]
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_nodes=st.integers(1, 5000),
+    num_edges=st.integers(IO_BLOCK // 16 + 1, 12_000),  # above the budget: the scatter path
+    width=st.sampled_from([32, 64]),
+)
+def test_shuffle_scatter_native_equals_python(tmp_path, seed, num_nodes, num_edges, width):
+    edges = _multigraph(seed, num_nodes, num_edges)
+    efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes, width)
+    out = tmp_path / "s.grpe"
+    with pytest.MonkeyPatch.context() as patch:
+        runs = {}
+        for kernel in each_kernel(patch):
+            external_shuffle(efile, str(out), IO_BLOCK, rng_seed=seed)
+            runs[kernel] = out.read_bytes()
+    assert runs["native"] == runs["python"]
+
+
+# ------------------------------------------------------------ 64-bit ids
+
+
+def _twins(tmp_path, edges, num_nodes):
+    return {width: make_edge_file(tmp_path / f"g{width}.grpe", edges, num_nodes, width)
+            for width in (32, 64)}
+
+
+def test_wide_id_files_give_what_their_u32_twins_give(tmp_path, monkeypatch):
+    edges = _multigraph(5, 300, 5000)
+    rng = np.random.default_rng(6)
+    labels = rng.integers(0, 5, size=300)
+    twins = _twins(tmp_path, edges, 300)
+    assert twins[64].meta.node_id_width == 64
+    plan = plan_assignment(5, 2, rng_seed=0)
+    for kernel in each_kernel(monkeypatch):
+        got = {}
+        for width, efile in twins.items():
+            store = str(tmp_path / f"b{width}.grpb")
+            index = write_buckets(efile, labels, store)
+            got[width] = (
+                index.counts.tolist(),
+                [read_bucket(store, i, j, index).tolist() for i in range(5) for j in range(5)],
+                count_cuts(efile, labels),
+                compute_node_stats(efile, labels % 2).k0.tolist(),
+                select_replicated(efile, 40).tolist(),
+                estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=1),
+            )
+            assert index.node_id_width == width, kernel
+        assert got[32] == got[64], kernel
+
+
+@pytest.mark.parametrize("budget", [IO_BLOCK, 1 << 20])  # scatter path, in-memory path
+def test_wide_id_shuffle_equals_its_u32_twin(tmp_path, monkeypatch, budget):
+    edges = _multigraph(7, 300, 20_000)
+    twins = _twins(tmp_path, edges, 300)
+    for kernel in each_kernel(monkeypatch):
+        got = {}
+        for width, efile in twins.items():
+            out = external_shuffle(efile, str(tmp_path / f"s{width}.grpe"), budget, rng_seed=3)
+            assert out.meta.node_id_width == width
+            got[width] = read_all_edges(out)
+        assert np.array_equal(got[32], got[64]), kernel
+        assert sorted(map(tuple, got[64].tolist())) == sorted(map(tuple, edges.tolist()))
+
+
+# ------------------------------------------------------------ malformed input
+
+
+def _converted(efile, labels, out_dir):
+    """Each converted pass as a thunk over one file."""
+    plan = plan_assignment(2, 2, rng_seed=0)
+    return {
+        "count_cuts": lambda: count_cuts(efile, labels),
+        "write_buckets": lambda: write_buckets(efile, labels, str(out_dir / "b.grpb")),
+        "node_stats": lambda: compute_node_stats(efile, labels),
+        "select_replicated": lambda: select_replicated(efile, 1),
+        "shuffle_scatter": lambda: external_shuffle(efile, str(out_dir / "s.grpe"), IO_BLOCK, 0),
+        "shuffle_in_memory": lambda: external_shuffle(efile, str(out_dir / "s.grpe"), 1 << 24, 0),
+        # reads ids only, through its own key fill; its labels are checked up front
+        "estimate_comm": lambda: estimate_comm(efile, np.zeros_like(labels), plan, num_seeds=2),
+    }
+
+
+def _poke(path, offset, value, nbytes):
+    """Overwrites ``nbytes`` bytes at ``offset`` (from the end when negative) with ``value``."""
+    raw = bytearray(Path(path).read_bytes())
+    offset %= len(raw)
+    raw[offset : offset + nbytes] = value.to_bytes(nbytes, "little")
+    Path(path).write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("width, bad", [(32, 999), (32, 2**32 - 1), (64, 999), (64, 2**63 + 5),
+                                        (64, 2**64 - 1)])
+def test_out_of_range_id_is_a_format_error(tmp_path, monkeypatch, width, bad):
+    # the bad id sits in the last row, behind a first row with an unlabeled
+    # endpoint: the id check comes first, as in the numpy code
+    edges = _multigraph(8, 300, 5000)
+    edges[0] = (0, 1)
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 300, width)
+    _poke(efile.path, -width // 8, bad, width // 8)
+    labels = np.arange(300) % 2
+    labels[0] = -1
+    for kernel in each_kernel(monkeypatch):
+        for name, run in _converted(efile, labels, tmp_path).items():
+            with pytest.raises(FormatError, match=f"g.grpe: edge endpoint {bad} >= num_nodes 300$"):
+                run()  # never a numpy IndexError, nor a wrapped negative id
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe"], (kernel, name)
+
+
+def test_unlabeled_endpoint_is_a_format_error(tmp_path, monkeypatch):
+    edges = _multigraph(9, 300, 5000)
+    edges[-1] = (299, 299)  # a self-loop: rejected too, though it counts nowhere
+    labels = np.arange(300) % 2
+    labels[299] = -1
+    for width in (32, 64):
+        efile = make_edge_file(tmp_path / "g.grpe", edges, 300, width)
+        for kernel in each_kernel(monkeypatch):
+            runs = _converted(efile, labels, tmp_path)
+            for name in ("count_cuts", "write_buckets", "node_stats"):
+                with pytest.raises(FormatError, match="^unlabeled endpoint encountered$"):
+                    runs[name]()
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe"], kernel
+
+
+@pytest.mark.parametrize("damage", ["truncated", "magic", "num_edges", "version"])
+def test_damaged_file_is_a_format_error(tmp_path, monkeypatch, damage):
+    edges = _multigraph(10, 300, 5000)
+    labels = np.arange(300) % 2
+    for width in (32, 64):
+        efile = make_edge_file(tmp_path / "g.grpe", edges, 300, width)  # opened while intact
+        if damage == "truncated":
+            with open(efile.path, "r+b") as fh:
+                fh.truncate(Path(efile.path).stat().st_size - width // 4)
+            message = "does not match header num_edges 5000"
+        elif damage == "magic":
+            _poke(efile.path, 0, int.from_bytes(b"XXXX", "little"), 4)
+            message = "bad magic b'XXXX'"
+        elif damage == "num_edges":
+            _poke(efile.path, 20, 4999, 8)
+            message = "does not match header num_edges 4999"
+        else:
+            _poke(efile.path, 4, 2, 4)
+            message = "unsupported version 2"
+        for kernel in each_kernel(monkeypatch):
+            for name, run in _converted(efile, labels, tmp_path).items():
+                with pytest.raises(FormatError, match=message):
+                    run()
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe"], (kernel, name)
+
+
+def test_kernels_reject_labels_and_bucket_ids_out_of_their_range(tmp_path):
+    # public callers never pass these (num_parts_of bounds the labels, the
+    # bisection check guards compute_node_stats); the kernels refuse them
+    # rather than write outside their count arrays
+    if _kernels.kernel_name() != "native":
+        pytest.skip("no compiled kernels")
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2]], 3)
+    (block,) = edgefile._raw_blocks(efile)
+    labels = np.array([0, 1, 2])
+    cut = np.zeros(1, dtype=np.int64)
+    with pytest.raises(ValueError, match="row 1"):
+        edgefile._label_block(efile, block, labels, cut, 2, counts=np.zeros(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="row 1"):
+        edgefile._endpoint_block(efile, block, np.zeros(6, dtype=np.int64), labels)
+    with pytest.raises(ValueError, match="row 0"):
+        edgefile._scatter_block(efile, block, np.array([-1, 0]), 2)
+    with pytest.raises(ValueError, match="row 1"):
+        edgefile._scatter_block(efile, block, np.array([0, 2]), 2)

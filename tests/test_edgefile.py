@@ -13,9 +13,14 @@ from streamcut import (
     stream_chunks,
     write_labels,
 )
+from streamcut import edgefile
 from streamcut.edgefile import BinaryEdgeWriter
 
-from helpers import make_edge_file
+from helpers import dir_bytes, make_edge_file
+
+
+class Crash(Exception):
+    pass
 
 
 def test_convert_text_to_binary(tmp_path):
@@ -158,6 +163,57 @@ def test_shuffle_failure_leaves_only_the_input(tmp_path, budget):
     with pytest.raises(FormatError, match="999"):
         external_shuffle(efile, str(tmp_path / "out.grpe"), budget, rng_seed=0)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe"]
+
+
+@pytest.mark.parametrize("budget", [1 << 16, 1 << 24])  # scatter path, in-memory path
+def test_shuffle_crash_mid_write_keeps_the_earlier_output(tmp_path, monkeypatch, budget):
+    rng = np.random.default_rng(5)
+    efile = make_edge_file(tmp_path / "g.grpe", rng.integers(0, 300, size=(20000, 2)), 300)
+    out = str(tmp_path / "out.grpe")
+    external_shuffle(efile, out, budget, rng_seed=1)
+    before = dir_bytes(tmp_path)
+    real_write = BinaryEdgeWriter.write
+    calls = []
+
+    def write(self, edges):
+        # the in-memory path writes once, the scatter path once per bucket:
+        # crash halfway through the last write there is
+        calls.append(len(edges))
+        if len(calls) == (1 if budget > 20000 * 16 else 2):
+            real_write(self, edges[: len(edges) // 2])
+            raise Crash
+        real_write(self, edges)
+
+    monkeypatch.setattr(BinaryEdgeWriter, "write", write)
+    with pytest.raises(Crash):
+        external_shuffle(efile, out, budget, rng_seed=2)
+    assert dir_bytes(tmp_path) == before  # the old output, and no temporary
+
+
+@pytest.mark.parametrize("crash_at", ["header", "rename"])
+def test_write_labels_crash_keeps_the_earlier_file(tmp_path, monkeypatch, crash_at):
+    path = str(tmp_path / "l.grpl")
+    write_labels(path, np.array([0, 1, 1, -1]), num_parts=2)
+    before = dir_bytes(tmp_path)
+
+    class ExplodingHeader:
+        size = edgefile._LABELS_HEADER.size
+
+        def pack(self, *fields):
+            raise Crash
+
+    def replace(src, dst):
+        complete = edgefile._LABELS_HEADER.size + 4 * 3
+        assert src == path + ".tmp" and (tmp_path / "l.grpl.tmp").stat().st_size == complete
+        raise Crash
+
+    if crash_at == "header":  # the temporary file is open and empty
+        monkeypatch.setattr(edgefile, "_LABELS_HEADER", ExplodingHeader())
+    else:  # the temporary file is complete
+        monkeypatch.setattr(edgefile.os, "replace", replace)
+    with pytest.raises(Crash):
+        write_labels(path, np.array([1, 0, 0]), num_parts=2)
+    assert dir_bytes(tmp_path) == before
 
 
 def test_shuffle_budget_too_small(tmp_path):

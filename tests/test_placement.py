@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from streamcut import placement
+from streamcut import _kernels, placement
 from streamcut import (
     FormatError,
     GremConfig,
@@ -369,9 +369,12 @@ def test_comm_same_through_the_edge_list_path(tmp_path, monkeypatch):
         assert got == want, kernel
 
 
-def test_comm_peak_memory_per_edge(tmp_path):
-    # the index is built from one 2E array of packed keys, filled block by
-    # block: no int64 edge list is held beside it
+def test_comm_peak_memory_per_edge(tmp_path, monkeypatch):
+    # the index is built from one 2E array of packed keys (16 B/edge), filled
+    # from the u32 blocks as stored (8 B/edge for this one-block file): no
+    # int64 copy of the edge list, whole or per block, is held beside it.
+    # Measured 24.4 B/edge with the compiled tail, 36.4 with the numpy tail
+    # and its 2E owner array; each bound is that plus 10 %.
     rng = np.random.default_rng(3)
     num_nodes, num_edges = 20_000, 200_000
     src = (rng.pareto(1.5, size=num_edges) * num_nodes / 50).astype(np.int64) % num_nodes
@@ -379,13 +382,15 @@ def test_comm_peak_memory_per_edge(tmp_path):
     efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
     labels = rng.integers(0, 4, size=num_nodes)
     plan = plan_assignment(4, 2, rng_seed=0)
-    tracemalloc.start()
-    try:
-        estimate_comm(efile, labels, plan, num_seeds=8, rng_seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 44 * num_edges, peak / num_edges
+    for _ in each_kernel(monkeypatch):
+        bound = 26.8 if _kernels.adjacency_tail is not None else 40.0
+        tracemalloc.start()
+        try:
+            estimate_comm(efile, labels, plan, num_seeds=8, rng_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * num_edges, peak / num_edges
 
 
 def test_comm_native_equals_python_on_a_skewed_graph(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from streamcut import (
     write_buckets,
 )
 
-from helpers import make_edge_file, random_multigraph
+from helpers import dir_bytes, make_edge_file, random_multigraph
 
 
 class Crash(Exception):
@@ -187,32 +188,32 @@ def test_buckets_equal_stable_sort_reference(tmp_path, p):
 # ------------------------------------------------------------ atomic outputs
 
 
-def _crash_after_first_block(monkeypatch):
-    """Makes write_buckets' streaming pass raise after its first 1000-edge block."""
-    real = store_module.iter_edge_blocks
+def _crash_after_first_block(monkeypatch, store):
+    """Makes write_buckets' write pass raise after its first 1000-edge block.
+
+    Both passes stream through the raw block reader; the crash comes once
+    the temporary store exists, so it interrupts the write pass.
+    """
+    real = store_module._raw_blocks
 
     def blocks(efile):
         for i, block in enumerate(real(efile, 1000)):
-            if i == 1:
+            if i == 1 and os.path.exists(store + ".tmp"):
                 raise Crash
             yield block
 
-    monkeypatch.setattr(store_module, "iter_edge_blocks", blocks)
-
-
-def _dir_bytes(path):
-    return {f.name: f.read_bytes() for f in sorted(Path(path).iterdir())}
+    monkeypatch.setattr(store_module, "_raw_blocks", blocks)
 
 
 def test_buckets_failure_leaves_no_output(tmp_path, monkeypatch):
     rng = np.random.default_rng(8)
     edges = rng.integers(0, 100, size=(5000, 2))
     efile = make_edge_file(tmp_path / "g.grpe", edges, 100)
-    before = _dir_bytes(tmp_path)
-    _crash_after_first_block(monkeypatch)
+    before = dir_bytes(tmp_path)
+    _crash_after_first_block(monkeypatch, str(tmp_path / "g.grpb"))
     with pytest.raises(Crash):
         write_buckets(efile, rng.integers(0, 4, size=100), str(tmp_path / "g.grpb"))
-    assert _dir_bytes(tmp_path) == before  # no store, index or temporary file
+    assert dir_bytes(tmp_path) == before  # no store, index or temporary file
 
 
 def test_buckets_failure_keeps_the_previous_pair(tmp_path, monkeypatch):
@@ -222,11 +223,11 @@ def test_buckets_failure_keeps_the_previous_pair(tmp_path, monkeypatch):
     store = str(tmp_path / "g.grpb")
     old_labels = rng.integers(0, 2, size=100)
     write_buckets(efile, old_labels, store)
-    before = _dir_bytes(tmp_path)
-    _crash_after_first_block(monkeypatch)
+    before = dir_bytes(tmp_path)
+    _crash_after_first_block(monkeypatch, store)
     with pytest.raises(Crash):
         write_buckets(efile, rng.integers(0, 4, size=100), store)
-    assert _dir_bytes(tmp_path) == before
+    assert dir_bytes(tmp_path) == before
     index = read_index(store)
     assert index.p == 2
     got = np.concatenate([read_bucket(store, i, j, index) for i in range(2) for j in range(2)])
@@ -265,7 +266,7 @@ def test_reorder_features_failure_leaves_no_output(tmp_path, monkeypatch):
     feats.write_bytes(rng.integers(0, 256, size=40 * 3, dtype=np.uint8).tobytes())
     out = str(tmp_path / "o.bin")
     reorder_features(str(feats), rng.integers(0, 2, size=40), 3, out)
-    before = _dir_bytes(tmp_path)
+    before = dir_bytes(tmp_path)
     real_save = FeatureLayout.save
 
     def save(self, path):
@@ -275,7 +276,7 @@ def test_reorder_features_failure_leaves_no_output(tmp_path, monkeypatch):
     monkeypatch.setattr(FeatureLayout, "save", save)
     with pytest.raises(Crash):
         reorder_features(str(feats), rng.integers(0, 4, size=40), 3, out)
-    assert _dir_bytes(tmp_path) == before
+    assert dir_bytes(tmp_path) == before
     for name in ("o.bin", "o.bin.layout"):
         (tmp_path / name).unlink()
     with pytest.raises(Crash):
