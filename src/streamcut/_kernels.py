@@ -25,12 +25,15 @@ The kernels, named in ``KERNELS``, each replace one Python loop:
   and ``theory.compute_node_stats``.
 
 The three edge passes take blocks of 4- or 8-byte ids as stored and check
-every id against the node count; the caller turns a rejected row into the
-``FormatError`` the numpy code raises.
+every id against the node count; a rejected row becomes a ``FormatError``.
 
 Each is the loaded function, or ``None`` for all of them when no compiler
-is found or the build fails; callers then run their Python code, which
-gives bit-identical results.
+is found or the build fails.  Each kernel's Python fallback, which gives
+bit-identical results, sits beside its one call: the edge passes' numpy
+twins in ``edgefile._label_block``, ``_scatter_block`` and
+``_endpoint_block``, the others in ``grem.process_chunk``,
+``seed._bfs_grow``, ``model.adjacency_from_keys`` and
+``placement.estimate_comm``.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from . import __version__, _kernels
 from .edgefile import (
     BINARY,
     TEXT,
+    _replacing,
     external_shuffle,
     convert,
     open_edge_file,
@@ -80,7 +81,7 @@ def _write_manifest(
     if path is None:
         anchor = outputs[0] if outputs else inputs[0] + f".{command}"
         path = anchor + ".manifest.json"
-    with open(path, "w", encoding="ascii") as fh:
+    with _replacing(path) as (tmp_path,), open(tmp_path, "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path

@@ -61,6 +61,12 @@ def _check_ids(arr: np.ndarray, num_nodes: int, where: str) -> None:
         raise FormatError(f"{where}: edge endpoint {int(arr.max())} >= num_nodes {num_nodes}")
 
 
+def _write_array(fh, arr: np.ndarray) -> None:
+    """Writes ``arr``'s bytes to ``fh``; unlike ``ndarray.tofile``, which drops the
+    error of a write cut short, this raises OSError here or when ``fh`` is closed."""
+    fh.write(np.ascontiguousarray(arr))
+
+
 @contextmanager
 def _replacing(path: str, *sidecars: str):
     """Yields temporary names for an output and its sidecars, then renames them into place.
@@ -103,14 +109,16 @@ class BinaryEdgeWriter:
     def write(self, edges: np.ndarray) -> None:
         edges = np.ascontiguousarray(edges).reshape(-1, 2)
         _check_ids(edges, self.num_nodes, self.path)
-        edges.astype(self._dtype, copy=False).tofile(self._fh)
+        _write_array(self._fh, edges.astype(self._dtype, copy=False))
         self._count += edges.shape[0]
 
     def close(self) -> EdgeFile:
         flags = FLAG_WIDE_IDS if self.width == 64 else 0
-        self._fh.seek(0)
-        self._fh.write(_EDGE_HEADER.pack(EDGE_MAGIC, 1, flags, self.num_nodes, self._count))
-        self._fh.close()
+        try:
+            self._fh.seek(0)
+            self._fh.write(_EDGE_HEADER.pack(EDGE_MAGIC, 1, flags, self.num_nodes, self._count))
+        finally:
+            self._fh.close()
         meta = GraphMeta(self.num_nodes, self._count, self.width)
         return EdgeFile(self.path, meta, BINARY)
 
@@ -308,8 +316,6 @@ def external_shuffle(
             raise FormatError(
                 f"memory budget too small: shuffle would need {nbuckets} scatter buckets"
             )
-        # narrowest dtype holding every bucket id: numpy radix-sorts keys of <= 16 bits
-        key_dtype = np.min_scalar_type(nbuckets - 1)
         paths = []
         handles = []
         try:
@@ -322,16 +328,10 @@ def external_shuffle(
             buffer = np.empty((block_edges, 2), dtype=row_dtype)
             for block in source_blocks:  # rows at the stored width, as the temps hold them
                 ids = rng.integers(0, nbuckets, size=block.shape[0])
-                if _kernels.scatter_rows is not None:
-                    grouped, bounds = _scatter_block(efile, block, ids, nbuckets,
-                                                     buffer[: block.shape[0]])
-                else:
-                    _check_ids(block, meta.num_nodes, efile.path)
-                    order = np.argsort(ids.astype(key_dtype), kind="stable")
-                    grouped = np.take(block, order, axis=0)
-                    bounds = np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=nbuckets))])
+                grouped, bounds = _scatter_block(efile, block, ids, nbuckets,
+                                                 buffer[: block.shape[0]])
                 for b in np.flatnonzero(np.diff(bounds)):
-                    grouped[bounds[b] : bounds[b + 1]].tofile(handles[b])
+                    _write_array(handles[b], grouped[bounds[b] : bounds[b + 1]])
         finally:
             for fh in handles:
                 fh.close()
@@ -449,27 +449,10 @@ def _checked_labels(efile: EdgeFile, labels: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(labels, dtype=np.int64)
 
 
-def iter_labelled_blocks(
-    efile: EdgeFile, labels: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yields (block, source labels, destination labels) over the file's edges.
-
-    Raises FormatError when ``labels`` does not cover the file's nodes or an
-    edge endpoint is unlabeled (negative label).
-    """
-    labels = _checked_labels(efile, labels)
-    for block in iter_edge_blocks(efile):
-        l_src = labels[block[:, 0]]
-        l_dst = labels[block[:, 1]]
-        if (l_src < 0).any() or (l_dst < 0).any():
-            raise FormatError("unlabeled endpoint encountered")
-        yield block, l_src, l_dst
-
-
-# The compiled edge passes over one block of ``_raw_blocks``.  Each checks
-# the block's ids against num_nodes, and the labels it reads, and reports the
-# first row it rejects, which ``_raise_rejected`` turns into the FormatError
-# of the numpy code it replaces.
+# The edge passes over one block of ``_raw_blocks``.  Each runs its compiled
+# kernel when loaded, else its numpy twin, with the same result.  Both check
+# the block's ids against num_nodes, and the labels they read, and report the
+# first row they reject, which ``_raise_rejected`` turns into a FormatError.
 
 def _ptr(arr: np.ndarray | None, dtype, size: int):
     """The data pointer a kernel gets for ``arr`` (NULL for None), once ``arr`` is
@@ -490,10 +473,15 @@ def _rows(block: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _first(rejected: np.ndarray) -> int:
+    """The position of the first true entry, or -1."""
+    return int(np.argmax(rejected)) if rejected.any() else -1
+
+
 def _raise_rejected(efile: EdgeFile, rows: np.ndarray, bad: int,
                     labels: np.ndarray | None = None) -> None:
-    """Raises for row ``bad``, which a kernel rejected: the block's id check
-    first, then the label check, in the order of ``iter_labelled_blocks``."""
+    """Raises for row ``bad``, which a pass rejected: the block's id check
+    first, then the unlabeled-endpoint check."""
     _check_ids(rows, efile.meta.num_nodes, efile.path)
     if labels is not None and (labels[rows[bad]] < 0).any():
         raise FormatError("unlabeled endpoint encountered")
@@ -511,9 +499,24 @@ def _label_block(efile: EdgeFile, block: np.ndarray, labels: np.ndarray, cut: np
     """
     rows, num_nodes = _rows(block), efile.meta.num_nodes
     _ptr(labels, np.int64, num_nodes)
-    bad = _kernels.label_pass(rows.shape[0], rows.ctypes, rows.itemsize, num_nodes, labels, p,
-                              _ptr(counts, np.int64, p * p),
-                              _ptr(bucket, np.int64, rows.shape[0]), cut)
+    counts_ptr, bucket_ptr = _ptr(counts, np.int64, p * p), _ptr(bucket, np.int64, rows.shape[0])
+    if _kernels.label_pass is not None:
+        bad = _kernels.label_pass(rows.shape[0], rows.ctypes, rows.itemsize, num_nodes, labels, p,
+                                  counts_ptr, bucket_ptr, cut)
+    else:
+        _check_ids(rows, num_nodes, efile.path)
+        l_src, l_dst = labels[rows[:, 0]], labels[rows[:, 1]]
+        rejected = np.minimum(l_src, l_dst) < 0
+        if p > 0:
+            rejected |= np.maximum(l_src, l_dst) >= p
+        bad = _first(rejected)
+        if bad < 0:
+            cut[0] += np.count_nonzero(l_src != l_dst)
+            ids = l_src * p + l_dst
+            if counts is not None:
+                counts += np.bincount(ids, minlength=p * p)
+            if bucket is not None:
+                bucket[:] = ids
     if bad >= 0:
         _raise_rejected(efile, rows, bad, labels)
 
@@ -528,10 +531,20 @@ def _scatter_block(efile: EdgeFile, block: np.ndarray, bucket: np.ndarray, nbuck
     """
     rows, num_nodes = _rows(block), efile.meta.num_nodes
     grouped = np.empty_like(rows) if out is None else out
-    bounds = np.empty(nbuckets + 1, dtype=np.int64)
+    bounds = np.zeros(nbuckets + 1, dtype=np.int64)
     _ptr(bucket, np.int64, rows.shape[0])
-    bad = _kernels.scatter_rows(rows.shape[0], rows.ctypes, rows.itemsize, num_nodes, bucket,
-                                nbuckets, bounds, _ptr(grouped, rows.dtype, rows.size))
+    grouped_ptr = _ptr(grouped, rows.dtype, rows.size)
+    if _kernels.scatter_rows is not None:
+        bad = _kernels.scatter_rows(rows.shape[0], rows.ctypes, rows.itemsize, num_nodes, bucket,
+                                    nbuckets, bounds, grouped_ptr)
+    else:
+        _check_ids(rows, num_nodes, efile.path)
+        bad = _first((bucket < 0) | (bucket >= nbuckets))
+        if bad < 0:
+            # narrowest dtype holding every bucket id: numpy radix-sorts keys of <= 16 bits
+            order = np.argsort(bucket.astype(np.min_scalar_type(nbuckets - 1)), kind="stable")
+            np.take(rows, order, axis=0, out=grouped)
+            np.cumsum(np.bincount(bucket, minlength=nbuckets), out=bounds[1:])
     if bad >= 0:
         _raise_rejected(efile, rows, bad)
     return grouped, bounds
@@ -548,10 +561,48 @@ def _endpoint_block(efile: EdgeFile, block: np.ndarray, counts: np.ndarray,
     rows, num_nodes = _rows(block), efile.meta.num_nodes
     if counts.size != (num_nodes if labels is None else 2 * num_nodes):
         raise ValueError("counts must have one entry per node, or two with labels")
-    bad = _kernels.endpoint_counts(rows.shape[0], rows.ctypes, rows.itemsize, num_nodes,
-                                   _ptr(labels, np.int64, num_nodes), counts)
+    labels_ptr = _ptr(labels, np.int64, num_nodes)
+    if _kernels.endpoint_counts is not None:
+        bad = _kernels.endpoint_counts(rows.shape[0], rows.ctypes, rows.itemsize, num_nodes,
+                                       labels_ptr, counts)
+    else:
+        _check_ids(rows, num_nodes, efile.path)
+        src, dst = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
+        bad = -1
+        if labels is not None:
+            l_src, l_dst = labels[src], labels[dst]
+            bad = _first((np.minimum(l_src, l_dst) < 0) | (np.maximum(l_src, l_dst) > 1))
+        if bad < 0:
+            keep = src != dst
+            src, dst = src[keep], dst[keep]
+            if labels is not None:
+                src, dst = 2 * src + l_dst[keep], 2 * dst + l_src[keep]
+            counts += np.bincount(src, minlength=counts.size)
+            counts += np.bincount(dst, minlength=counts.size)
     if bad >= 0:
         _raise_rejected(efile, rows, bad, labels)
+
+
+def _cut_pass(efile: EdgeFile, labels: np.ndarray, p: int = 0,
+              counts: np.ndarray | None = None) -> int:
+    """The file's cut edges under ``labels``, by ``_label_block`` over every block;
+    with p > 0 it also adds the p x p bucket counts to ``counts`` when given."""
+    checked = _checked_labels(efile, labels)
+    cut = np.zeros(1, dtype=np.int64)
+    for block in _raw_blocks(efile):
+        _label_block(efile, block, checked, cut, p, counts=counts)
+    return int(cut[0])
+
+
+def _endpoint_pass(efile: EdgeFile, labels: np.ndarray | None = None) -> np.ndarray:
+    """Fresh counts filled by ``_endpoint_block`` over every block: each node's
+    degree or, with a bisection, its neighbours on side s at ``2 * node + s``."""
+    num_nodes = efile.meta.num_nodes
+    checked = None if labels is None else _checked_labels(efile, labels)
+    counts = np.zeros(num_nodes if labels is None else 2 * num_nodes, dtype=np.int64)
+    for block in _raw_blocks(efile):
+        _endpoint_block(efile, block, counts, checked)
+    return counts
 
 
 def num_parts_of(labels: np.ndarray, num_parts: int | None = None) -> int:
@@ -587,7 +638,7 @@ def write_labels(path: str, labels: np.ndarray, num_parts: int | None = None) ->
     payload[payload < 0] = _UNASSIGNED_U32
     with _replacing(path) as (tmp_path,), open(tmp_path, "wb") as fh:
         fh.write(_LABELS_HEADER.pack(LABELS_MAGIC, 1, labels.size, num_parts))
-        payload.astype("<u4").tofile(fh)
+        _write_array(fh, payload.astype("<u4"))
 
 
 def read_labels(path: str) -> tuple[np.ndarray, int]:

@@ -35,11 +35,9 @@ from .edgefile import (
     ChunkPlan,
     EdgeFile,
     ResidencyMeter,
-    _checked_labels,
-    _label_block,
-    _raw_blocks,
+    _cut_pass,
+    _write_array,
     iter_edge_blocks,
-    iter_labelled_blocks,
     num_parts_of,
     stream_chunks,
 )
@@ -224,16 +222,7 @@ def count_cuts(efile: EdgeFile, labels: np.ndarray, num_parts: int | None = None
     """
     labels = np.asarray(labels)
     num_parts = num_parts_of(labels, num_parts)
-    if _kernels.label_pass is not None:
-        checked = _checked_labels(efile, labels)
-        tally = np.zeros(1, dtype=np.int64)
-        for block in _raw_blocks(efile):
-            _label_block(efile, block, checked, tally)
-        cut = int(tally[0])
-    else:
-        cut = 0
-        for _, l_src, l_dst in iter_labelled_blocks(efile, labels):
-            cut += int((l_src != l_dst).sum())
+    cut = _cut_pass(efile, labels)
     total = efile.meta.num_edges
     sizes = np.bincount(labels[labels >= 0], minlength=num_parts)
     ideal = ceil(efile.meta.num_nodes / num_parts)
@@ -263,7 +252,8 @@ def _extract_induced(
         keep = (labels[block[:, 0]] == side) & (labels[block[:, 1]] == side)
         writer.write(new_id[np.compress(keep, block, axis=0)])
     sub_file = writer.close()
-    orig_ids[members].astype("<u8").tofile(out_path + ".remap")
+    with open(out_path + ".remap", "wb") as fh:
+        _write_array(fh, orig_ids[members].astype("<u8"))
     return sub_file
 
 

@@ -12,9 +12,9 @@ from . import _kernels
 from .edgefile import (
     EdgeFile,
     _check_ids,
-    _endpoint_block,
+    _checked_labels,
+    _endpoint_pass,
     _raw_blocks,
-    iter_edge_blocks,
     read_all_edges,
 )
 from .errors import FormatError
@@ -83,15 +83,7 @@ def select_replicated(efile: EdgeFile, budget: int) -> np.ndarray:
     num_nodes = efile.meta.num_nodes
     if not 0 <= budget <= num_nodes:
         raise FormatError(f"budget must be in [0, {num_nodes}], got {budget}")
-    deg = np.zeros(num_nodes, dtype=np.int64)
-    if _kernels.endpoint_counts is not None:
-        for block in _raw_blocks(efile):
-            _endpoint_block(efile, block, deg)
-    else:
-        for block in iter_edge_blocks(efile):
-            kept = np.compress(block[:, 0] != block[:, 1], block, axis=0)
-            deg += np.bincount(kept[:, 0], minlength=num_nodes)
-            deg += np.bincount(kept[:, 1], minlength=num_nodes)
+    deg = _endpoint_pass(efile)
     order = np.lexsort((np.arange(num_nodes), -deg))
     return np.sort(order[:budget])
 
@@ -121,10 +113,8 @@ def estimate_comm(
     Floyd's algorithm (``_floyd``), so the counts do not depend on
     ``Generator.choice``.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _checked_labels(efile, np.asarray(labels))
     num_nodes = efile.meta.num_nodes
-    if labels.shape[0] != num_nodes:
-        raise FormatError(f"labels cover {labels.shape[0]} nodes, file has {num_nodes}")
     if efile.meta.num_edges == 0:
         raise FormatError("cannot estimate traffic on an empty graph")
     if not 1 <= num_seeds <= num_nodes:

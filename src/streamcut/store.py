@@ -21,18 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .edgefile import (
     FLAG_WIDE_IDS,
     EdgeFile,
-    _check_ids,
     _checked_labels,
+    _cut_pass,
     _id_dtype,
     _label_block,
     _raw_blocks,
     _replacing,
     _scatter_block,
-    iter_labelled_blocks,
+    _write_array,
     num_parts_of,
 )
 from .errors import FormatError
@@ -81,17 +80,9 @@ def write_buckets(
     p = num_parts_of(labels, num_parts)
     width = efile.meta.node_id_width
     pair = 2 * (width // 8)
-    native = _kernels.label_pass is not None and _kernels.scatter_rows is not None
 
     counts = np.zeros(p * p, dtype=np.int64)
-    if native:
-        checked = _checked_labels(efile, labels)
-        cut = np.zeros(1, dtype=np.int64)
-        for block in _raw_blocks(efile):
-            _label_block(efile, block, checked, cut, p, counts=counts)
-    else:
-        for _, l_src, l_dst in iter_labelled_blocks(efile, labels):
-            counts += np.bincount(l_src * p + l_dst, minlength=p * p)
+    _cut_pass(efile, labels, p, counts)
 
     header = _BUCKET_HEADER.pack(
         BUCKET_MAGIC, 1, p, FLAG_WIDE_IDS if width == 64 else 0, int(counts.sum())
@@ -101,12 +92,11 @@ def write_buckets(
     sidecar = np.empty((p * p, 2), dtype="<u8")
     sidecar[:, 0] = offsets
     sidecar[:, 1] = counts
-    groups = _native_groups if native else _numpy_groups
     with _replacing(out_path, _index_path(out_path)) as (tmp_store, tmp_index):
         with open(tmp_store, "wb") as fh:
             fh.write(header)
             fh.truncate(_BUCKET_HEADER.size + int(counts.sum()) * pair)  # flushes the header
-            for grouped, bounds in groups(efile, labels, p, _id_dtype(width)):
+            for grouped, bounds in _bucket_groups(efile, labels, p, _id_dtype(width)):
                 data = memoryview(grouped).cast("B")
                 nonempty = np.flatnonzero(np.diff(bounds)).tolist()
                 bounds = bounds.tolist()
@@ -114,11 +104,12 @@ def write_buckets(
                     lo, hi = bounds[b] * pair, bounds[b + 1] * pair
                     _pwrite_all(fh.fileno(), data[lo:hi], write_pos[b])
                     write_pos[b] += hi - lo
-        sidecar.tofile(tmp_index)
+        with open(tmp_index, "wb") as fh:
+            _write_array(fh, sidecar)
     return BucketIndex(p, offsets.reshape(p, p), counts.reshape(p, p), width)
 
 
-def _native_groups(efile: EdgeFile, labels: np.ndarray, p: int, dtype: np.dtype):
+def _bucket_groups(efile: EdgeFile, labels: np.ndarray, p: int, dtype: np.dtype):
     """Yields each block's rows, in ``dtype``, grouped by bucket, with the run bounds."""
     labels = _checked_labels(efile, labels)
     cut = np.zeros(1, dtype=np.int64)
@@ -130,18 +121,6 @@ def _native_groups(efile: EdgeFile, labels: np.ndarray, p: int, dtype: np.dtype)
         _label_block(efile, block, labels, cut, p, bucket=bucket[:m])
         yield _scatter_block(efile, block.astype(dtype, copy=False), bucket[:m], p * p,
                              grouped[:m])
-
-
-def _numpy_groups(efile: EdgeFile, labels: np.ndarray, p: int, dtype: np.dtype):
-    """``_native_groups`` by a stable argsort of the bucket ids."""
-    # narrowest dtype holding every bucket id: numpy radix-sorts keys of <= 16 bits
-    key_dtype = np.min_scalar_type(p * p - 1)
-    for block in _raw_blocks(efile):
-        _check_ids(block, efile.meta.num_nodes, efile.path)
-        bucket_ids = labels[block[:, 0]] * p + labels[block[:, 1]]
-        order = np.argsort(bucket_ids.astype(key_dtype), kind="stable")
-        grouped = np.take(block.astype(dtype, copy=False), order, axis=0)
-        yield grouped, np.concatenate([[0], np.cumsum(np.bincount(bucket_ids, minlength=p * p))])
 
 
 def _pwrite_all(fd: int, data: memoryview, offset: int) -> None:
@@ -232,8 +211,8 @@ class FeatureLayout:
                     FEATURE_MAGIC, self.record_width, self.num_nodes, len(self.extents)
                 )
             )
-            self.permutation.astype("<u8").tofile(fh)
-            np.asarray(self.extents, dtype="<u8").tofile(fh)
+            _write_array(fh, self.permutation.astype("<u8"))
+            _write_array(fh, np.asarray(self.extents, dtype="<u8"))
 
     @staticmethod
     def load(path: str) -> "FeatureLayout":

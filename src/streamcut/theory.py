@@ -20,8 +20,7 @@ from math import exp, lgamma
 
 import numpy as np
 
-from . import _kernels
-from .edgefile import EdgeFile, _checked_labels, _endpoint_block, _raw_blocks, iter_labelled_blocks
+from .edgefile import EdgeFile, _endpoint_pass
 from .errors import FormatError
 from .model import NodeStats
 
@@ -167,19 +166,7 @@ def compute_node_stats(efile: EdgeFile, labels: np.ndarray) -> NodeStats:
     num_nodes = efile.meta.num_nodes
     if labels.max(initial=-1) > 1:
         raise FormatError("reference labels are not a bisection")
-    counts = np.zeros(2 * num_nodes, dtype=np.int64)
-    if _kernels.endpoint_counts is not None:
-        checked = _checked_labels(efile, labels)
-        for block in _raw_blocks(efile):
-            _endpoint_block(efile, block, counts, checked)
-    else:
-        for block, l_src, l_dst in iter_labelled_blocks(efile, labels):
-            keep = block[:, 0] != block[:, 1]
-            kept = np.compress(keep, block, axis=0)
-            src, dst = kept[:, 0], kept[:, 1]
-            l_src, l_dst = np.compress(keep, l_src), np.compress(keep, l_dst)
-            counts += np.bincount(src * 2 + l_dst, minlength=2 * num_nodes)
-            counts += np.bincount(dst * 2 + l_src, minlength=2 * num_nodes)
+    counts = _endpoint_pass(efile, labels)
     per_side = counts.reshape(num_nodes, 2)
     return NodeStats(per_side.sum(axis=1), per_side.max(axis=1))
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamcut import _kernels, read_labels, write_labels
+from streamcut import _kernels, cli, read_labels, write_labels
 from streamcut.cli import main
 from streamcut.synth import CliqueUnionSpec, write_graph
 
@@ -45,6 +45,25 @@ def test_partition_reports_single_cut(tmp_path, cliques, capsys):
     assert sorted(payload["partition_sizes"]) == [16, 16]
     labels, parts = read_labels(str(out_labels))
     assert parts == 2 and len(labels) == 32
+
+
+def test_manifest_write_failure_keeps_the_earlier_manifest(tmp_path, cliques, capsys,
+                                                          monkeypatch):
+    efile, _ = cliques
+    manifest = tmp_path / "run.manifest.json"
+    argv = ("partition", efile.path, "--out", tmp_path / "labels.grpl", "--parts", "2",
+            "--manifest", manifest)
+    assert run(capsys, *argv)[0] == 0
+    before = manifest.read_bytes()
+
+    def dump(obj, fh, **kwargs):
+        fh.write('{"command": "partition",')  # part of the manifest, then a full disk
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", dump)
+    assert run(capsys, *argv)[0] == cli.EXIT_IO == 4
+    assert manifest.read_bytes() == before
+    assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
 
 
 def test_partition_records_kernel(tmp_path, cliques, capsys, monkeypatch):

@@ -1,9 +1,12 @@
-"""The streaming edge passes: compiled kernels against the numpy fallbacks.
+"""The streaming edge passes: compiled kernels against their numpy twins.
 
-``label_pass`` serves ``count_cuts`` and ``write_buckets``, ``scatter_rows``
-serves ``write_buckets`` and ``external_shuffle``, and ``endpoint_counts``
-serves ``compute_node_stats`` and ``select_replicated``.  Each runs on
-blocks as stored, 32- or 64-bit ids, and must give what the numpy code
+Each pass has one entry in ``edgefile`` that runs its kernel when loaded
+and its numpy twin otherwise: ``_label_block`` (``label_pass``) serves
+``count_cuts`` and ``write_buckets``, ``_scatter_block`` (``scatter_rows``)
+serves ``write_buckets`` and ``external_shuffle``, and ``_endpoint_block``
+(``endpoint_counts``) serves ``compute_node_stats`` and
+``select_replicated``.  Each runs on blocks as stored, 32- or 64-bit ids or
+the text reader's int64 pairs, and the kernel must give what the twin
 gives, errors included.
 """
 
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streamcut import _kernels, edgefile
+from streamcut import edgefile
 from streamcut import (
     FormatError,
     compute_node_stats,
@@ -26,7 +29,7 @@ from streamcut import (
     select_replicated,
     write_buckets,
 )
-from streamcut.edgefile import IO_BLOCK, read_all_edges
+from streamcut.edgefile import IO_BLOCK, TEXT, convert, read_all_edges
 
 from helpers import PROPERTY_SETTINGS, each_kernel, make_edge_file
 
@@ -112,6 +115,8 @@ def test_wide_id_files_give_what_their_u32_twins_give(tmp_path, monkeypatch):
     labels = rng.integers(0, 5, size=300)
     twins = _twins(tmp_path, edges, 300)
     assert twins[64].meta.node_id_width == 64
+    # the text twin streams int64 pairs through every pass and stores 32-bit ids
+    twins["text"] = convert(twins[32], str(tmp_path / "g.txt"), TEXT)
     plan = plan_assignment(5, 2, rng_seed=0)
     for kernel in each_kernel(monkeypatch):
         got = {}
@@ -126,8 +131,8 @@ def test_wide_id_files_give_what_their_u32_twins_give(tmp_path, monkeypatch):
                 select_replicated(efile, 40).tolist(),
                 estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=1),
             )
-            assert index.node_id_width == width, kernel
-        assert got[32] == got[64], kernel
+            assert index.node_id_width == efile.meta.node_id_width, kernel
+        assert got[32] == got[64] == got["text"], kernel
 
 
 @pytest.mark.parametrize("budget", [IO_BLOCK, 1 << 20])  # scatter path, in-memory path
@@ -229,21 +234,21 @@ def test_damaged_file_is_a_format_error(tmp_path, monkeypatch, damage):
             assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe"], (kernel, name)
 
 
-def test_kernels_reject_labels_and_bucket_ids_out_of_their_range(tmp_path):
+def test_kernels_reject_labels_and_bucket_ids_out_of_their_range(tmp_path, monkeypatch):
     # public callers never pass these (num_parts_of bounds the labels, the
-    # bisection check guards compute_node_stats); the kernels refuse them
-    # rather than write outside their count arrays
-    if _kernels.kernel_name() != "native":
-        pytest.skip("no compiled kernels")
+    # bisection check guards compute_node_stats); the kernels and their twins
+    # refuse them rather than write outside their count arrays
     efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2]], 3)
     (block,) = edgefile._raw_blocks(efile)
     labels = np.array([0, 1, 2])
     cut = np.zeros(1, dtype=np.int64)
-    with pytest.raises(ValueError, match="row 1"):
-        edgefile._label_block(efile, block, labels, cut, 2, counts=np.zeros(4, dtype=np.int64))
-    with pytest.raises(ValueError, match="row 1"):
-        edgefile._endpoint_block(efile, block, np.zeros(6, dtype=np.int64), labels)
-    with pytest.raises(ValueError, match="row 0"):
-        edgefile._scatter_block(efile, block, np.array([-1, 0]), 2)
-    with pytest.raises(ValueError, match="row 1"):
-        edgefile._scatter_block(efile, block, np.array([0, 2]), 2)
+    for _ in each_kernel(monkeypatch):
+        with pytest.raises(ValueError, match="row 1"):
+            edgefile._label_block(efile, block, labels, cut, 2,
+                                  counts=np.zeros(4, dtype=np.int64))
+        with pytest.raises(ValueError, match="row 1"):
+            edgefile._endpoint_block(efile, block, np.zeros(6, dtype=np.int64), labels)
+        with pytest.raises(ValueError, match="row 0"):
+            edgefile._scatter_block(efile, block, np.array([-1, 0]), 2)
+        with pytest.raises(ValueError, match="row 1"):
+            edgefile._scatter_block(efile, block, np.array([0, 2]), 2)

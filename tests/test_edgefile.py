@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
 
+import streamcut
 from streamcut import (
     ChunkPlan,
     FormatError,
@@ -11,6 +17,7 @@ from streamcut import (
     open_edge_file,
     read_labels,
     stream_chunks,
+    write_buckets,
     write_labels,
 )
 from streamcut import edgefile
@@ -214,6 +221,46 @@ def test_write_labels_crash_keeps_the_earlier_file(tmp_path, monkeypatch, crash_
     with pytest.raises(Crash):
         write_labels(path, np.array([1, 0, 0]), num_parts=2)
     assert dir_bytes(tmp_path) == before
+
+
+# Run in a child that lowers its own file-size limit to 1000 bytes: the new
+# 500-entry label file (2020 bytes) and the 8 x 8 bucket index (1024 bytes)
+# can each be written only in part, while the 50-edge store (424 bytes) fits.
+_SHORT_WRITE_CHILD = """
+import resource, sys
+import numpy as np
+from streamcut import open_edge_file, write_buckets, write_labels
+
+labels_path, store_path, edges_path = sys.argv[1:]
+efile = open_edge_file(edges_path)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+writes = {
+    "labels": lambda: write_labels(labels_path, np.arange(500) % 2),
+    "buckets": lambda: write_buckets(efile, np.arange(50) % 8, store_path, 8),
+}
+for name, write in writes.items():
+    try:
+        write()
+        print(name, "returned")
+    except OSError as exc:
+        print(name, "raised", type(exc).__name__)
+"""
+
+
+def test_short_writes_raise_and_keep_the_earlier_outputs(tmp_path):
+    rng = np.random.default_rng(12)
+    efile = make_edge_file(tmp_path / "g.grpe", rng.integers(0, 50, size=(50, 2)), 50)
+    labels_path, store_path = str(tmp_path / "l.grpl"), str(tmp_path / "b.grpb")
+    write_labels(labels_path, np.zeros(500, dtype=np.int64), num_parts=2)
+    write_buckets(efile, np.arange(50) % 8 // 2, store_path, 8)
+    before = dir_bytes(tmp_path)
+    path = [str(Path(streamcut.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    child = subprocess.run([sys.executable, "-c", _SHORT_WRITE_CHILD, labels_path, store_path,
+                            efile.path], capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["labels raised OSError", "buckets raised OSError"]
+    assert dir_bytes(tmp_path) == before  # the earlier files as they were, and no temporary
 
 
 def test_shuffle_budget_too_small(tmp_path):

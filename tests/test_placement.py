@@ -166,6 +166,8 @@ def test_comm_deterministic_and_validated(tmp_path):
         estimate_comm(efile, truth.astype(np.int64), plan, num_seeds=0, rng_seed=0)
     with pytest.raises(FormatError):
         estimate_comm(efile, np.full(12, 5), plan, num_seeds=5, rng_seed=0)
+    with pytest.raises(FormatError, match="labels cover 11 nodes, file has 12"):
+        estimate_comm(efile, truth[:11].astype(np.int64), plan, num_seeds=5, rng_seed=0)
 
 
 @pytest.mark.parametrize("fanouts", [(), (0,), (3, 0, 2), (2, -1)])

@@ -191,8 +191,8 @@ def test_buckets_equal_stable_sort_reference(tmp_path, p):
 def _crash_after_first_block(monkeypatch, store):
     """Makes write_buckets' write pass raise after its first 1000-edge block.
 
-    Both passes stream through the raw block reader; the crash comes once
-    the temporary store exists, so it interrupts the write pass.
+    The write pass streams through the raw block reader that ``store``
+    imports; the crash comes once the temporary store exists.
     """
     real = store_module._raw_blocks
 
