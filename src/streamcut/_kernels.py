@@ -15,8 +15,8 @@ The kernels, named in ``KERNELS``, each replace one Python loop:
   sort in ``model.adjacency_from_keys``;
 * ``comm_walk`` -- the sampling walk of ``placement.estimate_comm``;
 * ``label_pass`` -- gathers both labels of each edge of a block, tallies cut
-  edges and optionally counts and writes p x p bucket ids: ``grem.count_cuts``
-  and both passes of ``store.write_buckets``;
+  edges and optionally counts and writes p x p bucket ids: ``grem.count_cuts``,
+  ``grem._extract_induced`` and both passes of ``store.write_buckets``;
 * ``scatter_rows`` -- a stable counting scatter of a block's rows by bucket
   id: the write pass of ``store.write_buckets`` and the scatter pass of
   ``edgefile.external_shuffle``;

@@ -329,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="seed_algo")
     p.add_argument("--capacity-slack", type=float, default=0.0, dest="capacity_slack")
     p.add_argument("--passes", type=int, default=1, help="full sweeps over the edge file")
-    p.add_argument("--rng-seed", type=int, default=0, dest="rng_seed")
+    p.add_argument("--rng-seed", type=int, default=0, dest="rng_seed",
+                   help="seed of --seed-algo random; with the default bfs_grow it changes "
+                        "nothing, though the manifest records it")
     p.add_argument("--workdir", default=None,
                    help="scratch directory for recursion (default: $GREM_WORKDIR)")
     _add_common(p)

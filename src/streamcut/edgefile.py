@@ -215,9 +215,10 @@ def _raw_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -> Ite
     """Yields (m, 2) arrays covering the file's edges in order, as stored.
 
     Binary files give their u32 or u64 pairs, after the header and size
-    checks; text files give the parsed int64 pairs.  Ids
-    are not checked against num_nodes: ``iter_edge_blocks`` and the compiled
-    edge passes do that.
+    checks; text files give the parsed int64 pairs, and a FormatError when
+    their count departs from the one taken when the file was opened, before
+    any row beyond it.  Ids are not checked against num_nodes:
+    ``iter_edge_blocks`` and the compiled edge passes do that.
     """
     if efile.format == BINARY:
         meta = _read_binary_header(efile.path)  # re-validate size before streaming
@@ -235,28 +236,37 @@ def _raw_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -> Ite
                 yield raw.reshape(-1, 2)
                 remaining -= take
     else:
+        num_edges, seen = efile.meta.num_edges, 0
         buf: list[tuple[int, int]] = []
         with open(efile.path, "r", encoding="ascii") as fh:
             for lineno, line in enumerate(fh, 1):
                 pair = _parse_text_line(line, lineno, efile.path)
                 if pair is None:
                     continue
+                seen += 1
+                if seen > num_edges:
+                    raise FormatError(f"{efile.path}:{lineno}: more than the {num_edges} edges "
+                                      f"counted when the file was opened")
                 buf.append(pair)
                 if len(buf) >= block_edges:
                     yield np.asarray(buf, dtype=np.int64)
                     buf = []
+        if seen != num_edges:
+            raise FormatError(f"{efile.path}: {seen} edges, {num_edges} counted when the file "
+                              f"was opened")
         if buf:
             yield np.asarray(buf, dtype=np.int64)
 
 
 def iter_edge_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -> Iterator[np.ndarray]:
-    """Yields (m, 2) int64 arrays covering the file's edges in order."""
+    """Yields the ``_raw_blocks`` blocks, as stored, once their ids are checked."""
     for block in _raw_blocks(efile, block_edges):
         _check_ids(block, efile.meta.num_nodes, efile.path)
-        yield block.astype(np.int64, copy=False)
+        yield block
 
 
 def read_all_edges(efile: EdgeFile) -> np.ndarray:
+    """The file's edges as one (E, 2) array at the stored width (int64 for text)."""
     blocks = list(iter_edge_blocks(efile))
     if not blocks:
         return np.empty((0, 2), dtype=np.int64)
@@ -266,16 +276,17 @@ def read_all_edges(efile: EdgeFile) -> np.ndarray:
 def convert(
     efile: EdgeFile, out_path: str, out_format: str, num_nodes: int | None = None
 ) -> EdgeFile:
-    """Rewrites the edge sequence in the requested format, order preserved."""
+    """Rewrites the edge sequence in the requested format, order preserved, under a
+    temporary name renamed into place when complete, so a failure leaves nothing behind."""
     if out_format not in (TEXT, BINARY):
         raise FormatError(f"unknown edge format {out_format!r}")
     num_nodes = num_nodes or efile.meta.num_nodes
     if out_format == BINARY:
-        with BinaryEdgeWriter(out_path, num_nodes) as writer:
+        with _replacing(out_path) as (tmp_path,), BinaryEdgeWriter(tmp_path, num_nodes) as writer:
             for block in iter_edge_blocks(efile):
                 writer.write(block)
         return open_edge_file(out_path)
-    with open(out_path, "w", encoding="ascii") as fh:
+    with _replacing(out_path) as (tmp_path,), open(tmp_path, "w", encoding="ascii") as fh:
         for block in iter_edge_blocks(efile):
             _check_ids(block, num_nodes, out_path)
             fh.writelines(f"{u} {v}\n" for u, v in block.tolist())

@@ -35,10 +35,12 @@ from .edgefile import (
     ChunkPlan,
     EdgeFile,
     ResidencyMeter,
+    _checked_labels,
     _cut_pass,
-    _write_array,
+    _label_block,
     iter_edge_blocks,
     num_parts_of,
+    open_edge_file,
     stream_chunks,
 )
 from .errors import CapacityError, FormatError
@@ -236,25 +238,25 @@ def count_cuts(efile: EdgeFile, labels: np.ndarray, num_parts: int | None = None
 
 
 def _extract_induced(
-    efile: EdgeFile, labels: np.ndarray, side: int, members: np.ndarray,
-    orig_ids: np.ndarray, out_path: str,
+    efile: EdgeFile, labels: np.ndarray, side: int, members: np.ndarray, out_path: str
 ) -> EdgeFile:
-    """Writes the subgraph induced by one side into a dense-id edge file.
+    """Writes the subgraph induced by one side of a bisection into a dense-id edge file.
 
     Cross edges are dropped; they are already cut and carry no information
-    for deeper bisections.  A sidecar ``.remap`` file stores the original id
-    (u64) of every new dense id.
+    for deeper bisections.  ``_label_block`` gives each edge the bucket
+    ``2 * label(src) + label(dst)``, so the kept edges are those of bucket
+    ``3 * side``.
     """
+    checked = _checked_labels(efile, labels)
     new_id = np.full(labels.shape[0], -1, dtype=np.int64)
     new_id[members] = np.arange(members.size, dtype=np.int64)
-    writer = BinaryEdgeWriter(out_path, int(members.size))
-    for block in iter_edge_blocks(efile):
-        keep = (labels[block[:, 0]] == side) & (labels[block[:, 1]] == side)
-        writer.write(new_id[np.compress(keep, block, axis=0)])
-    sub_file = writer.close()
-    with open(out_path + ".remap", "wb") as fh:
-        _write_array(fh, orig_ids[members].astype("<u8"))
-    return sub_file
+    cut = np.zeros(1, dtype=np.int64)
+    with BinaryEdgeWriter(out_path, int(members.size)) as writer:
+        for block in iter_edge_blocks(efile):
+            bucket = np.empty(block.shape[0], dtype=np.int64)
+            _label_block(efile, block, checked, cut, 2, bucket=bucket)
+            writer.write(new_id[np.compress(bucket == 3 * side, block, axis=0)])
+    return open_edge_file(out_path)
 
 
 def partition(
@@ -291,12 +293,11 @@ def partition(
             if members.size == 0:
                 continue
             sub_path = os.path.join(workdir, f"bisect_l{level + 1}_b{base}.grpe")
-            sub_file = _extract_induced(file, labels, side, members, orig_ids, sub_path)
+            sub_file = _extract_induced(file, labels, side, members, sub_path)
             try:
                 recurse(sub_file, orig_ids[members], p_level // 2, level + 1, base)
             finally:
                 os.remove(sub_path)
-                os.remove(sub_path + ".remap")
 
     recurse(efile, np.arange(total_nodes, dtype=np.int64), p, 0, 0)
     return final, count_cuts(efile, final, p)

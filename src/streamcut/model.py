@@ -40,26 +40,43 @@ def packed_keys_fit(width: int) -> bool:
     return width * width <= 1 << 63
 
 
-def build_adjacency(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetric adjacency index of an (m, 2) edge array as (nodes, starts, ends, nbrs).
+def build_adjacency(blocks, num_edges: int, width: int) -> tuple[np.ndarray, ...]:
+    """Symmetric int64 adjacency index as (nodes, starts, ends, nbrs) of ``num_edges``
+    edges, yielded by ``blocks`` as (m, 2) arrays of any integer id width, ids below ``width``.
 
     ``nodes`` holds the sorted unique endpoints, including nodes that appear
     only in self-loops; ``nbrs[starts[i]:ends[i]]`` are the neighbors of
     ``nodes[i]``, ascending, with duplicate edges kept and self-loops left
     out.  Both directions of every edge are indexed.  One sort of packed
-    ``src * w + dst`` keys (w = max id + 1) orders the whole index; when
-    ``w * w`` would overflow int64 the ids are first replaced by their ranks.
+    ``src * width + dst`` keys orders the whole index; when ``width * width``
+    would overflow int64 the edges are gathered and ranked first.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size == 0:
+    if num_edges == 0:
         return tuple(np.empty(0, dtype=np.int64) for _ in range(4))
-    width = int(edges.max()) + 1
-    if not packed_keys_fit(width):
-        ids, ranks = np.unique(edges.ravel(), return_inverse=True)
-        nodes, starts, ends, nbrs = build_adjacency(ranks.reshape(-1, 2))
-        return ids[nodes], starts, ends, ids[nbrs]
-    src, dst = edges[:, 0], edges[:, 1]
-    return adjacency_from_keys(np.concatenate([src * width + dst, dst * width + src]), width)
+    if packed_keys_fit(width):
+        return adjacency_from_keys(_packed_keys(blocks, num_edges, width), width)
+    ids, ranks = np.unique(np.concatenate(list(blocks)), return_inverse=True)
+    keys = _packed_keys((ranks.reshape(-1, 2),), num_edges, ids.size)
+    del ranks  # release before the sort
+    nodes, starts, ends, nbrs = adjacency_from_keys(keys, ids.size)
+    ids = ids.astype(np.int64)
+    return ids[nodes], starts, ends, ids[nbrs]
+
+
+def _packed_keys(blocks, num_edges: int, width: int) -> np.ndarray:
+    """Both directions of every edge as ``src * width + dst`` int64 keys, filled block by
+    block with int64 arithmetic at any id width; no block outlives the fill."""
+    keys = np.empty(2 * num_edges, dtype=np.int64)
+    fwd, rev = keys[:num_edges], keys[num_edges:]
+    pos = 0
+    for block in blocks:
+        end = pos + block.shape[0]
+        src, dst = block[:, 0], block[:, 1]
+        for out, a, b in ((fwd[pos:end], src, dst), (rev[pos:end], dst, src)):
+            np.multiply(a, width, out=out, dtype=np.int64)
+            np.add(out, b, out=out, dtype=np.int64)
+        pos = end
+    return keys
 
 
 def adjacency_from_keys(
@@ -94,20 +111,23 @@ def adjacency_from_keys(
 class EdgeChunk:
     """A contiguous in-memory slice of the edge list with a chunk-local adjacency index.
 
-    The index is the one ``build_adjacency`` returns: ``nodes`` holds the
-    sorted unique endpoints of the chunk's edges (self-loop-only nodes
-    included), both directions of every edge are indexed, duplicate edges
-    count with multiplicity, self-loops are excluded, and neighbor lists are
-    sorted ascending so traversals over them are deterministic.
+    ``edges`` is the block as read, at its stored id width.  The index is the
+    one ``build_adjacency`` returns: ``nodes`` holds the sorted unique
+    endpoints of the chunk's edges (self-loop-only nodes included), both
+    directions of every edge are indexed, duplicate edges count with
+    multiplicity, self-loops are excluded, and neighbor lists are sorted
+    ascending so traversals over them are deterministic.
     """
 
     __slots__ = ("chunk_index", "edges", "nodes", "_starts", "_ends", "_nbrs")
 
     def __init__(self, chunk_index: int, edges: np.ndarray):
-        edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.asarray(edges).reshape(-1, 2)
         self.chunk_index = int(chunk_index)
         self.edges = edges
-        self.nodes, self._starts, self._ends, self._nbrs = build_adjacency(edges)
+        width = int(edges.max()) + 1 if edges.size else 0
+        self.nodes, self._starts, self._ends, self._nbrs = build_adjacency(
+            (edges,), edges.shape[0], width)
 
     @property
     def num_edges(self) -> int:

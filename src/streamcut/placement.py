@@ -9,16 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .edgefile import (
-    EdgeFile,
-    _check_ids,
-    _checked_labels,
-    _endpoint_pass,
-    _raw_blocks,
-    read_all_edges,
-)
+from .edgefile import EdgeFile, _checked_labels, _endpoint_pass, iter_edge_blocks
 from .errors import FormatError
-from .model import adjacency_from_keys, build_adjacency, packed_keys_fit
+from .model import build_adjacency
 
 
 @dataclass(frozen=True)
@@ -129,11 +122,8 @@ def estimate_comm(
             raise FormatError(f"replicated node {node} out of range")
 
     # desk-scale precondition: the whole edge list is indexed in memory
-    if packed_keys_fit(num_nodes):
-        index = adjacency_from_keys(_packed_keys(efile), num_nodes)
-    else:
-        index = build_adjacency(read_all_edges(efile))
-    nodes, node_starts, node_ends, snbrs = index
+    nodes, node_starts, node_ends, snbrs = build_adjacency(
+        iter_edge_blocks(efile), efile.meta.num_edges, num_nodes)
     starts = np.zeros(num_nodes, dtype=np.int64)
     ends = np.zeros(num_nodes, dtype=np.int64)
     starts[nodes] = node_starts
@@ -216,32 +206,6 @@ def _floyd(words, d: int, f: int) -> list[int]:
         taken.add(t)
         picked.append(t)
     return picked
-
-
-def _packed_keys(efile: EdgeFile) -> np.ndarray:
-    """Both directions of every edge as ``src * n + dst`` int64 keys, n = num_nodes.
-
-    One array of 2E keys is filled block by block from the blocks as stored,
-    so no int64 copy of the edge list, whole or per block, is held beside it;
-    the arithmetic is int64 whatever the stored width.
-    """
-    width, num_edges = efile.meta.num_nodes, efile.meta.num_edges
-    keys = np.empty(2 * num_edges, dtype=np.int64)
-    fwd, rev = keys[:num_edges], keys[num_edges:]
-    pos = 0
-    for block in _raw_blocks(efile):
-        _check_ids(block, width, efile.path)
-        end = pos + block.shape[0]
-        if end > num_edges:
-            raise FormatError(f"{efile.path}: more edges than the {num_edges} declared")
-        src, dst = block[:, 0], block[:, 1]
-        for out, a, b in ((fwd[pos:end], src, dst), (rev[pos:end], dst, src)):
-            np.multiply(a, width, out=out, dtype=np.int64)
-            np.add(out, b, out=out, dtype=np.int64)
-        pos = end
-    if pos != num_edges:
-        raise FormatError(f"{efile.path}: {pos} edges read, {num_edges} declared")
-    return keys
 
 
 def plan_to_text(plan: PlacementPlan) -> str:

@@ -154,10 +154,11 @@ def _generate_cliques(spec: CliqueUnionSpec) -> tuple[np.ndarray, np.ndarray]:
 def write_graph(spec, path: str, fmt: str = BINARY) -> tuple[EdgeFile, np.ndarray]:
     """Generates a graph and writes its edge file; returns (EdgeFile, labels)."""
     edges, labels = generate(spec)
-    with BinaryEdgeWriter(path if fmt == BINARY else path + ".tmp", len(labels)) as writer:
+    source = path if fmt == BINARY else path + ".grpe.tmp"  # convert writes to path + ".tmp"
+    with BinaryEdgeWriter(source, len(labels)) as writer:
         writer.write(edges)
     if fmt == BINARY:
         return open_edge_file(path), labels
-    efile = convert(open_edge_file(path + ".tmp"), path, fmt)
-    os.remove(path + ".tmp")
+    efile = convert(open_edge_file(source), path, fmt)
+    os.remove(source)
     return efile, labels

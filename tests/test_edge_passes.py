@@ -20,16 +20,19 @@ from hypothesis import strategies as st
 from streamcut import edgefile
 from streamcut import (
     FormatError,
+    GremConfig,
+    bisect,
     compute_node_stats,
     count_cuts,
     estimate_comm,
     external_shuffle,
+    partition,
     plan_assignment,
     read_bucket,
     select_replicated,
     write_buckets,
 )
-from streamcut.edgefile import IO_BLOCK, TEXT, convert, read_all_edges
+from streamcut.edgefile import BINARY, IO_BLOCK, TEXT, convert, open_edge_file, read_all_edges
 
 from helpers import PROPERTY_SETTINGS, each_kernel, make_edge_file
 
@@ -130,6 +133,9 @@ def test_wide_id_files_give_what_their_u32_twins_give(tmp_path, monkeypatch):
                 compute_node_stats(efile, labels % 2).k0.tolist(),
                 select_replicated(efile, 40).tolist(),
                 estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=1),
+                # the chunk path: blocks as stored into EdgeChunk and _extract_induced
+                bisect(efile, GremConfig())[0].tolist(),
+                partition(efile, 4, GremConfig(), str(tmp_path / "work"))[0].tolist(),
             )
             assert index.node_id_width == efile.meta.node_id_width, kernel
         assert got[32] == got[64] == got["text"], kernel
@@ -208,13 +214,31 @@ def test_unlabeled_endpoint_is_a_format_error(tmp_path, monkeypatch):
             assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe"], kernel
 
 
-@pytest.mark.parametrize("damage", ["truncated", "magic", "num_edges", "version"])
+def _opened(tmp_path, edges, width):
+    """An edge file of 300 nodes, opened while intact: binary at ``width`` bits, or text."""
+    if width != TEXT:
+        return make_edge_file(tmp_path / "g.grpe", edges, 300, width)
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges.tolist()), encoding="ascii")
+    return open_edge_file(str(path))
+
+
+@pytest.mark.parametrize("damage", ["truncated", "magic", "num_edges", "version", "grown",
+                                    "shrunk"])
 def test_damaged_file_is_a_format_error(tmp_path, monkeypatch, damage):
     edges = _multigraph(10, 300, 5000)
     labels = np.arange(300) % 2
-    for width in (32, 64):
-        efile = make_edge_file(tmp_path / "g.grpe", edges, 300, width)  # opened while intact
-        if damage == "truncated":
+    for width in (TEXT,) if damage in ("grown", "shrunk") else (32, 64):
+        efile = _opened(tmp_path, edges, width)
+        if damage == "grown":  # four more rows, ids in range
+            with open(efile.path, "a", encoding="ascii") as fh:
+                fh.write("0 1\n" * 4)
+            message = "g.txt:5001: more than the 5000 edges counted when the file was opened"
+        elif damage == "shrunk":  # the last four rows gone
+            lines = Path(efile.path).read_text(encoding="ascii").splitlines(keepends=True)
+            Path(efile.path).write_text("".join(lines[:-4]), encoding="ascii")
+            message = "g.txt: 4996 edges, 5000 counted when the file was opened"
+        elif damage == "truncated":
             with open(efile.path, "r+b") as fh:
                 fh.truncate(Path(efile.path).stat().st_size - width // 4)
             message = "does not match header num_edges 5000"
@@ -228,10 +252,16 @@ def test_damaged_file_is_a_format_error(tmp_path, monkeypatch, damage):
             _poke(efile.path, 4, 2, 4)
             message = "unsupported version 2"
         for kernel in each_kernel(monkeypatch):
-            for name, run in _converted(efile, labels, tmp_path).items():
+            runs = {
+                **_converted(efile, labels, tmp_path),
+                "bisect": lambda: bisect(efile, GremConfig()),
+                "convert": lambda: convert(efile, str(tmp_path / "c.grpe"), BINARY),
+            }
+            for name, run in runs.items():
                 with pytest.raises(FormatError, match=message):
                     run()
-            assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe"], (kernel, name)
+                left = [p.name for p in tmp_path.iterdir()]
+                assert left == [Path(efile.path).name], (kernel, name)
 
 
 def test_kernels_reject_labels_and_bucket_ids_out_of_their_range(tmp_path, monkeypatch):

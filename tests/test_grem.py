@@ -21,7 +21,7 @@ from streamcut import (
     seed_bisect,
     write_labels,
 )
-from streamcut import _kernels
+from streamcut import _kernels, grem
 from streamcut.grem import assign, default_capacity, process_chunk
 from streamcut.synth import CliqueUnionSpec, generate
 
@@ -455,6 +455,29 @@ def test_partition_four_cliques(tmp_path):
     for c in range(4):
         assert len(set(labels[truth == c].tolist())) == 1
     assert sorted(np.bincount(labels, minlength=4).tolist()) == [8, 8, 8, 8]
+
+
+def test_partition_work_dir_holds_only_the_induced_subgraphs(tmp_path, monkeypatch):
+    # every bisection below the top one reads the edge file extracted for it;
+    # the work directory never holds anything else, and ends empty
+    edges, _ = generate(CliqueUnionSpec(8, 6, bridges=4))
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 48)
+    work = tmp_path / "work"
+    listings = []
+    real_bisect = grem.bisect
+
+    def listing_bisect(*args, **kwargs):
+        listings.append(sorted(p.name for p in work.iterdir()))
+        return real_bisect(*args, **kwargs)
+
+    monkeypatch.setattr(grem, "bisect", listing_bisect)
+    partition(efile, 8, GremConfig(chunk_frac=0.5), str(work))
+    assert len(listings) == 7
+    assert {name for names in listings for name in names} == {
+        "bisect_l1_b0.grpe", "bisect_l1_b4.grpe",
+        "bisect_l2_b0.grpe", "bisect_l2_b2.grpe", "bisect_l2_b4.grpe", "bisect_l2_b6.grpe",
+    }
+    assert list(work.iterdir()) == []
 
 
 def test_partition_capacity_bound(tmp_path):

@@ -97,7 +97,8 @@ def test_adjacency_tail_native_equals_python_property(edges, loop_only, spare_wi
     width = int(edges.max()) + 1 + spare_width
     keys = np.concatenate([edges[:, 0] * width + edges[:, 1], edges[:, 1] * width + edges[:, 0]])
     with pytest.MonkeyPatch.context() as patch:
-        runs = {kernel: (adjacency_from_keys(keys.copy(), width), build_adjacency(edges))
+        runs = {kernel: (adjacency_from_keys(keys.copy(), width),
+                         build_adjacency((edges,), edges.shape[0], int(edges.max()) + 1))
                 for kernel in each_kernel(patch)}
     for native, python in zip(runs["native"], runs["python"]):
         assert len(native) == len(python) == 4
@@ -105,6 +106,21 @@ def test_adjacency_tail_native_equals_python_property(edges, loop_only, spare_wi
             assert a.dtype == b.dtype == np.int64
             assert a.tolist() == b.tolist()
     assert all(a.tolist() == b.tolist() for a, b in zip(*runs["python"]))
+
+
+def test_u64_block_beyond_the_packed_width_indexes_as_its_int64_twin(monkeypatch):
+    # a chunk keeps its block as read; u64 ids too wide for packed keys take
+    # the rank path and must still give int64 arrays, equal to the twin's
+    edges = np.array([[_WIDEST, 0], [_WIDEST + 7, _WIDEST], [5, 5], [2**40, 5], [0, _WIDEST],
+                      [_WIDEST + 7, _WIDEST]])
+    for kernel in each_kernel(monkeypatch):
+        for block in (edges, edges % 1000):  # the rank path, then the packed keys
+            wide = EdgeChunk(0, block.astype(np.uint64))
+            assert wide.edges.dtype == np.uint64
+            for a, b in zip(wide.csr(), EdgeChunk(0, block).csr()):
+                assert a.dtype == b.dtype == np.int64, kernel
+                assert a.tolist() == b.tolist(), kernel
+            _check_against_rebuild(block.astype(np.uint64))
 
 
 def test_partition_state_recount():

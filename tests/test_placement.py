@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from streamcut import _kernels, placement
+from streamcut import _kernels, model, placement
 from streamcut import (
     FormatError,
     GremConfig,
@@ -175,10 +175,10 @@ def test_comm_rejects_bad_fanouts_before_indexing(tmp_path, monkeypatch, fanouts
     efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2]], 3)
     plan = plan_assignment(2, 2, rng_seed=0)
 
-    def no_index(_efile):
+    def no_index(*_args):
         raise AssertionError("the index was built before the fanouts were checked")
 
-    monkeypatch.setattr(placement, "_packed_keys", no_index)
+    monkeypatch.setattr(placement, "build_adjacency", no_index)
     with pytest.raises(FormatError, match="fanouts"):
         estimate_comm(efile, np.array([0, 1, 0]), plan, fanouts, num_seeds=2, rng_seed=0)
 
@@ -366,7 +366,7 @@ def test_comm_same_through_the_edge_list_path(tmp_path, monkeypatch):
     want = [estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=s) for s in range(3)]
     for kernel in each_kernel(monkeypatch):
         with monkeypatch.context() as patch:
-            patch.setattr(placement, "packed_keys_fit", lambda width: False)
+            patch.setattr(model, "packed_keys_fit", lambda width: False)
             got = [estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=s) for s in range(3)]
         assert got == want, kernel
 
