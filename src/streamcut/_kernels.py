@@ -24,8 +24,9 @@ The kernels, named in ``KERNELS``, each replace one Python loop:
   or split by the other endpoint's side: ``placement.select_replicated``
   and ``theory.compute_node_stats``.
 
-The three edge passes take blocks of 4- or 8-byte ids as stored and check
-every id against the node count; a rejected row becomes a ``FormatError``.
+The three edge passes take blocks of 4- or 8-byte ids, at the file's id
+width as ``edgefile.iter_edge_blocks`` yields them, and check every id
+against the node count; a rejected row becomes a ``FormatError``.
 
 Each is the loaded function, or ``None`` for all of them when no compiler
 is found or the build fails.  Each kernel's Python fallback, which gives

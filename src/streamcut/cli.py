@@ -87,6 +87,13 @@ def _write_manifest(
     return path
 
 
+def _write_text(path: str, text: str) -> None:
+    """Writes an output under a temporary name renamed into place when complete, as
+    ``_write_manifest`` does, so a failed write leaves an earlier output as it was."""
+    with _replacing(path) as (tmp_path,), open(tmp_path, "w", encoding="ascii") as fh:
+        fh.write(text)
+
+
 def _emit(args, payload: dict) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, sort_keys=True))
@@ -144,9 +151,7 @@ def cmd_predict(args) -> int:
     labels, _ = read_labels(args.labels)
     stats = compute_node_stats(efile, labels)
     points = theory_curve(stats, _parse_floats(args.xs), args.multiplier)
-    csv = curve_csv(points, args.multiplier)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(csv)
+    _write_text(args.out, curve_csv(points, args.multiplier))
     manifest = _write_manifest(args, "predict", [args.edges, args.labels], [args.out], started)
     _emit(
         args,
@@ -252,8 +257,7 @@ def cmd_plan(args) -> int:
         replicated = frozenset(int(n) for n in select_replicated(efile, args.replicate_budget))
         plan = dataclasses.replace(plan, replicated_nodes=replicated)
         inputs.append(args.edges)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(plan_to_text(plan))
+    _write_text(args.out, plan_to_text(plan))
     manifest = _write_manifest(args, "plan", inputs, [args.out], started)
     _emit(
         args,
@@ -282,8 +286,7 @@ def cmd_comm_estimate(args) -> int:
         num_seeds=args.num_seeds,
         rng_seed=args.rng_seed,
     )
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(comm_csv(counts))
+    _write_text(args.out, comm_csv(counts))
     kernel = _kernels.kernel_name()
     manifest = _write_manifest(
         args, "comm-estimate", [args.edges, args.labels, args.plan], [args.out], started,

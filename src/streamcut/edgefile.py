@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from itertools import count
 from math import ceil
 from typing import Iterator
 
@@ -81,14 +82,17 @@ def _replacing(path: str, *sidecars: str):
     try:
         yield temps
         for sidecar in sidecars:
-            if os.path.exists(sidecar):
-                os.remove(sidecar)
+            _remove_if_present(sidecar)
         for tmp, name in zip(temps, names):
             os.replace(tmp, name)
     finally:
         for tmp in temps:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+            _remove_if_present(tmp)
+
+
+def _remove_if_present(path: str) -> None:
+    if os.path.exists(path):
+        os.remove(path)
 
 
 class BinaryEdgeWriter:
@@ -167,6 +171,8 @@ def _parse_text_line(line: str, lineno: int, path: str) -> tuple[int, int] | Non
         raise FormatError(f"{path}:{lineno}: non-integer node id in {line.rstrip()!r}") from None
     if u < 0 or v < 0:
         raise FormatError(f"{path}:{lineno}: negative node id")
+    if max(u, v) >= 2**64 - 1:  # num_nodes, one more, must fit a binary header's u64
+        raise FormatError(f"{path}:{lineno}: node id {max(u, v)} >= 2**64 - 1")
     return u, v
 
 
@@ -211,65 +217,66 @@ def open_edge_file(path: str, num_nodes: int | None = None) -> EdgeFile:
     return EdgeFile(path, meta, TEXT)
 
 
-def _raw_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -> Iterator[np.ndarray]:
-    """Yields (m, 2) arrays covering the file's edges in order, as stored.
+def iter_edge_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -> Iterator[np.ndarray]:
+    """Yields (m, 2) arrays covering the file's edges in order, at the file's id
+    width (u32 or u64, text files included), once their ids are checked.
 
-    Binary files give their u32 or u64 pairs, after the header and size
-    checks; text files give the parsed int64 pairs, and a FormatError when
-    their count departs from the one taken when the file was opened, before
-    any row beyond it.  Ids are not checked against num_nodes:
-    ``iter_edge_blocks`` and the compiled edge passes do that.
+    Binary blocks are yielded as stored, after the header and size checks;
+    text rows are parsed, checked, then cast to the width, and a text file
+    whose count departs from the one taken when it was opened is a
+    FormatError, raised before any row beyond that count.
     """
+    meta, path = efile.meta, efile.path
+    dtype = _id_dtype(meta.node_id_width)
     if efile.format == BINARY:
-        meta = _read_binary_header(efile.path)  # re-validate size before streaming
-        if meta != efile.meta:
-            raise FormatError(f"{efile.path}: header changed since the file was opened")
-        dtype = _id_dtype(meta.node_id_width)
+        if _read_binary_header(path) != meta:  # re-validate size before streaming
+            raise FormatError(f"{path}: header changed since the file was opened")
         remaining = meta.num_edges
-        with open(efile.path, "rb") as fh:
+        with open(path, "rb") as fh:
             fh.seek(_EDGE_HEADER.size)
             while remaining > 0:
                 take = min(block_edges, remaining)
                 raw = np.fromfile(fh, dtype=dtype, count=2 * take)
                 if raw.size != 2 * take:
-                    raise FormatError(f"{efile.path}: truncated payload")
-                yield raw.reshape(-1, 2)
+                    raise FormatError(f"{path}: truncated payload")
+                block = raw.reshape(-1, 2)
+                _check_ids(block, meta.num_nodes, path)
+                yield block
                 remaining -= take
-    else:
-        num_edges, seen = efile.meta.num_edges, 0
-        buf: list[tuple[int, int]] = []
-        with open(efile.path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, 1):
-                pair = _parse_text_line(line, lineno, efile.path)
-                if pair is None:
-                    continue
-                seen += 1
-                if seen > num_edges:
-                    raise FormatError(f"{efile.path}:{lineno}: more than the {num_edges} edges "
-                                      f"counted when the file was opened")
-                buf.append(pair)
-                if len(buf) >= block_edges:
-                    yield np.asarray(buf, dtype=np.int64)
-                    buf = []
-        if seen != num_edges:
-            raise FormatError(f"{efile.path}: {seen} edges, {num_edges} counted when the file "
-                              f"was opened")
-        if buf:
-            yield np.asarray(buf, dtype=np.int64)
+        return
 
+    def rows(pairs: list[tuple[int, int]]) -> np.ndarray:
+        block = np.asarray(pairs, dtype=np.uint64)
+        _check_ids(block, meta.num_nodes, path)
+        return block.astype(dtype)
 
-def iter_edge_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -> Iterator[np.ndarray]:
-    """Yields the ``_raw_blocks`` blocks, as stored, once their ids are checked."""
-    for block in _raw_blocks(efile, block_edges):
-        _check_ids(block, efile.meta.num_nodes, efile.path)
-        yield block
+    seen = 0
+    buf: list[tuple[int, int]] = []
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, 1):
+            pair = _parse_text_line(line, lineno, path)
+            if pair is None:
+                continue
+            seen += 1
+            if seen > meta.num_edges:
+                raise FormatError(f"{path}:{lineno}: more than the {meta.num_edges} edges "
+                                  f"counted when the file was opened")
+            buf.append(pair)
+            if len(buf) >= block_edges:
+                yield rows(buf)
+                buf = []
+    if seen != meta.num_edges:
+        raise FormatError(f"{path}: {seen} edges, {meta.num_edges} counted when the file "
+                          f"was opened")
+    if buf:
+        yield rows(buf)
 
 
 def read_all_edges(efile: EdgeFile) -> np.ndarray:
-    """The file's edges as one (E, 2) array at the stored width (int64 for text)."""
+    """The file's edges as one (E, 2) array at the file's id width."""
     blocks = list(iter_edge_blocks(efile))
     if not blocks:
-        return np.empty((0, 2), dtype=np.int64)
+        return np.empty((0, 2), dtype=_id_dtype(efile.meta.node_id_width))
     return np.concatenate(blocks, axis=0)
 
 
@@ -298,90 +305,65 @@ def external_shuffle(
 ) -> EdgeFile:
     """Uniform random permutation of the edge file under a memory budget.
 
-    Two passes: edges are scattered into temporary buckets (one uniform draw
-    per edge, in file order), then each bucket is loaded, shuffled in memory
-    and appended to the output.  Peak resident edge payload stays below
-    ``memory_budget`` bytes; a bucket that lands above the budget (possible
-    only through extreme fluctuation or tiny budgets) is re-scattered.
-    The scatter temporaries hold rows at the input's width (8 bytes per edge
-    for 32-bit ids), while the bucket count, the block size and the
-    re-scatter test still budget 16 bytes per edge, an int64 pair, so the
-    draws, and the output, do not depend on the width.  Deterministic for a
-    fixed (seed, budget) pair.  The output is written under a temporary name
-    next to ``out_path`` and renamed into place when complete: a failed
-    shuffle leaves an earlier output as it was and no temporary behind.
+    A file that fits the budget is loaded, permuted and appended to the
+    output.  A larger one is scattered into ceil(16 E / (budget / 2))
+    temporary binary edge files (one uniform draw per edge, in file order),
+    and each temporary is then shuffled the same way, in order, and removed:
+    a temporary that lands above the budget (possible only through extreme
+    fluctuation or tiny budgets) is scattered again.  The temporaries hold
+    rows at the input's width, while the fit test, the bucket count and the
+    block size budget 16 bytes per edge, an int64 pair, so the draws, and the
+    output, do not depend on the width.  Deterministic for a fixed (seed,
+    budget) pair.  The output is written under a temporary name next to
+    ``out_path`` and renamed into place when complete: a failed shuffle
+    leaves an earlier output as it was and no temporary behind.
     """
     if memory_budget < IO_BLOCK:
         raise FormatError(f"memory_budget must be at least one I/O block ({IO_BLOCK} bytes)")
     meta = efile.meta
     mem_pair = 16  # the budget per edge: an int64 pair, whatever the stored width
-    # the id dtype of the blocks _raw_blocks yields
-    row_dtype = _id_dtype(meta.node_id_width) if efile.format == BINARY else np.dtype(np.int64)
     rng = np.random.default_rng(rng_seed)
     block_edges = max(1024, (memory_budget // 4) // mem_pair)
-    temps: list[str] = []  # every scatter temp created, for cleanup on failure
+    names = count()
+    temps = ExitStack()  # removes every scatter temporary still there when the shuffle ends
 
-    def scatter(source_blocks: Iterator[np.ndarray], total_bytes: int) -> list[str]:
-        nbuckets = ceil(total_bytes / max(mem_pair, memory_budget // 2))
+    def scatter(source: EdgeFile) -> list[str]:
+        """Writes each edge of ``source`` to a drawn temporary; returns their paths."""
+        nbuckets = ceil(source.meta.num_edges * mem_pair / (memory_budget // 2))
         if nbuckets > _MAX_SCATTER_BUCKETS:
             raise FormatError(
                 f"memory budget too small: shuffle would need {nbuckets} scatter buckets"
             )
-        paths = []
-        handles = []
-        try:
-            for _ in range(nbuckets):
-                p = f"{out_path}.scatter{len(temps)}"
-                temps.append(p)
-                paths.append(p)
-                handles.append(open(p, "wb"))
+        paths = [f"{out_path}.scatter{next(names)}" for _ in range(nbuckets)]
+        with ExitStack() as writers:
+            buckets = []
+            for path in paths:
+                temps.callback(_remove_if_present, path)
+                buckets.append(writers.enter_context(
+                    BinaryEdgeWriter(path, meta.num_nodes, meta.node_id_width)))
             # one grouping buffer for every block: fresh pages would fault in per block
-            buffer = np.empty((block_edges, 2), dtype=row_dtype)
-            for block in source_blocks:  # rows at the stored width, as the temps hold them
+            buffer = np.empty((block_edges, 2), dtype=_id_dtype(meta.node_id_width))
+            for block in iter_edge_blocks(source, block_edges):
                 ids = rng.integers(0, nbuckets, size=block.shape[0])
-                grouped, bounds = _scatter_block(efile, block, ids, nbuckets,
+                grouped, bounds = _scatter_block(source, block, ids, nbuckets,
                                                  buffer[: block.shape[0]])
                 for b in np.flatnonzero(np.diff(bounds)):
-                    _write_array(handles[b], grouped[bounds[b] : bounds[b + 1]])
-        finally:
-            for fh in handles:
-                fh.close()
+                    buckets[b].write(grouped[bounds[b] : bounds[b + 1]])
         return paths
 
-    def gather(path: str) -> None:
-        n_edges = os.path.getsize(path) // (2 * row_dtype.itemsize)
-        if n_edges * mem_pair > memory_budget and n_edges > 1:
-            def reblocks():
-                with open(path, "rb") as fh:
-                    while True:
-                        raw = np.fromfile(fh, dtype=row_dtype, count=2 * block_edges)
-                        if raw.size == 0:
-                            break
-                        yield raw.reshape(-1, 2)
-            sub = scatter(reblocks(), n_edges * mem_pair)
-            os.remove(path)
-            for s in sub:
-                gather(s)
+    def shuffle(source: EdgeFile, writer: BinaryEdgeWriter) -> None:
+        num_edges = source.meta.num_edges
+        if num_edges * mem_pair <= memory_budget:
+            arr = read_all_edges(source)
+            writer.write(np.take(arr, rng.permutation(num_edges), axis=0))
             return
-        arr = np.fromfile(path, dtype=row_dtype).reshape(-1, 2)
-        os.remove(path)
-        writer.write(np.take(arr, rng.permutation(arr.shape[0]), axis=0))
+        for path in scatter(source):  # returns first, so its buffers are gone
+            shuffle(open_edge_file(path), writer)
+            os.remove(path)
 
-    total_bytes = meta.num_edges * mem_pair
-    try:
-        with _replacing(out_path) as (tmp_path,):
-            with BinaryEdgeWriter(tmp_path, meta.num_nodes, meta.node_id_width) as writer:
-                if total_bytes <= memory_budget:
-                    arr = read_all_edges(efile)
-                    writer.write(np.take(arr, rng.permutation(arr.shape[0]), axis=0))
-                else:
-                    for bucket_path in scatter(_raw_blocks(efile, block_edges), total_bytes):
-                        gather(bucket_path)
-    finally:
-        # no scatter temp outlives the shuffle; gather removes them as it goes
-        for path in temps:
-            if os.path.exists(path):
-                os.remove(path)
+    with _replacing(out_path) as (tmp_path,), temps:
+        with BinaryEdgeWriter(tmp_path, meta.num_nodes, meta.node_id_width) as writer:
+            shuffle(efile, writer)
     return open_edge_file(out_path)
 
 
@@ -460,7 +442,7 @@ def _checked_labels(efile: EdgeFile, labels: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(labels, dtype=np.int64)
 
 
-# The edge passes over one block of ``_raw_blocks``.  Each runs its compiled
+# The edge passes over one block of ``iter_edge_blocks``.  Each runs its compiled
 # kernel when loaded, else its numpy twin, with the same result.  Both check
 # the block's ids against num_nodes, and the labels they read, and report the
 # first row they reject, which ``_raise_rejected`` turns into a FormatError.
@@ -478,9 +460,8 @@ def _ptr(arr: np.ndarray | None, dtype, size: int):
 
 def _rows(block: np.ndarray) -> np.ndarray:
     rows = np.ascontiguousarray(block)
-    if rows.ndim != 2 or rows.shape[1] != 2 or rows.dtype not in (np.uint32, np.uint64, np.int64):
-        raise ValueError(f"edge rows must be (m, 2) u32, u64 or int64, "
-                         f"got {rows.dtype} {rows.shape}")
+    if rows.ndim != 2 or rows.shape[1] != 2 or rows.dtype not in (np.uint32, np.uint64):
+        raise ValueError(f"edge rows must be (m, 2) u32 or u64, got {rows.dtype} {rows.shape}")
     return rows
 
 
@@ -600,7 +581,7 @@ def _cut_pass(efile: EdgeFile, labels: np.ndarray, p: int = 0,
     with p > 0 it also adds the p x p bucket counts to ``counts`` when given."""
     checked = _checked_labels(efile, labels)
     cut = np.zeros(1, dtype=np.int64)
-    for block in _raw_blocks(efile):
+    for block in iter_edge_blocks(efile):
         _label_block(efile, block, checked, cut, p, counts=counts)
     return int(cut[0])
 
@@ -611,7 +592,7 @@ def _endpoint_pass(efile: EdgeFile, labels: np.ndarray | None = None) -> np.ndar
     num_nodes = efile.meta.num_nodes
     checked = None if labels is None else _checked_labels(efile, labels)
     counts = np.zeros(num_nodes if labels is None else 2 * num_nodes, dtype=np.int64)
-    for block in _raw_blocks(efile):
+    for block in iter_edge_blocks(efile):
         _endpoint_block(efile, block, counts, checked)
     return counts
 
@@ -645,6 +626,9 @@ def write_labels(path: str, labels: np.ndarray, num_parts: int | None = None) ->
         num_parts = top + 1
     elif top >= num_parts:
         raise FormatError(f"label {top} >= num_parts {num_parts}")
+    if num_parts > _UNASSIGNED_U32:
+        raise FormatError(f"{num_parts} parts do not fit a label file: its labels are u32 "
+                          f"below {_UNASSIGNED_U32:#x}")
     payload = labels.copy()
     payload[payload < 0] = _UNASSIGNED_U32
     with _replacing(path) as (tmp_path,), open(tmp_path, "wb") as fh:
@@ -668,6 +652,8 @@ def read_labels(path: str) -> tuple[np.ndarray, int]:
         raw = np.fromfile(fh, dtype="<u4", count=num_nodes)
     if raw.size != num_nodes:
         raise FormatError(f"{path}: truncated labels payload")
+    if size != _LABELS_HEADER.size + 4 * num_nodes:
+        raise FormatError(f"{path}: trailing bytes after {num_nodes} labels")
     labels = raw.astype(np.int64)
     labels[raw == _UNASSIGNED_U32] = -1
     return labels, num_parts

@@ -276,6 +276,8 @@ def partition(
     """
     if p < 2 or (p & (p - 1)) != 0:
         raise FormatError(f"number of parts must be a power of two >= 2, got {p}")
+    if p > 2**31:  # the label file holds labels below 0xFFFFFFFF
+        raise FormatError(f"number of parts must be at most 2**31, got {p}")
     os.makedirs(workdir, exist_ok=True)
     total_nodes = efile.meta.num_nodes
     final = np.full(total_nodes, -1, dtype=np.int32)

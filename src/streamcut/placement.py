@@ -76,9 +76,14 @@ def select_replicated(efile: EdgeFile, budget: int) -> np.ndarray:
     num_nodes = efile.meta.num_nodes
     if not 0 <= budget <= num_nodes:
         raise FormatError(f"budget must be in [0, {num_nodes}], got {budget}")
+    if budget == 0:
+        return np.empty(0, dtype=np.int64)
     deg = _endpoint_pass(efile)
-    order = np.lexsort((np.arange(num_nodes), -deg))
-    return np.sort(order[:budget])
+    # the budget-th highest degree: every node above it, then the lowest ids at it
+    threshold = np.partition(deg, num_nodes - budget)[num_nodes - budget]
+    above = np.flatnonzero(deg > threshold)
+    ties = np.flatnonzero(deg == threshold)[: budget - above.size]
+    return np.sort(np.concatenate([above, ties]))
 
 
 def estimate_comm(

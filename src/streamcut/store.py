@@ -26,12 +26,11 @@ from .edgefile import (
     EdgeFile,
     _checked_labels,
     _cut_pass,
-    _id_dtype,
     _label_block,
-    _raw_blocks,
     _replacing,
     _scatter_block,
     _write_array,
+    iter_edge_blocks,
     num_parts_of,
 )
 from .errors import FormatError
@@ -96,7 +95,7 @@ def write_buckets(
         with open(tmp_store, "wb") as fh:
             fh.write(header)
             fh.truncate(_BUCKET_HEADER.size + int(counts.sum()) * pair)  # flushes the header
-            for grouped, bounds in _bucket_groups(efile, labels, p, _id_dtype(width)):
+            for grouped, bounds in _bucket_groups(efile, labels, p):
                 data = memoryview(grouped).cast("B")
                 nonempty = np.flatnonzero(np.diff(bounds)).tolist()
                 bounds = bounds.tolist()
@@ -109,18 +108,17 @@ def write_buckets(
     return BucketIndex(p, offsets.reshape(p, p), counts.reshape(p, p), width)
 
 
-def _bucket_groups(efile: EdgeFile, labels: np.ndarray, p: int, dtype: np.dtype):
-    """Yields each block's rows, in ``dtype``, grouped by bucket, with the run bounds."""
+def _bucket_groups(efile: EdgeFile, labels: np.ndarray, p: int):
+    """Yields each block's rows grouped by bucket, with the run bounds."""
     labels = _checked_labels(efile, labels)
     cut = np.zeros(1, dtype=np.int64)
     bucket = grouped = np.empty(0)
-    for block in _raw_blocks(efile):
+    for block in iter_edge_blocks(efile):
         m = block.shape[0]
         if bucket.shape[0] < m:  # buffers of the first, largest block, reused
-            bucket, grouped = np.empty(m, dtype=np.int64), np.empty((m, 2), dtype=dtype)
+            bucket, grouped = np.empty(m, dtype=np.int64), np.empty_like(block)
         _label_block(efile, block, labels, cut, p, bucket=bucket[:m])
-        yield _scatter_block(efile, block.astype(dtype, copy=False), bucket[:m], p * p,
-                             grouped[:m])
+        yield _scatter_block(efile, block, bucket[:m], p * p, grouped[:m])
 
 
 def _pwrite_all(fd: int, data: memoryview, offset: int) -> None:
@@ -216,6 +214,9 @@ class FeatureLayout:
 
     @staticmethod
     def load(path: str) -> "FeatureLayout":
+        """Reads a layout; FormatError unless its payload fills the file exactly, its
+        permutation gives each node a slot of its own and its extents tile
+        [0, num_nodes) in partition order."""
         with open(path, "rb") as fh:
             head = fh.read(_FEATURE_HEADER.size)
             if len(head) < _FEATURE_HEADER.size:
@@ -223,11 +224,25 @@ class FeatureLayout:
             magic, record_width, num_nodes, num_parts = _FEATURE_HEADER.unpack(head)
             if magic != FEATURE_MAGIC:
                 raise FormatError(f"{path}: bad magic {magic!r}")
-            perm = np.fromfile(fh, dtype="<u8", count=num_nodes).astype(np.int64)
-            ext = np.fromfile(fh, dtype="<u8", count=2 * num_parts).astype(np.int64)
-        if perm.size != num_nodes or ext.size != 2 * num_parts:
-            raise FormatError(f"{path}: truncated layout")
-        extents = tuple((int(s), int(c)) for s, c in ext.reshape(num_parts, 2))
+            size = os.fstat(fh.fileno()).st_size
+            expected = _FEATURE_HEADER.size + 8 * num_nodes + 16 * num_parts
+            if size < expected:
+                raise FormatError(f"{path}: truncated layout")
+            if size > expected:
+                raise FormatError(f"{path}: {size - expected} trailing bytes after the layout")
+            perm = np.fromfile(fh, dtype="<u8", count=num_nodes)
+            ext = np.fromfile(fh, dtype="<u8", count=2 * num_parts).reshape(num_parts, 2)
+        if perm.size and int(perm.max()) >= num_nodes:
+            raise FormatError(f"{path}: slot {int(perm.max())} >= num_nodes {num_nodes}")
+        perm = perm.astype(np.int64)
+        if (np.bincount(perm, minlength=num_nodes) != 1).any():
+            raise FormatError(f"{path}: permutation gives two nodes one slot")
+        starts, counts = ext[:, 0], ext[:, 1]
+        ends = np.cumsum(counts, dtype=np.uint64)  # falls where a sum wraps
+        total = int(ends[-1]) if num_parts else 0
+        if total != num_nodes or (ends[1:] < ends[:-1]).any() or (starts != ends - counts).any():
+            raise FormatError(f"{path}: extents do not tile the {num_nodes} slots")
+        extents = tuple((int(s), int(c)) for s, c in ext)
         return FeatureLayout(record_width, perm, extents)
 
 

@@ -328,6 +328,18 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_partition_rejects_part_counts_the_label_file_cannot_hold(tmp_path, cliques, capsys):
+    efile, _ = cliques
+    before = sorted(p.name for p in tmp_path.iterdir())
+    for parts in (2**32, 2**40):  # powers of two, above the 2**31 labels a file holds
+        code = main(["partition", efile.path, "--out", str(tmp_path / "l.grpl"),
+                     "--parts", str(parts)])
+        assert code == 3
+        assert capsys.readouterr().err == (f"error: number of parts must be at most 2**31, "
+                                           f"got {parts}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_partition_text_input_and_chunk_edges(tmp_path, capsys):
     src = tmp_path / "g.txt"
     src.write_text("".join(f"{u} {v}\n" for u in range(4) for v in range(u + 1, 4))

@@ -5,9 +5,9 @@ and its numpy twin otherwise: ``_label_block`` (``label_pass``) serves
 ``count_cuts`` and ``write_buckets``, ``_scatter_block`` (``scatter_rows``)
 serves ``write_buckets`` and ``external_shuffle``, and ``_endpoint_block``
 (``endpoint_counts``) serves ``compute_node_stats`` and
-``select_replicated``.  Each runs on blocks as stored, 32- or 64-bit ids or
-the text reader's int64 pairs, and the kernel must give what the twin
-gives, errors included.
+``select_replicated``.  Each runs on blocks at the file's id width, 32- or
+64-bit, text files included, and the kernel must give what the twin gives,
+errors included.
 """
 
 from pathlib import Path
@@ -118,7 +118,7 @@ def test_wide_id_files_give_what_their_u32_twins_give(tmp_path, monkeypatch):
     labels = rng.integers(0, 5, size=300)
     twins = _twins(tmp_path, edges, 300)
     assert twins[64].meta.node_id_width == 64
-    # the text twin streams int64 pairs through every pass and stores 32-bit ids
+    # the text twin streams 32-bit blocks through every pass, as its u32 twin does
     twins["text"] = convert(twins[32], str(tmp_path / "g.txt"), TEXT)
     plan = plan_assignment(5, 2, rng_seed=0)
     for kernel in each_kernel(monkeypatch):
@@ -269,7 +269,7 @@ def test_kernels_reject_labels_and_bucket_ids_out_of_their_range(tmp_path, monke
     # bisection check guards compute_node_stats); the kernels and their twins
     # refuse them rather than write outside their count arrays
     efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2]], 3)
-    (block,) = edgefile._raw_blocks(efile)
+    (block,) = edgefile.iter_edge_blocks(efile)
     labels = np.array([0, 1, 2])
     cut = np.zeros(1, dtype=np.int64)
     for _ in each_kernel(monkeypatch):

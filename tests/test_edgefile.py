@@ -8,6 +8,7 @@ import pytest
 import scipy.stats
 
 import streamcut
+import streamcut.cli
 from streamcut import (
     ChunkPlan,
     FormatError,
@@ -21,9 +22,10 @@ from streamcut import (
     write_labels,
 )
 from streamcut import edgefile
-from streamcut.edgefile import BinaryEdgeWriter
+from streamcut.edgefile import IO_BLOCK, BinaryEdgeWriter
+from streamcut.edgefile import read_all_edges as read_all_edges_of
 
-from helpers import dir_bytes, make_edge_file
+from helpers import dir_bytes, each_kernel, make_edge_file
 
 
 class Crash(Exception):
@@ -47,6 +49,19 @@ def test_convert_infers_num_nodes(tmp_path):
     efile = open_edge_file(str(src))
     assert efile.meta.num_nodes == 5
     assert efile.meta.num_edges == 2
+
+
+def test_text_ids_use_all_64_bits_and_no_more(tmp_path):
+    src = tmp_path / "g.txt"
+    src.write_text(f"0 {2**63 + 1}\n{2**64 - 2} 5\n")
+    efile = open_edge_file(str(src))
+    assert efile.meta.num_nodes == 2**64 - 1 and efile.meta.node_id_width == 64
+    out = convert(efile, str(tmp_path / "g.grpe"), "binary")
+    assert read_all_edges_of(out).tolist() == [[0, 2**63 + 1], [2**64 - 2, 5]]
+    for big in (2**64 - 1, 2**64):  # no u64 num_nodes covers them
+        src.write_text(f"0 1\n{big} 2\n")
+        with pytest.raises(FormatError, match=rf"g.txt:2: node id {big} >= 2\*\*64 - 1"):
+            open_edge_file(str(src))
 
 
 def test_convert_empty_edge_list(tmp_path):
@@ -157,6 +172,65 @@ def test_shuffle_equals_reference(tmp_path, num_edges, budget):
     assert (tmp_path / "s.grpe").read_bytes() == (tmp_path / "want.grpe").read_bytes()
 
 
+class FirstScatterToBucketZero:
+    """A generator whose first ``rigged`` ``integers`` draws all give bucket 0.
+
+    Each rigged call still draws from the real generator, so the stream
+    stays in step; everything else is the real generator's.
+    """
+
+    def __init__(self, rng, rigged):
+        self._rng = rng
+        self.rigged = rigged
+        self.integers_calls = 0
+
+    def integers(self, low, high, size):
+        self.integers_calls += 1
+        ids = self._rng.integers(low, high, size=size)
+        if self.rigged:
+            self.rigged -= 1
+            return np.zeros_like(ids)
+        return ids
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_shuffle_rescatters_a_bucket_above_the_budget(tmp_path, monkeypatch):
+    # 5,000 edges at the smallest budget: 3 buckets, read in 5 blocks of 1,024
+    # edges; rigging the 5 first-level draws puts all 80 kB in bucket 0, above
+    # the 64 KiB budget, so it is scattered again before it is loaded
+    rng = np.random.default_rng(13)
+    edges = rng.integers(0, 400, size=(5000, 2))
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 400)
+    out = tmp_path / "s.grpe"
+    for kernel in each_kernel(monkeypatch):
+        rigged = []
+        real_default_rng = np.random.default_rng
+
+        def default_rng(seed):
+            rigged.append(FirstScatterToBucketZero(real_default_rng(seed), rigged=5))
+            return rigged[-1]
+
+        loads, left = [], []
+        real_read_all = edgefile.read_all_edges
+
+        def read_all_edges(source):
+            loads.append(source.meta.num_edges)
+            left.append(sorted(p.name for p in tmp_path.iterdir() if ".scatter" in p.name))
+            return real_read_all(source)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(edgefile.np.random, "default_rng", default_rng)
+            patch.setattr(edgefile, "read_all_edges", read_all_edges)
+            shuffled = read_all_edges_of(external_shuffle(efile, str(out), IO_BLOCK, 3))
+        assert rigged[0].rigged == 0 and rigged[0].integers_calls == 10, kernel  # 5 + 5 again
+        assert sorted(map(tuple, shuffled.tolist())) == sorted(map(tuple, edges.tolist()))
+        assert sum(loads) == 5000 and max(loads) * 16 <= IO_BLOCK, (kernel, loads)
+        assert left[-1] == ["s.grpe.scatter2"], kernel  # each temporary goes once it is used
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe", "s.grpe"], kernel
+
+
 @pytest.mark.parametrize("budget", [1 << 16, 1 << 24])  # scatter path, in-memory path
 def test_shuffle_failure_leaves_only_the_input(tmp_path, budget):
     rng = np.random.default_rng(4)
@@ -183,8 +257,11 @@ def test_shuffle_crash_mid_write_keeps_the_earlier_output(tmp_path, monkeypatch,
     calls = []
 
     def write(self, edges):
-        # the in-memory path writes once, the scatter path once per bucket:
-        # crash halfway through the last write there is
+        # the output writer writes once on the in-memory path and once per
+        # bucket on the scatter path: crash halfway through the last write
+        # there is; the scatter temporaries' writes pass
+        if self.path != out + ".tmp":
+            return real_write(self, edges)
         calls.append(len(edges))
         if len(calls) == (1 if budget > 20000 * 16 else 2):
             real_write(self, edges[: len(edges) // 2])
@@ -224,14 +301,17 @@ def test_write_labels_crash_keeps_the_earlier_file(tmp_path, monkeypatch, crash_
 
 
 # Run in a child that lowers its own file-size limit to 1000 bytes: the new
-# 500-entry label file (2020 bytes) and the 8 x 8 bucket index (1024 bytes)
-# can each be written only in part, while the 50-edge store (424 bytes) fits.
+# 500-entry label file (2020 bytes), the 8 x 8 bucket index (1024 bytes), a
+# 40-point predict curve, a 400-part plan and a 200-worker traffic CSV (each
+# above 1000 bytes) can each be written only in part, while the 50-edge store
+# (424 bytes) fits.  The CLI reports the failed write as an I/O error (exit 4)
+# before it writes a manifest.
 _SHORT_WRITE_CHILD = """
 import resource, sys
 import numpy as np
-from streamcut import open_edge_file, write_buckets, write_labels
+from streamcut import cli, open_edge_file, write_buckets, write_labels
 
-labels_path, store_path, edges_path = sys.argv[1:]
+labels_path, store_path, edges_path, ref, curve, plan, wide_plan, comm = sys.argv[1:]
 efile = open_edge_file(edges_path)
 resource.setrlimit(resource.RLIMIT_FSIZE, (1000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
 writes = {
@@ -244,6 +324,15 @@ for name, write in writes.items():
         print(name, "returned")
     except OSError as exc:
         print(name, "raised", type(exc).__name__)
+commands = {
+    "predict": ["predict", edges_path, ref, "--out", curve,
+                "--xs", ",".join(str(i / 100) for i in range(1, 41))],
+    "plan": ["plan", plan, "--parts", "400", "--workers", "2"],
+    "comm-estimate": ["comm-estimate", edges_path, ref, wide_plan, "--out", comm,
+                      "--num-seeds", "8", "--rng-seed", "1"],
+}
+for name, argv in commands.items():
+    print(name, "exit", cli.main(argv))
 """
 
 
@@ -253,13 +342,23 @@ def test_short_writes_raise_and_keep_the_earlier_outputs(tmp_path):
     labels_path, store_path = str(tmp_path / "l.grpl"), str(tmp_path / "b.grpb")
     write_labels(labels_path, np.zeros(500, dtype=np.int64), num_parts=2)
     write_buckets(efile, np.arange(50) % 8 // 2, store_path, 8)
+    ref, curve, plan, wide_plan, comm = (str(tmp_path / name) for name in (
+        "ref.grpl", "curve.csv", "plan.txt", "wide_plan.txt", "comm.csv"))
+    write_labels(ref, np.arange(50) % 2, num_parts=2)
+    for argv in (["predict", efile.path, ref, "--out", curve],
+                 ["plan", plan, "--parts", "2", "--workers", "2"],
+                 ["plan", wide_plan, "--parts", "200", "--workers", "200"],
+                 ["comm-estimate", efile.path, ref, wide_plan, "--out", comm, "--num-seeds", "8"]):
+        assert streamcut.cli.main(argv) == 0
     before = dir_bytes(tmp_path)
     path = [str(Path(streamcut.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     child = subprocess.run([sys.executable, "-c", _SHORT_WRITE_CHILD, labels_path, store_path,
-                            efile.path], capture_output=True, text=True, env=env, timeout=120)
+                            efile.path, ref, curve, plan, wide_plan, comm],
+                           capture_output=True, text=True, env=env, timeout=120)
     assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines() == ["labels raised OSError", "buckets raised OSError"]
+    assert child.stdout.splitlines() == ["labels raised OSError", "buckets raised OSError",
+                                         "predict exit 4", "plan exit 4", "comm-estimate exit 4"]
     assert dir_bytes(tmp_path) == before  # the earlier files as they were, and no temporary
 
 
@@ -350,3 +449,23 @@ def test_labels_round_trip(tmp_path):
     for declared in (0, 3):  # a declared count the labels exceed is never written
         with pytest.raises(FormatError, match=f"label 3 >= num_parts {declared}"):
             write_labels(path, labels, num_parts=declared)
+
+
+def test_part_counts_the_label_file_cannot_hold_are_format_errors(tmp_path):
+    path = str(tmp_path / "l.grpl")
+    write_labels(path, np.array([0, 2**32 - 2]))  # the largest label the file holds
+    labels, num_parts = read_labels(path)
+    assert labels.tolist() == [0, 2**32 - 2] and num_parts == 2**32 - 1
+    before = dir_bytes(tmp_path)
+    for labels, num_parts in (([0, 2**32 - 1], None), ([0, 2**32], None), ([0, 1], 2**32)):
+        with pytest.raises(FormatError, match="parts do not fit a label file"):
+            write_labels(path, np.array(labels), num_parts=num_parts)
+    assert dir_bytes(tmp_path) == before
+
+
+def test_label_file_with_trailing_bytes_is_a_format_error(tmp_path):
+    path = tmp_path / "l.grpl"
+    write_labels(str(path), np.array([0, 1, -1]), num_parts=2)
+    path.write_bytes(path.read_bytes() + bytes(4))
+    with pytest.raises(FormatError, match="trailing bytes after 3 labels"):
+        read_labels(str(path))

@@ -90,15 +90,21 @@ def test_select_replicated_star_center(tmp_path):
 def test_select_replicated_matches_sort_oracle(tmp_path):
     rng = np.random.default_rng(9)
     edges = rng.integers(0, 30, size=(250, 2)).astype(np.int64)
-    efile = make_edge_file(tmp_path / "g.grpe", edges, 30)
-    got = select_replicated(efile, 10)
-    deg = np.zeros(30, dtype=np.int64)
-    for u, v in edges.tolist():
-        if u != v:
-            deg[u] += 1
-            deg[v] += 1
-    ranked = sorted(range(30), key=lambda n: (-deg[n], n))
-    assert sorted(got.tolist()) == sorted(ranked[:10])
+    # many ties: a cycle through 60 nodes gives each degree 2, beside 10 isolated nodes
+    cycle = np.column_stack([np.arange(60), (np.arange(60) + 1) % 60])
+    for name, edges, num_nodes, budgets in (("random", edges, 30, (10, 0, 30)),
+                                            ("ties", cycle, 70, (7, 59, 60, 61, 70))):
+        efile = make_edge_file(tmp_path / f"{name}.grpe", edges, num_nodes)
+        deg = np.zeros(num_nodes, dtype=np.int64)
+        for u, v in edges.tolist():
+            if u != v:
+                deg[u] += 1
+                deg[v] += 1
+        ranked = sorted(range(num_nodes), key=lambda n: (-deg[n], n))
+        for budget in budgets:
+            got = select_replicated(efile, budget)
+            assert got.tolist() == sorted(ranked[:budget]), (name, budget)
+            assert got.dtype == np.int64, (name, budget)
 
 
 def _comm_setup(tmp_path, labels, plan, seed=0):

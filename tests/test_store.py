@@ -159,6 +159,42 @@ def test_reorder_features_round_trip(tmp_path):
     assert reloaded.extents == layout.extents
 
 
+def _damaged_layout(tmp_path, damage):
+    """A saved 4-node, 2-part layout with one field of its payload damaged."""
+    feats = tmp_path / "f.bin"
+    feats.write_bytes(bytes(range(8)))
+    out = str(tmp_path / "grouped.bin")
+    reorder_features(str(feats), np.array([1, 0, 1, 0]), 2, out)
+    path = Path(out + ".layout")
+    raw = bytearray(path.read_bytes())
+    perm_at = 20  # header: magic, record_width u32, num_nodes u64, num_parts u32
+    ext_at = perm_at + 8 * 4
+    if damage == "trailing":
+        raw += bytes(8)
+    elif damage == "duplicate_slot":
+        raw[perm_at + 8 : perm_at + 16] = raw[perm_at : perm_at + 8]
+    elif damage == "gap":  # extents (0, 2), (3, 2): slot 2 is skipped
+        raw[ext_at + 16 : ext_at + 24] = (3).to_bytes(8, "little")
+    elif damage == "short_cover":  # extents (0, 2), (2, 1): slot 3 is uncovered
+        raw[ext_at + 24 : ext_at + 32] = (1).to_bytes(8, "little")
+    else:  # a slot that wraps negative as int64
+        raw[perm_at : perm_at + 8] = (2**63 + 5).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("trailing", "8 trailing bytes after the layout"),
+    ("duplicate_slot", "permutation gives two nodes one slot"),
+    ("gap", "extents do not tile the 4 slots"),
+    ("short_cover", "extents do not tile the 4 slots"),
+    ("wide_slot", "slot 9223372036854775813 >= num_nodes 4"),
+])
+def test_damaged_layout_payload_is_a_format_error(tmp_path, damage, message):
+    with pytest.raises(FormatError, match=message):
+        FeatureLayout.load(_damaged_layout(tmp_path, damage))
+
+
 def test_reorder_features_length_mismatch(tmp_path):
     feats = tmp_path / "f.bin"
     feats.write_bytes(b"123")
@@ -191,10 +227,10 @@ def test_buckets_equal_stable_sort_reference(tmp_path, p):
 def _crash_after_first_block(monkeypatch, store):
     """Makes write_buckets' write pass raise after its first 1000-edge block.
 
-    The write pass streams through the raw block reader that ``store``
+    The write pass streams through the block reader that ``store``
     imports; the crash comes once the temporary store exists.
     """
-    real = store_module._raw_blocks
+    real = store_module.iter_edge_blocks
 
     def blocks(efile):
         for i, block in enumerate(real(efile, 1000)):
@@ -202,7 +238,7 @@ def _crash_after_first_block(monkeypatch, store):
                 raise Crash
             yield block
 
-    monkeypatch.setattr(store_module, "_raw_blocks", blocks)
+    monkeypatch.setattr(store_module, "iter_edge_blocks", blocks)
 
 
 def test_buckets_failure_leaves_no_output(tmp_path, monkeypatch):
