@@ -1,12 +1,13 @@
-/* Compiled inner loops: the greedy chunk sweep, the BFS-grow seed, the tail
- * of the adjacency builder, the traffic estimator's sampling walk and the
- * streaming passes over edge blocks.
+/* Compiled inner loops: the greedy chunk sweep, the BFS-grow seed and its
+ * neighbour estimates, the tail of the adjacency builder, the traffic
+ * estimator's sampling walk and the streaming passes over edge blocks.
  *
  * Each function is a port of the Python code it replaces
- * (grem.process_chunk, seed._bfs_grow, model.adjacency_from_keys,
- * placement.estimate_comm, and the numpy passes of grem.count_cuts,
- * store.write_buckets, edgefile.external_shuffle, theory.compute_node_stats
- * and placement.select_replicated) and must stay bit-identical to it:
+ * (grem.process_chunk, seed._bfs_grow, grem._seed_chunk,
+ * model.adjacency_from_keys, placement.estimate_comm, and the numpy passes
+ * of grem.count_cuts, grem._extract_induced, store.write_buckets,
+ * edgefile.external_shuffle, theory.compute_node_stats and
+ * placement.select_replicated) and must stay bit-identical to it:
  * counts are accumulated by adding 1.0, estimates are averaged as
  * (old + fresh) * 0.5, nodes are visited and random words drawn in the same
  * order.  The loader compiles this file without -ffast-math or
@@ -65,21 +66,49 @@ int64_t sweep(int64_t num, const int64_t *nodes, const int64_t *starts,
     return -1;
 }
 
-/* BFS grow over local neighbour positions, then boundary refinement.
- * `labels` must come in as all 1; picked nodes become 0.  `queue` is
- * scratch space for `num` entries: each node is queued at most once. */
-void bfs_grow(int64_t num, const int64_t *starts, const int64_t *ends,
-              const int64_t *local, const int64_t *restart_order,
-              int64_t refinement_passes, int64_t capacity, int8_t *labels,
-              int64_t *queue)
+/* Restart order of bfs_grow: chunk positions by degree, highest first,
+ * lowest position on ties, as numpy's stable argsort(starts - ends) gives
+ * them.  A counting sort on max_degree - degree; `slot` is scratch for
+ * max_degree + 2 entries, all zero. */
+static void restart_order(int64_t num, const int64_t *starts, const int64_t *ends,
+                          int64_t max_degree, int64_t *slot, int64_t *order)
 {
+    for (int64_t i = 0; i < num; i++)
+        slot[max_degree - (ends[i] - starts[i]) + 1] += 1;
+    for (int64_t k = 1; k <= max_degree + 1; k++)
+        slot[k] += slot[k - 1];
+    /* slot[k] is now the first position of key k; filling in input order keeps ties stable */
+    for (int64_t i = 0; i < num; i++)
+        order[slot[max_degree - (ends[i] - starts[i])]++] = i;
+}
+
+/* BFS grow over local neighbour positions, then boundary refinement.
+ * `labels` must come in as all 1; picked nodes become 0.  (Re)starts go to
+ * the highest-degree unpicked node, lowest position on ties.  Returns 0, or
+ * -1 when scratch memory cannot be allocated. */
+int64_t bfs_grow(int64_t num, const int64_t *starts, const int64_t *ends,
+                 const int64_t *local, int64_t refinement_passes, int64_t capacity,
+                 int8_t *labels)
+{
+    int64_t max_degree = 0;
+    for (int64_t i = 0; i < num; i++)
+        if (ends[i] - starts[i] > max_degree)
+            max_degree = ends[i] - starts[i];
+    int64_t *order = malloc((size_t)num * sizeof *order);
+    int64_t *queue = malloc((size_t)num * sizeof *queue);  /* each node is queued at most once */
+    int64_t *slot = calloc((size_t)max_degree + 2, sizeof *slot);
+    int64_t status = -1;
+    if (order == NULL || queue == NULL || slot == NULL)
+        goto done;
+    restart_order(num, starts, ends, max_degree, slot, order);
+
     int64_t target = (num + 1) / 2;
     int64_t count = 0, cursor = 0, head = 0, tail = 0;
     while (count < target) {
         if (head == tail) {
-            while (labels[restart_order[cursor]] == 0)
+            while (labels[order[cursor]] == 0)
                 cursor++;
-            int64_t best = restart_order[cursor];
+            int64_t best = order[cursor];
             queue[tail++] = best;
             labels[best] = 0;
             if (++count >= target)
@@ -120,6 +149,32 @@ void bfs_grow(int64_t num, const int64_t *starts, const int64_t *ends,
         }
         if (!moved)
             break;
+    }
+    status = 0;
+done:
+    free(order);
+    free(queue);
+    free(slot);
+    return status;
+}
+
+/* The neighbour estimates of a freshly seeded chunk: nbr0[nodes[i]] and
+ * nbr1[nodes[i]] become the number of chunk neighbours of nodes[i] that
+ * `parts` labels 0 and 1. */
+void seed_counts(int64_t num, const int64_t *nodes, const int64_t *starts, const int64_t *ends,
+                 const int64_t *nbrs, const int8_t *parts, double *nbr0, double *nbr1)
+{
+    for (int64_t i = 0; i < num; i++) {
+        double c0 = 0.0, c1 = 0.0;
+        for (int64_t j = starts[i]; j < ends[i]; j++) {
+            int pw = parts[nbrs[j]];
+            if (pw == 0)
+                c0 += 1.0;
+            else if (pw == 1)
+                c1 += 1.0;
+        }
+        nbr0[nodes[i]] = c0;
+        nbr1[nodes[i]] = c1;
     }
 }
 
@@ -323,6 +378,52 @@ int64_t label_pass(int64_t m, const void *rows, int64_t id_bytes, int64_t num_no
     if (id_bytes == 8)
         return label_pass_body(m, rows, 1, (uint64_t)num_nodes, labels, p, counts, bucket, cut);
     return label_pass_body(m, rows, 0, (uint64_t)num_nodes, labels, p, counts, bucket, cut);
+}
+
+PASS int64_t extract_rows_body(int64_t m, const void *rows, int wide, uint64_t num_nodes,
+                               const int64_t *new_id, int64_t out_bytes, void *out,
+                               int64_t *kept)
+{
+    int64_t k = 0, bad = -1;
+    for (int64_t i = 0; i < m; i++) {
+        uint64_t u = id_at(rows, wide, 2 * i), v = id_at(rows, wide, 2 * i + 1);
+        if (u >= num_nodes || v >= num_nodes) {
+            bad = i;
+            break;
+        }
+        int64_t a = new_id[u], b = new_id[v];
+        if (a < -1 || b < -1) {
+            bad = i;
+            break;
+        }
+        /* every row is written at k, and k moves past it only when both ends
+         * are kept: no branch on a coin-flip condition */
+        if (out_bytes == 8) {
+            ((uint64_t *)out)[2 * k] = (uint64_t)a;
+            ((uint64_t *)out)[2 * k + 1] = (uint64_t)b;
+        } else {
+            ((uint32_t *)out)[2 * k] = (uint32_t)a;
+            ((uint32_t *)out)[2 * k + 1] = (uint32_t)b;
+        }
+        k += (a | b) >= 0;
+    }
+    *kept = k;
+    return bad;
+}
+
+/* Keeps the m rows whose endpoints both have a new id and writes them, in
+ * order, to `out` (room for m rows) as ids of out_bytes (4 or 8) bytes;
+ * *kept gets the number of rows kept.  new_id[n] is node n's new id, -1
+ * for a node whose rows are dropped, or below -1 for a node no row may
+ * touch.  Returns -1, or the position of the first row with an id
+ * >= num_nodes or an endpoint whose new_id is below -1 (the rows before it
+ * are written). */
+int64_t extract_rows(int64_t m, const void *rows, int64_t id_bytes, int64_t num_nodes,
+                     const int64_t *new_id, int64_t out_bytes, void *out, int64_t *kept)
+{
+    if (id_bytes == 8)
+        return extract_rows_body(m, rows, 1, (uint64_t)num_nodes, new_id, out_bytes, out, kept);
+    return extract_rows_body(m, rows, 0, (uint64_t)num_nodes, new_id, out_bytes, out, kept);
 }
 
 PASS int64_t scatter_rows_body(int64_t m, const void *rows, int wide, uint64_t num_nodes,

@@ -10,13 +10,19 @@ never load a half-written library; a successful build removes every other
 The kernels, named in ``KERNELS``, each replace one Python loop:
 
 * ``sweep`` -- the greedy chunk sweep of ``grem.process_chunk``;
-* ``bfs_grow`` -- the BFS-grow seed and its refinement, ``seed._bfs_grow``;
+* ``bfs_grow`` -- the BFS-grow seed, its restart order (a counting sort on
+  degree) and its refinement, ``seed._bfs_grow``;
+* ``seed_counts`` -- the neighbour estimates of the seeded chunk nodes,
+  ``grem._seed_chunk``;
 * ``adjacency_tail`` -- the run split and self-loop removal after the key
   sort in ``model.adjacency_from_keys``;
 * ``comm_walk`` -- the sampling walk of ``placement.estimate_comm``;
 * ``label_pass`` -- gathers both labels of each edge of a block, tallies cut
-  edges and optionally counts and writes p x p bucket ids: ``grem.count_cuts``,
-  ``grem._extract_induced`` and both passes of ``store.write_buckets``;
+  edges and optionally counts and writes p x p bucket ids: ``grem.count_cuts``
+  and both passes of ``store.write_buckets``;
+* ``extract_rows`` -- keeps the rows with both endpoints on one side of a
+  bisection and writes them relabelled at the output id width:
+  ``grem._extract_induced``;
 * ``scatter_rows`` -- a stable counting scatter of a block's rows by bucket
   id: the write pass of ``store.write_buckets`` and the scatter pass of
   ``edgefile.external_shuffle``;
@@ -24,16 +30,16 @@ The kernels, named in ``KERNELS``, each replace one Python loop:
   or split by the other endpoint's side: ``placement.select_replicated``
   and ``theory.compute_node_stats``.
 
-The three edge passes take blocks of 4- or 8-byte ids, at the file's id
+The four edge passes take blocks of 4- or 8-byte ids, at the file's id
 width as ``edgefile.iter_edge_blocks`` yields them, and check every id
 against the node count; a rejected row becomes a ``FormatError``.
 
 Each is the loaded function, or ``None`` for all of them when no compiler
 is found or the build fails.  Each kernel's Python fallback, which gives
 bit-identical results, sits beside its one call: the edge passes' numpy
-twins in ``edgefile._label_block``, ``_scatter_block`` and
-``_endpoint_block``, the others in ``grem.process_chunk``,
-``seed._bfs_grow``, ``model.adjacency_from_keys`` and
+twins in ``edgefile._label_block``, ``_extract_block``, ``_scatter_block``
+and ``_endpoint_block``, the others in ``grem.process_chunk``,
+``seed._bfs_grow``, ``grem._seed_chunk``, ``model.adjacency_from_keys`` and
 ``placement.estimate_comm``.
 """
 
@@ -91,8 +97,8 @@ def _build(source: bytes, target: str) -> None:
                 pass
 
 
-KERNELS = ("sweep", "bfs_grow", "adjacency_tail", "comm_walk", "label_pass", "scatter_rows",
-           "endpoint_counts")
+KERNELS = ("sweep", "bfs_grow", "seed_counts", "adjacency_tail", "comm_walk", "label_pass",
+           "extract_rows", "scatter_rows", "endpoint_counts")
 
 
 def _load():
@@ -115,8 +121,10 @@ def _load():
     lib.sweep.argtypes = [i64, ptr_i64, ptr_i64, ptr_i64, ptr_i64, ptr_i8, ptr_f64, ptr_f64,
                           ptr_i64, i64, ctypes.c_int32]
     lib.sweep.restype = i64
-    lib.bfs_grow.argtypes = [i64, ptr_i64, ptr_i64, ptr_i64, ptr_i64, i64, i64, ptr_i8, ptr_i64]
-    lib.bfs_grow.restype = None
+    lib.bfs_grow.argtypes = [i64, ptr_i64, ptr_i64, ptr_i64, i64, i64, ptr_i8]
+    lib.bfs_grow.restype = i64
+    lib.seed_counts.argtypes = [i64, ptr_i64, ptr_i64, ptr_i64, ptr_i64, ptr_i8, ptr_f64, ptr_f64]
+    lib.seed_counts.restype = None
     lib.adjacency_tail.argtypes = [i64, ptr_i64, i64, ptr_i64, ptr_i64]
     lib.adjacency_tail.restype = i64
     # the bit generator's next_uint64 and state_address travel as plain pointers
@@ -126,6 +134,8 @@ def _load():
     # edge rows of either id width, and optional arrays (None for NULL), as plain pointers
     lib.label_pass.argtypes = [i64, ptr, i64, i64, ptr_i64, i64, ptr, ptr, ptr_i64]
     lib.label_pass.restype = i64
+    lib.extract_rows.argtypes = [i64, ptr, i64, i64, ptr_i64, i64, ptr, ptr_i64]
+    lib.extract_rows.restype = i64
     lib.scatter_rows.argtypes = [i64, ptr, i64, i64, ptr_i64, i64, ptr_i64, ptr]
     lib.scatter_rows.restype = i64
     lib.endpoint_counts.argtypes = [i64, ptr, i64, i64, ptr, ptr_i64]
@@ -133,7 +143,7 @@ def _load():
     return tuple(getattr(lib, name) for name in KERNELS)
 
 
-(sweep, bfs_grow, adjacency_tail, comm_walk, label_pass, scatter_rows,
+(sweep, bfs_grow, seed_counts, adjacency_tail, comm_walk, label_pass, extract_rows, scatter_rows,
  endpoint_counts) = _load()
 
 

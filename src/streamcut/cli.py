@@ -38,7 +38,6 @@ from .placement import (
     plan_to_text,
     select_replicated,
 )
-from .seed import SeedConfig
 from .store import reorder_features, write_buckets
 from .theory import compute_node_stats, curve_csv, theory_curve
 
@@ -118,7 +117,6 @@ def _grem_config(args) -> GremConfig:
         chunk_frac=args.chunk_frac,
         capacity_slack=args.capacity_slack,
         refine=not args.no_refine,
-        seed=SeedConfig(algorithm=args.seed_algo, rng_seed=args.rng_seed),
         passes=args.passes,
     )
 
@@ -328,13 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="chunk size as an absolute edge count")
     p.add_argument("--no-refine", action="store_true", dest="no_refine",
                    help="freeze assignments after the first greedy placement")
-    p.add_argument("--seed-algo", choices=("bfs_grow", "random"), default="bfs_grow",
-                   dest="seed_algo")
     p.add_argument("--capacity-slack", type=float, default=0.0, dest="capacity_slack")
     p.add_argument("--passes", type=int, default=1, help="full sweeps over the edge file")
-    p.add_argument("--rng-seed", type=int, default=0, dest="rng_seed",
-                   help="seed of --seed-algo random; with the default bfs_grow it changes "
-                        "nothing, though the manifest records it")
     p.add_argument("--workdir", default=None,
                    help="scratch directory for recursion (default: $GREM_WORKDIR)")
     _add_common(p)

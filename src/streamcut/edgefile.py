@@ -513,6 +513,42 @@ def _label_block(efile: EdgeFile, block: np.ndarray, labels: np.ndarray, cut: np
         _raise_rejected(efile, rows, bad, labels)
 
 
+def _extract_block(efile: EdgeFile, block: np.ndarray, new_id: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """``_kernels.extract_rows`` over one block: its rows whose endpoints both
+    have a new id, relabelled, written to the front of ``out`` and returned as
+    a view of it.
+
+    ``new_id`` (int64, one per node) holds each kept node's new id, -1 for
+    a node whose rows are dropped, and -2 for a node no row may touch: one
+    labelled neither 0 nor 1.  ``out`` is a contiguous u32 or u64 buffer of
+    at least the block's shape.
+    """
+    rows, num_nodes = _rows(block), efile.meta.num_nodes
+    _ptr(new_id, np.int64, num_nodes)
+    if _rows(out) is not out or out.shape[0] < rows.shape[0]:
+        raise ValueError(f"extraction buffer must be contiguous and hold {rows.shape[0]} rows")
+    if _kernels.extract_rows is not None:
+        kept = np.zeros(1, dtype=np.int64)
+        bad = _kernels.extract_rows(rows.shape[0], rows.ctypes, rows.itemsize, num_nodes, new_id,
+                                    out.itemsize, out.ctypes, kept)
+        kept = int(kept[0])
+    else:
+        _check_ids(rows, num_nodes, efile.path)
+        ids = new_id[rows]
+        lowest = ids.min(axis=1)
+        bad = _first(lowest < -1)
+        kept = 0
+        if bad < 0:
+            ids = ids[lowest >= 0]
+            kept = ids.shape[0]
+            out[:kept] = ids
+    if bad >= 0:
+        _check_ids(rows, num_nodes, efile.path)
+        raise FormatError("unlabeled endpoint encountered")
+    return out[:kept]
+
+
 def _scatter_block(efile: EdgeFile, block: np.ndarray, bucket: np.ndarray, nbuckets: int,
                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``_kernels.scatter_rows`` over one block: (rows grouped by bucket, run bounds).

@@ -18,7 +18,10 @@ the greedy rule runs, so the capacity bound is never violated even when both
 partitions are exactly full.
 
 ``partition`` drives p-way partitioning (p a power of two) by recursive
-bisection over induced subgraph files.
+bisection over induced subgraph files: after each bisection one pass per
+side (``_extract_induced``) writes the edges with both endpoints on that
+side, relabelled to dense ids.  Its report adds up the bisections' own cut
+counts rather than re-reading the original file.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from .edgefile import (
     ResidencyMeter,
     _checked_labels,
     _cut_pass,
-    _label_block,
+    _extract_block,
+    _id_dtype,
     iter_edge_blocks,
     num_parts_of,
     open_edge_file,
@@ -162,6 +166,9 @@ def _seed_chunk(state: PartitionState, chunk: EdgeChunk, seed_cfg: SeedConfig) -
     state.sizes = [int(np.count_nonzero(parts == 0)), int(np.count_nonzero(parts == 1))]
 
     # neighbor estimates against the freshly seeded labels
+    if _kernels.seed_counts is not None:
+        _kernels.seed_counts(nodes.size, nodes, starts, ends, nbrs, parts, state.nbr0, state.nbr1)
+        return
     adj_parts = parts[nbrs]
     seg = np.repeat(np.arange(len(nodes)), ends - starts)
     state.nbr0[nodes] = np.bincount(seg[adj_parts == 0], minlength=len(nodes))
@@ -223,8 +230,11 @@ def count_cuts(efile: EdgeFile, labels: np.ndarray, num_parts: int | None = None
     label + 1 when it is not given.
     """
     labels = np.asarray(labels)
-    num_parts = num_parts_of(labels, num_parts)
-    cut = _cut_pass(efile, labels)
+    return _report(efile, labels, num_parts_of(labels, num_parts), _cut_pass(efile, labels))
+
+
+def _report(efile: EdgeFile, labels: np.ndarray, num_parts: int, cut: int) -> CutReport:
+    """The CutReport of ``cut`` edges cut under ``labels`` over ``num_parts`` partitions."""
     total = efile.meta.num_edges
     sizes = np.bincount(labels[labels >= 0], minlength=num_parts)
     ideal = ceil(efile.meta.num_nodes / num_parts)
@@ -242,20 +252,22 @@ def _extract_induced(
 ) -> EdgeFile:
     """Writes the subgraph induced by one side of a bisection into a dense-id edge file.
 
-    Cross edges are dropped; they are already cut and carry no information
-    for deeper bisections.  ``_label_block`` gives each edge the bucket
-    ``2 * label(src) + label(dst)``, so the kept edges are those of bucket
-    ``3 * side``.
+    ``members`` holds the nodes labelled ``side``, ascending; they become
+    nodes 0, 1, ... of the new file.  Cross edges are dropped; they are
+    already cut and carry no information for deeper bisections.  An edge
+    touching a node labelled neither 0 nor 1 is a FormatError.
+    ``_extract_block`` writes each block's kept edges, relabelled, into one
+    buffer at the output id width.
     """
     checked = _checked_labels(efile, labels)
-    new_id = np.full(labels.shape[0], -1, dtype=np.int64)
+    new_id = np.where((checked == 0) | (checked == 1), -1, -2)
     new_id[members] = np.arange(members.size, dtype=np.int64)
-    cut = np.zeros(1, dtype=np.int64)
     with BinaryEdgeWriter(out_path, int(members.size)) as writer:
+        out = np.empty((0, 2), dtype=_id_dtype(writer.width))
         for block in iter_edge_blocks(efile):
-            bucket = np.empty(block.shape[0], dtype=np.int64)
-            _label_block(efile, block, checked, cut, 2, bucket=bucket)
-            writer.write(new_id[np.compress(bucket == 3 * side, block, axis=0)])
+            if out.shape[0] < block.shape[0]:  # the first, largest block's buffer, reused
+                out = np.empty((block.shape[0], 2), dtype=out.dtype)
+            writer.write(_extract_block(efile, block, new_id, out))
     return open_edge_file(out_path)
 
 
@@ -271,8 +283,10 @@ def partition(
 
     Each recursion level bisects with capacity derived from the original node
     count, so leaf partitions respect ceil((1 + slack) * num_nodes / p).  The
-    report charges cuts against the original edge file, including edges
-    dropped while extracting induced subgraphs.
+    report charges cuts against the original edge file: its cut is the sum of
+    the bisections' cuts, since each final cut edge is cut by exactly one
+    bisection, the first to separate its endpoints, and extraction drops
+    exactly those edges from deeper files.
     """
     if p < 2 or (p & (p - 1)) != 0:
         raise FormatError(f"number of parts must be a power of two >= 2, got {p}")
@@ -281,10 +295,13 @@ def partition(
     os.makedirs(workdir, exist_ok=True)
     total_nodes = efile.meta.num_nodes
     final = np.full(total_nodes, -1, dtype=np.int32)
+    cut = 0
 
     def recurse(file: EdgeFile, orig_ids: np.ndarray, p_level: int, level: int, leaf_base: int):
+        nonlocal cut
         cap = ceil((1.0 + config.capacity_slack) * total_nodes / 2 ** (level + 1))
-        labels, _ = bisect(file, config, capacity=cap, meter=meter)
+        labels, report = bisect(file, config, capacity=cap, meter=meter)
+        cut += report.cut_edges
         if p_level == 2:
             final[orig_ids[labels == 0]] = leaf_base
             final[orig_ids[labels == 1]] = leaf_base + 1
@@ -302,4 +319,4 @@ def partition(
                 os.remove(sub_path)
 
     recurse(efile, np.arange(total_nodes, dtype=np.int64), p, 0, 0)
-    return final, count_cuts(efile, final, p)
+    return final, _report(efile, final, p, cut)

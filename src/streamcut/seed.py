@@ -1,9 +1,11 @@
 """In-memory seed bisection of the first streamed chunk.
 
-Two algorithms sit behind one interface: ``bfs_grow`` grows one side by
-breadth-first search from the highest-degree chunk node and then runs a few
-boundary refinement passes; ``random`` splits a seeded random permutation in
-half.  Both are pure functions of (chunk contents, config, capacity).
+``bfs_grow`` grows one side by breadth-first search from the highest-degree
+chunk node, restarting from the highest-degree unpicked node whenever the
+queue runs dry, until it holds half the nodes, then runs a few boundary
+refinement passes.  It is a pure function of (chunk contents, config,
+capacity).  The compiled kernel orders its restarts with a counting sort on
+degree; the Python fallback with a stable argsort, to the same order.
 """
 
 from __future__ import annotations
@@ -18,18 +20,12 @@ from . import _kernels
 from .errors import CapacityError, FormatError
 from .model import EdgeChunk
 
-ALGORITHMS = ("bfs_grow", "random")
-
 
 @dataclass(frozen=True)
 class SeedConfig:
-    algorithm: str = "bfs_grow"
-    refinement_passes: int = 2  # bfs_grow only
-    rng_seed: int = 0
+    refinement_passes: int = 2
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise FormatError(f"unknown seed algorithm {self.algorithm!r}")
         if self.refinement_passes < 0:
             raise FormatError("refinement_passes must be >= 0")
 
@@ -46,28 +42,37 @@ def seed_bisect(chunk: EdgeChunk, config: SeedConfig, capacity: int) -> np.ndarr
         raise FormatError("cannot seed an empty chunk")
     if 2 * capacity < n:
         raise CapacityError(f"capacity {capacity} infeasible for {n} chunk nodes")
-    if config.algorithm == "random":
-        rng = np.random.default_rng(config.rng_seed)
-        labels = np.ones(n, dtype=np.int8)
-        labels[rng.permutation(n)[: ceil(n / 2)]] = 0
-        return labels
     return _bfs_grow(nodes, starts, ends, nbrs, config.refinement_passes, capacity)
+
+
+def _local_positions(nodes: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+    """Neighbor node ids as positions in ``nodes``, which is sorted and unique.
+
+    A rank array over the id range makes this one gather.  It is used while
+    the range is at most eight times the length of ``nodes`` and ``nbrs``
+    together, so the array stays within a small multiple of the chunk's own
+    index; ids spread wider fall back to a binary search.
+    """
+    span = int(nodes[-1]) + 1
+    if span > 8 * (nodes.size + nbrs.size):
+        return np.searchsorted(nodes, nbrs)
+    rank = np.empty(span, dtype=np.int64)
+    rank[nodes] = np.arange(nodes.size, dtype=np.int64)
+    return rank[nbrs]
 
 
 def _bfs_grow(nodes, starts, ends, nbrs, refinement_passes: int, capacity: int) -> np.ndarray:
     n = len(nodes)
-    target = ceil(n / 2)
-    # local positions: neighbor node-ids -> indices into `nodes`
-    local = np.searchsorted(nodes, nbrs)
-    # BFS (re)starts go to the highest-degree unpicked node, lowest id on ties
-    restart_order = np.argsort(starts - ends, kind="stable")
+    local = _local_positions(nodes, nbrs)
     if _kernels.bfs_grow is not None:
         labels = np.ones(n, dtype=np.int8)
-        queue = np.empty(n, dtype=np.int64)
-        _kernels.bfs_grow(n, starts, ends, local, restart_order, refinement_passes, capacity,
-                          labels, queue)
+        if _kernels.bfs_grow(n, starts, ends, local, refinement_passes, capacity, labels) < 0:
+            raise MemoryError("bfs_grow could not allocate its scratch arrays")
         return labels
 
+    # BFS (re)starts go to the highest-degree unpicked node, lowest id on ties
+    restart_order = np.argsort(starts - ends, kind="stable")
+    target = ceil(n / 2)
     local = local.tolist()
     restart_order = restart_order.tolist()
     starts = starts.tolist()

@@ -345,8 +345,7 @@ def test_c10_cli_determinism(tmp_path, capsys):
             out = {}
             cmds = {
                 "labels": ["partition", efile.path, "--out", str(run_dir / "l.grpl"),
-                           "--chunk-frac", "0.1", "--rng-seed", "5",
-                           "--capacity-slack", "0.1"],
+                           "--chunk-frac", "0.1", "--capacity-slack", "0.1"],
                 "shuffled": ["shuffle", efile.path, str(run_dir / "s.grpe"),
                              "--rng-seed", "5"],
                 "text": ["convert", efile.path, str(run_dir / "g.txt"), "--to", "text"],

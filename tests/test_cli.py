@@ -97,8 +97,7 @@ def test_partition_no_refine_single_chunk_identical(tmp_path, cliques, capsys):
 def test_partition_rerun_is_byte_identical(tmp_path, cliques, capsys):
     efile, _ = cliques
     a, b = tmp_path / "a.grpl", tmp_path / "b.grpl"
-    flags = ["--chunk-frac", "0.1", "--rng-seed", "11", "--parts", "4",
-             "--capacity-slack", "0.25"]
+    flags = ["--chunk-frac", "0.1", "--parts", "4", "--capacity-slack", "0.25"]
     code, pa = run_json(capsys, "partition", efile.path, "--out", a, *flags)
     assert code == 0
     code, pb = run_json(capsys, "partition", efile.path, "--out", b, *flags)

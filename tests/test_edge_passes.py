@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streamcut import edgefile
+from streamcut import edgefile, grem
 from streamcut import (
     FormatError,
     GremConfig,
@@ -102,6 +102,108 @@ def test_shuffle_scatter_native_equals_python(tmp_path, seed, num_nodes, num_edg
             external_shuffle(efile, str(out), IO_BLOCK, rng_seed=seed)
             runs[kernel] = out.read_bytes()
     assert runs["native"] == runs["python"]
+
+
+def _induced(edges, labels, side):
+    """Rows of the subgraph induced by ``side``, relabelled to ranks among its nodes."""
+    new_id = {int(n): i for i, n in enumerate(np.flatnonzero(labels == side))}
+    return [[new_id[u], new_id[v]] for u, v in edges.tolist()
+            if labels[u] == side and labels[v] == side]
+
+
+def _extractions(efile, labels, out_dir, patch):
+    """The bytes of each side's induced-subgraph file, by kernel, each checked against
+    ``_induced``."""
+    runs = {}
+    for kernel in each_kernel(patch):
+        for side in (0, 1):
+            members = np.flatnonzero(labels == side)
+            out = out_dir / f"{kernel}{side}.grpe"
+            sub = grem._extract_induced(efile, labels, side, members, str(out))
+            assert sub.meta.num_nodes == members.size
+            assert read_all_edges(sub).tolist() == _induced(read_all_edges(efile), labels, side)
+            runs.setdefault(kernel, []).append(out.read_bytes())
+    return runs
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_nodes=st.integers(2, 400),
+    num_edges=st.integers(0, 700),
+    width=st.sampled_from([32, 64]),
+)
+def test_extract_native_equals_python(tmp_path, seed, num_nodes, num_edges, width):
+    edges = _multigraph(seed, num_nodes, num_edges)
+    labels = np.random.default_rng(seed + 1).integers(0, 2, size=num_nodes)
+    labels[:2] = (0, 1)  # both sides have members
+    efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes, width)
+    with pytest.MonkeyPatch.context() as patch:
+        runs = _extractions(efile, labels, tmp_path, patch)
+    assert runs["native"] == runs["python"]
+
+
+def test_extract_across_blocks_and_of_a_side_with_no_edge(tmp_path, monkeypatch):
+    # 300k rows span two reader blocks, the second shorter than the reused buffer
+    edges = _multigraph(12, 300, 300_000)
+    labels = np.random.default_rng(13).integers(0, 2, size=300)
+    # a bipartite graph between even and odd nodes: neither side keeps an edge
+    bipartite = np.array([[0, 1], [3, 2], [4, 5], [5, 4], [1, 2]])
+    for width in (32, 64):
+        efile = make_edge_file(tmp_path / "g.grpe", edges, 300, width)
+        runs = _extractions(efile, labels, tmp_path, monkeypatch)
+        assert runs["native"] == runs["python"], width
+        efile = make_edge_file(tmp_path / "b.grpe", bipartite, 6, width)
+        runs = _extractions(efile, np.arange(6) % 2, tmp_path, monkeypatch)
+        assert runs["native"] == runs["python"], width
+        assert {len(data) for data in runs["native"]} == {len(Path(efile.path).read_bytes())
+                                                         - bipartite.size * width // 8}
+
+
+def test_extract_block_writes_either_output_width(tmp_path, monkeypatch):
+    # an induced subgraph has fewer nodes than its parent, so partition never
+    # writes 64-bit ids below a 32-bit file; the block pass takes both widths
+    edges = _multigraph(14, 300, 5000)
+    new_id = np.where(np.arange(300) % 3 == 0, np.arange(300) // 3, -1)
+    for width in (32, 64):
+        efile = make_edge_file(tmp_path / "g.grpe", edges, 300, width)
+        (block,) = edgefile.iter_edge_blocks(efile)
+        for out_dtype in (np.uint32, np.uint64):
+            got = {}
+            for kernel in each_kernel(monkeypatch):
+                out = np.empty((5000, 2), dtype=out_dtype)
+                got[kernel] = edgefile._extract_block(efile, block, new_id, out).tolist()
+            keep = (edges % 3 == 0).all(axis=1)
+            assert got["native"] == got["python"] == (edges[keep] // 3).tolist()
+
+
+@pytest.mark.parametrize("width, bad", [(32, 999), (32, 2**32 - 1), (64, 2**63 + 5),
+                                        (64, 2**64 - 1)])
+def test_extract_rejects_a_damaged_id(tmp_path, monkeypatch, width, bad):
+    # the bad id sits in the last row, behind a first row with an unlabeled
+    # endpoint: the id check comes first, in the reader and in the block pass
+    edges = _multigraph(15, 300, 5000)
+    edges[0] = (0, 1)
+    intact = make_edge_file(tmp_path / "intact.grpe", edges, 300, width)
+    (block,) = edgefile.iter_edge_blocks(intact)
+    damaged = make_edge_file(tmp_path / "g.grpe", edges, 300, width)
+    _poke(damaged.path, -width // 8, bad, width // 8)
+    labels = np.arange(300) % 2
+    labels[0] = -1
+    members = np.flatnonzero(labels == 1)
+    new_id = np.where(labels == 1, np.cumsum(labels == 1) - 1, -1)
+    new_id[0] = -2
+    out = str(tmp_path / "o.grpe")
+    id_error = f"edge endpoint {bad} >= num_nodes 300$"
+    for kernel in each_kernel(monkeypatch):
+        with pytest.raises(FormatError, match="g.grpe: " + id_error):
+            grem._extract_induced(damaged, labels, 1, members, out)
+        block[-1, 1] = bad
+        with pytest.raises(FormatError, match="intact.grpe: " + id_error):
+            edgefile._extract_block(intact, block, new_id, np.empty_like(block))
+        block[-1, 1] = edges[-1, 1]
+        with pytest.raises(FormatError, match="^unlabeled endpoint encountered$"):
+            grem._extract_induced(intact, labels, 1, members, out)
 
 
 # ------------------------------------------------------------ 64-bit ids

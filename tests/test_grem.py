@@ -445,6 +445,25 @@ def test_partition_p2_equals_bisect(tmp_path):
     assert report.cut_edges == brute_force_cut(edges, direct)
 
 
+def test_partition_report_equals_a_recount(tmp_path, monkeypatch):
+    # the report sums the bisections' cuts instead of recounting the final
+    # labels; each final cut edge is cut by exactly one bisection
+    rng = np.random.default_rng(19)
+    for kernel in each_kernel(monkeypatch):
+        for trial in range(12):
+            edges, used = random_multigraph(rng, max_nodes=60, max_edges=300)
+            num_nodes = used + int(rng.integers(0, 8))  # isolated nodes above the used ids
+            edges = np.concatenate([edges, edges[: int(rng.integers(0, 20))]])  # duplicates
+            efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
+            for p in (2, 4, 8):
+                config = GremConfig(chunk_frac=float(rng.choice([0.2, 0.5, 1.0])),
+                                    capacity_slack=0.25)
+                labels, report = partition(efile, p, config, str(tmp_path / "work"))
+                assert report.cut_edges == brute_force_cut(edges, labels), (kernel, trial, p)
+                assert report == count_cuts(efile, labels, p), (kernel, trial, p)
+                assert list(report.partition_sizes) == np.bincount(labels, minlength=p).tolist()
+
+
 def test_partition_four_cliques(tmp_path):
     edges, truth = generate(CliqueUnionSpec(4, 8, bridges=0))
     efile = make_edge_file(tmp_path / "g.grpe", edges, 32)

@@ -2,6 +2,7 @@
 
 import os
 import stat
+import subprocess
 
 import numpy as np
 import pytest
@@ -87,3 +88,15 @@ def test_build_removes_stale_libraries(tmp_path, monkeypatch):
     built = [name for name in os.listdir(cache) if name.endswith(".so")]
     assert len(built) == 1 and built[0] != stale.name
     assert other.exists()
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    cc = _kernels._compiler()
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    result = subprocess.run(
+        [cc, *_kernels.CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"),
+         _kernels._SOURCE],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

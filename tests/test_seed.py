@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streamcut import CapacityError, EdgeChunk, SeedConfig, _kernels, generate, seed_bisect
+from streamcut import (CapacityError, EdgeChunk, PartitionState, SeedConfig, _kernels, generate,
+                       grem, seed_bisect)
 from streamcut.synth import CliqueUnionSpec, PathSpec
 
 from helpers import PROPERTY_SETTINGS, each_kernel
@@ -58,24 +59,6 @@ def test_path_graph_split(monkeypatch):
         assert by_node[0] == by_node[1] and by_node[2] == by_node[3], kernel
 
 
-def test_random_algorithm_balance_and_determinism():
-    rng = np.random.default_rng(2)
-    edges = rng.integers(0, 10, size=(30, 2)).astype(np.int64)
-    edges[0] = [0, 9]  # make sure all 10 ids show up somewhere
-    for n in range(10):
-        edges[n + 1] = [n, (n + 3) % 10]
-    chunk = EdgeChunk(0, edges)
-    assert chunk.nodes.size == 10
-    cfg = SeedConfig(algorithm="random", rng_seed=7)
-    labels = seed_bisect(chunk, cfg, capacity=5)
-    counts = np.bincount(labels, minlength=2)
-    assert counts.tolist() == [5, 5]
-    again = seed_bisect(chunk, cfg, capacity=5)
-    assert np.array_equal(labels, again)
-    other = seed_bisect(chunk, SeedConfig(algorithm="random", rng_seed=8), capacity=5)
-    assert np.bincount(other, minlength=2).tolist() == [5, 5]
-
-
 def test_refinement_never_increases_chunk_cut(monkeypatch):
     for kernel in each_kernel(monkeypatch):
         rng = np.random.default_rng(13)
@@ -120,10 +103,9 @@ def test_both_sides_within_capacity(monkeypatch):
             edges = rng.integers(0, n, size=(40, 2)).astype(np.int64)
             chunk = EdgeChunk(0, edges)
             cap = ceil(len(chunk.nodes) / 2)
-            for algo in ("bfs_grow", "random"):
-                labels = seed_bisect(chunk, SeedConfig(algorithm=algo), cap)
-                sizes = np.bincount(labels, minlength=2)
-                assert sizes.max() <= cap, (kernel, algo)
+            labels = seed_bisect(chunk, SeedConfig(), cap)
+            sizes = np.bincount(labels, minlength=2)
+            assert sizes.max() <= cap, kernel
 
 
 def _scan_restart_bfs_grow(edges, refinement_passes, capacity):
@@ -222,3 +204,55 @@ def test_bfs_grow_matches_full_scan_rule_property(monkeypatch, kernel, edges, he
     labels = seed_bisect(chunk, SeedConfig(refinement_passes=passes), capacity)
     expected = _scan_restart_bfs_grow(edges, passes, capacity)
     assert dict(zip(chunk.nodes.tolist(), labels.tolist())) == expected
+
+
+def _seeded_state(edges, num_nodes, headroom, passes):
+    """The state ``grem._seed_chunk`` leaves after seeding a fresh bisection on ``edges``."""
+    chunk = EdgeChunk(0, edges)
+    state = PartitionState(num_nodes, ceil(len(chunk.nodes) / 2) + headroom)
+    grem._seed_chunk(state, chunk, SeedConfig(refinement_passes=passes))
+    return state
+
+
+@PROPERTY_SETTINGS
+@given(
+    edges=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=1, max_size=120),
+    loops=st.lists(st.integers(31, 39), max_size=5),  # nodes with self-loops only: degree 0
+    repeats=st.integers(0, 30),
+    headroom=st.integers(0, 3),
+    passes=st.integers(0, 3),
+)
+def test_seed_native_equals_python(edges, loops, repeats, headroom, passes):
+    # small id ranges make degree ties common, so the restart order's tie
+    # rule decides the labels; repeated edges raise some degrees above the
+    # node count
+    edges = np.asarray(edges + [(v, v) for v in loops] + edges[:repeats], dtype=np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        runs = {}
+        for kernel in each_kernel(patch):
+            state = _seeded_state(edges, 40, headroom, passes)
+            runs[kernel] = (state.parts.tolist(), state.nbr0.tolist(), state.nbr1.tolist(),
+                            state.sizes)
+    assert runs["native"] == runs["python"]
+    parts, nbr0, nbr1, sizes = runs["native"]
+    assert sizes == [parts.count(0), parts.count(1)]
+    for node in set(edges.ravel().tolist()):
+        others = [v for u, v in edges.tolist() if u == node and v != node]
+        others += [u for u, v in edges.tolist() if v == node and u != node]
+        assert (nbr0[node], nbr1[node]) == (sum(parts[w] == 0 for w in others),
+                                            sum(parts[w] == 1 for w in others))
+
+
+def test_sparse_ids_seed_as_their_dense_ranks(monkeypatch):
+    # ids spread far beyond the chunk's size take the binary-search path to
+    # local positions; an order-preserving relabelling must not change a label
+    rng = np.random.default_rng(31)
+    for kernel in each_kernel(monkeypatch):
+        for _ in range(10):
+            edges = rng.integers(0, 50, size=(120, 2)).astype(np.int64)
+            ids = np.sort(rng.choice(2**40, size=50, replace=False)).astype(np.int64)
+            dense = EdgeChunk(0, edges)
+            sparse = EdgeChunk(0, ids[edges])
+            cap = ceil(len(dense.nodes) / 2) + 1
+            assert np.array_equal(seed_bisect(dense, SeedConfig(), cap),
+                                  seed_bisect(sparse, SeedConfig(), cap)), kernel
