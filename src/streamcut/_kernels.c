@@ -1,17 +1,28 @@
 /* Compiled inner loops: the greedy chunk sweep, the BFS-grow seed and its
- * neighbour estimates, the tail of the adjacency builder, the traffic
- * estimator's sampling walk and the streaming passes over edge blocks.
+ * neighbour estimates, the adjacency builder's key packing and tail, the
+ * traffic estimator's sampling walk and the streaming passes over edge
+ * blocks.
  *
  * Each function is a port of the Python code it replaces
- * (grem.process_chunk, seed._bfs_grow, grem._seed_chunk,
- * model.adjacency_from_keys, placement.estimate_comm, and the numpy passes
- * of grem.count_cuts, grem._extract_induced, store.write_buckets,
- * edgefile.external_shuffle, theory.compute_node_stats and
- * placement.select_replicated) and must stay bit-identical to it:
- * counts are accumulated by adding 1.0, estimates are averaged as
- * (old + fresh) * 0.5, nodes are visited and random words drawn in the same
- * order.  The loader compiles this file without -ffast-math or
- * -march=native, so IEEE double arithmetic is the same as Python's.
+ * (grem.process_chunk, seed._bfs_grow, grem._seed_chunk, the numpy twins in
+ * model._pack_block and model.adjacency_from_keys, placement.estimate_comm,
+ * and the numpy passes of grem.count_cuts, grem._extract_induced,
+ * store.write_buckets, edgefile.external_shuffle, theory.compute_node_stats
+ * and placement.select_replicated) and must stay bit-identical to it:
+ * neighbour counts are exact integers converted to double once, estimates
+ * are averaged as (old + fresh) * 0.5, nodes are visited and random words
+ * drawn in the same order.  The loader compiles this file without
+ * -ffast-math or -march=native, so IEEE double arithmetic is the same as
+ * Python's.
+ *
+ * The adjacency keys are shift-packed, src << shift | dst with
+ * shift = bit_length(width - 1): u32 keys when width << shift <= 2**32 (every
+ * width up to 65,536), u64 keys while shift <= 32 (width up to 2**32).  Wider
+ * ids are ranked to dense ones first, in Python.
+ *
+ * Every array arrives as a plain pointer; the Python callers check its
+ * dtype, size and contiguity (_kernels.ptr) and size every output as the
+ * comment above each function says.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -42,14 +53,13 @@ int64_t sweep(int64_t num, const int64_t *nodes, const int64_t *starts,
         int old = parts[n];
         if (old != -1 && !refine)
             continue;
-        double c0 = 0.0, c1 = 0.0;
+        int64_t n0 = 0, n1 = 0;
         for (int64_t j = starts[i]; j < ends[i]; j++) {
             int pw = parts[nbrs[j]];
-            if (pw == 0)
-                c0 += 1.0;
-            else if (pw == 1)
-                c1 += 1.0;
+            n0 += pw == 0;
+            n1 += pw == 1;
         }
+        double c0 = (double)n0, c1 = (double)n1;
         if (old != -1) {
             c0 = (nbr0[n] + c0) * 0.5;
             c1 = (nbr1[n] + c1) * 0.5;
@@ -165,44 +175,15 @@ void seed_counts(int64_t num, const int64_t *nodes, const int64_t *starts, const
                  const int64_t *nbrs, const int8_t *parts, double *nbr0, double *nbr1)
 {
     for (int64_t i = 0; i < num; i++) {
-        double c0 = 0.0, c1 = 0.0;
+        int64_t n0 = 0, n1 = 0;
         for (int64_t j = starts[i]; j < ends[i]; j++) {
             int pw = parts[nbrs[j]];
-            if (pw == 0)
-                c0 += 1.0;
-            else if (pw == 1)
-                c1 += 1.0;
+            n0 += pw == 0;
+            n1 += pw == 1;
         }
-        nbr0[nodes[i]] = c0;
-        nbr1[nodes[i]] = c1;
+        nbr0[nodes[i]] = (double)n0;
+        nbr1[nodes[i]] = (double)n1;
     }
-}
-
-/* The tail of model.adjacency_from_keys over sorted src * width + dst keys:
- * one pass writes each run's owner to `nodes` and its start to `offsets`,
- * and compacts the neighbour ids, self-loops left out, to the front of
- * `keys`.  `offsets` gets one more entry, the end of the last run.  One
- * division per run, not per key: a key belongs to the current run while
- * key - owner * width < width.  Returns the number of runs. */
-int64_t adjacency_tail(int64_t m, int64_t *keys, int64_t width, int64_t *nodes,
-                       int64_t *offsets)
-{
-    int64_t runs = 0, out = 0, owner = 0, base = 0;
-    for (int64_t i = 0; i < m; i++) {
-        int64_t key = keys[i];
-        int64_t nbr = key - base;
-        if (runs == 0 || nbr >= width) {
-            owner = key / width;
-            base = owner * width;
-            nbr = key - base;
-            nodes[runs] = owner;
-            offsets[runs++] = out;
-        }
-        if (nbr != owner)
-            keys[out++] = nbr;
-    }
-    offsets[runs] = out;
-    return runs;
 }
 
 /* A numpy BitGenerator's next_uint64, called with its state_address. */
@@ -503,4 +484,86 @@ int64_t endpoint_counts(int64_t m, const void *rows, int64_t id_bytes, int64_t n
     if (id_bytes == 8)
         return endpoint_counts_body(m, rows, 1, (uint64_t)num_nodes, labels, counts);
     return endpoint_counts_body(m, rows, 0, (uint64_t)num_nodes, labels, counts);
+}
+
+/* The adjacency builder's keys: src << shift | dst, for ids below `width`
+ * and shift = bit_length(width - 1), so a key's high bits are its owner and
+ * its low `shift` bits its neighbour.  Sorting them orders the index as
+ * sorting src * width + dst would.  Keys are u32 (key_bytes == 4) when
+ * width << shift <= 2**32, else u64 (shift <= 32). */
+static inline uint64_t key_at(const void *keys, int wide, int64_t k)
+{
+    return wide ? ((const uint64_t *)keys)[k] : ((const uint32_t *)keys)[k];
+}
+
+PASS int64_t pack_keys_body(int64_t m, const void *rows, int wide, uint64_t width,
+                            int64_t shift, int key_wide, void *fwd, void *rev)
+{
+    int64_t bad = 0;
+    for (int64_t i = 0; i < m; i++) {
+        uint64_t u = id_at(rows, wide, 2 * i), v = id_at(rows, wide, 2 * i + 1);
+        bad += (u >= width) + (v >= width);
+        if (key_wide) {
+            ((uint64_t *)fwd)[i] = u << shift | v;
+            ((uint64_t *)rev)[i] = v << shift | u;
+        } else {
+            ((uint32_t *)fwd)[i] = (uint32_t)(u << shift | v);
+            ((uint32_t *)rev)[i] = (uint32_t)(v << shift | u);
+        }
+    }
+    return bad;
+}
+
+/* Writes the keys of the m rows (ids of id_bytes, 4 or 8; int64 rows of
+ * non-negative ids pass as 8) in both directions: row i's (src, dst) to
+ * fwd[i] and (dst, src) to rev[i], of key_bytes each.  Returns the number
+ * of ids at or above width; the keys are meaningless unless it is 0. */
+int64_t pack_keys(int64_t m, const void *rows, int64_t id_bytes, int64_t width, int64_t shift,
+                  int64_t key_bytes, void *fwd, void *rev)
+{
+    int wide = id_bytes == 8, key_wide = key_bytes == 8;
+    if (wide && key_wide)
+        return pack_keys_body(m, rows, 1, (uint64_t)width, shift, 1, fwd, rev);
+    if (wide)
+        return pack_keys_body(m, rows, 1, (uint64_t)width, shift, 0, fwd, rev);
+    if (key_wide)
+        return pack_keys_body(m, rows, 0, (uint64_t)width, shift, 1, fwd, rev);
+    return pack_keys_body(m, rows, 0, (uint64_t)width, shift, 0, fwd, rev);
+}
+
+PASS int64_t adjacency_tail_body(int64_t m, const void *keys, int key_wide, int64_t shift,
+                                 int64_t *nbrs, int64_t *nodes, int64_t *offsets)
+{
+    uint64_t mask = ((uint64_t)1 << shift) - 1, owner = UINT64_MAX;  /* no key's owner */
+    int64_t runs = 0, out = 0;
+    for (int64_t i = 0; i < m; i++) {
+        uint64_t key = key_at(keys, key_wide, i), src = key >> shift, dst = key & mask;
+        /* every key writes the next run's slot, and only a key that opens a
+         * run moves past it: no branch on run lengths of a few keys */
+        nodes[runs] = (int64_t)src;
+        offsets[runs] = out;
+        runs += src != owner;
+        owner = src;
+        nbrs[out] = (int64_t)dst;
+        out += src != dst;
+    }
+    offsets[runs] = out;
+    return runs;
+}
+
+/* The tail of the adjacency builder over m sorted keys: writes each run's
+ * owner to `nodes` and its start to `offsets`, and the neighbour ids,
+ * self-loops left out, in order to `nbrs`.  `offsets` gets one more entry,
+ * the end of the last run, and `nodes` one spare entry past the last run.
+ * `nbrs` may share memory with `keys` (the builder's one buffer): the
+ * write of neighbour `out` covers bytes 8 * out to 8 * out + 8, out <= i,
+ * which key i + 1 and later never overlap when the keys are either that
+ * buffer's entries or the u32 entries of its upper half.  Returns the
+ * number of runs. */
+int64_t adjacency_tail(int64_t m, const void *keys, int64_t key_bytes, int64_t shift,
+                       int64_t *nbrs, int64_t *nodes, int64_t *offsets)
+{
+    if (key_bytes == 8)
+        return adjacency_tail_body(m, keys, 1, shift, nbrs, nodes, offsets);
+    return adjacency_tail_body(m, keys, 0, shift, nbrs, nodes, offsets);
 }

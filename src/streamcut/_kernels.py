@@ -14,8 +14,11 @@ The kernels, named in ``KERNELS``, each replace one Python loop:
   degree) and its refinement, ``seed._bfs_grow``;
 * ``seed_counts`` -- the neighbour estimates of the seeded chunk nodes,
   ``grem._seed_chunk``;
+* ``pack_keys`` -- the adjacency builder's keys, ``src << shift | dst`` in
+  both directions, u32 or u64, from a block of u32 or u64 rows:
+  ``model._pack_block``;
 * ``adjacency_tail`` -- the run split and self-loop removal after the key
-  sort in ``model.adjacency_from_keys``;
+  sort, branch-free, in ``model.adjacency_from_keys``;
 * ``comm_walk`` -- the sampling walk of ``placement.estimate_comm``;
 * ``label_pass`` -- gathers both labels of each edge of a block, tallies cut
   edges and optionally counts and writes p x p bucket ids: ``grem.count_cuts``
@@ -39,8 +42,11 @@ is found or the build fails.  Each kernel's Python fallback, which gives
 bit-identical results, sits beside its one call: the edge passes' numpy
 twins in ``edgefile._label_block``, ``_extract_block``, ``_scatter_block``
 and ``_endpoint_block``, the others in ``grem.process_chunk``,
-``seed._bfs_grow``, ``grem._seed_chunk``, ``model.adjacency_from_keys`` and
-``placement.estimate_comm``.
+``seed._bfs_grow``, ``grem._seed_chunk``, ``model._pack_block``,
+``model.adjacency_from_keys`` and ``placement.estimate_comm``.
+
+Every array goes to a kernel as a plain address through ``ptr``, which
+checks its dtype, size and contiguity and raises ValueError otherwise.
 """
 
 from __future__ import annotations
@@ -97,8 +103,8 @@ def _build(source: bytes, target: str) -> None:
                 pass
 
 
-KERNELS = ("sweep", "bfs_grow", "seed_counts", "adjacency_tail", "comm_walk", "label_pass",
-           "extract_rows", "scatter_rows", "endpoint_counts")
+KERNELS = ("sweep", "bfs_grow", "seed_counts", "pack_keys", "adjacency_tail", "comm_walk",
+           "label_pass", "extract_rows", "scatter_rows", "endpoint_counts")
 
 
 def _load():
@@ -113,38 +119,48 @@ def _load():
         lib = ctypes.CDLL(target)
     except (OSError, subprocess.SubprocessError):
         return (None,) * len(KERNELS)
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    ptr_i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    ptr_i8 = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
-    ptr_f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    ptr_bool = np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS")
-    lib.sweep.argtypes = [i64, ptr_i64, ptr_i64, ptr_i64, ptr_i64, ptr_i8, ptr_f64, ptr_f64,
-                          ptr_i64, i64, ctypes.c_int32]
-    lib.sweep.restype = i64
-    lib.bfs_grow.argtypes = [i64, ptr_i64, ptr_i64, ptr_i64, i64, i64, ptr_i8]
-    lib.bfs_grow.restype = i64
-    lib.seed_counts.argtypes = [i64, ptr_i64, ptr_i64, ptr_i64, ptr_i64, ptr_i8, ptr_f64, ptr_f64]
-    lib.seed_counts.restype = None
-    lib.adjacency_tail.argtypes = [i64, ptr_i64, i64, ptr_i64, ptr_i64]
-    lib.adjacency_tail.restype = i64
-    # the bit generator's next_uint64 and state_address travel as plain pointers
-    lib.comm_walk.argtypes = [i64, ptr_i64, ptr_i64, ptr_i64, ptr_i64, ptr_bool, i64, ptr_i64,
-                              i64, ptr, ptr, ptr_i64]
-    lib.comm_walk.restype = i64
-    # edge rows of either id width, and optional arrays (None for NULL), as plain pointers
-    lib.label_pass.argtypes = [i64, ptr, i64, i64, ptr_i64, i64, ptr, ptr, ptr_i64]
-    lib.label_pass.restype = i64
-    lib.extract_rows.argtypes = [i64, ptr, i64, i64, ptr_i64, i64, ptr, ptr_i64]
-    lib.extract_rows.restype = i64
-    lib.scatter_rows.argtypes = [i64, ptr, i64, i64, ptr_i64, i64, ptr_i64, ptr]
-    lib.scatter_rows.restype = i64
-    lib.endpoint_counts.argtypes = [i64, ptr, i64, i64, ptr, ptr_i64]
-    lib.endpoint_counts.restype = i64
+    # every array, the bit generator's next_uint64 and state_address included,
+    # travels as a plain pointer (see ``ptr``)
+    i64, p = ctypes.c_int64, ctypes.c_void_p
+    signatures = {
+        "sweep": ([i64, p, p, p, p, p, p, p, p, i64, ctypes.c_int32], i64),
+        "bfs_grow": ([i64, p, p, p, i64, i64, p], i64),
+        "seed_counts": ([i64, p, p, p, p, p, p, p], None),
+        "pack_keys": ([i64, p, i64, i64, i64, i64, p, p], i64),
+        "adjacency_tail": ([i64, p, i64, i64, p, p, p], i64),
+        "comm_walk": ([i64, p, p, p, p, p, i64, p, i64, p, p, p], i64),
+        "label_pass": ([i64, p, i64, i64, p, i64, p, p, p], i64),
+        "extract_rows": ([i64, p, i64, i64, p, i64, p, p], i64),
+        "scatter_rows": ([i64, p, i64, i64, p, i64, p, p], i64),
+        "endpoint_counts": ([i64, p, i64, i64, p, p], i64),
+    }
+    for name, (argtypes, restype) in signatures.items():
+        getattr(lib, name).argtypes = argtypes
+        getattr(lib, name).restype = restype
     return tuple(getattr(lib, name) for name in KERNELS)
 
 
-(sweep, bfs_grow, seed_counts, adjacency_tail, comm_walk, label_pass, extract_rows, scatter_rows,
- endpoint_counts) = _load()
+(sweep, bfs_grow, seed_counts, pack_keys, adjacency_tail, comm_walk, label_pass, extract_rows,
+ scatter_rows, endpoint_counts) = _load()
+
+
+def ptr(arr: np.ndarray | None, dtype, size: int) -> int | None:
+    """The address a kernel gets for ``arr`` (NULL for None), once ``arr`` is
+    checked to be a contiguous array of ``size`` entries of ``dtype``;
+    ValueError otherwise.
+
+    A writable array's address comes from a ctypes view of its buffer, a
+    few times cheaper per call than ``arr.ctypes``.
+    """
+    if arr is None:
+        return None
+    if arr.dtype != dtype or arr.size != size or not arr.flags.c_contiguous:
+        layout = "contiguous" if arr.flags.c_contiguous else "non-contiguous"
+        raise ValueError(f"kernel array must be contiguous {np.dtype(dtype)} of {size}, "
+                         f"got {layout} {arr.dtype} of {arr.size}")
+    if arr.size and arr.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    return arr.ctypes.data
 
 
 def kernel_name() -> str:

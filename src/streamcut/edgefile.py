@@ -447,17 +447,6 @@ def _checked_labels(efile: EdgeFile, labels: np.ndarray) -> np.ndarray:
 # the block's ids against num_nodes, and the labels they read, and report the
 # first row they reject, which ``_raise_rejected`` turns into a FormatError.
 
-def _ptr(arr: np.ndarray | None, dtype, size: int):
-    """The data pointer a kernel gets for ``arr`` (NULL for None), once ``arr`` is
-    checked to be a contiguous array of ``size`` entries of ``dtype``."""
-    if arr is None:
-        return None
-    if arr.dtype != dtype or arr.size != size or not arr.flags.c_contiguous:
-        raise ValueError(f"kernel array must be contiguous {np.dtype(dtype)} of {size}, "
-                         f"got {arr.dtype} of {arr.size}")
-    return arr.ctypes
-
-
 def _rows(block: np.ndarray) -> np.ndarray:
     rows = np.ascontiguousarray(block)
     if rows.ndim != 2 or rows.shape[1] != 2 or rows.dtype not in (np.uint32, np.uint64):
@@ -489,12 +478,12 @@ def _label_block(efile: EdgeFile, block: np.ndarray, labels: np.ndarray, cut: np
     p) adds its p x p bucket counts to ``counts`` and writes its bucket ids
     to ``bucket``, each when given.
     """
-    rows, num_nodes = _rows(block), efile.meta.num_nodes
-    _ptr(labels, np.int64, num_nodes)
-    counts_ptr, bucket_ptr = _ptr(counts, np.int64, p * p), _ptr(bucket, np.int64, rows.shape[0])
+    rows, num_nodes, ptr = _rows(block), efile.meta.num_nodes, _kernels.ptr
+    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, num_nodes,
+            ptr(labels, np.int64, num_nodes), p, ptr(counts, np.int64, p * p),
+            ptr(bucket, np.int64, rows.shape[0]), ptr(cut, np.int64, 1))
     if _kernels.label_pass is not None:
-        bad = _kernels.label_pass(rows.shape[0], rows.ctypes, rows.itemsize, num_nodes, labels, p,
-                                  counts_ptr, bucket_ptr, cut)
+        bad = _kernels.label_pass(rows.shape[0], *args)
     else:
         _check_ids(rows, num_nodes, efile.path)
         l_src, l_dst = labels[rows[:, 0]], labels[rows[:, 1]]
@@ -524,14 +513,15 @@ def _extract_block(efile: EdgeFile, block: np.ndarray, new_id: np.ndarray,
     labelled neither 0 nor 1.  ``out`` is a contiguous u32 or u64 buffer of
     at least the block's shape.
     """
-    rows, num_nodes = _rows(block), efile.meta.num_nodes
-    _ptr(new_id, np.int64, num_nodes)
+    rows, num_nodes, ptr = _rows(block), efile.meta.num_nodes, _kernels.ptr
+    new_id_ptr = ptr(new_id, np.int64, num_nodes)
     if _rows(out) is not out or out.shape[0] < rows.shape[0]:
         raise ValueError(f"extraction buffer must be contiguous and hold {rows.shape[0]} rows")
     if _kernels.extract_rows is not None:
         kept = np.zeros(1, dtype=np.int64)
-        bad = _kernels.extract_rows(rows.shape[0], rows.ctypes, rows.itemsize, num_nodes, new_id,
-                                    out.itemsize, out.ctypes, kept)
+        bad = _kernels.extract_rows(rows.shape[0], ptr(rows, rows.dtype, rows.size), rows.itemsize,
+                                    num_nodes, new_id_ptr, out.itemsize,
+                                    ptr(out, out.dtype, out.size), ptr(kept, np.int64, 1))
         kept = int(kept[0])
     else:
         _check_ids(rows, num_nodes, efile.path)
@@ -560,11 +550,12 @@ def _scatter_block(efile: EdgeFile, block: np.ndarray, bucket: np.ndarray, nbuck
     rows, num_nodes = _rows(block), efile.meta.num_nodes
     grouped = np.empty_like(rows) if out is None else out
     bounds = np.zeros(nbuckets + 1, dtype=np.int64)
-    _ptr(bucket, np.int64, rows.shape[0])
-    grouped_ptr = _ptr(grouped, rows.dtype, rows.size)
+    ptr = _kernels.ptr
+    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, num_nodes,
+            ptr(bucket, np.int64, rows.shape[0]), nbuckets, ptr(bounds, np.int64, nbuckets + 1),
+            ptr(grouped, rows.dtype, rows.size))
     if _kernels.scatter_rows is not None:
-        bad = _kernels.scatter_rows(rows.shape[0], rows.ctypes, rows.itemsize, num_nodes, bucket,
-                                    nbuckets, bounds, grouped_ptr)
+        bad = _kernels.scatter_rows(rows.shape[0], *args)
     else:
         _check_ids(rows, num_nodes, efile.path)
         bad = _first((bucket < 0) | (bucket >= nbuckets))
@@ -589,10 +580,12 @@ def _endpoint_block(efile: EdgeFile, block: np.ndarray, counts: np.ndarray,
     rows, num_nodes = _rows(block), efile.meta.num_nodes
     if counts.size != (num_nodes if labels is None else 2 * num_nodes):
         raise ValueError("counts must have one entry per node, or two with labels")
-    labels_ptr = _ptr(labels, np.int64, num_nodes)
+    ptr = _kernels.ptr
+    labels_ptr = ptr(labels, np.int64, num_nodes)
     if _kernels.endpoint_counts is not None:
-        bad = _kernels.endpoint_counts(rows.shape[0], rows.ctypes, rows.itemsize, num_nodes,
-                                       labels_ptr, counts)
+        bad = _kernels.endpoint_counts(rows.shape[0], ptr(rows, rows.dtype, rows.size),
+                                       rows.itemsize, num_nodes, labels_ptr,
+                                       ptr(counts, np.int64, counts.size))
     else:
         _check_ids(rows, num_nodes, efile.path)
         src, dst = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)

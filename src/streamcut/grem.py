@@ -42,6 +42,8 @@ from .edgefile import (
     _cut_pass,
     _extract_block,
     _id_dtype,
+    _remove_if_present,
+    _replacing,
     iter_edge_blocks,
     num_parts_of,
     open_edge_file,
@@ -114,9 +116,13 @@ def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -
     if nodes.size and (nodes[0] < 0 or nodes[-1] >= state.num_nodes):
         raise FormatError(f"chunk node ids outside [0, {state.num_nodes})")
     if _kernels.sweep is not None:
+        ptr, num, num_nodes = _kernels.ptr, nodes.size, state.num_nodes
         sizes = np.array(state.sizes, dtype=np.int64)
-        failed = _kernels.sweep(nodes.size, nodes, starts, ends, nbrs, state.parts,
-                                state.nbr0, state.nbr1, sizes, state.capacity, config.refine)
+        failed = _kernels.sweep(
+            num, ptr(nodes, np.int64, num), ptr(starts, np.int64, num), ptr(ends, np.int64, num),
+            ptr(nbrs, np.int64, nbrs.size), ptr(state.parts, np.int8, num_nodes),
+            ptr(state.nbr0, np.float64, num_nodes), ptr(state.nbr1, np.float64, num_nodes),
+            ptr(sizes, np.int64, 2), state.capacity, config.refine)
         state.sizes[:] = sizes.tolist()
         if failed >= 0:
             raise CapacityError("both partitions at capacity; size accounting is broken")
@@ -167,7 +173,11 @@ def _seed_chunk(state: PartitionState, chunk: EdgeChunk, seed_cfg: SeedConfig) -
 
     # neighbor estimates against the freshly seeded labels
     if _kernels.seed_counts is not None:
-        _kernels.seed_counts(nodes.size, nodes, starts, ends, nbrs, parts, state.nbr0, state.nbr1)
+        ptr, num, num_nodes = _kernels.ptr, nodes.size, state.num_nodes
+        _kernels.seed_counts(
+            num, ptr(nodes, np.int64, num), ptr(starts, np.int64, num), ptr(ends, np.int64, num),
+            ptr(nbrs, np.int64, nbrs.size), ptr(parts, np.int8, num_nodes),
+            ptr(state.nbr0, np.float64, num_nodes), ptr(state.nbr1, np.float64, num_nodes))
         return
     adj_parts = parts[nbrs]
     seg = np.repeat(np.arange(len(nodes)), ends - starts)
@@ -257,17 +267,19 @@ def _extract_induced(
     already cut and carry no information for deeper bisections.  An edge
     touching a node labelled neither 0 nor 1 is a FormatError.
     ``_extract_block`` writes each block's kept edges, relabelled, into one
-    buffer at the output id width.
+    buffer at the output id width.  The file is written under a temporary
+    name and renamed into place, so a failed extraction leaves nothing.
     """
     checked = _checked_labels(efile, labels)
     new_id = np.where((checked == 0) | (checked == 1), -1, -2)
     new_id[members] = np.arange(members.size, dtype=np.int64)
-    with BinaryEdgeWriter(out_path, int(members.size)) as writer:
-        out = np.empty((0, 2), dtype=_id_dtype(writer.width))
-        for block in iter_edge_blocks(efile):
-            if out.shape[0] < block.shape[0]:  # the first, largest block's buffer, reused
-                out = np.empty((block.shape[0], 2), dtype=out.dtype)
-            writer.write(_extract_block(efile, block, new_id, out))
+    with _replacing(out_path) as (tmp_path,):
+        with BinaryEdgeWriter(tmp_path, int(members.size)) as writer:
+            out = np.empty((0, 2), dtype=_id_dtype(writer.width))
+            for block in iter_edge_blocks(efile):
+                if out.shape[0] < block.shape[0]:  # the first, largest block's buffer, reused
+                    out = np.empty((block.shape[0], 2), dtype=out.dtype)
+                writer.write(_extract_block(efile, block, new_id, out))
     return open_edge_file(out_path)
 
 
@@ -312,11 +324,11 @@ def partition(
             if members.size == 0:
                 continue
             sub_path = os.path.join(workdir, f"bisect_l{level + 1}_b{base}.grpe")
-            sub_file = _extract_induced(file, labels, side, members, sub_path)
             try:
+                sub_file = _extract_induced(file, labels, side, members, sub_path)
                 recurse(sub_file, orig_ids[members], p_level // 2, level + 1, base)
             finally:
-                os.remove(sub_path)
+                _remove_if_present(sub_path)
 
     recurse(efile, np.arange(total_nodes, dtype=np.int64), p, 0, 0)
     return final, _report(efile, final, p, cut)

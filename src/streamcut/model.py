@@ -36,8 +36,15 @@ def width_for(num_nodes: int) -> int:
 
 
 def packed_keys_fit(width: int) -> bool:
-    """Whether ``src * width + dst`` keys of ids below ``width`` fit in int64."""
-    return width * width <= 1 << 63
+    """Whether shift-packed keys of ids below ``width`` fit in 64 bits: width <= 2**32."""
+    return width <= 1 << 32
+
+
+def key_layout(width: int) -> tuple[int, type]:
+    """(shift, key dtype) of the ``src << shift | dst`` keys of ids below ``width``:
+    shift = bit_length(width - 1), u32 keys when width << shift <= 2**32, else u64."""
+    shift = max(width - 1, 0).bit_length()
+    return shift, np.uint32 if width << shift <= 1 << 32 else np.uint64
 
 
 def build_adjacency(blocks, num_edges: int, width: int) -> tuple[np.ndarray, ...]:
@@ -48,64 +55,96 @@ def build_adjacency(blocks, num_edges: int, width: int) -> tuple[np.ndarray, ...
     only in self-loops; ``nbrs[starts[i]:ends[i]]`` are the neighbors of
     ``nodes[i]``, ascending, with duplicate edges kept and self-loops left
     out.  Both directions of every edge are indexed.  One sort of packed
-    ``src * width + dst`` keys orders the whole index; when ``width * width``
-    would overflow int64 the edges are gathered and ranked first.
+    ``src << shift | dst`` keys, shift = bit_length(width - 1), orders the
+    whole index: the order is that of ``src * width + dst``.  The keys are u32
+    while width << shift <= 2**32 (width up to 65,536), u64 while
+    shift <= 32; ids of 2**32 and above are gathered and ranked first.
     """
     if num_edges == 0:
         return tuple(np.empty(0, dtype=np.int64) for _ in range(4))
     if packed_keys_fit(width):
-        return adjacency_from_keys(_packed_keys(blocks, num_edges, width), width)
+        return adjacency_from_keys(*_pack_keys(blocks, num_edges, width), width)
     ids, ranks = np.unique(np.concatenate(list(blocks)), return_inverse=True)
-    keys = _packed_keys((ranks.reshape(-1, 2),), num_edges, ids.size)
+    packed = _pack_keys((ranks.reshape(-1, 2),), num_edges, ids.size)
     del ranks  # release before the sort
-    nodes, starts, ends, nbrs = adjacency_from_keys(keys, ids.size)
+    nodes, starts, ends, nbrs = adjacency_from_keys(*packed, ids.size)
     ids = ids.astype(np.int64)
     return ids[nodes], starts, ends, ids[nbrs]
 
 
-def _packed_keys(blocks, num_edges: int, width: int) -> np.ndarray:
-    """Both directions of every edge as ``src * width + dst`` int64 keys, filled block by
-    block with int64 arithmetic at any id width; no block outlives the fill."""
-    keys = np.empty(2 * num_edges, dtype=np.int64)
+def _pack_keys(blocks, num_edges: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(buffer, keys): both directions of every edge as ``key_layout(width)`` keys,
+    filled block by block; no block outlives the fill.
+
+    ``buffer`` holds 2 * num_edges int64 entries, the room the index's
+    neighbour ids need; u64 keys are the whole of it, u32 keys its upper half.
+    """
+    buf = np.empty(2 * num_edges, dtype=np.int64)
+    keys = buf.view(key_layout(width)[1])[-2 * num_edges:]
     fwd, rev = keys[:num_edges], keys[num_edges:]
     pos = 0
     for block in blocks:
         end = pos + block.shape[0]
-        src, dst = block[:, 0], block[:, 1]
-        for out, a, b in ((fwd[pos:end], src, dst), (rev[pos:end], dst, src)):
-            np.multiply(a, width, out=out, dtype=np.int64)
-            np.add(out, b, out=out, dtype=np.int64)
+        _pack_block(block, width, fwd[pos:end], rev[pos:end])
         pos = end
-    return keys
+    return buf, keys
+
+
+def _pack_block(block: np.ndarray, width: int, fwd: np.ndarray, rev: np.ndarray) -> None:
+    """``_kernels.pack_keys`` over one (m, 2) block: row i's ``key_layout(width)`` key
+    to ``fwd[i]``, its reverse's to ``rev[i]``; ValueError for an id outside [0, width)."""
+    shift, dtype = key_layout(width)
+    rows = np.ascontiguousarray(block)
+    if rows.dtype not in (np.uint32, np.uint64, np.int64):
+        rows = rows.astype(np.int64)
+    m = rows.shape[0]
+    if _kernels.pack_keys is not None:
+        ptr = _kernels.ptr
+        bad = _kernels.pack_keys(m, ptr(rows, rows.dtype, 2 * m), rows.itemsize, width, shift,
+                                 fwd.itemsize, ptr(fwd, dtype, m), ptr(rev, dtype, m))
+    else:
+        bad = m and (int(rows.max()) >= width or int(rows.min()) < 0)
+        if not bad:
+            src, dst = rows[:, 0], rows[:, 1]
+            for out, a, b in ((fwd, src, dst), (rev, dst, src)):
+                np.left_shift(a, shift, out=out, dtype=out.dtype, casting="unsafe")
+                np.bitwise_or(out, b, out=out, dtype=out.dtype, casting="unsafe")
+    if bad:
+        raise ValueError(f"edge ids must lie in [0, {width})")
 
 
 def adjacency_from_keys(
-    keys: np.ndarray, width: int
+    buf: np.ndarray, keys: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The ``build_adjacency`` index of packed ``src * width + dst`` int64 keys.
+    """The ``build_adjacency`` index of the (buffer, keys) of ``_pack_keys(..., width)``.
 
-    ``keys`` holds both directions of every edge; it is sorted, then
-    overwritten with the neighbor ids, in place, and ``nbrs`` is a view of
-    its front.  Every ``width`` above the largest id gives the same index.
+    ``keys`` is sorted in place, then ``buf`` is overwritten from its front
+    with the neighbor ids, and ``nbrs`` is a view of that front.
     """
     keys.sort()
+    shift, dtype = key_layout(width)
     if _kernels.adjacency_tail is not None:
-        runs = min(keys.size, width)  # each run has a distinct owner and at least one key
-        nodes = np.empty(runs, dtype=np.int64)
-        offsets = np.empty(runs + 1, dtype=np.int64)
-        runs = _kernels.adjacency_tail(keys.size, keys, width, nodes, offsets)
-        return nodes[:runs], offsets[:runs], offsets[1 : runs + 1], keys[: offsets[runs]]
-    owner = keys // width
-    nbrs = np.remainder(keys, width, out=keys)
+        ptr, m = _kernels.ptr, keys.size
+        # each run has a distinct owner and at least one key, and the tail
+        # writes each key's owner to the next run's slot: one past the last
+        slots = min(m, width) + 1
+        nodes = np.empty(slots, dtype=np.int64)
+        offsets = np.empty(slots, dtype=np.int64)
+        runs = _kernels.adjacency_tail(m, ptr(keys, dtype, m), keys.itemsize, shift,
+                                       ptr(buf, np.int64, m), ptr(nodes, np.int64, slots),
+                                       ptr(offsets, np.int64, slots))
+        return nodes[:runs], offsets[:runs], offsets[1 : runs + 1], buf[: offsets[runs]]
+    owner = keys >> shift
+    nbrs = np.bitwise_and(keys, (1 << shift) - 1, out=keys)
     # run starts of each owner, then the end of the last run
     bounds = np.flatnonzero(np.concatenate([[True], owner[1:] != owner[:-1], [True]]))
-    nodes = owner[bounds[:-1]]
+    nodes = owner[bounds[:-1]].astype(np.int64)
     loops = np.flatnonzero(owner == nbrs)
     del owner  # release before the copy that drops self-loops
     offsets = bounds - np.searchsorted(loops, bounds)
-    if loops.size:
-        nbrs = np.delete(nbrs, loops)
-    return nodes, offsets[:-1], offsets[1:], nbrs
+    kept = np.delete(nbrs, loops)
+    buf[: kept.size] = kept
+    return nodes, offsets[:-1], offsets[1:], buf[: kept.size]
 
 
 class EdgeChunk:

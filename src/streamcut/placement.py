@@ -143,11 +143,13 @@ def estimate_comm(
     bit_generator = np.random.default_rng(rng_seed).bit_generator
     counts = np.zeros((plan.num_workers, 2), dtype=np.int64)
     if _kernels.comm_walk is not None:
-        raw = bit_generator.ctypes
+        raw, ptr = bit_generator.ctypes, _kernels.ptr
         status = _kernels.comm_walk(
-            num_nodes, starts, ends, snbrs, node_worker, replicated, num_seeds, fanouts,
+            num_nodes, ptr(starts, np.int64, num_nodes), ptr(ends, np.int64, num_nodes),
+            ptr(snbrs, np.int64, snbrs.size), ptr(node_worker, np.int64, num_nodes),
+            ptr(replicated, np.bool_, num_nodes), num_seeds, ptr(fanouts, np.int64, fanouts.size),
             fanouts.size, ctypes.cast(raw.next_uint64, ctypes.c_void_p), raw.state_address,
-            counts,
+            ptr(counts, np.int64, counts.size),
         )
         if status != 0:
             raise MemoryError("estimate_comm: no memory for the sampling frontier")

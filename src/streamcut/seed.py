@@ -65,8 +65,10 @@ def _bfs_grow(nodes, starts, ends, nbrs, refinement_passes: int, capacity: int) 
     n = len(nodes)
     local = _local_positions(nodes, nbrs)
     if _kernels.bfs_grow is not None:
-        labels = np.ones(n, dtype=np.int8)
-        if _kernels.bfs_grow(n, starts, ends, local, refinement_passes, capacity, labels) < 0:
+        ptr, labels = _kernels.ptr, np.ones(n, dtype=np.int8)
+        if _kernels.bfs_grow(n, ptr(starts, np.int64, n), ptr(ends, np.int64, n),
+                             ptr(local, np.int64, local.size), refinement_passes, capacity,
+                             ptr(labels, np.int8, n)) < 0:
             raise MemoryError("bfs_grow could not allocate its scratch arrays")
         return labels
 

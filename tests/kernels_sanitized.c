@@ -1,0 +1,216 @@
+/* Runs pack_keys, adjacency_tail, sweep and seed_counts of
+ * src/streamcut/_kernels.c on edge cases, with every buffer allocated at
+ * exactly the size the Python callers give it (model._pack_keys,
+ * model.adjacency_from_keys, grem.process_chunk, grem._seed_chunk), so that
+ * a build with -fsanitize=address,undefined reports any access outside
+ * them.  Prints "ok" and exits 0 when every case checks out.
+ *
+ *     cc -O1 -g -fsanitize=address,undefined -fno-sanitize-recover=all \
+ *        tests/kernels_sanitized.c src/streamcut/_kernels.c -o driver && ./driver
+ */
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+int64_t pack_keys(int64_t m, const void *rows, int64_t id_bytes, int64_t width, int64_t shift,
+                  int64_t key_bytes, void *fwd, void *rev);
+int64_t adjacency_tail(int64_t m, const void *keys, int64_t key_bytes, int64_t shift,
+                       int64_t *nbrs, int64_t *nodes, int64_t *offsets);
+int64_t sweep(int64_t num, const int64_t *nodes, const int64_t *starts, const int64_t *ends,
+              const int64_t *nbrs, int8_t *parts, double *nbr0, double *nbr1, int64_t *sizes,
+              int64_t cap, int32_t refine);
+void seed_counts(int64_t num, const int64_t *nodes, const int64_t *starts, const int64_t *ends,
+                 const int64_t *nbrs, const int8_t *parts, double *nbr0, double *nbr1);
+
+static int failures = 0;
+
+#define CHECK(cond, name)                                                   \
+    do {                                                                    \
+        if (!(cond)) {                                                      \
+            fprintf(stderr, "%s: %s failed\n", name, #cond);                \
+            failures++;                                                     \
+        }                                                                   \
+    } while (0)
+
+static void *exact(size_t count, size_t size)
+{
+    void *p = malloc(count * size);
+    if (p == NULL) {
+        fprintf(stderr, "out of memory\n");
+        exit(2);
+    }
+    return p;
+}
+
+static int cmp_u32(const void *a, const void *b)
+{
+    uint32_t x = *(const uint32_t *)a, y = *(const uint32_t *)b;
+    return (x > y) - (x < y);
+}
+
+static int cmp_u64(const void *a, const void *b)
+{
+    uint64_t x = *(const uint64_t *)a, y = *(const uint64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* model.key_layout: shift = bit_length(width - 1); u32 keys while
+ * width << shift <= 2**32 */
+static int64_t key_shift(uint64_t width)
+{
+    int64_t shift = 0;
+    while (shift < 64 && ((width - 1) >> shift) != 0)
+        shift++;
+    return shift;
+}
+
+/* One chunk of m edges (ids[2i], ids[2i + 1]) below width, stored at
+ * id_bytes: packs, sorts and splits its keys, checks the index against a
+ * brute-force count, and for widths small enough to hold one entry of node
+ * state per id sweeps it and seeds its estimates. */
+static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_bytes,
+                     uint64_t width)
+{
+    int64_t shift = key_shift(width);
+    int64_t key_bytes = shift <= 16 && (width << shift) <= (1ULL << 32) ? 4 : 8;
+    void *rows = exact((size_t)(2 * m), (size_t)id_bytes);
+    for (int64_t k = 0; k < 2 * m; k++) {
+        if (id_bytes == 4)
+            ((uint32_t *)rows)[k] = (uint32_t)ids[k];
+        else
+            ((uint64_t *)rows)[k] = ids[k];
+    }
+    /* the builder's one buffer: 2m int64 entries; u64 keys fill it, u32 keys
+     * its upper half; the rows arrive in two blocks */
+    int64_t *buf = exact((size_t)(2 * m), sizeof *buf);
+    char *keys = key_bytes == 8 ? (char *)buf : (char *)buf + (size_t)(2 * m) * 4;
+    int64_t half = m / 2, bad = 0;
+    bad += pack_keys(half, rows, id_bytes, (int64_t)width, shift, key_bytes, keys,
+                     keys + (size_t)m * key_bytes);
+    bad += pack_keys(m - half, (char *)rows + (size_t)(2 * half) * id_bytes, id_bytes,
+                     (int64_t)width, shift, key_bytes, keys + (size_t)half * key_bytes,
+                     keys + (size_t)(m + half) * key_bytes);
+    CHECK(bad == 0, name);
+    qsort(keys, (size_t)(2 * m), (size_t)key_bytes, key_bytes == 8 ? cmp_u64 : cmp_u32);
+
+    /* nodes: one entry per possible run and a spare; offsets: one more per run */
+    int64_t max_runs = (uint64_t)(2 * m) < width ? 2 * m : (int64_t)width;
+    int64_t *nodes = exact((size_t)(max_runs + 1), sizeof *nodes);
+    int64_t *offsets = exact((size_t)(max_runs + 1), sizeof *offsets);
+    int64_t runs = adjacency_tail(2 * m, keys, key_bytes, shift, buf, nodes, offsets);
+
+    int64_t loops = 0;
+    for (int64_t i = 0; i < m; i++)
+        loops += ids[2 * i] == ids[2 * i + 1];
+    CHECK(runs >= 1 && runs <= max_runs, name);
+    CHECK(offsets[0] == 0 && offsets[runs] == 2 * (m - loops), name);
+    for (int64_t r = 0; r < runs; r++) {
+        int64_t degree = 0, seen = 0;
+        for (int64_t i = 0; i < m; i++) {
+            uint64_t u = ids[2 * i], v = ids[2 * i + 1];
+            seen += u == (uint64_t)nodes[r] || v == (uint64_t)nodes[r];
+            degree += (u != v) * ((u == (uint64_t)nodes[r]) + (v == (uint64_t)nodes[r]));
+        }
+        CHECK(seen > 0, name);
+        CHECK(r == 0 || nodes[r] > nodes[r - 1], name);
+        CHECK(offsets[r + 1] - offsets[r] == degree, name);
+        for (int64_t j = offsets[r]; j < offsets[r + 1]; j++) {
+            CHECK(j == offsets[r] || buf[j] >= buf[j - 1], name);
+            CHECK(buf[j] != nodes[r] && (uint64_t)buf[j] < width, name);
+        }
+    }
+
+    if (width <= (1u << 17)) {
+        /* grem.process_chunk and grem._seed_chunk: nodes, starts and ends of
+         * the runs, nbrs of the kept keys, node state of every id */
+        int64_t num_nbrs = offsets[runs];
+        int64_t *c_nodes = exact((size_t)runs, sizeof *c_nodes);
+        int64_t *starts = exact((size_t)runs, sizeof *starts);
+        int64_t *ends = exact((size_t)runs, sizeof *ends);
+        int64_t *nbrs = exact(num_nbrs ? (size_t)num_nbrs : 1, sizeof *nbrs);
+        memcpy(c_nodes, nodes, (size_t)runs * sizeof *nodes);
+        memcpy(starts, offsets, (size_t)runs * sizeof *offsets);
+        memcpy(ends, offsets + 1, (size_t)runs * sizeof *offsets);
+        memcpy(nbrs, buf, (size_t)num_nbrs * sizeof *nbrs);
+        int8_t *parts = exact((size_t)width, sizeof *parts);
+        double *nbr0 = exact((size_t)width, sizeof *nbr0);
+        double *nbr1 = exact((size_t)width, sizeof *nbr1);
+        memset(parts, -1, (size_t)width);
+        for (uint64_t n = 0; n < width; n++)
+            nbr0[n] = nbr1[n] = 0.0;
+        int64_t *sizes = exact(2, sizeof *sizes);
+        sizes[0] = sizes[1] = 0;
+        int64_t cap = (int64_t)(width / 2 + 1);
+        CHECK(sweep(runs, c_nodes, starts, ends, nbrs, parts, nbr0, nbr1, sizes, cap, 1) == -1,
+              name);
+        CHECK(sizes[0] + sizes[1] == runs, name);
+        /* a second, refining sweep over the placed nodes */
+        CHECK(sweep(runs, c_nodes, starts, ends, nbrs, parts, nbr0, nbr1, sizes, cap, 1) == -1,
+              name);
+        seed_counts(runs, c_nodes, starts, ends, nbrs, parts, nbr0, nbr1);
+        for (int64_t r = 0; r < runs; r++)
+            CHECK(nbr0[c_nodes[r]] + nbr1[c_nodes[r]] == (double)(ends[r] - starts[r]), name);
+        free(c_nodes);
+        free(starts);
+        free(ends);
+        free(nbrs);
+        free(parts);
+        free(nbr0);
+        free(nbr1);
+        free(sizes);
+    }
+    free(rows);
+    free(buf);
+    free(nodes);
+    free(offsets);
+}
+
+/* The rows of pairs (a, b) counted down from width - 1. */
+static void run_top(const char *name, const int64_t (*pairs)[2], int64_t m, int id_bytes,
+                    uint64_t width)
+{
+    uint64_t *ids = exact((size_t)(2 * m), sizeof *ids);
+    for (int64_t i = 0; i < m; i++) {
+        ids[2 * i] = width - 1 - (uint64_t)pairs[i][0];
+        ids[2 * i + 1] = width - 1 - (uint64_t)pairs[i][1];
+    }
+    run_case(name, ids, m, id_bytes, width);
+    free(ids);
+}
+
+int main(void)
+{
+    /* duplicates, self-loops and a self-loop-only node */
+    static const int64_t mixed[][2] = {{0, 1}, {1, 0}, {0, 1}, {2, 2}, {3, 1}, {5, 5},
+                                       {4, 3}, {1, 1}, {6, 0}, {5, 5}, {2, 6}};
+    /* every key opens a run: each node has one neighbour */
+    static const int64_t matching[][2] = {{0, 1}, {2, 3}, {5, 4}, {6, 7}};
+    /* the last run repeats: the lowest id holds the highest keys */
+    static const int64_t repeat[][2] = {{1, 0}, {0, 2}, {0, 2}, {3, 0}, {0, 0}};
+    /* self-loops only, of one node */
+    static const int64_t loop_only[][2] = {{0, 0}, {0, 0}};
+    const uint64_t widths[] = {1, 9, 65536, 65537, 1ULL << 32};
+    int64_t n_mixed = sizeof mixed / sizeof mixed[0], n_matching = 4, n_repeat = 5;
+    for (size_t w = 0; w < sizeof widths / sizeof widths[0]; w++) {
+        uint64_t width = widths[w];
+        for (int id_bytes = 4; id_bytes <= 8; id_bytes += 4) {
+            run_top("loop_only", loop_only, 2, id_bytes, width);
+            if (width < 9)
+                continue;
+            run_top("mixed", mixed, n_mixed, id_bytes, width);
+            run_top("matching", matching, n_matching, id_bytes, width);
+            run_top("repeat", repeat, n_repeat, id_bytes, width);
+        }
+    }
+    /* rank rows: dense int64 ranks of ids >= 2**32, as the rank path packs them */
+    static const uint64_t ranks[] = {0, 1, 1, 2, 2, 2, 3, 0, 4, 4};
+    run_case("ranks", ranks, 5, 8, 5);
+    /* one edge, one row per block split */
+    static const uint64_t single[] = {3, 0};
+    run_case("single", single, 1, 4, 4);
+    if (failures)
+        return 1;
+    printf("ok\n");
+    return 0;
+}

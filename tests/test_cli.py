@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import streamcut
 from streamcut import _kernels, cli, read_labels, write_labels
 from streamcut.cli import main
 from streamcut.synth import CliqueUnionSpec, write_graph
@@ -362,3 +366,30 @@ def test_workdir_env_default(tmp_path, cliques, capsys, monkeypatch):
                        "--chunk-frac", "0.5", "--capacity-slack", "0.5")
     assert code == 0
     assert workdir.is_dir()
+
+
+# Run in a child that lowers its own file-size limit to 50,000 bytes: the
+# 40,000-edge input (320,016 bytes) is already written, but the subgraph a
+# level-1 bisection extracts (about a quarter of the edges, some 80,000
+# bytes) can be written only in part.
+_EXTRACT_CHILD = """
+import resource, sys
+from streamcut import cli
+resource.setrlimit(resource.RLIMIT_FSIZE, (50_000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+print("exit", cli.main(sys.argv[1:]))
+"""
+
+
+def test_failed_extraction_leaves_no_partial_file(tmp_path):
+    rng = np.random.default_rng(4)
+    efile = make_edge_file(tmp_path / "g.grpe", rng.integers(0, 2000, size=(40_000, 2)), 2000)
+    path = [str(Path(streamcut.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {name: value for name, value in os.environ.items() if name != "GREM_WORKDIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    child = subprocess.run([sys.executable, "-c", _EXTRACT_CHILD, "partition", efile.path,
+                            "--parts", "4", "--out", str(tmp_path / "l.grpl")],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["exit", "4"], child.stderr
+    # no partial subgraph, no temporary and no scratch directory
+    assert [p.name for p in tmp_path.iterdir()] == ["g.grpe"]

@@ -128,6 +128,35 @@ def test_process_chunk_rejects_ids_outside_state(monkeypatch):
         assert state.parts.tolist() == [-1, -1, -1], kernel
 
 
+
+@PROPERTY_SETTINGS
+@given(
+    edges=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), min_size=1, max_size=120),
+    start=st.lists(st.sampled_from([-1, -1, 0, 1]), min_size=25, max_size=25),
+    estimates=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.75, 7.0]), min_size=50, max_size=50),
+    slack=st.sampled_from([0.0, 0.1, 0.5]),
+    refine=st.booleans(),
+)
+def test_process_chunk_native_equals_python_property(edges, start, estimates, slack, refine):
+    # from any start (some nodes placed, stored estimates of any value) both
+    # sweeps leave the same labels, estimates and sizes, bit for bit
+    chunk = EdgeChunk(1, np.array(edges, dtype=np.int64))
+    config = GremConfig(chunk_frac=1.0, refine=refine)
+    runs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for kernel in each_kernel(patch):
+            state = PartitionState(25, default_capacity(25, slack))
+            state.parts[:] = start
+            state.sizes = recount_sizes(start)
+            state.nbr0[:], state.nbr1[:] = estimates[:25], estimates[25:]
+            process_chunk(state, chunk, config)
+            runs[kernel] = state
+    native, python = runs["native"], runs["python"]
+    assert native.parts.tolist() == python.parts.tolist()
+    assert native.sizes == python.sizes == recount_sizes(python.parts)
+    assert native.nbr0.tobytes() == python.nbr0.tobytes()
+    assert native.nbr1.tobytes() == python.nbr1.tobytes()
+
 # ------------------------------------------------------------------ assign
 
 

@@ -3,11 +3,15 @@
 import os
 import stat
 import subprocess
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from streamcut import _kernels
+from streamcut import EdgeChunk, GremConfig, PartitionState, SeedConfig, _kernels, grem, model
+from streamcut import placement, seed
+
+from helpers import make_edge_file
 
 
 def test_native_kernels_load_when_a_compiler_is_present():
@@ -68,7 +72,10 @@ def test_build_is_cached_by_source_hash(tmp_path, monkeypatch):
     parts = np.array([-1, 1], dtype=np.int8)
     nbr0, nbr1 = np.zeros(2), np.zeros(2)
     sizes = np.array([0, 1], dtype=np.int64)
-    failed = sweep(1, nodes, starts, ends, nbrs, parts, nbr0, nbr1, sizes, 2, 1)
+    ptr = _kernels.ptr
+    failed = sweep(1, *(ptr(a, np.int64, 1) for a in (nodes, starts, ends, nbrs)),
+                   ptr(parts, np.int8, 2), ptr(nbr0, np.float64, 2), ptr(nbr1, np.float64, 2),
+                   ptr(sizes, np.int64, 2), 2, 1)
     assert failed == -1
     assert parts.tolist() == [1, 1] and sizes.tolist() == [0, 2]
     assert (nbr0[0], nbr1[0]) == (0.0, 1.0)
@@ -100,3 +107,115 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def _strided(arr):
+    """A non-contiguous view equal to ``arr``."""
+    wide = np.repeat(arr, 2)
+    return wide[::2]
+
+
+def _chunk_with(index, **swap):
+    """A chunk whose csr() arrays are those of ``index`` with some replaced."""
+    nodes, starts, ends, nbrs = index.csr()
+    arrays = {"nodes": nodes, "starts": starts, "ends": ends, "nbrs": nbrs, **swap}
+    return SimpleNamespace(csr=lambda: tuple(arrays[k] for k in ("nodes", "starts", "ends", "nbrs")))
+
+
+def _bad_kernel_calls(tmp_path, monkeypatch):
+    """(kernel, call) pairs: each call hands its kernel an array of the wrong
+    dtype or layout through the code that calls it."""
+    chunk = EdgeChunk(1, np.array([[0, 1], [1, 2], [2, 3], [3, 0], [1, 1]]))
+    nodes, starts, ends, nbrs = chunk.csr()
+
+    def state(**swap):
+        fresh = PartitionState(4, capacity=3)
+        for name, arr in swap.items():
+            setattr(fresh, name, arr)
+        return fresh
+
+    def sweep(**swap):
+        return lambda: grem.process_chunk(state(), _chunk_with(chunk, **swap), GremConfig())
+
+    def sweep_state(**swap):
+        return lambda: grem.process_chunk(state(**swap), chunk, GremConfig())
+
+    def seed_counts(**swap):
+        return lambda: grem._seed_chunk(state(**swap), chunk, SeedConfig())
+
+    def bfs_grow(**swap):
+        arrays = {"starts": starts, "ends": ends, "nbrs": nbrs, **swap}
+        return lambda: seed._bfs_grow(nodes, arrays["starts"], arrays["ends"], arrays["nbrs"], 1, 3)
+
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2], [2, 3]], 4)
+    plan = placement.plan_assignment(2, 2, rng_seed=0)
+
+    def comm_walk(snbrs):
+        def run():
+            real = placement.build_adjacency
+            with monkeypatch.context() as patch:
+                patch.setattr(placement, "build_adjacency", lambda *args: (*real(*args)[:3], snbrs))
+                placement.estimate_comm(efile, np.array([0, 0, 1, 1]), plan, (2,), 2, 0)
+        return run
+
+    rows = np.array([[0, 1], [2, 3]], dtype=np.uint32)
+
+    def pack_keys(fwd, rev):
+        return lambda: model._pack_block(rows, 4, fwd, rev)
+
+    def tail(buf, keys):
+        return lambda: model.adjacency_from_keys(buf, keys, 4)
+
+    keys32 = np.zeros(4, dtype=np.uint32)
+    return [
+        ("sweep", sweep(nodes=nodes.astype(np.int32))),
+        ("sweep", sweep(nbrs=_strided(nbrs))),
+        ("sweep", sweep_state(nbr0=np.zeros(4, dtype=np.float32))),
+        ("sweep", sweep_state(parts=_strided(np.full(4, -1, dtype=np.int8)))),
+        ("bfs_grow", bfs_grow(starts=starts.astype(np.int32))),
+        ("bfs_grow", bfs_grow(ends=_strided(ends))),
+        ("seed_counts", seed_counts(nbr1=np.zeros(4, dtype=np.float32))),
+        ("seed_counts", seed_counts(nbr0=_strided(np.zeros(4)))),
+        ("comm_walk", comm_walk(np.array([1, 0, 2, 1, 3, 2], dtype=np.int32))),
+        ("comm_walk", comm_walk(_strided(np.array([1, 0, 2, 1, 3, 2])))),
+        ("pack_keys", pack_keys(np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.uint32))),
+        ("pack_keys", pack_keys(np.zeros(2, dtype=np.uint32), _strided(np.zeros(2, np.uint32)))),
+        ("adjacency_tail", tail(np.zeros(4, dtype=np.uint64), keys32)),
+        ("adjacency_tail", tail(np.zeros(4, dtype=np.int64), _strided(keys32))),
+    ]
+
+
+def test_kernels_reject_arrays_of_the_wrong_dtype_or_layout(tmp_path, monkeypatch):
+    if _kernels.kernel_name() != "native":
+        pytest.skip("compiled kernels not loaded")
+    calls = _bad_kernel_calls(tmp_path, monkeypatch)
+    assert {name for name, _ in calls} == {"sweep", "bfs_grow", "seed_counts", "comm_walk",
+                                           "pack_keys", "adjacency_tail"}
+    for name, call in calls:
+        with pytest.raises(ValueError, match="kernel array must be contiguous"):
+            call()
+
+
+SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+
+
+def test_kernels_keep_their_buffer_contracts_under_sanitizers(tmp_path):
+    # pack_keys, adjacency_tail, sweep and seed_counts on the key-layout edge
+    # cases, every buffer sized exactly as the Python callers size it: an
+    # access past one (such as a `nodes` without its spare entry) aborts
+    cc = _kernels._compiler()
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    built = subprocess.run([cc, *SANITIZE, str(probe), "-o", str(tmp_path / "probe")],
+                           capture_output=True, timeout=120)
+    if built.returncode != 0 or subprocess.run([str(tmp_path / "probe")]).returncode != 0:
+        pytest.skip("no address or undefined-behaviour sanitizer runtime")
+    driver = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels_sanitized.c")
+    built = subprocess.run([cc, *SANITIZE, driver, _kernels._SOURCE, "-o", str(tmp_path / "driver")],
+                           capture_output=True, text=True, timeout=120)
+    assert built.returncode == 0, built.stderr
+    run = subprocess.run([str(tmp_path / "driver")], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "ok\n"

@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from streamcut import EdgeChunk, FormatError, GraphMeta, NodeStats, PartitionState
-from streamcut.model import adjacency_from_keys, build_adjacency
+from streamcut.model import _pack_keys, adjacency_from_keys, build_adjacency, key_layout
 
 from helpers import PROPERTY_SETTINGS, each_kernel, recount_sizes
 
@@ -48,7 +48,7 @@ def test_chunk_adjacency_matches_rebuild(monkeypatch):
             m = int(rng.integers(1, 120))
             edges = rng.integers(0, n, size=(m, 2)).astype(np.int64)
             _check_against_rebuild(edges)
-            # ids >= 2**32 make the packed src * w + dst key overflow int64
+            # ids >= 2**32 are too wide for packed keys and take the rank path
             _check_against_rebuild(edges * (1 << 32) + trial)
         # nodes that appear only in self-loops stay listed, with no neighbors
         _check_against_rebuild(np.array([[5, 5], [1, 2], [7, 7], [7, 7], [2, 1]]))
@@ -78,7 +78,9 @@ def test_chunk_absent_node_and_empty(monkeypatch):
         assert all(a.size == 0 for a in empty.csr())
 
 
-# the largest width whose packed keys fit in int64: width**2 <= 2**63
+# the largest width whose src * width + dst keys, which the builder once
+# packed, fit in int64 (width**2 <= 2**63); shift-packed, its ids take u64
+# keys of shift 32
 _WIDEST = 3_037_000_499
 
 
@@ -92,12 +94,11 @@ _WIDEST = 3_037_000_499
          loop_only=[], spare_width=0)
 def test_adjacency_tail_native_equals_python_property(edges, loop_only, spare_width):
     # duplicates, self-loops and self-loop-only nodes; any width above the
-    # largest id must give the same index
+    # largest id, whatever its key dtype and shift, must give the same index
     edges = np.array(edges + [(n, n) for n in loop_only], dtype=np.int64)
     width = int(edges.max()) + 1 + spare_width
-    keys = np.concatenate([edges[:, 0] * width + edges[:, 1], edges[:, 1] * width + edges[:, 0]])
     with pytest.MonkeyPatch.context() as patch:
-        runs = {kernel: (adjacency_from_keys(keys.copy(), width),
+        runs = {kernel: (adjacency_from_keys(*_pack_keys((edges,), edges.shape[0], width), width),
                          build_adjacency((edges,), edges.shape[0], int(edges.max()) + 1))
                 for kernel in each_kernel(patch)}
     for native, python in zip(runs["native"], runs["python"]):
@@ -106,6 +107,54 @@ def test_adjacency_tail_native_equals_python_property(edges, loop_only, spare_wi
             assert a.dtype == b.dtype == np.int64
             assert a.tolist() == b.tolist()
     assert all(a.tolist() == b.tolist() for a, b in zip(*runs["python"]))
+
+
+def test_key_layout_at_the_boundaries():
+    assert key_layout(1) == (0, np.uint32)
+    assert key_layout(65_536) == (16, np.uint32)  # the last width of u32 keys
+    assert key_layout(65_537) == (17, np.uint64)
+    assert key_layout(2**32) == (32, np.uint64)  # the last width of packed keys
+
+
+# ids counted down from the top of each width: the last u32 width, the first
+# u64 one, the last packed one (shift 32) and ids past it (the rank path,
+# whose int64 ranks are packed)
+_TOPS = [41, 65_536, 65_537, 2**32, 2**40 + 3]
+
+
+@PROPERTY_SETTINGS
+@given(
+    top=st.sampled_from(_TOPS),
+    dtype=st.sampled_from([np.uint32, np.uint64, np.int64]),
+    pairs=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=80),
+    loop_only=st.lists(st.integers(13, 16), max_size=3),
+    split=st.integers(0, 80),
+)
+# every key opens a run: each node has one neighbour
+@example(top=65_536, dtype=np.uint32, pairs=[(0, 1), (2, 3), (5, 4)], loop_only=[], split=1)
+@example(top=2**32, dtype=np.uint64, pairs=[(0, 1), (2, 3), (5, 4)], loop_only=[], split=2)
+# the last run repeats: duplicate keys of the highest owner, then its self-loop
+@example(top=65_537, dtype=np.int64, pairs=[(0, 3), (0, 3), (1, 0), (0, 0)], loop_only=[], split=0)
+@example(top=2**40 + 3, dtype=np.uint64, pairs=[(0, 3), (0, 3), (0, 0)], loop_only=[16], split=2)
+def test_shift_packed_keys_native_equal_numpy_property(monkeypatch, top, dtype, pairs, loop_only,
+                                                        split):
+    # the compiled pack_keys and adjacency_tail against their numpy twins and
+    # a brute-force rebuild, over two blocks: duplicates, self-loops and
+    # self-loop-only nodes included
+    if dtype is np.uint32 and top > 2**32:
+        dtype = np.uint64
+    offsets = np.array(pairs + [(n, n) for n in loop_only], dtype=np.int64)
+    edges = (top - 1 - offsets).astype(dtype)
+    blocks = (edges[:split], edges[split:])
+    runs = {kernel: build_adjacency(blocks, edges.shape[0], top)
+            for kernel in each_kernel(monkeypatch)}
+    oracle = _brute_adjacency(edges.astype(np.uint64))
+    for kernel, (nodes, starts, ends, nbrs) in runs.items():
+        assert all(a.dtype == np.int64 for a in (nodes, starts, ends, nbrs)), kernel
+        assert nodes.tolist() == sorted(oracle), kernel
+        lists = [nbrs[a:b].tolist() for a, b in zip(starts, ends)]
+        assert lists == [oracle[n] for n in sorted(oracle)], kernel
+    assert all(a.tolist() == b.tolist() for a, b in zip(runs["native"], runs["python"]))
 
 
 def test_u64_block_beyond_the_packed_width_indexes_as_its_int64_twin(monkeypatch):

@@ -363,7 +363,8 @@ def test_comm_bounded_draw_rejects_low_words(tmp_path, monkeypatch):
 
 
 def test_comm_same_through_the_edge_list_path(tmp_path, monkeypatch):
-    # the path for num_nodes**2 > 2**63 indexes the decoded edge list instead
+    # the rank path, for ids of 2**32 and above, indexes the decoded edge list
+    # ranked to dense ids instead of packing the ids themselves
     rng = np.random.default_rng(12)
     edges = rng.integers(0, 80, size=(900, 2))
     efile = make_edge_file(tmp_path / "g.grpe", edges, 100)
