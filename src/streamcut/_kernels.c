@@ -22,7 +22,9 @@
  *
  * Every array arrives as a plain pointer; the Python callers check its
  * dtype, size and contiguity (_kernels.ptr) and size every output as the
- * comment above each function says.
+ * comment above each function says.  The edge passes take their rows'
+ * ids as below the node count, which edgefile.iter_edge_blocks checks as
+ * it reads, and index the per-node arrays with them unchecked.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -310,9 +312,10 @@ done:
 }
 
 /* The edge passes read blocks of (src, dst) rows as stored: 4-byte ids
- * (id_bytes == 4) or 8-byte ids (id_bytes == 8), little-endian unsigned.
- * Each checks every id against num_nodes before it indexes with it.  The
- * bodies are inlined into one copy per id width. */
+ * (id_bytes == 4) or 8-byte ids (id_bytes == 8), little-endian unsigned,
+ * trusted as the header says.  They check only the labels, new ids and
+ * bucket ids they read.  The bodies are inlined into one copy per id
+ * width. */
 #define PASS static inline __attribute__((always_inline))
 
 static inline uint64_t id_at(const void *rows, int wide, int64_t k)
@@ -320,18 +323,12 @@ static inline uint64_t id_at(const void *rows, int wide, int64_t k)
     return wide ? ((const uint64_t *)rows)[k] : ((const uint32_t *)rows)[k];
 }
 
-PASS int64_t label_pass_body(int64_t m, const void *rows, int wide, uint64_t num_nodes,
-                             const int64_t *labels, int64_t p, int64_t *counts,
-                             int64_t *bucket, int64_t *cut)
+PASS int64_t label_pass_body(int64_t m, const void *rows, int wide, const int64_t *labels,
+                             int64_t p, int64_t *counts, int64_t *bucket, int64_t *cut)
 {
     int64_t cuts = 0, bad = -1;
     for (int64_t i = 0; i < m; i++) {
-        uint64_t u = id_at(rows, wide, 2 * i), v = id_at(rows, wide, 2 * i + 1);
-        if (u >= num_nodes || v >= num_nodes) {
-            bad = i;
-            break;
-        }
-        int64_t lu = labels[u], lv = labels[v];
+        int64_t lu = labels[id_at(rows, wide, 2 * i)], lv = labels[id_at(rows, wide, 2 * i + 1)];
         if (lu < 0 || lv < 0 || (p > 0 && (lu >= p || lv >= p))) {
             bad = i;
             break;
@@ -346,33 +343,26 @@ PASS int64_t label_pass_body(int64_t m, const void *rows, int wide, uint64_t num
     return bad;
 }
 
-/* Gathers both labels of each of the m rows and adds the number of rows
- * whose labels differ to *cut.  With `counts` (p * p entries) each row also
- * adds one to its bucket l_src * p + l_dst; with `bucket` (m entries) row i's
- * bucket id is written to bucket[i].  Returns -1, or the position of the
- * first row with an id >= num_nodes, an endpoint labelled below 0 or, for
- * p > 0, at or above p (the rows before it are tallied). */
-int64_t label_pass(int64_t m, const void *rows, int64_t id_bytes, int64_t num_nodes,
-                   const int64_t *labels, int64_t p, int64_t *counts, int64_t *bucket,
-                   int64_t *cut)
+/* Gathers both labels of each of the m rows (labels: one per node) and adds
+ * the number of rows whose labels differ to *cut.  With `counts` (p * p
+ * entries) each row also adds one to its bucket l_src * p + l_dst; with
+ * `bucket` (m entries) row i's bucket id is written to bucket[i].  Returns
+ * -1, or the position of the first row with an endpoint labelled below 0
+ * or, for p > 0, at or above p (the rows before it are tallied). */
+int64_t label_pass(int64_t m, const void *rows, int64_t id_bytes, const int64_t *labels,
+                   int64_t p, int64_t *counts, int64_t *bucket, int64_t *cut)
 {
     if (id_bytes == 8)
-        return label_pass_body(m, rows, 1, (uint64_t)num_nodes, labels, p, counts, bucket, cut);
-    return label_pass_body(m, rows, 0, (uint64_t)num_nodes, labels, p, counts, bucket, cut);
+        return label_pass_body(m, rows, 1, labels, p, counts, bucket, cut);
+    return label_pass_body(m, rows, 0, labels, p, counts, bucket, cut);
 }
 
-PASS int64_t extract_rows_body(int64_t m, const void *rows, int wide, uint64_t num_nodes,
-                               const int64_t *new_id, int64_t out_bytes, void *out,
-                               int64_t *kept)
+PASS int64_t extract_rows_body(int64_t m, const void *rows, int wide, const int64_t *new_id,
+                               int64_t out_bytes, void *out, int64_t *kept)
 {
     int64_t k = 0, bad = -1;
     for (int64_t i = 0; i < m; i++) {
-        uint64_t u = id_at(rows, wide, 2 * i), v = id_at(rows, wide, 2 * i + 1);
-        if (u >= num_nodes || v >= num_nodes) {
-            bad = i;
-            break;
-        }
-        int64_t a = new_id[u], b = new_id[v];
+        int64_t a = new_id[id_at(rows, wide, 2 * i)], b = new_id[id_at(rows, wide, 2 * i + 1)];
         if (a < -1 || b < -1) {
             bad = i;
             break;
@@ -394,22 +384,20 @@ PASS int64_t extract_rows_body(int64_t m, const void *rows, int wide, uint64_t n
 
 /* Keeps the m rows whose endpoints both have a new id and writes them, in
  * order, to `out` (room for m rows) as ids of out_bytes (4 or 8) bytes;
- * *kept gets the number of rows kept.  new_id[n] is node n's new id, -1
- * for a node whose rows are dropped, or below -1 for a node no row may
- * touch.  Returns -1, or the position of the first row with an id
- * >= num_nodes or an endpoint whose new_id is below -1 (the rows before it
- * are written). */
-int64_t extract_rows(int64_t m, const void *rows, int64_t id_bytes, int64_t num_nodes,
-                     const int64_t *new_id, int64_t out_bytes, void *out, int64_t *kept)
+ * *kept gets the number of rows kept.  new_id[n] (one per node) is node n's
+ * new id, -1 for a node whose rows are dropped, or below -1 for a node no
+ * row may touch.  Returns -1, or the position of the first row with an
+ * endpoint whose new_id is below -1 (the rows before it are written). */
+int64_t extract_rows(int64_t m, const void *rows, int64_t id_bytes, const int64_t *new_id,
+                     int64_t out_bytes, void *out, int64_t *kept)
 {
     if (id_bytes == 8)
-        return extract_rows_body(m, rows, 1, (uint64_t)num_nodes, new_id, out_bytes, out, kept);
-    return extract_rows_body(m, rows, 0, (uint64_t)num_nodes, new_id, out_bytes, out, kept);
+        return extract_rows_body(m, rows, 1, new_id, out_bytes, out, kept);
+    return extract_rows_body(m, rows, 0, new_id, out_bytes, out, kept);
 }
 
-PASS int64_t scatter_rows_body(int64_t m, const void *rows, int wide, uint64_t num_nodes,
-                               const int64_t *bucket, int64_t nbuckets, int64_t *bounds,
-                               void *out)
+PASS int64_t scatter_rows_body(int64_t m, const void *rows, int wide, const int64_t *bucket,
+                               int64_t nbuckets, int64_t *bounds, void *out)
 {
     size_t row = wide ? 16 : 8;
     memset(bounds, 0, (size_t)(nbuckets + 1) * sizeof *bounds);
@@ -422,8 +410,6 @@ PASS int64_t scatter_rows_body(int64_t m, const void *rows, int wide, uint64_t n
         bounds[b] += bounds[b - 1];
     /* bounds[b] is the cursor of bucket b; afterwards it is the end of b */
     for (int64_t i = 0; i < m; i++) {
-        if (id_at(rows, wide, 2 * i) >= num_nodes || id_at(rows, wide, 2 * i + 1) >= num_nodes)
-            return i;
         int64_t at = bounds[bucket[i]]++;
         memcpy((char *)out + (size_t)at * row, (const char *)rows + (size_t)i * row, row);
     }
@@ -435,24 +421,22 @@ PASS int64_t scatter_rows_body(int64_t m, const void *rows, int wide, uint64_t n
 /* Stable counting scatter of m rows by bucket id: `out` gets the rows
  * grouped by bucket, in input order within a bucket, and `bounds`
  * (nbuckets + 1 entries) the start of each bucket's run followed by m.
- * Returns -1, or the position of the first row with a bucket id outside
- * [0, nbuckets) or an id >= num_nodes (`out` and `bounds` are then
- * incomplete). */
-int64_t scatter_rows(int64_t m, const void *rows, int64_t id_bytes, int64_t num_nodes,
-                     const int64_t *bucket, int64_t nbuckets, int64_t *bounds, void *out)
+ * The ids are copied, never indexed with.  Returns -1, or the position of
+ * the first row with a bucket id outside [0, nbuckets) (`out` and `bounds`
+ * are then incomplete). */
+int64_t scatter_rows(int64_t m, const void *rows, int64_t id_bytes, const int64_t *bucket,
+                     int64_t nbuckets, int64_t *bounds, void *out)
 {
     if (id_bytes == 8)
-        return scatter_rows_body(m, rows, 1, (uint64_t)num_nodes, bucket, nbuckets, bounds, out);
-    return scatter_rows_body(m, rows, 0, (uint64_t)num_nodes, bucket, nbuckets, bounds, out);
+        return scatter_rows_body(m, rows, 1, bucket, nbuckets, bounds, out);
+    return scatter_rows_body(m, rows, 0, bucket, nbuckets, bounds, out);
 }
 
-PASS int64_t endpoint_counts_body(int64_t m, const void *rows, int wide, uint64_t num_nodes,
-                                  const int64_t *labels, int64_t *counts)
+PASS int64_t endpoint_counts_body(int64_t m, const void *rows, int wide, const int64_t *labels,
+                                  int64_t *counts)
 {
     for (int64_t i = 0; i < m; i++) {
         uint64_t u = id_at(rows, wide, 2 * i), v = id_at(rows, wide, 2 * i + 1);
-        if (u >= num_nodes || v >= num_nodes)
-            return i;
         if (labels == NULL) {
             if (u != v) {
                 counts[u] += 1;
@@ -476,14 +460,14 @@ PASS int64_t endpoint_counts_body(int64_t m, const void *rows, int wide, uint64_
  * With labels, a bisection (0 or 1, below 0 for unlabeled), it adds one to
  * counts[2u + labels[v]] and counts[2v + labels[u]]: each node's neighbours
  * per side; a row with an endpoint labelled other than 0 or 1, a self-loop
- * included, is rejected.  Returns -1, or the position of the first row with
- * an id >= num_nodes or a rejected label. */
-int64_t endpoint_counts(int64_t m, const void *rows, int64_t id_bytes, int64_t num_nodes,
-                        const int64_t *labels, int64_t *counts)
+ * included, is rejected.  Returns -1, or the position of the first
+ * rejected row. */
+int64_t endpoint_counts(int64_t m, const void *rows, int64_t id_bytes, const int64_t *labels,
+                        int64_t *counts)
 {
     if (id_bytes == 8)
-        return endpoint_counts_body(m, rows, 1, (uint64_t)num_nodes, labels, counts);
-    return endpoint_counts_body(m, rows, 0, (uint64_t)num_nodes, labels, counts);
+        return endpoint_counts_body(m, rows, 1, labels, counts);
+    return endpoint_counts_body(m, rows, 0, labels, counts);
 }
 
 /* The adjacency builder's keys: src << shift | dst, for ids below `width`

@@ -33,9 +33,11 @@ The kernels, named in ``KERNELS``, each replace one Python loop:
   or split by the other endpoint's side: ``placement.select_replicated``
   and ``theory.compute_node_stats``.
 
-The four edge passes take blocks of 4- or 8-byte ids, at the file's id
-width as ``edgefile.iter_edge_blocks`` yields them, and check every id
-against the node count; a rejected row becomes a ``FormatError``.
+The four edge passes take blocks of 4- or 8-byte ids as
+``edgefile.iter_edge_blocks`` yields them.  Their precondition is that
+reader's check: every id is below the node count that sizes the per-node
+arrays, which they index unchecked.  They check only the labels, new ids
+and bucket ids they read, and return the first row they reject.
 
 Each is the loaded function, or ``None`` for all of them when no compiler
 is found or the build fails.  Each kernel's Python fallback, which gives
@@ -129,10 +131,10 @@ def _load():
         "pack_keys": ([i64, p, i64, i64, i64, i64, p, p], i64),
         "adjacency_tail": ([i64, p, i64, i64, p, p, p], i64),
         "comm_walk": ([i64, p, p, p, p, p, i64, p, i64, p, p, p], i64),
-        "label_pass": ([i64, p, i64, i64, p, i64, p, p, p], i64),
-        "extract_rows": ([i64, p, i64, i64, p, i64, p, p], i64),
-        "scatter_rows": ([i64, p, i64, i64, p, i64, p, p], i64),
-        "endpoint_counts": ([i64, p, i64, i64, p, p], i64),
+        "label_pass": ([i64, p, i64, p, i64, p, p, p], i64),
+        "extract_rows": ([i64, p, i64, p, i64, p, p], i64),
+        "scatter_rows": ([i64, p, i64, p, i64, p, p], i64),
+        "endpoint_counts": ([i64, p, i64, p, p], i64),
     }
     for name, (argtypes, restype) in signatures.items():
         getattr(lib, name).argtypes = argtypes

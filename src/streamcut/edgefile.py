@@ -221,10 +221,12 @@ def iter_edge_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -
     """Yields (m, 2) arrays covering the file's edges in order, at the file's id
     width (u32 or u64, text files included), once their ids are checked.
 
-    Binary blocks are yielded as stored, after the header and size checks;
-    text rows are parsed, checked, then cast to the width, and a text file
-    whose count departs from the one taken when it was opened is a
-    FormatError, raised before any row beyond that count.
+    It is the one id check on rows read from a file: the edge passes index
+    arrays of ``meta.num_nodes`` entries with its blocks' ids unchecked.
+    Binary blocks are checked as read and yielded as stored, after the header
+    and size checks; text rows are parsed and checked before the cast to the
+    width, and a text file whose count departs from the one taken when it
+    was opened is a FormatError, raised before any row beyond that count.
     """
     meta, path = efile.meta, efile.path
     dtype = _id_dtype(meta.node_id_width)
@@ -345,8 +347,7 @@ def external_shuffle(
             buffer = np.empty((block_edges, 2), dtype=_id_dtype(meta.node_id_width))
             for block in iter_edge_blocks(source, block_edges):
                 ids = rng.integers(0, nbuckets, size=block.shape[0])
-                grouped, bounds = _scatter_block(source, block, ids, nbuckets,
-                                                 buffer[: block.shape[0]])
+                grouped, bounds = _scatter_block(block, ids, nbuckets, buffer[: block.shape[0]])
                 for b in np.flatnonzero(np.diff(bounds)):
                     buckets[b].write(grouped[bounds[b] : bounds[b + 1]])
         return paths
@@ -442,10 +443,10 @@ def _checked_labels(efile: EdgeFile, labels: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(labels, dtype=np.int64)
 
 
-# The edge passes over one block of ``iter_edge_blocks``.  Each runs its compiled
-# kernel when loaded, else its numpy twin, with the same result.  Both check
-# the block's ids against num_nodes, and the labels they read, and report the
-# first row they reject, which ``_raise_rejected`` turns into a FormatError.
+# The edge passes over one block of ``iter_edge_blocks``, whose ids they trust.
+# Each runs its compiled kernel when loaded, else its numpy twin, with the same
+# result.  Both check the labels, new ids and bucket ids they read and report
+# the first row they reject, which ``_raise_rejected`` turns into an error.
 
 def _rows(block: np.ndarray) -> np.ndarray:
     rows = np.ascontiguousarray(block)
@@ -459,11 +460,9 @@ def _first(rejected: np.ndarray) -> int:
     return int(np.argmax(rejected)) if rejected.any() else -1
 
 
-def _raise_rejected(efile: EdgeFile, rows: np.ndarray, bad: int,
-                    labels: np.ndarray | None = None) -> None:
-    """Raises for row ``bad``, which a pass rejected: the block's id check
-    first, then the unlabeled-endpoint check."""
-    _check_ids(rows, efile.meta.num_nodes, efile.path)
+def _raise_rejected(rows: np.ndarray, bad: int, labels: np.ndarray | None = None) -> None:
+    """Raises for row ``bad``, which a pass rejected: FormatError for an
+    unlabeled endpoint, ValueError otherwise."""
     if labels is not None and (labels[rows[bad]] < 0).any():
         raise FormatError("unlabeled endpoint encountered")
     raise ValueError(f"row {bad}: label or bucket id out of the kernel's range")
@@ -479,13 +478,12 @@ def _label_block(efile: EdgeFile, block: np.ndarray, labels: np.ndarray, cut: np
     to ``bucket``, each when given.
     """
     rows, num_nodes, ptr = _rows(block), efile.meta.num_nodes, _kernels.ptr
-    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, num_nodes,
-            ptr(labels, np.int64, num_nodes), p, ptr(counts, np.int64, p * p),
-            ptr(bucket, np.int64, rows.shape[0]), ptr(cut, np.int64, 1))
+    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, ptr(labels, np.int64, num_nodes), p,
+            ptr(counts, np.int64, p * p), ptr(bucket, np.int64, rows.shape[0]),
+            ptr(cut, np.int64, 1))
     if _kernels.label_pass is not None:
         bad = _kernels.label_pass(rows.shape[0], *args)
     else:
-        _check_ids(rows, num_nodes, efile.path)
         l_src, l_dst = labels[rows[:, 0]], labels[rows[:, 1]]
         rejected = np.minimum(l_src, l_dst) < 0
         if p > 0:
@@ -499,7 +497,7 @@ def _label_block(efile: EdgeFile, block: np.ndarray, labels: np.ndarray, cut: np
             if bucket is not None:
                 bucket[:] = ids
     if bad >= 0:
-        _raise_rejected(efile, rows, bad, labels)
+        _raise_rejected(rows, bad, labels)
 
 
 def _extract_block(efile: EdgeFile, block: np.ndarray, new_id: np.ndarray,
@@ -520,11 +518,10 @@ def _extract_block(efile: EdgeFile, block: np.ndarray, new_id: np.ndarray,
     if _kernels.extract_rows is not None:
         kept = np.zeros(1, dtype=np.int64)
         bad = _kernels.extract_rows(rows.shape[0], ptr(rows, rows.dtype, rows.size), rows.itemsize,
-                                    num_nodes, new_id_ptr, out.itemsize,
-                                    ptr(out, out.dtype, out.size), ptr(kept, np.int64, 1))
+                                    new_id_ptr, out.itemsize, ptr(out, out.dtype, out.size),
+                                    ptr(kept, np.int64, 1))
         kept = int(kept[0])
     else:
-        _check_ids(rows, num_nodes, efile.path)
         ids = new_id[rows]
         lowest = ids.min(axis=1)
         bad = _first(lowest < -1)
@@ -534,12 +531,11 @@ def _extract_block(efile: EdgeFile, block: np.ndarray, new_id: np.ndarray,
             kept = ids.shape[0]
             out[:kept] = ids
     if bad >= 0:
-        _check_ids(rows, num_nodes, efile.path)
         raise FormatError("unlabeled endpoint encountered")
     return out[:kept]
 
 
-def _scatter_block(efile: EdgeFile, block: np.ndarray, bucket: np.ndarray, nbuckets: int,
+def _scatter_block(block: np.ndarray, bucket: np.ndarray, nbuckets: int,
                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``_kernels.scatter_rows`` over one block: (rows grouped by bucket, run bounds).
 
@@ -547,17 +543,15 @@ def _scatter_block(efile: EdgeFile, block: np.ndarray, bucket: np.ndarray, nbuck
     ``grouped[bounds[b]:bounds[b + 1]]``, in input order.  ``grouped`` is
     ``out`` when given, a buffer of the block's shape and dtype.
     """
-    rows, num_nodes = _rows(block), efile.meta.num_nodes
+    rows = _rows(block)
     grouped = np.empty_like(rows) if out is None else out
     bounds = np.zeros(nbuckets + 1, dtype=np.int64)
     ptr = _kernels.ptr
-    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, num_nodes,
-            ptr(bucket, np.int64, rows.shape[0]), nbuckets, ptr(bounds, np.int64, nbuckets + 1),
-            ptr(grouped, rows.dtype, rows.size))
+    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, ptr(bucket, np.int64, rows.shape[0]),
+            nbuckets, ptr(bounds, np.int64, nbuckets + 1), ptr(grouped, rows.dtype, rows.size))
     if _kernels.scatter_rows is not None:
         bad = _kernels.scatter_rows(rows.shape[0], *args)
     else:
-        _check_ids(rows, num_nodes, efile.path)
         bad = _first((bucket < 0) | (bucket >= nbuckets))
         if bad < 0:
             # narrowest dtype holding every bucket id: numpy radix-sorts keys of <= 16 bits
@@ -565,7 +559,7 @@ def _scatter_block(efile: EdgeFile, block: np.ndarray, bucket: np.ndarray, nbuck
             np.take(rows, order, axis=0, out=grouped)
             np.cumsum(np.bincount(bucket, minlength=nbuckets), out=bounds[1:])
     if bad >= 0:
-        _raise_rejected(efile, rows, bad)
+        _raise_rejected(rows, bad)
     return grouped, bounds
 
 
@@ -581,13 +575,11 @@ def _endpoint_block(efile: EdgeFile, block: np.ndarray, counts: np.ndarray,
     if counts.size != (num_nodes if labels is None else 2 * num_nodes):
         raise ValueError("counts must have one entry per node, or two with labels")
     ptr = _kernels.ptr
-    labels_ptr = ptr(labels, np.int64, num_nodes)
+    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, ptr(labels, np.int64, num_nodes),
+            ptr(counts, np.int64, counts.size))
     if _kernels.endpoint_counts is not None:
-        bad = _kernels.endpoint_counts(rows.shape[0], ptr(rows, rows.dtype, rows.size),
-                                       rows.itemsize, num_nodes, labels_ptr,
-                                       ptr(counts, np.int64, counts.size))
+        bad = _kernels.endpoint_counts(rows.shape[0], *args)
     else:
-        _check_ids(rows, num_nodes, efile.path)
         src, dst = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
         bad = -1
         if labels is not None:
@@ -601,7 +593,7 @@ def _endpoint_block(efile: EdgeFile, block: np.ndarray, counts: np.ndarray,
             counts += np.bincount(src, minlength=counts.size)
             counts += np.bincount(dst, minlength=counts.size)
     if bad >= 0:
-        _raise_rejected(efile, rows, bad, labels)
+        _raise_rejected(rows, bad, labels)
 
 
 def _cut_pass(efile: EdgeFile, labels: np.ndarray, p: int = 0,

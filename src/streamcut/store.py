@@ -118,7 +118,7 @@ def _bucket_groups(efile: EdgeFile, labels: np.ndarray, p: int):
         if bucket.shape[0] < m:  # buffers of the first, largest block, reused
             bucket, grouped = np.empty(m, dtype=np.int64), np.empty_like(block)
         _label_block(efile, block, labels, cut, p, bucket=bucket[:m])
-        yield _scatter_block(efile, block, bucket[:m], p * p, grouped[:m])
+        yield _scatter_block(block, bucket[:m], p * p, grouped[:m])
 
 
 def _pwrite_all(fd: int, data: memoryview, offset: int) -> None:
@@ -167,7 +167,8 @@ def read_index(store_path: str) -> BucketIndex:
 
 
 def read_bucket(store_path: str, i: int, j: int, index: BucketIndex | None = None) -> np.ndarray:
-    """Returns bucket (i, j) as an (m, 2) array via one contiguous read."""
+    """Returns bucket (i, j) as an (m, 2) int64 array via one contiguous read;
+    FormatError for an id of a u64 store that int64 cannot hold."""
     if index is None:
         index = read_index(store_path)
     if not (0 <= i < index.p and 0 <= j < index.p):
@@ -179,6 +180,8 @@ def read_bucket(store_path: str, i: int, j: int, index: BucketIndex | None = Non
         raw = np.fromfile(fh, dtype=dtype, count=2 * count)
     if raw.size != 2 * count:
         raise FormatError(f"{store_path}: index/file mismatch reading bucket ({i}, {j})")
+    if index.node_id_width == 64 and raw.size and int(raw.max()) >= 2**63:
+        raise FormatError(f"{store_path}: bucket ({i}, {j}) holds id {int(raw.max())} >= 2**63")
     return raw.astype(np.int64).reshape(-1, 2)
 
 

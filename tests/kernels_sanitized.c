@@ -1,8 +1,10 @@
 /* Runs pack_keys, adjacency_tail, sweep and seed_counts of
- * src/streamcut/_kernels.c on edge cases, with every buffer allocated at
- * exactly the size the Python callers give it (model._pack_keys,
- * model.adjacency_from_keys, grem.process_chunk, grem._seed_chunk), so that
- * a build with -fsanitize=address,undefined reports any access outside
+ * src/streamcut/_kernels.c on edge cases, and the edge passes label_pass,
+ * extract_rows, scatter_rows and endpoint_counts on rows whose ids reach
+ * num_nodes - 1, with every buffer allocated at exactly the size the Python
+ * callers give it (model._pack_keys, model.adjacency_from_keys,
+ * grem.process_chunk, grem._seed_chunk and the block passes of edgefile), so
+ * that a build with -fsanitize=address,undefined reports any access outside
  * them.  Prints "ok" and exits 0 when every case checks out.
  *
  *     cc -O1 -g -fsanitize=address,undefined -fno-sanitize-recover=all \
@@ -22,6 +24,14 @@ int64_t sweep(int64_t num, const int64_t *nodes, const int64_t *starts, const in
               int64_t cap, int32_t refine);
 void seed_counts(int64_t num, const int64_t *nodes, const int64_t *starts, const int64_t *ends,
                  const int64_t *nbrs, const int8_t *parts, double *nbr0, double *nbr1);
+int64_t label_pass(int64_t m, const void *rows, int64_t id_bytes, const int64_t *labels,
+                   int64_t p, int64_t *counts, int64_t *bucket, int64_t *cut);
+int64_t extract_rows(int64_t m, const void *rows, int64_t id_bytes, const int64_t *new_id,
+                     int64_t out_bytes, void *out, int64_t *kept);
+int64_t scatter_rows(int64_t m, const void *rows, int64_t id_bytes, const int64_t *bucket,
+                     int64_t nbuckets, int64_t *bounds, void *out);
+int64_t endpoint_counts(int64_t m, const void *rows, int64_t id_bytes, const int64_t *labels,
+                        int64_t *counts);
 
 static int failures = 0;
 
@@ -179,6 +189,149 @@ static void run_top(const char *name, const int64_t (*pairs)[2], int64_t m, int 
     free(ids);
 }
 
+static uint64_t row_id(const void *rows, int id_bytes, int64_t k)
+{
+    return id_bytes == 8 ? ((const uint64_t *)rows)[k] : ((const uint32_t *)rows)[k];
+}
+
+/* The four edge passes over m rows of ids below num_nodes, stored at
+ * id_bytes, as edgefile's block passes size their buffers: labels and
+ * new_id one entry per node, counts p * p, 2 * num_nodes or num_nodes,
+ * bucket one per row, bounds nbuckets + 1, the scatter's and the
+ * extraction's outputs m rows.  Each result is checked against a
+ * brute-force count, then each pass is made to reject a row. */
+static void run_passes(const char *name, int64_t m, int id_bytes, uint64_t num_nodes, int64_t p)
+{
+    size_t n = (size_t)num_nodes;
+    void *rows = exact((size_t)(2 * m), (size_t)id_bytes);
+    uint64_t state = 0x9e3779b97f4a7c15ULL ^ num_nodes;
+    for (int64_t k = 0; k < 2 * m; k++) {
+        /* the first rows hold the top id, at either end and as a self-loop */
+        uint64_t id = k < 4 ? (k == 1 || k == 2 ? 0 : num_nodes - 1) : 0;
+        if (k >= 4) {
+            state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+            id = (state >> 33) % num_nodes;
+        }
+        if (id_bytes == 4)
+            ((uint32_t *)rows)[k] = (uint32_t)id;
+        else
+            ((uint64_t *)rows)[k] = id;
+    }
+    int64_t *labels = exact(n, sizeof *labels), *side = exact(n, sizeof *side);
+    int64_t *new_id = exact(n, sizeof *new_id);
+    int64_t members = 0;
+    for (uint64_t v = 0; v < num_nodes; v++) {
+        labels[v] = (int64_t)((v * 7 + 3) % (uint64_t)p);
+        side[v] = (int64_t)((v * 5 + 1) % 2);
+        new_id[v] = side[v] == 1 ? members++ : -1;
+    }
+
+    /* label_pass: the cut, the p x p counts and every row's bucket id */
+    int64_t *counts = exact((size_t)(p * p), sizeof *counts);
+    int64_t *bucket = exact(m ? (size_t)m : 1, sizeof *bucket);
+    int64_t *cut = exact(1, sizeof *cut);
+    memset(counts, 0, (size_t)(p * p) * sizeof *counts);
+    *cut = 0;
+    CHECK(label_pass(m, rows, id_bytes, labels, p, counts, bucket, cut) == -1, name);
+    int64_t cuts = 0;
+    for (int64_t i = 0; i < m; i++) {
+        int64_t lu = labels[row_id(rows, id_bytes, 2 * i)];
+        int64_t lv = labels[row_id(rows, id_bytes, 2 * i + 1)];
+        cuts += lu != lv;
+        CHECK(bucket[i] == lu * p + lv, name);
+    }
+    CHECK(*cut == cuts, name);
+    for (int64_t b = 0; b < p * p; b++) {
+        int64_t seen = 0;
+        for (int64_t i = 0; i < m; i++)
+            seen += bucket[i] == b;
+        CHECK(counts[b] == seen, name);
+    }
+
+    /* scatter_rows by those bucket ids: grouped, stable, bounds from 0 to m */
+    int64_t nbuckets = p * p;
+    int64_t *bounds = exact((size_t)(nbuckets + 1), sizeof *bounds);
+    void *grouped = exact(m ? (size_t)(2 * m) : 1, (size_t)id_bytes);
+    CHECK(scatter_rows(m, rows, id_bytes, bucket, nbuckets, bounds, grouped) == -1, name);
+    CHECK(bounds[0] == 0 && bounds[nbuckets] == m, name);
+    for (int64_t b = 0, at = 0; b < nbuckets; b++) {
+        CHECK(bounds[b] == at, name);
+        for (int64_t i = 0; i < m; i++) {
+            if (bucket[i] != b)
+                continue;
+            CHECK(row_id(grouped, id_bytes, 2 * at) == row_id(rows, id_bytes, 2 * i), name);
+            CHECK(row_id(grouped, id_bytes, 2 * at + 1) == row_id(rows, id_bytes, 2 * i + 1),
+                  name);
+            at++;
+        }
+    }
+
+    /* extract_rows of side 1, at either output width */
+    for (int out_bytes = 4; out_bytes <= 8; out_bytes += 4) {
+        void *out = exact(m ? (size_t)(2 * m) : 1, (size_t)out_bytes);
+        int64_t kept = -1, at = 0;
+        CHECK(extract_rows(m, rows, id_bytes, new_id, out_bytes, out, &kept) == -1, name);
+        for (int64_t i = 0; i < m; i++) {
+            int64_t a = new_id[row_id(rows, id_bytes, 2 * i)];
+            int64_t b = new_id[row_id(rows, id_bytes, 2 * i + 1)];
+            if (a < 0 || b < 0)
+                continue;
+            CHECK(row_id(out, out_bytes, 2 * at) == (uint64_t)a, name);
+            CHECK(row_id(out, out_bytes, 2 * at + 1) == (uint64_t)b, name);
+            at++;
+        }
+        CHECK(kept == at, name);
+        free(out);
+    }
+
+    /* endpoint_counts: the degree, then the neighbours per side */
+    int64_t *degree = exact(n, sizeof *degree), *per_side = exact(2 * n, sizeof *per_side);
+    memset(degree, 0, n * sizeof *degree);
+    memset(per_side, 0, 2 * n * sizeof *per_side);
+    CHECK(endpoint_counts(m, rows, id_bytes, NULL, degree) == -1, name);
+    CHECK(endpoint_counts(m, rows, id_bytes, side, per_side) == -1, name);
+    for (uint64_t v = 0; v < num_nodes; v++) {
+        int64_t d = 0, on[2] = {0, 0};
+        for (int64_t i = 0; i < m; i++) {
+            uint64_t a = row_id(rows, id_bytes, 2 * i), b = row_id(rows, id_bytes, 2 * i + 1);
+            if (a == b)
+                continue;
+            d += (a == v) + (b == v);
+            if (a == v)
+                on[side[b]]++;
+            if (b == v)
+                on[side[a]]++;
+        }
+        CHECK(degree[v] == d && per_side[2 * v] == on[0] && per_side[2 * v + 1] == on[1], name);
+    }
+
+    /* rejections: the top id, in rows 0 and 1, unlabeled or beyond the
+     * range; the last row's bucket id out of range */
+    if (m >= 2) {
+        labels[num_nodes - 1] = -1;
+        CHECK(label_pass(m, rows, id_bytes, labels, p, counts, bucket, cut) == 0, name);
+        labels[num_nodes - 1] = p;
+        CHECK(label_pass(m, rows, id_bytes, labels, p, NULL, NULL, cut) == 0, name);
+        side[num_nodes - 1] = 2;
+        CHECK(endpoint_counts(m, rows, id_bytes, side, per_side) == 0, name);
+        new_id[num_nodes - 1] = -2;
+        CHECK(extract_rows(m, rows, id_bytes, new_id, id_bytes, grouped, cut) == 0, name);
+        bucket[m - 1] = nbuckets;
+        CHECK(scatter_rows(m, rows, id_bytes, bucket, nbuckets, bounds, grouped) == m - 1, name);
+    }
+    free(rows);
+    free(labels);
+    free(side);
+    free(new_id);
+    free(counts);
+    free(bucket);
+    free(cut);
+    free(bounds);
+    free(grouped);
+    free(degree);
+    free(per_side);
+}
+
 int main(void)
 {
     /* duplicates, self-loops and a self-loop-only node */
@@ -209,6 +362,15 @@ int main(void)
     /* one edge, one row per block split */
     static const uint64_t single[] = {3, 0};
     run_case("single", single, 1, 4, 4);
+    /* the edge passes: one node, a few, and more than 2**16, at p = 1, 2 and 5 */
+    const uint64_t node_counts[] = {1, 2, 9, 300, 70001};
+    for (size_t c = 0; c < sizeof node_counts / sizeof node_counts[0]; c++)
+        for (int id_bytes = 4; id_bytes <= 8; id_bytes += 4)
+            for (int64_t p = 1; p <= 5; p += p == 1 ? 1 : 3) {
+                run_passes("passes", 0, id_bytes, node_counts[c], p);
+                run_passes("passes", 1, id_bytes, node_counts[c], p);
+                run_passes("passes", 200, id_bytes, node_counts[c], p);
+            }
     if (failures)
         return 1;
     printf("ok\n");

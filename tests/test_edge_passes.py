@@ -180,28 +180,22 @@ def test_extract_block_writes_either_output_width(tmp_path, monkeypatch):
 @pytest.mark.parametrize("width, bad", [(32, 999), (32, 2**32 - 1), (64, 2**63 + 5),
                                         (64, 2**64 - 1)])
 def test_extract_rejects_a_damaged_id(tmp_path, monkeypatch, width, bad):
-    # the bad id sits in the last row, behind a first row with an unlabeled
-    # endpoint: the id check comes first, in the reader and in the block pass
+    # the bad id sits in the last row of the file's one block, behind a first
+    # row with an unlabeled endpoint: the reader rejects the block before the
+    # extraction pass sees any of its rows, and the intact file reaches the
+    # pass, which rejects the unlabeled endpoint
     edges = _multigraph(15, 300, 5000)
     edges[0] = (0, 1)
     intact = make_edge_file(tmp_path / "intact.grpe", edges, 300, width)
-    (block,) = edgefile.iter_edge_blocks(intact)
     damaged = make_edge_file(tmp_path / "g.grpe", edges, 300, width)
     _poke(damaged.path, -width // 8, bad, width // 8)
     labels = np.arange(300) % 2
     labels[0] = -1
     members = np.flatnonzero(labels == 1)
-    new_id = np.where(labels == 1, np.cumsum(labels == 1) - 1, -1)
-    new_id[0] = -2
     out = str(tmp_path / "o.grpe")
-    id_error = f"edge endpoint {bad} >= num_nodes 300$"
     for kernel in each_kernel(monkeypatch):
-        with pytest.raises(FormatError, match="g.grpe: " + id_error):
+        with pytest.raises(FormatError, match=f"g.grpe: edge endpoint {bad} >= num_nodes 300$"):
             grem._extract_induced(damaged, labels, 1, members, out)
-        block[-1, 1] = bad
-        with pytest.raises(FormatError, match="intact.grpe: " + id_error):
-            edgefile._extract_block(intact, block, new_id, np.empty_like(block))
-        block[-1, 1] = edges[-1, 1]
         with pytest.raises(FormatError, match="^unlabeled endpoint encountered$"):
             grem._extract_induced(intact, labels, 1, members, out)
 
@@ -285,20 +279,30 @@ def _poke(path, offset, value, nbytes):
 
 @pytest.mark.parametrize("width, bad", [(32, 999), (32, 2**32 - 1), (64, 999), (64, 2**63 + 5),
                                         (64, 2**64 - 1)])
-def test_out_of_range_id_is_a_format_error(tmp_path, monkeypatch, width, bad):
+def test_out_of_range_id_is_a_format_error(tmp_path, tmp_path_factory, monkeypatch, width, bad):
     # the bad id sits in the last row, behind a first row with an unlabeled
-    # endpoint: the id check comes first, as in the numpy code
+    # endpoint: the reader's id check, the only one, rejects the block before
+    # any pass sees its rows, on the chunk path and in convert too
     edges = _multigraph(8, 300, 5000)
     edges[0] = (0, 1)
     efile = make_edge_file(tmp_path / "g.grpe", edges, 300, width)
     _poke(efile.path, -width // 8, bad, width // 8)
     labels = np.arange(300) % 2
     labels[0] = -1
+    work = tmp_path_factory.mktemp("work")
     for kernel in each_kernel(monkeypatch):
-        for name, run in _converted(efile, labels, tmp_path).items():
+        runs = {
+            **_converted(efile, labels, tmp_path),
+            "bisect": lambda: bisect(efile, GremConfig()),
+            "partition": lambda: partition(efile, 4, GremConfig(), str(work)),
+            "convert": lambda: convert(efile, str(tmp_path / "c.grpe"), BINARY),
+            "convert_text": lambda: convert(efile, str(tmp_path / "c.txt"), TEXT),
+        }
+        for name, run in runs.items():
             with pytest.raises(FormatError, match=f"g.grpe: edge endpoint {bad} >= num_nodes 300$"):
                 run()  # never a numpy IndexError, nor a wrapped negative id
             assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe"], (kernel, name)
+            assert not any(work.iterdir()), (kernel, name)
 
 
 def test_unlabeled_endpoint_is_a_format_error(tmp_path, monkeypatch):
@@ -381,6 +385,6 @@ def test_kernels_reject_labels_and_bucket_ids_out_of_their_range(tmp_path, monke
         with pytest.raises(ValueError, match="row 1"):
             edgefile._endpoint_block(efile, block, np.zeros(6, dtype=np.int64), labels)
         with pytest.raises(ValueError, match="row 0"):
-            edgefile._scatter_block(efile, block, np.array([-1, 0]), 2)
+            edgefile._scatter_block(block, np.array([-1, 0]), 2)
         with pytest.raises(ValueError, match="row 1"):
-            edgefile._scatter_block(efile, block, np.array([0, 2]), 2)
+            edgefile._scatter_block(block, np.array([0, 2]), 2)

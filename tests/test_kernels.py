@@ -201,8 +201,10 @@ SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=
 
 def test_kernels_keep_their_buffer_contracts_under_sanitizers(tmp_path):
     # pack_keys, adjacency_tail, sweep and seed_counts on the key-layout edge
-    # cases, every buffer sized exactly as the Python callers size it: an
-    # access past one (such as a `nodes` without its spare entry) aborts
+    # cases, and the four edge passes on rows whose ids reach num_nodes - 1
+    # at both id widths, every buffer sized exactly as the Python callers
+    # size it: an access past one (such as a `nodes` without its spare
+    # entry) aborts
     cc = _kernels._compiler()
     if cc is None:
         pytest.skip("no C compiler on PATH")

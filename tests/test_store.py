@@ -107,6 +107,36 @@ def test_index_reload_and_mismatch_detection(tmp_path):
         read_index(str(tmp_path / "absent.grpb"))
 
 
+@pytest.mark.parametrize("damage", ["untiled", "trailing"])
+def test_damaged_bucket_store_is_a_format_error(tmp_path, damage):
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 0], [1, 1]], 2)
+    store = str(tmp_path / "g.grpb")
+    write_buckets(efile, np.array([0, 1]), store)
+    if damage == "untiled":  # counts still sum to num_edges; bucket (0, 1) starts a row late
+        raw = np.fromfile(store + ".idx", dtype="<u8")
+        raw[2] += 8
+        raw.tofile(store + ".idx")
+    else:
+        with open(store, "ab") as fh:
+            fh.write(bytes(8))
+    with pytest.raises(FormatError, match="g.grpb: index/file mismatch$"):
+        read_index(store)
+
+
+def test_u64_bucket_id_beyond_int64_is_a_format_error(tmp_path):
+    # read_bucket returns int64 rows; a stored u64 id >= 2**63 would come back negative
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 0]], 2, 64)
+    store = str(tmp_path / "g.grpb")
+    write_buckets(efile, np.array([0, 1]), store)
+    raw = bytearray(Path(store).read_bytes())
+    raw[-8:] = (2**63 + 5).to_bytes(8, "little")  # bucket (1, 0)'s destination
+    Path(store).write_bytes(bytes(raw))
+    assert read_bucket(store, 0, 1).tolist() == [[0, 1]]
+    message = r"g.grpb: bucket \(1, 0\) holds id 9223372036854775813 >= 2\*\*63$"
+    with pytest.raises(FormatError, match=message):
+        read_bucket(store, 1, 0)
+
+
 def test_buckets_unlabeled_endpoint(tmp_path):
     efile = make_edge_file(tmp_path / "g.grpe", [[0, 1]], 2)
     with pytest.raises(FormatError):
