@@ -1,19 +1,24 @@
 /* Compiled inner loops: the greedy chunk sweep, the BFS-grow seed and its
  * neighbour estimates, the adjacency builder's key packing and tail, the
- * traffic estimator's sampling walk and the streaming passes over edge
- * blocks.
+ * traffic estimator's sampling walk, the streaming passes over edge blocks
+ * and the cdf sums of the theory curve.
  *
  * Each function is a port of the Python code it replaces
  * (grem.process_chunk, seed._bfs_grow, grem._seed_chunk, the numpy twins in
  * model._pack_block and model.adjacency_from_keys, placement.estimate_comm,
- * and the numpy passes of grem.count_cuts, grem._extract_induced,
+ * the numpy passes of grem.count_cuts, grem._extract_induced,
  * store.write_buckets, edgefile.external_shuffle, theory.compute_node_stats
- * and placement.select_replicated) and must stay bit-identical to it:
+ * and placement.select_replicated, and the fallback of
+ * theory._curve_point) and must stay bit-identical to it:
  * neighbour counts are exact integers converted to double once, estimates
- * are averaged as (old + fresh) * 0.5, nodes are visited and random words
- * drawn in the same order.  The loader compiles this file without
- * -ffast-math or -march=native, so IEEE double arithmetic is the same as
- * Python's.
+ * are averaged as (old + fresh) * 0.5, sums run left to right, nodes are
+ * visited and random words drawn in the same order.  The loader compiles
+ * this file without -ffast-math or -march=native, so IEEE double
+ * arithmetic is the same as Python's, and with -ffp-contract=off: GCC's
+ * default on targets with a fused multiply-add (aarch64, for one) would
+ * contract a * b + c into one FMA, rounded once where numpy rounds twice,
+ * and the node total of curve_point would drift from numpy's.  exp is the
+ * C library's, the one Python's math.exp calls.
  *
  * The adjacency keys are shift-packed, src << shift | dst with
  * shift = bit_length(width - 1): u32 keys when width << shift <= 2**32 (every
@@ -26,6 +31,7 @@
  * ids as below the node count, which edgefile.iter_edge_blocks checks as
  * it reads, and index the per-node arrays with them unchecked.
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -550,4 +556,36 @@ int64_t adjacency_tail(int64_t m, const void *keys, int64_t key_bytes, int64_t s
     if (key_bytes == 8)
         return adjacency_tail_body(m, keys, 1, shift, nbrs, nodes, offsets);
     return adjacency_tail_body(m, keys, 0, shift, nbrs, nodes, offsets);
+}
+
+/* One point of theory.theory_curve.  Pair i's cdf adds count[i] terms,
+ * j = lo[i], lo[i] + 1, ..., left to right from 0.0, and probs[i] gets
+ * 1 - cdf.  Term j is the exp of
+ *     ((lg_k0 - T(j + 1)) - T(k0 - j + 1))
+ *     + ((lg_k1 - T(d - j + 1)) - T(k - k0 - d + j + 1)) - log_denom,
+ * in numpy's order, where T(v) = lgamma(v) sits in `table` at
+ * base[4i] + j, base[4i + 1] - j, base[4i + 2] - j and base[4i + 3] + j,
+ * as theory._lgamma_table packs it.  Then node n adds
+ * (k - k0) * p + k0 * (1 - p), p = probs[pair_of[n]], in node order, to
+ * the total written to *total: np.cumsum's left-to-right sum. */
+void curve_point(int64_t npairs, const int64_t *lo, const int64_t *count, const int64_t *base,
+                 const double *lg_k0, const double *lg_k1, const double *log_denom,
+                 const double *table, double *probs, int64_t nnodes, const int64_t *k,
+                 const int64_t *k0, const int64_t *pair_of, double *total)
+{
+    for (int64_t i = 0; i < npairs; i++) {
+        const int64_t *b = base + 4 * i;
+        double cdf = 0.0;
+        for (int64_t j = lo[i]; j < lo[i] + count[i]; j++)
+            cdf += exp(((lg_k0[i] - table[b[0] + j]) - table[b[1] - j])
+                       + ((lg_k1[i] - table[b[2] - j]) - table[b[3] + j]) - log_denom[i]);
+        probs[i] = 1.0 - cdf;
+    }
+    double sum = 0.0;
+    for (int64_t n = 0; n < nnodes; n++) {
+        double p = probs[pair_of[n]];
+        double term = (double)(k[n] - k0[n]) * p + (double)k0[n] * (1.0 - p);
+        sum = n ? sum + term : term;
+    }
+    *total = sum;
 }

@@ -31,7 +31,10 @@ The kernels, named in ``KERNELS``, each replace one Python loop:
   ``edgefile.external_shuffle``;
 * ``endpoint_counts`` -- per-node counts of non-self-loop endpoints, plain
   or split by the other endpoint's side: ``placement.select_replicated``
-  and ``theory.compute_node_stats``.
+  and ``theory.compute_node_stats``;
+* ``curve_point`` -- one point of ``theory.theory_curve``: each (k, k0)
+  pair's cdf terms, read from one packed lgamma table and added left to
+  right, then the node total in node order.
 
 The four edge passes take blocks of 4- or 8-byte ids as
 ``edgefile.iter_edge_blocks`` yields them.  Their precondition is that
@@ -45,7 +48,8 @@ bit-identical results, sits beside its one call: the edge passes' numpy
 twins in ``edgefile._label_block``, ``_extract_block``, ``_scatter_block``
 and ``_endpoint_block``, the others in ``grem.process_chunk``,
 ``seed._bfs_grow``, ``grem._seed_chunk``, ``model._pack_block``,
-``model.adjacency_from_keys`` and ``placement.estimate_comm``.
+``model.adjacency_from_keys``, ``placement.estimate_comm`` and
+``theory._curve_point``.
 
 Every array goes to a kernel as a plain address through ``ptr``, which
 checks its dtype, size and contiguity and raises ValueError otherwise.
@@ -67,8 +71,9 @@ import numpy as np
 _DIR = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_DIR, "_kernels.c")
 _CACHE = os.path.join(_DIR, "__pycache__")
-# no -ffast-math or -march=native: results stay bit-identical and the cache portable
-CFLAGS = ("-O2", "-shared", "-fPIC")
+# no -ffast-math or -march=native, and no contraction into fused multiply-adds:
+# results stay bit-identical and the cache portable
+CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 def _compiler() -> str | None:
@@ -88,7 +93,7 @@ def _build(source: bytes, target: str) -> None:
     fd, tmp = tempfile.mkstemp(prefix="_kernels.", suffix=".tmp", dir=_CACHE)
     os.close(fd)
     try:
-        subprocess.run([cc, *CFLAGS, "-x", "c", "-o", tmp, "-"], input=source,
+        subprocess.run([cc, *CFLAGS, "-x", "c", "-o", tmp, "-", "-lm"], input=source,
                        capture_output=True, check=True, timeout=120)
         os.chmod(tmp, 0o755)  # mkstemp made it private; other users load it too
         os.replace(tmp, target)
@@ -106,7 +111,7 @@ def _build(source: bytes, target: str) -> None:
 
 
 KERNELS = ("sweep", "bfs_grow", "seed_counts", "pack_keys", "adjacency_tail", "comm_walk",
-           "label_pass", "extract_rows", "scatter_rows", "endpoint_counts")
+           "label_pass", "extract_rows", "scatter_rows", "endpoint_counts", "curve_point")
 
 
 def _load():
@@ -135,6 +140,7 @@ def _load():
         "extract_rows": ([i64, p, i64, p, i64, p, p], i64),
         "scatter_rows": ([i64, p, i64, p, i64, p, p], i64),
         "endpoint_counts": ([i64, p, i64, p, p], i64),
+        "curve_point": ([i64, p, p, p, p, p, p, p, p, i64, p, p, p, p], None),
     }
     for name, (argtypes, restype) in signatures.items():
         getattr(lib, name).argtypes = argtypes
@@ -143,7 +149,7 @@ def _load():
 
 
 (sweep, bfs_grow, seed_counts, pack_keys, adjacency_tail, comm_walk, label_pass, extract_rows,
- scatter_rows, endpoint_counts) = _load()
+ scatter_rows, endpoint_counts, curve_point) = _load()
 
 
 def ptr(arr: np.ndarray | None, dtype, size: int) -> int | None:

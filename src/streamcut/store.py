@@ -275,10 +275,11 @@ def reorder_features(
         raise FormatError(
             f"{features_path}: length {size} != num_nodes {num_nodes} x width {record_width}"
         )
-    order = np.argsort(labels, kind="stable")  # by partition, ties by node id
+    p = num_parts_of(labels, num_parts)
+    # by partition, ties by node id; numpy radix-sorts keys of <= 16 bits
+    order = np.argsort(labels.astype(np.min_scalar_type(p - 1)), kind="stable")
     permutation = np.empty(num_nodes, dtype=np.int64)
     permutation[order] = np.arange(num_nodes)
-    p = num_parts_of(labels, num_parts)
     counts = np.bincount(labels, minlength=p)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     extents = tuple((int(s), int(c)) for s, c in zip(starts, counts))

@@ -20,6 +20,7 @@ from math import exp, lgamma
 
 import numpy as np
 
+from . import _kernels
 from .edgefile import EdgeFile, _endpoint_pass
 from .errors import FormatError
 from .model import NodeStats
@@ -116,44 +117,103 @@ def prob_correct(k: int, k0: int, x: float, multiplier: float = 1.0) -> float:
     return 1.0 - cdf
 
 
-def _lgammas(args: np.ndarray) -> np.ndarray:
-    """``math.lgamma`` of every element of a 1-d integer array, once per distinct value."""
-    values, where = np.unique(args, return_inverse=True)
-    return np.array([lgamma(v) for v in values.tolist()], dtype=np.float64)[where]
+def _term_ranges(k: np.ndarray, k0: np.ndarray, x: float, multiplier: float):
+    """Per (k, k0) pair at one x: the draws d, the first cdf index lo, the term
+    count, and the lgamma arguments of ``prob_correct``, as (pairs, 9) arrays
+    of first and last values.
 
-
-def _probs_correct(k: np.ndarray, k0: np.ndarray, lg_k0: np.ndarray, lg_k1: np.ndarray,
-                   lg_k: np.ndarray, x: float, multiplier: float) -> list[float]:
-    """``prob_correct`` of every (k, k0) pair at one x, bit for bit.
-
-    ``lg_k0``, ``lg_k1`` and ``lg_k`` are lgamma(k0 + 1), lgamma(k - k0 + 1)
-    and lgamma(k + 1).  The cdf terms of all pairs form one flat sequence,
-    evaluated ``_CURVE_BLOCK`` at a time: numpy forms each exponent with the
-    scalar code's operation order, ``math.exp`` turns it into a term, and the
-    terms of each pair are added left to right in Python.
+    Terms j = lo ... hi take lgamma at j + 1, k0 - j + 1, d - j + 1 and
+    k - k0 - d + j + 1: four ranges of ``count`` values, empty when hi < lo.
+    The other five columns are the points k0 + 1, k - k0 + 1, k + 1, d + 1
+    and k - d + 1.
     """
     x_eff = min(multiplier * x, 1.0)
     d = np.minimum(np.maximum(np.rint(x_eff * k.astype(np.float64)).astype(np.int64), 1), k)
     t = (d + 1) // 2 - 1
     lo = np.maximum(0, d - (k - k0))
-    count = np.maximum(np.minimum(t, np.minimum(d, k0)) - lo + 1, 0)
+    hi = np.minimum(t, np.minimum(d, k0))
+    k1 = k - k0
+    points = [k0 + 1, k1 + 1, k + 1, d + 1, k - d + 1]
+    first = np.stack([lo + 1, k0 - hi + 1, d - hi + 1, k1 - d + lo + 1, *points], axis=1)
+    last = np.stack([hi + 1, k0 - lo + 1, d - lo + 1, k1 - d + hi + 1, *points], axis=1)
+    return d, lo, np.maximum(hi - lo + 1, 0), first, last
+
+
+def _lgamma_table(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``math.lgamma`` of every integer in the union of the ranges
+    ``[first, last]``, once each and ascending, and each range's offset into
+    that table: value v of range i sits at ``table[v + offset[i]]``.
+
+    A range lies inside one run of consecutive values of the union, so one
+    offset serves all of it.  Empty ranges (last < first) take no room; the
+    table holds at most as many entries as the ranges' lengths add up to.
+    """
+    shape, first, last = first.shape, first.ravel(), last.ravel()
+    offset = np.zeros(first.size, dtype=np.int64)
+    used = np.flatnonzero(last >= first)
+    if not used.size:
+        return np.empty(0), offset.reshape(shape)
+    used = used[np.argsort(first[used])]
+    lows, reach = first[used], np.maximum.accumulate(last[used])
+    opens = np.ones(used.size, dtype=bool)  # a range past the values so far starts a run
+    opens[1:] = lows[1:] > reach[:-1] + 1
+    run_first = lows[opens]
+    run_size = reach[np.append(np.flatnonzero(opens)[1:], used.size) - 1] - run_first + 1
+    shift = np.cumsum(run_size) - run_size - run_first  # table slot - value, per run
+    offset[used] = shift[np.cumsum(opens) - 1]
+    values = np.arange(int(run_size.sum())) - np.repeat(shift, run_size)
+    table = np.array([lgamma(v) for v in values.tolist()], dtype=np.float64)
+    return table, offset.reshape(shape)
+
+
+def _curve_point(lo: np.ndarray, count: np.ndarray, base: np.ndarray, lg_k0: np.ndarray,
+                 lg_k1: np.ndarray, log_denom: np.ndarray, table: np.ndarray, k: np.ndarray,
+                 k0: np.ndarray, pair_of: np.ndarray) -> float:
+    """Expected cut endpoints at one x: ``prob_correct`` of every (k, k0) pair,
+    bit for bit, then each node's term added left to right in node order.
+
+    Pair i's terms are j = lo[i] ... lo[i] + count[i] - 1.  ``lg_k0``,
+    ``lg_k1`` and ``log_denom`` are lgamma(k0 + 1), lgamma(k - k0 + 1) and
+    the pair's log C(k, d); ``base`` (pairs, 4) places lgamma(j + 1),
+    lgamma(k0 - j + 1), lgamma(d - j + 1) and lgamma(k - k0 - d + j + 1) at
+    ``table[base[i, 0] + j]``, ``[base[i, 1] - j]``, ``[base[i, 2] - j]``
+    and ``[base[i, 3] + j]``.  ``_kernels.curve_point`` runs it when loaded.
+    Otherwise the terms of all pairs form one flat sequence, evaluated
+    ``_CURVE_BLOCK`` at a time: numpy forms each exponent with the scalar
+    code's operation order, ``math.exp`` turns it into a term, and the terms
+    of each pair are added left to right in Python.
+    """
+    pairs, nodes = lo.size, k.size
+    if _kernels.curve_point is not None:
+        probs, total, ptr = np.empty(pairs), np.zeros(1), _kernels.ptr
+        _kernels.curve_point(
+            pairs, ptr(lo, np.int64, pairs), ptr(count, np.int64, pairs),
+            ptr(base, np.int64, 4 * pairs), ptr(lg_k0, np.float64, pairs),
+            ptr(lg_k1, np.float64, pairs), ptr(log_denom, np.float64, pairs),
+            ptr(table, np.float64, table.size), ptr(probs, np.float64, pairs), nodes,
+            ptr(k, np.int64, nodes), ptr(k0, np.int64, nodes), ptr(pair_of, np.int64, nodes),
+            ptr(total, np.float64, 1))
+        return float(total[0])
     ends = np.cumsum(count)
-    total = int(ends[-1]) if ends.size else 0
-    log_denom = lg_k - _lgammas(d + 1) - _lgammas(k - d + 1)
-    cdfs = [0.0] * k.size
-    for first in range(0, total, _CURVE_BLOCK):
-        pos = np.arange(first, min(first + _CURVE_BLOCK, total))
+    terms = int(ends[-1]) if ends.size else 0
+    cdfs = [0.0] * pairs
+    for first in range(0, terms, _CURVE_BLOCK):
+        pos = np.arange(first, min(first + _CURVE_BLOCK, terms))
         pair = np.searchsorted(ends, pos, side="right")
         j = lo[pair] + (pos - (ends[pair] - count[pair]))
-        kp, k0p, dp = k[pair], k0[pair], d[pair]
+        at = base[pair]
         exponents = (
-            (lg_k0[pair] - _lgammas(j + 1) - _lgammas(k0p - j + 1))
-            + (lg_k1[pair] - _lgammas(dp - j + 1) - _lgammas(kp - k0p - dp + j + 1))
+            (lg_k0[pair] - table[at[:, 0] + j] - table[at[:, 1] - j])
+            + (lg_k1[pair] - table[at[:, 2] - j] - table[at[:, 3] + j])
             - log_denom[pair]
         )
         for i, term in zip(pair.tolist(), map(exp, exponents.tolist())):
             cdfs[i] += term
-    return [1.0 - cdf for cdf in cdfs]
+    p = np.array([1.0 - cdf for cdf in cdfs], dtype=np.float64)[pair_of]
+    node_terms = (k - k0) * p + k0 * (1.0 - p)
+    # cumsum adds left to right, node by node, so the total does not depend on
+    # numpy's pairwise summation
+    return float(np.cumsum(node_terms)[-1]) if nodes else 0.0
 
 
 def compute_node_stats(efile: EdgeFile, labels: np.ndarray) -> NodeStats:
@@ -193,24 +253,28 @@ def theory_curve(stats: NodeStats, xs, multiplier: float = 1.0) -> list[TheoryCu
     k, k0 = stats.k[linked], stats.k0[linked]
     if k.size:
         _check_degree(int(k.max()))
-    # the distinct (k, k0) pairs, found once; the pair key is built from value
-    # ranks, so it stays below (#distinct k) * (#distinct k0) whatever the degrees
-    k_vals, k_rank = np.unique(k, return_inverse=True)
-    k0_vals, k0_rank = np.unique(k0, return_inverse=True)
-    pairs, pair_of = np.unique(k_rank * k0_vals.size + k0_rank, return_inverse=True)
-    pair_k, pair_k0 = k_vals[pairs // k0_vals.size], k0_vals[pairs % k0_vals.size]
-    lg = [_lgammas(v + 1) for v in (pair_k0, pair_k - pair_k0, pair_k)]
+    # the distinct (k, k0) pairs, found with one sort: k <= 2**32 and
+    # k - k0 <= 2**31, so k * (2**31 + 1) + (k - k0) fits a uint64 and decodes
+    radix = np.uint64(2**31 + 1)
+    keys, pair_of = np.unique(k.astype(np.uint64) * radix + (k - k0).astype(np.uint64),
+                              return_inverse=True)
+    pair_k = (keys // radix).astype(np.int64)
+    pair_k0 = pair_k - (keys % radix).astype(np.int64)
+    per_x = [_term_ranges(pair_k, pair_k0, x, multiplier) for x in xs]
+    # one lgamma table for the whole curve: every x's ranges and points
+    table, offsets = _lgamma_table(np.array([r[3] for r in per_x], dtype=np.int64),
+                                   np.array([r[4] for r in per_x], dtype=np.int64))
     endpoints = stats.total_endpoints
-    points = []
-    for x in xs:
-        p = np.array(_probs_correct(pair_k, pair_k0, *lg, x, multiplier), dtype=np.float64)
-        p = p[pair_of]
-        terms = (k - k0) * p + k0 * (1.0 - p)
-        # cumsum adds left to right, node by node, so the total does not depend on
-        # numpy's pairwise summation
-        total = float(np.cumsum(terms)[-1]) if terms.size else 0.0
-        points.append(TheoryCurvePoint(x, total, total / endpoints if endpoints else 0.0))
-    return points
+    out = []
+    for x, (d, lo, count, first, _), off in zip(xs, per_x, offsets):
+        base = np.stack([off[:, 0] + 1, off[:, 1] + pair_k0 + 1, off[:, 2] + d + 1,
+                         off[:, 3] + pair_k - pair_k0 - d + 1], axis=1)
+        at = first[:, 4:] + off[:, 4:]  # the table slots of the five points
+        lg_k0, lg_k1, lg_k, lg_d, lg_kd = np.ascontiguousarray(table[at].T)
+        total = _curve_point(lo, count, base, lg_k0, lg_k1, lg_k - lg_d - lg_kd, table, k, k0,
+                             pair_of)
+        out.append(TheoryCurvePoint(x, total, total / endpoints if endpoints else 0.0))
+    return out
 
 
 def curve_csv(points: list[TheoryCurvePoint], multiplier: float) -> str:

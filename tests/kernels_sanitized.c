@@ -1,15 +1,17 @@
 /* Runs pack_keys, adjacency_tail, sweep and seed_counts of
- * src/streamcut/_kernels.c on edge cases, and the edge passes label_pass,
+ * src/streamcut/_kernels.c on edge cases, the edge passes label_pass,
  * extract_rows, scatter_rows and endpoint_counts on rows whose ids reach
- * num_nodes - 1, with every buffer allocated at exactly the size the Python
- * callers give it (model._pack_keys, model.adjacency_from_keys,
- * grem.process_chunk, grem._seed_chunk and the block passes of edgefile), so
- * that a build with -fsanitize=address,undefined reports any access outside
- * them.  Prints "ok" and exits 0 when every case checks out.
+ * num_nodes - 1, and curve_point on small (k, k0) pairs, with every buffer
+ * allocated at exactly the size the Python callers give it
+ * (model._pack_keys, model.adjacency_from_keys, grem.process_chunk,
+ * grem._seed_chunk, the block passes of edgefile and theory.theory_curve),
+ * so that a build with -fsanitize=address,undefined reports any access
+ * outside them.  Prints "ok" and exits 0 when every case checks out.
  *
- *     cc -O1 -g -fsanitize=address,undefined -fno-sanitize-recover=all \
- *        tests/kernels_sanitized.c src/streamcut/_kernels.c -o driver && ./driver
+ *     cc -O1 -g -fsanitize=address,undefined -fno-sanitize-recover=all -ffp-contract=off \
+ *        tests/kernels_sanitized.c src/streamcut/_kernels.c -lm -o driver && ./driver
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -32,6 +34,10 @@ int64_t scatter_rows(int64_t m, const void *rows, int64_t id_bytes, const int64_
                      int64_t nbuckets, int64_t *bounds, void *out);
 int64_t endpoint_counts(int64_t m, const void *rows, int64_t id_bytes, const int64_t *labels,
                         int64_t *counts);
+void curve_point(int64_t npairs, const int64_t *lo, const int64_t *count, const int64_t *base,
+                 const double *lg_k0, const double *lg_k1, const double *log_denom,
+                 const double *table, double *probs, int64_t nnodes, const int64_t *k,
+                 const int64_t *k0, const int64_t *pair_of, double *total);
 
 static int failures = 0;
 
@@ -332,6 +338,109 @@ static void run_passes(const char *name, int64_t m, int id_bytes, uint64_t num_n
     free(per_side);
 }
 
+/* C(n, r), exact in a double while n <= 40 */
+static double choose(int64_t n, int64_t r)
+{
+    double c = 1.0;
+    for (int64_t i = 1; i <= r; i++)
+        c = c * (double)(n - r + i) / (double)i;
+    return c;
+}
+
+/* One point of theory.theory_curve over pairs (k[i], k0[i]) drawing d[i]:
+ * the lgamma table holds each value of the pairs' four term ranges and five
+ * points once, ascending, in exactly that many entries, as
+ * theory._lgamma_table packs it, and curve_point runs on 3 * npairs + 1
+ * nodes that cycle through the pairs.  Each probability must equal the
+ * direct left-to-right sum of its terms bit for bit and the exact
+ * hypergeometric cdf to 1e-12, and the total the node-order sum. */
+static void run_curve(const char *name, const int64_t *pk, const int64_t *pk0, const int64_t *pd,
+                      int64_t npairs)
+{
+    int64_t top = 0, size = 0, nnodes = 3 * npairs + 1;
+    for (int64_t i = 0; i < npairs; i++)
+        top = pk[i] + 2 > top ? pk[i] + 2 : top;
+    int64_t *slot = exact((size_t)top, sizeof *slot);  /* value -> table entry, or -1 */
+    int64_t *lo = exact(npairs, sizeof *lo), *count = exact(npairs, sizeof *count);
+    int64_t *base = exact(4 * npairs, sizeof *base);
+    double *lg_k0 = exact(npairs, sizeof *lg_k0), *lg_k1 = exact(npairs, sizeof *lg_k1);
+    double *log_denom = exact(npairs, sizeof *log_denom), *probs = exact(npairs, sizeof *probs);
+    int64_t *k = exact(nnodes, sizeof *k), *k0 = exact(nnodes, sizeof *k0);
+    int64_t *pair_of = exact(nnodes, sizeof *pair_of);
+    for (int64_t v = 0; v < top; v++)
+        slot[v] = -1;
+    for (int64_t i = 0; i < npairs; i++) {
+        int64_t d = pd[i], a = pk0[i], b = pk[i] - pk0[i], t = (d + 1) / 2 - 1;
+        int64_t hi = t < a ? t : a;
+        lo[i] = d - b > 0 ? d - b : 0;
+        count[i] = hi >= lo[i] ? hi - lo[i] + 1 : 0;
+        for (int64_t j = lo[i]; j <= hi; j++) {
+            slot[j + 1] = slot[a - j + 1] = 0;
+            slot[d - j + 1] = slot[b - d + j + 1] = 0;
+        }
+        slot[a + 1] = slot[b + 1] = slot[pk[i] + 1] = slot[d + 1] = slot[pk[i] - d + 1] = 0;
+    }
+    for (int64_t v = 0; v < top; v++)
+        if (slot[v] == 0)
+            slot[v] = ++size;
+    double *table = exact((size_t)size, sizeof *table);
+    for (int64_t v = 0; v < top; v++)
+        if (slot[v] > 0)
+            table[--slot[v]] = lgamma((double)v);
+    for (int64_t i = 0; i < npairs; i++) {
+        int64_t d = pd[i], a = pk0[i], b = pk[i] - pk0[i], l = lo[i];
+        base[4 * i] = base[4 * i + 1] = base[4 * i + 2] = base[4 * i + 3] = 0;
+        if (count[i]) {
+            base[4 * i] = slot[l + 1] - l;
+            base[4 * i + 1] = slot[a - l + 1] + l;
+            base[4 * i + 2] = slot[d - l + 1] + l;
+            base[4 * i + 3] = slot[b - d + l + 1] - l;
+        }
+        lg_k0[i] = table[slot[a + 1]];
+        lg_k1[i] = table[slot[b + 1]];
+        log_denom[i] = table[slot[pk[i] + 1]] - table[slot[d + 1]] - table[slot[pk[i] - d + 1]];
+    }
+    for (int64_t n = 0; n < nnodes; n++) {
+        pair_of[n] = (n * 7 + 3) % npairs;
+        k[n] = pk[pair_of[n]];
+        k0[n] = pk0[pair_of[n]];
+    }
+    double total = -1.0;
+    curve_point(npairs, lo, count, base, lg_k0, lg_k1, log_denom, table, probs, nnodes, k, k0,
+                pair_of, &total);
+    for (int64_t i = 0; i < npairs; i++) {
+        int64_t d = pd[i], a = pk0[i], b = pk[i] - pk0[i];
+        double cdf = 0.0, exact_cdf = 0.0;
+        for (int64_t j = lo[i]; j < lo[i] + count[i]; j++) {
+            cdf += exp(((lg_k0[i] - lgamma(j + 1.0)) - lgamma(a - j + 1.0))
+                       + ((lg_k1[i] - lgamma(d - j + 1.0)) - lgamma(b - d + j + 1.0))
+                       - log_denom[i]);
+            exact_cdf += choose(a, j) * choose(b, d - j) / choose(pk[i], d);
+        }
+        CHECK(probs[i] == 1.0 - cdf, name);
+        CHECK(fabs(probs[i] - (1.0 - exact_cdf)) <= 1e-12, name);
+    }
+    double want = 0.0;
+    for (int64_t n = 0; n < nnodes; n++) {
+        double p = probs[pair_of[n]];
+        double term = (double)(k[n] - k0[n]) * p + (double)k0[n] * (1.0 - p);
+        want = n ? want + term : term;
+    }
+    CHECK(total == want, name);
+    free(slot);
+    free(lo);
+    free(count);
+    free(base);
+    free(lg_k0);
+    free(lg_k1);
+    free(log_denom);
+    free(probs);
+    free(k);
+    free(k0);
+    free(pair_of);
+    free(table);
+}
+
 int main(void)
 {
     /* duplicates, self-loops and a self-loop-only node */
@@ -371,6 +480,17 @@ int main(void)
                 run_passes("passes", 1, id_bytes, node_counts[c], p);
                 run_passes("passes", 200, id_bytes, node_counts[c], p);
             }
+    /* the curve: one and two draws, all draws (no terms), and draws spread
+     * over each pair's range; k0 = k, ties k0 = k - k0, and k up to 40 */
+    static const int64_t curve_k[] = {1, 2, 2, 3, 5, 6, 7, 9, 12, 20, 33, 40, 40, 40};
+    static const int64_t curve_k0[] = {1, 1, 2, 2, 3, 3, 4, 9, 7, 10, 17, 21, 35, 40};
+    int64_t npairs = sizeof curve_k / sizeof curve_k[0], draws[sizeof curve_k / sizeof curve_k[0]];
+    for (int64_t s = -2; s < 6; s++) {
+        for (int64_t i = 0; i < npairs; i++)
+            draws[i] = s == -2 ? curve_k[i] : s == -1 ? 1 : 1 + (i * 3 + s) % curve_k[i];
+        run_curve("curve", curve_k, curve_k0, draws, npairs);
+    }
+    run_curve("curve one pair", curve_k + 10, curve_k0 + 10, draws + 10, 1);
     if (failures)
         return 1;
     printf("ok\n");

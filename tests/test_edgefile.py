@@ -17,6 +17,7 @@ from streamcut import (
     external_shuffle,
     open_edge_file,
     read_labels,
+    reorder_features,
     stream_chunks,
     write_buckets,
     write_labels,
@@ -298,6 +299,71 @@ def test_write_labels_crash_keeps_the_earlier_file(tmp_path, monkeypatch, crash_
     with pytest.raises(Crash):
         write_labels(path, np.array([1, 0, 0]), num_parts=2)
     assert dir_bytes(tmp_path) == before
+
+
+def test_outputs_are_never_renamed_over_an_existing_file(tmp_path, monkeypatch):
+    # ext4 writes a file back before renaming it over another, so every writer
+    # clears the way first: each rename, rewrites included, lands on a free name
+    rng = np.random.default_rng(12)
+    edges = rng.integers(0, 60, size=(3000, 2))
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 60)
+    labels = rng.integers(0, 3, size=60)
+    feats = tmp_path / "f.bin"
+    feats.write_bytes(rng.integers(0, 256, size=60 * 4, dtype=np.uint8).tobytes())
+    renames = []
+
+    def checked(real):
+        def rename(src, dst):
+            renames.append((os.path.basename(src), os.path.basename(dst), os.path.exists(dst)))
+            real(src, dst)
+        return rename
+
+    monkeypatch.setattr(edgefile.os, "replace", checked(os.replace))
+    monkeypatch.setattr(edgefile.os, "rename", checked(os.rename))
+    for budget in (IO_BLOCK, 1 << 24):  # scatter path, then in-memory path over it
+        shuffled = external_shuffle(efile, str(tmp_path / "s.grpe"), budget, rng_seed=3)
+    for out_format in ("binary", "text"):
+        for _ in range(2):
+            convert(efile, str(tmp_path / f"c.{out_format}"), out_format)
+    for p in (3, 4):
+        write_labels(str(tmp_path / "l.grpl"), labels, num_parts=p)
+        write_buckets(shuffled, labels, str(tmp_path / "b.grpb"), p)
+        reorder_features(str(feats), labels, 4, str(tmp_path / "o.bin"), p)
+    assert renames and not [r for r in renames if r[2]]
+    for out in ("s.grpe", "c.binary", "c.text", "l.grpl", "b.grpb", "b.grpb.idx", "o.bin",
+                "o.bin.layout"):
+        assert (out + ".tmp", out, False) in renames
+    assert ("s.grpe", "s.grpe.old", False) in renames
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "b.grpb", "b.grpb.idx", "c.binary", "c.text", "f.bin", "g.grpe", "l.grpl", "o.bin",
+        "o.bin.layout", "s.grpe"]
+    got, parts = read_labels(str(tmp_path / "l.grpl"))
+    assert got.tolist() == labels.tolist() and parts == 4
+    assert sorted(map(tuple, read_all_edges_of(shuffled).tolist())) == sorted(
+        map(tuple, edges.tolist()))
+
+
+def test_a_failed_rename_leaves_the_earlier_output_or_nothing(tmp_path, monkeypatch):
+    efile = make_edge_file(tmp_path / "g.grpe", np.arange(40).reshape(20, 2) % 7, 7)
+    out = str(tmp_path / "s.grpe")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if src == out + ".tmp":
+            raise Crash
+        real_replace(src, dst)
+
+    monkeypatch.setattr(edgefile.os, "replace", replace)
+    with pytest.raises(Crash):
+        external_shuffle(efile, out, IO_BLOCK, rng_seed=1)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["g.grpe"]  # no name, no .tmp
+    monkeypatch.setattr(edgefile.os, "replace", real_replace)
+    external_shuffle(efile, out, IO_BLOCK, rng_seed=1)
+    before = dir_bytes(tmp_path)
+    monkeypatch.setattr(edgefile.os, "replace", replace)
+    with pytest.raises(Crash):
+        external_shuffle(efile, out, IO_BLOCK, rng_seed=2)
+    assert dir_bytes(tmp_path) == before  # the earlier output moved back, no .tmp or .old
 
 
 # Run in a child that lowers its own file-size limit to 1000 bytes: the new

@@ -196,15 +196,16 @@ def test_kernels_reject_arrays_of_the_wrong_dtype_or_layout(tmp_path, monkeypatc
             call()
 
 
-SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+            "-ffp-contract=off")
 
 
 def test_kernels_keep_their_buffer_contracts_under_sanitizers(tmp_path):
     # pack_keys, adjacency_tail, sweep and seed_counts on the key-layout edge
-    # cases, and the four edge passes on rows whose ids reach num_nodes - 1
-    # at both id widths, every buffer sized exactly as the Python callers
-    # size it: an access past one (such as a `nodes` without its spare
-    # entry) aborts
+    # cases, the four edge passes on rows whose ids reach num_nodes - 1 at
+    # both id widths, and curve_point on a packed lgamma table, every buffer
+    # sized exactly as the Python callers size it: an access past one (such
+    # as a `nodes` without its spare entry) aborts
     cc = _kernels._compiler()
     if cc is None:
         pytest.skip("no C compiler on PATH")
@@ -215,8 +216,8 @@ def test_kernels_keep_their_buffer_contracts_under_sanitizers(tmp_path):
     if built.returncode != 0 or subprocess.run([str(tmp_path / "probe")]).returncode != 0:
         pytest.skip("no address or undefined-behaviour sanitizer runtime")
     driver = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels_sanitized.c")
-    built = subprocess.run([cc, *SANITIZE, driver, _kernels._SOURCE, "-o", str(tmp_path / "driver")],
-                           capture_output=True, text=True, timeout=120)
+    built = subprocess.run([cc, *SANITIZE, driver, _kernels._SOURCE, "-lm", "-o",
+                            str(tmp_path / "driver")], capture_output=True, text=True, timeout=120)
     assert built.returncode == 0, built.stderr
     run = subprocess.run([str(tmp_path / "driver")], capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
