@@ -72,35 +72,48 @@ def _write_array(fh, arr: np.ndarray) -> None:
 def _replacing(path: str, *sidecars: str):
     """Yields temporary names for an output and its sidecars, then renames them into place.
 
-    The temporaries (``<name>.tmp``) sit next to the outputs and are removed
-    if the body raises, so an earlier output is left as it was.  No rename
+    The temporaries (``<name>.tmp``, or ``<name>.tmp1`` and so on when a
+    file has that name) sit next to the outputs and are removed if the body
+    raises, so an earlier output is left as it was.  No rename
     lands on an existing file: ext4 (under its default ``auto_da_alloc``)
     writes a file back before renaming it over another, about 13 ms per
-    16 MiB.  So the old sidecars are removed and the old output is moved
-    aside to ``<path>.old`` first; it is moved back if the output's own
-    rename fails, and removed once the renames are done.  A crash leaves the
-    previous output, no output, or a new output with no sidecar, never a
-    mixed set.
+    16 MiB.  So once the body is done, the old sidecars are removed and an
+    old output is moved aside to a name no file has (``<path>.old``, or
+    ``<path>.old1`` and so on); it is moved back if the output's own rename
+    fails and removed once that rename is done.  A crash leaves the previous
+    output, no output, or a new output with no sidecar, never a mixed set.
     """
     names = (path, *sidecars)
-    temps = tuple(name + ".tmp" for name in names)
-    aside = path + ".old"
+    temps = tuple(_free_name(name + ".tmp") for name in names)
     try:
         yield temps
         for sidecar in sidecars:
             _remove_if_present(sidecar)
-        if os.path.exists(path):
+        aside = _free_name(path + ".old") if os.path.isfile(path) else None
+        if aside is not None:
             os.rename(path, aside)
         try:
-            for tmp, name in zip(temps, names):
-                os.replace(tmp, name)
+            os.replace(temps[0], path)
         except BaseException:
-            if os.path.exists(aside) and not os.path.exists(path):
+            if aside is not None:
                 os.rename(aside, path)
             raise
+        if aside is not None:
+            os.remove(aside)
+        for tmp, sidecar in zip(temps[1:], sidecars):
+            os.replace(tmp, sidecar)
     finally:
-        for tmp in (*temps, aside):
+        for tmp in temps:
             _remove_if_present(tmp)
+
+
+def _free_name(stem: str) -> str:
+    """``stem``, or ``stem`` followed by the first number that names no file."""
+    name = stem
+    for n in count(1):
+        if not os.path.lexists(name):
+            return name
+        name = f"{stem}{n}"
 
 
 def _remove_if_present(path: str) -> None:

@@ -201,7 +201,13 @@ class FeatureLayout:
         return int(self.permutation[node])
 
     def read_record(self, grouped_path: str, node: int) -> bytes:
+        """Node ``node``'s record; FormatError unless the grouped file holds
+        exactly one record per node."""
         with open(grouped_path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != self.num_nodes * self.record_width:
+                raise FormatError(f"{grouped_path}: length {size} != num_nodes "
+                                  f"{self.num_nodes} x width {self.record_width}")
             fh.seek(self.slot_of(node) * self.record_width)
             return fh.read(self.record_width)
 

@@ -118,14 +118,15 @@ def prob_correct(k: int, k0: int, x: float, multiplier: float = 1.0) -> float:
 
 
 def _term_ranges(k: np.ndarray, k0: np.ndarray, x: float, multiplier: float):
-    """Per (k, k0) pair at one x: the draws d, the first cdf index lo, the term
-    count, and the lgamma arguments of ``prob_correct``, as (pairs, 9) arrays
-    of first and last values.
+    """Per (k, k0) pair at one x: the first cdf index lo, the term count, and
+    the lgamma arguments of ``prob_correct`` as (pairs, 9) arrays of first
+    and last values and of anchors.
 
     Terms j = lo ... hi take lgamma at j + 1, k0 - j + 1, d - j + 1 and
-    k - k0 - d + j + 1: four ranges of ``count`` values, empty when hi < lo.
-    The other five columns are the points k0 + 1, k - k0 + 1, k + 1, d + 1
-    and k - d + 1.
+    k - k0 - d + j + 1 (d draws): four ranges of ``count`` values, empty
+    when hi < lo, whose anchors are those values at j = 0.  The other five
+    columns are the points k0 + 1, k - k0 + 1, k + 1, d + 1 and k - d + 1,
+    each its own anchor.
     """
     x_eff = min(multiplier * x, 1.0)
     d = np.minimum(np.maximum(np.rint(x_eff * k.astype(np.float64)).astype(np.int64), 1), k)
@@ -136,23 +137,25 @@ def _term_ranges(k: np.ndarray, k0: np.ndarray, x: float, multiplier: float):
     points = [k0 + 1, k1 + 1, k + 1, d + 1, k - d + 1]
     first = np.stack([lo + 1, k0 - hi + 1, d - hi + 1, k1 - d + lo + 1, *points], axis=1)
     last = np.stack([hi + 1, k0 - lo + 1, d - lo + 1, k1 - d + hi + 1, *points], axis=1)
-    return d, lo, np.maximum(hi - lo + 1, 0), first, last
+    anchor = np.stack([np.ones_like(k), k0 + 1, d + 1, k1 - d + 1, *points], axis=1)
+    return lo, np.maximum(hi - lo + 1, 0), first, last, anchor
 
 
-def _lgamma_table(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lgamma_table(first: np.ndarray, last: np.ndarray,
+                  anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``math.lgamma`` of every integer in the union of the ranges
-    ``[first, last]``, once each and ascending, and each range's offset into
-    that table: value v of range i sits at ``table[v + offset[i]]``.
+    ``[first, last]``, once each and ascending, and where each range's
+    values sit: value v of range i is ``table[base[i] + v - anchor[i]]``.
 
     A range lies inside one run of consecutive values of the union, so one
-    offset serves all of it.  Empty ranges (last < first) take no room; the
+    base serves all of it.  Empty ranges (last < first) take no room; the
     table holds at most as many entries as the ranges' lengths add up to.
     """
     shape, first, last = first.shape, first.ravel(), last.ravel()
     offset = np.zeros(first.size, dtype=np.int64)
     used = np.flatnonzero(last >= first)
     if not used.size:
-        return np.empty(0), offset.reshape(shape)
+        return np.empty(0), anchor + offset.reshape(shape)
     used = used[np.argsort(first[used])]
     lows, reach = first[used], np.maximum.accumulate(last[used])
     opens = np.ones(used.size, dtype=bool)  # a range past the values so far starts a run
@@ -163,7 +166,7 @@ def _lgamma_table(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.n
     offset[used] = shift[np.cumsum(opens) - 1]
     values = np.arange(int(run_size.sum())) - np.repeat(shift, run_size)
     table = np.array([lgamma(v) for v in values.tolist()], dtype=np.float64)
-    return table, offset.reshape(shape)
+    return table, anchor + offset.reshape(shape)
 
 
 def _curve_point(lo: np.ndarray, count: np.ndarray, base: np.ndarray, lg_k0: np.ndarray,
@@ -262,17 +265,14 @@ def theory_curve(stats: NodeStats, xs, multiplier: float = 1.0) -> list[TheoryCu
     pair_k0 = pair_k - (keys % radix).astype(np.int64)
     per_x = [_term_ranges(pair_k, pair_k0, x, multiplier) for x in xs]
     # one lgamma table for the whole curve: every x's ranges and points
-    table, offsets = _lgamma_table(np.array([r[3] for r in per_x], dtype=np.int64),
-                                   np.array([r[4] for r in per_x], dtype=np.int64))
+    table, bases = _lgamma_table(*(np.array([r[i] for r in per_x], dtype=np.int64)
+                                   for i in (2, 3, 4)))
     endpoints = stats.total_endpoints
     out = []
-    for x, (d, lo, count, first, _), off in zip(xs, per_x, offsets):
-        base = np.stack([off[:, 0] + 1, off[:, 1] + pair_k0 + 1, off[:, 2] + d + 1,
-                         off[:, 3] + pair_k - pair_k0 - d + 1], axis=1)
-        at = first[:, 4:] + off[:, 4:]  # the table slots of the five points
-        lg_k0, lg_k1, lg_k, lg_d, lg_kd = np.ascontiguousarray(table[at].T)
-        total = _curve_point(lo, count, base, lg_k0, lg_k1, lg_k - lg_d - lg_kd, table, k, k0,
-                             pair_of)
+    for x, (lo, count, *_), base in zip(xs, per_x, bases):
+        lg_k0, lg_k1, lg_k, lg_d, lg_kd = np.ascontiguousarray(table[base[:, 4:]].T)
+        total = _curve_point(lo, count, np.ascontiguousarray(base[:, :4]), lg_k0, lg_k1,
+                             lg_k - lg_d - lg_kd, table, k, k0, pair_of)
         out.append(TheoryCurvePoint(x, total, total / endpoints if endpoints else 0.0))
     return out
 

@@ -366,6 +366,54 @@ def test_a_failed_rename_leaves_the_earlier_output_or_nothing(tmp_path, monkeypa
     assert dir_bytes(tmp_path) == before  # the earlier output moved back, no .tmp or .old
 
 
+@pytest.mark.parametrize("fail", [None, "body", "rename"])
+def test_files_named_like_the_set_aside_output_are_kept(tmp_path, monkeypatch, fail):
+    # temporaries and the old output go to names no file has, so an input
+    # called <out>.old and unrelated <out>.old1 and <out>.tmp files survive a
+    # run, failed or not
+    rng = np.random.default_rng(13)
+    efile = make_edge_file(tmp_path / "s.grpe.old", rng.integers(0, 40, size=(500, 2)), 40)
+    (tmp_path / "o.bin.old").write_bytes(rng.integers(0, 256, size=40 * 4, dtype=np.uint8))
+    labels = rng.integers(0, 3, size=40)
+    external_shuffle(efile, str(tmp_path / "s.grpe"), IO_BLOCK, rng_seed=1)
+    reorder_features(str(tmp_path / "o.bin.old"), labels, 4, str(tmp_path / "o.bin"), 3)
+    (tmp_path / "s.grpe.old1").write_bytes(b"someone else's")
+    (tmp_path / "s.grpe.tmp").write_bytes(b"not a temporary")
+    before = dir_bytes(tmp_path)
+    real_replace, real_write = os.replace, BinaryEdgeWriter.write
+
+    def replace(src, dst):
+        if fail == "rename" and src.endswith(("s.grpe.tmp1", "o.bin.tmp")):
+            raise Crash
+        real_replace(src, dst)
+
+    def write(self, edges):
+        if fail == "body" and self.path.endswith("s.grpe.tmp1"):
+            raise Crash
+        real_write(self, edges)
+
+    def save(self, path):
+        raise Crash
+
+    monkeypatch.setattr(edgefile.os, "replace", replace)
+    monkeypatch.setattr(BinaryEdgeWriter, "write", write)
+    if fail == "body":
+        monkeypatch.setattr(streamcut.store.FeatureLayout, "save", save)
+    for run in (lambda: external_shuffle(efile, str(tmp_path / "s.grpe"), IO_BLOCK, rng_seed=2),
+                lambda: reorder_features(str(tmp_path / "o.bin.old"), labels[::-1].copy(), 4,
+                                         str(tmp_path / "o.bin"), 3)):
+        if fail:
+            with pytest.raises(Crash):
+                run()
+        else:
+            run()
+    after = dir_bytes(tmp_path)
+    gone = {"o.bin.layout"} if fail == "rename" else set()  # old sidecars go before the renames
+    assert sorted(after) == sorted(set(before) - gone)
+    changed = {name for name in after if after[name] != before[name]}
+    assert changed == (set() if fail else {"s.grpe", "o.bin", "o.bin.layout"})
+
+
 # Run in a child that lowers its own file-size limit to 1000 bytes: the new
 # 500-entry label file (2020 bytes), the 8 x 8 bucket index (1024 bytes), a
 # 40-point predict curve, a 400-part plan and a 200-worker traffic CSV (each

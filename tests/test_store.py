@@ -8,11 +8,15 @@ from streamcut import store as store_module
 from streamcut import (
     FeatureLayout,
     FormatError,
+    open_edge_file,
     read_bucket,
     read_index,
+    read_labels,
     reorder_features,
     write_buckets,
+    write_labels,
 )
+from streamcut.edgefile import read_all_edges
 
 from helpers import dir_bytes, make_edge_file, random_multigraph
 
@@ -348,3 +352,38 @@ def test_reorder_features_failure_leaves_no_output(tmp_path, monkeypatch):
     with pytest.raises(Crash):
         reorder_features(str(feats), rng.integers(0, 4, size=40), 3, out)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["f.bin"]
+
+
+_BINARY_OUTPUTS = ["g.grpe", "l.grpl", "b.grpb", "b.grpb.idx", "o.bin", "o.bin.layout"]
+
+
+# A binary edge file cut to nothing is left out: zero bytes are a valid, empty
+# text edge list, which is what an empty graph converts to.
+@pytest.mark.parametrize("name, cut", [(name, cut) for cut in (1, 8, "all")
+                                       for name in _BINARY_OUTPUTS
+                                       if (name, cut) != ("g.grpe", "all")])
+def test_each_binary_reader_refuses_a_short_file(tmp_path, name, cut):
+    # outputs are never fsynced, so a power loss may leave one short: its
+    # reader must say so, whichever file it is and wherever it was cut
+    rng = np.random.default_rng(14)
+    efile = make_edge_file(tmp_path / "g.grpe", rng.integers(0, 30, size=(200, 2)), 30)
+    labels = rng.integers(0, 4, size=30)
+    write_labels(str(tmp_path / "l.grpl"), labels, num_parts=4)
+    write_buckets(efile, labels, str(tmp_path / "b.grpb"), 4)
+    (tmp_path / "f.bin").write_bytes(rng.integers(0, 256, size=30 * 8, dtype=np.uint8))
+    reorder_features(str(tmp_path / "f.bin"), labels, 8, str(tmp_path / "o.bin"), 4)
+    readers = {
+        "g.grpe": lambda: read_all_edges(open_edge_file(efile.path)),
+        "l.grpl": lambda: read_labels(str(tmp_path / "l.grpl")),
+        "b.grpb": lambda: read_index(str(tmp_path / "b.grpb")),
+        "b.grpb.idx": lambda: read_index(str(tmp_path / "b.grpb")),
+        "o.bin": lambda: FeatureLayout.load(str(tmp_path / "o.bin.layout")).read_record(
+            str(tmp_path / "o.bin"), 0),
+        "o.bin.layout": lambda: FeatureLayout.load(str(tmp_path / "o.bin.layout")),
+    }
+    readers[name]()
+    path = tmp_path / name
+    with open(path, "r+b") as fh:
+        fh.truncate(0 if cut == "all" else path.stat().st_size - cut)
+    with pytest.raises(FormatError):
+        readers[name]()

@@ -341,8 +341,8 @@ def test_lgamma_table_stays_within_the_terms(monkeypatch):
     sizes = []
     real = theory._lgamma_table
 
-    def table(first, last):
-        out = real(first, last)
+    def table(*ranges):
+        out = real(*ranges)
         sizes.append(out[0].size)
         return out
 
