@@ -1,15 +1,15 @@
 /* Compiled inner loops: the greedy chunk sweep, the BFS-grow seed and its
- * neighbour estimates, the adjacency builder's key packing and tail, the
- * traffic estimator's sampling walk, the streaming passes over edge blocks
- * and the cdf sums of the theory curve.
+ * neighbour estimates, the adjacency builder's key packing, split and
+ * tail, the traffic estimator's sampling walk, the streaming passes over
+ * edge blocks and the cdf sums of the theory curve.
  *
  * Each function is a port of the Python code it replaces
  * (grem.process_chunk, seed._bfs_grow, grem._seed_chunk, the numpy twins in
- * model._pack_block and model.adjacency_from_keys, placement.estimate_comm,
- * the numpy passes of grem.count_cuts, grem._extract_induced,
- * store.write_buckets, edgefile.external_shuffle, theory.compute_node_stats
- * and placement.select_replicated, and the fallback of
- * theory._curve_point) and must stay bit-identical to it:
+ * model._pack_block, model._split_keys and model.adjacency_from_keys,
+ * placement.estimate_comm, the numpy passes of grem.count_cuts,
+ * grem._extract_induced, store.write_buckets, edgefile.external_shuffle,
+ * theory.compute_node_stats and placement.select_replicated, and the
+ * fallback of theory._curve_point) and must stay bit-identical to it:
  * neighbour counts are exact integers converted to double once, estimates
  * are averaged as (old + fresh) * 0.5, sums run left to right, nodes are
  * visited and random words drawn in the same order.  The loader compiles
@@ -21,15 +21,20 @@
  * C library's, the one Python's math.exp calls.
  *
  * The adjacency keys are shift-packed, src << shift | dst with
- * shift = bit_length(width - 1): u32 keys when width << shift <= 2**32 (every
- * width up to 65,536), u64 keys while shift <= 32 (width up to 2**32).  Wider
- * ids are ranked to dense ones first, in Python.
+ * shift = bit_length(width - 1).  They are sorted as u32 up to width
+ * 65,536, in one part.  Above that, where model.key_layout finds enough of
+ * them for at most 64 parts (width 2**19), a key is its low 32 bits, in
+ * parts split on its high 2 * shift - 32 bits; other keys are u64 while
+ * shift <= 32 (width up to 2**32).  Wider ids are ranked to dense ones
+ * first, in Python.
  *
  * Every array arrives as a plain pointer; the Python callers check its
  * dtype, size and contiguity (_kernels.ptr) and size every output as the
  * comment above each function says.  The edge passes take their rows'
  * ids as below the node count, which edgefile.iter_edge_blocks checks as
- * it reads, and index the per-node arrays with them unchecked.
+ * it reads, and index the per-node arrays with them unchecked.  Their
+ * labels are u32, as a label file stores them, with 0xFFFFFFFF for every
+ * label outside the pass's range (edgefile._pass_labels).
  */
 #include <math.h>
 #include <stdint.h>
@@ -329,13 +334,16 @@ static inline uint64_t id_at(const void *rows, int wide, int64_t k)
     return wide ? ((const uint64_t *)rows)[k] : ((const uint32_t *)rows)[k];
 }
 
-PASS int64_t label_pass_body(int64_t m, const void *rows, int wide, const int64_t *labels,
+PASS int64_t label_pass_body(int64_t m, const void *rows, int wide, const uint32_t *labels,
                              int64_t p, int64_t *counts, int64_t *bucket, int64_t *cut)
 {
+    /* labels at or above p are rejected, the 0xFFFFFFFF of an outside label
+     * always */
+    uint64_t limit = (uint64_t)p < UINT32_MAX ? (uint64_t)p : UINT32_MAX;
     int64_t cuts = 0, bad = -1;
     for (int64_t i = 0; i < m; i++) {
-        int64_t lu = labels[id_at(rows, wide, 2 * i)], lv = labels[id_at(rows, wide, 2 * i + 1)];
-        if (lu < 0 || lv < 0 || (p > 0 && (lu >= p || lv >= p))) {
+        uint64_t lu = labels[id_at(rows, wide, 2 * i)], lv = labels[id_at(rows, wide, 2 * i + 1)];
+        if ((lu >= limit) | (lv >= limit)) {
             bad = i;
             break;
         }
@@ -343,19 +351,19 @@ PASS int64_t label_pass_body(int64_t m, const void *rows, int wide, const int64_
         if (counts != NULL)
             counts[lu * p + lv] += 1;
         if (bucket != NULL)
-            bucket[i] = lu * p + lv;
+            bucket[i] = (int64_t)(lu * p + lv);
     }
     *cut += cuts;
     return bad;
 }
 
-/* Gathers both labels of each of the m rows (labels: one per node) and adds
- * the number of rows whose labels differ to *cut.  With `counts` (p * p
- * entries) each row also adds one to its bucket l_src * p + l_dst; with
- * `bucket` (m entries) row i's bucket id is written to bucket[i].  Returns
- * -1, or the position of the first row with an endpoint labelled below 0
- * or, for p > 0, at or above p (the rows before it are tallied). */
-int64_t label_pass(int64_t m, const void *rows, int64_t id_bytes, const int64_t *labels,
+/* Gathers both labels of each of the m rows (labels: one u32 per node) and
+ * adds the number of rows whose labels differ to *cut.  With `counts`
+ * (p * p entries) each row also adds one to its bucket l_src * p + l_dst;
+ * with `bucket` (m entries) row i's bucket id is written to bucket[i].
+ * Returns -1, or the position of the first row with an endpoint labelled at
+ * or above p or 0xFFFFFFFF (the rows before it are tallied); p >= 1. */
+int64_t label_pass(int64_t m, const void *rows, int64_t id_bytes, const uint32_t *labels,
                    int64_t p, int64_t *counts, int64_t *bucket, int64_t *cut)
 {
     if (id_bytes == 8)
@@ -438,8 +446,8 @@ int64_t scatter_rows(int64_t m, const void *rows, int64_t id_bytes, const int64_
     return scatter_rows_body(m, rows, 0, bucket, nbuckets, bounds, out);
 }
 
-PASS int64_t endpoint_counts_body(int64_t m, const void *rows, int wide, const int64_t *labels,
-                                  int64_t *counts)
+PASS int64_t endpoint_counts_body(int64_t m, const void *rows, int wide, const uint32_t *labels,
+                                  uint32_t *counts)
 {
     for (int64_t i = 0; i < m; i++) {
         uint64_t u = id_at(rows, wide, 2 * i), v = id_at(rows, wide, 2 * i + 1);
@@ -450,8 +458,8 @@ PASS int64_t endpoint_counts_body(int64_t m, const void *rows, int wide, const i
             }
             continue;
         }
-        int64_t lu = labels[u], lv = labels[v];
-        if ((uint64_t)lu > 1 || (uint64_t)lv > 1)
+        uint32_t lu = labels[u], lv = labels[v];
+        if ((lu > 1) | (lv > 1))
             return i;
         if (u != v) {
             counts[2 * u + lv] += 1;
@@ -461,15 +469,17 @@ PASS int64_t endpoint_counts_body(int64_t m, const void *rows, int wide, const i
     return -1;
 }
 
-/* Endpoint counts of the m rows, self-loops left out.  Without labels each
- * row (u, v), u != v, adds one to counts[u] and to counts[v]: the degree.
- * With labels, a bisection (0 or 1, below 0 for unlabeled), it adds one to
- * counts[2u + labels[v]] and counts[2v + labels[u]]: each node's neighbours
- * per side; a row with an endpoint labelled other than 0 or 1, a self-loop
- * included, is rejected.  Returns -1, or the position of the first
- * rejected row. */
-int64_t endpoint_counts(int64_t m, const void *rows, int64_t id_bytes, const int64_t *labels,
-                        int64_t *counts)
+/* Endpoint counts of the m rows, self-loops left out, added to u32
+ * counters: a row adds at most one to any counter, so m rows since the
+ * caller last folded them into wider ones cannot wrap while
+ * m <= 2**32 - 1.  Without labels each row (u, v), u != v, adds one to
+ * counts[u] and to counts[v]: the degree.  With labels, a bisection (0 or
+ * 1, 0xFFFFFFFF for any other label), it adds one to counts[2u + labels[v]]
+ * and counts[2v + labels[u]]: each node's neighbours per side; a row with
+ * an endpoint labelled other than 0 or 1, a self-loop included, is
+ * rejected.  Returns -1, or the position of the first rejected row. */
+int64_t endpoint_counts(int64_t m, const void *rows, int64_t id_bytes, const uint32_t *labels,
+                        uint32_t *counts)
 {
     if (id_bytes == 8)
         return endpoint_counts_body(m, rows, 1, labels, counts);
@@ -479,8 +489,9 @@ int64_t endpoint_counts(int64_t m, const void *rows, int64_t id_bytes, const int
 /* The adjacency builder's keys: src << shift | dst, for ids below `width`
  * and shift = bit_length(width - 1), so a key's high bits are its owner and
  * its low `shift` bits its neighbour.  Sorting them orders the index as
- * sorting src * width + dst would.  Keys are u32 (key_bytes == 4) when
- * width << shift <= 2**32, else u64 (shift <= 32). */
+ * sorting src * width + dst would.  Keys are u64 (key_bytes == 8, shift
+ * <= 32) or their low 32 bits (key_bytes == 4): the whole key while
+ * width <= 65,536, else split_keys groups them by their high bits. */
 static inline uint64_t key_at(const void *keys, int wide, int64_t k)
 {
     return wide ? ((const uint64_t *)keys)[k] : ((const uint32_t *)keys)[k];
@@ -521,41 +532,79 @@ int64_t pack_keys(int64_t m, const void *rows, int64_t id_bytes, int64_t width, 
     return pack_keys_body(m, rows, 0, (uint64_t)width, shift, 0, fwd, rev);
 }
 
+/* Groups the 2m low-32-bit keys of pack_keys (row i's fwd[i] and rev[i],
+ * shift > 16) by part, their high 2 * shift - 32 bits, into `keys`
+ * (2m entries, not overlapping fwd or rev): bounds (nparts + 1 entries)
+ * gets the start of each part's run followed by 2m.  A key's part is its
+ * owner's high bits, and its owner is the low `shift` bits of its partner
+ * key: fwd[i]'s owner is src, which rev[i] ends in.  Within a part the
+ * keys are in no useful order; each part is sorted after. */
+void split_keys(int64_t m, const uint32_t *fwd, const uint32_t *rev, int64_t shift,
+                int64_t nparts, int64_t *bounds, uint32_t *keys)
+{
+    uint32_t mask = (uint32_t)(((uint64_t)1 << shift) - 1);
+    int64_t low = 32 - shift;  /* an owner's bits below its part */
+    memset(bounds, 0, (size_t)(nparts + 1) * sizeof *bounds);
+    for (int64_t i = 0; i < m; i++) {
+        bounds[((rev[i] & mask) >> low) + 1] += 1;
+        bounds[((fwd[i] & mask) >> low) + 1] += 1;
+    }
+    for (int64_t q = 1; q <= nparts; q++)
+        bounds[q] += bounds[q - 1];
+    /* bounds[q] is the cursor of part q; afterwards it is the end of q */
+    for (int64_t i = 0; i < m; i++) {
+        keys[bounds[(rev[i] & mask) >> low]++] = fwd[i];
+        keys[bounds[(fwd[i] & mask) >> low]++] = rev[i];
+    }
+    memmove(bounds + 1, bounds, (size_t)nparts * sizeof *bounds);
+    bounds[0] = 0;
+}
+
 PASS int64_t adjacency_tail_body(int64_t m, const void *keys, int key_wide, int64_t shift,
-                                 int64_t *nbrs, int64_t *nodes, int64_t *offsets)
+                                 int64_t nparts, const int64_t *bounds, int64_t *nbrs,
+                                 int64_t *nodes, int64_t *offsets)
 {
     uint64_t mask = ((uint64_t)1 << shift) - 1, owner = UINT64_MAX;  /* no key's owner */
     int64_t runs = 0, out = 0;
-    for (int64_t i = 0; i < m; i++) {
-        uint64_t key = key_at(keys, key_wide, i), src = key >> shift, dst = key & mask;
-        /* every key writes the next run's slot, and only a key that opens a
-         * run moves past it: no branch on run lengths of a few keys */
-        nodes[runs] = (int64_t)src;
-        offsets[runs] = out;
-        runs += src != owner;
-        owner = src;
-        nbrs[out] = (int64_t)dst;
-        out += src != dst;
+    for (int64_t q = 0; q < nparts; q++) {
+        uint64_t high = (uint64_t)q << 32;  /* the bits above a split key's 32 */
+        /* read once: the writes below may alias bounds */
+        int64_t start = bounds ? bounds[q] : 0, end = bounds ? bounds[q + 1] : m;
+        for (int64_t i = start; i < end; i++) {
+            uint64_t key = high | key_at(keys, key_wide, i), src = key >> shift, dst = key & mask;
+            /* every key writes the next run's slot, and only a key that opens
+             * a run moves past it: no branch on run lengths of a few keys */
+            nodes[runs] = (int64_t)src;
+            offsets[runs] = out;
+            runs += src != owner;
+            owner = src;
+            nbrs[out] = (int64_t)dst;
+            out += src != dst;
+        }
     }
     offsets[runs] = out;
     return runs;
 }
 
-/* The tail of the adjacency builder over m sorted keys: writes each run's
- * owner to `nodes` and its start to `offsets`, and the neighbour ids,
- * self-loops left out, in order to `nbrs`.  `offsets` gets one more entry,
- * the end of the last run, and `nodes` one spare entry past the last run.
- * `nbrs` may share memory with `keys` (the builder's one buffer): the
- * write of neighbour `out` covers bytes 8 * out to 8 * out + 8, out <= i,
- * which key i + 1 and later never overlap when the keys are either that
- * buffer's entries or the u32 entries of its upper half.  Returns the
- * number of runs. */
+/* The tail of the adjacency builder over m keys, sorted within each of
+ * nparts parts, part q holding keys bounds[q] to bounds[q + 1] - 1
+ * (bounds[0] = 0, bounds[nparts] = m) whose bits above the low 32 are q.
+ * bounds may be NULL for one part [0, m): u64 keys, and u32 keys up to
+ * width 65,536.  Writes each run's owner to `nodes` and its start to
+ * `offsets`, and the neighbour ids, self-loops left out, in order to
+ * `nbrs`.  `offsets` gets one more entry, the end of the last run, and
+ * `nodes` one spare entry past the last run.  `nbrs` may share memory with `keys` (the builder's
+ * one buffer): the write of neighbour `out` covers bytes 8 * out to
+ * 8 * out + 8, out <= i, which key i + 1 and later never overlap when the
+ * keys are either that buffer's entries or the u32 entries of its upper
+ * half.  Returns the number of runs. */
 int64_t adjacency_tail(int64_t m, const void *keys, int64_t key_bytes, int64_t shift,
-                       int64_t *nbrs, int64_t *nodes, int64_t *offsets)
+                       int64_t nparts, const int64_t *bounds, int64_t *nbrs, int64_t *nodes,
+                       int64_t *offsets)
 {
     if (key_bytes == 8)
-        return adjacency_tail_body(m, keys, 1, shift, nbrs, nodes, offsets);
-    return adjacency_tail_body(m, keys, 0, shift, nbrs, nodes, offsets);
+        return adjacency_tail_body(m, keys, 1, shift, nparts, bounds, nbrs, nodes, offsets);
+    return adjacency_tail_body(m, keys, 0, shift, nparts, bounds, nbrs, nodes, offsets);
 }
 
 /* One point of theory.theory_curve.  Pair i's cdf adds count[i] terms,

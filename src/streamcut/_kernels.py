@@ -15,14 +15,18 @@ The kernels, named in ``KERNELS``, each replace one Python loop:
 * ``seed_counts`` -- the neighbour estimates of the seeded chunk nodes,
   ``grem._seed_chunk``;
 * ``pack_keys`` -- the adjacency builder's keys, ``src << shift | dst`` in
-  both directions, u32 or u64, from a block of u32 or u64 rows:
-  ``model._pack_block``;
+  both directions, u64 or their low 32 bits, from a block of u32 or u64
+  rows: ``model._pack_block``;
+* ``split_keys`` -- groups u32 keys of widths above 65,536 by their high
+  ``2 * shift - 32`` bits, so each part sorts as u32, where
+  ``model.key_layout`` finds enough keys for at most 64 parts (width 2**19):
+  ``model._split_keys``;
 * ``adjacency_tail`` -- the run split and self-loop removal after the key
-  sort, branch-free, in ``model.adjacency_from_keys``;
+  sort, part by part, branch-free, in ``model.adjacency_from_keys``;
 * ``comm_walk`` -- the sampling walk of ``placement.estimate_comm``;
-* ``label_pass`` -- gathers both labels of each edge of a block, tallies cut
-  edges and optionally counts and writes p x p bucket ids: ``grem.count_cuts``
-  and both passes of ``store.write_buckets``;
+* ``label_pass`` -- gathers both u32 labels of each edge of a block, tallies
+  cut edges and optionally counts and writes p x p bucket ids:
+  ``grem.count_cuts`` and both passes of ``store.write_buckets``;
 * ``extract_rows`` -- keeps the rows with both endpoints on one side of a
   bisection and writes them relabelled at the output id width:
   ``grem._extract_induced``;
@@ -30,8 +34,8 @@ The kernels, named in ``KERNELS``, each replace one Python loop:
   id: the write pass of ``store.write_buckets`` and the scatter pass of
   ``edgefile.external_shuffle``;
 * ``endpoint_counts`` -- per-node counts of non-self-loop endpoints, plain
-  or split by the other endpoint's side: ``placement.select_replicated``
-  and ``theory.compute_node_stats``;
+  or split by the other endpoint's u32 side, added to u32 counters:
+  ``placement.select_replicated`` and ``theory.compute_node_stats``;
 * ``curve_point`` -- one point of ``theory.theory_curve``: each (k, k0)
   pair's cdf terms, read from one packed lgamma table and added left to
   right, then the node total in node order.
@@ -40,7 +44,14 @@ The four edge passes take blocks of 4- or 8-byte ids as
 ``edgefile.iter_edge_blocks`` yields them.  Their precondition is that
 reader's check: every id is below the node count that sizes the per-node
 arrays, which they index unchecked.  They check only the labels, new ids
-and bucket ids they read, and return the first row they reject.
+and bucket ids they read, and return the first row they reject.  Labels
+reach ``label_pass`` and ``endpoint_counts`` as one u32 array, a label
+file's form, in which every label outside the pass's range (below 0, at or
+above p, or above 1 for a bisection) is 0xFFFFFFFF
+(``edgefile._pass_labels``); the caller decides the error from its own
+integer labels.  ``endpoint_counts`` adds into u32 counters, which its caller
+folds into the int64 result at the end and every 2**32 - 1 rows before
+that, so no count wraps.
 
 Each is the loaded function, or ``None`` for all of them when no compiler
 is found or the build fails.  Each kernel's Python fallback, which gives
@@ -48,7 +59,8 @@ bit-identical results, sits beside its one call: the edge passes' numpy
 twins in ``edgefile._label_block``, ``_extract_block``, ``_scatter_block``
 and ``_endpoint_block``, the others in ``grem.process_chunk``,
 ``seed._bfs_grow``, ``grem._seed_chunk``, ``model._pack_block``,
-``model.adjacency_from_keys``, ``placement.estimate_comm`` and
+``model._split_keys``, ``model.adjacency_from_keys``,
+``placement.estimate_comm`` and
 ``theory._curve_point``.
 
 Every array goes to a kernel as a plain address through ``ptr``, which
@@ -110,8 +122,9 @@ def _build(source: bytes, target: str) -> None:
                 pass
 
 
-KERNELS = ("sweep", "bfs_grow", "seed_counts", "pack_keys", "adjacency_tail", "comm_walk",
-           "label_pass", "extract_rows", "scatter_rows", "endpoint_counts", "curve_point")
+KERNELS = ("sweep", "bfs_grow", "seed_counts", "pack_keys", "split_keys", "adjacency_tail",
+           "comm_walk", "label_pass", "extract_rows", "scatter_rows", "endpoint_counts",
+           "curve_point")
 
 
 def _load():
@@ -134,7 +147,8 @@ def _load():
         "bfs_grow": ([i64, p, p, p, i64, i64, p], i64),
         "seed_counts": ([i64, p, p, p, p, p, p, p], None),
         "pack_keys": ([i64, p, i64, i64, i64, i64, p, p], i64),
-        "adjacency_tail": ([i64, p, i64, i64, p, p, p], i64),
+        "split_keys": ([i64, p, p, i64, i64, p, p], None),
+        "adjacency_tail": ([i64, p, i64, i64, i64, p, p, p, p], i64),
         "comm_walk": ([i64, p, p, p, p, p, i64, p, i64, p, p, p], i64),
         "label_pass": ([i64, p, i64, p, i64, p, p, p], i64),
         "extract_rows": ([i64, p, i64, p, i64, p, p], i64),
@@ -148,8 +162,8 @@ def _load():
     return tuple(getattr(lib, name) for name in KERNELS)
 
 
-(sweep, bfs_grow, seed_counts, pack_keys, adjacency_tail, comm_walk, label_pass, extract_rows,
- scatter_rows, endpoint_counts, curve_point) = _load()
+(sweep, bfs_grow, seed_counts, pack_keys, split_keys, adjacency_tail, comm_walk, label_pass,
+ extract_rows, scatter_rows, endpoint_counts, curve_point) = _load()
 
 
 def ptr(arr: np.ndarray | None, dtype, size: int) -> int | None:

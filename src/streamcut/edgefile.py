@@ -42,6 +42,9 @@ _UNASSIGNED_U32 = 0xFFFFFFFF
 IO_BLOCK = 64 * 1024  # minimum sensible I/O granularity in bytes
 _MAX_SCATTER_BUCKETS = 4096
 _DEFAULT_BLOCK_EDGES = 1 << 18
+# rows an endpoint pass adds into its u32 counters before folding them into
+# the int64 result: a row adds at most one to any counter
+_FOLD_ROWS = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -460,13 +463,29 @@ def stream_chunks(
         )
 
 
-def _checked_labels(efile: EdgeFile, labels: np.ndarray) -> np.ndarray:
-    """``labels`` as a contiguous int64 array; FormatError unless it covers the file's nodes."""
+def _check_covers(efile: EdgeFile, labels: np.ndarray) -> None:
+    """FormatError unless ``labels`` has one entry per node of the file."""
     if labels.shape[0] != efile.meta.num_nodes:
         raise FormatError(
             f"labels cover {labels.shape[0]} nodes, file has {efile.meta.num_nodes}"
         )
+
+
+def _checked_labels(efile: EdgeFile, labels: np.ndarray) -> np.ndarray:
+    """``labels`` as a contiguous int64 array; FormatError unless it covers the file's nodes."""
+    _check_covers(efile, labels)
     return np.ascontiguousarray(labels, dtype=np.int64)
+
+
+def _pass_labels(efile: EdgeFile, labels: np.ndarray, limit: int) -> np.ndarray:
+    """The u32 labels an edge pass reads, a label file's form: each of the
+    integer ``labels`` in [0, limit) as it is, every other one (below 0, at or
+    above ``limit``, or at or above 0xFFFFFFFF) as 0xFFFFFFFF, which the pass
+    rejects; FormatError unless they cover the file's nodes."""
+    _check_covers(efile, labels)
+    narrow = labels.astype(np.uint32)
+    narrow[(labels < 0) | (labels >= min(limit, _UNASSIGNED_U32))] = _UNASSIGNED_U32
+    return narrow
 
 
 # The edge passes over one block of ``iter_edge_blocks``, whose ids they trust.
@@ -488,36 +507,35 @@ def _first(rejected: np.ndarray) -> int:
 
 def _raise_rejected(rows: np.ndarray, bad: int, labels: np.ndarray | None = None) -> None:
     """Raises for row ``bad``, which a pass rejected: FormatError for an
-    unlabeled endpoint, ValueError otherwise."""
+    endpoint the caller's own ``labels`` leave unlabeled (below 0), ValueError otherwise."""
     if labels is not None and (labels[rows[bad]] < 0).any():
         raise FormatError("unlabeled endpoint encountered")
     raise ValueError(f"row {bad}: label or bucket id out of the kernel's range")
 
 
-def _label_block(efile: EdgeFile, block: np.ndarray, labels: np.ndarray, cut: np.ndarray,
-                 p: int = 0, counts: np.ndarray | None = None,
+def _label_block(efile: EdgeFile, block: np.ndarray, labels: np.ndarray, narrow: np.ndarray,
+                 cut: np.ndarray, p: int, counts: np.ndarray | None = None,
                  bucket: np.ndarray | None = None) -> None:
-    """``_kernels.label_pass`` over one block, labels from ``_checked_labels``.
+    """``_kernels.label_pass`` over one block, ``narrow`` the
+    ``_pass_labels(efile, labels, p)`` of the caller's integer ``labels``,
+    which decide the error of a rejected row.
 
-    Adds the block's cut edges to ``cut[0]``; with p > 0 (every label below
-    p) adds its p x p bucket counts to ``counts`` and writes its bucket ids
-    to ``bucket``, each when given.
+    Adds the block's cut edges to ``cut[0]``, adds its p x p bucket counts to
+    ``counts`` and writes its bucket ids to ``bucket``, each when given; an
+    endpoint labelled outside [0, p) is rejected.
     """
     rows, num_nodes, ptr = _rows(block), efile.meta.num_nodes, _kernels.ptr
-    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, ptr(labels, np.int64, num_nodes), p,
+    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, ptr(narrow, np.uint32, num_nodes), p,
             ptr(counts, np.int64, p * p), ptr(bucket, np.int64, rows.shape[0]),
             ptr(cut, np.int64, 1))
     if _kernels.label_pass is not None:
         bad = _kernels.label_pass(rows.shape[0], *args)
     else:
-        l_src, l_dst = labels[rows[:, 0]], labels[rows[:, 1]]
-        rejected = np.minimum(l_src, l_dst) < 0
-        if p > 0:
-            rejected |= np.maximum(l_src, l_dst) >= p
-        bad = _first(rejected)
+        l_src, l_dst = narrow[rows[:, 0]], narrow[rows[:, 1]]
+        bad = _first(np.maximum(l_src, l_dst) >= min(p, _UNASSIGNED_U32))
         if bad < 0:
             cut[0] += np.count_nonzero(l_src != l_dst)
-            ids = l_src * p + l_dst
+            ids = l_src.astype(np.int64) * p + l_dst
             if counts is not None:
                 counts += np.bincount(ids, minlength=p * p)
             if bucket is not None:
@@ -590,57 +608,71 @@ def _scatter_block(block: np.ndarray, bucket: np.ndarray, nbuckets: int,
 
 
 def _endpoint_block(efile: EdgeFile, block: np.ndarray, counts: np.ndarray,
-                    labels: np.ndarray | None = None) -> None:
-    """``_kernels.endpoint_counts`` over one block, self-loops left out.
+                    labels: np.ndarray | None, narrow: np.ndarray | None) -> None:
+    """``_kernels.endpoint_counts`` over one block, self-loops left out, into u32
+    ``counts``, which the block's rows must not take past 2**32 - 1.
 
-    Without labels it adds each endpoint to ``counts[node]``; with a
-    bisection from ``_checked_labels`` it adds it to
+    Without labels (both None) it adds each endpoint to ``counts[node]``;
+    with the caller's integer labels of a bisection and ``narrow``, their
+    ``_pass_labels(efile, labels, 2)``, it adds it to
     ``counts[2 * node + side of the other endpoint]``.
     """
     rows, num_nodes = _rows(block), efile.meta.num_nodes
     if counts.size != (num_nodes if labels is None else 2 * num_nodes):
         raise ValueError("counts must have one entry per node, or two with labels")
     ptr = _kernels.ptr
-    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, ptr(labels, np.int64, num_nodes),
-            ptr(counts, np.int64, counts.size))
+    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, ptr(narrow, np.uint32, num_nodes),
+            ptr(counts, np.uint32, counts.size))
     if _kernels.endpoint_counts is not None:
         bad = _kernels.endpoint_counts(rows.shape[0], *args)
     else:
         src, dst = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
         bad = -1
-        if labels is not None:
-            l_src, l_dst = labels[src], labels[dst]
-            bad = _first((np.minimum(l_src, l_dst) < 0) | (np.maximum(l_src, l_dst) > 1))
+        if narrow is not None:
+            l_src, l_dst = narrow[src], narrow[dst]
+            bad = _first(np.maximum(l_src, l_dst) > 1)
         if bad < 0:
             keep = src != dst
             src, dst = src[keep], dst[keep]
-            if labels is not None:
+            if narrow is not None:
                 src, dst = 2 * src + l_dst[keep], 2 * dst + l_src[keep]
-            counts += np.bincount(src, minlength=counts.size)
-            counts += np.bincount(dst, minlength=counts.size)
+            for ends in (src, dst):
+                np.add(counts, np.bincount(ends, minlength=counts.size), out=counts,
+                       casting="unsafe")
     if bad >= 0:
         _raise_rejected(rows, bad, labels)
 
 
-def _cut_pass(efile: EdgeFile, labels: np.ndarray, p: int = 0,
+def _cut_pass(efile: EdgeFile, labels: np.ndarray, narrow: np.ndarray, p: int,
               counts: np.ndarray | None = None) -> int:
-    """The file's cut edges under ``labels``, by ``_label_block`` over every block;
-    with p > 0 it also adds the p x p bucket counts to ``counts`` when given."""
-    checked = _checked_labels(efile, labels)
+    """The file's cut edges under ``labels``, every one below ``p``, by
+    ``_label_block`` over every block (``narrow`` their ``_pass_labels(efile,
+    labels, p)``); it also adds the p x p bucket counts to ``counts`` when given."""
     cut = np.zeros(1, dtype=np.int64)
     for block in iter_edge_blocks(efile):
-        _label_block(efile, block, checked, cut, p, counts=counts)
+        _label_block(efile, block, labels, narrow, cut, p, counts=counts)
     return int(cut[0])
 
 
 def _endpoint_pass(efile: EdgeFile, labels: np.ndarray | None = None) -> np.ndarray:
-    """Fresh counts filled by ``_endpoint_block`` over every block: each node's
-    degree or, with a bisection, its neighbours on side s at ``2 * node + s``."""
+    """Fresh int64 counts filled by ``_endpoint_block`` over every block: each
+    node's degree or, with a bisection, its neighbours on side s at
+    ``2 * node + s``.  The blocks add into u32 counters, folded into the
+    result at the end and before any block that would take them past
+    ``_FOLD_ROWS`` rows."""
     num_nodes = efile.meta.num_nodes
-    checked = None if labels is None else _checked_labels(efile, labels)
+    narrow = None if labels is None else _pass_labels(efile, labels, 2)
     counts = np.zeros(num_nodes if labels is None else 2 * num_nodes, dtype=np.int64)
+    partial = np.zeros(counts.size, dtype=np.uint32)
+    rows = 0  # added to partial since it was last folded
     for block in iter_edge_blocks(efile):
-        _endpoint_block(efile, block, counts, checked)
+        if rows + block.shape[0] > _FOLD_ROWS:
+            counts += partial
+            partial[:] = 0
+            rows = 0
+        _endpoint_block(efile, block, partial, labels, narrow)
+        rows += block.shape[0]
+    counts += partial
     return counts
 
 
@@ -684,7 +716,11 @@ def write_labels(path: str, labels: np.ndarray, num_parts: int | None = None) ->
 
 
 def read_labels(path: str) -> tuple[np.ndarray, int]:
-    """Reads a label file; returns (labels with -1 for unassigned, num_parts)."""
+    """Reads a label file; returns (labels with -1 for unassigned, num_parts).
+
+    FormatError unless the payload holds exactly the header's num_nodes
+    labels, each unassigned or below num_parts.
+    """
     size = os.path.getsize(path)
     if size < _LABELS_HEADER.size:
         raise FormatError(f"{path}: too short for a labels header")
@@ -696,11 +732,17 @@ def read_labels(path: str) -> tuple[np.ndarray, int]:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != 1:
             raise FormatError(f"{path}: unsupported version {version}")
+        # checked before the read, which would size its buffer by the header
+        if size < _LABELS_HEADER.size + 4 * num_nodes:
+            raise FormatError(f"{path}: truncated labels payload")
+        if size > _LABELS_HEADER.size + 4 * num_nodes:
+            raise FormatError(f"{path}: trailing bytes after {num_nodes} labels")
         raw = np.fromfile(fh, dtype="<u4", count=num_nodes)
     if raw.size != num_nodes:
         raise FormatError(f"{path}: truncated labels payload")
-    if size != _LABELS_HEADER.size + 4 * num_nodes:
-        raise FormatError(f"{path}: trailing bytes after {num_nodes} labels")
+    assigned = raw[raw != _UNASSIGNED_U32]
+    if assigned.size and int(assigned.max()) >= num_parts:
+        raise FormatError(f"{path}: label {int(assigned.max())} >= num_parts {num_parts}")
     labels = raw.astype(np.int64)
     labels[raw == _UNASSIGNED_U32] = -1
     return labels, num_parts

@@ -42,6 +42,7 @@ from .edgefile import (
     _cut_pass,
     _extract_block,
     _id_dtype,
+    _pass_labels,
     _remove_if_present,
     _replacing,
     iter_edge_blocks,
@@ -240,7 +241,9 @@ def count_cuts(efile: EdgeFile, labels: np.ndarray, num_parts: int | None = None
     label + 1 when it is not given.
     """
     labels = np.asarray(labels)
-    return _report(efile, labels, num_parts_of(labels, num_parts), _cut_pass(efile, labels))
+    p = num_parts_of(labels, num_parts)
+    cut = _cut_pass(efile, labels, _pass_labels(efile, labels, p), p)
+    return _report(efile, labels, p, cut)
 
 
 def _report(efile: EdgeFile, labels: np.ndarray, num_parts: int, cut: int) -> CutReport:

@@ -40,11 +40,37 @@ def packed_keys_fit(width: int) -> bool:
     return width <= 1 << 32
 
 
-def key_layout(width: int) -> tuple[int, type]:
-    """(shift, key dtype) of the ``src << shift | dst`` keys of ids below ``width``:
-    shift = bit_length(width - 1), u32 keys when width << shift <= 2**32, else u64."""
-    shift = max(width - 1, 0).bit_length()
-    return shift, np.uint32 if width << shift <= 1 << 32 else np.uint64
+# Keys of widths above 65,536 sort as u32 in parts only where that beats one
+# u64 sort.  Measured on a 2-vCPU VM, the whole build took 0.68-0.83 of its
+# u64 time at 37 and 64 parts with 0.5-4M keys, 0.84-0.95 at 171-245 parts
+# and 0.97-1.00 at 1,024, where the split's scatter is slow; with a few
+# hundred keys per part it took 1.1-1.9, the split and the per-part numpy
+# sort calls outweighing the narrower sort
+_MAX_PARTS = 64  # width 2**19
+_MIN_PART_KEYS = 8192  # on average
+_KEY_DTYPES = {4: np.uint32, 8: np.uint64}  # by itemsize
+
+
+def _key_shift(width: int) -> int:
+    """bit_length(width - 1): the bits of an id below ``width``."""
+    return max(width - 1, 0).bit_length()
+
+
+def key_layout(width: int, num_keys: int) -> tuple[int, type, int]:
+    """(shift, key dtype, parts) of ``num_keys`` ``src << shift | dst`` keys of ids
+    below ``width``, shift = ``_key_shift(width)``.
+
+    The keys are u32, in one part, while width << shift <= 2**32 (width up to
+    65,536).  Above that a key is held as its low 32 bits, u32, in the part
+    its high ``2 * shift - 32`` bits name, when that makes at most 64 parts
+    (width up to 2**19) of 8,192 keys each on average; otherwise the keys
+    are u64, in one part.
+    """
+    shift = _key_shift(width)
+    parts = (max(width - 1, 0) << shift >> 32) + 1
+    if parts == 1 or (parts <= _MAX_PARTS and num_keys >= _MIN_PART_KEYS * parts):
+        return shift, np.uint32, parts
+    return shift, np.uint64, 1
 
 
 def build_adjacency(blocks, num_edges: int, width: int) -> tuple[np.ndarray, ...]:
@@ -54,11 +80,14 @@ def build_adjacency(blocks, num_edges: int, width: int) -> tuple[np.ndarray, ...
     ``nodes`` holds the sorted unique endpoints, including nodes that appear
     only in self-loops; ``nbrs[starts[i]:ends[i]]`` are the neighbors of
     ``nodes[i]``, ascending, with duplicate edges kept and self-loops left
-    out.  Both directions of every edge are indexed.  One sort of packed
-    ``src << shift | dst`` keys, shift = bit_length(width - 1), orders the
-    whole index: the order is that of ``src * width + dst``.  The keys are u32
-    while width << shift <= 2**32 (width up to 65,536), u64 while
-    shift <= 32; ids of 2**32 and above are gathered and ranked first.
+    out.  Both directions of every edge are indexed.  Packed
+    ``src << shift | dst`` keys, shift = bit_length(width - 1), order the
+    whole index: the order is that of ``src * width + dst``.  The keys sort
+    as u32 in one sort while width << shift <= 2**32 (width up to 65,536);
+    above that, when there are enough of them (``key_layout``), in one sort
+    per part of keys sharing their high ``2 * shift - 32`` bits, at most 64
+    parts (width up to 2**19); else as u64 while shift <= 32.  Ids of 2**32
+    and above are gathered and ranked first.
     """
     if num_edges == 0:
         return tuple(np.empty(0, dtype=np.int64) for _ in range(4))
@@ -72,28 +101,39 @@ def build_adjacency(blocks, num_edges: int, width: int) -> tuple[np.ndarray, ...
     return ids[nodes], starts, ends, ids[nbrs]
 
 
-def _pack_keys(blocks, num_edges: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(buffer, keys): both directions of every edge as ``key_layout(width)`` keys,
-    filled block by block; no block outlives the fill.
+def _pack_keys(blocks, num_edges: int,
+               width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(buffer, keys, bounds): both directions of every edge as
+    ``key_layout(width, 2 * num_edges)`` keys, filled block by block, with no
+    block outliving the fill; bounds is None for one part, else part q's keys
+    are ``keys[bounds[q]:bounds[q + 1]]``.
 
     ``buffer`` holds 2 * num_edges int64 entries, the room the index's
-    neighbour ids need; u64 keys are the whole of it, u32 keys its upper half.
+    neighbour ids need; u64 keys are the whole of it, u32 keys its upper
+    half.  Keys of more than one part are packed into the lower half first
+    and ``_split_keys`` groups them into the upper half.
     """
+    shift, dtype, parts = key_layout(width, 2 * num_edges)
     buf = np.empty(2 * num_edges, dtype=np.int64)
-    keys = buf.view(key_layout(width)[1])[-2 * num_edges:]
-    fwd, rev = keys[:num_edges], keys[num_edges:]
+    keys = buf.view(dtype)[-2 * num_edges:]
+    packed = keys if parts == 1 else buf.view(np.uint32)[: 2 * num_edges]
+    fwd, rev = packed[:num_edges], packed[num_edges:]
     pos = 0
     for block in blocks:
         end = pos + block.shape[0]
-        _pack_block(block, width, fwd[pos:end], rev[pos:end])
+        _pack_block(block, width, shift, fwd[pos:end], rev[pos:end])
         pos = end
-    return buf, keys
+    if parts == 1:
+        return buf, keys, None
+    return buf, keys, _split_keys(fwd, rev, shift, parts, keys)
 
 
-def _pack_block(block: np.ndarray, width: int, fwd: np.ndarray, rev: np.ndarray) -> None:
-    """``_kernels.pack_keys`` over one (m, 2) block: row i's ``key_layout(width)`` key
-    to ``fwd[i]``, its reverse's to ``rev[i]``; ValueError for an id outside [0, width)."""
-    shift, dtype = key_layout(width)
+def _pack_block(block: np.ndarray, width: int, shift: int, fwd: np.ndarray,
+                rev: np.ndarray) -> None:
+    """``_kernels.pack_keys`` over one (m, 2) block: row i's ``src << shift | dst`` key
+    to ``fwd[i]``, its reverse's to ``rev[i]``, both u32 or both u64; ValueError for an
+    id outside [0, width)."""
+    dtype = _KEY_DTYPES[fwd.itemsize]
     rows = np.ascontiguousarray(block)
     if rows.dtype not in (np.uint32, np.uint64, np.int64):
         rows = rows.astype(np.int64)
@@ -106,6 +146,7 @@ def _pack_block(block: np.ndarray, width: int, fwd: np.ndarray, rev: np.ndarray)
         bad = m and (int(rows.max()) >= width or int(rows.min()) < 0)
         if not bad:
             src, dst = rows[:, 0], rows[:, 1]
+            # computed at the key dtype: u32 keys keep the low 32 bits
             for out, a, b in ((fwd, src, dst), (rev, dst, src)):
                 np.left_shift(a, shift, out=out, dtype=out.dtype, casting="unsafe")
                 np.bitwise_or(out, b, out=out, dtype=out.dtype, casting="unsafe")
@@ -113,35 +154,70 @@ def _pack_block(block: np.ndarray, width: int, fwd: np.ndarray, rev: np.ndarray)
         raise ValueError(f"edge ids must lie in [0, {width})")
 
 
-def adjacency_from_keys(
-    buf: np.ndarray, keys: np.ndarray, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The ``build_adjacency`` index of the (buffer, keys) of ``_pack_keys(..., width)``.
+def _split_keys(fwd: np.ndarray, rev: np.ndarray, shift: int, parts: int,
+                keys: np.ndarray) -> np.ndarray:
+    """``_kernels.split_keys``: writes the u32 keys ``fwd`` and ``rev`` (row i's
+    two directions) to ``keys`` grouped by part, in no order within a part, and
+    returns the ``parts + 1`` part bounds.
 
-    ``keys`` is sorted in place, then ``buf`` is overwritten from its front
-    with the neighbor ids, and ``nbrs`` is a view of that front.
+    A key's part is its owner's high ``2 * shift - 32`` bits, and its owner is
+    the low ``shift`` bits of the row's other key.
     """
-    keys.sort()
-    shift, dtype = key_layout(width)
+    m = fwd.size
+    bounds = np.empty(parts + 1, dtype=np.int64)
+    if _kernels.split_keys is not None:
+        ptr = _kernels.ptr
+        _kernels.split_keys(m, ptr(fwd, np.uint32, m), ptr(rev, np.uint32, m), shift, parts,
+                            ptr(bounds, np.int64, parts + 1), ptr(keys, np.uint32, 2 * m))
+        return bounds
+    mask, low = (1 << shift) - 1, 32 - shift
+    part = np.concatenate([(rev & mask) >> low, (fwd & mask) >> low])
+    keys[:] = np.concatenate([fwd, rev])[np.argsort(part, kind="stable")]
+    bounds[0] = 0
+    np.cumsum(np.bincount(part, minlength=parts), out=bounds[1:])
+    return bounds
+
+
+def adjacency_from_keys(
+    buf: np.ndarray, keys: np.ndarray, bounds: np.ndarray | None, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``build_adjacency`` index of the (buffer, keys, bounds) of
+    ``_pack_keys(..., width)``.
+
+    Each part of ``keys`` that holds two or more keys is sorted in place,
+    then ``buf`` is overwritten from its front with the neighbor ids, and
+    ``nbrs`` is a view of that front.
+    """
+    parts, m = 1 if bounds is None else bounds.size - 1, keys.size
+    if parts == 1:
+        keys.sort()
+    else:
+        ends = bounds.tolist()
+        for q in np.flatnonzero(np.diff(bounds) > 1).tolist():
+            keys[ends[q] : ends[q + 1]].sort()
+    shift, dtype = _key_shift(width), _KEY_DTYPES[keys.itemsize]
     if _kernels.adjacency_tail is not None:
-        ptr, m = _kernels.ptr, keys.size
+        ptr = _kernels.ptr
         # each run has a distinct owner and at least one key, and the tail
         # writes each key's owner to the next run's slot: one past the last
         slots = min(m, width) + 1
         nodes = np.empty(slots, dtype=np.int64)
         offsets = np.empty(slots, dtype=np.int64)
-        runs = _kernels.adjacency_tail(m, ptr(keys, dtype, m), keys.itemsize, shift,
-                                       ptr(buf, np.int64, m), ptr(nodes, np.int64, slots),
-                                       ptr(offsets, np.int64, slots))
+        runs = _kernels.adjacency_tail(m, ptr(keys, dtype, m), keys.itemsize, shift, parts,
+                                       ptr(bounds, np.int64, parts + 1), ptr(buf, np.int64, m),
+                                       ptr(nodes, np.int64, slots), ptr(offsets, np.int64, slots))
         return nodes[:runs], offsets[:runs], offsets[1 : runs + 1], buf[: offsets[runs]]
+    if parts > 1:  # each key's part above its low 32 bits
+        high = np.repeat(np.arange(parts, dtype=np.uint64) << np.uint64(32), np.diff(bounds))
+        keys = np.bitwise_or(keys, high, dtype=np.uint64)
     owner = keys >> shift
     nbrs = np.bitwise_and(keys, (1 << shift) - 1, out=keys)
     # run starts of each owner, then the end of the last run
-    bounds = np.flatnonzero(np.concatenate([[True], owner[1:] != owner[:-1], [True]]))
-    nodes = owner[bounds[:-1]].astype(np.int64)
+    runs = np.flatnonzero(np.concatenate([[True], owner[1:] != owner[:-1], [True]]))
+    nodes = owner[runs[:-1]].astype(np.int64)
     loops = np.flatnonzero(owner == nbrs)
     del owner  # release before the copy that drops self-loops
-    offsets = bounds - np.searchsorted(loops, bounds)
+    offsets = runs - np.searchsorted(loops, runs)
     kept = np.delete(nbrs, loops)
     buf[: kept.size] = kept
     return nodes, offsets[:-1], offsets[1:], buf[: kept.size]

@@ -24,9 +24,9 @@ import numpy as np
 from .edgefile import (
     FLAG_WIDE_IDS,
     EdgeFile,
-    _checked_labels,
     _cut_pass,
     _label_block,
+    _pass_labels,
     _replacing,
     _scatter_block,
     _write_array,
@@ -80,8 +80,9 @@ def write_buckets(
     width = efile.meta.node_id_width
     pair = 2 * (width // 8)
 
+    narrow = _pass_labels(efile, labels, p)  # read by both passes
     counts = np.zeros(p * p, dtype=np.int64)
-    _cut_pass(efile, labels, p, counts)
+    _cut_pass(efile, labels, narrow, p, counts)
 
     header = _BUCKET_HEADER.pack(
         BUCKET_MAGIC, 1, p, FLAG_WIDE_IDS if width == 64 else 0, int(counts.sum())
@@ -95,7 +96,7 @@ def write_buckets(
         with open(tmp_store, "wb") as fh:
             fh.write(header)
             fh.truncate(_BUCKET_HEADER.size + int(counts.sum()) * pair)  # flushes the header
-            for grouped, bounds in _bucket_groups(efile, labels, p):
+            for grouped, bounds in _bucket_groups(efile, labels, narrow, p):
                 data = memoryview(grouped).cast("B")
                 nonempty = np.flatnonzero(np.diff(bounds)).tolist()
                 bounds = bounds.tolist()
@@ -108,16 +109,16 @@ def write_buckets(
     return BucketIndex(p, offsets.reshape(p, p), counts.reshape(p, p), width)
 
 
-def _bucket_groups(efile: EdgeFile, labels: np.ndarray, p: int):
-    """Yields each block's rows grouped by bucket, with the run bounds."""
-    labels = _checked_labels(efile, labels)
+def _bucket_groups(efile: EdgeFile, labels: np.ndarray, narrow: np.ndarray, p: int):
+    """Yields each block's rows grouped by bucket, with the run bounds; ``narrow``
+    is the ``_pass_labels(efile, labels, p)`` of ``labels``."""
     cut = np.zeros(1, dtype=np.int64)
     bucket = grouped = np.empty(0)
     for block in iter_edge_blocks(efile):
         m = block.shape[0]
         if bucket.shape[0] < m:  # buffers of the first, largest block, reused
             bucket, grouped = np.empty(m, dtype=np.int64), np.empty_like(block)
-        _label_block(efile, block, labels, cut, p, bucket=bucket[:m])
+        _label_block(efile, block, labels, narrow, cut, p, bucket=bucket[:m])
         yield _scatter_block(block, bucket[:m], p * p, grouped[:m])
 
 
@@ -149,6 +150,8 @@ def read_index(store_path: str) -> BucketIndex:
         raise FormatError(f"{store_path}: bad magic {magic!r}")
     if version != 1:
         raise FormatError(f"{store_path}: unsupported version {version}")
+    if flags & ~FLAG_WIDE_IDS:
+        raise FormatError(f"{store_path}: unknown flags {flags:#x}")
     width = 64 if flags & FLAG_WIDE_IDS else 32
     pair = 2 * (width // 8)
     if idx_size != p * p * 16:
@@ -223,9 +226,9 @@ class FeatureLayout:
 
     @staticmethod
     def load(path: str) -> "FeatureLayout":
-        """Reads a layout; FormatError unless its payload fills the file exactly, its
-        permutation gives each node a slot of its own and its extents tile
-        [0, num_nodes) in partition order."""
+        """Reads a layout; FormatError unless its record width is at least 1, its
+        payload fills the file exactly, its permutation gives each node a slot of
+        its own and its extents tile [0, num_nodes) in partition order."""
         with open(path, "rb") as fh:
             head = fh.read(_FEATURE_HEADER.size)
             if len(head) < _FEATURE_HEADER.size:
@@ -233,6 +236,8 @@ class FeatureLayout:
             magic, record_width, num_nodes, num_parts = _FEATURE_HEADER.unpack(head)
             if magic != FEATURE_MAGIC:
                 raise FormatError(f"{path}: bad magic {magic!r}")
+            if record_width < 1:
+                raise FormatError(f"{path}: record width 0")
             size = os.fstat(fh.fileno()).st_size
             expected = _FEATURE_HEADER.size + 8 * num_nodes + 16 * num_parts
             if size < expected:

@@ -1,9 +1,9 @@
-/* Runs pack_keys, adjacency_tail, sweep and seed_counts of
+/* Runs pack_keys, split_keys, adjacency_tail, sweep and seed_counts of
  * src/streamcut/_kernels.c on edge cases, the edge passes label_pass,
  * extract_rows, scatter_rows and endpoint_counts on rows whose ids reach
  * num_nodes - 1, and curve_point on small (k, k0) pairs, with every buffer
  * allocated at exactly the size the Python callers give it
- * (model._pack_keys, model.adjacency_from_keys, grem.process_chunk,
+ * (model._pack_keys, model._split_keys, model.adjacency_from_keys, grem.process_chunk,
  * grem._seed_chunk, the block passes of edgefile and theory.theory_curve),
  * so that a build with -fsanitize=address,undefined reports any access
  * outside them.  Prints "ok" and exits 0 when every case checks out.
@@ -19,21 +19,24 @@
 
 int64_t pack_keys(int64_t m, const void *rows, int64_t id_bytes, int64_t width, int64_t shift,
                   int64_t key_bytes, void *fwd, void *rev);
+void split_keys(int64_t m, const uint32_t *fwd, const uint32_t *rev, int64_t shift,
+                int64_t nparts, int64_t *bounds, uint32_t *keys);
 int64_t adjacency_tail(int64_t m, const void *keys, int64_t key_bytes, int64_t shift,
-                       int64_t *nbrs, int64_t *nodes, int64_t *offsets);
+                       int64_t nparts, const int64_t *bounds, int64_t *nbrs, int64_t *nodes,
+                       int64_t *offsets);
 int64_t sweep(int64_t num, const int64_t *nodes, const int64_t *starts, const int64_t *ends,
               const int64_t *nbrs, int8_t *parts, double *nbr0, double *nbr1, int64_t *sizes,
               int64_t cap, int32_t refine);
 void seed_counts(int64_t num, const int64_t *nodes, const int64_t *starts, const int64_t *ends,
                  const int64_t *nbrs, const int8_t *parts, double *nbr0, double *nbr1);
-int64_t label_pass(int64_t m, const void *rows, int64_t id_bytes, const int64_t *labels,
+int64_t label_pass(int64_t m, const void *rows, int64_t id_bytes, const uint32_t *labels,
                    int64_t p, int64_t *counts, int64_t *bucket, int64_t *cut);
 int64_t extract_rows(int64_t m, const void *rows, int64_t id_bytes, const int64_t *new_id,
                      int64_t out_bytes, void *out, int64_t *kept);
 int64_t scatter_rows(int64_t m, const void *rows, int64_t id_bytes, const int64_t *bucket,
                      int64_t nbuckets, int64_t *bounds, void *out);
-int64_t endpoint_counts(int64_t m, const void *rows, int64_t id_bytes, const int64_t *labels,
-                        int64_t *counts);
+int64_t endpoint_counts(int64_t m, const void *rows, int64_t id_bytes, const uint32_t *labels,
+                        uint32_t *counts);
 void curve_point(int64_t npairs, const int64_t *lo, const int64_t *count, const int64_t *base,
                  const double *lg_k0, const double *lg_k1, const double *log_denom,
                  const double *table, double *probs, int64_t nnodes, const int64_t *k,
@@ -71,8 +74,11 @@ static int cmp_u64(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-/* model.key_layout: shift = bit_length(width - 1); u32 keys while
- * width << shift <= 2**32 */
+/* model.key_layout: shift = bit_length(width - 1); up to width 2**19 u32
+ * keys in ((width - 1) << shift >> 32) + 1 parts, else u64 keys in one.
+ * The layout also takes u64 keys below 2**19 when its parts would hold
+ * fewer than 8,192 keys each; the buffers are the same either way, so the
+ * driver splits every key count it can. */
 static int64_t key_shift(uint64_t width)
 {
     int64_t shift = 0;
@@ -82,14 +88,15 @@ static int64_t key_shift(uint64_t width)
 }
 
 /* One chunk of m edges (ids[2i], ids[2i + 1]) below width, stored at
- * id_bytes: packs, sorts and splits its keys, checks the index against a
- * brute-force count, and for widths small enough to hold one entry of node
- * state per id sweeps it and seeds its estimates. */
+ * id_bytes: packs, splits, sorts and runs the tail over its keys, checks
+ * the index against a brute-force count, and for widths small enough to
+ * hold one entry of node state per id sweeps it and seeds its estimates. */
 static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_bytes,
                      uint64_t width)
 {
     int64_t shift = key_shift(width);
-    int64_t key_bytes = shift <= 16 && (width << shift) <= (1ULL << 32) ? 4 : 8;
+    int64_t key_bytes = width <= (1u << 19) ? 4 : 8;
+    int64_t nparts = key_bytes == 4 ? (int64_t)(((width - 1) << shift) >> 32) + 1 : 1;
     void *rows = exact((size_t)(2 * m), (size_t)id_bytes);
     for (int64_t k = 0; k < 2 * m; k++) {
         if (id_bytes == 4)
@@ -98,23 +105,39 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
             ((uint64_t *)rows)[k] = ids[k];
     }
     /* the builder's one buffer: 2m int64 entries; u64 keys fill it, u32 keys
-     * its upper half; the rows arrive in two blocks */
+     * its upper half, packed there directly when they make one part, else
+     * packed into its lower half and split into the upper; the rows arrive
+     * in two blocks */
     int64_t *buf = exact((size_t)(2 * m), sizeof *buf);
     char *keys = key_bytes == 8 ? (char *)buf : (char *)buf + (size_t)(2 * m) * 4;
+    char *packed = nparts == 1 ? keys : (char *)buf;
     int64_t half = m / 2, bad = 0;
-    bad += pack_keys(half, rows, id_bytes, (int64_t)width, shift, key_bytes, keys,
-                     keys + (size_t)m * key_bytes);
+    bad += pack_keys(half, rows, id_bytes, (int64_t)width, shift, key_bytes, packed,
+                     packed + (size_t)m * key_bytes);
     bad += pack_keys(m - half, (char *)rows + (size_t)(2 * half) * id_bytes, id_bytes,
-                     (int64_t)width, shift, key_bytes, keys + (size_t)half * key_bytes,
-                     keys + (size_t)(m + half) * key_bytes);
+                     (int64_t)width, shift, key_bytes, packed + (size_t)half * key_bytes,
+                     packed + (size_t)(m + half) * key_bytes);
     CHECK(bad == 0, name);
-    qsort(keys, (size_t)(2 * m), (size_t)key_bytes, key_bytes == 8 ? cmp_u64 : cmp_u32);
+    int64_t *bounds = exact((size_t)(nparts + 1), sizeof *bounds);
+    bounds[0] = 0;
+    bounds[1] = 2 * m;
+    if (nparts > 1)
+        split_keys(m, (const uint32_t *)packed, (const uint32_t *)packed + m, shift, nparts,
+                   bounds, (uint32_t *)keys);
+    CHECK(bounds[0] == 0 && bounds[nparts] == 2 * m, name);
+    for (int64_t q = 0; q < nparts; q++) {
+        CHECK(bounds[q] <= bounds[q + 1], name);
+        qsort(keys + (size_t)bounds[q] * key_bytes, (size_t)(bounds[q + 1] - bounds[q]),
+              (size_t)key_bytes, key_bytes == 8 ? cmp_u64 : cmp_u32);
+    }
 
     /* nodes: one entry per possible run and a spare; offsets: one more per run */
     int64_t max_runs = (uint64_t)(2 * m) < width ? 2 * m : (int64_t)width;
     int64_t *nodes = exact((size_t)(max_runs + 1), sizeof *nodes);
     int64_t *offsets = exact((size_t)(max_runs + 1), sizeof *offsets);
-    int64_t runs = adjacency_tail(2 * m, keys, key_bytes, shift, buf, nodes, offsets);
+    /* one part goes without bounds, as the builder passes it */
+    int64_t runs = adjacency_tail(2 * m, keys, key_bytes, shift, nparts,
+                                  nparts == 1 ? NULL : bounds, buf, nodes, offsets);
 
     int64_t loops = 0;
     for (int64_t i = 0; i < m; i++)
@@ -178,6 +201,7 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
     }
     free(rows);
     free(buf);
+    free(bounds);
     free(nodes);
     free(offsets);
 }
@@ -223,12 +247,13 @@ static void run_passes(const char *name, int64_t m, int id_bytes, uint64_t num_n
         else
             ((uint64_t *)rows)[k] = id;
     }
-    int64_t *labels = exact(n, sizeof *labels), *side = exact(n, sizeof *side);
+    /* u32 labels, as edgefile._pass_labels makes them */
+    uint32_t *labels = exact(n, sizeof *labels), *side = exact(n, sizeof *side);
     int64_t *new_id = exact(n, sizeof *new_id);
     int64_t members = 0;
     for (uint64_t v = 0; v < num_nodes; v++) {
-        labels[v] = (int64_t)((v * 7 + 3) % (uint64_t)p);
-        side[v] = (int64_t)((v * 5 + 1) % 2);
+        labels[v] = (uint32_t)((v * 7 + 3) % (uint64_t)p);
+        side[v] = (uint32_t)((v * 5 + 1) % 2);
         new_id[v] = side[v] == 1 ? members++ : -1;
     }
 
@@ -290,10 +315,13 @@ static void run_passes(const char *name, int64_t m, int id_bytes, uint64_t num_n
         free(out);
     }
 
-    /* endpoint_counts: the degree, then the neighbours per side */
-    int64_t *degree = exact(n, sizeof *degree), *per_side = exact(2 * n, sizeof *per_side);
+    /* endpoint_counts into u32 counters: the degree, then the neighbours per
+     * side, these from 2**32 - 1 - m, which m rows take at most to 2**32 - 1 */
+    uint32_t *degree = exact(n, sizeof *degree), *per_side = exact(2 * n, sizeof *per_side);
+    uint32_t base = UINT32_MAX - (uint32_t)m;
     memset(degree, 0, n * sizeof *degree);
-    memset(per_side, 0, 2 * n * sizeof *per_side);
+    for (size_t k = 0; k < 2 * n; k++)
+        per_side[k] = base;
     CHECK(endpoint_counts(m, rows, id_bytes, NULL, degree) == -1, name);
     CHECK(endpoint_counts(m, rows, id_bytes, side, per_side) == -1, name);
     for (uint64_t v = 0; v < num_nodes; v++) {
@@ -308,16 +336,23 @@ static void run_passes(const char *name, int64_t m, int id_bytes, uint64_t num_n
             if (b == v)
                 on[side[a]]++;
         }
-        CHECK(degree[v] == d && per_side[2 * v] == on[0] && per_side[2 * v + 1] == on[1], name);
+        CHECK(degree[v] == d, name);
+        CHECK(per_side[2 * v] - base == on[0] && per_side[2 * v + 1] - base == on[1], name);
+        CHECK(per_side[2 * v] >= base && per_side[2 * v + 1] >= base, name);
     }
 
-    /* rejections: the top id, in rows 0 and 1, unlabeled or beyond the
-     * range; the last row's bucket id out of range */
+    /* rejections: the top id, in rows 0 and 1, labelled 0xFFFFFFFF (any
+     * label outside the pass's range) or beyond the range, also past a p
+     * above 0xFFFFFFFF; the last row's bucket id out of range */
     if (m >= 2) {
-        labels[num_nodes - 1] = -1;
+        labels[num_nodes - 1] = UINT32_MAX;
         CHECK(label_pass(m, rows, id_bytes, labels, p, counts, bucket, cut) == 0, name);
-        labels[num_nodes - 1] = p;
+        CHECK(label_pass(m, rows, id_bytes, labels, (int64_t)1 << 32, NULL, NULL, cut) == 0,
+              name);
+        labels[num_nodes - 1] = (uint32_t)p;
         CHECK(label_pass(m, rows, id_bytes, labels, p, NULL, NULL, cut) == 0, name);
+        side[num_nodes - 1] = UINT32_MAX;
+        CHECK(endpoint_counts(m, rows, id_bytes, side, per_side) == 0, name);
         side[num_nodes - 1] = 2;
         CHECK(endpoint_counts(m, rows, id_bytes, side, per_side) == 0, name);
         new_id[num_nodes - 1] = -2;
@@ -452,7 +487,9 @@ int main(void)
     static const int64_t repeat[][2] = {{1, 0}, {0, 2}, {0, 2}, {3, 0}, {0, 0}};
     /* self-loops only, of one node */
     static const int64_t loop_only[][2] = {{0, 0}, {0, 0}};
-    const uint64_t widths[] = {1, 9, 65536, 65537, 1ULL << 32};
+    /* one u32 part, three, 13 with the last partial, 64, then u64 keys */
+    const uint64_t widths[] = {1, 9, 65536, 65537, 200000, 1u << 19, (1u << 19) + 1, 1u << 21,
+                               1ULL << 32};
     int64_t n_mixed = sizeof mixed / sizeof mixed[0], n_matching = 4, n_repeat = 5;
     for (size_t w = 0; w < sizeof widths / sizeof widths[0]; w++) {
         uint64_t width = widths[w];
@@ -464,6 +501,15 @@ int main(void)
             run_top("matching", matching, n_matching, id_bytes, width);
             run_top("repeat", repeat, n_repeat, id_bytes, width);
         }
+    }
+    /* ids from both ends of each width and its middle, a self-loop-only
+     * node among them: keys in the first and last parts, most parts empty */
+    for (size_t w = 1; w < sizeof widths / sizeof widths[0]; w++) {
+        uint64_t top = widths[w] - 1, mid = widths[w] / 2;
+        const uint64_t spread[] = {0, top, top, 0, mid, 1, 1, mid, top, top, mid / 3, mid / 3,
+                                   0, top, 0, 0};
+        for (int id_bytes = 4; id_bytes <= 8; id_bytes += 4)
+            run_case("spread", spread, 8, id_bytes, widths[w]);
     }
     /* rank rows: dense int64 ranks of ids >= 2**32, as the rank path packs them */
     static const uint64_t ranks[] = {0, 1, 1, 2, 2, 2, 3, 0, 4, 4};

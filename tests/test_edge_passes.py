@@ -380,11 +380,118 @@ def test_kernels_reject_labels_and_bucket_ids_out_of_their_range(tmp_path, monke
     cut = np.zeros(1, dtype=np.int64)
     for _ in each_kernel(monkeypatch):
         with pytest.raises(ValueError, match="row 1"):
-            edgefile._label_block(efile, block, labels, cut, 2,
-                                  counts=np.zeros(4, dtype=np.int64))
+            edgefile._label_block(efile, block, labels, edgefile._pass_labels(efile, labels, 2),
+                                  cut, 2, counts=np.zeros(4, dtype=np.int64))
         with pytest.raises(ValueError, match="row 1"):
-            edgefile._endpoint_block(efile, block, np.zeros(6, dtype=np.int64), labels)
+            edgefile._endpoint_block(efile, block, np.zeros(6, dtype=np.uint32), labels,
+                                     edgefile._pass_labels(efile, labels, 2))
         with pytest.raises(ValueError, match="row 0"):
             edgefile._scatter_block(block, np.array([-1, 0]), 2)
         with pytest.raises(ValueError, match="row 1"):
             edgefile._scatter_block(block, np.array([0, 2]), 2)
+
+
+# ------------------------------------------------------------ u32 labels and counters
+
+
+@pytest.mark.parametrize("bad", [-1, 0xFFFFFFFF, 2**32, 2**32 + 1, "p"])
+def test_a_label_outside_the_pass_range_is_never_narrowed_into_it(tmp_path, monkeypatch, bad):
+    # the passes read labels as u32, with 0xFFFFFFFF for any label outside
+    # their range: a label below 0, at or above p (2 here, a bisection), or
+    # past 32 bits is rejected on a node an edge touches, as the int64
+    # labels were, and 2**32 + 1 is never read as its low bits, label 1; on
+    # a node no edge touches it is accepted wherever it was
+    p = 2
+    bad = p if bad == "p" else bad
+    edges = _multigraph(16, 300, 5000)
+    edges[0] = (7, 8)
+    labels = np.arange(301) % 2  # node 300 is on no edge
+    for width in (32, 64):
+        efile = make_edge_file(tmp_path / "g.grpe", edges, 301, width)
+        (block,) = edgefile.iter_edge_blocks(efile)
+        store = str(tmp_path / "b.grpb")
+        for kernel in each_kernel(monkeypatch):
+            public = {
+                "count_cuts": lambda lab: count_cuts(efile, lab, p).cut_edges,
+                "write_buckets": lambda lab: write_buckets(efile, lab, store, p).counts.tolist(),
+                "node_stats": lambda lab: compute_node_stats(efile, lab).k0.tolist(),
+            }
+
+            def label_block(lab):
+                cut, counts = np.zeros(1, dtype=np.int64), np.zeros(p * p, dtype=np.int64)
+                edgefile._label_block(efile, block, lab, edgefile._pass_labels(efile, lab, p),
+                                      cut, p, counts=counts)
+                return int(cut[0]), counts.tolist()
+
+            def endpoint_block(lab):
+                counts = np.zeros(2 * 301, dtype=np.uint32)
+                edgefile._endpoint_block(efile, block, counts, lab,
+                                         edgefile._pass_labels(efile, lab, 2))
+                return counts.tolist()
+
+            passes = {**public, "label_block": label_block, "endpoint_block": endpoint_block}
+            touched, untouched = labels.copy(), labels.copy()
+            touched[8], untouched[300] = bad, bad
+            for name, run in passes.items():
+                if bad < 0:
+                    with pytest.raises(FormatError, match="^unlabeled endpoint encountered$"):
+                        run(touched)
+                elif name in public:  # refused before any pass, as the int64 labels were
+                    message = "reference labels are not a bisection" if name == "node_stats" \
+                        else f"label {bad} >= num_parts {p}"
+                    with pytest.raises(FormatError, match=message):
+                        run(touched)
+                    with pytest.raises(FormatError, match=message):
+                        run(untouched)
+                    continue
+                else:
+                    with pytest.raises(ValueError, match="^row 0: "):
+                        run(touched)
+                assert run(untouched) == run(labels), (kernel, width, name)
+            assert not [f for f in tmp_path.iterdir() if ".tmp" in f.name], kernel
+
+
+def test_pass_labels_keep_only_the_range(tmp_path):
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 9]], 10)
+    labels = np.array([0, 1, 2, -1, -2**63, 0xFFFFFFFE, 0xFFFFFFFF, 2**32, 2**32 + 1, 2**63 - 1])
+    out = 0xFFFFFFFF
+    assert edgefile._pass_labels(efile, labels, 2).tolist() == [0, 1] + [out] * 8
+    assert edgefile._pass_labels(efile, labels, 3).tolist() == [0, 1, 2] + [out] * 7
+    # no label reaches the sentinel, even for a range past 32 bits
+    assert edgefile._pass_labels(efile, labels, 2**40).tolist() == [0, 1, 2, out, out,
+                                                                    0xFFFFFFFE, out, out, out,
+                                                                    out]
+    # int32 labels, as count_cuts gets a bisection's, and a short label array
+    small = np.array([0, 1, -1, 2, 1, 0, -5, 3, 1, 0], dtype=np.int32)
+    assert edgefile._pass_labels(efile, small, 2).tolist() == [0, 1, out, out, 1, 0, out, out,
+                                                               1, 0]
+    with pytest.raises(FormatError, match="labels cover 9 nodes, file has 10"):
+        edgefile._pass_labels(efile, labels[:9], 2)
+
+
+def test_endpoint_counters_fold_without_changing_a_count(tmp_path, monkeypatch):
+    # the u32 counters are folded into the int64 counts every _FOLD_ROWS rows;
+    # with that interval one 64-row block, each block after the first starts
+    # from zeroed counters, and the degrees and side counts stay the same
+    edges = _multigraph(17, 300, 5000)
+    labels = np.random.default_rng(18).integers(0, 2, size=300)
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 300)
+    reader, block_pass = edgefile.iter_edge_blocks, edgefile._endpoint_block
+    monkeypatch.setattr(edgefile, "iter_edge_blocks", lambda ef: reader(ef, 64))
+    for kernel in each_kernel(monkeypatch):
+        want = (compute_node_stats(efile, labels).k0.tolist(),
+                select_replicated(efile, 40).tolist())
+        started = []
+
+        def spy(efile, block, counts, *args):
+            started.append(int(counts.sum()))
+            block_pass(efile, block, counts, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(edgefile, "_FOLD_ROWS", 64)
+            patch.setattr(edgefile, "_endpoint_block", spy)
+            got = (compute_node_stats(efile, labels).k0.tolist(),
+                   select_replicated(efile, 40).tolist())
+        assert got == want, kernel
+        blocks = -(-5000 // 64)
+        assert started == [0] * (2 * blocks), kernel

@@ -161,10 +161,13 @@ def _bad_kernel_calls(tmp_path, monkeypatch):
     rows = np.array([[0, 1], [2, 3]], dtype=np.uint32)
 
     def pack_keys(fwd, rev):
-        return lambda: model._pack_block(rows, 4, fwd, rev)
+        return lambda: model._pack_block(rows, 4, 2, fwd, rev)
+
+    def split(fwd, keys):
+        return lambda: model._split_keys(fwd, np.zeros(2, dtype=np.uint32), 17, 3, keys)
 
     def tail(buf, keys):
-        return lambda: model.adjacency_from_keys(buf, keys, 4)
+        return lambda: model.adjacency_from_keys(buf, keys, None, 4)
 
     keys32 = np.zeros(4, dtype=np.uint32)
     return [
@@ -180,6 +183,8 @@ def _bad_kernel_calls(tmp_path, monkeypatch):
         ("comm_walk", comm_walk(_strided(np.array([1, 0, 2, 1, 3, 2])))),
         ("pack_keys", pack_keys(np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.uint32))),
         ("pack_keys", pack_keys(np.zeros(2, dtype=np.uint32), _strided(np.zeros(2, np.uint32)))),
+        ("split_keys", split(np.zeros(2, dtype=np.int32), np.zeros(4, dtype=np.uint32))),
+        ("split_keys", split(np.zeros(2, dtype=np.uint32), _strided(keys32))),
         ("adjacency_tail", tail(np.zeros(4, dtype=np.uint64), keys32)),
         ("adjacency_tail", tail(np.zeros(4, dtype=np.int64), _strided(keys32))),
     ]
@@ -190,7 +195,7 @@ def test_kernels_reject_arrays_of_the_wrong_dtype_or_layout(tmp_path, monkeypatc
         pytest.skip("compiled kernels not loaded")
     calls = _bad_kernel_calls(tmp_path, monkeypatch)
     assert {name for name, _ in calls} == {"sweep", "bfs_grow", "seed_counts", "comm_walk",
-                                           "pack_keys", "adjacency_tail"}
+                                           "pack_keys", "split_keys", "adjacency_tail"}
     for name, call in calls:
         with pytest.raises(ValueError, match="kernel array must be contiguous"):
             call()
@@ -201,9 +206,11 @@ SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=
 
 
 def test_kernels_keep_their_buffer_contracts_under_sanitizers(tmp_path):
-    # pack_keys, adjacency_tail, sweep and seed_counts on the key-layout edge
-    # cases, the four edge passes on rows whose ids reach num_nodes - 1 at
-    # both id widths, and curve_point on a packed lgamma table, every buffer
+    # pack_keys, split_keys, adjacency_tail, sweep and seed_counts on the
+    # key-layout edge cases (split keys at widths 200,000 and 2**19 among
+    # them), the four edge passes on rows whose ids reach num_nodes - 1 at
+    # both id widths, with u32 labels and counters, and curve_point on a
+    # packed lgamma table, every buffer
     # sized exactly as the Python callers size it: an access past one (such
     # as a `nodes` without its spare entry) aborts
     cc = _kernels._compiler()

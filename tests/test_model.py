@@ -4,6 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from streamcut import EdgeChunk, FormatError, GraphMeta, NodeStats, PartitionState
+from streamcut import model
 from streamcut.model import _pack_keys, adjacency_from_keys, build_adjacency, key_layout
 
 from helpers import PROPERTY_SETTINGS, each_kernel, recount_sizes
@@ -110,10 +111,20 @@ def test_adjacency_tail_native_equals_python_property(edges, loop_only, spare_wi
 
 
 def test_key_layout_at_the_boundaries():
-    assert key_layout(1) == (0, np.uint32)
-    assert key_layout(65_536) == (16, np.uint32)  # the last width of u32 keys
-    assert key_layout(65_537) == (17, np.uint64)
-    assert key_layout(2**32) == (32, np.uint64)  # the last width of packed keys
+    many = 2**40  # keys enough for any part count
+    assert key_layout(1, 2) == (0, np.uint32, 1)
+    assert key_layout(65_536, 2) == (16, np.uint32, 1)  # the last width of one u32 part
+    assert key_layout(65_537, many) == (17, np.uint32, 3)  # src 65,536 alone in the third part
+    assert key_layout(200_000, many) == (18, np.uint32, 13)  # the last part partial
+    assert key_layout(2**19, many) == (19, np.uint32, 64)  # the last width of split keys
+    assert key_layout(2**19 + 1, many) == (20, np.uint64, 1)
+    assert key_layout(2**21, many) == (21, np.uint64, 1)
+    assert key_layout(2**32, many) == (32, np.uint64, 1)  # the last width of packed keys
+    # parts of fewer than 8,192 keys on average sort as one u64 sort
+    assert key_layout(200_000, 13 * 8192) == (18, np.uint32, 13)
+    assert key_layout(200_000, 13 * 8192 - 1) == (18, np.uint64, 1)
+    assert key_layout(2**19, 64 * 8192 - 1) == (19, np.uint64, 1)
+    assert key_layout(65_537, 2) == (17, np.uint64, 1)
 
 
 # ids counted down from the top of each width: the last u32 width, the first
@@ -170,6 +181,82 @@ def test_u64_block_beyond_the_packed_width_indexes_as_its_int64_twin(monkeypatch
                 assert a.dtype == b.dtype == np.int64, kernel
                 assert a.tolist() == b.tolist(), kernel
             _check_against_rebuild(block.astype(np.uint64))
+
+
+def _lexsort_adjacency(edges):
+    """The index by a plain ``np.lexsort`` of both directions of every edge."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    nodes, first = np.unique(src, return_index=True)
+    before = np.concatenate([[0], np.cumsum(src != dst)])  # kept entries before each position
+    return nodes, before[first], before[np.append(first[1:], src.size)], dst[src != dst]
+
+
+# one u32 part, three (the third holds src 65,536 alone), 13 with the last
+# partial, 64, the last width of split keys, and u64 keys past it
+_SPLIT_WIDTHS = [65_536, 65_537, 200_000, 2**19, 2**21]
+
+
+@PROPERTY_SETTINGS
+@given(
+    width=st.sampled_from(_SPLIT_WIDTHS),
+    dtype=st.sampled_from([np.uint32, np.uint64]),
+    # ids from the bottom, the middle and the top of the width, and anywhere
+    ids=st.lists(st.one_of(st.integers(0, 5), st.integers(-3, 3).map(lambda d: ("mid", d)),
+                           st.integers(1, 6).map(lambda d: ("top", d)),
+                           st.floats(0, 1, exclude_max=True).map(lambda f: ("any", f))),
+                 min_size=2, max_size=120),
+    loop_only=st.lists(st.floats(0, 1, exclude_max=True), max_size=3),
+    split=st.integers(0, 60),
+)
+# every key in the first part, then every key in the last one
+@example(width=2**19, dtype=np.uint32, ids=[0, 1, 1, 0, 2, 2], loop_only=[], split=1)
+@example(width=200_000, dtype=np.uint64, ids=[("top", 1), ("top", 2), ("top", 1), ("top", 1)],
+         loop_only=[0.5], split=0)
+def test_split_keys_equal_a_lexsort_property(monkeypatch, width, dtype, ids, loop_only, split):
+    # duplicates, self-loops, self-loop-only nodes and empty parts, in two
+    # blocks at either stored width, under both kernels; every key count
+    # takes the split up to 64 parts
+    monkeypatch.setattr(model, "_MIN_PART_KEYS", 0)
+
+    def resolve(x):
+        if isinstance(x, int):
+            return x
+        kind, arg = x
+        return {"mid": width // 2 + arg, "top": width - arg, "any": int(arg * width)}[kind]
+
+    flat = [resolve(x) for x in ids]
+    pairs = [(flat[i], flat[i + 1]) for i in range(0, len(flat) - 1, 2)]
+    pairs += [(int(f * width),) * 2 for f in loop_only]
+    pairs += [pairs[0]]  # a duplicate edge
+    edges = np.array(pairs, dtype=dtype)
+    oracle = _lexsort_adjacency(edges)
+    for kernel in each_kernel(monkeypatch):
+        index = build_adjacency((edges[:split], edges[split:]), edges.shape[0], width)
+        for got, want in zip(index, oracle):
+            assert got.dtype == np.int64, kernel
+            assert got.tolist() == want.tolist(), kernel
+
+
+@pytest.mark.parametrize("width", _SPLIT_WIDTHS)
+def test_split_keys_of_a_random_multigraph_equal_a_lexsort(monkeypatch, width):
+    # 60,000 edges over the whole width: enough keys for 13 parts, not for
+    # 64 (2**19 is u64 keys), and above 2**19 u64 keys
+    rng = np.random.default_rng(width)
+    edges = rng.integers(0, width, size=(60_000, 2))
+    edges[::10, 1] = edges[::10, 0]
+    edges[1::10] = edges[:-1:10]
+    shift, dtype, parts = key_layout(width, 120_000)
+    for kernel in each_kernel(monkeypatch):
+        buf, keys, bounds = _pack_keys((edges[:7000], edges[7000:]), edges.shape[0], width)
+        assert keys.dtype == dtype, kernel
+        assert (bounds is None) if parts == 1 else bounds.tolist()[::parts] == [0, 120_000]
+        index = adjacency_from_keys(buf, keys, bounds, width)
+        for got, want in zip(index, _lexsort_adjacency(edges)):
+            assert got.tolist() == want.tolist(), kernel
 
 
 def test_partition_state_recount():

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from streamcut import store as store_module
 from streamcut import (
@@ -18,7 +20,7 @@ from streamcut import (
 )
 from streamcut.edgefile import read_all_edges
 
-from helpers import dir_bytes, make_edge_file, random_multigraph
+from helpers import PROPERTY_SETTINGS, dir_bytes, make_edge_file, random_multigraph
 
 
 class Crash(Exception):
@@ -387,3 +389,64 @@ def test_each_binary_reader_refuses_a_short_file(tmp_path, name, cut):
         fh.truncate(0 if cut == "all" else path.stat().st_size - cut)
     with pytest.raises(FormatError):
         readers[name]()
+
+
+# (offset, bytes) of each header field: GRPL magic, version, num_nodes,
+# num_parts; GRPB magic, version, p, flags, num_edges; GRPF magic,
+# record_width, num_nodes, num_parts; and every (offset, count) entry of a
+# 4 x 4 store's .idx
+_HEADER_FIELDS = {
+    "l.grpl": [(0, 4), (4, 4), (8, 8), (16, 4)],
+    "b.grpb": [(0, 4), (4, 4), (8, 4), (12, 4), (16, 8)],
+    "b.grpb.idx": [(8 * k, 8) for k in range(2 * 16)],
+    "o.bin.layout": [(0, 4), (4, 4), (8, 8), (16, 4)],
+}
+
+
+@PROPERTY_SETTINGS
+@given(
+    name=st.sampled_from(sorted(_HEADER_FIELDS)),
+    field=st.integers(0, 31),
+    change=st.one_of(
+        st.integers(0, 63).map(lambda bit: ("flip", bit)),
+        st.sampled_from([0, 1, 2**31, 2**32 - 1, 2**63, 2**64 - 1]).map(lambda v: ("set", v)),
+        st.integers(0, 2**64 - 1).map(lambda v: ("set", v)),
+    ),
+)
+def test_a_damaged_header_field_is_a_format_error(tmp_path, name, field, change):
+    # one field flipped in one bit or replaced, sizes and counts up to 2**64 - 1
+    # included: the reader raises FormatError, never a numpy error, or reads a
+    # file that is still valid
+    rng = np.random.default_rng(15)
+    efile = make_edge_file(tmp_path / "g.grpe", rng.integers(0, 30, size=(200, 2)), 30)
+    labels = rng.integers(0, 4, size=30)
+    write_labels(str(tmp_path / "l.grpl"), labels, num_parts=4)
+    write_buckets(efile, labels, str(tmp_path / "b.grpb"), 4)
+    (tmp_path / "f.bin").write_bytes(rng.integers(0, 256, size=30 * 8, dtype=np.uint8))
+    reorder_features(str(tmp_path / "f.bin"), labels, 8, str(tmp_path / "o.bin"), 4)
+    fields = _HEADER_FIELDS[name]
+    offset, size = fields[field % len(fields)]
+    path = tmp_path / name
+    raw = bytearray(path.read_bytes())
+    old = int.from_bytes(raw[offset : offset + size], "little")
+    kind, arg = change
+    new = old ^ (1 << arg % (8 * size)) if kind == "flip" else arg % (1 << 8 * size)
+    assume(new != old)
+    raw[offset : offset + size] = new.to_bytes(size, "little")
+    path.write_bytes(bytes(raw))
+    if name == "l.grpl":
+        try:
+            got, num_parts = read_labels(str(path))
+        except FormatError:
+            return
+        # only a num_parts still above every label leaves a valid file
+        assert (offset, new) == (16, num_parts) and num_parts > 3
+        assert got.tolist() == labels.tolist()
+    elif name == "o.bin.layout":
+        # a record width of another length leaves a valid layout, whose grouped
+        # file then has the wrong length
+        with pytest.raises(FormatError):
+            FeatureLayout.load(str(path)).read_record(str(tmp_path / "o.bin"), 0)
+    else:
+        with pytest.raises(FormatError):
+            read_index(str(tmp_path / "b.grpb"))
