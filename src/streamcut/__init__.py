@@ -31,7 +31,7 @@ from .placement import (
     plan_to_text,
     select_replicated,
 )
-from .seed import SeedConfig, seed_bisect
+from .seed import seed_bisect
 from .store import BucketIndex, FeatureLayout, read_bucket, read_index, reorder_features, write_buckets
 from .synth import CliqueUnionSpec, PathSpec, SbmSpec, StarSpec, generate, write_graph
 from .theory import (
@@ -62,7 +62,6 @@ __all__ = [
     "PlacementPlan",
     "ResidencyMeter",
     "SbmSpec",
-    "SeedConfig",
     "StarSpec",
     "StreamcutError",
     "TheoryCurvePoint",

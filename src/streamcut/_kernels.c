@@ -33,8 +33,9 @@
  * comment above each function says.  The edge passes take their rows'
  * ids as below the node count, which edgefile.iter_edge_blocks checks as
  * it reads, and index the per-node arrays with them unchecked.  Their
- * labels are u32, as a label file stores them, with 0xFFFFFFFF for every
- * label outside the pass's range (edgefile._pass_labels).
+ * labels are u32, as a label file stores them, each below p or 0xFFFFFFFF
+ * for unassigned (edgefile._check_labels); the passes still reject any
+ * label at or above their p.
  */
 #include <math.h>
 #include <stdint.h>

@@ -46,10 +46,11 @@ reader's check: every id is below the node count that sizes the per-node
 arrays, which they index unchecked.  They check only the labels, new ids
 and bucket ids they read, and return the first row they reject.  Labels
 reach ``label_pass`` and ``endpoint_counts`` as one u32 array, a label
-file's form, in which every label outside the pass's range (below 0, at or
-above p, or above 1 for a bisection) is 0xFFFFFFFF
-(``edgefile._pass_labels``); the caller decides the error from its own
-integer labels.  ``endpoint_counts`` adds into u32 counters, which its caller
+file's form, made once where they enter by ``edgefile._check_labels``:
+every label is below p (2 for a bisection), and an unassigned one is
+0xFFFFFFFF, which the passes reject like any label out of their range;
+``edgefile._raise_rejected`` makes a row with a 0xFFFFFFFF endpoint a
+FormatError, any other a ValueError.  ``endpoint_counts`` adds into u32 counters, which its caller
 folds into the int64 result at the end and every 2**32 - 1 rows before
 that, so no count wraps.
 

@@ -28,7 +28,7 @@ from .edgefile import (
     read_labels,
     write_labels,
 )
-from .errors import StreamcutError
+from .errors import FormatError, StreamcutError
 from .grem import GremConfig, count_cuts, partition
 from .placement import (
     comm_csv,
@@ -146,7 +146,9 @@ def cmd_partition(args) -> int:
 def cmd_predict(args) -> int:
     started = time.monotonic()
     efile = open_edge_file(args.edges)
-    labels, _ = read_labels(args.labels)
+    labels, num_parts = read_labels(args.labels)
+    if num_parts != 2:
+        raise FormatError(f"{args.labels}: declares {num_parts} parts, not a bisection")
     stats = compute_node_stats(efile, labels)
     points = theory_curve(stats, _parse_floats(args.xs), args.multiplier)
     _write_text(args.out, curve_csv(points, args.multiplier))
@@ -273,9 +275,12 @@ def cmd_plan(args) -> int:
 def cmd_comm_estimate(args) -> int:
     started = time.monotonic()
     efile = open_edge_file(args.edges)
-    labels, _ = read_labels(args.labels)
+    labels, num_parts = read_labels(args.labels)
     with open(args.plan, "r", encoding="ascii") as fh:
         plan = plan_from_text(fh.read())
+    if num_parts != plan.num_partitions:
+        raise FormatError(f"{args.labels}: declares {num_parts} parts, the plan places "
+                          f"{plan.num_partitions}")
     counts = estimate_comm(
         efile,
         labels,

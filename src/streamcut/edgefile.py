@@ -3,7 +3,7 @@
 Two on-disk edge formats are supported:
 
 * text: one ``src dst`` pair per line, ASCII decimal, ``#`` comment lines
-  ignored.
+  ignored; never zero bytes (a graph with no edges is one comment line).
 * binary: little-endian, header = magic ``GRPE``, version u32=1, flags u32
   (bit 0: 64-bit ids), num_nodes u64, num_edges u64; payload = num_edges
   (src, dst) pairs of u32 or u64 each.
@@ -226,10 +226,14 @@ def open_edge_file(path: str, num_nodes: int | None = None) -> EdgeFile:
     """Opens an edge file, sniffing the format and validating metadata.
 
     For text files the file is scanned once; num_nodes is inferred as
-    max id + 1 when not given.
+    max id + 1 when not given.  A file of zero bytes is a FormatError: it is
+    what a binary file cut short by a power loss may become, and no text file
+    streamcut writes is empty.
     """
     with open(path, "rb") as fh:
         head = fh.read(4)
+    if not head:
+        raise FormatError(f"{path}: empty file, not an edge list")
     if head == EDGE_MAGIC:
         meta = _read_binary_header(path)
         if num_nodes is not None and num_nodes != meta.num_nodes:
@@ -325,6 +329,8 @@ def convert(
                 writer.write(block)
         return open_edge_file(out_path)
     with _replacing(out_path) as (tmp_path,), open(tmp_path, "w", encoding="ascii") as fh:
+        if efile.meta.num_edges == 0:  # a zero-byte file would not open
+            fh.write("# no edges\n")
         for block in iter_edge_blocks(efile):
             _check_ids(block, num_nodes, out_path)
             fh.writelines(f"{u} {v}\n" for u, v in block.tolist())
@@ -463,31 +469,6 @@ def stream_chunks(
         )
 
 
-def _check_covers(efile: EdgeFile, labels: np.ndarray) -> None:
-    """FormatError unless ``labels`` has one entry per node of the file."""
-    if labels.shape[0] != efile.meta.num_nodes:
-        raise FormatError(
-            f"labels cover {labels.shape[0]} nodes, file has {efile.meta.num_nodes}"
-        )
-
-
-def _checked_labels(efile: EdgeFile, labels: np.ndarray) -> np.ndarray:
-    """``labels`` as a contiguous int64 array; FormatError unless it covers the file's nodes."""
-    _check_covers(efile, labels)
-    return np.ascontiguousarray(labels, dtype=np.int64)
-
-
-def _pass_labels(efile: EdgeFile, labels: np.ndarray, limit: int) -> np.ndarray:
-    """The u32 labels an edge pass reads, a label file's form: each of the
-    integer ``labels`` in [0, limit) as it is, every other one (below 0, at or
-    above ``limit``, or at or above 0xFFFFFFFF) as 0xFFFFFFFF, which the pass
-    rejects; FormatError unless they cover the file's nodes."""
-    _check_covers(efile, labels)
-    narrow = labels.astype(np.uint32)
-    narrow[(labels < 0) | (labels >= min(limit, _UNASSIGNED_U32))] = _UNASSIGNED_U32
-    return narrow
-
-
 # The edge passes over one block of ``iter_edge_blocks``, whose ids they trust.
 # Each runs its compiled kernel when loaded, else its numpy twin, with the same
 # result.  Both check the labels, new ids and bucket ids they read and report
@@ -507,31 +488,29 @@ def _first(rejected: np.ndarray) -> int:
 
 def _raise_rejected(rows: np.ndarray, bad: int, labels: np.ndarray | None = None) -> None:
     """Raises for row ``bad``, which a pass rejected: FormatError for an
-    endpoint the caller's own ``labels`` leave unlabeled (below 0), ValueError otherwise."""
-    if labels is not None and (labels[rows[bad]] < 0).any():
+    endpoint the u32 ``labels`` leave unassigned (0xFFFFFFFF), ValueError otherwise."""
+    if labels is not None and (labels[rows[bad]] == _UNASSIGNED_U32).any():
         raise FormatError("unlabeled endpoint encountered")
     raise ValueError(f"row {bad}: label or bucket id out of the kernel's range")
 
 
-def _label_block(efile: EdgeFile, block: np.ndarray, labels: np.ndarray, narrow: np.ndarray,
-                 cut: np.ndarray, p: int, counts: np.ndarray | None = None,
+def _label_block(efile: EdgeFile, block: np.ndarray, labels: np.ndarray, cut: np.ndarray,
+                 p: int, counts: np.ndarray | None = None,
                  bucket: np.ndarray | None = None) -> None:
-    """``_kernels.label_pass`` over one block, ``narrow`` the
-    ``_pass_labels(efile, labels, p)`` of the caller's integer ``labels``,
-    which decide the error of a rejected row.
+    """``_kernels.label_pass`` over one block, ``labels`` as ``_check_labels`` returns them.
 
     Adds the block's cut edges to ``cut[0]``, adds its p x p bucket counts to
     ``counts`` and writes its bucket ids to ``bucket``, each when given; an
     endpoint labelled outside [0, p) is rejected.
     """
     rows, num_nodes, ptr = _rows(block), efile.meta.num_nodes, _kernels.ptr
-    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, ptr(narrow, np.uint32, num_nodes), p,
+    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, ptr(labels, np.uint32, num_nodes), p,
             ptr(counts, np.int64, p * p), ptr(bucket, np.int64, rows.shape[0]),
             ptr(cut, np.int64, 1))
     if _kernels.label_pass is not None:
         bad = _kernels.label_pass(rows.shape[0], *args)
     else:
-        l_src, l_dst = narrow[rows[:, 0]], narrow[rows[:, 1]]
+        l_src, l_dst = labels[rows[:, 0]], labels[rows[:, 1]]
         bad = _first(np.maximum(l_src, l_dst) >= min(p, _UNASSIGNED_U32))
         if bad < 0:
             cut[0] += np.count_nonzero(l_src != l_dst)
@@ -608,33 +587,32 @@ def _scatter_block(block: np.ndarray, bucket: np.ndarray, nbuckets: int,
 
 
 def _endpoint_block(efile: EdgeFile, block: np.ndarray, counts: np.ndarray,
-                    labels: np.ndarray | None, narrow: np.ndarray | None) -> None:
+                    labels: np.ndarray | None = None) -> None:
     """``_kernels.endpoint_counts`` over one block, self-loops left out, into u32
     ``counts``, which the block's rows must not take past 2**32 - 1.
 
-    Without labels (both None) it adds each endpoint to ``counts[node]``;
-    with the caller's integer labels of a bisection and ``narrow``, their
-    ``_pass_labels(efile, labels, 2)``, it adds it to
+    Without labels it adds each endpoint to ``counts[node]``; with the u32
+    labels of a bisection, as ``_check_labels`` returns them, it adds it to
     ``counts[2 * node + side of the other endpoint]``.
     """
     rows, num_nodes = _rows(block), efile.meta.num_nodes
     if counts.size != (num_nodes if labels is None else 2 * num_nodes):
         raise ValueError("counts must have one entry per node, or two with labels")
     ptr = _kernels.ptr
-    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, ptr(narrow, np.uint32, num_nodes),
+    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, ptr(labels, np.uint32, num_nodes),
             ptr(counts, np.uint32, counts.size))
     if _kernels.endpoint_counts is not None:
         bad = _kernels.endpoint_counts(rows.shape[0], *args)
     else:
         src, dst = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
         bad = -1
-        if narrow is not None:
-            l_src, l_dst = narrow[src], narrow[dst]
+        if labels is not None:
+            l_src, l_dst = labels[src], labels[dst]
             bad = _first(np.maximum(l_src, l_dst) > 1)
         if bad < 0:
             keep = src != dst
             src, dst = src[keep], dst[keep]
-            if narrow is not None:
+            if labels is not None:
                 src, dst = 2 * src + l_dst[keep], 2 * dst + l_src[keep]
             for ends in (src, dst):
                 np.add(counts, np.bincount(ends, minlength=counts.size), out=counts,
@@ -643,25 +621,24 @@ def _endpoint_block(efile: EdgeFile, block: np.ndarray, counts: np.ndarray,
         _raise_rejected(rows, bad, labels)
 
 
-def _cut_pass(efile: EdgeFile, labels: np.ndarray, narrow: np.ndarray, p: int,
+def _cut_pass(efile: EdgeFile, labels: np.ndarray, p: int,
               counts: np.ndarray | None = None) -> int:
-    """The file's cut edges under ``labels``, every one below ``p``, by
-    ``_label_block`` over every block (``narrow`` their ``_pass_labels(efile,
-    labels, p)``); it also adds the p x p bucket counts to ``counts`` when given."""
+    """The file's cut edges under the u32 ``labels``, every one below ``p``, by
+    ``_label_block`` over every block; it also adds the p x p bucket counts to
+    ``counts`` when given."""
     cut = np.zeros(1, dtype=np.int64)
     for block in iter_edge_blocks(efile):
-        _label_block(efile, block, labels, narrow, cut, p, counts=counts)
+        _label_block(efile, block, labels, cut, p, counts=counts)
     return int(cut[0])
 
 
 def _endpoint_pass(efile: EdgeFile, labels: np.ndarray | None = None) -> np.ndarray:
     """Fresh int64 counts filled by ``_endpoint_block`` over every block: each
-    node's degree or, with a bisection, its neighbours on side s at
-    ``2 * node + s``.  The blocks add into u32 counters, folded into the
-    result at the end and before any block that would take them past
+    node's degree or, with the u32 labels of a bisection, its neighbours on
+    side s at ``2 * node + s``.  The blocks add into u32 counters, folded into
+    the result at the end and before any block that would take them past
     ``_FOLD_ROWS`` rows."""
     num_nodes = efile.meta.num_nodes
-    narrow = None if labels is None else _pass_labels(efile, labels, 2)
     counts = np.zeros(num_nodes if labels is None else 2 * num_nodes, dtype=np.int64)
     partial = np.zeros(counts.size, dtype=np.uint32)
     rows = 0  # added to partial since it was last folded
@@ -670,49 +647,50 @@ def _endpoint_pass(efile: EdgeFile, labels: np.ndarray | None = None) -> np.ndar
             counts += partial
             partial[:] = 0
             rows = 0
-        _endpoint_block(efile, block, partial, labels, narrow)
+        _endpoint_block(efile, block, partial, labels)
         rows += block.shape[0]
     counts += partial
     return counts
 
 
-def num_parts_of(labels: np.ndarray, num_parts: int | None = None) -> int:
-    """Partition count of a labeling: the declared ``num_parts``, checked
-    against the largest label, or the largest label + 1 when none is declared.
+def _check_labels(num_nodes: int, labels, num_parts: int | None = None) -> tuple[np.ndarray, int]:
+    """A caller's labels in a label file's form: (u32 labels, p).
 
-    Unassigned (negative) labels are ignored; with nothing assigned the count
-    is 1.  Raises FormatError on a label >= ``num_parts``.
+    FormatError unless ``labels`` is a 1-d array of one integer (or bool)
+    label per node, each below p, and p fits a label file (at most
+    0xFFFFFFFF).  p is the declared ``num_parts``, or the largest label + 1;
+    with nothing assigned it is 1.  Negative labels mean unassigned and
+    become 0xFFFFFFFF, which every edge pass rejects.
     """
-    top = int(np.max(labels, initial=-1))
-    if num_parts is None:
-        return top + 1 if top >= 0 else 1
-    if top >= num_parts:
-        raise FormatError(f"label {top} >= num_parts {num_parts}")
-    return max(int(num_parts), 1)
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.dtype.kind not in "biu":
+        raise FormatError(f"labels must be a 1-d integer array, got {labels.dtype} "
+                          f"{labels.shape}")
+    if labels.shape[0] != num_nodes:
+        raise FormatError(f"labels cover {labels.shape[0]} nodes, file has {num_nodes}")
+    top = int(labels.max()) if labels.size else -1
+    p = top + 1 if num_parts is None else int(num_parts)
+    if top >= p:
+        raise FormatError(f"label {top} >= num_parts {p}")
+    if p > _UNASSIGNED_U32:
+        raise FormatError(f"{p} parts do not fit a label file: its labels are u32 "
+                          f"below {_UNASSIGNED_U32:#x}")
+    narrow = labels.astype(np.uint32)
+    narrow[labels < 0] = _UNASSIGNED_U32
+    return narrow, max(p, 1)
 
 
 def write_labels(path: str, labels: np.ndarray, num_parts: int | None = None) -> None:
-    """Writes a label file; -1 entries are stored as the unassigned sentinel.
+    """Writes a label file; negative entries are stored as the unassigned sentinel.
 
-    The file is written under a temporary name next to ``path`` and renamed
-    into place when complete, so a failed write leaves an earlier file as it was.
+    ``num_parts`` and the checks are those of ``_check_labels``.  The file is
+    written under a temporary name next to ``path`` and renamed into place
+    when complete, so a failed write leaves an earlier file as it was.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise FormatError("labels must be a 1-d array")
-    top = int(labels.max(initial=-1))
-    if num_parts is None:
-        num_parts = top + 1
-    elif top >= num_parts:
-        raise FormatError(f"label {top} >= num_parts {num_parts}")
-    if num_parts > _UNASSIGNED_U32:
-        raise FormatError(f"{num_parts} parts do not fit a label file: its labels are u32 "
-                          f"below {_UNASSIGNED_U32:#x}")
-    payload = labels.copy()
-    payload[payload < 0] = _UNASSIGNED_U32
+    narrow, p = _check_labels(np.size(labels), labels, num_parts)
     with _replacing(path) as (tmp_path,), open(tmp_path, "wb") as fh:
-        fh.write(_LABELS_HEADER.pack(LABELS_MAGIC, 1, labels.size, num_parts))
-        _write_array(fh, payload.astype("<u4"))
+        fh.write(_LABELS_HEADER.pack(LABELS_MAGIC, 1, narrow.size, p))
+        _write_array(fh, narrow.astype("<u4", copy=False))
 
 
 def read_labels(path: str) -> tuple[np.ndarray, int]:

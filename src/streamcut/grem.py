@@ -27,7 +27,7 @@ counts rather than re-reading the original file.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
@@ -38,21 +38,20 @@ from .edgefile import (
     ChunkPlan,
     EdgeFile,
     ResidencyMeter,
-    _checked_labels,
+    _UNASSIGNED_U32,
+    _check_labels,
     _cut_pass,
     _extract_block,
     _id_dtype,
-    _pass_labels,
     _remove_if_present,
     _replacing,
     iter_edge_blocks,
-    num_parts_of,
     open_edge_file,
     stream_chunks,
 )
 from .errors import CapacityError, FormatError
 from .model import CutReport, EdgeChunk, PartitionState
-from .seed import SeedConfig, seed_bisect
+from .seed import seed_bisect
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,6 @@ class GremConfig:
     chunk_frac: float | None = None
     capacity_slack: float = 0.0
     refine: bool = True
-    seed: SeedConfig = field(default_factory=SeedConfig)
     passes: int = 1
 
     def __post_init__(self):
@@ -165,8 +163,8 @@ def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -
     return state
 
 
-def _seed_chunk(state: PartitionState, chunk: EdgeChunk, seed_cfg: SeedConfig) -> None:
-    labels = seed_bisect(chunk, seed_cfg, state.capacity)
+def _seed_chunk(state: PartitionState, chunk: EdgeChunk) -> None:
+    labels = seed_bisect(chunk, state.capacity)
     nodes, starts, ends, nbrs = chunk.csr()
     parts = state.parts
     parts[nodes] = labels
@@ -224,7 +222,7 @@ def bisect(
     for pass_idx in range(config.passes):
         for chunk in stream_chunks(efile, plan, meter=meter):
             if pass_idx == 0 and chunk.chunk_index == 0:
-                _seed_chunk(state, chunk, config.seed)
+                _seed_chunk(state, chunk)
             else:
                 process_chunk(state, chunk, config)
             if on_chunk is not None:
@@ -240,16 +238,15 @@ def count_cuts(efile: EdgeFile, labels: np.ndarray, num_parts: int | None = None
     Sizes and balance are over ``num_parts`` partitions, or over the largest
     label + 1 when it is not given.
     """
-    labels = np.asarray(labels)
-    p = num_parts_of(labels, num_parts)
-    cut = _cut_pass(efile, labels, _pass_labels(efile, labels, p), p)
-    return _report(efile, labels, p, cut)
+    labels, p = _check_labels(efile.meta.num_nodes, labels, num_parts)
+    return _report(efile, labels, p, _cut_pass(efile, labels, p))
 
 
 def _report(efile: EdgeFile, labels: np.ndarray, num_parts: int, cut: int) -> CutReport:
-    """The CutReport of ``cut`` edges cut under ``labels`` over ``num_parts`` partitions."""
+    """The CutReport of ``cut`` edges cut under the u32 ``labels`` (as ``_check_labels``
+    returns them) over ``num_parts`` partitions."""
     total = efile.meta.num_edges
-    sizes = np.bincount(labels[labels >= 0], minlength=num_parts)
+    sizes = np.bincount(labels[labels != _UNASSIGNED_U32], minlength=num_parts)
     ideal = ceil(efile.meta.num_nodes / num_parts)
     return CutReport(
         total_edges=total,
@@ -273,8 +270,7 @@ def _extract_induced(
     buffer at the output id width.  The file is written under a temporary
     name and renamed into place, so a failed extraction leaves nothing.
     """
-    checked = _checked_labels(efile, labels)
-    new_id = np.where((checked == 0) | (checked == 1), -1, -2)
+    new_id = np.where(_check_labels(efile.meta.num_nodes, labels)[0] <= 1, -1, -2)
     new_id[members] = np.arange(members.size, dtype=np.int64)
     with _replacing(out_path) as (tmp_path,):
         with BinaryEdgeWriter(tmp_path, int(members.size)) as writer:
@@ -334,4 +330,4 @@ def partition(
                 _remove_if_present(sub_path)
 
     recurse(efile, np.arange(total_nodes, dtype=np.int64), p, 0, 0)
-    return final, _report(efile, final, p, cut)
+    return final, _report(efile, _check_labels(total_nodes, final, p)[0], p, cut)

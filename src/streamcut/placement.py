@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .edgefile import EdgeFile, _checked_labels, _endpoint_pass, iter_edge_blocks
+from .edgefile import _UNASSIGNED_U32, EdgeFile, _check_labels, _endpoint_pass, iter_edge_blocks
 from .errors import FormatError
 from .model import build_adjacency
 
@@ -111,8 +111,10 @@ def estimate_comm(
     Floyd's algorithm (``_floyd``), so the counts do not depend on
     ``Generator.choice``.
     """
-    labels = _checked_labels(efile, np.asarray(labels))
     num_nodes = efile.meta.num_nodes
+    labels, _ = _check_labels(num_nodes, labels, plan.num_partitions)
+    if (labels == _UNASSIGNED_U32).any():
+        raise FormatError("labels must map every node to a planned partition")
     if efile.meta.num_edges == 0:
         raise FormatError("cannot estimate traffic on an empty graph")
     if not 1 <= num_seeds <= num_nodes:
@@ -120,8 +122,6 @@ def estimate_comm(
     fanouts = np.array([int(f) for f in fanouts], dtype=np.int64)
     if fanouts.size == 0 or fanouts.min() < 1:
         raise FormatError(f"fanouts must be one or more counts >= 1, got {fanouts.tolist()}")
-    if labels.min() < 0 or labels.max() >= plan.num_partitions:
-        raise FormatError("labels must map every node to a planned partition")
     for node in plan.replicated_nodes:
         if not 0 <= node < num_nodes:
             raise FormatError(f"replicated node {node} out of range")

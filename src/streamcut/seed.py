@@ -3,15 +3,15 @@
 ``bfs_grow`` grows one side by breadth-first search from the highest-degree
 chunk node, restarting from the highest-degree unpicked node whenever the
 queue runs dry, until it holds half the nodes, then runs a few boundary
-refinement passes.  It is a pure function of (chunk contents, config,
-capacity).  The compiled kernel orders its restarts with a counting sort on
-degree; the Python fallback with a stable argsort, to the same order.
+refinement passes (``REFINEMENT_PASSES``).  It is a pure function of
+(chunk contents, capacity).  The compiled kernel orders its restarts with a
+counting sort on degree; the Python fallback with a stable argsort, to the
+same order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
@@ -21,16 +21,10 @@ from .errors import CapacityError, FormatError
 from .model import EdgeChunk
 
 
-@dataclass(frozen=True)
-class SeedConfig:
-    refinement_passes: int = 2
-
-    def __post_init__(self):
-        if self.refinement_passes < 0:
-            raise FormatError("refinement_passes must be >= 0")
+REFINEMENT_PASSES = 2
 
 
-def seed_bisect(chunk: EdgeChunk, config: SeedConfig, capacity: int) -> np.ndarray:
+def seed_bisect(chunk: EdgeChunk, capacity: int) -> np.ndarray:
     """Labels every chunk node 0 or 1; returned array is aligned with chunk.nodes.
 
     The BFS split starts out within one node of balance; refinement passes
@@ -42,7 +36,7 @@ def seed_bisect(chunk: EdgeChunk, config: SeedConfig, capacity: int) -> np.ndarr
         raise FormatError("cannot seed an empty chunk")
     if 2 * capacity < n:
         raise CapacityError(f"capacity {capacity} infeasible for {n} chunk nodes")
-    return _bfs_grow(nodes, starts, ends, nbrs, config.refinement_passes, capacity)
+    return _bfs_grow(nodes, starts, ends, nbrs, REFINEMENT_PASSES, capacity)
 
 
 def _local_positions(nodes: np.ndarray, nbrs: np.ndarray) -> np.ndarray:

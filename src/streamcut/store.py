@@ -24,14 +24,14 @@ import numpy as np
 from .edgefile import (
     FLAG_WIDE_IDS,
     EdgeFile,
+    _UNASSIGNED_U32,
+    _check_labels,
     _cut_pass,
     _label_block,
-    _pass_labels,
     _replacing,
     _scatter_block,
     _write_array,
     iter_edge_blocks,
-    num_parts_of,
 )
 from .errors import FormatError
 
@@ -75,14 +75,12 @@ def write_buckets(
     label + 1.  The store and its ``.idx`` are written under temporary names
     and renamed into place once both are complete.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    p = num_parts_of(labels, num_parts)
+    labels, p = _check_labels(efile.meta.num_nodes, labels, num_parts)  # read by both passes
     width = efile.meta.node_id_width
     pair = 2 * (width // 8)
 
-    narrow = _pass_labels(efile, labels, p)  # read by both passes
     counts = np.zeros(p * p, dtype=np.int64)
-    _cut_pass(efile, labels, narrow, p, counts)
+    _cut_pass(efile, labels, p, counts)
 
     header = _BUCKET_HEADER.pack(
         BUCKET_MAGIC, 1, p, FLAG_WIDE_IDS if width == 64 else 0, int(counts.sum())
@@ -96,7 +94,7 @@ def write_buckets(
         with open(tmp_store, "wb") as fh:
             fh.write(header)
             fh.truncate(_BUCKET_HEADER.size + int(counts.sum()) * pair)  # flushes the header
-            for grouped, bounds in _bucket_groups(efile, labels, narrow, p):
+            for grouped, bounds in _bucket_groups(efile, labels, p):
                 data = memoryview(grouped).cast("B")
                 nonempty = np.flatnonzero(np.diff(bounds)).tolist()
                 bounds = bounds.tolist()
@@ -109,16 +107,16 @@ def write_buckets(
     return BucketIndex(p, offsets.reshape(p, p), counts.reshape(p, p), width)
 
 
-def _bucket_groups(efile: EdgeFile, labels: np.ndarray, narrow: np.ndarray, p: int):
-    """Yields each block's rows grouped by bucket, with the run bounds; ``narrow``
-    is the ``_pass_labels(efile, labels, p)`` of ``labels``."""
+def _bucket_groups(efile: EdgeFile, labels: np.ndarray, p: int):
+    """Yields each block's rows grouped by bucket under the u32 ``labels``, with the
+    run bounds."""
     cut = np.zeros(1, dtype=np.int64)
     bucket = grouped = np.empty(0)
     for block in iter_edge_blocks(efile):
         m = block.shape[0]
         if bucket.shape[0] < m:  # buffers of the first, largest block, reused
             bucket, grouped = np.empty(m, dtype=np.int64), np.empty_like(block)
-        _label_block(efile, block, labels, narrow, cut, p, bucket=bucket[:m])
+        _label_block(efile, block, labels, cut, p, bucket=bucket[:m])
         yield _scatter_block(block, bucket[:m], p * p, grouped[:m])
 
 
@@ -275,18 +273,16 @@ def reorder_features(
     Both files are written under temporary names and renamed into place once
     both are complete.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    num_nodes = labels.shape[0]
     if record_width < 1:
         raise FormatError("record_width must be >= 1")
-    if labels.min(initial=0) < 0:
-        raise FormatError("all nodes must be labeled")
     size = os.path.getsize(features_path)
-    if size != num_nodes * record_width:
-        raise FormatError(
-            f"{features_path}: length {size} != num_nodes {num_nodes} x width {record_width}"
-        )
-    p = num_parts_of(labels, num_parts)
+    if size % record_width:
+        raise FormatError(f"{features_path}: length {size} is not a multiple of width "
+                          f"{record_width}")
+    num_nodes = size // record_width
+    labels, p = _check_labels(num_nodes, labels, num_parts)
+    if (labels == _UNASSIGNED_U32).any():
+        raise FormatError("all nodes must be labeled")
     # by partition, ties by node id; numpy radix-sorts keys of <= 16 bits
     order = np.argsort(labels.astype(np.min_scalar_type(p - 1)), kind="stable")
     permutation = np.empty(num_nodes, dtype=np.int64)

@@ -21,7 +21,7 @@ from math import exp, lgamma
 import numpy as np
 
 from . import _kernels
-from .edgefile import EdgeFile, _endpoint_pass
+from .edgefile import EdgeFile, _check_labels, _endpoint_pass
 from .errors import FormatError
 from .model import NodeStats
 
@@ -225,10 +225,8 @@ def compute_node_stats(efile: EdgeFile, labels: np.ndarray) -> NodeStats:
     ``labels`` must be a bisection; self-loops are excluded and duplicate
     edges count with multiplicity.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     num_nodes = efile.meta.num_nodes
-    if labels.max(initial=-1) > 1:
-        raise FormatError("reference labels are not a bisection")
+    labels, _ = _check_labels(num_nodes, labels, num_parts=2)
     counts = _endpoint_pass(efile, labels)
     per_side = counts.reshape(num_nodes, 2)
     return NodeStats(per_side.sum(axis=1), per_side.max(axis=1))

@@ -247,7 +247,7 @@ static void run_passes(const char *name, int64_t m, int id_bytes, uint64_t num_n
         else
             ((uint64_t *)rows)[k] = id;
     }
-    /* u32 labels, as edgefile._pass_labels makes them */
+    /* u32 labels, as edgefile._check_labels makes them */
     uint32_t *labels = exact(n, sizeof *labels), *side = exact(n, sizeof *side);
     int64_t *new_id = exact(n, sizeof *new_id);
     int64_t members = 0;
@@ -341,9 +341,9 @@ static void run_passes(const char *name, int64_t m, int id_bytes, uint64_t num_n
         CHECK(per_side[2 * v] >= base && per_side[2 * v + 1] >= base, name);
     }
 
-    /* rejections: the top id, in rows 0 and 1, labelled 0xFFFFFFFF (any
-     * label outside the pass's range) or beyond the range, also past a p
-     * above 0xFFFFFFFF; the last row's bucket id out of range */
+    /* rejections: the top id, in rows 0 and 1, labelled 0xFFFFFFFF
+     * (unassigned) or beyond the range, also past a p above 0xFFFFFFFF;
+     * the last row's bucket id out of range */
     if (m >= 2) {
         labels[num_nodes - 1] = UINT32_MAX;
         CHECK(label_pass(m, rows, id_bytes, labels, p, counts, bucket, cut) == 0, name);

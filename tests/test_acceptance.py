@@ -20,7 +20,6 @@ from streamcut import (
     GremConfig,
     PlacementPlan,
     ResidencyMeter,
-    SeedConfig,
     bisect,
     compute_node_stats,
     count_cuts,
@@ -88,7 +87,7 @@ def test_c01_algorithm_fidelity(tmp_path, monkeypatch):
 
                 def seed_fn(c_edges):
                     chunk = EdgeChunk(0, np.asarray(c_edges, dtype=np.int64))
-                    seed_labels = seed_bisect(chunk, SeedConfig(), cap)
+                    seed_labels = seed_bisect(chunk, cap)
                     return dict(zip(chunk.nodes.tolist(), (int(x) for x in seed_labels)))
 
                 expected = run_reference(
@@ -335,6 +334,8 @@ def test_c10_cli_determinism(tmp_path, capsys):
         )
         ref = str(tmp_path / "truth.grpl")
         write_labels(ref, truth.astype(np.int64), num_parts=2)
+        ref8 = str(tmp_path / "truth8.grpl")  # the same labels, declared over the plan's 8 parts
+        write_labels(ref8, truth.astype(np.int64), num_parts=8)
         feats = tmp_path / "f.bin"
         feats.write_bytes(bytes(range(256)) * (32 * 4 // 256 + 1))
         with open(feats, "r+b") as fh:
@@ -361,7 +362,7 @@ def test_c10_cli_determinism(tmp_path, capsys):
                 assert cli_main(argv) == 0
                 capsys.readouterr()
             assert cli_main(
-                ["comm-estimate", efile.path, ref, str(run_dir / "plan.txt"),
+                ["comm-estimate", efile.path, ref8, str(run_dir / "plan.txt"),
                  "--out", str(run_dir / "comm.csv"), "--num-seeds", "8", "--rng-seed", "3"]
             ) == 0
             capsys.readouterr()

@@ -192,6 +192,25 @@ def test_label_above_num_parts_is_a_data_error(tmp_path, capsys):
         assert "label 2 >= num_parts 2" in capsys.readouterr().err
 
 
+def test_declared_num_parts_must_fit_predict_and_the_plan(tmp_path, cliques, capsys):
+    # the label file's num_parts is honoured: predict needs a bisection and
+    # comm-estimate the plan's partition count, though every label would fit
+    efile, truth = cliques
+    ref = tmp_path / "l4.grpl"
+    write_labels(str(ref), truth.astype(np.int64), num_parts=4)
+    plan = tmp_path / "plan.txt"
+    assert run(capsys, "plan", plan, "--parts", "2", "--workers", "2")[0] == 0
+    for argv, message in (
+        (["predict", efile.path, ref, "--out", tmp_path / "curve.csv"],
+         "l4.grpl: declares 4 parts, not a bisection"),
+        (["comm-estimate", efile.path, ref, plan, "--out", tmp_path / "comm.csv"],
+         "l4.grpl: declares 4 parts, the plan places 2"),
+    ):
+        assert main([str(a) for a in argv]) == 3
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists() and not (tmp_path / "comm.csv").exists()
+
+
 def test_shuffle_convert_round_trip(tmp_path, cliques, capsys):
     efile, _ = cliques
     shuf = tmp_path / "s.grpe"

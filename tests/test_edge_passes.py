@@ -29,8 +29,10 @@ from streamcut import (
     partition,
     plan_assignment,
     read_bucket,
+    reorder_features,
     select_replicated,
     write_buckets,
+    write_labels,
 )
 from streamcut.edgefile import BINARY, IO_BLOCK, TEXT, convert, open_edge_file, read_all_edges
 
@@ -320,6 +322,81 @@ def test_unlabeled_endpoint_is_a_format_error(tmp_path, monkeypatch):
             assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe"], kernel
 
 
+def _label_entry_points(efile, out_dir):
+    """Every public entry point that takes labels, as ``run(labels, num_parts)``."""
+    feats = out_dir / "f.bin"
+    feats.write_bytes(bytes(range(4 * efile.meta.num_nodes)))
+    plan = plan_assignment(2, 2, rng_seed=0)
+    return {
+        "count_cuts": lambda lab, p: count_cuts(efile, lab, p),
+        "write_buckets": lambda lab, p: write_buckets(efile, lab, str(out_dir / "b.grpb"), p),
+        "reorder_features": lambda lab, p: reorder_features(str(feats), lab, 4,
+                                                            str(out_dir / "o.bin"), p),
+        "write_labels": lambda lab, p: write_labels(str(out_dir / "l.grpl"), lab, p),
+        # these two declare their own part count: the plan's, and 2
+        "estimate_comm": lambda lab, p: estimate_comm(efile, lab, plan, num_seeds=2),
+        "compute_node_stats": lambda lab, p: compute_node_stats(efile, lab),
+    }
+
+
+_BISECTION = np.arange(6) % 2
+_BAD_LABELS = {  # case: (labels, declared num_parts, message, entry points it does not apply to)
+    "float": (_BISECTION + 0.5, 2, r"labels must be a 1-d integer array, got float64 \(6,\)", ()),
+    "column": (_BISECTION[:, None], 2, r"labels must be a 1-d integer array, got int64 \(6, 1\)",
+               ()),
+    # write_labels takes its node count from the labels
+    "short": (_BISECTION[:5], 2, "labels cover 5 nodes, file has 6", ("write_labels",)),
+    "above": (np.where(_BISECTION == 1, 2, 0), 2, "label 2 >= num_parts 2", ()),
+    "too_many_parts": (_BISECTION, 2**32, f"{2**32} parts do not fit a label file",
+                       ("estimate_comm", "compute_node_stats")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_LABELS))
+def test_each_label_entry_point_refuses_bad_labels_alike(tmp_path, monkeypatch, case):
+    # one check, _check_labels, for every caller: the same FormatError from
+    # each, raised before any output or temporary is made
+    labels, num_parts, message, skip = _BAD_LABELS[case]
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2], [2, 3], [4, 5], [5, 0]], 6)
+    runs = _label_entry_points(efile, tmp_path)
+    for kernel in each_kernel(monkeypatch):
+        for name, run in runs.items():
+            if name in skip:
+                continue
+            with pytest.raises(FormatError, match=f"^{message}"):
+                run(labels, num_parts)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "g.grpe"], \
+                (kernel, name)
+
+
+def test_each_label_entry_point_takes_the_valid_labels(tmp_path, monkeypatch):
+    # each of the table's inputs departs from these labels in one point
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2], [2, 3], [4, 5], [5, 0]], 6)
+    for kernel in each_kernel(monkeypatch):
+        for name, run in _label_entry_points(efile, tmp_path).items():
+            run(_BISECTION, 2)
+            run(_BISECTION.astype(np.int32), 2)
+
+
+def test_an_unassigned_label_is_refused_where_every_node_needs_a_part(tmp_path, monkeypatch):
+    # grouped features and the traffic estimate place every node, even one no
+    # edge touches; a label file may hold an unassigned node
+    labels = np.array([0, 1, 0, 1, 0, 1, -1])  # node 6 is on no edge
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2], [2, 3], [4, 5], [5, 0]], 7)
+    runs = _label_entry_points(efile, tmp_path)
+    for kernel in each_kernel(monkeypatch):
+        for name, message in (("reorder_features", "all nodes must be labeled"),
+                              ("estimate_comm", "labels must map every node to a planned "
+                                                "partition")):
+            with pytest.raises(FormatError, match=f"^{message}$"):
+                runs[name](labels, 2)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "g.grpe"], \
+                (kernel, name)
+    for kernel in each_kernel(monkeypatch):
+        for name in ("count_cuts", "write_buckets", "compute_node_stats", "write_labels"):
+            runs[name](labels, 2)
+
+
 def _opened(tmp_path, edges, width):
     """An edge file of 300 nodes, opened while intact: binary at ``width`` bits, or text."""
     if width != TEXT:
@@ -371,20 +448,18 @@ def test_damaged_file_is_a_format_error(tmp_path, monkeypatch, damage):
 
 
 def test_kernels_reject_labels_and_bucket_ids_out_of_their_range(tmp_path, monkeypatch):
-    # public callers never pass these (num_parts_of bounds the labels, the
-    # bisection check guards compute_node_stats); the kernels and their twins
-    # refuse them rather than write outside their count arrays
+    # public callers never pass these (_check_labels bounds the labels by the
+    # pass's p, and compute_node_stats declares p = 2); the kernels and their
+    # twins refuse them rather than write outside their count arrays
     efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2]], 3)
     (block,) = edgefile.iter_edge_blocks(efile)
-    labels = np.array([0, 1, 2])
+    labels = np.array([0, 1, 2], dtype=np.uint32)  # made by hand: label 2 with p = 2
     cut = np.zeros(1, dtype=np.int64)
     for _ in each_kernel(monkeypatch):
         with pytest.raises(ValueError, match="row 1"):
-            edgefile._label_block(efile, block, labels, edgefile._pass_labels(efile, labels, 2),
-                                  cut, 2, counts=np.zeros(4, dtype=np.int64))
+            edgefile._label_block(efile, block, labels, cut, 2, counts=np.zeros(4, dtype=np.int64))
         with pytest.raises(ValueError, match="row 1"):
-            edgefile._endpoint_block(efile, block, np.zeros(6, dtype=np.uint32), labels,
-                                     edgefile._pass_labels(efile, labels, 2))
+            edgefile._endpoint_block(efile, block, np.zeros(6, dtype=np.uint32), labels)
         with pytest.raises(ValueError, match="row 0"):
             edgefile._scatter_block(block, np.array([-1, 0]), 2)
         with pytest.raises(ValueError, match="row 1"):
@@ -396,11 +471,13 @@ def test_kernels_reject_labels_and_bucket_ids_out_of_their_range(tmp_path, monke
 
 @pytest.mark.parametrize("bad", [-1, 0xFFFFFFFF, 2**32, 2**32 + 1, "p"])
 def test_a_label_outside_the_pass_range_is_never_narrowed_into_it(tmp_path, monkeypatch, bad):
-    # the passes read labels as u32, with 0xFFFFFFFF for any label outside
-    # their range: a label below 0, at or above p (2 here, a bisection), or
-    # past 32 bits is rejected on a node an edge touches, as the int64
-    # labels were, and 2**32 + 1 is never read as its low bits, label 1; on
-    # a node no edge touches it is accepted wherever it was
+    # labels reach the passes as u32 only through _check_labels: a label
+    # below 0 becomes 0xFFFFFFFF, which every pass rejects on a node an edge
+    # touches; a label at or above the declared p (2 here, a bisection), or
+    # one no label file holds, is refused before any pass, so 2**32 + 1 is
+    # never read as its low bits, label 1; and a u32 label at or above the
+    # pass's own p is rejected by the pass on a touched node and accepted on
+    # a node no edge touches
     p = 2
     bad = p if bad == "p" else bad
     edges = _multigraph(16, 300, 5000)
@@ -419,14 +496,13 @@ def test_a_label_outside_the_pass_range_is_never_narrowed_into_it(tmp_path, monk
 
             def label_block(lab):
                 cut, counts = np.zeros(1, dtype=np.int64), np.zeros(p * p, dtype=np.int64)
-                edgefile._label_block(efile, block, lab, edgefile._pass_labels(efile, lab, p),
-                                      cut, p, counts=counts)
+                edgefile._label_block(efile, block, edgefile._check_labels(301, lab)[0], cut, p,
+                                      counts=counts)
                 return int(cut[0]), counts.tolist()
 
             def endpoint_block(lab):
                 counts = np.zeros(2 * 301, dtype=np.uint32)
-                edgefile._endpoint_block(efile, block, counts, lab,
-                                         edgefile._pass_labels(efile, lab, 2))
+                edgefile._endpoint_block(efile, block, counts, edgefile._check_labels(301, lab)[0])
                 return counts.tolist()
 
             passes = {**public, "label_block": label_block, "endpoint_block": endpoint_block}
@@ -436,9 +512,9 @@ def test_a_label_outside_the_pass_range_is_never_narrowed_into_it(tmp_path, monk
                 if bad < 0:
                     with pytest.raises(FormatError, match="^unlabeled endpoint encountered$"):
                         run(touched)
-                elif name in public:  # refused before any pass, as the int64 labels were
-                    message = "reference labels are not a bisection" if name == "node_stats" \
-                        else f"label {bad} >= num_parts {p}"
+                elif name in public or bad >= 0xFFFFFFFF:  # refused before any pass
+                    message = f"^label {bad} >= num_parts {p}$" if name in public \
+                        else f"^{bad + 1} parts do not fit a label file"
                     with pytest.raises(FormatError, match=message):
                         run(touched)
                     with pytest.raises(FormatError, match=message):
@@ -451,22 +527,44 @@ def test_a_label_outside_the_pass_range_is_never_narrowed_into_it(tmp_path, monk
             assert not [f for f in tmp_path.iterdir() if ".tmp" in f.name], kernel
 
 
-def test_pass_labels_keep_only_the_range(tmp_path):
-    efile = make_edge_file(tmp_path / "g.grpe", [[0, 9]], 10)
-    labels = np.array([0, 1, 2, -1, -2**63, 0xFFFFFFFE, 0xFFFFFFFF, 2**32, 2**32 + 1, 2**63 - 1])
+def test_check_labels_narrows_to_u32_or_refuses():
     out = 0xFFFFFFFF
-    assert edgefile._pass_labels(efile, labels, 2).tolist() == [0, 1] + [out] * 8
-    assert edgefile._pass_labels(efile, labels, 3).tolist() == [0, 1, 2] + [out] * 7
-    # no label reaches the sentinel, even for a range past 32 bits
-    assert edgefile._pass_labels(efile, labels, 2**40).tolist() == [0, 1, 2, out, out,
-                                                                    0xFFFFFFFE, out, out, out,
-                                                                    out]
-    # int32 labels, as count_cuts gets a bisection's, and a short label array
-    small = np.array([0, 1, -1, 2, 1, 0, -5, 3, 1, 0], dtype=np.int32)
-    assert edgefile._pass_labels(efile, small, 2).tolist() == [0, 1, out, out, 1, 0, out, out,
-                                                               1, 0]
-    with pytest.raises(FormatError, match="labels cover 9 nodes, file has 10"):
-        edgefile._pass_labels(efile, labels[:9], 2)
+    labels = np.array([0, 1, 2, -1, -2**63, 0xFFFFFFFE])
+    narrow, p = edgefile._check_labels(6, labels)
+    assert narrow.dtype == np.uint32 and p == 0xFFFFFFFF  # the largest label the file holds
+    assert narrow.tolist() == [0, 1, 2, out, out, 0xFFFFFFFE]
+    narrow, p = edgefile._check_labels(4, labels[:4], 7)  # a declared p is kept
+    assert narrow.tolist() == [0, 1, 2, out] and p == 7
+    for declared in (0, 2):
+        with pytest.raises(FormatError, match=f"^label 2 >= num_parts {declared}$"):
+            edgefile._check_labels(3, labels[:3], declared)
+    # no label reaches the sentinel or is cut to its low 32 bits: a label file
+    # holds labels below 0xFFFFFFFF, and no more than 0xFFFFFFFF parts
+    for big in (0xFFFFFFFF, 2**32, 2**32 + 1, 2**63 - 1):
+        with pytest.raises(FormatError, match=f"^{big + 1} parts do not fit a label file"):
+            edgefile._check_labels(2, np.array([1, big]))
+        with pytest.raises(FormatError, match=f"^label {big} >= num_parts 2$"):
+            edgefile._check_labels(2, np.array([1, big]), 2)
+    with pytest.raises(FormatError, match=f"^{2**32} parts do not fit a label file"):
+        edgefile._check_labels(2, np.array([0, 1]), 2**32)
+    with pytest.raises(FormatError, match=f"^{2**63 + 1} parts do not fit a label file"):
+        edgefile._check_labels(2, np.array([0, 2**63], dtype=np.uint64))
+    # int32 labels, as partition makes them, bool and unsigned labels
+    small = np.array([0, 1, -1, 1, 0, -5], dtype=np.int32)
+    narrow, p = edgefile._check_labels(6, small)
+    assert narrow.tolist() == [0, 1, out, 1, 0, out] and p == 2
+    narrow, p = edgefile._check_labels(3, np.array([True, False, True]))
+    assert narrow.tolist() == [1, 0, 1] and p == 2
+    narrow, p = edgefile._check_labels(2, np.array([3, 0], dtype=np.uint8))
+    assert narrow.tolist() == [3, 0] and p == 4
+    narrow, p = edgefile._check_labels(3, [-1, -1, -1])  # nothing assigned: one part
+    assert narrow.tolist() == [out] * 3 and p == 1
+    with pytest.raises(FormatError, match="^labels cover 9 nodes, file has 10$"):
+        edgefile._check_labels(10, np.zeros(9, dtype=np.int64))
+    for odd in (np.zeros((3, 1), dtype=np.int64), np.array([0.5, 1.7, 0.2]), np.array(1),
+                np.array([0, 2**64, 1], dtype=object), np.array(["0", "1", "0"])):
+        with pytest.raises(FormatError, match="^labels must be a 1-d integer array"):
+            edgefile._check_labels(3, odd)
 
 
 def test_endpoint_counters_fold_without_changing_a_count(tmp_path, monkeypatch):

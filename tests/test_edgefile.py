@@ -14,6 +14,7 @@ from streamcut import (
     FormatError,
     ResidencyMeter,
     convert,
+    count_cuts,
     external_shuffle,
     open_edge_file,
     read_labels,
@@ -72,6 +73,36 @@ def test_convert_empty_edge_list(tmp_path):
     out = convert(efile, str(tmp_path / "empty.grpe"), "binary")
     assert out.meta.num_edges == 0
     assert out.meta.num_nodes == 5
+
+
+def test_an_emptied_edge_file_is_a_format_error(tmp_path, monkeypatch):
+    # a binary edge file cut to zero bytes, as a power loss may leave one, is
+    # never read as an empty text edge list: not when opened, nor by a pass
+    # over the file as it was opened
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2]], 3)
+    Path(efile.path).write_bytes(b"")
+    labels = np.array([0, 1, 0])
+    write_labels(str(tmp_path / "l.grpl"), labels)
+    for kernel in each_kernel(monkeypatch):
+        with pytest.raises(FormatError, match="g.grpe: empty file, not an edge list$"):
+            open_edge_file(efile.path)
+        for run in (lambda: read_all_edges_of(efile), lambda: count_cuts(efile, labels),
+                    lambda: write_buckets(efile, labels, str(tmp_path / "b.grpb")),
+                    lambda: convert(efile, str(tmp_path / "c.txt"), "text")):
+            with pytest.raises(FormatError, match="g.grpe: too short for a binary edge header"):
+                run()
+        assert streamcut.cli.main(["cut-stats", efile.path, str(tmp_path / "l.grpl")]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe", "l.grpl"]
+
+
+def test_an_empty_graph_round_trips_through_text(tmp_path):
+    # no edges: the text file is one comment line, never zero bytes
+    empty = make_edge_file(tmp_path / "e.grpe", np.empty((0, 2), dtype=np.int64), 5)
+    text = convert(empty, str(tmp_path / "e.txt"), "text")
+    assert Path(text.path).read_text(encoding="ascii") == "# no edges\n"
+    back = convert(open_edge_file(text.path, num_nodes=5), str(tmp_path / "b.grpe"), "binary")
+    assert Path(back.path).read_bytes() == Path(empty.path).read_bytes()
+    assert (back.meta.num_nodes, back.meta.num_edges) == (5, 0)
 
 
 def test_binary_text_binary_round_trip(tmp_path):
@@ -425,7 +456,7 @@ import resource, sys
 import numpy as np
 from streamcut import cli, open_edge_file, write_buckets, write_labels
 
-labels_path, store_path, edges_path, ref, curve, plan, wide_plan, comm = sys.argv[1:]
+labels_path, store_path, edges_path, ref, wide_ref, curve, plan, wide_plan, comm = sys.argv[1:]
 efile = open_edge_file(edges_path)
 resource.setrlimit(resource.RLIMIT_FSIZE, (1000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
 writes = {
@@ -442,7 +473,7 @@ commands = {
     "predict": ["predict", edges_path, ref, "--out", curve,
                 "--xs", ",".join(str(i / 100) for i in range(1, 41))],
     "plan": ["plan", plan, "--parts", "400", "--workers", "2"],
-    "comm-estimate": ["comm-estimate", edges_path, ref, wide_plan, "--out", comm,
+    "comm-estimate": ["comm-estimate", edges_path, wide_ref, wide_plan, "--out", comm,
                       "--num-seeds", "8", "--rng-seed", "1"],
 }
 for name, argv in commands.items():
@@ -456,19 +487,21 @@ def test_short_writes_raise_and_keep_the_earlier_outputs(tmp_path):
     labels_path, store_path = str(tmp_path / "l.grpl"), str(tmp_path / "b.grpb")
     write_labels(labels_path, np.zeros(500, dtype=np.int64), num_parts=2)
     write_buckets(efile, np.arange(50) % 8 // 2, store_path, 8)
-    ref, curve, plan, wide_plan, comm = (str(tmp_path / name) for name in (
-        "ref.grpl", "curve.csv", "plan.txt", "wide_plan.txt", "comm.csv"))
+    ref, wide_ref, curve, plan, wide_plan, comm = (str(tmp_path / name) for name in (
+        "ref.grpl", "wide_ref.grpl", "curve.csv", "plan.txt", "wide_plan.txt", "comm.csv"))
     write_labels(ref, np.arange(50) % 2, num_parts=2)
+    write_labels(wide_ref, np.arange(50) % 2, num_parts=200)  # the wide plan's part count
     for argv in (["predict", efile.path, ref, "--out", curve],
                  ["plan", plan, "--parts", "2", "--workers", "2"],
                  ["plan", wide_plan, "--parts", "200", "--workers", "200"],
-                 ["comm-estimate", efile.path, ref, wide_plan, "--out", comm, "--num-seeds", "8"]):
+                 ["comm-estimate", efile.path, wide_ref, wide_plan, "--out", comm,
+                  "--num-seeds", "8"]):
         assert streamcut.cli.main(argv) == 0
     before = dir_bytes(tmp_path)
     path = [str(Path(streamcut.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     child = subprocess.run([sys.executable, "-c", _SHORT_WRITE_CHILD, labels_path, store_path,
-                            efile.path, ref, curve, plan, wide_plan, comm],
+                            efile.path, ref, wide_ref, curve, plan, wide_plan, comm],
                            capture_output=True, text=True, env=env, timeout=120)
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines() == ["labels raised OSError", "buckets raised OSError",

@@ -12,7 +12,6 @@ from streamcut import (
     FormatError,
     GremConfig,
     PartitionState,
-    SeedConfig,
     bisect,
     count_cuts,
     external_shuffle,
@@ -36,12 +35,12 @@ from helpers import (
 from reference_interp import count_node_neighbors, run_fixed_greedy, run_reference
 
 
-def library_seed_fn(num_nodes, capacity, seed_cfg=None):
+def library_seed_fn(num_nodes, capacity):
     """Adapter so the reference interpreter uses the library's seed labels."""
 
     def seed(c_edges):
         chunk = EdgeChunk(0, np.asarray(c_edges, dtype=np.int64))
-        labels = seed_bisect(chunk, seed_cfg or SeedConfig(), capacity)
+        labels = seed_bisect(chunk, capacity)
         return dict(zip(chunk.nodes.tolist(), (int(x) for x in labels)))
 
     return seed
@@ -395,7 +394,7 @@ def test_decay_two_weighted_average(tmp_path, monkeypatch):
         per_chunk_counts = []
         for chunk in stream_chunks(efile, plan):
             if chunk.chunk_index == 0:
-                _seed_chunk(state, chunk, config.seed)
+                _seed_chunk(state, chunk)
             else:
                 before = count_node_neighbors(0, chunk.edges.tolist(), state.parts)
                 process_chunk(state, chunk, config)

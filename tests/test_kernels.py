@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from streamcut import EdgeChunk, GremConfig, PartitionState, SeedConfig, _kernels, grem, model
+from streamcut import EdgeChunk, GremConfig, PartitionState, _kernels, grem, model
 from streamcut import placement, seed
 
 from helpers import make_edge_file
@@ -141,7 +141,7 @@ def _bad_kernel_calls(tmp_path, monkeypatch):
         return lambda: grem.process_chunk(state(**swap), chunk, GremConfig())
 
     def seed_counts(**swap):
-        return lambda: grem._seed_chunk(state(**swap), chunk, SeedConfig())
+        return lambda: grem._seed_chunk(state(**swap), chunk)
 
     def bfs_grow(**swap):
         arrays = {"starts": starts, "ends": ends, "nbrs": nbrs, **swap}

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from itertools import combinations
 from math import ceil
 
@@ -6,11 +7,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streamcut import (CapacityError, EdgeChunk, PartitionState, SeedConfig, _kernels, generate,
-                       grem, seed_bisect)
+from streamcut import (CapacityError, EdgeChunk, PartitionState, _kernels, generate, grem, seed,
+                       seed_bisect)
 from streamcut.synth import CliqueUnionSpec, PathSpec
 
 from helpers import PROPERTY_SETTINGS, each_kernel
+
+
+@contextmanager
+def refinement_passes(passes):
+    """Seeds run ``passes`` refinement passes in place of ``seed.REFINEMENT_PASSES``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seed, "REFINEMENT_PASSES", passes)
+        yield
+
+
+def seed_with_passes(chunk, passes, capacity):
+    with refinement_passes(passes):
+        return seed_bisect(chunk, capacity)
+
 
 def brute_min_balanced_cut(edges, nodes):
     """Minimum cut over all bipartitions with sizes differing by at most one."""
@@ -40,7 +55,7 @@ def test_two_cliques_with_bridge(monkeypatch):
     optimum = brute_min_balanced_cut(edges.tolist(), chunk.nodes.tolist())
     assert optimum == 1
     for kernel in each_kernel(monkeypatch):
-        labels = seed_bisect(chunk, SeedConfig(), capacity=4)
+        labels = seed_bisect(chunk, capacity=4)
         by_node = dict(zip(chunk.nodes.tolist(), labels.tolist()))
         assert _chunk_cut(chunk, by_node) == optimum, kernel
         # each clique on its own side
@@ -53,7 +68,7 @@ def test_path_graph_split(monkeypatch):
     chunk = EdgeChunk(0, edges)
     assert brute_min_balanced_cut(edges.tolist(), [0, 1, 2, 3]) == 1
     for kernel in each_kernel(monkeypatch):
-        labels = seed_bisect(chunk, SeedConfig(), capacity=2)
+        labels = seed_bisect(chunk, capacity=2)
         by_node = dict(zip(chunk.nodes.tolist(), labels.tolist()))
         assert _chunk_cut(chunk, by_node) == 1, kernel
         assert by_node[0] == by_node[1] and by_node[2] == by_node[3], kernel
@@ -70,7 +85,7 @@ def test_refinement_never_increases_chunk_cut(monkeypatch):
             capacity = ceil(len(chunk.nodes) / 2) + 2  # a little refinement headroom
             cuts = []
             for passes in (0, 1, 2, 3):
-                labels = seed_bisect(chunk, SeedConfig(refinement_passes=passes), capacity)
+                labels = seed_with_passes(chunk, passes, capacity)
                 by_node = dict(zip(chunk.nodes.tolist(), labels.tolist()))
                 cuts.append(_chunk_cut(chunk, by_node))
                 sizes = np.bincount(labels, minlength=2)
@@ -84,15 +99,15 @@ def test_determinism_on_contents_only(monkeypatch):
     rng = np.random.default_rng(3)
     edges = rng.integers(0, 15, size=(60, 2)).astype(np.int64)
     for kernel in each_kernel(monkeypatch):
-        a = seed_bisect(EdgeChunk(0, edges), SeedConfig(), capacity=10)
-        b = seed_bisect(EdgeChunk(5, edges.copy()), SeedConfig(), capacity=10)
+        a = seed_bisect(EdgeChunk(0, edges), capacity=10)
+        b = seed_bisect(EdgeChunk(5, edges.copy()), capacity=10)
         assert np.array_equal(a, b), kernel
 
 
 def test_capacity_infeasible():
     edges, _ = generate(CliqueUnionSpec(2, 4, bridges=1))
     with pytest.raises(CapacityError):
-        seed_bisect(EdgeChunk(0, edges), SeedConfig(), capacity=3)
+        seed_bisect(EdgeChunk(0, edges), capacity=3)
 
 
 def test_both_sides_within_capacity(monkeypatch):
@@ -103,7 +118,7 @@ def test_both_sides_within_capacity(monkeypatch):
             edges = rng.integers(0, n, size=(40, 2)).astype(np.int64)
             chunk = EdgeChunk(0, edges)
             cap = ceil(len(chunk.nodes) / 2)
-            labels = seed_bisect(chunk, SeedConfig(), cap)
+            labels = seed_bisect(chunk, cap)
             sizes = np.bincount(labels, minlength=2)
             assert sizes.max() <= cap, kernel
 
@@ -183,7 +198,7 @@ def test_bfs_restarts_match_full_scan_rule_on_many_components(monkeypatch):
             chunk = EdgeChunk(0, edges)
             capacity = ceil(len(chunk.nodes) / 2) + int(rng.integers(0, 3))
             for passes in (0, 2):
-                labels = seed_bisect(chunk, SeedConfig(refinement_passes=passes), capacity)
+                labels = seed_with_passes(chunk, passes, capacity)
                 expected = _scan_restart_bfs_grow(edges, passes, capacity)
                 assert dict(zip(chunk.nodes.tolist(), labels.tolist())) == expected, (kernel, trial)
 
@@ -201,7 +216,7 @@ def test_bfs_grow_matches_full_scan_rule_property(monkeypatch, kernel, edges, he
     edges = np.asarray(edges, dtype=np.int64)
     chunk = EdgeChunk(0, edges)
     capacity = ceil(len(chunk.nodes) / 2) + headroom
-    labels = seed_bisect(chunk, SeedConfig(refinement_passes=passes), capacity)
+    labels = seed_with_passes(chunk, passes, capacity)
     expected = _scan_restart_bfs_grow(edges, passes, capacity)
     assert dict(zip(chunk.nodes.tolist(), labels.tolist())) == expected
 
@@ -210,7 +225,8 @@ def _seeded_state(edges, num_nodes, headroom, passes):
     """The state ``grem._seed_chunk`` leaves after seeding a fresh bisection on ``edges``."""
     chunk = EdgeChunk(0, edges)
     state = PartitionState(num_nodes, ceil(len(chunk.nodes) / 2) + headroom)
-    grem._seed_chunk(state, chunk, SeedConfig(refinement_passes=passes))
+    with refinement_passes(passes):
+        grem._seed_chunk(state, chunk)
     return state
 
 
@@ -254,5 +270,5 @@ def test_sparse_ids_seed_as_their_dense_ranks(monkeypatch):
             dense = EdgeChunk(0, edges)
             sparse = EdgeChunk(0, ids[edges])
             cap = ceil(len(dense.nodes) / 2) + 1
-            assert np.array_equal(seed_bisect(dense, SeedConfig(), cap),
-                                  seed_bisect(sparse, SeedConfig(), cap)), kernel
+            assert np.array_equal(seed_bisect(dense, cap),
+                                  seed_bisect(sparse, cap)), kernel
