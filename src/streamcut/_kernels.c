@@ -42,52 +42,80 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* grem.assign; returns -1 where the Python rule raises CapacityError. */
-static int assign(double c0, double c1, const int64_t *sizes, int64_t cap)
+/* *p, or +0.0 where keep is 0; keep is all ones or all zeros. */
+static inline double kept(const double *p, uint64_t keep)
 {
-    if (c0 < c1 && sizes[1] < cap)
-        return 1;
-    if (c1 < c0 && sizes[0] < cap)
-        return 0;
-    if (sizes[0] <= sizes[1])
-        return sizes[0] >= cap ? -1 : 0;
-    return sizes[1] >= cap ? -1 : 1;
+    uint64_t bits;
+    double out;
+    memcpy(&bits, p, sizeof bits);
+    bits &= keep;
+    memcpy(&out, &bits, sizeof out);
+    return out;
 }
 
 /* Sweeps one chunk's adjacency index in place over parts/nbr0/nbr1/sizes.
  * Returns -1, or the position in `nodes` of the node no partition could
- * take (sizes already has that node lifted out, as in the Python loop). */
+ * take (sizes already has that node lifted out, as in the Python loop).
+ *
+ * The decision is grem.assign, computed without branches: which side a
+ * re-placed node takes is data-dependent and unpredictable (about a fifth
+ * of the visits move a node on sbm2-c1), so a branching rule pays a
+ * misprediction on many nodes.  Each condition is a 0/1 value, and a new
+ * node's stored estimate is masked to +0.0, so that the averaging step
+ * gives its fresh count exactly.  The per-node branches left are the loop
+ * branches, the skip of a placed node when `refine` is off (tested first,
+ * so it is loop-invariant when refinement is on), and the exit taken when
+ * the chosen side is full.  That side is full only when both are: a greedy
+ * side is taken only with room, and the smaller side is full only if the
+ * larger is too.  Both sides full means the size accounting is broken.
+ * The exit tests it as one sign bit: written as two comparisons, the
+ * compiler splits it into two branches.  The sizes live in locals: a
+ * store through the int8_t `parts` may alias any object, so the compiler
+ * would reload them after every label written. */
 int64_t sweep(int64_t num, const int64_t *nodes, const int64_t *starts,
               const int64_t *ends, const int64_t *nbrs, int8_t *parts,
               double *nbr0, double *nbr1, int64_t *sizes, int64_t cap,
               int32_t refine)
 {
+    static const double scale[2] = {1.0, 0.5};
+    int64_t s0 = sizes[0], s1 = sizes[1], failed = -1;
+    uint64_t fixed = refine == 0;
     for (int64_t i = 0; i < num; i++) {
         int64_t n = nodes[i];
         int old = parts[n];
-        if (old != -1 && !refine)
+        uint64_t placed = old != -1;
+        if (fixed & placed)
             continue;
         int64_t n0 = 0, n1 = 0;
-        for (int64_t j = starts[i]; j < ends[i]; j++) {
+        for (int64_t j = starts[i], end = ends[i]; j < end; j++) {
             int pw = parts[nbrs[j]];
             n0 += pw == 0;
             n1 += pw == 1;
         }
-        double c0 = (double)n0, c1 = (double)n1;
-        if (old != -1) {
-            c0 = (nbr0[n] + c0) * 0.5;
-            c1 = (nbr1[n] + c1) * 0.5;
-            sizes[old] -= 1;
+        /* (stored + fresh) * 0.5 for a placed node, (+0.0 + fresh) * 1.0 for a new one */
+        uint64_t keep = (uint64_t)0 - placed;
+        double c0 = (kept(nbr0 + n, keep) + (double)n0) * scale[placed];
+        double c1 = (kept(nbr1 + n, keep) + (double)n1) * scale[placed];
+        s0 -= old == 0;
+        s1 -= old == 1;
+        int64_t room0 = s0 < cap, room1 = s1 < cap;
+        /* majority side 1 with room, else majority side 0 with room (the
+         * two exclude each other), else the smaller side, 0 on a tie */
+        int64_t to1 = (c0 < c1) & room1, to0 = (c1 < c0) & room0;
+        int64_t b = to1 | ((to0 ^ 1) & (s1 < s0));
+        if (((cap - 1 - s0) & (cap - 1 - s1)) < 0) { /* both signs set: both full */
+            failed = i;
+            break;
         }
-        int b = assign(c0, c1, sizes, cap);
-        if (b < 0)
-            return i;
-        sizes[b] += 1;
+        s0 += b ^ 1;
+        s1 += b;
         parts[n] = (int8_t)b;
         nbr0[n] = c0;
         nbr1[n] = c1;
     }
-    return -1;
+    sizes[0] = s0;
+    sizes[1] = s1;
+    return failed;
 }
 
 /* Restart order of bfs_grow: chunk positions by degree, highest first,

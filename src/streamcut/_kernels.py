@@ -9,7 +9,10 @@ never load a half-written library; a successful build removes every other
 
 The kernels, named in ``KERNELS``, each replace one Python loop:
 
-* ``sweep`` -- the greedy chunk sweep of ``grem.process_chunk``;
+* ``sweep`` -- the greedy chunk sweep of ``grem.process_chunk``, its
+  decision (``grem.assign``) computed without branches, since which side a
+  re-placed node takes is unpredictable; it branches only to leave when no
+  side can take a node;
 * ``bfs_grow`` -- the BFS-grow seed, its restart order (a counting sort on
   degree) and its refinement, ``seed._bfs_grow``;
 * ``seed_counts`` -- the neighbour estimates of the seeded chunk nodes,

@@ -3,7 +3,9 @@
 Two on-disk edge formats are supported:
 
 * text: one ``src dst`` pair per line, ASCII decimal, ``#`` comment lines
-  ignored; never zero bytes (a graph with no edges is one comment line).
+  ignored, except a first line ``# nodes N``, which declares num_nodes N;
+  ``convert`` always writes it, so its files are never zero bytes.  Without
+  it num_nodes is inferred as the largest id + 1.
 * binary: little-endian, header = magic ``GRPE``, version u32=1, flags u32
   (bit 0: 64-bit ids), num_nodes u64, num_edges u64; payload = num_edges
   (src, dst) pairs of u32 or u64 each.
@@ -16,6 +18,7 @@ meaning unassigned.
 from __future__ import annotations
 
 import os
+import re
 import struct
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -38,6 +41,7 @@ BINARY = "binary"
 _EDGE_HEADER = struct.Struct("<4sIIQQ")
 _LABELS_HEADER = struct.Struct("<4sIQI")
 _UNASSIGNED_U32 = 0xFFFFFFFF
+_NODES_LINE = re.compile(r"# nodes (\d+)")
 
 IO_BLOCK = 64 * 1024  # minimum sensible I/O granularity in bytes
 _MAX_SCATTER_BUCKETS = 4096
@@ -205,12 +209,27 @@ def _parse_text_line(line: str, lineno: int, path: str) -> tuple[int, int] | Non
     return u, v
 
 
-def _scan_text(path: str) -> tuple[int, int]:
-    """Returns (num_edges, max_id) of a text edge file; max_id is -1 if empty."""
+def _declared_nodes(line: str, path: str) -> int | None:
+    """num_nodes N of a first line ``# nodes N``; None for any other line."""
+    match = _NODES_LINE.fullmatch(line.strip())
+    if match is None:
+        return None
+    declared = int(match.group(1))
+    if declared > 2**64 - 1:  # must fit a binary header's u64
+        raise FormatError(f"{path}:1: num_nodes {declared} > 2**64 - 1")
+    return declared
+
+
+def _scan_text(path: str) -> tuple[int, int, int | None]:
+    """Returns (num_edges, max_id, declared num_nodes) of a text edge file;
+    max_id is -1 if it has no edges, the declaration None without one."""
     count = 0
     max_id = -1
+    declared = None
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
+            if lineno == 1:
+                declared = _declared_nodes(line, path)
             pair = _parse_text_line(line, lineno, path)
             if pair is None:
                 continue
@@ -219,16 +238,18 @@ def _scan_text(path: str) -> tuple[int, int]:
                 max_id = pair[0]
             if pair[1] > max_id:
                 max_id = pair[1]
-    return count, max_id
+    return count, max_id, declared
 
 
 def open_edge_file(path: str, num_nodes: int | None = None) -> EdgeFile:
     """Opens an edge file, sniffing the format and validating metadata.
 
-    For text files the file is scanned once; num_nodes is inferred as
-    max id + 1 when not given.  A file of zero bytes is a FormatError: it is
-    what a binary file cut short by a power loss may become, and no text file
-    streamcut writes is empty.
+    For text files the file is scanned once.  num_nodes is the file's own
+    ``# nodes N`` line when it has one (a ``num_nodes`` that disagrees is a
+    FormatError), else the given ``num_nodes``, else the largest id + 1;
+    an id at or above it is a FormatError.  A file of zero bytes is a
+    FormatError: it is what a binary file cut short by a power loss may
+    become, and no text file streamcut writes is empty.
     """
     with open(path, "rb") as fh:
         head = fh.read(4)
@@ -241,7 +262,12 @@ def open_edge_file(path: str, num_nodes: int | None = None) -> EdgeFile:
                 f"{path}: num_nodes {meta.num_nodes} in header != requested {num_nodes}"
             )
         return EdgeFile(path, meta, BINARY)
-    num_edges, max_id = _scan_text(path)
+    num_edges, max_id, declared = _scan_text(path)
+    if declared is not None:
+        if num_nodes is not None and num_nodes != declared:
+            raise FormatError(f"{path}: num_nodes {declared} in its '# nodes' line != "
+                              f"requested {num_nodes}")
+        num_nodes = declared
     if num_nodes is None:
         num_nodes = max_id + 1 if max_id >= 0 else 1
     elif max_id >= num_nodes:
@@ -319,7 +345,8 @@ def convert(
     efile: EdgeFile, out_path: str, out_format: str, num_nodes: int | None = None
 ) -> EdgeFile:
     """Rewrites the edge sequence in the requested format, order preserved, under a
-    temporary name renamed into place when complete, so a failure leaves nothing behind."""
+    temporary name renamed into place when complete, so a failure leaves nothing behind.
+    A text output declares its num_nodes in a first line ``# nodes N``."""
     if out_format not in (TEXT, BINARY):
         raise FormatError(f"unknown edge format {out_format!r}")
     num_nodes = num_nodes or efile.meta.num_nodes
@@ -329,8 +356,7 @@ def convert(
                 writer.write(block)
         return open_edge_file(out_path)
     with _replacing(out_path) as (tmp_path,), open(tmp_path, "w", encoding="ascii") as fh:
-        if efile.meta.num_edges == 0:  # a zero-byte file would not open
-            fh.write("# no edges\n")
+        fh.write(f"# nodes {num_nodes}\n")
         for block in iter_edge_blocks(efile):
             _check_ids(block, num_nodes, out_path)
             fh.writelines(f"{u} {v}\n" for u, v in block.tolist())
@@ -659,8 +685,11 @@ def _check_labels(num_nodes: int, labels, num_parts: int | None = None) -> tuple
     FormatError unless ``labels`` is a 1-d array of one integer (or bool)
     label per node, each below p, and p fits a label file (at most
     0xFFFFFFFF).  p is the declared ``num_parts``, or the largest label + 1;
-    with nothing assigned it is 1.  Negative labels mean unassigned and
-    become 0xFFFFFFFF, which every edge pass rejects.
+    with nothing assigned it is 1.  An inferred p is at most the node count:
+    the passes size per-partition arrays by p, so one stray large label
+    would cost memory in proportion to its value.  More parts than nodes
+    must be declared.  Negative labels mean unassigned and become
+    0xFFFFFFFF, which every edge pass rejects.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.dtype.kind not in "biu":
@@ -675,6 +704,9 @@ def _check_labels(num_nodes: int, labels, num_parts: int | None = None) -> tuple
     if p > _UNASSIGNED_U32:
         raise FormatError(f"{p} parts do not fit a label file: its labels are u32 "
                           f"below {_UNASSIGNED_U32:#x}")
+    if num_parts is None and top >= num_nodes:
+        raise FormatError(f"label {top} >= {num_nodes} nodes; declare num_parts for more "
+                          f"parts than nodes")
     narrow = labels.astype(np.uint32)
     narrow[labels < 0] = _UNASSIGNED_U32
     return narrow, max(p, 1)

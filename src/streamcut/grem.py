@@ -15,13 +15,18 @@ classic fixed-assignment streaming baseline.
 
 During re-placement the node's own count is lifted out of ``sizes`` before
 the greedy rule runs, so the capacity bound is never violated even when both
-partitions are exactly full.
+partitions are exactly full.  The per-node decision is the inner loop of the
+algorithm, and on re-streamed chunks it is unpredictable, so the compiled
+sweep (``_kernels.sweep``) computes it without branches; ``assign`` and the
+Python loop in ``process_chunk`` are its reference.
 
 ``partition`` drives p-way partitioning (p a power of two) by recursive
 bisection over induced subgraph files: after each bisection one pass per
 side (``_extract_induced``) writes the edges with both endpoints on that
 side, relabelled to dense ids.  Its report adds up the bisections' own cut
-counts rather than re-reading the original file.
+counts rather than re-reading the original file.  Only a leaf bisection
+runs a cut-count pass; a bisection that is split again cuts the edges that
+neither extraction keeps.
 """
 
 from __future__ import annotations
@@ -210,8 +215,22 @@ def bisect(
 
     Nodes never seen in any chunk (isolated nodes) are appended round-robin
     to the smaller partition after streaming.  ``on_chunk(state)`` runs after
-    every chunk, for instrumentation.
+    every chunk, for instrumentation.  The report costs one more pass over
+    the file, ``count_cuts``.
     """
+    labels = _bisect_labels(efile, config, capacity=capacity, meter=meter, on_chunk=on_chunk)
+    return labels, count_cuts(efile, labels)
+
+
+def _bisect_labels(
+    efile: EdgeFile,
+    config: GremConfig,
+    *,
+    capacity: int | None = None,
+    meter: ResidencyMeter | None = None,
+    on_chunk=None,
+) -> np.ndarray:
+    """The {0,1} labels of ``bisect``, without its cut-count pass."""
     meta = efile.meta
     num_nodes = meta.num_nodes
     cap = capacity if capacity is not None else default_capacity(num_nodes, config.capacity_slack)
@@ -228,15 +247,14 @@ def bisect(
             if on_chunk is not None:
                 on_chunk(state)
     _fill_unassigned(state)
-    labels = state.labels_array()
-    return labels, count_cuts(efile, labels)
+    return state.labels_array()
 
 
 def count_cuts(efile: EdgeFile, labels: np.ndarray, num_parts: int | None = None) -> CutReport:
     """Single streaming pass counting edges whose endpoints carry different labels.
 
     Sizes and balance are over ``num_parts`` partitions, or over the largest
-    label + 1 when it is not given.
+    label + 1, at most the node count, when it is not given.
     """
     labels, p = _check_labels(efile.meta.num_nodes, labels, num_parts)
     return _report(efile, labels, p, _cut_pass(efile, labels, p))
@@ -297,7 +315,11 @@ def partition(
     report charges cuts against the original edge file: its cut is the sum of
     the bisections' cuts, since each final cut edge is cut by exactly one
     bisection, the first to separate its endpoints, and extraction drops
-    exactly those edges from deeper files.
+    exactly those edges from deeper files.  A leaf bisection counts its cut
+    with ``count_cuts``; a bisection that is split again takes it from the
+    two extraction passes, which see every edge anyway: with every node
+    labelled, an edge is either kept by one side or cut, so the cut is the
+    file's edges less the edges both sides keep.
     """
     if p < 2 or (p & (p - 1)) != 0:
         raise FormatError(f"number of parts must be a power of two >= 2, got {p}")
@@ -311,12 +333,14 @@ def partition(
     def recurse(file: EdgeFile, orig_ids: np.ndarray, p_level: int, level: int, leaf_base: int):
         nonlocal cut
         cap = ceil((1.0 + config.capacity_slack) * total_nodes / 2 ** (level + 1))
-        labels, report = bisect(file, config, capacity=cap, meter=meter)
-        cut += report.cut_edges
         if p_level == 2:
+            labels, report = bisect(file, config, capacity=cap, meter=meter)
+            cut += report.cut_edges
             final[orig_ids[labels == 0]] = leaf_base
             final[orig_ids[labels == 1]] = leaf_base + 1
             return
+        labels = _bisect_labels(file, config, capacity=cap, meter=meter)
+        cut += file.meta.num_edges  # less each side's kept edges, below
         for side in (0, 1):
             members = np.flatnonzero(labels == side)
             base = leaf_base + side * (p_level // 2)
@@ -325,6 +349,7 @@ def partition(
             sub_path = os.path.join(workdir, f"bisect_l{level + 1}_b{base}.grpe")
             try:
                 sub_file = _extract_induced(file, labels, side, members, sub_path)
+                cut -= sub_file.meta.num_edges
                 recurse(sub_file, orig_ids[members], p_level // 2, level + 1, base)
             finally:
                 _remove_if_present(sub_path)

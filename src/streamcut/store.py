@@ -72,8 +72,9 @@ def write_buckets(
     of each bucket with one ``os.pwrite`` at the bucket's running offset.
     Within a bucket, input edge order is preserved.  The store has
     ``num_parts`` x ``num_parts`` buckets; without it, p is the largest
-    label + 1.  The store and its ``.idx`` are written under temporary names
-    and renamed into place once both are complete.
+    label + 1, at most the node count.  The store and its ``.idx`` are
+    written under temporary names and renamed into place once both are
+    complete.
     """
     labels, p = _check_labels(efile.meta.num_nodes, labels, num_parts)  # read by both passes
     width = efile.meta.node_id_width
@@ -269,9 +270,9 @@ def reorder_features(
 
     Within a partition the original ascending node-id order is kept.  The
     layout is also saved next to the output as ``<out>.layout``, with one
-    extent per partition: ``num_parts`` of them, or the largest label + 1.
-    Both files are written under temporary names and renamed into place once
-    both are complete.
+    extent per partition: ``num_parts`` of them, or the largest label + 1,
+    at most the node count.  Both files are written under temporary names
+    and renamed into place once both are complete.
     """
     if record_width < 1:
         raise FormatError("record_width must be >= 1")

@@ -1,5 +1,5 @@
-/* Runs pack_keys, split_keys, adjacency_tail, sweep and seed_counts of
- * src/streamcut/_kernels.c on edge cases, the edge passes label_pass,
+/* Runs pack_keys, split_keys, adjacency_tail, sweep (its capacity exit too)
+ * and seed_counts of src/streamcut/_kernels.c on edge cases, the edge passes label_pass,
  * extract_rows, scatter_rows and endpoint_counts on rows whose ids reach
  * num_nodes - 1, and curve_point on small (k, k0) pairs, with every buffer
  * allocated at exactly the size the Python callers give it
@@ -187,6 +187,25 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         /* a second, refining sweep over the placed nodes */
         CHECK(sweep(runs, c_nodes, starts, ends, nbrs, parts, nbr0, nbr1, sizes, cap, 1) == -1,
               name);
+        /* the capacity exit, as process_chunk's CapacityError: with both
+         * sides claimed full even once it is lifted out of its old side,
+         * the first node fails, lifted out, with its label and estimates
+         * left as they were */
+        int first = parts[c_nodes[0]];
+        double est0 = nbr0[c_nodes[0]], est1 = nbr1[c_nodes[0]];
+        sizes[0] = sizes[1] = cap + 1;
+        CHECK(sweep(runs, c_nodes, starts, ends, nbrs, parts, nbr0, nbr1, sizes, cap, 1) == 0,
+              name);
+        CHECK(sizes[first] == cap && sizes[1 - first] == cap + 1, name);
+        CHECK(parts[c_nodes[0]] == first, name);
+        CHECK(nbr0[c_nodes[0]] == est0 && nbr1[c_nodes[0]] == est1, name);
+        /* and a fresh node, with refinement off */
+        parts[c_nodes[0]] = -1;
+        sizes[0] = sizes[1] = cap;
+        CHECK(sweep(runs, c_nodes, starts, ends, nbrs, parts, nbr0, nbr1, sizes, cap, 0) == 0,
+              name);
+        CHECK(sizes[0] == cap && sizes[1] == cap && parts[c_nodes[0]] == -1, name);
+        parts[c_nodes[0]] = (int8_t)first;
         seed_counts(runs, c_nodes, starts, ends, nbrs, parts, nbr0, nbr1);
         for (int64_t r = 0; r < runs; r++)
             CHECK(nbr0[c_nodes[r]] + nbr1[c_nodes[r]] == (double)(ends[r] - starts[r]), name);

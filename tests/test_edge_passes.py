@@ -530,8 +530,11 @@ def test_a_label_outside_the_pass_range_is_never_narrowed_into_it(tmp_path, monk
 def test_check_labels_narrows_to_u32_or_refuses():
     out = 0xFFFFFFFF
     labels = np.array([0, 1, 2, -1, -2**63, 0xFFFFFFFE])
-    narrow, p = edgefile._check_labels(6, labels)
+    narrow, p = edgefile._check_labels(6, labels, 0xFFFFFFFF)
     assert narrow.dtype == np.uint32 and p == 0xFFFFFFFF  # the largest label the file holds
+    # an inferred p is at most the node count: more parts than nodes are declared
+    with pytest.raises(FormatError, match=f"^label {0xFFFFFFFE} >= 6 nodes; declare num_parts"):
+        edgefile._check_labels(6, labels)
     assert narrow.tolist() == [0, 1, 2, out, out, 0xFFFFFFFE]
     narrow, p = edgefile._check_labels(4, labels[:4], 7)  # a declared p is kept
     assert narrow.tolist() == [0, 1, 2, out] and p == 7
@@ -555,8 +558,8 @@ def test_check_labels_narrows_to_u32_or_refuses():
     assert narrow.tolist() == [0, 1, out, 1, 0, out] and p == 2
     narrow, p = edgefile._check_labels(3, np.array([True, False, True]))
     assert narrow.tolist() == [1, 0, 1] and p == 2
-    narrow, p = edgefile._check_labels(2, np.array([3, 0], dtype=np.uint8))
-    assert narrow.tolist() == [3, 0] and p == 4
+    narrow, p = edgefile._check_labels(4, np.array([3, 0, 0, 0], dtype=np.uint8))
+    assert narrow.tolist() == [3, 0, 0, 0] and p == 4
     narrow, p = edgefile._check_labels(3, [-1, -1, -1])  # nothing assigned: one part
     assert narrow.tolist() == [out] * 3 and p == 1
     with pytest.raises(FormatError, match="^labels cover 9 nodes, file has 10$"):
@@ -565,6 +568,33 @@ def test_check_labels_narrows_to_u32_or_refuses():
                 np.array([0, 2**64, 1], dtype=object), np.array(["0", "1", "0"])):
         with pytest.raises(FormatError, match="^labels must be a 1-d integer array"):
             edgefile._check_labels(3, odd)
+
+
+def test_a_stray_large_label_is_a_format_error(tmp_path, monkeypatch):
+    # p inferred from one large label on a node no edge touches would size the
+    # per-partition arrays by its value (a label of 2**20 once asked
+    # write_buckets for 8 TiB): each entry point refuses it before any pass,
+    # and leaves no file
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2], [2, 0], [3, 4]], 10)
+    feats = tmp_path / "f.bin"
+    feats.write_bytes(bytes(range(40)))
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    for kernel in each_kernel(monkeypatch):
+        for big in (2**20, 2**22):
+            labels = np.array([0, 0, 0, 1, 1, 0, 1, 0, 1, big])
+            runs = {
+                "count_cuts": lambda: count_cuts(efile, labels),
+                "write_buckets": lambda: write_buckets(efile, labels, str(tmp_path / "b.grpb")),
+                "reorder_features": lambda: reorder_features(str(feats), labels, 4,
+                                                             str(tmp_path / "o.bin")),
+                "write_labels": lambda: write_labels(str(tmp_path / "l.grpl"), labels),
+            }
+            for name, run in runs.items():
+                with pytest.raises(FormatError, match=f"^label {big} >= 10 nodes; declare"):
+                    run()
+                assert sorted(p.name for p in tmp_path.iterdir()) == inputs, (kernel, name)
+        # declared, the same labels are taken as they are
+        assert count_cuts(efile, labels, 2**22 + 1).partition_sizes[2**22] == 1, kernel
 
 
 def test_endpoint_counters_fold_without_changing_a_count(tmp_path, monkeypatch):

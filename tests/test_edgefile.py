@@ -42,7 +42,7 @@ def test_convert_text_to_binary(tmp_path):
     out = convert(efile, str(tmp_path / "g.grpe"), "binary")
     assert out.meta.num_nodes == 3 and out.meta.num_edges == 2
     back = convert(out, str(tmp_path / "back.txt"), "text")
-    assert (tmp_path / "back.txt").read_text() == "0 1\n1 2\n"
+    assert (tmp_path / "back.txt").read_text() == "# nodes 3\n0 1\n1 2\n"
 
 
 def test_convert_infers_num_nodes(tmp_path):
@@ -99,10 +99,36 @@ def test_an_empty_graph_round_trips_through_text(tmp_path):
     # no edges: the text file is one comment line, never zero bytes
     empty = make_edge_file(tmp_path / "e.grpe", np.empty((0, 2), dtype=np.int64), 5)
     text = convert(empty, str(tmp_path / "e.txt"), "text")
-    assert Path(text.path).read_text(encoding="ascii") == "# no edges\n"
+    assert Path(text.path).read_text(encoding="ascii") == "# nodes 5\n"
     back = convert(open_edge_file(text.path, num_nodes=5), str(tmp_path / "b.grpe"), "binary")
     assert Path(back.path).read_bytes() == Path(empty.path).read_bytes()
     assert (back.meta.num_nodes, back.meta.num_edges) == (5, 0)
+
+
+def test_text_edge_files_keep_their_node_count(tmp_path):
+    # a 10-node graph whose largest id is 5 reopens with 10 nodes, not 6
+    first = make_edge_file(tmp_path / "a.grpe", [[0, 5], [5, 3], [2, 2]], 10)
+    text = convert(first, str(tmp_path / "a.txt"), "text")
+    assert Path(text.path).read_text(encoding="ascii") == "# nodes 10\n0 5\n5 3\n2 2\n"
+    assert open_edge_file(text.path).meta == text.meta == first.meta
+    assert open_edge_file(text.path, num_nodes=10).meta.num_nodes == 10
+    back = convert(open_edge_file(text.path), str(tmp_path / "b.grpe"), "binary")
+    assert Path(back.path).read_bytes() == Path(first.path).read_bytes()
+    # a requested count that disagrees with the line is refused, as with a binary header
+    for other in (6, 11):
+        with pytest.raises(FormatError, match=f"num_nodes 10 in its '# nodes' line != "
+                                              f"requested {other}"):
+            open_edge_file(text.path, num_nodes=other)
+    src = tmp_path / "g.txt"
+    src.write_text("# nodes 4\n0 1\n4 2\n")  # an id at or above the declared count
+    with pytest.raises(FormatError, match="edge endpoint 4 >= num_nodes 4"):
+        open_edge_file(str(src))
+    src.write_text(f"# nodes {2**64}\n0 1\n")
+    with pytest.raises(FormatError, match=r"g.txt:1: num_nodes 18446744073709551616 > 2\*\*64"):
+        open_edge_file(str(src))
+    # only a first line declares; elsewhere it is a comment, and the count is inferred
+    src.write_text("0 1\n# nodes 40\n")
+    assert open_edge_file(str(src)).meta.num_nodes == 2
 
 
 def test_binary_text_binary_round_trip(tmp_path):
@@ -600,7 +626,7 @@ def test_labels_round_trip(tmp_path):
 
 def test_part_counts_the_label_file_cannot_hold_are_format_errors(tmp_path):
     path = str(tmp_path / "l.grpl")
-    write_labels(path, np.array([0, 2**32 - 2]))  # the largest label the file holds
+    write_labels(path, np.array([0, 2**32 - 2]), 2**32 - 1)  # the largest label the file holds
     labels, num_parts = read_labels(path)
     assert labels.tolist() == [0, 2**32 - 2] and num_parts == 2**32 - 1
     before = dir_bytes(tmp_path)

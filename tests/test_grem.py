@@ -1,8 +1,9 @@
+import os
 from math import ceil
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from streamcut import (
@@ -128,6 +129,40 @@ def test_process_chunk_rejects_ids_outside_state(monkeypatch):
 
 
 
+def _sweep_both(edges, start, estimates, capacity, refine, sizes=None):
+    """The states the native and the Python sweep leave from one start, and
+    the error each raised (None when it raised none)."""
+    chunk = EdgeChunk(1, np.array(edges, dtype=np.int64))
+    config = GremConfig(chunk_frac=1.0, refine=refine)
+    runs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for kernel in each_kernel(patch):
+            state = PartitionState(len(start), capacity)
+            state.parts[:] = start
+            state.sizes = list(sizes) if sizes is not None else recount_sizes(start)
+            state.nbr0[:], state.nbr1[:] = estimates[: len(start)], estimates[len(start) :]
+            try:
+                process_chunk(state, chunk, config)
+                error = None
+            except CapacityError as exc:
+                error = exc
+            runs[kernel] = state, error
+    return runs
+
+
+def _assert_same_sweep(runs):
+    (native, native_error), (python, python_error) = runs["native"], runs["python"]
+    assert type(native_error) is type(python_error)
+    assert native.parts.tolist() == python.parts.tolist()
+    assert native.sizes == python.sizes
+    assert native.nbr0.tobytes() == python.nbr0.tobytes()
+    assert native.nbr1.tobytes() == python.nbr1.tobytes()
+
+
+_IDLE = [-1] * 21  # nodes 4..24, outside every example's chunk
+_EST = [0.0] * 50
+
+
 @PROPERTY_SETTINGS
 @given(
     edges=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), min_size=1, max_size=120),
@@ -136,25 +171,48 @@ def test_process_chunk_rejects_ids_outside_state(monkeypatch):
     slack=st.sampled_from([0.0, 0.1, 0.5]),
     refine=st.booleans(),
 )
+# a fresh node with one neighbour on each side (c0 == c1): side 0 on equal
+# sizes, the smaller side otherwise
+@example(edges=[(3, 1), (3, 2)], start=[-1, 0, 1, -1] + _IDLE, estimates=_EST, slack=0.0,
+         refine=True)
+@example(edges=[(3, 1), (3, 2)], start=[0, 0, 1, -1] + _IDLE, estimates=_EST, slack=0.0,
+         refine=False)
+# the majority side is full (13 of capacity 13): the node takes the smaller side
+@example(edges=[(0, 1), (0, 2), (0, 24)], start=[-1] + [1] * 13 + [0] * 2 + [-1] * 9,
+         estimates=_EST, slack=0.0, refine=False)
+# a re-placed node whose old side is full: lifted out of it, the node stays
+# (its old side has room again) or moves to the majority side
+@example(edges=[(0, 13), (0, 14), (0, 1)], start=[0] * 13 + [1] * 2 + [-1] * 10,
+         estimates=_EST, slack=0.0, refine=True)
+@example(edges=[(0, 13), (0, 14), (0, 1)], start=[0] * 13 + [1] * 2 + [-1] * 10,
+         estimates=[7.0] + [0.0] * 49, slack=0.0, refine=True)
+@example(edges=[(0, 13), (0, 14), (0, 1)], start=[0] * 13 + [1] * 2 + [-1] * 10,
+         estimates=[0.0] * 25 + [2.75] + [0.0] * 24, slack=0.0, refine=True)
 def test_process_chunk_native_equals_python_property(edges, start, estimates, slack, refine):
     # from any start (some nodes placed, stored estimates of any value) both
     # sweeps leave the same labels, estimates and sizes, bit for bit
-    chunk = EdgeChunk(1, np.array(edges, dtype=np.int64))
-    config = GremConfig(chunk_frac=1.0, refine=refine)
-    runs = {}
-    with pytest.MonkeyPatch.context() as patch:
-        for kernel in each_kernel(patch):
-            state = PartitionState(25, default_capacity(25, slack))
-            state.parts[:] = start
-            state.sizes = recount_sizes(start)
-            state.nbr0[:], state.nbr1[:] = estimates[:25], estimates[25:]
-            process_chunk(state, chunk, config)
-            runs[kernel] = state
-    native, python = runs["native"], runs["python"]
-    assert native.parts.tolist() == python.parts.tolist()
-    assert native.sizes == python.sizes == recount_sizes(python.parts)
-    assert native.nbr0.tobytes() == python.nbr0.tobytes()
-    assert native.nbr1.tobytes() == python.nbr1.tobytes()
+    runs = _sweep_both(edges, start, estimates, default_capacity(25, slack), refine)
+    _assert_same_sweep(runs)
+    assert runs["native"][1] is None
+    assert runs["python"][0].sizes == recount_sizes(runs["python"][0].parts)
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_process_chunk_capacity_error_native_equals_python(refine):
+    # sizes claimed above the labels' own counts: the sweep reaches a node no
+    # side can take and stops there, in both kernels, leaving the same labels,
+    # estimates and sizes (the failing node lifted out of its old side)
+    estimates = [0.5, 2.75, 0.0, 1.0, 7.0, 0.0, 1.0, 0.5, 0.0, 2.75, 0.0, 0.0]
+    for start, sizes in (
+        ([0, 1, -1, -1, 0, -1], (2, 2)),  # node 0 re-placed, then node 2 fails
+        ([0, 1, -1, -1, 0, -1], (3, 2)),  # node 0 fails when refining
+        ([1, 0, 1, -1, -1, 0], (2, 3)),  # side 1 claimed over capacity
+        ([-1, -1, -1, -1, -1, -1], (2, 2)),  # the first fresh node fails
+    ):
+        runs = _sweep_both([(0, 2), (0, 1), (2, 3), (1, 4), (5, 0)], start, estimates, 2,
+                           refine, sizes)
+        _assert_same_sweep(runs)
+        assert isinstance(runs["native"][1], CapacityError), (start, sizes)
 
 # ------------------------------------------------------------------ assign
 
@@ -511,15 +569,25 @@ def test_partition_work_dir_holds_only_the_induced_subgraphs(tmp_path, monkeypat
     efile = make_edge_file(tmp_path / "g.grpe", edges, 48)
     work = tmp_path / "work"
     listings = []
-    real_bisect = grem.bisect
+    counted = []
+    real_bisect_labels, real_count_cuts = grem._bisect_labels, grem.count_cuts
 
-    def listing_bisect(*args, **kwargs):
+    def listing_bisect_labels(*args, **kwargs):
         listings.append(sorted(p.name for p in work.iterdir()))
-        return real_bisect(*args, **kwargs)
+        return real_bisect_labels(*args, **kwargs)
 
-    monkeypatch.setattr(grem, "bisect", listing_bisect)
+    def counting_count_cuts(*args, **kwargs):
+        counted.append(args[0].path)
+        return real_count_cuts(*args, **kwargs)
+
+    monkeypatch.setattr(grem, "_bisect_labels", listing_bisect_labels)
+    monkeypatch.setattr(grem, "count_cuts", counting_count_cuts)
     partition(efile, 8, GremConfig(chunk_frac=0.5), str(work))
     assert len(listings) == 7
+    # only the 4 leaf bisections count their cut in a pass of their own; the
+    # 3 that are split again take it from their two extraction passes
+    assert sorted(os.path.basename(path) for path in counted) == [
+        "bisect_l2_b0.grpe", "bisect_l2_b2.grpe", "bisect_l2_b4.grpe", "bisect_l2_b6.grpe"]
     assert {name for names in listings for name in names} == {
         "bisect_l1_b0.grpe", "bisect_l1_b4.grpe",
         "bisect_l2_b0.grpe", "bisect_l2_b2.grpe", "bisect_l2_b4.grpe", "bisect_l2_b6.grpe",

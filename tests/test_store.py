@@ -86,7 +86,8 @@ def test_bucket_concatenation_is_payload(tmp_path):
     labels = rng.integers(0, 4, size=num_nodes)
     efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
     store = str(tmp_path / "g.grpb")
-    index = write_buckets(efile, labels, store)
+    index = write_buckets(efile, labels, store, 4)  # 4 parts, more than the 3 nodes
+    assert index.p == 4
     dtype = np.dtype("<u4")
     blob = b""
     for i in range(index.p):

@@ -106,4 +106,4 @@ def test_write_graph_formats(tmp_path):
     assert efile.meta.num_edges == 7
     text_file, _ = write_graph(PathSpec(3), str(tmp_path / "p.txt"), fmt="text")
     assert text_file.format == "text"
-    assert (tmp_path / "p.txt").read_text() == "0 1\n1 2\n"
+    assert (tmp_path / "p.txt").read_text() == "# nodes 3\n0 1\n1 2\n"
