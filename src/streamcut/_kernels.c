@@ -26,7 +26,9 @@
  * them for at most 64 parts (width 2**19), a key is its low 32 bits, in
  * parts split on its high 2 * shift - 32 bits; other keys are u64 while
  * shift <= 32 (width up to 2**32).  Wider ids are ranked to dense ones
- * first, in Python.
+ * first, in Python.  The builder's index, which four kernels read, is CSR:
+ * `offsets` has one entry per node and one more, from 0, and node i's
+ * neighbours are nbrs[offsets[i]] to nbrs[offsets[i + 1] - 1].
  *
  * Every array arrives as a plain pointer; the Python callers check its
  * dtype, size and contiguity (_kernels.ptr) and size every output as the
@@ -53,7 +55,7 @@ static inline double kept(const double *p, uint64_t keep)
     return out;
 }
 
-/* Sweeps one chunk's adjacency index in place over parts/nbr0/nbr1/sizes.
+/* Sweeps one chunk's CSR index in place over parts/nbr0/nbr1/sizes.
  * Returns -1, or the position in `nodes` of the node no partition could
  * take (sizes already has that node lifted out, as in the Python loop).
  *
@@ -72,10 +74,9 @@ static inline double kept(const double *p, uint64_t keep)
  * compiler splits it into two branches.  The sizes live in locals: a
  * store through the int8_t `parts` may alias any object, so the compiler
  * would reload them after every label written. */
-int64_t sweep(int64_t num, const int64_t *nodes, const int64_t *starts,
-              const int64_t *ends, const int64_t *nbrs, int8_t *parts,
-              double *nbr0, double *nbr1, int64_t *sizes, int64_t cap,
-              int32_t refine)
+int64_t sweep(int64_t num, const int64_t *nodes, const int64_t *offsets,
+              const int64_t *nbrs, int8_t *parts, double *nbr0, double *nbr1,
+              int64_t *sizes, int64_t cap, int32_t refine)
 {
     static const double scale[2] = {1.0, 0.5};
     int64_t s0 = sizes[0], s1 = sizes[1], failed = -1;
@@ -87,7 +88,7 @@ int64_t sweep(int64_t num, const int64_t *nodes, const int64_t *starts,
         if (fixed & placed)
             continue;
         int64_t n0 = 0, n1 = 0;
-        for (int64_t j = starts[i], end = ends[i]; j < end; j++) {
+        for (int64_t j = offsets[i], end = offsets[i + 1]; j < end; j++) {
             int pw = parts[nbrs[j]];
             n0 += pw == 0;
             n1 += pw == 1;
@@ -119,40 +120,39 @@ int64_t sweep(int64_t num, const int64_t *nodes, const int64_t *starts,
 }
 
 /* Restart order of bfs_grow: chunk positions by degree, highest first,
- * lowest position on ties, as numpy's stable argsort(starts - ends) gives
+ * lowest position on ties, as numpy's stable argsort(-diff(offsets)) gives
  * them.  A counting sort on max_degree - degree; `slot` is scratch for
  * max_degree + 2 entries, all zero. */
-static void restart_order(int64_t num, const int64_t *starts, const int64_t *ends,
-                          int64_t max_degree, int64_t *slot, int64_t *order)
+static void restart_order(int64_t num, const int64_t *offsets, int64_t max_degree,
+                          int64_t *slot, int64_t *order)
 {
     for (int64_t i = 0; i < num; i++)
-        slot[max_degree - (ends[i] - starts[i]) + 1] += 1;
+        slot[max_degree - (offsets[i + 1] - offsets[i]) + 1] += 1;
     for (int64_t k = 1; k <= max_degree + 1; k++)
         slot[k] += slot[k - 1];
     /* slot[k] is now the first position of key k; filling in input order keeps ties stable */
     for (int64_t i = 0; i < num; i++)
-        order[slot[max_degree - (ends[i] - starts[i])]++] = i;
+        order[slot[max_degree - (offsets[i + 1] - offsets[i])]++] = i;
 }
 
-/* BFS grow over local neighbour positions, then boundary refinement.
- * `labels` must come in as all 1; picked nodes become 0.  (Re)starts go to
- * the highest-degree unpicked node, lowest position on ties.  Returns 0, or
- * -1 when scratch memory cannot be allocated. */
-int64_t bfs_grow(int64_t num, const int64_t *starts, const int64_t *ends,
-                 const int64_t *local, int64_t refinement_passes, int64_t capacity,
-                 int8_t *labels)
+/* BFS grow over a chunk's CSR index, neighbours as local positions, then
+ * boundary refinement.  `labels` must come in as all 1; picked nodes become
+ * 0.  (Re)starts go to the highest-degree unpicked node, lowest position on
+ * ties.  Returns 0, or -1 when scratch memory cannot be allocated. */
+int64_t bfs_grow(int64_t num, const int64_t *offsets, const int64_t *local,
+                 int64_t refinement_passes, int64_t capacity, int8_t *labels)
 {
     int64_t max_degree = 0;
     for (int64_t i = 0; i < num; i++)
-        if (ends[i] - starts[i] > max_degree)
-            max_degree = ends[i] - starts[i];
+        if (offsets[i + 1] - offsets[i] > max_degree)
+            max_degree = offsets[i + 1] - offsets[i];
     int64_t *order = malloc((size_t)num * sizeof *order);
     int64_t *queue = malloc((size_t)num * sizeof *queue);  /* each node is queued at most once */
     int64_t *slot = calloc((size_t)max_degree + 2, sizeof *slot);
     int64_t status = -1;
     if (order == NULL || queue == NULL || slot == NULL)
         goto done;
-    restart_order(num, starts, ends, max_degree, slot, order);
+    restart_order(num, offsets, max_degree, slot, order);
 
     int64_t target = (num + 1) / 2;
     int64_t count = 0, cursor = 0, head = 0, tail = 0;
@@ -167,7 +167,7 @@ int64_t bfs_grow(int64_t num, const int64_t *starts, const int64_t *ends,
                 break;
         }
         int64_t v = queue[head++];
-        for (int64_t j = starts[v]; j < ends[v]; j++) {
+        for (int64_t j = offsets[v]; j < offsets[v + 1]; j++) {
             int64_t w = local[j];
             if (labels[w] != 0) {
                 labels[w] = 0;
@@ -184,7 +184,7 @@ int64_t bfs_grow(int64_t num, const int64_t *starts, const int64_t *ends,
         for (int64_t i = 0; i < num; i++) {
             int side = labels[i];
             int64_t same = 0, other = 0;
-            for (int64_t j = starts[i]; j < ends[i]; j++) {
+            for (int64_t j = offsets[i]; j < offsets[i + 1]; j++) {
                 if (labels[local[j]] == side)
                     same++;
                 else
@@ -210,15 +210,15 @@ done:
     return status;
 }
 
-/* The neighbour estimates of a freshly seeded chunk: nbr0[nodes[i]] and
- * nbr1[nodes[i]] become the number of chunk neighbours of nodes[i] that
- * `parts` labels 0 and 1. */
-void seed_counts(int64_t num, const int64_t *nodes, const int64_t *starts, const int64_t *ends,
-                 const int64_t *nbrs, const int8_t *parts, double *nbr0, double *nbr1)
+/* The neighbour estimates of a freshly seeded chunk's CSR index:
+ * nbr0[nodes[i]] and nbr1[nodes[i]] become the number of chunk neighbours
+ * of nodes[i] that `parts` labels 0 and 1. */
+void seed_counts(int64_t num, const int64_t *nodes, const int64_t *offsets, const int64_t *nbrs,
+                 const int8_t *parts, double *nbr0, double *nbr1)
 {
     for (int64_t i = 0; i < num; i++) {
         int64_t n0 = 0, n1 = 0;
-        for (int64_t j = starts[i]; j < ends[i]; j++) {
+        for (int64_t j = offsets[i]; j < offsets[i + 1]; j++) {
             int pw = parts[nbrs[j]];
             n0 += pw == 0;
             n1 += pw == 1;
@@ -261,21 +261,22 @@ static void floyd(next_uint64_t next, void *state, int64_t d, int64_t f, int64_t
     }
 }
 
-/* The sampling walk of placement.estimate_comm.  Seeds are `num_seeds`
- * distinct node ids; per hop each frontier node contributes its whole
- * neighbour list when its degree is at most the fanout, else `fanout`
- * picks, in order.  Every fetched node adds one to counts[2w] (local: on
- * the seed's worker w, or replicated) or to counts[2w + 1] (remote).
- * Returns 0, or -1 when scratch memory cannot be allocated. */
-int64_t comm_walk(int64_t num_nodes, const int64_t *starts, const int64_t *ends,
-                  const int64_t *nbrs, const int64_t *node_worker,
-                  const uint8_t *replicated, int64_t num_seeds, const int64_t *fanouts,
-                  int64_t hops, next_uint64_t next, void *state, int64_t *counts)
+/* The sampling walk of placement.estimate_comm, over a CSR index of every
+ * id, an isolated one's list empty.  Seeds are `num_seeds` distinct node
+ * ids; per hop each frontier node contributes its whole neighbour list
+ * when its degree is at most the fanout, else `fanout` picks, in order.
+ * Every fetched node adds one to counts[2w] (local: on the seed's worker
+ * w, or replicated) or to counts[2w + 1] (remote).  Returns 0, or -1 when
+ * scratch memory cannot be allocated. */
+int64_t comm_walk(int64_t num_nodes, const int64_t *offsets, const int64_t *nbrs,
+                  const int64_t *node_worker, const uint8_t *replicated, int64_t num_seeds,
+                  const int64_t *fanouts, int64_t hops, next_uint64_t next, void *state,
+                  int64_t *counts)
 {
     int64_t span = num_nodes;  /* stamp entries: node ids and list positions */
     for (int64_t v = 0; v < num_nodes; v++)
-        if (ends[v] - starts[v] > span)
-            span = ends[v] - starts[v];
+        if (offsets[v + 1] - offsets[v] > span)
+            span = offsets[v + 1] - offsets[v];
     int64_t cap = 1;
     uint64_t mark = 0;
     uint64_t *stamp = calloc((size_t)span, sizeof *stamp);
@@ -300,7 +301,7 @@ int64_t comm_walk(int64_t num_nodes, const int64_t *starts, const int64_t *ends,
         for (int64_t h = 0; h < hops && size > 0; h++) {
             int64_t fanout = fanouts[h], need = 0;
             for (int64_t i = 0; i < size; i++) {
-                int64_t deg = ends[cur[i]] - starts[cur[i]];
+                int64_t deg = offsets[cur[i] + 1] - offsets[cur[i]];
                 need += deg < fanout ? deg : fanout;
             }
             if (need > cap) {
@@ -316,7 +317,7 @@ int64_t comm_walk(int64_t num_nodes, const int64_t *starts, const int64_t *ends,
             }
             int64_t out = 0;
             for (int64_t i = 0; i < size; i++) {
-                int64_t lo = starts[cur[i]], deg = ends[cur[i]] - lo;
+                int64_t lo = offsets[cur[i]], deg = offsets[cur[i] + 1] - lo;
                 if (deg <= fanout) {
                     memcpy(nxt + out, nbrs + lo, (size_t)deg * sizeof *nxt);
                     out += deg;

@@ -7,7 +7,9 @@ to a temporary file that is then renamed into place, so concurrent processes
 never load a half-written library; a successful build removes every other
 ``_kernels.*.so`` from the cache directory.
 
-The kernels, named in ``KERNELS``, each replace one Python loop:
+The kernels, named in ``KERNELS``, each replace one Python loop; the first
+three and ``comm_walk`` read ``model.build_adjacency``'s CSR index
+``(nodes, offsets, nbrs)``, node i's neighbours ``nbrs[offsets[i]:offsets[i + 1]]``:
 
 * ``sweep`` -- the greedy chunk sweep of ``grem.process_chunk``, its
   decision (``grem.assign``) computed without branches, since which side a
@@ -147,13 +149,13 @@ def _load():
     # travels as a plain pointer (see ``ptr``)
     i64, p = ctypes.c_int64, ctypes.c_void_p
     signatures = {
-        "sweep": ([i64, p, p, p, p, p, p, p, p, i64, ctypes.c_int32], i64),
-        "bfs_grow": ([i64, p, p, p, i64, i64, p], i64),
-        "seed_counts": ([i64, p, p, p, p, p, p, p], None),
+        "sweep": ([i64, p, p, p, p, p, p, p, i64, ctypes.c_int32], i64),
+        "bfs_grow": ([i64, p, p, i64, i64, p], i64),
+        "seed_counts": ([i64, p, p, p, p, p, p], None),
         "pack_keys": ([i64, p, i64, i64, i64, i64, p, p], i64),
         "split_keys": ([i64, p, p, i64, i64, p, p], None),
         "adjacency_tail": ([i64, p, i64, i64, i64, p, p, p, p], i64),
-        "comm_walk": ([i64, p, p, p, p, p, i64, p, i64, p, p, p], i64),
+        "comm_walk": ([i64, p, p, p, p, i64, p, i64, p, p, p], i64),
         "label_pass": ([i64, p, i64, p, i64, p, p, p], i64),
         "extract_rows": ([i64, p, i64, p, i64, p, p], i64),
         "scatter_rows": ([i64, p, i64, p, i64, p, p], i64),

@@ -180,7 +180,7 @@ def cmd_shuffle(args) -> int:
 def cmd_convert(args) -> int:
     started = time.monotonic()
     efile = open_edge_file(args.edges, num_nodes=args.num_nodes)
-    out = convert(efile, args.out, args.to, num_nodes=args.num_nodes)
+    out = convert(efile, args.out, args.to)
     manifest = _write_manifest(args, "convert", [args.edges], [args.out], started)
     _emit(
         args,
@@ -251,8 +251,6 @@ def cmd_plan(args) -> int:
     plan = plan_assignment(args.parts, args.workers, args.rng_seed)
     inputs = []
     if args.replicate_budget:
-        if not args.edges:
-            raise StreamcutError("--replicate-budget requires --edges")
         efile = open_edge_file(args.edges)
         replicated = frozenset(int(n) for n in select_replicated(efile, args.replicate_budget))
         plan = dataclasses.replace(plan, replicated_nodes=replicated)
@@ -414,6 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "replicate_budget", 0) and not args.edges:
+        parser.error("--replicate-budget requires --edges")
     try:
         return args.func(args)
     except (StreamcutError, ValueError) as exc:

@@ -341,15 +341,13 @@ def read_all_edges(efile: EdgeFile) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def convert(
-    efile: EdgeFile, out_path: str, out_format: str, num_nodes: int | None = None
-) -> EdgeFile:
+def convert(efile: EdgeFile, out_path: str, out_format: str) -> EdgeFile:
     """Rewrites the edge sequence in the requested format, order preserved, under a
     temporary name renamed into place when complete, so a failure leaves nothing behind.
     A text output declares its num_nodes in a first line ``# nodes N``."""
     if out_format not in (TEXT, BINARY):
         raise FormatError(f"unknown edge format {out_format!r}")
-    num_nodes = num_nodes or efile.meta.num_nodes
+    num_nodes = efile.meta.num_nodes
     if out_format == BINARY:
         with _replacing(out_path) as (tmp_path,), BinaryEdgeWriter(tmp_path, num_nodes) as writer:
             for block in iter_edge_blocks(efile):

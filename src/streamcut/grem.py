@@ -116,14 +116,14 @@ def assign(nbrs0: float, nbrs1: float, sizes, capacity: int) -> int:
 
 def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -> PartitionState:
     """Sweeps one non-seed chunk, updating labels, sizes and stored estimates."""
-    nodes, starts, ends, nbrs = chunk.csr()
+    nodes, offsets, nbrs = chunk.nodes, chunk.offsets, chunk.nbrs
     if nodes.size and (nodes[0] < 0 or nodes[-1] >= state.num_nodes):
         raise FormatError(f"chunk node ids outside [0, {state.num_nodes})")
     if _kernels.sweep is not None:
         ptr, num, num_nodes = _kernels.ptr, nodes.size, state.num_nodes
         sizes = np.array(state.sizes, dtype=np.int64)
         failed = _kernels.sweep(
-            num, ptr(nodes, np.int64, num), ptr(starts, np.int64, num), ptr(ends, np.int64, num),
+            num, ptr(nodes, np.int64, num), ptr(offsets, np.int64, num + 1),
             ptr(nbrs, np.int64, nbrs.size), ptr(state.parts, np.int8, num_nodes),
             ptr(state.nbr0, np.float64, num_nodes), ptr(state.nbr1, np.float64, num_nodes),
             ptr(sizes, np.int64, 2), state.capacity, config.refine)
@@ -140,8 +140,7 @@ def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -
     sizes = state.sizes
     cap = state.capacity
     refine = config.refine
-    s_list = starts.tolist()
-    e_list = ends.tolist()
+    o_list = offsets.tolist()
     adj = nbrs.tolist()
 
     for i, n in enumerate(nodes.tolist()):
@@ -150,7 +149,7 @@ def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -
             continue
         c0 = 0.0
         c1 = 0.0
-        for w in adj[s_list[i] : e_list[i]]:
+        for w in adj[o_list[i] : o_list[i + 1]]:
             pw = parts[w]
             if pw == 0:
                 c0 += 1.0
@@ -170,7 +169,7 @@ def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -
 
 def _seed_chunk(state: PartitionState, chunk: EdgeChunk) -> None:
     labels = seed_bisect(chunk, state.capacity)
-    nodes, starts, ends, nbrs = chunk.csr()
+    nodes, offsets, nbrs = chunk.nodes, chunk.offsets, chunk.nbrs
     parts = state.parts
     parts[nodes] = labels
     state.sizes = [int(np.count_nonzero(parts == 0)), int(np.count_nonzero(parts == 1))]
@@ -179,12 +178,12 @@ def _seed_chunk(state: PartitionState, chunk: EdgeChunk) -> None:
     if _kernels.seed_counts is not None:
         ptr, num, num_nodes = _kernels.ptr, nodes.size, state.num_nodes
         _kernels.seed_counts(
-            num, ptr(nodes, np.int64, num), ptr(starts, np.int64, num), ptr(ends, np.int64, num),
+            num, ptr(nodes, np.int64, num), ptr(offsets, np.int64, num + 1),
             ptr(nbrs, np.int64, nbrs.size), ptr(parts, np.int8, num_nodes),
             ptr(state.nbr0, np.float64, num_nodes), ptr(state.nbr1, np.float64, num_nodes))
         return
     adj_parts = parts[nbrs]
-    seg = np.repeat(np.arange(len(nodes)), ends - starts)
+    seg = np.repeat(np.arange(len(nodes)), np.diff(offsets))
     state.nbr0[nodes] = np.bincount(seg[adj_parts == 0], minlength=len(nodes))
     state.nbr1[nodes] = np.bincount(seg[adj_parts == 1], minlength=len(nodes))
 

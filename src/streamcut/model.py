@@ -74,12 +74,13 @@ def key_layout(width: int, num_keys: int) -> tuple[int, type, int]:
 
 
 def build_adjacency(blocks, num_edges: int, width: int) -> tuple[np.ndarray, ...]:
-    """Symmetric int64 adjacency index as (nodes, starts, ends, nbrs) of ``num_edges``
+    """Symmetric int64 adjacency index as CSR (nodes, offsets, nbrs) of ``num_edges``
     edges, yielded by ``blocks`` as (m, 2) arrays of any integer id width, ids below ``width``.
 
     ``nodes`` holds the sorted unique endpoints, including nodes that appear
-    only in self-loops; ``nbrs[starts[i]:ends[i]]`` are the neighbors of
-    ``nodes[i]``, ascending, with duplicate edges kept and self-loops left
+    only in self-loops; ``offsets`` has ``nodes.size + 1`` entries, from 0 to
+    ``nbrs.size``, and ``nbrs[offsets[i]:offsets[i + 1]]`` are the neighbors
+    of ``nodes[i]``, ascending, with duplicate edges kept and self-loops left
     out.  Both directions of every edge are indexed.  Packed
     ``src << shift | dst`` keys, shift = bit_length(width - 1), order the
     whole index: the order is that of ``src * width + dst``.  The keys sort
@@ -90,15 +91,15 @@ def build_adjacency(blocks, num_edges: int, width: int) -> tuple[np.ndarray, ...
     and above are gathered and ranked first.
     """
     if num_edges == 0:
-        return tuple(np.empty(0, dtype=np.int64) for _ in range(4))
+        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
     if packed_keys_fit(width):
         return adjacency_from_keys(*_pack_keys(blocks, num_edges, width), width)
     ids, ranks = np.unique(np.concatenate(list(blocks)), return_inverse=True)
     packed = _pack_keys((ranks.reshape(-1, 2),), num_edges, ids.size)
     del ranks  # release before the sort
-    nodes, starts, ends, nbrs = adjacency_from_keys(*packed, ids.size)
+    nodes, offsets, nbrs = adjacency_from_keys(*packed, ids.size)
     ids = ids.astype(np.int64)
-    return ids[nodes], starts, ends, ids[nbrs]
+    return ids[nodes], offsets, ids[nbrs]
 
 
 def _pack_keys(blocks, num_edges: int,
@@ -180,7 +181,7 @@ def _split_keys(fwd: np.ndarray, rev: np.ndarray, shift: int, parts: int,
 
 def adjacency_from_keys(
     buf: np.ndarray, keys: np.ndarray, bounds: np.ndarray | None, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``build_adjacency`` index of the (buffer, keys, bounds) of
     ``_pack_keys(..., width)``.
 
@@ -206,7 +207,7 @@ def adjacency_from_keys(
         runs = _kernels.adjacency_tail(m, ptr(keys, dtype, m), keys.itemsize, shift, parts,
                                        ptr(bounds, np.int64, parts + 1), ptr(buf, np.int64, m),
                                        ptr(nodes, np.int64, slots), ptr(offsets, np.int64, slots))
-        return nodes[:runs], offsets[:runs], offsets[1 : runs + 1], buf[: offsets[runs]]
+        return nodes[:runs], offsets[: runs + 1], buf[: offsets[runs]]
     if parts > 1:  # each key's part above its low 32 bits
         high = np.repeat(np.arange(parts, dtype=np.uint64) << np.uint64(32), np.diff(bounds))
         keys = np.bitwise_or(keys, high, dtype=np.uint64)
@@ -220,37 +221,32 @@ def adjacency_from_keys(
     offsets = runs - np.searchsorted(loops, runs)
     kept = np.delete(nbrs, loops)
     buf[: kept.size] = kept
-    return nodes, offsets[:-1], offsets[1:], buf[: kept.size]
+    return nodes, offsets, buf[: kept.size]
 
 
 class EdgeChunk:
     """A contiguous in-memory slice of the edge list with a chunk-local adjacency index.
 
     ``edges`` is the block as read, at its stored id width.  The index is the
-    one ``build_adjacency`` returns: ``nodes`` holds the sorted unique
-    endpoints of the chunk's edges (self-loop-only nodes included), both
-    directions of every edge are indexed, duplicate edges count with
-    multiplicity, self-loops are excluded, and neighbor lists are sorted
-    ascending so traversals over them are deterministic.
+    CSR (``nodes``, ``offsets``, ``nbrs``) ``build_adjacency`` returns: ``nodes``
+    holds the sorted unique endpoints of the chunk's edges (self-loop-only
+    nodes included), both directions of every edge are indexed, duplicate
+    edges count with multiplicity, self-loops are excluded, and neighbor
+    lists are sorted ascending so traversals over them are deterministic.
     """
 
-    __slots__ = ("chunk_index", "edges", "nodes", "_starts", "_ends", "_nbrs")
+    __slots__ = ("chunk_index", "edges", "nodes", "offsets", "nbrs")
 
     def __init__(self, chunk_index: int, edges: np.ndarray):
         edges = np.asarray(edges).reshape(-1, 2)
         self.chunk_index = int(chunk_index)
         self.edges = edges
         width = int(edges.max()) + 1 if edges.size else 0
-        self.nodes, self._starts, self._ends, self._nbrs = build_adjacency(
-            (edges,), edges.shape[0], width)
+        self.nodes, self.offsets, self.nbrs = build_adjacency((edges,), edges.shape[0], width)
 
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
-
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Raw (nodes, starts, ends, neighbors) arrays of the adjacency index."""
-        return self.nodes, self._starts, self._ends, self._nbrs
 
 
 class PartitionState:

@@ -127,12 +127,13 @@ def estimate_comm(
             raise FormatError(f"replicated node {node} out of range")
 
     # desk-scale precondition: the whole edge list is indexed in memory
-    nodes, node_starts, node_ends, snbrs = build_adjacency(
+    nodes, node_offsets, snbrs = build_adjacency(
         iter_edge_blocks(efile), efile.meta.num_edges, num_nodes)
-    starts = np.zeros(num_nodes, dtype=np.int64)
-    ends = np.zeros(num_nodes, dtype=np.int64)
-    starts[nodes] = node_starts
-    ends[nodes] = node_ends
+    # the index over every id: an isolated id's list is empty; written through a
+    # view, so no ``nodes + 1`` copy joins the estimator's peak
+    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+    offsets[1:][nodes] = np.diff(node_offsets)
+    np.cumsum(offsets, out=offsets)
 
     owner = plan.worker_of()
     node_worker = owner[labels]
@@ -145,10 +146,10 @@ def estimate_comm(
     if _kernels.comm_walk is not None:
         raw, ptr = bit_generator.ctypes, _kernels.ptr
         status = _kernels.comm_walk(
-            num_nodes, ptr(starts, np.int64, num_nodes), ptr(ends, np.int64, num_nodes),
-            ptr(snbrs, np.int64, snbrs.size), ptr(node_worker, np.int64, num_nodes),
-            ptr(replicated, np.bool_, num_nodes), num_seeds, ptr(fanouts, np.int64, fanouts.size),
-            fanouts.size, ctypes.cast(raw.next_uint64, ctypes.c_void_p), raw.state_address,
+            num_nodes, ptr(offsets, np.int64, num_nodes + 1), ptr(snbrs, np.int64, snbrs.size),
+            ptr(node_worker, np.int64, num_nodes), ptr(replicated, np.bool_, num_nodes),
+            num_seeds, ptr(fanouts, np.int64, fanouts.size), fanouts.size,
+            ctypes.cast(raw.next_uint64, ctypes.c_void_p), raw.state_address,
             ptr(counts, np.int64, counts.size),
         )
         if status != 0:
@@ -163,7 +164,7 @@ def estimate_comm(
                 if frontier.size == 0:
                     break
                 picks = []
-                for lo, hi in zip(starts[frontier].tolist(), ends[frontier].tolist()):
+                for lo, hi in zip(offsets[frontier].tolist(), offsets[frontier + 1].tolist()):
                     if hi - lo > fanout:
                         picks.append(snbrs[[lo + t for t in _floyd(words, hi - lo, fanout)]])
                     else:

@@ -30,13 +30,12 @@ def seed_bisect(chunk: EdgeChunk, capacity: int) -> np.ndarray:
     The BFS split starts out within one node of balance; refinement passes
     may trade balance for cut quality up to ``capacity`` per side.
     """
-    nodes, starts, ends, nbrs = chunk.csr()
-    n = len(nodes)
+    n = len(chunk.nodes)
     if n == 0:
         raise FormatError("cannot seed an empty chunk")
     if 2 * capacity < n:
         raise CapacityError(f"capacity {capacity} infeasible for {n} chunk nodes")
-    return _bfs_grow(nodes, starts, ends, nbrs, REFINEMENT_PASSES, capacity)
+    return _bfs_grow(chunk.nodes, chunk.offsets, chunk.nbrs, REFINEMENT_PASSES, capacity)
 
 
 def _local_positions(nodes: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
@@ -55,24 +54,22 @@ def _local_positions(nodes: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
     return rank[nbrs]
 
 
-def _bfs_grow(nodes, starts, ends, nbrs, refinement_passes: int, capacity: int) -> np.ndarray:
+def _bfs_grow(nodes, offsets, nbrs, refinement_passes: int, capacity: int) -> np.ndarray:
     n = len(nodes)
     local = _local_positions(nodes, nbrs)
     if _kernels.bfs_grow is not None:
         ptr, labels = _kernels.ptr, np.ones(n, dtype=np.int8)
-        if _kernels.bfs_grow(n, ptr(starts, np.int64, n), ptr(ends, np.int64, n),
-                             ptr(local, np.int64, local.size), refinement_passes, capacity,
-                             ptr(labels, np.int8, n)) < 0:
+        if _kernels.bfs_grow(n, ptr(offsets, np.int64, n + 1), ptr(local, np.int64, local.size),
+                             refinement_passes, capacity, ptr(labels, np.int8, n)) < 0:
             raise MemoryError("bfs_grow could not allocate its scratch arrays")
         return labels
 
     # BFS (re)starts go to the highest-degree unpicked node, lowest id on ties
-    restart_order = np.argsort(starts - ends, kind="stable")
+    restart_order = np.argsort(-np.diff(offsets), kind="stable")
     target = ceil(n / 2)
     local = local.tolist()
     restart_order = restart_order.tolist()
-    starts = starts.tolist()
-    ends = ends.tolist()
+    offsets = offsets.tolist()
 
     picked = [False] * n
     count = 0
@@ -89,7 +86,7 @@ def _bfs_grow(nodes, starts, ends, nbrs, refinement_passes: int, capacity: int) 
             if count >= target:
                 break
         v = queue.popleft()
-        for w in local[starts[v] : ends[v]]:  # neighbor lists are ascending
+        for w in local[offsets[v] : offsets[v + 1]]:  # neighbor lists are ascending
             if not picked[w]:
                 picked[w] = True
                 count += 1
@@ -108,7 +105,7 @@ def _bfs_grow(nodes, starts, ends, nbrs, refinement_passes: int, capacity: int) 
         for i in range(n):
             side = labels[i]
             same = other = 0
-            for w in local[starts[i] : ends[i]]:
+            for w in local[offsets[i] : offsets[i + 1]]:
                 if labels[w] == side:
                     same += 1
                 else:

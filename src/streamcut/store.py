@@ -27,6 +27,7 @@ from .edgefile import (
     _UNASSIGNED_U32,
     _check_labels,
     _cut_pass,
+    _id_dtype,
     _label_block,
     _replacing,
     _scatter_block,
@@ -63,6 +64,11 @@ def _index_path(store_path: str) -> str:
     return store_path + ".idx"
 
 
+def _bucket_offsets(counts: np.ndarray, pair: int) -> np.ndarray:
+    """Byte offsets of buckets of ``counts`` edges of ``pair`` bytes, row-major after the header."""
+    return _BUCKET_HEADER.size + np.concatenate([[0], np.cumsum(counts)[:-1]]) * pair
+
+
 def write_buckets(
     efile: EdgeFile, labels: np.ndarray, out_path: str, num_parts: int | None = None
 ) -> BucketIndex:
@@ -86,7 +92,7 @@ def write_buckets(
     header = _BUCKET_HEADER.pack(
         BUCKET_MAGIC, 1, p, FLAG_WIDE_IDS if width == 64 else 0, int(counts.sum())
     )
-    offsets = _BUCKET_HEADER.size + np.concatenate([[0], np.cumsum(counts)[:-1]]) * pair
+    offsets = _bucket_offsets(counts, pair)
     write_pos = offsets.tolist()
     sidecar = np.empty((p * p, 2), dtype="<u8")
     sidecar[:, 0] = offsets
@@ -158,10 +164,9 @@ def read_index(store_path: str) -> BucketIndex:
     sidecar = np.fromfile(idx_path, dtype="<u8").reshape(p * p, 2)
     offsets = sidecar[:, 0].astype(np.int64)
     counts = sidecar[:, 1].astype(np.int64)
-    expected = _BUCKET_HEADER.size + np.concatenate([[0], np.cumsum(counts)[:-1]]) * pair
     if (
         int(counts.sum()) != num_edges
-        or not np.array_equal(offsets, expected)
+        or not np.array_equal(offsets, _bucket_offsets(counts, pair))
         or size != _BUCKET_HEADER.size + num_edges * pair
     ):
         raise FormatError(f"{store_path}: index/file mismatch")
@@ -176,10 +181,9 @@ def read_bucket(store_path: str, i: int, j: int, index: BucketIndex | None = Non
     if not (0 <= i < index.p and 0 <= j < index.p):
         raise FormatError(f"bucket ({i}, {j}) out of range for p={index.p}")
     count = int(index.counts[i, j])
-    dtype = np.dtype("<u4") if index.node_id_width == 32 else np.dtype("<u8")
     with open(store_path, "rb") as fh:
         fh.seek(int(index.offsets[i, j]))
-        raw = np.fromfile(fh, dtype=dtype, count=2 * count)
+        raw = np.fromfile(fh, dtype=_id_dtype(index.node_id_width), count=2 * count)
     if raw.size != 2 * count:
         raise FormatError(f"{store_path}: index/file mismatch reading bucket ({i}, {j})")
     if index.node_id_width == 64 and raw.size and int(raw.max()) >= 2**63:

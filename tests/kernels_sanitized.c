@@ -1,10 +1,12 @@
-/* Runs pack_keys, split_keys, adjacency_tail, sweep (its capacity exit too)
- * and seed_counts of src/streamcut/_kernels.c on edge cases, the edge passes label_pass,
+/* Runs pack_keys, split_keys, adjacency_tail, sweep (its capacity exit too),
+ * seed_counts and bfs_grow of src/streamcut/_kernels.c on edge cases,
+ * comm_walk on a small graph with isolated ids, the edge passes label_pass,
  * extract_rows, scatter_rows and endpoint_counts on rows whose ids reach
  * num_nodes - 1, and curve_point on small (k, k0) pairs, with every buffer
  * allocated at exactly the size the Python callers give it
  * (model._pack_keys, model._split_keys, model.adjacency_from_keys, grem.process_chunk,
- * grem._seed_chunk, the block passes of edgefile and theory.theory_curve),
+ * grem._seed_chunk, seed._bfs_grow, placement.estimate_comm, the block passes
+ * of edgefile and theory.theory_curve),
  * so that a build with -fsanitize=address,undefined reports any access
  * outside them.  Prints "ok" and exits 0 when every case checks out.
  *
@@ -24,11 +26,18 @@ void split_keys(int64_t m, const uint32_t *fwd, const uint32_t *rev, int64_t shi
 int64_t adjacency_tail(int64_t m, const void *keys, int64_t key_bytes, int64_t shift,
                        int64_t nparts, const int64_t *bounds, int64_t *nbrs, int64_t *nodes,
                        int64_t *offsets);
-int64_t sweep(int64_t num, const int64_t *nodes, const int64_t *starts, const int64_t *ends,
-              const int64_t *nbrs, int8_t *parts, double *nbr0, double *nbr1, int64_t *sizes,
-              int64_t cap, int32_t refine);
-void seed_counts(int64_t num, const int64_t *nodes, const int64_t *starts, const int64_t *ends,
-                 const int64_t *nbrs, const int8_t *parts, double *nbr0, double *nbr1);
+int64_t sweep(int64_t num, const int64_t *nodes, const int64_t *offsets, const int64_t *nbrs,
+              int8_t *parts, double *nbr0, double *nbr1, int64_t *sizes, int64_t cap,
+              int32_t refine);
+void seed_counts(int64_t num, const int64_t *nodes, const int64_t *offsets, const int64_t *nbrs,
+                 const int8_t *parts, double *nbr0, double *nbr1);
+int64_t bfs_grow(int64_t num, const int64_t *offsets, const int64_t *local,
+                 int64_t refinement_passes, int64_t capacity, int8_t *labels);
+typedef uint64_t (*next_uint64_t)(void *state);
+int64_t comm_walk(int64_t num_nodes, const int64_t *offsets, const int64_t *nbrs,
+                  const int64_t *node_worker, const uint8_t *replicated, int64_t num_seeds,
+                  const int64_t *fanouts, int64_t hops, next_uint64_t next, void *state,
+                  int64_t *counts);
 int64_t label_pass(int64_t m, const void *rows, int64_t id_bytes, const uint32_t *labels,
                    int64_t p, int64_t *counts, int64_t *bucket, int64_t *cut);
 int64_t extract_rows(int64_t m, const void *rows, int64_t id_bytes, const int64_t *new_id,
@@ -90,7 +99,8 @@ static int64_t key_shift(uint64_t width)
 /* One chunk of m edges (ids[2i], ids[2i + 1]) below width, stored at
  * id_bytes: packs, splits, sorts and runs the tail over its keys, checks
  * the index against a brute-force count, and for widths small enough to
- * hold one entry of node state per id sweeps it and seeds its estimates. */
+ * hold one entry of node state per id sweeps it, seeds its estimates and
+ * grows a seed bisection over it. */
 static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_bytes,
                      uint64_t width)
 {
@@ -161,16 +171,15 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
     }
 
     if (width <= (1u << 17)) {
-        /* grem.process_chunk and grem._seed_chunk: nodes, starts and ends of
-         * the runs, nbrs of the kept keys, node state of every id */
+        /* grem.process_chunk and grem._seed_chunk: nodes of the runs, their
+         * offsets, one more than the runs, nbrs of the kept keys, node state
+         * of every id */
         int64_t num_nbrs = offsets[runs];
         int64_t *c_nodes = exact((size_t)runs, sizeof *c_nodes);
-        int64_t *starts = exact((size_t)runs, sizeof *starts);
-        int64_t *ends = exact((size_t)runs, sizeof *ends);
+        int64_t *c_offsets = exact((size_t)runs + 1, sizeof *c_offsets);
         int64_t *nbrs = exact(num_nbrs ? (size_t)num_nbrs : 1, sizeof *nbrs);
         memcpy(c_nodes, nodes, (size_t)runs * sizeof *nodes);
-        memcpy(starts, offsets, (size_t)runs * sizeof *offsets);
-        memcpy(ends, offsets + 1, (size_t)runs * sizeof *offsets);
+        memcpy(c_offsets, offsets, (size_t)(runs + 1) * sizeof *offsets);
         memcpy(nbrs, buf, (size_t)num_nbrs * sizeof *nbrs);
         int8_t *parts = exact((size_t)width, sizeof *parts);
         double *nbr0 = exact((size_t)width, sizeof *nbr0);
@@ -181,11 +190,11 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         int64_t *sizes = exact(2, sizeof *sizes);
         sizes[0] = sizes[1] = 0;
         int64_t cap = (int64_t)(width / 2 + 1);
-        CHECK(sweep(runs, c_nodes, starts, ends, nbrs, parts, nbr0, nbr1, sizes, cap, 1) == -1,
+        CHECK(sweep(runs, c_nodes, c_offsets, nbrs, parts, nbr0, nbr1, sizes, cap, 1) == -1,
               name);
         CHECK(sizes[0] + sizes[1] == runs, name);
         /* a second, refining sweep over the placed nodes */
-        CHECK(sweep(runs, c_nodes, starts, ends, nbrs, parts, nbr0, nbr1, sizes, cap, 1) == -1,
+        CHECK(sweep(runs, c_nodes, c_offsets, nbrs, parts, nbr0, nbr1, sizes, cap, 1) == -1,
               name);
         /* the capacity exit, as process_chunk's CapacityError: with both
          * sides claimed full even once it is lifted out of its old side,
@@ -194,7 +203,7 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         int first = parts[c_nodes[0]];
         double est0 = nbr0[c_nodes[0]], est1 = nbr1[c_nodes[0]];
         sizes[0] = sizes[1] = cap + 1;
-        CHECK(sweep(runs, c_nodes, starts, ends, nbrs, parts, nbr0, nbr1, sizes, cap, 1) == 0,
+        CHECK(sweep(runs, c_nodes, c_offsets, nbrs, parts, nbr0, nbr1, sizes, cap, 1) == 0,
               name);
         CHECK(sizes[first] == cap && sizes[1 - first] == cap + 1, name);
         CHECK(parts[c_nodes[0]] == first, name);
@@ -202,17 +211,49 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         /* and a fresh node, with refinement off */
         parts[c_nodes[0]] = -1;
         sizes[0] = sizes[1] = cap;
-        CHECK(sweep(runs, c_nodes, starts, ends, nbrs, parts, nbr0, nbr1, sizes, cap, 0) == 0,
+        CHECK(sweep(runs, c_nodes, c_offsets, nbrs, parts, nbr0, nbr1, sizes, cap, 0) == 0,
               name);
         CHECK(sizes[0] == cap && sizes[1] == cap && parts[c_nodes[0]] == -1, name);
         parts[c_nodes[0]] = (int8_t)first;
-        seed_counts(runs, c_nodes, starts, ends, nbrs, parts, nbr0, nbr1);
+        seed_counts(runs, c_nodes, c_offsets, nbrs, parts, nbr0, nbr1);
         for (int64_t r = 0; r < runs; r++)
-            CHECK(nbr0[c_nodes[r]] + nbr1[c_nodes[r]] == (double)(ends[r] - starts[r]), name);
+            CHECK(nbr0[c_nodes[r]] + nbr1[c_nodes[r]] == (double)(c_offsets[r + 1] - c_offsets[r]),
+                  name);
+
+        /* seed._bfs_grow: the neighbours as positions in c_nodes, labels one
+         * per node; without refinement the grown side holds (runs + 1) / 2
+         * nodes, and refinement keeps each side within the capacity */
+        int64_t *local = exact(num_nbrs ? (size_t)num_nbrs : 1, sizeof *local);
+        int8_t *labels = exact((size_t)runs, sizeof *labels);
+        for (int64_t j = 0; j < num_nbrs; j++) {
+            int64_t lo = 0, hi = runs - 1;
+            while (lo < hi) {
+                int64_t at = (lo + hi) / 2;
+                if (c_nodes[at] < nbrs[j])
+                    lo = at + 1;
+                else
+                    hi = at;
+            }
+            CHECK(c_nodes[lo] == nbrs[j], name);
+            local[j] = lo;
+        }
+        int64_t seed_cap = runs / 2 + 1;
+        for (int64_t passes = 0; passes <= 2; passes += 2) {
+            memset(labels, 1, (size_t)runs);
+            CHECK(bfs_grow(runs, c_offsets, local, passes, seed_cap, labels) == 0, name);
+            int64_t grown = 0;
+            for (int64_t r = 0; r < runs; r++) {
+                CHECK(labels[r] == 0 || labels[r] == 1, name);
+                grown += labels[r] == 0;
+            }
+            CHECK(passes ? grown <= seed_cap && runs - grown <= seed_cap
+                         : grown == (runs + 1) / 2, name);
+        }
         free(c_nodes);
-        free(starts);
-        free(ends);
+        free(c_offsets);
         free(nbrs);
+        free(local);
+        free(labels);
         free(parts);
         free(nbr0);
         free(nbr1);
@@ -495,6 +536,125 @@ static void run_curve(const char *name, const int64_t *pk, const int64_t *pk0, c
     free(table);
 }
 
+/* A numpy bit generator's next_uint64 stand-in: splitmix64 over *state. */
+static uint64_t splitmix64(void *state)
+{
+    uint64_t z = (*(uint64_t *)state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+/* comm_walk over the whole-graph CSR index of placement.estimate_comm:
+ * offsets num_nodes + 1, with an empty list for each isolated id, nbrs
+ * exactly the endpoint count, node_worker and replicated one per node,
+ * fanouts one per hop, counts two per worker.  Ids 0, 6 and 13 are
+ * isolated; node 3 has degree 7 and node 8 degree 16, above every fanout
+ * and above the node count, so Floyd's picks run over list positions past
+ * the node ids.  With every node seeding and one hop, each node fetches
+ * min(degree, fanout) nodes; the walk is repeatable from one state, and
+ * with every node replicated no fetch is remote. */
+static void run_walk(void)
+{
+    enum { NUM_NODES = 14, WORKERS = 3 };
+    int64_t edges[][2] = {{3, 1}, {3, 2}, {3, 4}, {3, 5}, {3, 7}, {3, 9}, {3, 10},
+                          {1, 2}, {1, 2}, {9, 10}, {10, 11}, {11, 12}, {12, 12}};
+    int64_t m = sizeof edges / sizeof edges[0], dups = 15;
+    int64_t *offsets = exact(NUM_NODES + 1, sizeof *offsets);
+    memset(offsets, 0, (NUM_NODES + 1) * sizeof *offsets);
+    for (int64_t i = 0; i < m; i++)
+        if (edges[i][0] != edges[i][1]) {
+            offsets[edges[i][0] + 1]++;
+            offsets[edges[i][1] + 1]++;
+        }
+    offsets[8 + 1] += dups + 1;  /* 8-7 fifteen times, and 8-9 */
+    offsets[7 + 1] += dups;
+    offsets[9 + 1] += 1;
+    for (int64_t v = 0; v < NUM_NODES; v++)
+        offsets[v + 1] += offsets[v];
+    int64_t total = offsets[NUM_NODES];
+    int64_t *nbrs = exact((size_t)total, sizeof *nbrs), *fill = exact(NUM_NODES, sizeof *fill);
+    memcpy(fill, offsets, NUM_NODES * sizeof *fill);
+    for (int64_t i = 0; i < m; i++)
+        if (edges[i][0] != edges[i][1]) {
+            nbrs[fill[edges[i][0]]++] = edges[i][1];
+            nbrs[fill[edges[i][1]]++] = edges[i][0];
+        }
+    for (int64_t k = 0; k < dups; k++) {
+        nbrs[fill[8]++] = 7;
+        nbrs[fill[7]++] = 8;
+    }
+    nbrs[fill[8]++] = 9;
+    nbrs[fill[9]++] = 8;
+    for (int64_t v = 0; v < NUM_NODES; v++) {
+        CHECK(fill[v] == offsets[v + 1], "walk");
+        qsort(nbrs + offsets[v], (size_t)(offsets[v + 1] - offsets[v]), sizeof *nbrs, cmp_u64);
+    }
+    CHECK(offsets[0 + 1] == 0 && offsets[6 + 1] == offsets[6] && offsets[13] == total, "walk");
+    CHECK(offsets[3 + 1] - offsets[3] == 7 && offsets[8 + 1] - offsets[8] == 16, "walk");
+
+    int64_t *node_worker = exact(NUM_NODES, sizeof *node_worker);
+    uint8_t *replicated = exact(NUM_NODES, sizeof *replicated);
+    for (int64_t v = 0; v < NUM_NODES; v++) {
+        node_worker[v] = (v * 5 + 1) % WORKERS;
+        replicated[v] = v == 10;
+    }
+    int64_t *counts = exact(2 * WORKERS, sizeof *counts), *again = exact(2 * WORKERS, sizeof *again);
+
+    /* every node seeds, one hop of fanout 3 */
+    int64_t *one = exact(1, sizeof *one);
+    one[0] = 3;
+    uint64_t state = 7;
+    memset(counts, 0, 2 * WORKERS * sizeof *counts);
+    CHECK(comm_walk(NUM_NODES, offsets, nbrs, node_worker, replicated, NUM_NODES, one, 1,
+                    splitmix64, &state, counts) == 0, "walk");
+    int64_t want = 0, got = 0;
+    for (int64_t v = 0; v < NUM_NODES; v++) {
+        int64_t deg = offsets[v + 1] - offsets[v];
+        want += deg < 3 ? deg : 3;
+    }
+    for (int64_t k = 0; k < 2 * WORKERS; k++)
+        got += counts[k];
+    CHECK(got == want, "walk");
+
+    /* five seeds by Floyd's picks, three hops, from one state twice, then
+     * with every node replicated */
+    int64_t *fanouts = exact(3, sizeof *fanouts);
+    fanouts[0] = 4;
+    fanouts[1] = 2;
+    fanouts[2] = 20;
+    for (uint64_t seed = 0; seed < 20; seed++) {
+        int64_t *runs[2] = {counts, again};
+        for (int r = 0; r < 2; r++) {
+            state = seed;
+            memset(runs[r], 0, 2 * WORKERS * sizeof *counts);
+            CHECK(comm_walk(NUM_NODES, offsets, nbrs, node_worker, replicated, 5, fanouts, 3,
+                            splitmix64, &state, runs[r]) == 0, "walk");
+        }
+        CHECK(memcmp(counts, again, 2 * WORKERS * sizeof *counts) == 0, "walk");
+        memset(replicated, 1, NUM_NODES);
+        state = seed;
+        memset(again, 0, 2 * WORKERS * sizeof *again);
+        CHECK(comm_walk(NUM_NODES, offsets, nbrs, node_worker, replicated, 5, fanouts, 3,
+                        splitmix64, &state, again) == 0, "walk");
+        for (int64_t w = 0; w < WORKERS; w++) {
+            CHECK(again[2 * w + 1] == 0, "walk");
+            CHECK(again[2 * w] == counts[2 * w] + counts[2 * w + 1], "walk");
+        }
+        for (int64_t v = 0; v < NUM_NODES; v++)
+            replicated[v] = v == 10;
+    }
+    free(offsets);
+    free(nbrs);
+    free(fill);
+    free(node_worker);
+    free(replicated);
+    free(counts);
+    free(again);
+    free(one);
+    free(fanouts);
+}
+
 int main(void)
 {
     /* duplicates, self-loops and a self-loop-only node */
@@ -556,6 +716,7 @@ int main(void)
         run_curve("curve", curve_k, curve_k0, draws, npairs);
     }
     run_curve("curve one pair", curve_k + 10, curve_k0 + 10, draws + 10, 1);
+    run_walk();
     if (failures)
         return 1;
     printf("ok\n");

@@ -349,6 +349,14 @@ def test_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
     capsys.readouterr()
 
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:  # a budget with no edges to rank
+        main(["plan", str(tmp_path / "p.txt"), "--parts", "2", "--workers", "1",
+              "--replicate-budget", "1"])
+    assert exc.value.code == 2
+    assert "--replicate-budget requires --edges" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
 
 def test_partition_rejects_part_counts_the_label_file_cannot_hold(tmp_path, cliques, capsys):
     efile, _ = cliques

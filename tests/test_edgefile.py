@@ -136,7 +136,7 @@ def test_binary_text_binary_round_trip(tmp_path):
     edges = rng.integers(0, 500, size=(1000, 2)).astype(np.int64)
     first = make_edge_file(tmp_path / "a.grpe", edges, 500)
     text = convert(first, str(tmp_path / "a.txt"), "text")
-    final = convert(text, str(tmp_path / "b.grpe"), "binary", num_nodes=500)
+    final = convert(text, str(tmp_path / "b.grpe"), "binary")
     from streamcut.edgefile import read_all_edges
 
     assert np.array_equal(read_all_edges(final), edges)

@@ -81,7 +81,7 @@ def test_process_chunk_absent_node_untouched(monkeypatch):
         state = PartitionState(10, capacity=10)
         state.nbr0[9], state.nbr1[9] = 3.0, 1.0
         chunk = EdgeChunk(1, np.array([[0, 1]]))
-        assert 9 not in chunk.csr()[0].tolist()
+        assert 9 not in chunk.nodes.tolist()
         process_chunk(state, chunk, GremConfig(chunk_frac=1.0))
         assert state.parts[9] == -1, kernel
         assert (state.nbr0[9], state.nbr1[9]) == (3.0, 1.0), kernel

@@ -68,12 +68,12 @@ def test_build_is_cached_by_source_hash(tmp_path, monkeypatch):
     assert sweep is not None
     assert os.listdir(tmp_path) == [built]
     # and the loaded kernel runs: one fresh node with a neighbour in partition 1
-    nodes, starts, ends, nbrs = (np.array([v], dtype=np.int64) for v in (0, 0, 1, 1))
+    nodes, offsets, nbrs = (np.array(v, dtype=np.int64) for v in ([0], [0, 1], [1]))
     parts = np.array([-1, 1], dtype=np.int8)
     nbr0, nbr1 = np.zeros(2), np.zeros(2)
     sizes = np.array([0, 1], dtype=np.int64)
     ptr = _kernels.ptr
-    failed = sweep(1, *(ptr(a, np.int64, 1) for a in (nodes, starts, ends, nbrs)),
+    failed = sweep(1, ptr(nodes, np.int64, 1), ptr(offsets, np.int64, 2), ptr(nbrs, np.int64, 1),
                    ptr(parts, np.int8, 2), ptr(nbr0, np.float64, 2), ptr(nbr1, np.float64, 2),
                    ptr(sizes, np.int64, 2), 2, 1)
     assert failed == -1
@@ -116,17 +116,16 @@ def _strided(arr):
 
 
 def _chunk_with(index, **swap):
-    """A chunk whose csr() arrays are those of ``index`` with some replaced."""
-    nodes, starts, ends, nbrs = index.csr()
-    arrays = {"nodes": nodes, "starts": starts, "ends": ends, "nbrs": nbrs, **swap}
-    return SimpleNamespace(csr=lambda: tuple(arrays[k] for k in ("nodes", "starts", "ends", "nbrs")))
+    """A chunk whose index arrays are those of ``index`` with some replaced."""
+    arrays = {"nodes": index.nodes, "offsets": index.offsets, "nbrs": index.nbrs, **swap}
+    return SimpleNamespace(**arrays)
 
 
 def _bad_kernel_calls(tmp_path, monkeypatch):
     """(kernel, call) pairs: each call hands its kernel an array of the wrong
     dtype or layout through the code that calls it."""
     chunk = EdgeChunk(1, np.array([[0, 1], [1, 2], [2, 3], [3, 0], [1, 1]]))
-    nodes, starts, ends, nbrs = chunk.csr()
+    nodes, offsets, nbrs = chunk.nodes, chunk.offsets, chunk.nbrs
 
     def state(**swap):
         fresh = PartitionState(4, capacity=3)
@@ -144,8 +143,8 @@ def _bad_kernel_calls(tmp_path, monkeypatch):
         return lambda: grem._seed_chunk(state(**swap), chunk)
 
     def bfs_grow(**swap):
-        arrays = {"starts": starts, "ends": ends, "nbrs": nbrs, **swap}
-        return lambda: seed._bfs_grow(nodes, arrays["starts"], arrays["ends"], arrays["nbrs"], 1, 3)
+        arrays = {"offsets": offsets, "nbrs": nbrs, **swap}
+        return lambda: seed._bfs_grow(nodes, arrays["offsets"], arrays["nbrs"], 1, 3)
 
     efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2], [2, 3]], 4)
     plan = placement.plan_assignment(2, 2, rng_seed=0)
@@ -154,7 +153,7 @@ def _bad_kernel_calls(tmp_path, monkeypatch):
         def run():
             real = placement.build_adjacency
             with monkeypatch.context() as patch:
-                patch.setattr(placement, "build_adjacency", lambda *args: (*real(*args)[:3], snbrs))
+                patch.setattr(placement, "build_adjacency", lambda *args: (*real(*args)[:2], snbrs))
                 placement.estimate_comm(efile, np.array([0, 0, 1, 1]), plan, (2,), 2, 0)
         return run
 
@@ -175,8 +174,8 @@ def _bad_kernel_calls(tmp_path, monkeypatch):
         ("sweep", sweep(nbrs=_strided(nbrs))),
         ("sweep", sweep_state(nbr0=np.zeros(4, dtype=np.float32))),
         ("sweep", sweep_state(parts=_strided(np.full(4, -1, dtype=np.int8)))),
-        ("bfs_grow", bfs_grow(starts=starts.astype(np.int32))),
-        ("bfs_grow", bfs_grow(ends=_strided(ends))),
+        ("bfs_grow", bfs_grow(offsets=offsets.astype(np.int32))),
+        ("bfs_grow", bfs_grow(offsets=_strided(offsets))),
         ("seed_counts", seed_counts(nbr1=np.zeros(4, dtype=np.float32))),
         ("seed_counts", seed_counts(nbr0=_strided(np.zeros(4)))),
         ("comm_walk", comm_walk(np.array([1, 0, 2, 1, 3, 2], dtype=np.int32))),
@@ -206,13 +205,13 @@ SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=
 
 
 def test_kernels_keep_their_buffer_contracts_under_sanitizers(tmp_path):
-    # pack_keys, split_keys, adjacency_tail, sweep and seed_counts on the
-    # key-layout edge cases (split keys at widths 200,000 and 2**19 among
-    # them), the four edge passes on rows whose ids reach num_nodes - 1 at
-    # both id widths, with u32 labels and counters, and curve_point on a
-    # packed lgamma table, every buffer
-    # sized exactly as the Python callers size it: an access past one (such
-    # as a `nodes` without its spare entry) aborts
+    # pack_keys, split_keys, adjacency_tail, sweep, seed_counts and bfs_grow
+    # on the key-layout edge cases (split keys at widths 200,000 and 2**19
+    # among them), comm_walk on a graph with isolated ids, the four edge
+    # passes on rows whose ids reach num_nodes - 1 at both id widths, with
+    # u32 labels and counters, and curve_point on a packed lgamma table,
+    # every buffer sized exactly as the Python callers size it: an access
+    # past one (such as a `nodes` without its spare entry) aborts
     cc = _kernels._compiler()
     if cc is None:
         pytest.skip("no C compiler on PATH")

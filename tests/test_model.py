@@ -34,11 +34,12 @@ def _brute_adjacency(edges):
 def _check_against_rebuild(edges):
     chunk = EdgeChunk(0, edges)
     oracle = _brute_adjacency(edges)
-    nodes, starts, ends, nbrs = chunk.csr()
-    assert all(a.dtype == np.int64 for a in (nodes, starts, ends, nbrs))
+    nodes, offsets, nbrs = chunk.nodes, chunk.offsets, chunk.nbrs
+    assert all(a.dtype == np.int64 for a in (nodes, offsets, nbrs))
+    assert offsets.size == nodes.size + 1 and offsets[0] == 0 and offsets[-1] == nbrs.size
     assert nodes.tolist() == sorted(oracle)
     for i, node in enumerate(nodes.tolist()):
-        assert nbrs[starts[i] : ends[i]].tolist() == oracle[node]
+        assert nbrs[offsets[i] : offsets[i + 1]].tolist() == oracle[node]
 
 
 def test_chunk_adjacency_matches_rebuild(monkeypatch):
@@ -64,9 +65,8 @@ def test_chunk_adjacency_entry_count(monkeypatch):
             edges = rng.integers(0, 12, size=(int(rng.integers(1, 60)), 2)).astype(np.int64)
             chunk = EdgeChunk(0, edges)
             non_loops = int((edges[:, 0] != edges[:, 1]).sum())
-            _, starts, ends, nbrs = chunk.csr()
-            assert len(nbrs) == 2 * non_loops, kernel
-            assert int((ends - starts).sum()) == 2 * non_loops, kernel
+            assert len(chunk.nbrs) == 2 * non_loops, kernel
+            assert int(np.diff(chunk.offsets).sum()) == 2 * non_loops, kernel
 
 
 def test_chunk_absent_node_and_empty(monkeypatch):
@@ -76,7 +76,7 @@ def test_chunk_absent_node_and_empty(monkeypatch):
         empty = EdgeChunk(0, np.empty((0, 2)))
         assert empty.nodes.size == 0
         assert empty.num_edges == 0
-        assert all(a.size == 0 for a in empty.csr())
+        assert empty.nbrs.size == 0 and empty.offsets.tolist() == [0]
 
 
 # the largest width whose src * width + dst keys, which the builder once
@@ -103,7 +103,7 @@ def test_adjacency_tail_native_equals_python_property(edges, loop_only, spare_wi
                          build_adjacency((edges,), edges.shape[0], int(edges.max()) + 1))
                 for kernel in each_kernel(patch)}
     for native, python in zip(runs["native"], runs["python"]):
-        assert len(native) == len(python) == 4
+        assert len(native) == len(python) == 3
         for a, b in zip(native, python):
             assert a.dtype == b.dtype == np.int64
             assert a.tolist() == b.tolist()
@@ -160,10 +160,10 @@ def test_shift_packed_keys_native_equal_numpy_property(monkeypatch, top, dtype, 
     runs = {kernel: build_adjacency(blocks, edges.shape[0], top)
             for kernel in each_kernel(monkeypatch)}
     oracle = _brute_adjacency(edges.astype(np.uint64))
-    for kernel, (nodes, starts, ends, nbrs) in runs.items():
-        assert all(a.dtype == np.int64 for a in (nodes, starts, ends, nbrs)), kernel
+    for kernel, (nodes, offsets, nbrs) in runs.items():
+        assert all(a.dtype == np.int64 for a in (nodes, offsets, nbrs)), kernel
         assert nodes.tolist() == sorted(oracle), kernel
-        lists = [nbrs[a:b].tolist() for a, b in zip(starts, ends)]
+        lists = [nbrs[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
         assert lists == [oracle[n] for n in sorted(oracle)], kernel
     assert all(a.tolist() == b.tolist() for a, b in zip(runs["native"], runs["python"]))
 
@@ -175,9 +175,10 @@ def test_u64_block_beyond_the_packed_width_indexes_as_its_int64_twin(monkeypatch
                       [_WIDEST + 7, _WIDEST]])
     for kernel in each_kernel(monkeypatch):
         for block in (edges, edges % 1000):  # the rank path, then the packed keys
-            wide = EdgeChunk(0, block.astype(np.uint64))
+            wide, twin = EdgeChunk(0, block.astype(np.uint64)), EdgeChunk(0, block)
             assert wide.edges.dtype == np.uint64
-            for a, b in zip(wide.csr(), EdgeChunk(0, block).csr()):
+            for a, b in zip((wide.nodes, wide.offsets, wide.nbrs),
+                            (twin.nodes, twin.offsets, twin.nbrs)):
                 assert a.dtype == b.dtype == np.int64, kernel
                 assert a.tolist() == b.tolist(), kernel
             _check_against_rebuild(block.astype(np.uint64))
@@ -192,7 +193,7 @@ def _lexsort_adjacency(edges):
     src, dst = src[order], dst[order]
     nodes, first = np.unique(src, return_index=True)
     before = np.concatenate([[0], np.cumsum(src != dst)])  # kept entries before each position
-    return nodes, before[first], before[np.append(first[1:], src.size)], dst[src != dst]
+    return nodes, before[np.append(first, src.size)], dst[src != dst]
 
 
 # one u32 part, three (the third holds src 65,536 alone), 13 with the last

@@ -245,11 +245,18 @@ def reference_estimate_comm(edges, num_nodes, labels, plan, fanouts, num_seeds, 
 def test_comm_equals_per_fetch_walk(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     cases = []
-    for case in range(12):
+    for case in range(18):
         num_nodes = int(rng.integers(10, 60))
-        # ids above ``linked`` touch no edge, so a seed drawn there has an empty frontier
-        linked = int(rng.integers(3, num_nodes))
-        edges = rng.integers(0, linked, size=(int(rng.integers(1, 12 * linked)), 2))
+        if case < 12:
+            # ids above ``linked`` touch no edge, so a seed drawn there has an empty frontier
+            linked = int(rng.integers(3, num_nodes))
+            edges = rng.integers(0, linked, size=(int(rng.integers(1, 12 * linked)), 2))
+        else:
+            # id 0 and a middle band [lo, hi) touch no edge: isolated ids below and between
+            # linked ones, empty lists inside the estimator's full-range offsets
+            lo, hi = np.sort(rng.choice(np.arange(2, num_nodes - 1), size=2, replace=False))
+            linked = np.concatenate([np.arange(1, lo), np.arange(hi, num_nodes)])
+            edges = rng.choice(linked, size=(int(rng.integers(1, 12 * linked.size)), 2))
         efile = make_edge_file(tmp_path / f"g{case}.grpe", edges, num_nodes)
         parts = int(rng.integers(1, 5))
         labels = rng.integers(0, parts, size=num_nodes)
