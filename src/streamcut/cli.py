@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Every command writes a JSON run manifest recording the flags, input content
-digests, output digests, wall time and peak resident memory, so runs are
-auditable and reproducible.  Exit codes: 0 success, 2 usage error, 3 data
-error, 4 I/O error.
+digests, output digests, wall time, peak resident memory and the kernel set
+that ran (``_kernels.kernel_name``), so runs are auditable and reproducible.
+Each ``cmd_*`` does its work and returns ``(inputs, outputs, report)``: the
+paths it read, the paths it wrote and its report dict.  ``main`` keeps the
+run protocol for all of them: it starts the clock once the flags are parsed,
+runs the command, writes the manifest, adds its path to the report as the
+last key ``"manifest"`` and prints the report.  Exit codes: 0 success, 2
+usage error, 3 data error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_IO = 4
+
+# what each cmd_* returns: the paths it read, the paths it wrote and its report
+_Run = tuple[list[str], list[str], dict]
 
 
 def _sha256(path: str) -> str:
@@ -103,12 +111,8 @@ def _emit(args, payload: dict) -> None:
             print(f"{key}: {value}")
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, kind) -> list:
+    return [kind(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _grem_config(args) -> GremConfig:
@@ -121,8 +125,7 @@ def _grem_config(args) -> GremConfig:
     )
 
 
-def cmd_partition(args) -> int:
-    started = time.monotonic()
+def cmd_partition(args) -> _Run:
     efile = open_edge_file(args.edges)
     workdir = args.workdir or os.environ.get("GREM_WORKDIR")
     scratch = workdir is None
@@ -137,117 +140,76 @@ def cmd_partition(args) -> int:
             except OSError:
                 pass
     write_labels(args.out, labels, num_parts=args.parts)
-    kernel = _kernels.kernel_name()
-    manifest = _write_manifest(args, "partition", [args.edges], [args.out], started, kernel=kernel)
-    _emit(args, {**report.to_dict(), "kernel": kernel, "labels": args.out, "manifest": manifest})
-    return EXIT_OK
+    return [args.edges], [args.out], {
+        **report.to_dict(), "kernel": _kernels.kernel_name(), "labels": args.out
+    }
 
 
-def cmd_predict(args) -> int:
-    started = time.monotonic()
+def cmd_predict(args) -> _Run:
     efile = open_edge_file(args.edges)
     labels, num_parts = read_labels(args.labels)
     if num_parts != 2:
         raise FormatError(f"{args.labels}: declares {num_parts} parts, not a bisection")
     stats = compute_node_stats(efile, labels)
-    points = theory_curve(stats, _parse_floats(args.xs), args.multiplier)
+    points = theory_curve(stats, _parse_list(args.xs, float), args.multiplier)
     _write_text(args.out, curve_csv(points, args.multiplier))
-    manifest = _write_manifest(args, "predict", [args.edges, args.labels], [args.out], started)
-    _emit(
-        args,
-        {
-            "points": [
-                {"x": pt.x, "expected_cuts": pt.expected_cuts,
-                 "expected_cut_fraction": pt.expected_cut_fraction}
-                for pt in points
-            ],
-            "csv": args.out,
-            "manifest": manifest,
-        },
-    )
-    return EXIT_OK
+    return [args.edges, args.labels], [args.out], {
+        "points": [
+            {"x": pt.x, "expected_cuts": pt.expected_cuts,
+             "expected_cut_fraction": pt.expected_cut_fraction}
+            for pt in points
+        ],
+        "csv": args.out,
+    }
 
 
-def cmd_shuffle(args) -> int:
-    started = time.monotonic()
+def cmd_shuffle(args) -> _Run:
     efile = open_edge_file(args.edges)
     external_shuffle(efile, args.out, args.memory_budget, args.rng_seed)
-    manifest = _write_manifest(args, "shuffle", [args.edges], [args.out], started)
-    _emit(args, {"shuffled": args.out, "num_edges": efile.meta.num_edges, "manifest": manifest})
-    return EXIT_OK
+    return [args.edges], [args.out], {"shuffled": args.out, "num_edges": efile.meta.num_edges}
 
 
-def cmd_convert(args) -> int:
-    started = time.monotonic()
+def cmd_convert(args) -> _Run:
     efile = open_edge_file(args.edges, num_nodes=args.num_nodes)
     out = convert(efile, args.out, args.to)
-    manifest = _write_manifest(args, "convert", [args.edges], [args.out], started)
-    _emit(
-        args,
-        {
-            "converted": args.out,
-            "format": out.format,
-            "num_nodes": out.meta.num_nodes,
-            "num_edges": out.meta.num_edges,
-            "manifest": manifest,
-        },
-    )
-    return EXIT_OK
+    return [args.edges], [args.out], {
+        "converted": args.out,
+        "format": out.format,
+        "num_nodes": out.meta.num_nodes,
+        "num_edges": out.meta.num_edges,
+    }
 
 
-def cmd_cut_stats(args) -> int:
-    started = time.monotonic()
+def cmd_cut_stats(args) -> _Run:
     efile = open_edge_file(args.edges)
     labels, num_parts = read_labels(args.labels)
-    report = count_cuts(efile, labels, num_parts)
-    manifest = _write_manifest(args, "cut-stats", [args.edges, args.labels], [], started)
-    _emit(args, {**report.to_dict(), "manifest": manifest})
-    return EXIT_OK
+    return [args.edges, args.labels], [], count_cuts(efile, labels, num_parts).to_dict()
 
 
-def cmd_buckets(args) -> int:
-    started = time.monotonic()
+def cmd_buckets(args) -> _Run:
     efile = open_edge_file(args.edges)
     labels, num_parts = read_labels(args.labels)
     index = write_buckets(efile, labels, args.out, num_parts)
-    manifest = _write_manifest(
-        args, "buckets", [args.edges, args.labels], [args.out, args.out + ".idx"], started
-    )
-    _emit(
-        args,
-        {
-            "store": args.out,
-            "index": args.out + ".idx",
-            "parts": index.p,
-            "total_edges": index.total_edges,
-            "manifest": manifest,
-        },
-    )
-    return EXIT_OK
+    return [args.edges, args.labels], [args.out, args.out + ".idx"], {
+        "store": args.out,
+        "index": args.out + ".idx",
+        "parts": index.p,
+        "total_edges": index.total_edges,
+    }
 
 
-def cmd_features(args) -> int:
-    started = time.monotonic()
+def cmd_features(args) -> _Run:
     labels, num_parts = read_labels(args.labels)
     layout = reorder_features(args.features, labels, args.record_width, args.out, num_parts)
-    manifest = _write_manifest(
-        args, "features", [args.features, args.labels], [args.out, args.out + ".layout"], started
-    )
-    _emit(
-        args,
-        {
-            "grouped": args.out,
-            "layout": args.out + ".layout",
-            "record_width": layout.record_width,
-            "extents": [list(e) for e in layout.extents],
-            "manifest": manifest,
-        },
-    )
-    return EXIT_OK
+    return [args.features, args.labels], [args.out, args.out + ".layout"], {
+        "grouped": args.out,
+        "layout": args.out + ".layout",
+        "record_width": layout.record_width,
+        "extents": [list(e) for e in layout.extents],
+    }
 
 
-def cmd_plan(args) -> int:
-    started = time.monotonic()
+def cmd_plan(args) -> _Run:
     plan = plan_assignment(args.parts, args.workers, args.rng_seed)
     inputs = []
     if args.replicate_budget:
@@ -256,22 +218,15 @@ def cmd_plan(args) -> int:
         plan = dataclasses.replace(plan, replicated_nodes=replicated)
         inputs.append(args.edges)
     _write_text(args.out, plan_to_text(plan))
-    manifest = _write_manifest(args, "plan", inputs, [args.out], started)
-    _emit(
-        args,
-        {
-            "plan": args.out,
-            "workers": plan.num_workers,
-            "parts": plan.num_partitions,
-            "replicated_nodes": len(plan.replicated_nodes),
-            "manifest": manifest,
-        },
-    )
-    return EXIT_OK
+    return inputs, [args.out], {
+        "plan": args.out,
+        "workers": plan.num_workers,
+        "parts": plan.num_partitions,
+        "replicated_nodes": len(plan.replicated_nodes),
+    }
 
 
-def cmd_comm_estimate(args) -> int:
-    started = time.monotonic()
+def cmd_comm_estimate(args) -> _Run:
     efile = open_edge_file(args.edges)
     labels, num_parts = read_labels(args.labels)
     with open(args.plan, "r", encoding="ascii") as fh:
@@ -283,26 +238,16 @@ def cmd_comm_estimate(args) -> int:
         efile,
         labels,
         plan,
-        fanouts=_parse_ints(args.fanouts),
+        fanouts=_parse_list(args.fanouts, int),
         num_seeds=args.num_seeds,
         rng_seed=args.rng_seed,
     )
     _write_text(args.out, comm_csv(counts))
-    kernel = _kernels.kernel_name()
-    manifest = _write_manifest(
-        args, "comm-estimate", [args.edges, args.labels, args.plan], [args.out], started,
-        kernel=kernel,
-    )
-    _emit(
-        args,
-        {
-            "csv": args.out,
-            "kernel": kernel,
-            "per_worker": [{"worker": w, "local": a, "remote": b} for w, (a, b) in enumerate(counts)],
-            "manifest": manifest,
-        },
-    )
-    return EXIT_OK
+    return [args.edges, args.labels, args.plan], [args.out], {
+        "csv": args.out,
+        "kernel": _kernels.kernel_name(),
+        "per_worker": [{"worker": w, "local": a, "remote": b} for w, (a, b) in enumerate(counts)],
+    }
 
 
 def _add_common(sub) -> None:
@@ -414,14 +359,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "replicate_budget", 0) and not args.edges:
         parser.error("--replicate-budget requires --edges")
+    started = time.monotonic()
     try:
-        return args.func(args)
+        inputs, outputs, report = args.func(args)
+        report["manifest"] = _write_manifest(args, args.command, inputs, outputs, started,
+                                             kernel=_kernels.kernel_name())
+        _emit(args, report)
     except (StreamcutError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -181,6 +181,8 @@ def _read_binary_header(path: str) -> GraphMeta:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != 1:
         raise FormatError(f"{path}: unsupported version {version}")
+    if flags & ~FLAG_WIDE_IDS:
+        raise FormatError(f"{path}: unknown flags {flags:#x}")
     width = 64 if flags & FLAG_WIDE_IDS else 32
     expected = _EDGE_HEADER.size + num_edges * 2 * (width // 8)
     if size != expected:
@@ -220,24 +222,34 @@ def _declared_nodes(line: str, path: str) -> int | None:
     return declared
 
 
+def _text_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of a text edge file; a byte outside ASCII, as in a
+    binary file with a damaged magic, is a FormatError."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            yield from enumerate(fh, 1)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: byte {exc.object[exc.start]:#04x} is not ASCII, "
+                              f"not a text edge list") from None
+
+
 def _scan_text(path: str) -> tuple[int, int, int | None]:
     """Returns (num_edges, max_id, declared num_nodes) of a text edge file;
     max_id is -1 if it has no edges, the declaration None without one."""
     count = 0
     max_id = -1
     declared = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if lineno == 1:
-                declared = _declared_nodes(line, path)
-            pair = _parse_text_line(line, lineno, path)
-            if pair is None:
-                continue
-            count += 1
-            if pair[0] > max_id:
-                max_id = pair[0]
-            if pair[1] > max_id:
-                max_id = pair[1]
+    for lineno, line in _text_lines(path):
+        if lineno == 1:
+            declared = _declared_nodes(line, path)
+        pair = _parse_text_line(line, lineno, path)
+        if pair is None:
+            continue
+        count += 1
+        if pair[0] > max_id:
+            max_id = pair[0]
+        if pair[1] > max_id:
+            max_id = pair[1]
     return count, max_id, declared
 
 
@@ -246,8 +258,9 @@ def open_edge_file(path: str, num_nodes: int | None = None) -> EdgeFile:
 
     For text files the file is scanned once.  num_nodes is the file's own
     ``# nodes N`` line when it has one (a ``num_nodes`` that disagrees is a
-    FormatError), else the given ``num_nodes``, else the largest id + 1;
-    an id at or above it is a FormatError.  A file of zero bytes is a
+    FormatError), else the given ``num_nodes``, else the largest id + 1, or 1
+    for a file without edges; an id at or above it, or a declared or given
+    count below 1, is a FormatError.  A file of zero bytes is a
     FormatError: it is what a binary file cut short by a power loss may
     become, and no text file streamcut writes is empty.
     """
@@ -269,10 +282,12 @@ def open_edge_file(path: str, num_nodes: int | None = None) -> EdgeFile:
                               f"requested {num_nodes}")
         num_nodes = declared
     if num_nodes is None:
-        num_nodes = max_id + 1 if max_id >= 0 else 1
+        num_nodes = max(max_id + 1, 1)
+    elif num_nodes < 1:
+        raise FormatError(f"{path}: num_nodes {num_nodes}, a graph has at least one node")
     elif max_id >= num_nodes:
         raise FormatError(f"{path}: edge endpoint {max_id} >= num_nodes {num_nodes}")
-    meta = GraphMeta(max(num_nodes, 1), num_edges, width_for(max(num_nodes, 1)))
+    meta = GraphMeta(num_nodes, num_edges, width_for(num_nodes))
     return EdgeFile(path, meta, TEXT)
 
 
@@ -313,19 +328,18 @@ def iter_edge_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -
 
     seen = 0
     buf: list[tuple[int, int]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            pair = _parse_text_line(line, lineno, path)
-            if pair is None:
-                continue
-            seen += 1
-            if seen > meta.num_edges:
-                raise FormatError(f"{path}:{lineno}: more than the {meta.num_edges} edges "
-                                  f"counted when the file was opened")
-            buf.append(pair)
-            if len(buf) >= block_edges:
-                yield rows(buf)
-                buf = []
+    for lineno, line in _text_lines(path):
+        pair = _parse_text_line(line, lineno, path)
+        if pair is None:
+            continue
+        seen += 1
+        if seen > meta.num_edges:
+            raise FormatError(f"{path}:{lineno}: more than the {meta.num_edges} edges "
+                              f"counted when the file was opened")
+        buf.append(pair)
+        if len(buf) >= block_edges:
+            yield rows(buf)
+            buf = []
     if seen != meta.num_edges:
         raise FormatError(f"{path}: {seen} edges, {meta.num_edges} counted when the file "
                           f"was opened")

@@ -304,8 +304,6 @@ def partition(
     p: int,
     config: GremConfig,
     workdir: str,
-    *,
-    meter: ResidencyMeter | None = None,
 ) -> tuple[np.ndarray, CutReport]:
     """Recursive p-way partitioning (p a power of two) via repeated bisection.
 
@@ -333,12 +331,12 @@ def partition(
         nonlocal cut
         cap = ceil((1.0 + config.capacity_slack) * total_nodes / 2 ** (level + 1))
         if p_level == 2:
-            labels, report = bisect(file, config, capacity=cap, meter=meter)
+            labels, report = bisect(file, config, capacity=cap)
             cut += report.cut_edges
             final[orig_ids[labels == 0]] = leaf_base
             final[orig_ids[labels == 1]] = leaf_base + 1
             return
-        labels = _bisect_labels(file, config, capacity=cap, meter=meter)
+        labels = _bisect_labels(file, config, capacity=cap)
         cut += file.meta.num_edges  # less each side's kept edges, below
         for side in (0, 1):
             members = np.flatnonzero(labels == side)

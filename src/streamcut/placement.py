@@ -224,22 +224,34 @@ def plan_to_text(plan: PlacementPlan) -> str:
 
 
 def plan_from_text(text: str) -> PlacementPlan:
+    """Reads ``plan_to_text``'s format; FormatError for a non-integer id, a
+    worker listed twice, a second ``replicated:`` line, or workers other than
+    0..num_workers-1."""
     assignment: dict[int, tuple[int, ...]] = {}
-    replicated: frozenset[int] = frozenset()
-    for raw in text.splitlines():
+    replicated: frozenset[int] | None = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         head, _, rest = line.partition(":")
-        items = tuple(int(tok) for tok in rest.split(",") if tok.strip())
-        if head.strip() == "replicated":
+        head = head.strip()
+        try:
+            items = tuple(int(tok) for tok in rest.split(",") if tok.strip())
+            worker = None if head == "replicated" else int(head)
+        except ValueError:
+            raise FormatError(f"plan line {lineno}: non-integer id in {line!r}") from None
+        if worker is None:
+            if replicated is not None:
+                raise FormatError(f"plan line {lineno}: a second 'replicated' line")
             replicated = frozenset(items)
+        elif worker in assignment:
+            raise FormatError(f"plan line {lineno}: worker {worker} listed twice")
         else:
-            assignment[int(head)] = items
+            assignment[worker] = items
     if sorted(assignment) != list(range(len(assignment))):
         raise FormatError("plan must list workers 0..num_workers-1")
     ordered = tuple(assignment[w] for w in range(len(assignment)))
-    return PlacementPlan(len(assignment), ordered, replicated)
+    return PlacementPlan(len(assignment), ordered, replicated or frozenset())
 
 
 def comm_csv(counts) -> str:

@@ -204,11 +204,14 @@ class FeatureLayout:
         return len(self.permutation)
 
     def slot_of(self, node: int) -> int:
+        """Node ``node``'s slot; FormatError unless 0 <= node < num_nodes."""
+        if not 0 <= node < self.num_nodes:
+            raise FormatError(f"node {node} outside [0, {self.num_nodes})")
         return int(self.permutation[node])
 
     def read_record(self, grouped_path: str, node: int) -> bytes:
-        """Node ``node``'s record; FormatError unless the grouped file holds
-        exactly one record per node."""
+        """Node ``node``'s record; FormatError unless 0 <= node < num_nodes and
+        the grouped file holds exactly one record per node."""
         with open(grouped_path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size != self.num_nodes * self.record_width:

@@ -11,6 +11,7 @@ import pytest
 import streamcut
 from streamcut import _kernels, cli, read_labels, write_labels
 from streamcut.cli import main
+from streamcut.placement import plan_assignment, plan_to_text
 from streamcut.synth import CliqueUnionSpec, write_graph
 
 from helpers import each_kernel, make_edge_file
@@ -86,6 +87,49 @@ def test_partition_records_kernel(tmp_path, cliques, capsys, monkeypatch):
         assert "kernel" not in manifest["config"]
         runs[kernel] = digest(out_labels)
     assert runs["native"] == runs["python"]
+
+
+# one run of each command, from a directory holding g.grpe, its ground-truth
+# bisection truth.grpl, a 32-node feature file f.bin and a 2-worker plan.txt
+_RUNS = {
+    "partition": ["g.grpe", "--out", "l.grpl", "--parts", "4", "--chunk-frac", "0.3"],
+    "predict": ["g.grpe", "truth.grpl", "--out", "c.csv"],
+    "shuffle": ["g.grpe", "s.grpe", "--rng-seed", "3"],
+    "convert": ["g.grpe", "g.txt", "--to", "text"],
+    "cut-stats": ["g.grpe", "truth.grpl"],
+    "buckets": ["g.grpe", "truth.grpl", "b.grpb"],
+    "features": ["f.bin", "truth.grpl", "o.bin", "--record-width", "4"],
+    "plan": ["p.txt", "--parts", "2", "--workers", "2", "--edges", "g.grpe",
+             "--replicate-budget", "2"],
+    "comm-estimate": ["g.grpe", "truth.grpl", "plan.txt", "--out", "comm.csv",
+                      "--num-seeds", "8"],
+}
+
+
+@pytest.mark.parametrize("command", list(_RUNS))
+def test_every_command_keeps_the_run_protocol(tmp_path, cliques, capsys, monkeypatch, command):
+    # every run writes one manifest with the same keys, the kernel set included,
+    # and its report names that manifest last
+    _, truth = cliques
+    monkeypatch.chdir(tmp_path)
+    write_labels("truth.grpl", truth.astype(np.int64), num_parts=2)
+    Path("f.bin").write_bytes(bytes(range(128)))
+    Path("plan.txt").write_text(plan_to_text(plan_assignment(2, 2, 0)), encoding="ascii")
+    argv = [command, *_RUNS[command]]
+    code, plain = run(capsys, *argv)
+    assert code == 0
+    keys = [line.split(": ", 1)[0] for line in plain.splitlines()]
+    assert keys[-1] == "manifest"
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert sorted(payload) == sorted(keys)
+    manifest = json.loads(Path(payload["manifest"]).read_text())
+    assert {"command", "config", "input_digests", "outputs", "wall_time_s", "peak_rss_bytes",
+            "kernel"} <= set(manifest)
+    assert manifest["command"] == command
+    assert manifest["kernel"] == _kernels.kernel_name()
+    # only partition and comm-estimate report the kernel set as well
+    assert ("kernel" in payload) == (command in ("partition", "comm-estimate"))
 
 
 def test_partition_no_refine_single_chunk_identical(tmp_path, cliques, capsys):

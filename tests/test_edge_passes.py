@@ -406,12 +406,12 @@ def _opened(tmp_path, edges, width):
     return open_edge_file(str(path))
 
 
-@pytest.mark.parametrize("damage", ["truncated", "magic", "num_edges", "version", "grown",
-                                    "shrunk"])
+@pytest.mark.parametrize("damage", ["truncated", "magic", "num_edges", "version", "flags",
+                                    "grown", "shrunk", "non_ascii"])
 def test_damaged_file_is_a_format_error(tmp_path, monkeypatch, damage):
     edges = _multigraph(10, 300, 5000)
     labels = np.arange(300) % 2
-    for width in (TEXT,) if damage in ("grown", "shrunk") else (32, 64):
+    for width in (TEXT,) if damage in ("grown", "shrunk", "non_ascii") else (32, 64):
         efile = _opened(tmp_path, edges, width)
         if damage == "grown":  # four more rows, ids in range
             with open(efile.path, "a", encoding="ascii") as fh:
@@ -421,6 +421,9 @@ def test_damaged_file_is_a_format_error(tmp_path, monkeypatch, damage):
             lines = Path(efile.path).read_text(encoding="ascii").splitlines(keepends=True)
             Path(efile.path).write_text("".join(lines[:-4]), encoding="ascii")
             message = "g.txt: 4996 edges, 5000 counted when the file was opened"
+        elif damage == "non_ascii":  # one digit of the last row replaced
+            _poke(efile.path, -2, 0xE9, 1)
+            message = "g.txt: byte 0xe9 is not ASCII, not a text edge list"
         elif damage == "truncated":
             with open(efile.path, "r+b") as fh:
                 fh.truncate(Path(efile.path).stat().st_size - width // 4)
@@ -431,6 +434,9 @@ def test_damaged_file_is_a_format_error(tmp_path, monkeypatch, damage):
         elif damage == "num_edges":
             _poke(efile.path, 20, 4999, 8)
             message = "does not match header num_edges 4999"
+        elif damage == "flags":  # a bit beyond the id width's
+            _poke(efile.path, 8, (width == 64) | 6, 4)
+            message = f"unknown flags {(width == 64) | 6:#x}"
         else:
             _poke(efile.path, 4, 2, 4)
             message = "unsupported version 2"

@@ -129,6 +129,24 @@ def test_text_edge_files_keep_their_node_count(tmp_path):
     # only a first line declares; elsewhere it is a comment, and the count is inferred
     src.write_text("0 1\n# nodes 40\n")
     assert open_edge_file(str(src)).meta.num_nodes == 2
+    # a graph has a node: a count below 1, declared or requested, is refused, and
+    # only an edgeless file with no declaration is inferred as one node
+    src.write_text("# nodes 0\n")
+    with pytest.raises(FormatError, match="g.txt: num_nodes 0, a graph has at least one node"):
+        open_edge_file(str(src))
+    src.write_text("# an edgeless graph\n")
+    assert open_edge_file(str(src)).meta.num_nodes == 1
+    out = tmp_path / "z.grpe"
+    for requested in (0, -1):
+        with pytest.raises(FormatError, match=f"num_nodes {requested}, a graph has"):
+            open_edge_file(str(src), num_nodes=requested)
+        assert streamcut.cli.main(["convert", str(src), str(out), "--to", "binary",
+                                   "--num-nodes", str(requested)]) == 3
+        assert not out.exists()
+    # a byte outside ASCII is a FormatError naming the file, never a decode error
+    src.write_bytes(b"0 1\n1 \xe9\n")
+    with pytest.raises(FormatError, match="g.txt: byte 0xe9 is not ASCII"):
+        open_edge_file(str(src))
 
 
 def test_binary_text_binary_round_trip(tmp_path):

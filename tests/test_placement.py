@@ -1,5 +1,6 @@
 import ctypes
 import itertools
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -74,6 +75,20 @@ def test_plan_text_round_trip():
     back = plan_from_text(text)
     assert back == plan
     assert "replicated: 2,9" in text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0: 0,x\n1: 1\n", "plan line 1: non-integer id in '0: 0,x'"),
+    ("w: 0\n", "plan line 1: non-integer id in 'w: 0'"),
+    ("0: 0\nreplicated: 3,?\n", "plan line 2: non-integer id in 'replicated: 3,?'"),
+    ("0: 0,1\n0: 0,1\n", "plan line 2: worker 0 listed twice"),
+    ("0: 0\n1: 1\n1: 2\n", "plan line 3: worker 1 listed twice"),
+    ("0: 0\nreplicated: 1\nreplicated: 2\n", "plan line 3: a second 'replicated' line"),
+    ("0: 0\nreplicated:\nreplicated: 2\n", "plan line 3: a second 'replicated' line"),
+])
+def test_malformed_plan_text_is_a_format_error(text, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        plan_from_text(text)
 
 
 def test_select_replicated_budget_zero(tmp_path):

@@ -196,6 +196,20 @@ def test_reorder_features_round_trip(tmp_path):
     assert reloaded.extents == layout.extents
 
 
+def test_a_node_outside_the_layout_is_a_format_error(tmp_path):
+    # node -1 would wrap to node n - 1's slot, and node n past the permutation
+    feats = tmp_path / "f.bin"
+    feats.write_bytes(b"AABBCC")
+    out = str(tmp_path / "grouped.bin")
+    layout = reorder_features(str(feats), np.array([1, 0, 1]), 2, out)
+    for node in (-1, 3, 2**63):
+        with pytest.raises(FormatError, match=rf"^node {node} outside \[0, 3\)$"):
+            layout.slot_of(node)
+        with pytest.raises(FormatError, match=rf"^node {node} outside \[0, 3\)$"):
+            layout.read_record(out, node)
+    assert [layout.read_record(out, node) for node in range(3)] == [b"AA", b"BB", b"CC"]
+
+
 def _damaged_layout(tmp_path, damage):
     """A saved 4-node, 2-part layout with one field of its payload damaged."""
     feats = tmp_path / "f.bin"
@@ -394,6 +408,7 @@ def test_each_binary_reader_refuses_a_short_file(tmp_path, name, cut):
 # record_width, num_nodes, num_parts; and every (offset, count) entry of a
 # 4 x 4 store's .idx
 _HEADER_FIELDS = {
+    "g.grpe": [(0, 4), (4, 4), (8, 4), (12, 8), (20, 8)],
     "l.grpl": [(0, 4), (4, 4), (8, 8), (16, 4)],
     "b.grpb": [(0, 4), (4, 4), (8, 4), (12, 4), (16, 8)],
     "b.grpb.idx": [(8 * k, 8) for k in range(2 * 16)],
@@ -416,7 +431,8 @@ def test_a_damaged_header_field_is_a_format_error(tmp_path, name, field, change)
     # included: the reader raises FormatError, never a numpy error, or reads a
     # file that is still valid
     rng = np.random.default_rng(15)
-    efile = make_edge_file(tmp_path / "g.grpe", rng.integers(0, 30, size=(200, 2)), 30)
+    edges = rng.integers(0, 30, size=(200, 2))
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 30)
     labels = rng.integers(0, 4, size=30)
     write_labels(str(tmp_path / "l.grpl"), labels, num_parts=4)
     write_buckets(efile, labels, str(tmp_path / "b.grpb"), 4)
@@ -432,7 +448,15 @@ def test_a_damaged_header_field_is_a_format_error(tmp_path, name, field, change)
     assume(new != old)
     raw[offset : offset + size] = new.to_bytes(size, "little")
     path.write_bytes(bytes(raw))
-    if name == "l.grpl":
+    if name == "g.grpe":
+        try:
+            got = read_all_edges(open_edge_file(str(path)))
+        except FormatError:
+            return
+        # only a num_nodes still above every id leaves a valid file
+        assert offset == 12 and new > int(edges.max())
+        assert got.tolist() == edges.tolist()
+    elif name == "l.grpl":
         try:
             got, num_parts = read_labels(str(path))
         except FormatError:
