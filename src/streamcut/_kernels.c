@@ -55,43 +55,54 @@ static inline double kept(const double *p, uint64_t keep)
     return out;
 }
 
-/* Sweeps one chunk's CSR index in place over parts/nbr0/nbr1/sizes.
- * Returns -1, or the position in `nodes` of the node no partition could
- * take (sizes already has that node lifted out, as in the Python loop).
- *
- * The decision is grem.assign, computed without branches: which side a
- * re-placed node takes is data-dependent and unpredictable (about a fifth
- * of the visits move a node on sbm2-c1), so a branching rule pays a
- * misprediction on many nodes.  Each condition is a 0/1 value, and a new
- * node's stored estimate is masked to +0.0, so that the averaging step
- * gives its fresh count exactly.  The per-node branches left are the loop
- * branches, the skip of a placed node when `refine` is off (tested first,
- * so it is loop-invariant when refinement is on), and the exit taken when
- * the chosen side is full.  That side is full only when both are: a greedy
- * side is taken only with room, and the smaller side is full only if the
- * larger is too.  Both sides full means the size accounting is broken.
- * The exit tests it as one sign bit: written as two comparisons, the
- * compiler splits it into two branches.  The sizes live in locals: a
- * store through the int8_t `parts` may alias any object, so the compiler
- * would reload them after every label written. */
-int64_t sweep(int64_t num, const int64_t *nodes, const int64_t *offsets,
-              const int64_t *nbrs, int8_t *parts, double *nbr0, double *nbr1,
-              int64_t *sizes, int64_t cap, int32_t refine)
+/* A kernel body inlined into one copy per key or id width. */
+#define PASS static inline __attribute__((always_inline))
+
+/* The adjacency builder's keys: src << shift | dst, for ids below `width`
+ * and shift = bit_length(width - 1), so a key's high bits are its owner and
+ * its low `shift` bits its neighbour.  Sorting them orders the index as
+ * sorting src * width + dst would.  Keys are u64 (key_bytes == 8, shift
+ * <= 32) or their low 32 bits (key_bytes == 4): the whole key while
+ * width <= 65,536, else split_keys groups them by their high bits. */
+static inline uint64_t key_at(const void *keys, int wide, int64_t k)
+{
+    return wide ? ((const uint64_t *)keys)[k] : ((const uint32_t *)keys)[k];
+}
+
+/* The sweep over keys i to end - 1 of one part, whose bits above the low
+ * 32 are `high`; tally as sweep takes it. */
+PASS int64_t sweep_part(const void *keys, int key_wide, int64_t i, int64_t end, uint64_t high,
+                        int64_t shift, int8_t *parts, double *nbr0, double *nbr1,
+                        int64_t *tally, int64_t cap, uint64_t fixed)
 {
     static const double scale[2] = {1.0, 0.5};
-    int64_t s0 = sizes[0], s1 = sizes[1], failed = -1;
-    uint64_t fixed = refine == 0;
-    for (int64_t i = 0; i < num; i++) {
-        int64_t n = nodes[i];
+    uint64_t mask = ((uint64_t)1 << shift) - 1;
+    int64_t s0 = tally[0], s1 = tally[1], visited = 0, moved = 0, failed = -1;
+    uint64_t key = i < end ? key_at(keys, key_wide, i) : 0;
+    while (i < end) {
+        /* the run of keys owned by n, from key on, is n's neighbour list:
+         * keys up to last, its self-loops, read but counted for neither
+         * side, equal to self (both less the part's high bits) */
+        uint64_t n = (high | key) >> shift;
+        uint64_t base = (n << shift) - high, last = base + mask, self = base + n;
+        int64_t n0 = 0, n1 = 0;
+        for (;;) {
+            if (key != self) {
+                int pw = parts[key & mask];
+                n0 += pw == 0;
+                n1 += pw == 1;
+            }
+            if (++i == end)
+                break;
+            key = key_at(keys, key_wide, i);
+            if (key > last)
+                break;
+        }
         int old = parts[n];
         uint64_t placed = old != -1;
-        if (fixed & placed)
+        if (fixed & placed) {
+            visited++;
             continue;
-        int64_t n0 = 0, n1 = 0;
-        for (int64_t j = offsets[i], end = offsets[i + 1]; j < end; j++) {
-            int pw = parts[nbrs[j]];
-            n0 += pw == 0;
-            n1 += pw == 1;
         }
         /* (stored + fresh) * 0.5 for a placed node, (+0.0 + fresh) * 1.0 for a new one */
         uint64_t keep = (uint64_t)0 - placed;
@@ -105,17 +116,81 @@ int64_t sweep(int64_t num, const int64_t *nodes, const int64_t *offsets,
         int64_t to1 = (c0 < c1) & room1, to0 = (c1 < c0) & room0;
         int64_t b = to1 | ((to0 ^ 1) & (s1 < s0));
         if (((cap - 1 - s0) & (cap - 1 - s1)) < 0) { /* both signs set: both full */
-            failed = i;
+            failed = (int64_t)n;
             break;
         }
+        visited++;
+        moved += placed & (b != old);
         s0 += b ^ 1;
         s1 += b;
         parts[n] = (int8_t)b;
         nbr0[n] = c0;
         nbr1[n] = c1;
     }
-    sizes[0] = s0;
-    sizes[1] = s1;
+    tally[0] = s0;
+    tally[1] = s1;
+    tally[2] += visited;
+    tally[3] += moved;
+    return failed;
+}
+
+/* One copy of the part sweep per key width, kept out of the loop over parts
+ * so that the loop's own variables do not crowd the registers of the sweep */
+static __attribute__((noinline)) int64_t sweep_part32(
+    const void *keys, int64_t i, int64_t end, uint64_t high, int64_t shift, int8_t *parts,
+    double *nbr0, double *nbr1, int64_t *tally, int64_t cap, uint64_t fixed)
+{
+    return sweep_part(keys, 0, i, end, high, shift, parts, nbr0, nbr1, tally, cap, fixed);
+}
+
+static __attribute__((noinline)) int64_t sweep_part64(
+    const void *keys, int64_t i, int64_t end, uint64_t high, int64_t shift, int8_t *parts,
+    double *nbr0, double *nbr1, int64_t *tally, int64_t cap, uint64_t fixed)
+{
+    return sweep_part(keys, 1, i, end, high, shift, parts, nbr0, nbr1, tally, cap, fixed);
+}
+
+/* Sweeps one chunk in place over parts/nbr0/nbr1, straight off its m sorted
+ * adjacency keys: key_bytes, shift, nparts and bounds as adjacency_tail
+ * takes them (bounds NULL for one part).  Each run of keys with one owner
+ * is that node's neighbour list, ascending, so nodes are visited in
+ * ascending id order, one seen only in self-loops too, and count their
+ * neighbours as they would over the CSR index.  Every id must index the
+ * node state: the caller checks the chunk's width against the node count.
+ * tally holds the two partition sizes, then two counters the sweep adds
+ * to: the nodes it visited, a node skipped because refine is off included,
+ * and the placed nodes whose label it changed.  Returns -1, or the id of
+ * the node no partition could take: tally's sizes already have that node
+ * lifted out, as in the Python loop, and its counters cover the nodes
+ * before it.
+ *
+ * The decision is grem.assign, computed without branches: which side a
+ * re-placed node takes is data-dependent and unpredictable (about a fifth
+ * of the visits move a node on sbm2-c1), so a branching rule pays a
+ * misprediction on many nodes.  Each condition is a 0/1 value, and a new
+ * node's stored estimate is masked to +0.0, so that the averaging step
+ * gives its fresh count exactly.  The branches left are the loop branches
+ * (a run ends at the first key above its last), the skip of a self-loop key
+ * (rare, so predicted), the skip of a placed node when `refine` is off
+ * (tested first, so it is loop-invariant when refinement is on), and the
+ * exit taken when the chosen side is full.  That side is full only when both are: a greedy
+ * side is taken only with room, and the smaller side is full only if the
+ * larger is too.  Both sides full means the size accounting is broken.
+ * The exit tests it as one sign bit: written as two comparisons, the
+ * compiler splits it into two branches.  The sizes live in locals: a
+ * store through the int8_t `parts` may alias any object, so the compiler
+ * would reload them after every label written. */
+int64_t sweep(int64_t m, const void *keys, int64_t key_bytes, int64_t shift, int64_t nparts,
+              const int64_t *bounds, int8_t *parts, double *nbr0, double *nbr1, int64_t *tally,
+              int64_t cap, int32_t refine)
+{
+    int64_t failed = -1;
+    for (int64_t q = 0; q < nparts && failed < 0; q++) {
+        int64_t start = bounds ? bounds[q] : 0, end = bounds ? bounds[q + 1] : m;
+        failed = (key_bytes == 8 ? sweep_part64 : sweep_part32)(
+            keys, start, end, (uint64_t)q << 32, shift, parts, nbr0, nbr1, tally, cap,
+            refine == 0);
+    }
     return failed;
 }
 
@@ -357,7 +432,6 @@ done:
  * trusted as the header says.  They check only the labels, new ids and
  * bucket ids they read.  The bodies are inlined into one copy per id
  * width. */
-#define PASS static inline __attribute__((always_inline))
 
 static inline uint64_t id_at(const void *rows, int wide, int64_t k)
 {
@@ -514,17 +588,6 @@ int64_t endpoint_counts(int64_t m, const void *rows, int64_t id_bytes, const uin
     if (id_bytes == 8)
         return endpoint_counts_body(m, rows, 1, labels, counts);
     return endpoint_counts_body(m, rows, 0, labels, counts);
-}
-
-/* The adjacency builder's keys: src << shift | dst, for ids below `width`
- * and shift = bit_length(width - 1), so a key's high bits are its owner and
- * its low `shift` bits its neighbour.  Sorting them orders the index as
- * sorting src * width + dst would.  Keys are u64 (key_bytes == 8, shift
- * <= 32) or their low 32 bits (key_bytes == 4): the whole key while
- * width <= 65,536, else split_keys groups them by their high bits. */
-static inline uint64_t key_at(const void *keys, int wide, int64_t k)
-{
-    return wide ? ((const uint64_t *)keys)[k] : ((const uint32_t *)keys)[k];
 }
 
 PASS int64_t pack_keys_body(int64_t m, const void *rows, int wide, uint64_t width,

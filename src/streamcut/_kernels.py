@@ -7,14 +7,18 @@ to a temporary file that is then renamed into place, so concurrent processes
 never load a half-written library; a successful build removes every other
 ``_kernels.*.so`` from the cache directory.
 
-The kernels, named in ``KERNELS``, each replace one Python loop; the first
-three and ``comm_walk`` read ``model.build_adjacency``'s CSR index
-``(nodes, offsets, nbrs)``, node i's neighbours ``nbrs[offsets[i]:offsets[i + 1]]``:
+The kernels, named in ``KERNELS``, each replace one Python loop;
+``bfs_grow``, ``seed_counts`` and ``comm_walk`` read ``model.build_adjacency``'s
+CSR index ``(nodes, offsets, nbrs)``, node i's neighbours
+``nbrs[offsets[i]:offsets[i + 1]]``, and ``sweep`` the sorted keys it is
+built from:
 
-* ``sweep`` -- the greedy chunk sweep of ``grem.process_chunk``, its
-  decision (``grem.assign``) computed without branches, since which side a
-  re-placed node takes is unpredictable; it branches only to leave when no
-  side can take a node;
+* ``sweep`` -- the greedy chunk sweep of ``grem.process_chunk``, straight
+  off an ``EdgeChunk``'s sorted ``src << shift | dst`` keys, each run of one
+  owner a node's neighbour list; its decision (``grem.assign``) is computed
+  without branches, since which side a re-placed node takes is
+  unpredictable, and it branches only to leave when no side can take a
+  node; it adds the nodes it visited and moved to two counters;
 * ``bfs_grow`` -- the BFS-grow seed, its restart order (a counting sort on
   degree) and its refinement, ``seed._bfs_grow``;
 * ``seed_counts`` -- the neighbour estimates of the seeded chunk nodes,
@@ -27,7 +31,7 @@ three and ``comm_walk`` read ``model.build_adjacency``'s CSR index
   ``model.key_layout`` finds enough keys for at most 64 parts (width 2**19):
   ``model._split_keys``;
 * ``adjacency_tail`` -- the run split and self-loop removal after the key
-  sort, part by part, branch-free, in ``model.adjacency_from_keys``;
+  sort, part by part, branch-free, in ``model._adjacency_tail``;
 * ``comm_walk`` -- the sampling walk of ``placement.estimate_comm``;
 * ``label_pass`` -- gathers both u32 labels of each edge of a block, tallies
   cut edges and optionally counts and writes p x p bucket ids:
@@ -65,7 +69,7 @@ bit-identical results, sits beside its one call: the edge passes' numpy
 twins in ``edgefile._label_block``, ``_extract_block``, ``_scatter_block``
 and ``_endpoint_block``, the others in ``grem.process_chunk``,
 ``seed._bfs_grow``, ``grem._seed_chunk``, ``model._pack_block``,
-``model._split_keys``, ``model.adjacency_from_keys``,
+``model._split_keys``, ``model._adjacency_tail``,
 ``placement.estimate_comm`` and
 ``theory._curve_point``.
 
@@ -149,7 +153,7 @@ def _load():
     # travels as a plain pointer (see ``ptr``)
     i64, p = ctypes.c_int64, ctypes.c_void_p
     signatures = {
-        "sweep": ([i64, p, p, p, p, p, p, p, i64, ctypes.c_int32], i64),
+        "sweep": ([i64, p, i64, i64, i64, p, p, p, p, p, i64, ctypes.c_int32], i64),
         "bfs_grow": ([i64, p, p, i64, i64, p], i64),
         "seed_counts": ([i64, p, p, p, p, p, p], None),
         "pack_keys": ([i64, p, i64, i64, i64, i64, p, p], i64),

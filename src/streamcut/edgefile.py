@@ -42,6 +42,7 @@ _EDGE_HEADER = struct.Struct("<4sIIQQ")
 _LABELS_HEADER = struct.Struct("<4sIQI")
 _UNASSIGNED_U32 = 0xFFFFFFFF
 _NODES_LINE = re.compile(r"# nodes (\d+)")
+_DECIMAL = re.compile(r"[0-9]+")
 
 IO_BLOCK = 64 * 1024  # minimum sensible I/O granularity in bytes
 _MAX_SCATTER_BUCKETS = 4096
@@ -193,6 +194,14 @@ def _read_binary_header(path: str) -> GraphMeta:
     return GraphMeta(num_nodes, num_edges, width)
 
 
+def _decimal(token: str) -> int:
+    """The value of an id token of ASCII digits only; ValueError for any other
+    token, such as one ``int`` takes with a sign or ``_`` separators."""
+    if _DECIMAL.fullmatch(token) is None:
+        raise ValueError(f"not an ASCII decimal id: {token!r}")
+    return int(token)
+
+
 def _parse_text_line(line: str, lineno: int, path: str) -> tuple[int, int] | None:
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
@@ -201,11 +210,11 @@ def _parse_text_line(line: str, lineno: int, path: str) -> tuple[int, int] | Non
     if len(parts) != 2:
         raise FormatError(f"{path}:{lineno}: expected 'src dst', got {line.rstrip()!r}")
     try:
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _decimal(parts[0]), _decimal(parts[1])
     except ValueError:
+        if all(_DECIMAL.fullmatch(tok.removeprefix("-")) for tok in parts):
+            raise FormatError(f"{path}:{lineno}: negative node id") from None
         raise FormatError(f"{path}:{lineno}: non-integer node id in {line.rstrip()!r}") from None
-    if u < 0 or v < 0:
-        raise FormatError(f"{path}:{lineno}: negative node id")
     if max(u, v) >= 2**64 - 1:  # num_nodes, one more, must fit a binary header's u64
         raise FormatError(f"{path}:{lineno}: node id {max(u, v)} >= 2**64 - 1")
     return u, v

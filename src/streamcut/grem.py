@@ -17,8 +17,12 @@ During re-placement the node's own count is lifted out of ``sizes`` before
 the greedy rule runs, so the capacity bound is never violated even when both
 partitions are exactly full.  The per-node decision is the inner loop of the
 algorithm, and on re-streamed chunks it is unpredictable, so the compiled
-sweep (``_kernels.sweep``) computes it without branches; ``assign`` and the
-Python loop in ``process_chunk`` are its reference.
+sweep (``_kernels.sweep``) computes it without branches.  It reads the
+chunk's sorted adjacency keys, whose runs of one owner are the nodes'
+neighbour lists, so a swept chunk never builds its CSR index; ``assign`` and
+the Python loop in ``process_chunk``, over that index, are its reference.
+Both add the nodes they visit and the placed nodes whose label they change
+to the state's ``visited`` and ``moved`` counts.
 
 ``partition`` drives p-way partitioning (p a power of two) by recursive
 bisection over induced subgraph files: after each bisection one pass per
@@ -55,7 +59,7 @@ from .edgefile import (
     stream_chunks,
 )
 from .errors import CapacityError, FormatError
-from .model import CutReport, EdgeChunk, PartitionState
+from .model import CutReport, EdgeChunk, PartitionState, _key_shift
 from .seed import seed_bisect
 
 
@@ -115,21 +119,26 @@ def assign(nbrs0: float, nbrs1: float, sizes, capacity: int) -> int:
 
 
 def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -> PartitionState:
-    """Sweeps one non-seed chunk, updating labels, sizes and stored estimates."""
-    nodes, offsets, nbrs = chunk.nodes, chunk.offsets, chunk.nbrs
-    if nodes.size and (nodes[0] < 0 or nodes[-1] >= state.num_nodes):
+    """Sweeps one non-seed chunk, updating labels, sizes, stored estimates and
+    the visited and moved counts (left as they were on a CapacityError)."""
+    if chunk.width > state.num_nodes:
         raise FormatError(f"chunk node ids outside [0, {state.num_nodes})")
-    if _kernels.sweep is not None:
-        ptr, num, num_nodes = _kernels.ptr, nodes.size, state.num_nodes
-        sizes = np.array(state.sizes, dtype=np.int64)
+    keys, bounds = chunk.keys, chunk.bounds
+    if _kernels.sweep is not None and keys is not None:
+        ptr, m, num_nodes = _kernels.ptr, keys.size, state.num_nodes
+        nparts = 1 if bounds is None else bounds.size - 1
+        tally = np.array([*state.sizes, state.visited, state.moved], dtype=np.int64)
         failed = _kernels.sweep(
-            num, ptr(nodes, np.int64, num), ptr(offsets, np.int64, num + 1),
-            ptr(nbrs, np.int64, nbrs.size), ptr(state.parts, np.int8, num_nodes),
-            ptr(state.nbr0, np.float64, num_nodes), ptr(state.nbr1, np.float64, num_nodes),
-            ptr(sizes, np.int64, 2), state.capacity, config.refine)
-        state.sizes[:] = sizes.tolist()
+            m, ptr(keys, np.uint64 if keys.itemsize == 8 else np.uint32, m), keys.itemsize,
+            _key_shift(chunk.width), nparts, ptr(bounds, np.int64, nparts + 1),
+            ptr(state.parts, np.int8, num_nodes), ptr(state.nbr0, np.float64, num_nodes),
+            ptr(state.nbr1, np.float64, num_nodes), ptr(tally, np.int64, 4), state.capacity,
+            config.refine)
+        tally = tally.tolist()
+        state.sizes[:] = tally[:2]
         if failed >= 0:
             raise CapacityError("both partitions at capacity; size accounting is broken")
+        state.visited, state.moved = tally[2:]
         return state
 
     # memoryviews index to Python ints and floats, several times faster than
@@ -140,11 +149,13 @@ def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -
     sizes = state.sizes
     cap = state.capacity
     refine = config.refine
-    o_list = offsets.tolist()
-    adj = nbrs.tolist()
+    o_list = chunk.offsets.tolist()
+    adj = chunk.nbrs.tolist()
+    visited = moved = 0
 
-    for i, n in enumerate(nodes.tolist()):
+    for i, n in enumerate(chunk.nodes.tolist()):
         old = parts[n]
+        visited += 1
         if old != -1 and not refine:
             continue
         c0 = 0.0
@@ -160,10 +171,13 @@ def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -
             c1 = (nbr1[n] + c1) * 0.5
             sizes[old] -= 1
         b = assign(c0, c1, sizes, cap)
+        moved += old != -1 and b != old
         sizes[b] += 1
         parts[n] = b
         nbr0[n] = c0
         nbr1[n] = c1
+    state.visited += visited
+    state.moved += moved
     return state
 
 

@@ -183,19 +183,28 @@ def adjacency_from_keys(
     buf: np.ndarray, keys: np.ndarray, bounds: np.ndarray | None, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``build_adjacency`` index of the (buffer, keys, bounds) of
-    ``_pack_keys(..., width)``.
+    ``_pack_keys(..., width)``: ``_sort_keys``, then ``_adjacency_tail``."""
+    _sort_keys(keys, bounds)
+    return _adjacency_tail(buf, keys, bounds, width)
 
-    Each part of ``keys`` that holds two or more keys is sorted in place,
-    then ``buf`` is overwritten from its front with the neighbor ids, and
-    ``nbrs`` is a view of that front.
-    """
-    parts, m = 1 if bounds is None else bounds.size - 1, keys.size
-    if parts == 1:
+
+def _sort_keys(keys: np.ndarray, bounds: np.ndarray | None) -> None:
+    """Sorts in place each part of ``keys`` that holds two or more keys."""
+    if bounds is None:
         keys.sort()
-    else:
-        ends = bounds.tolist()
-        for q in np.flatnonzero(np.diff(bounds) > 1).tolist():
-            keys[ends[q] : ends[q + 1]].sort()
+        return
+    ends = bounds.tolist()
+    for q in np.flatnonzero(np.diff(bounds) > 1).tolist():
+        keys[ends[q] : ends[q + 1]].sort()
+
+
+def _adjacency_tail(
+    buf: np.ndarray, keys: np.ndarray, bounds: np.ndarray | None, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index of sorted ``_pack_keys(..., width)`` keys: ``buf`` is overwritten
+    from its front with the neighbor ids, and ``nbrs`` is a view of that front,
+    so the keys in ``buf`` are spent."""
+    parts, m = 1 if bounds is None else bounds.size - 1, keys.size
     shift, dtype = _key_shift(width), _KEY_DTYPES[keys.itemsize]
     if _kernels.adjacency_tail is not None:
         ptr = _kernels.ptr
@@ -227,22 +236,62 @@ def adjacency_from_keys(
 class EdgeChunk:
     """A contiguous in-memory slice of the edge list with a chunk-local adjacency index.
 
-    ``edges`` is the block as read, at its stored id width.  The index is the
-    CSR (``nodes``, ``offsets``, ``nbrs``) ``build_adjacency`` returns: ``nodes``
-    holds the sorted unique endpoints of the chunk's edges (self-loop-only
-    nodes included), both directions of every edge are indexed, duplicate
-    edges count with multiplicity, self-loops are excluded, and neighbor
-    lists are sorted ascending so traversals over them are deterministic.
+    ``edges`` is the block as read, at its stored id width, and ``width`` is
+    its largest id + 1 (0 when it is empty).  The index is held as the
+    sorted ``src << shift | dst`` keys of both directions of every edge, in
+    the layout ``key_layout(width, 2 * num_edges)`` gives: ``keys`` (u32 or
+    u64) and ``bounds`` (None for one part, else part q's keys are
+    ``keys[bounds[q]:bounds[q + 1]]``, each held as its low 32 bits).  Each
+    run of keys with one owner is a node's neighbor list, ascending, which
+    the compiled sweep reads directly.
+
+    The CSR (``nodes``, ``offsets``, ``nbrs``) of ``build_adjacency`` is built
+    from a copy of the keys when first read, for the seed chunk, the Python
+    sweep and other readers, and kept: ``nodes`` holds the sorted unique
+    endpoints (self-loop-only nodes included), both directions of every edge
+    are indexed, duplicate edges count with multiplicity, self-loops are
+    excluded, and neighbor lists are sorted ascending so traversals over
+    them are deterministic.  An empty chunk, and one with ids of 2**32 and
+    above (which only the rank path of ``build_adjacency`` indexes), has no
+    keys (``keys`` None) and holds the CSR from the start.
     """
 
-    __slots__ = ("chunk_index", "edges", "nodes", "offsets", "nbrs")
+    __slots__ = ("chunk_index", "edges", "width", "keys", "bounds", "_csr")
 
     def __init__(self, chunk_index: int, edges: np.ndarray):
         edges = np.asarray(edges).reshape(-1, 2)
         self.chunk_index = int(chunk_index)
         self.edges = edges
-        width = int(edges.max()) + 1 if edges.size else 0
-        self.nodes, self.offsets, self.nbrs = build_adjacency((edges,), edges.shape[0], width)
+        self.width = width = int(edges.max()) + 1 if edges.size else 0
+        self.keys = self.bounds = self._csr = None
+        if edges.size and packed_keys_fit(width):
+            _, self.keys, self.bounds = _pack_keys((edges,), edges.shape[0], width)
+            _sort_keys(self.keys, self.bounds)
+        else:
+            if edges.size and edges.min() < 0:
+                raise ValueError(f"edge ids must lie in [0, {width})")
+            self._csr = build_adjacency((edges,), edges.shape[0], width)
+
+    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._csr is None:
+            m = self.keys.size
+            buf = np.empty(m, dtype=np.int64)  # the tail spends the copy, not the keys
+            keys = buf.view(self.keys.dtype)[-m:]
+            keys[:] = self.keys
+            self._csr = _adjacency_tail(buf, keys, self.bounds, self.width)
+        return self._csr
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self._index()[0]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self._index()[1]
+
+    @property
+    def nbrs(self) -> np.ndarray:
+        return self._index()[2]
 
     @property
     def num_edges(self) -> int:
@@ -258,10 +307,12 @@ class PartitionState:
     ``nbr0``/``nbr1`` are float64 arrays of the running per-node estimates of
     the number of neighbors in each partition; they stay (0, 0) for nodes
     never seen in a processed chunk.  ``capacity`` is the maximum node count
-    per partition.
+    per partition.  ``visited`` and ``moved`` count, over every chunk swept
+    (``grem.process_chunk``, not the seeded chunk), the nodes the sweep
+    visited and the placed nodes whose label it changed.
     """
 
-    __slots__ = ("parts", "sizes", "nbr0", "nbr1", "capacity")
+    __slots__ = ("parts", "sizes", "nbr0", "nbr1", "capacity", "visited", "moved")
 
     def __init__(self, num_nodes: int, capacity: int):
         if num_nodes < 1:
@@ -271,6 +322,8 @@ class PartitionState:
         self.nbr0 = np.zeros(num_nodes, dtype=np.float64)
         self.nbr1 = np.zeros(num_nodes, dtype=np.float64)
         self.capacity = int(capacity)
+        self.visited = 0
+        self.moved = 0
 
     @property
     def num_nodes(self) -> int:

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .edgefile import _UNASSIGNED_U32, EdgeFile, _check_labels, _endpoint_pass, iter_edge_blocks
+from .edgefile import (_UNASSIGNED_U32, EdgeFile, _check_labels, _decimal, _endpoint_pass,
+                       iter_edge_blocks)
 from .errors import FormatError
 from .model import build_adjacency
 
@@ -224,9 +225,9 @@ def plan_to_text(plan: PlacementPlan) -> str:
 
 
 def plan_from_text(text: str) -> PlacementPlan:
-    """Reads ``plan_to_text``'s format; FormatError for a non-integer id, a
-    worker listed twice, a second ``replicated:`` line, or workers other than
-    0..num_workers-1."""
+    """Reads ``plan_to_text``'s format; FormatError for an id other than ASCII
+    digits (``edgefile._decimal``), a worker listed twice, a second
+    ``replicated:`` line, or workers other than 0..num_workers-1."""
     assignment: dict[int, tuple[int, ...]] = {}
     replicated: frozenset[int] | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -236,8 +237,8 @@ def plan_from_text(text: str) -> PlacementPlan:
         head, _, rest = line.partition(":")
         head = head.strip()
         try:
-            items = tuple(int(tok) for tok in rest.split(",") if tok.strip())
-            worker = None if head == "replicated" else int(head)
+            items = tuple(_decimal(tok.strip()) for tok in rest.split(",") if tok.strip())
+            worker = None if head == "replicated" else _decimal(head)
         except ValueError:
             raise FormatError(f"plan line {lineno}: non-integer id in {line!r}") from None
         if worker is None:

@@ -1,5 +1,6 @@
-/* Runs pack_keys, split_keys, adjacency_tail, sweep (its capacity exit too),
- * seed_counts and bfs_grow of src/streamcut/_kernels.c on edge cases,
+/* Runs pack_keys, split_keys, adjacency_tail, sweep (over the sorted keys
+ * of each layout, against the CSR loop, its capacity exit too), seed_counts
+ * and bfs_grow of src/streamcut/_kernels.c on edge cases,
  * comm_walk on a small graph with isolated ids, the edge passes label_pass,
  * extract_rows, scatter_rows and endpoint_counts on rows whose ids reach
  * num_nodes - 1, and curve_point on small (k, k0) pairs, with every buffer
@@ -26,9 +27,9 @@ void split_keys(int64_t m, const uint32_t *fwd, const uint32_t *rev, int64_t shi
 int64_t adjacency_tail(int64_t m, const void *keys, int64_t key_bytes, int64_t shift,
                        int64_t nparts, const int64_t *bounds, int64_t *nbrs, int64_t *nodes,
                        int64_t *offsets);
-int64_t sweep(int64_t num, const int64_t *nodes, const int64_t *offsets, const int64_t *nbrs,
-              int8_t *parts, double *nbr0, double *nbr1, int64_t *sizes, int64_t cap,
-              int32_t refine);
+int64_t sweep(int64_t m, const void *keys, int64_t key_bytes, int64_t shift, int64_t nparts,
+              const int64_t *bounds, int8_t *parts, double *nbr0, double *nbr1, int64_t *tally,
+              int64_t cap, int32_t refine);
 void seed_counts(int64_t num, const int64_t *nodes, const int64_t *offsets, const int64_t *nbrs,
                  const int8_t *parts, double *nbr0, double *nbr1);
 int64_t bfs_grow(int64_t num, const int64_t *offsets, const int64_t *local,
@@ -96,11 +97,60 @@ static int64_t key_shift(uint64_t width)
     return shift;
 }
 
+/* grem.process_chunk's Python loop over the CSR index, grem.assign with its
+ * branches: the reference the key sweep must equal.  Adds to *visited and
+ * *moved as the sweep adds to its counters.  Returns -1, or the id of the
+ * node no side could take. */
+static int64_t csr_sweep(int64_t runs, const int64_t *nodes, const int64_t *offsets,
+                         const int64_t *nbrs, int8_t *parts, double *nbr0, double *nbr1,
+                         int64_t *sizes, int64_t cap, int refine, int64_t *visited,
+                         int64_t *moved)
+{
+    for (int64_t r = 0; r < runs; r++) {
+        int64_t n = nodes[r];
+        int old = parts[n], b;
+        if (old != -1 && !refine) {
+            *visited += 1;
+            continue;
+        }
+        double c0 = 0.0, c1 = 0.0;
+        for (int64_t j = offsets[r]; j < offsets[r + 1]; j++) {
+            if (parts[nbrs[j]] == 0)
+                c0 += 1.0;
+            else if (parts[nbrs[j]] == 1)
+                c1 += 1.0;
+        }
+        if (old != -1) {
+            c0 = (nbr0[n] + c0) * 0.5;
+            c1 = (nbr1[n] + c1) * 0.5;
+            sizes[old] -= 1;
+        }
+        if (c0 < c1 && sizes[1] < cap)
+            b = 1;
+        else if (c1 < c0 && sizes[0] < cap)
+            b = 0;
+        else if (sizes[0] <= sizes[1])
+            b = sizes[0] >= cap ? -1 : 0;
+        else
+            b = sizes[1] >= cap ? -1 : 1;
+        if (b < 0)
+            return n;
+        *visited += 1;
+        *moved += old != -1 && b != old;
+        sizes[b] += 1;
+        parts[n] = (int8_t)b;
+        nbr0[n] = c0;
+        nbr1[n] = c1;
+    }
+    return -1;
+}
+
 /* One chunk of m edges (ids[2i], ids[2i + 1]) below width, stored at
  * id_bytes: packs, splits, sorts and runs the tail over its keys, checks
  * the index against a brute-force count, and for widths small enough to
- * hold one entry of node state per id sweeps it, seeds its estimates and
- * grows a seed bisection over it. */
+ * hold one entry of node state per id (u32 keys in one part and in split
+ * parts, and u64 keys at width 2**19 + 1) sweeps its sorted keys against
+ * the CSR loop, seeds its estimates and grows a seed bisection over it. */
 static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_bytes,
                      uint64_t width)
 {
@@ -141,6 +191,16 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
               (size_t)key_bytes, key_bytes == 8 ? cmp_u64 : cmp_u32);
     }
 
+    /* the sorted keys and bounds as an EdgeChunk keeps them, exactly sized,
+     * before the tail spends the buffer (bounds NULL for one part) */
+    void *sorted = exact((size_t)(2 * m), (size_t)key_bytes);
+    memcpy(sorted, keys, (size_t)(2 * m) * (size_t)key_bytes);
+    int64_t *sorted_bounds = NULL;
+    if (nparts > 1) {
+        sorted_bounds = exact((size_t)(nparts + 1), sizeof *sorted_bounds);
+        memcpy(sorted_bounds, bounds, (size_t)(nparts + 1) * sizeof *bounds);
+    }
+
     /* nodes: one entry per possible run and a spare; offsets: one more per run */
     int64_t max_runs = (uint64_t)(2 * m) < width ? 2 * m : (int64_t)width;
     int64_t *nodes = exact((size_t)(max_runs + 1), sizeof *nodes);
@@ -170,10 +230,11 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         }
     }
 
-    if (width <= (1u << 17)) {
-        /* grem.process_chunk and grem._seed_chunk: nodes of the runs, their
-         * offsets, one more than the runs, nbrs of the kept keys, node state
-         * of every id */
+    if (width <= (1u << 19) + 1) {
+        /* grem.process_chunk over the sorted keys, and the CSR loop and
+         * grem._seed_chunk over nodes of the runs, their offsets, one more
+         * than the runs, and nbrs of the kept keys; node state of every id,
+         * once for the sweep and once for the loop */
         int64_t num_nbrs = offsets[runs];
         int64_t *c_nodes = exact((size_t)runs, sizeof *c_nodes);
         int64_t *c_offsets = exact((size_t)runs + 1, sizeof *c_offsets);
@@ -182,38 +243,55 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         memcpy(c_offsets, offsets, (size_t)(runs + 1) * sizeof *offsets);
         memcpy(nbrs, buf, (size_t)num_nbrs * sizeof *nbrs);
         int8_t *parts = exact((size_t)width, sizeof *parts);
+        int8_t *ref_parts = exact((size_t)width, sizeof *ref_parts);
         double *nbr0 = exact((size_t)width, sizeof *nbr0);
         double *nbr1 = exact((size_t)width, sizeof *nbr1);
+        double *ref_nbr0 = exact((size_t)width, sizeof *ref_nbr0);
+        double *ref_nbr1 = exact((size_t)width, sizeof *ref_nbr1);
         memset(parts, -1, (size_t)width);
+        memset(ref_parts, -1, (size_t)width);
         for (uint64_t n = 0; n < width; n++)
-            nbr0[n] = nbr1[n] = 0.0;
-        int64_t *sizes = exact(2, sizeof *sizes);
-        sizes[0] = sizes[1] = 0;
+            nbr0[n] = nbr1[n] = ref_nbr0[n] = ref_nbr1[n] = 0.0;
+        int64_t *tally = exact(4, sizeof *tally);
+        int64_t ref_sizes[2] = {0, 0}, ref_visited = 0, ref_moved = 0;
+        tally[0] = tally[1] = tally[2] = tally[3] = 0;
         int64_t cap = (int64_t)(width / 2 + 1);
-        CHECK(sweep(runs, c_nodes, c_offsets, nbrs, parts, nbr0, nbr1, sizes, cap, 1) == -1,
-              name);
-        CHECK(sizes[0] + sizes[1] == runs, name);
-        /* a second, refining sweep over the placed nodes */
-        CHECK(sweep(runs, c_nodes, c_offsets, nbrs, parts, nbr0, nbr1, sizes, cap, 1) == -1,
-              name);
+        /* a fresh sweep, a refining one over the placed nodes, and one with
+         * refinement off that skips them all, each equal to the loop's */
+        for (int pass = 0; pass < 3; pass++) {
+            int refine = pass < 2;
+            CHECK(sweep(2 * m, sorted, key_bytes, shift, nparts, sorted_bounds, parts, nbr0,
+                        nbr1, tally, cap, refine) == -1, name);
+            CHECK(csr_sweep(runs, c_nodes, c_offsets, nbrs, ref_parts, ref_nbr0, ref_nbr1,
+                            ref_sizes, cap, refine, &ref_visited, &ref_moved) == -1, name);
+            CHECK(memcmp(parts, ref_parts, (size_t)width) == 0, name);
+            CHECK(memcmp(nbr0, ref_nbr0, (size_t)width * sizeof *nbr0) == 0, name);
+            CHECK(memcmp(nbr1, ref_nbr1, (size_t)width * sizeof *nbr1) == 0, name);
+            CHECK(tally[0] == ref_sizes[0] && tally[1] == ref_sizes[1], name);
+            CHECK(tally[2] == ref_visited && tally[3] == ref_moved, name);
+            CHECK(tally[0] + tally[1] == runs && tally[2] == (pass + 1) * runs, name);
+        }
         /* the capacity exit, as process_chunk's CapacityError: with both
          * sides claimed full even once it is lifted out of its old side,
-         * the first node fails, lifted out, with its label and estimates
-         * left as they were */
+         * the first node fails, lifted out, with its label, estimates and
+         * the counters left as they were */
         int first = parts[c_nodes[0]];
         double est0 = nbr0[c_nodes[0]], est1 = nbr1[c_nodes[0]];
-        sizes[0] = sizes[1] = cap + 1;
-        CHECK(sweep(runs, c_nodes, c_offsets, nbrs, parts, nbr0, nbr1, sizes, cap, 1) == 0,
-              name);
-        CHECK(sizes[first] == cap && sizes[1 - first] == cap + 1, name);
+        int64_t visited = tally[2], moved = tally[3];
+        tally[0] = tally[1] = cap + 1;
+        CHECK(sweep(2 * m, sorted, key_bytes, shift, nparts, sorted_bounds, parts, nbr0, nbr1,
+                    tally, cap, 1) == c_nodes[0], name);
+        CHECK(tally[first] == cap && tally[1 - first] == cap + 1, name);
+        CHECK(tally[2] == visited && tally[3] == moved, name);
         CHECK(parts[c_nodes[0]] == first, name);
         CHECK(nbr0[c_nodes[0]] == est0 && nbr1[c_nodes[0]] == est1, name);
         /* and a fresh node, with refinement off */
         parts[c_nodes[0]] = -1;
-        sizes[0] = sizes[1] = cap;
-        CHECK(sweep(runs, c_nodes, c_offsets, nbrs, parts, nbr0, nbr1, sizes, cap, 0) == 0,
-              name);
-        CHECK(sizes[0] == cap && sizes[1] == cap && parts[c_nodes[0]] == -1, name);
+        tally[0] = tally[1] = cap;
+        CHECK(sweep(2 * m, sorted, key_bytes, shift, nparts, sorted_bounds, parts, nbr0, nbr1,
+                    tally, cap, 0) == c_nodes[0], name);
+        CHECK(tally[0] == cap && tally[1] == cap && parts[c_nodes[0]] == -1, name);
+        CHECK(tally[2] == visited && tally[3] == moved, name);
         parts[c_nodes[0]] = (int8_t)first;
         seed_counts(runs, c_nodes, c_offsets, nbrs, parts, nbr0, nbr1);
         for (int64_t r = 0; r < runs; r++)
@@ -255,13 +333,18 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         free(local);
         free(labels);
         free(parts);
+        free(ref_parts);
         free(nbr0);
         free(nbr1);
-        free(sizes);
+        free(ref_nbr0);
+        free(ref_nbr1);
+        free(tally);
     }
     free(rows);
     free(buf);
     free(bounds);
+    free(sorted);
+    free(sorted_bounds);
     free(nodes);
     free(offsets);
 }

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -168,6 +169,23 @@ def test_malformed_line_reports_lineno(tmp_path):
     src.write_text("0 1\nx y\n")
     with pytest.raises(FormatError, match="bad.txt:2"):
         open_edge_file(str(src))
+
+
+@pytest.mark.parametrize("line, message", [
+    # int() would read these as 10 and 3
+    ("1_0 2", "non-integer node id in '1_0 2'"),
+    ("+3 0", "non-integer node id in '+3 0'"),
+    ("-1 0", "negative node id"),
+    ("0 -0", "negative node id"),
+    ("0 -x", "non-integer node id in '0 -x'"),
+])
+def test_text_ids_are_ascii_decimal(tmp_path, line, message):
+    src = tmp_path / "g.txt"
+    src.write_text(f"0 1\n{line}\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(src))}:2: {re.escape(message)}$"):
+        open_edge_file(str(src))
+    with pytest.raises(FormatError, match=f":2: {re.escape(message)}$"):
+        open_edge_file(str(src), num_nodes=20)
 
 
 def test_id_out_of_range(tmp_path):

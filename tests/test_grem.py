@@ -21,7 +21,7 @@ from streamcut import (
     seed_bisect,
     write_labels,
 )
-from streamcut import _kernels, grem
+from streamcut import _kernels, grem, model
 from streamcut.grem import assign, default_capacity, process_chunk
 from streamcut.synth import CliqueUnionSpec, generate
 
@@ -153,10 +153,15 @@ def _sweep_both(edges, start, estimates, capacity, refine, sizes=None):
 def _assert_same_sweep(runs):
     (native, native_error), (python, python_error) = runs["native"], runs["python"]
     assert type(native_error) is type(python_error)
-    assert native.parts.tolist() == python.parts.tolist()
-    assert native.sizes == python.sizes
-    assert native.nbr0.tobytes() == python.nbr0.tobytes()
-    assert native.nbr1.tobytes() == python.nbr1.tobytes()
+    _assert_same_state(native, python)
+
+
+def _assert_same_state(a, b):
+    assert a.parts.tolist() == b.parts.tolist()
+    assert a.sizes == b.sizes
+    assert a.nbr0.tobytes() == b.nbr0.tobytes()
+    assert a.nbr1.tobytes() == b.nbr1.tobytes()
+    assert (a.visited, a.moved) == (b.visited, b.moved)
 
 
 _IDLE = [-1] * 21  # nodes 4..24, outside every example's chunk
@@ -213,6 +218,130 @@ def test_process_chunk_capacity_error_native_equals_python(refine):
                            refine, sizes)
         _assert_same_sweep(runs)
         assert isinstance(runs["native"][1], CapacityError), (start, sizes)
+
+
+def _csr_sweep(state, index, refine):
+    """The chunk sweep as a plain loop over a ``build_adjacency`` CSR index,
+    counting visited and moved nodes: the reference for ``process_chunk``."""
+    nodes, offsets, nbrs = (a.tolist() for a in index)
+    visited = moved = 0
+    for i, n in enumerate(nodes):
+        old = int(state.parts[n])
+        visited += 1
+        if old != -1 and not refine:
+            continue
+        c0 = float(sum(state.parts[w] == 0 for w in nbrs[offsets[i] : offsets[i + 1]]))
+        c1 = float(sum(state.parts[w] == 1 for w in nbrs[offsets[i] : offsets[i + 1]]))
+        if old != -1:
+            c0, c1 = (state.nbr0[n] + c0) * 0.5, (state.nbr1[n] + c1) * 0.5
+            state.sizes[old] -= 1
+        b = assign(c0, c1, state.sizes, state.capacity)
+        moved += old != -1 and b != old
+        state.sizes[b] += 1
+        state.parts[n], state.nbr0[n], state.nbr1[n] = b, c0, c1
+    state.visited += visited
+    state.moved += moved
+
+
+# (top id of a chunk, whether split parts need no minimum key count) per key
+# layout: u32 keys in one part; u32 keys split into 3 and 13 parts (widths
+# 65,537 and 200,000); u64 keys at those widths, where so few keys would make
+# too few per part
+_LAYOUTS = {"u32": [(40, False), (65_535, False)], "split": [(65_536, True), (199_999, True)],
+            "u64": [(65_536, False), (199_999, False)]}
+
+
+@PROPERTY_SETTINGS
+@given(
+    layout=st.sampled_from(sorted(_LAYOUTS)),
+    top_at=st.integers(0, 1),
+    edges=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=40),
+    loop_only=st.lists(st.integers(10, 11), max_size=2),
+    anchor=st.integers(0, 12),
+    spread=st.lists(st.floats(0, 1, exclude_max=True), min_size=12, max_size=12),
+    start=st.lists(st.sampled_from([-1, -1, 0, 1]), min_size=13, max_size=13),
+    estimates=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.75, 7.0]), min_size=26, max_size=26),
+    headroom=st.sampled_from([0, 1, 2, 13]),
+    refine=st.booleans(),
+    traced=st.booleans(),
+)
+# a node seen only in self-loops, placed: visited, its self-loops counted for neither side
+@example(layout="split", top_at=1, edges=[(0, 1), (0, 1), (1, 0)], loop_only=[10], anchor=0,
+         spread=[i / 12 for i in range(12)], start=[0, 1] + [-1] * 8 + [1, -1, 0],
+         estimates=[0.0] * 26, headroom=2, refine=True, traced=False)
+def test_key_sweep_equals_the_csr_loop_property(layout, top_at, edges, loop_only, anchor, spread,
+                                                 start, estimates, headroom, refine, traced):
+    # a multigraph with duplicates, self-loops and self-loop-only nodes over
+    # 13 local ids spread over a width that selects each key layout, local
+    # id 12 at the top: the sweep under both kernels, run twice, leaves the
+    # labels, sizes, estimates and counts the CSR loop leaves, also after
+    # the chunk's CSR was built first, as the benchmark's tracer builds it
+    top, split = _LAYOUTS[layout][top_at]
+    ids = sorted({int(f * top) for f in spread} | {top})
+    ids += [top] * (13 - len(ids))  # ids drawn twice leave local ids that share one
+    local = np.array(edges + [(n, n) for n in loop_only] + [edges[0], (anchor, 12)])
+    chunk_edges = np.array(ids, dtype=np.int64)[local]
+    num_nodes = top + 2
+    with pytest.MonkeyPatch.context() as patch:
+        if split:
+            patch.setattr(model, "_MIN_PART_KEYS", 0)
+        shift, dtype, parts = model.key_layout(top + 1, 2 * len(chunk_edges))
+        assert (dtype is np.uint64, parts > 1) == (layout == "u64", layout == "split")
+        index = model.build_adjacency((chunk_edges,), len(chunk_edges), top + 1)
+
+        def fresh():
+            state = PartitionState(num_nodes, 0)
+            state.parts[ids] = start
+            state.nbr0[ids], state.nbr1[ids] = estimates[:13], estimates[13:]
+            state.sizes = recount_sizes(state.parts)
+            state.capacity = max(state.sizes) + headroom
+            return state
+
+        def sweep_twice(sweep):
+            state, error = fresh(), None
+            try:
+                for _ in range(2):
+                    sweep(state)
+            except CapacityError as exc:
+                error = exc
+            return state, error
+
+        want, want_error = sweep_twice(lambda state: _csr_sweep(state, index, refine))
+        config = GremConfig(chunk_frac=1.0, refine=refine)
+        for kernel in each_kernel(patch):
+            chunk = EdgeChunk(1, chunk_edges)
+            if traced:
+                assert chunk.nodes.tolist() == index[0].tolist(), kernel
+            got, error = sweep_twice(lambda state: process_chunk(state, chunk, config))
+            assert type(error) is type(want_error), kernel
+            _assert_same_state(got, want)
+
+
+@pytest.mark.parametrize("passes", [1, 2])
+def test_sweep_counts_equal_a_diff_of_labels(tmp_path, monkeypatch, passes):
+    # after each chunk, the visited count grows by the chunk's nodes and the
+    # moved count by the placed nodes whose label changed; the seeded chunk
+    # counts for neither
+    edges, num_nodes = random_multigraph(np.random.default_rng(8), max_nodes=60, max_edges=500)
+    efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
+    for kernel in each_kernel(monkeypatch):
+        for refine in (True, False):
+            config = GremConfig(chunk_edges=40, refine=refine, passes=passes)
+            chunk_nodes = [EdgeChunk(0, block).nodes for block in
+                           grem.iter_edge_blocks(efile, 40)] * passes
+            seen = []
+            grem.bisect(efile, config, on_chunk=lambda state: seen.append(
+                (state.parts.copy(), state.visited, state.moved)))
+            assert len(seen) == len(chunk_nodes)
+            assert seen[0][1:] == (0, 0), (kernel, refine)  # the seeded chunk
+            for (before, visited, moved), (after, now_visited, now_moved), nodes in zip(
+                    seen, seen[1:], chunk_nodes[1:]):
+                changed = (before[nodes] != -1) & (after[nodes] != before[nodes])
+                assert now_visited - visited == nodes.size, (kernel, refine)
+                assert now_moved - moved == int(changed.sum()), (kernel, refine)
+                assert (after != before).sum() == (before[nodes] != after[nodes]).sum()
+            assert seen[-1][2] > 0 or not refine, kernel
+
 
 # ------------------------------------------------------------------ assign
 

@@ -67,17 +67,18 @@ def test_build_is_cached_by_source_hash(tmp_path, monkeypatch):
     sweep = _kernels._load()[0]
     assert sweep is not None
     assert os.listdir(tmp_path) == [built]
-    # and the loaded kernel runs: one fresh node with a neighbour in partition 1
-    nodes, offsets, nbrs = (np.array(v, dtype=np.int64) for v in ([0], [0, 1], [1]))
+    # and the loaded kernel runs: one fresh node with a neighbour in
+    # partition 1, the key 0 << 1 | 1 of width 2
+    keys = np.array([1], dtype=np.uint32)
     parts = np.array([-1, 1], dtype=np.int8)
     nbr0, nbr1 = np.zeros(2), np.zeros(2)
-    sizes = np.array([0, 1], dtype=np.int64)
+    tally = np.array([0, 1, 0, 0], dtype=np.int64)
     ptr = _kernels.ptr
-    failed = sweep(1, ptr(nodes, np.int64, 1), ptr(offsets, np.int64, 2), ptr(nbrs, np.int64, 1),
-                   ptr(parts, np.int8, 2), ptr(nbr0, np.float64, 2), ptr(nbr1, np.float64, 2),
-                   ptr(sizes, np.int64, 2), 2, 1)
+    failed = sweep(1, ptr(keys, np.uint32, 1), 4, 1, 1, None, ptr(parts, np.int8, 2),
+                   ptr(nbr0, np.float64, 2), ptr(nbr1, np.float64, 2), ptr(tally, np.int64, 4),
+                   2, 1)
     assert failed == -1
-    assert parts.tolist() == [1, 1] and sizes.tolist() == [0, 2]
+    assert parts.tolist() == [1, 1] and tally.tolist() == [0, 2, 1, 0]
     assert (nbr0[0], nbr1[0]) == (0.0, 1.0)
 
 
@@ -115,10 +116,10 @@ def _strided(arr):
     return wide[::2]
 
 
-def _chunk_with(index, **swap):
-    """A chunk whose index arrays are those of ``index`` with some replaced."""
-    arrays = {"nodes": index.nodes, "offsets": index.offsets, "nbrs": index.nbrs, **swap}
-    return SimpleNamespace(**arrays)
+def _chunk_with(chunk, **swap):
+    """A chunk whose sorted keys and their layout are those of ``chunk`` with some replaced."""
+    return SimpleNamespace(**{"width": chunk.width, "keys": chunk.keys, "bounds": chunk.bounds,
+                              **swap})
 
 
 def _bad_kernel_calls(tmp_path, monkeypatch):
@@ -170,8 +171,9 @@ def _bad_kernel_calls(tmp_path, monkeypatch):
 
     keys32 = np.zeros(4, dtype=np.uint32)
     return [
-        ("sweep", sweep(nodes=nodes.astype(np.int32))),
-        ("sweep", sweep(nbrs=_strided(nbrs))),
+        ("sweep", sweep(keys=chunk.keys.astype(np.int32))),
+        ("sweep", sweep(keys=_strided(chunk.keys))),
+        ("sweep", sweep(bounds=np.array([0, 4, 10], dtype=np.int32))),
         ("sweep", sweep_state(nbr0=np.zeros(4, dtype=np.float32))),
         ("sweep", sweep_state(parts=_strided(np.full(4, -1, dtype=np.int8)))),
         ("bfs_grow", bfs_grow(offsets=offsets.astype(np.int32))),
@@ -205,9 +207,10 @@ SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=
 
 
 def test_kernels_keep_their_buffer_contracts_under_sanitizers(tmp_path):
-    # pack_keys, split_keys, adjacency_tail, sweep, seed_counts and bfs_grow
-    # on the key-layout edge cases (split keys at widths 200,000 and 2**19
-    # among them), comm_walk on a graph with isolated ids, the four edge
+    # pack_keys, split_keys, adjacency_tail, sweep (over the sorted keys of
+    # each layout, against a CSR loop), seed_counts and bfs_grow on the
+    # key-layout edge cases (split keys at widths 200,000 and 2**19 among
+    # them), comm_walk on a graph with isolated ids, the four edge
     # passes on rows whose ids reach num_nodes - 1 at both id widths, with
     # u32 labels and counters, and curve_point on a packed lgamma table,
     # every buffer sized exactly as the Python callers size it: an access

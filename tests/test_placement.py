@@ -85,6 +85,9 @@ def test_plan_text_round_trip():
     ("0: 0\n1: 1\n1: 2\n", "plan line 3: worker 1 listed twice"),
     ("0: 0\nreplicated: 1\nreplicated: 2\n", "plan line 3: a second 'replicated' line"),
     ("0: 0\nreplicated:\nreplicated: 2\n", "plan line 3: a second 'replicated' line"),
+    # ids are ASCII digits only: no separator or sign, which int() would take
+    ("0: 1_2\n", "plan line 1: non-integer id in '0: 1_2'"),
+    ("+0: 1\n", "plan line 1: non-integer id in '+0: 1'"),
 ])
 def test_malformed_plan_text_is_a_format_error(text, message):
     with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
