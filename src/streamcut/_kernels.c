@@ -10,9 +10,10 @@
  * grem._extract_induced, store.write_buckets, edgefile.external_shuffle,
  * theory.compute_node_stats and placement.select_replicated, and the
  * fallback of theory._curve_point) and must stay bit-identical to it:
- * neighbour counts are exact integers converted to double once, estimates
- * are averaged as (old + fresh) * 0.5, sums run left to right, nodes are
- * visited and random words drawn in the same order.  The loader compiles
+ * neighbour counts are exact integers converted to double once, a node's
+ * estimate (its side-1 count less its side-0 count) is averaged as
+ * (old + fresh) * 0.5, sums run left to right, nodes are visited and
+ * random words drawn in the same order.  The loader compiles
  * this file without -ffast-math or -march=native, so IEEE double
  * arithmetic is the same as Python's, and with -ffp-contract=off: GCC's
  * default on targets with a fused multiply-add (aarch64, for one) would
@@ -72,8 +73,8 @@ static inline uint64_t key_at(const void *keys, int wide, int64_t k)
 /* The sweep over keys i to end - 1 of one part, whose bits above the low
  * 32 are `high`; tally as sweep takes it. */
 PASS int64_t sweep_part(const void *keys, int key_wide, int64_t i, int64_t end, uint64_t high,
-                        int64_t shift, int8_t *parts, double *nbr0, double *nbr1,
-                        int64_t *tally, int64_t cap, uint64_t fixed)
+                        int64_t shift, int8_t *parts, double *lean, int64_t *tally, int64_t cap,
+                        uint64_t fixed)
 {
     static const double scale[2] = {1.0, 0.5};
     uint64_t mask = ((uint64_t)1 << shift) - 1;
@@ -85,12 +86,11 @@ PASS int64_t sweep_part(const void *keys, int key_wide, int64_t i, int64_t end, 
          * side, equal to self (both less the part's high bits) */
         uint64_t n = (high | key) >> shift;
         uint64_t base = (n << shift) - high, last = base + mask, self = base + n;
-        int64_t n0 = 0, n1 = 0;
+        int64_t d = 0; /* side-1 neighbours less side-0 ones */
         for (;;) {
             if (key != self) {
                 int pw = parts[key & mask];
-                n0 += pw == 0;
-                n1 += pw == 1;
+                d += (pw == 1) - (pw == 0);
             }
             if (++i == end)
                 break;
@@ -105,15 +105,13 @@ PASS int64_t sweep_part(const void *keys, int key_wide, int64_t i, int64_t end, 
             continue;
         }
         /* (stored + fresh) * 0.5 for a placed node, (+0.0 + fresh) * 1.0 for a new one */
-        uint64_t keep = (uint64_t)0 - placed;
-        double c0 = (kept(nbr0 + n, keep) + (double)n0) * scale[placed];
-        double c1 = (kept(nbr1 + n, keep) + (double)n1) * scale[placed];
+        double est = (kept(lean + n, (uint64_t)0 - placed) + (double)d) * scale[placed];
         s0 -= old == 0;
         s1 -= old == 1;
         int64_t room0 = s0 < cap, room1 = s1 < cap;
-        /* majority side 1 with room, else majority side 0 with room (the
+        /* leaning to side 1 with room, else leaning to side 0 with room (the
          * two exclude each other), else the smaller side, 0 on a tie */
-        int64_t to1 = (c0 < c1) & room1, to0 = (c1 < c0) & room0;
+        int64_t to1 = (est > 0) & room1, to0 = (est < 0) & room0;
         int64_t b = to1 | ((to0 ^ 1) & (s1 < s0));
         if (((cap - 1 - s0) & (cap - 1 - s1)) < 0) { /* both signs set: both full */
             failed = (int64_t)n;
@@ -124,8 +122,7 @@ PASS int64_t sweep_part(const void *keys, int key_wide, int64_t i, int64_t end, 
         s0 += b ^ 1;
         s1 += b;
         parts[n] = (int8_t)b;
-        nbr0[n] = c0;
-        nbr1[n] = c1;
+        lean[n] = est;
     }
     tally[0] = s0;
     tally[1] = s1;
@@ -138,19 +135,19 @@ PASS int64_t sweep_part(const void *keys, int key_wide, int64_t i, int64_t end, 
  * so that the loop's own variables do not crowd the registers of the sweep */
 static __attribute__((noinline)) int64_t sweep_part32(
     const void *keys, int64_t i, int64_t end, uint64_t high, int64_t shift, int8_t *parts,
-    double *nbr0, double *nbr1, int64_t *tally, int64_t cap, uint64_t fixed)
+    double *lean, int64_t *tally, int64_t cap, uint64_t fixed)
 {
-    return sweep_part(keys, 0, i, end, high, shift, parts, nbr0, nbr1, tally, cap, fixed);
+    return sweep_part(keys, 0, i, end, high, shift, parts, lean, tally, cap, fixed);
 }
 
 static __attribute__((noinline)) int64_t sweep_part64(
     const void *keys, int64_t i, int64_t end, uint64_t high, int64_t shift, int8_t *parts,
-    double *nbr0, double *nbr1, int64_t *tally, int64_t cap, uint64_t fixed)
+    double *lean, int64_t *tally, int64_t cap, uint64_t fixed)
 {
-    return sweep_part(keys, 1, i, end, high, shift, parts, nbr0, nbr1, tally, cap, fixed);
+    return sweep_part(keys, 1, i, end, high, shift, parts, lean, tally, cap, fixed);
 }
 
-/* Sweeps one chunk in place over parts/nbr0/nbr1, straight off its m sorted
+/* Sweeps one chunk in place over parts/lean, straight off its m sorted
  * adjacency keys: key_bytes, shift, nparts and bounds as adjacency_tail
  * takes them (bounds NULL for one part).  Each run of keys with one owner
  * is that node's neighbour list, ascending, so nodes are visited in
@@ -169,27 +166,27 @@ static __attribute__((noinline)) int64_t sweep_part64(
  * of the visits move a node on sbm2-c1), so a branching rule pays a
  * misprediction on many nodes.  Each condition is a 0/1 value, and a new
  * node's stored estimate is masked to +0.0, so that the averaging step
- * gives its fresh count exactly.  The branches left are the loop branches
- * (a run ends at the first key above its last), the skip of a self-loop key
- * (rare, so predicted), the skip of a placed node when `refine` is off
- * (tested first, so it is loop-invariant when refinement is on), and the
- * exit taken when the chosen side is full.  That side is full only when both are: a greedy
- * side is taken only with room, and the smaller side is full only if the
- * larger is too.  Both sides full means the size accounting is broken.
+ * gives its fresh count difference exactly.  The branches left are the
+ * loop branches (a run ends at the first key above its last), the skip of a
+ * self-loop key (rare, so predicted), the skip of a placed node when
+ * `refine` is off (tested first, so it is loop-invariant when refinement is
+ * on), and the exit taken when the chosen side is full.  That side is full
+ * only when both are: a greedy side is taken only with room, and the
+ * smaller side is full only if the larger is too.  Both sides full means
+ * the size accounting is broken.
  * The exit tests it as one sign bit: written as two comparisons, the
  * compiler splits it into two branches.  The sizes live in locals: a
  * store through the int8_t `parts` may alias any object, so the compiler
  * would reload them after every label written. */
 int64_t sweep(int64_t m, const void *keys, int64_t key_bytes, int64_t shift, int64_t nparts,
-              const int64_t *bounds, int8_t *parts, double *nbr0, double *nbr1, int64_t *tally,
-              int64_t cap, int32_t refine)
+              const int64_t *bounds, int8_t *parts, double *lean, int64_t *tally, int64_t cap,
+              int32_t refine)
 {
     int64_t failed = -1;
     for (int64_t q = 0; q < nparts && failed < 0; q++) {
         int64_t start = bounds ? bounds[q] : 0, end = bounds ? bounds[q + 1] : m;
         failed = (key_bytes == 8 ? sweep_part64 : sweep_part32)(
-            keys, start, end, (uint64_t)q << 32, shift, parts, nbr0, nbr1, tally, cap,
-            refine == 0);
+            keys, start, end, (uint64_t)q << 32, shift, parts, lean, tally, cap, refine == 0);
     }
     return failed;
 }
@@ -286,20 +283,18 @@ done:
 }
 
 /* The neighbour estimates of a freshly seeded chunk's CSR index:
- * nbr0[nodes[i]] and nbr1[nodes[i]] become the number of chunk neighbours
- * of nodes[i] that `parts` labels 0 and 1. */
+ * lean[nodes[i]] becomes the number of chunk neighbours of nodes[i] that
+ * `parts` labels 1 less the number it labels 0. */
 void seed_counts(int64_t num, const int64_t *nodes, const int64_t *offsets, const int64_t *nbrs,
-                 const int8_t *parts, double *nbr0, double *nbr1)
+                 const int8_t *parts, double *lean)
 {
     for (int64_t i = 0; i < num; i++) {
-        int64_t n0 = 0, n1 = 0;
+        int64_t d = 0;
         for (int64_t j = offsets[i]; j < offsets[i + 1]; j++) {
             int pw = parts[nbrs[j]];
-            n0 += pw == 0;
-            n1 += pw == 1;
+            d += (pw == 1) - (pw == 0);
         }
-        nbr0[nodes[i]] = (double)n0;
-        nbr1[nodes[i]] = (double)n1;
+        lean[nodes[i]] = (double)d;
     }
 }
 

@@ -18,10 +18,12 @@ built from:
   owner a node's neighbour list; its decision (``grem.assign``) is computed
   without branches, since which side a re-placed node takes is
   unpredictable, and it branches only to leave when no side can take a
-  node; it adds the nodes it visited and moved to two counters;
+  node; it reads and writes one estimate per node, its lean (side-1
+  neighbours less side-0 ones), and adds the nodes it visited and moved to
+  two counters;
 * ``bfs_grow`` -- the BFS-grow seed, its restart order (a counting sort on
   degree) and its refinement, ``seed._bfs_grow``;
-* ``seed_counts`` -- the neighbour estimates of the seeded chunk nodes,
+* ``seed_counts`` -- the leans of the seeded chunk nodes,
   ``grem._seed_chunk``;
 * ``pack_keys`` -- the adjacency builder's keys, ``src << shift | dst`` in
   both directions, u64 or their low 32 bits, from a block of u32 or u64
@@ -153,9 +155,9 @@ def _load():
     # travels as a plain pointer (see ``ptr``)
     i64, p = ctypes.c_int64, ctypes.c_void_p
     signatures = {
-        "sweep": ([i64, p, i64, i64, i64, p, p, p, p, p, i64, ctypes.c_int32], i64),
+        "sweep": ([i64, p, i64, i64, i64, p, p, p, p, i64, ctypes.c_int32], i64),
         "bfs_grow": ([i64, p, p, i64, i64, p], i64),
-        "seed_counts": ([i64, p, p, p, p, p, p], None),
+        "seed_counts": ([i64, p, p, p, p, p], None),
         "pack_keys": ([i64, p, i64, i64, i64, i64, p, p], i64),
         "split_keys": ([i64, p, p, i64, i64, p, p], None),
         "adjacency_tail": ([i64, p, i64, i64, i64, p, p, p, p], i64),

@@ -6,12 +6,14 @@ ascending id order.  For each visited node a chunk-local neighbor count per
 partition is computed against the live labels (so nodes later in the sweep
 see reassignments made earlier in the same chunk).  A node seen for the
 first time is placed greedily on its majority side, capacity permitting.
-When refinement is enabled, a previously placed node is re-placed using the
-average of its stored estimates and the fresh chunk-local counts, which makes
-the stored value a weighted average over all chunks that contained the node,
-halving the weight of each older chunk.  With refinement disabled the first
-greedy placement is frozen and reappearing nodes are skipped, giving the
-classic fixed-assignment streaming baseline.
+Each node stores one estimate, its lean: side-1 neighbours less side-0
+neighbours, whose sign is its majority side.  When refinement is enabled, a
+previously placed node is re-placed using the average of its stored lean and
+the fresh chunk-local difference, which makes the stored value a weighted
+average over all chunks that contained the node, halving the weight of each
+older chunk.  With refinement disabled the first greedy placement is frozen
+and reappearing nodes are skipped, giving the classic fixed-assignment
+streaming baseline.
 
 During re-placement the node's own count is lifted out of ``sizes`` before
 the greedy rule runs, so the capacity bound is never violated even when both
@@ -70,9 +72,10 @@ class GremConfig:
     Chunk size is given either as an absolute edge count or as a fraction of
     the edge list (default 10%).  ``capacity_slack`` is the relative headroom
     above perfect balance: each side may hold up to
-    ceil((1 + slack) * num_nodes / 2) nodes.  ``passes`` > 1 re-streams the
-    whole file; re-streamed chunks (chunk 0 included) are processed greedily,
-    never re-seeded.
+    ceil((1 + slack) * num_nodes / 2) nodes, capped at num_nodes, so an
+    infinite slack sets no bound (``default_capacity``).  ``passes`` > 1
+    re-streams the whole file; re-streamed chunks (chunk 0 included) are
+    processed greedily, never re-seeded.
     """
 
     chunk_edges: int | None = None
@@ -84,8 +87,8 @@ class GremConfig:
     def __post_init__(self):
         if self.chunk_edges is not None and self.chunk_frac is not None:
             raise FormatError("set chunk_edges or chunk_frac, not both")
-        if self.capacity_slack < 0:
-            raise FormatError("capacity_slack must be >= 0")
+        if not self.capacity_slack >= 0:  # NaN too
+            raise FormatError(f"capacity_slack must be >= 0, got {self.capacity_slack}")
         if self.passes < 1:
             raise FormatError("passes must be >= 1")
 
@@ -95,19 +98,22 @@ class GremConfig:
         return ChunkPlan.plan(num_edges, self.chunk_edges, self.chunk_frac)
 
 
-def default_capacity(num_nodes: int, slack: float = 0.0) -> int:
-    return ceil((1.0 + slack) * num_nodes / 2)
+def default_capacity(num_nodes: int, slack: float = 0.0, parts: int = 2) -> int:
+    """Most nodes one of ``parts`` parts may hold: ceil((1 + slack) * num_nodes
+    / parts), at most ``num_nodes``, so an infinite slack sets no bound."""
+    return ceil(min((1.0 + slack) * num_nodes / parts, num_nodes))
 
 
-def assign(nbrs0: float, nbrs1: float, sizes, capacity: int) -> int:
-    """Greedy partition choice: majority side if it has room, else the smaller side.
+def assign(lean: float, sizes, capacity: int) -> int:
+    """Greedy partition choice: the side ``lean`` points to (1 when positive,
+    0 when negative) if it has room, else the smaller side.
 
-    Ties (including a blocked majority side) fall through to the smaller
-    partition, preferring partition 0 when sizes are equal.
+    No lean (0) and a blocked side fall through to the smaller partition,
+    preferring partition 0 when sizes are equal.
     """
-    if nbrs0 < nbrs1 and sizes[1] < capacity:
+    if lean > 0 and sizes[1] < capacity:
         return 1
-    if nbrs1 < nbrs0 and sizes[0] < capacity:
+    if lean < 0 and sizes[0] < capacity:
         return 0
     if sizes[0] <= sizes[1]:
         if sizes[0] >= capacity:
@@ -131,9 +137,8 @@ def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -
         failed = _kernels.sweep(
             m, ptr(keys, np.uint64 if keys.itemsize == 8 else np.uint32, m), keys.itemsize,
             _key_shift(chunk.width), nparts, ptr(bounds, np.int64, nparts + 1),
-            ptr(state.parts, np.int8, num_nodes), ptr(state.nbr0, np.float64, num_nodes),
-            ptr(state.nbr1, np.float64, num_nodes), ptr(tally, np.int64, 4), state.capacity,
-            config.refine)
+            ptr(state.parts, np.int8, num_nodes), ptr(state.lean, np.float64, num_nodes),
+            ptr(tally, np.int64, 4), state.capacity, config.refine)
         tally = tally.tolist()
         state.sizes[:] = tally[:2]
         if failed >= 0:
@@ -144,8 +149,7 @@ def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -
     # memoryviews index to Python ints and floats, several times faster than
     # numpy scalar indexing in this per-node loop
     parts = memoryview(state.parts)
-    nbr0 = memoryview(state.nbr0)
-    nbr1 = memoryview(state.nbr1)
+    lean = memoryview(state.lean)
     sizes = state.sizes
     cap = state.capacity
     refine = config.refine
@@ -158,24 +162,21 @@ def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -
         visited += 1
         if old != -1 and not refine:
             continue
-        c0 = 0.0
-        c1 = 0.0
+        est = 0.0
         for w in adj[o_list[i] : o_list[i + 1]]:
             pw = parts[w]
-            if pw == 0:
-                c0 += 1.0
-            elif pw == 1:
-                c1 += 1.0
+            if pw == 1:
+                est += 1.0
+            elif pw == 0:
+                est -= 1.0
         if old != -1:
-            c0 = (nbr0[n] + c0) * 0.5
-            c1 = (nbr1[n] + c1) * 0.5
+            est = (lean[n] + est) * 0.5
             sizes[old] -= 1
-        b = assign(c0, c1, sizes, cap)
+        b = assign(est, sizes, cap)
         moved += old != -1 and b != old
         sizes[b] += 1
         parts[n] = b
-        nbr0[n] = c0
-        nbr1[n] = c1
+        lean[n] = est
     state.visited += visited
     state.moved += moved
     return state
@@ -194,12 +195,12 @@ def _seed_chunk(state: PartitionState, chunk: EdgeChunk) -> None:
         _kernels.seed_counts(
             num, ptr(nodes, np.int64, num), ptr(offsets, np.int64, num + 1),
             ptr(nbrs, np.int64, nbrs.size), ptr(parts, np.int8, num_nodes),
-            ptr(state.nbr0, np.float64, num_nodes), ptr(state.nbr1, np.float64, num_nodes))
+            ptr(state.lean, np.float64, num_nodes))
         return
     adj_parts = parts[nbrs]
     seg = np.repeat(np.arange(len(nodes)), np.diff(offsets))
-    state.nbr0[nodes] = np.bincount(seg[adj_parts == 0], minlength=len(nodes))
-    state.nbr1[nodes] = np.bincount(seg[adj_parts == 1], minlength=len(nodes))
+    state.lean[nodes] = (np.bincount(seg[adj_parts == 1], minlength=len(nodes))
+                         - np.bincount(seg[adj_parts == 0], minlength=len(nodes)))
 
 
 def _fill_unassigned(state: PartitionState) -> None:
@@ -343,7 +344,7 @@ def partition(
 
     def recurse(file: EdgeFile, orig_ids: np.ndarray, p_level: int, level: int, leaf_base: int):
         nonlocal cut
-        cap = ceil((1.0 + config.capacity_slack) * total_nodes / 2 ** (level + 1))
+        cap = default_capacity(total_nodes, config.capacity_slack, 2 ** (level + 1))
         if p_level == 2:
             labels, report = bisect(file, config, capacity=cap)
             cut += report.cut_edges

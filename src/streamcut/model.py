@@ -304,23 +304,23 @@ class PartitionState:
     ``parts`` is an int8 array: parts[n] is -1 (unassigned), 0 or 1.
     ``sizes`` is a two-int list tracking the node count of each partition; it
     must match a recount of ``parts`` at every observable point.
-    ``nbr0``/``nbr1`` are float64 arrays of the running per-node estimates of
-    the number of neighbors in each partition; they stay (0, 0) for nodes
-    never seen in a processed chunk.  ``capacity`` is the maximum node count
-    per partition.  ``visited`` and ``moved`` count, over every chunk swept
-    (``grem.process_chunk``, not the seeded chunk), the nodes the sweep
-    visited and the placed nodes whose label it changed.
+    ``lean`` is a float64 array of the running per-node estimate of the
+    number of neighbors in partition 1 less the number in partition 0, whose
+    sign is the side the node leans to; it stays 0 for nodes never seen in a
+    processed chunk.  So the per-node state is 9 bytes.  ``capacity`` is the
+    maximum node count per partition.  ``visited`` and ``moved`` count, over
+    every chunk swept (``grem.process_chunk``, not the seeded chunk), the
+    nodes the sweep visited and the placed nodes whose label it changed.
     """
 
-    __slots__ = ("parts", "sizes", "nbr0", "nbr1", "capacity", "visited", "moved")
+    __slots__ = ("parts", "sizes", "lean", "capacity", "visited", "moved")
 
     def __init__(self, num_nodes: int, capacity: int):
         if num_nodes < 1:
             raise FormatError("PartitionState needs num_nodes >= 1")
         self.parts = np.full(num_nodes, -1, dtype=np.int8)
         self.sizes: list[int] = [0, 0]
-        self.nbr0 = np.zeros(num_nodes, dtype=np.float64)
-        self.nbr1 = np.zeros(num_nodes, dtype=np.float64)
+        self.lean = np.zeros(num_nodes, dtype=np.float64)
         self.capacity = int(capacity)
         self.visited = 0
         self.moved = 0

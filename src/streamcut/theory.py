@@ -95,7 +95,7 @@ def draws_for(k: int, x: float, multiplier: float = 1.0) -> int:
 def _check_curve_args(x: float, multiplier: float) -> None:
     if not 0 < x <= 1:
         raise FormatError(f"chunk fraction must be in (0, 1], got {x}")
-    if multiplier < 1:
+    if not multiplier >= 1:  # NaN too
         raise FormatError(f"multiplier must be >= 1, got {multiplier}")
 
 

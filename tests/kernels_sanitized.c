@@ -28,10 +28,10 @@ int64_t adjacency_tail(int64_t m, const void *keys, int64_t key_bytes, int64_t s
                        int64_t nparts, const int64_t *bounds, int64_t *nbrs, int64_t *nodes,
                        int64_t *offsets);
 int64_t sweep(int64_t m, const void *keys, int64_t key_bytes, int64_t shift, int64_t nparts,
-              const int64_t *bounds, int8_t *parts, double *nbr0, double *nbr1, int64_t *tally,
-              int64_t cap, int32_t refine);
+              const int64_t *bounds, int8_t *parts, double *lean, int64_t *tally, int64_t cap,
+              int32_t refine);
 void seed_counts(int64_t num, const int64_t *nodes, const int64_t *offsets, const int64_t *nbrs,
-                 const int8_t *parts, double *nbr0, double *nbr1);
+                 const int8_t *parts, double *lean);
 int64_t bfs_grow(int64_t num, const int64_t *offsets, const int64_t *local,
                  int64_t refinement_passes, int64_t capacity, int8_t *labels);
 typedef uint64_t (*next_uint64_t)(void *state);
@@ -97,8 +97,10 @@ static int64_t key_shift(uint64_t width)
     return shift;
 }
 
-/* grem.process_chunk's Python loop over the CSR index, grem.assign with its
- * branches: the reference the key sweep must equal.  Adds to *visited and
+/* grem.process_chunk's Python loop over the CSR index, with the two
+ * estimates (side-0 and side-1 neighbours) the sweep's one lean is the
+ * difference of, and grem.assign's branches on their order: the reference
+ * the key sweep must equal.  Adds to *visited and
  * *moved as the sweep adds to its counters.  Returns -1, or the id of the
  * node no side could take. */
 static int64_t csr_sweep(int64_t runs, const int64_t *nodes, const int64_t *offsets,
@@ -234,7 +236,7 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         /* grem.process_chunk over the sorted keys, and the CSR loop and
          * grem._seed_chunk over nodes of the runs, their offsets, one more
          * than the runs, and nbrs of the kept keys; node state of every id,
-         * once for the sweep and once for the loop */
+         * a lean for the sweep and two estimates for the loop */
         int64_t num_nbrs = offsets[runs];
         int64_t *c_nodes = exact((size_t)runs, sizeof *c_nodes);
         int64_t *c_offsets = exact((size_t)runs + 1, sizeof *c_offsets);
@@ -244,14 +246,13 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         memcpy(nbrs, buf, (size_t)num_nbrs * sizeof *nbrs);
         int8_t *parts = exact((size_t)width, sizeof *parts);
         int8_t *ref_parts = exact((size_t)width, sizeof *ref_parts);
-        double *nbr0 = exact((size_t)width, sizeof *nbr0);
-        double *nbr1 = exact((size_t)width, sizeof *nbr1);
+        double *lean = exact((size_t)width, sizeof *lean);
         double *ref_nbr0 = exact((size_t)width, sizeof *ref_nbr0);
         double *ref_nbr1 = exact((size_t)width, sizeof *ref_nbr1);
         memset(parts, -1, (size_t)width);
         memset(ref_parts, -1, (size_t)width);
         for (uint64_t n = 0; n < width; n++)
-            nbr0[n] = nbr1[n] = ref_nbr0[n] = ref_nbr1[n] = 0.0;
+            lean[n] = ref_nbr0[n] = ref_nbr1[n] = 0.0;
         int64_t *tally = exact(4, sizeof *tally);
         int64_t ref_sizes[2] = {0, 0}, ref_visited = 0, ref_moved = 0;
         tally[0] = tally[1] = tally[2] = tally[3] = 0;
@@ -260,43 +261,49 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
          * refinement off that skips them all, each equal to the loop's */
         for (int pass = 0; pass < 3; pass++) {
             int refine = pass < 2;
-            CHECK(sweep(2 * m, sorted, key_bytes, shift, nparts, sorted_bounds, parts, nbr0,
-                        nbr1, tally, cap, refine) == -1, name);
+            CHECK(sweep(2 * m, sorted, key_bytes, shift, nparts, sorted_bounds, parts, lean,
+                        tally, cap, refine) == -1, name);
             CHECK(csr_sweep(runs, c_nodes, c_offsets, nbrs, ref_parts, ref_nbr0, ref_nbr1,
                             ref_sizes, cap, refine, &ref_visited, &ref_moved) == -1, name);
             CHECK(memcmp(parts, ref_parts, (size_t)width) == 0, name);
-            CHECK(memcmp(nbr0, ref_nbr0, (size_t)width * sizeof *nbr0) == 0, name);
-            CHECK(memcmp(nbr1, ref_nbr1, (size_t)width * sizeof *nbr1) == 0, name);
+            for (uint64_t n = 0; n < width; n++)
+                CHECK(lean[n] == ref_nbr1[n] - ref_nbr0[n], name);
             CHECK(tally[0] == ref_sizes[0] && tally[1] == ref_sizes[1], name);
             CHECK(tally[2] == ref_visited && tally[3] == ref_moved, name);
             CHECK(tally[0] + tally[1] == runs && tally[2] == (pass + 1) * runs, name);
         }
         /* the capacity exit, as process_chunk's CapacityError: with both
          * sides claimed full even once it is lifted out of its old side,
-         * the first node fails, lifted out, with its label, estimates and
-         * the counters left as they were */
+         * the first node fails, lifted out, with its label, lean and the
+         * counters left as they were */
         int first = parts[c_nodes[0]];
-        double est0 = nbr0[c_nodes[0]], est1 = nbr1[c_nodes[0]];
+        double est = lean[c_nodes[0]];
         int64_t visited = tally[2], moved = tally[3];
         tally[0] = tally[1] = cap + 1;
-        CHECK(sweep(2 * m, sorted, key_bytes, shift, nparts, sorted_bounds, parts, nbr0, nbr1,
-                    tally, cap, 1) == c_nodes[0], name);
+        CHECK(sweep(2 * m, sorted, key_bytes, shift, nparts, sorted_bounds, parts, lean, tally,
+                    cap, 1) == c_nodes[0], name);
         CHECK(tally[first] == cap && tally[1 - first] == cap + 1, name);
         CHECK(tally[2] == visited && tally[3] == moved, name);
         CHECK(parts[c_nodes[0]] == first, name);
-        CHECK(nbr0[c_nodes[0]] == est0 && nbr1[c_nodes[0]] == est1, name);
+        CHECK(lean[c_nodes[0]] == est, name);
         /* and a fresh node, with refinement off */
         parts[c_nodes[0]] = -1;
         tally[0] = tally[1] = cap;
-        CHECK(sweep(2 * m, sorted, key_bytes, shift, nparts, sorted_bounds, parts, nbr0, nbr1,
-                    tally, cap, 0) == c_nodes[0], name);
+        CHECK(sweep(2 * m, sorted, key_bytes, shift, nparts, sorted_bounds, parts, lean, tally,
+                    cap, 0) == c_nodes[0], name);
         CHECK(tally[0] == cap && tally[1] == cap && parts[c_nodes[0]] == -1, name);
         CHECK(tally[2] == visited && tally[3] == moved, name);
         parts[c_nodes[0]] = (int8_t)first;
-        seed_counts(runs, c_nodes, c_offsets, nbrs, parts, nbr0, nbr1);
-        for (int64_t r = 0; r < runs; r++)
-            CHECK(nbr0[c_nodes[r]] + nbr1[c_nodes[r]] == (double)(c_offsets[r + 1] - c_offsets[r]),
-                  name);
+        seed_counts(runs, c_nodes, c_offsets, nbrs, parts, lean);
+        for (int64_t r = 0; r < runs; r++) {
+            int64_t n0 = 0, n1 = 0;
+            for (int64_t j = c_offsets[r]; j < c_offsets[r + 1]; j++) {
+                n0 += parts[nbrs[j]] == 0;
+                n1 += parts[nbrs[j]] == 1;
+            }
+            CHECK(n0 + n1 == c_offsets[r + 1] - c_offsets[r], name);  /* every node placed */
+            CHECK(lean[c_nodes[r]] == (double)(n1 - n0), name);
+        }
 
         /* seed._bfs_grow: the neighbours as positions in c_nodes, labels one
          * per node; without refinement the grown side holds (runs + 1) / 2
@@ -334,8 +341,7 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         free(labels);
         free(parts);
         free(ref_parts);
-        free(nbr0);
-        free(nbr1);
+        free(lean);
         free(ref_nbr0);
         free(ref_nbr1);
         free(tally);

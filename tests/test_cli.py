@@ -401,6 +401,35 @@ def test_exit_codes(tmp_path, capsys):
     assert "--replicate-budget requires --edges" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 1]], 2)
+    ref = tmp_path / "ref.grpl"
+    write_labels(str(ref), np.array([0, 1]), num_parts=2)
+    for argv, name in (  # NaN passes a plain `< bound` test
+        (["partition", efile.path, "--out", tmp_path / "nan.grpl", "--capacity-slack", "nan"],
+         "capacity_slack"),
+        (["predict", efile.path, ref, "--xs", "0.5", "--multiplier", "nan", "--out",
+          tmp_path / "nan.csv"], "multiplier"),
+    ):
+        assert main([str(a) for a in argv]) == 3  # malformed data
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be >= ") and "Traceback" not in err
+        assert not (tmp_path / "nan.grpl").exists() and not (tmp_path / "nan.csv").exists()
+
+
+def test_partition_infinite_slack_sets_no_bound(tmp_path, cliques, capsys):
+    # an infinite or overflowing slack caps a part at the node count, as slack
+    # p - 1 does at p parts, so the labels are the same
+    efile, _ = cliques
+    for parts, no_bound in (("2", "1"), ("4", "3")):
+        digests = set()
+        for slack in (no_bound, "inf", "1e308"):
+            out = tmp_path / f"p{parts}_{slack}.grpl"
+            code, _ = run(capsys, "partition", efile.path, "--out", out, "--parts", parts,
+                          "--chunk-frac", "0.25", "--capacity-slack", slack)
+            assert code == 0, (parts, slack)
+            digests.add(digest(out))
+        assert len(digests) == 1, parts
+
 
 def test_partition_rejects_part_counts_the_label_file_cannot_hold(tmp_path, cliques, capsys):
     efile, _ = cliques

@@ -51,50 +51,52 @@ def library_seed_fn(num_nodes, capacity):
 
 
 def _sweep_counts(node, edges, parts, refine=False):
-    """Chunk-local (nbr0, nbr1) the sweep stores for ``node``.
+    """The lean the sweep stores for ``node``: its chunk-local side-1
+    neighbours less its side-0 ones.
 
     Every other chunk node below ``node`` must be assigned, so with
     refinement off the sweep skips them and counts ``node`` against ``parts``
     exactly as given.  With refinement on, ``node`` must be the lowest chunk
-    node and its stored estimates start at (0, 0), so the stored value is
-    half the chunk-local count.
+    node and its stored lean starts at 0, so the stored value is half the
+    chunk-local difference.
     """
     state = PartitionState(len(parts), capacity=len(parts))
     state.parts[:] = parts
     state.sizes = recount_sizes(parts)
     config = GremConfig(chunk_frac=1.0, refine=refine)
     process_chunk(state, EdgeChunk(1, np.asarray(edges)), config)
-    return float(state.nbr0[node]), float(state.nbr1[node])
+    return float(state.lean[node])
 
 
 def test_process_chunk_neighbor_count_examples(monkeypatch):
     for kernel in each_kernel(monkeypatch):
         edges = [[0, 1], [0, 2], [2, 3]]
-        assert _sweep_counts(0, edges, [-1, 0, 1, 0]) == (1.0, 1.0), kernel
+        assert _sweep_counts(0, edges, [-1, 0, 1, 0]) == 0.0, kernel  # (c0, c1) = (1, 1)
         # unassigned neighbors count for neither side
-        assert _sweep_counts(0, edges, [-1, 0, -1, 0]) == (1.0, 0.0), kernel
-        assert _sweep_counts(0, [[0, 1]], [-1, -1]) == (0.0, 0.0), kernel
+        assert _sweep_counts(0, edges, [-1, 0, -1, 0]) == -1.0, kernel  # (1, 0)
+        assert _sweep_counts(0, edges, [-1, -1, 1, 0]) == 1.0, kernel  # (0, 1)
+        assert _sweep_counts(0, [[0, 1]], [-1, -1]) == 0.0, kernel  # (0, 0)
 
 
 def test_process_chunk_absent_node_untouched(monkeypatch):
     for kernel in each_kernel(monkeypatch):
         state = PartitionState(10, capacity=10)
-        state.nbr0[9], state.nbr1[9] = 3.0, 1.0
+        state.lean[9] = -2.0
         chunk = EdgeChunk(1, np.array([[0, 1]]))
         assert 9 not in chunk.nodes.tolist()
         process_chunk(state, chunk, GremConfig(chunk_frac=1.0))
         assert state.parts[9] == -1, kernel
-        assert (state.nbr0[9], state.nbr1[9]) == (3.0, 1.0), kernel
+        assert state.lean[9] == -2.0, kernel
 
 
 def test_process_chunk_duplicates_and_self_loops(monkeypatch):
     for kernel in each_kernel(monkeypatch):
         # duplicates count with multiplicity
-        assert _sweep_counts(0, [[0, 1], [0, 1], [1, 0]], [-1, 1]) == (0.0, 3.0), kernel
+        assert _sweep_counts(0, [[0, 1], [0, 1], [1, 0]], [-1, 1]) == 3.0, kernel  # (0, 3)
         # self-loops never count, even when the node is assigned while counting
         loops = [[0, 0], [0, 0], [0, 1]]
-        assert _sweep_counts(0, loops, [0, 1], refine=True) == (0.0, 0.5), kernel
-        assert _sweep_counts(0, [[0, 0], [0, 1]], [0, 0], refine=True) == (0.5, 0.0), kernel
+        assert _sweep_counts(0, loops, [0, 1], refine=True) == 0.5, kernel  # (0, 0.5)
+        assert _sweep_counts(0, [[0, 0], [0, 1]], [0, 0], refine=True) == -0.5, kernel
 
 
 def test_process_chunk_counts_match_double_loop_oracle(monkeypatch):
@@ -109,15 +111,14 @@ def test_process_chunk_counts_match_double_loop_oracle(monkeypatch):
                     if other < node and parts[other] == -1:
                         parts[other] = int(rng.integers(0, 2))
                 parts[node] = -1
-                assert _sweep_counts(node, edges, parts) == count_node_neighbors(
-                    node, edges.tolist(), parts
-                ), kernel
+                c0, c1 = count_node_neighbors(node, edges.tolist(), parts)
+                assert _sweep_counts(node, edges, parts) == c1 - c0, kernel
             # refinement path: the lowest chunk node, assigned, counted against live labels
             parts = rng.integers(-1, 2, size=num_nodes).tolist()
             node = chunk_nodes[0]
             parts[node] = int(rng.integers(0, 2))
-            c0, c1 = _sweep_counts(node, edges, parts, refine=True)
-            assert (2 * c0, 2 * c1) == count_node_neighbors(node, edges.tolist(), parts), kernel
+            c0, c1 = count_node_neighbors(node, edges.tolist(), parts)
+            assert 2 * _sweep_counts(node, edges, parts, refine=True) == c1 - c0, kernel
 
 
 def test_process_chunk_rejects_ids_outside_state(monkeypatch):
@@ -129,7 +130,7 @@ def test_process_chunk_rejects_ids_outside_state(monkeypatch):
 
 
 
-def _sweep_both(edges, start, estimates, capacity, refine, sizes=None):
+def _sweep_both(edges, start, leans, capacity, refine, sizes=None):
     """The states the native and the Python sweep leave from one start, and
     the error each raised (None when it raised none)."""
     chunk = EdgeChunk(1, np.array(edges, dtype=np.int64))
@@ -140,7 +141,7 @@ def _sweep_both(edges, start, estimates, capacity, refine, sizes=None):
             state = PartitionState(len(start), capacity)
             state.parts[:] = start
             state.sizes = list(sizes) if sizes is not None else recount_sizes(start)
-            state.nbr0[:], state.nbr1[:] = estimates[: len(start)], estimates[len(start) :]
+            state.lean[:] = leans
             try:
                 process_chunk(state, chunk, config)
                 error = None
@@ -159,20 +160,20 @@ def _assert_same_sweep(runs):
 def _assert_same_state(a, b):
     assert a.parts.tolist() == b.parts.tolist()
     assert a.sizes == b.sizes
-    assert a.nbr0.tobytes() == b.nbr0.tobytes()
-    assert a.nbr1.tobytes() == b.nbr1.tobytes()
+    assert a.lean.tobytes() == b.lean.tobytes()
     assert (a.visited, a.moved) == (b.visited, b.moved)
 
 
 _IDLE = [-1] * 21  # nodes 4..24, outside every example's chunk
-_EST = [0.0] * 50
+_EST = [0.0] * 25
+_LEANS = [-7.0, -2.75, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.75, 7.0]
 
 
 @PROPERTY_SETTINGS
 @given(
     edges=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), min_size=1, max_size=120),
     start=st.lists(st.sampled_from([-1, -1, 0, 1]), min_size=25, max_size=25),
-    estimates=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.75, 7.0]), min_size=50, max_size=50),
+    estimates=st.lists(st.sampled_from(_LEANS), min_size=25, max_size=25),
     slack=st.sampled_from([0.0, 0.1, 0.5]),
     refine=st.booleans(),
 )
@@ -190,12 +191,12 @@ _EST = [0.0] * 50
 @example(edges=[(0, 13), (0, 14), (0, 1)], start=[0] * 13 + [1] * 2 + [-1] * 10,
          estimates=_EST, slack=0.0, refine=True)
 @example(edges=[(0, 13), (0, 14), (0, 1)], start=[0] * 13 + [1] * 2 + [-1] * 10,
-         estimates=[7.0] + [0.0] * 49, slack=0.0, refine=True)
+         estimates=[-7.0] + [0.0] * 24, slack=0.0, refine=True)
 @example(edges=[(0, 13), (0, 14), (0, 1)], start=[0] * 13 + [1] * 2 + [-1] * 10,
-         estimates=[0.0] * 25 + [2.75] + [0.0] * 24, slack=0.0, refine=True)
+         estimates=[2.75] + [0.0] * 24, slack=0.0, refine=True)
 def test_process_chunk_native_equals_python_property(edges, start, estimates, slack, refine):
-    # from any start (some nodes placed, stored estimates of any value) both
-    # sweeps leave the same labels, estimates and sizes, bit for bit
+    # from any start (some nodes placed, stored leans of any value) both
+    # sweeps leave the same labels, leans and sizes, bit for bit
     runs = _sweep_both(edges, start, estimates, default_capacity(25, slack), refine)
     _assert_same_sweep(runs)
     assert runs["native"][1] is None
@@ -206,23 +207,26 @@ def test_process_chunk_native_equals_python_property(edges, start, estimates, sl
 def test_process_chunk_capacity_error_native_equals_python(refine):
     # sizes claimed above the labels' own counts: the sweep reaches a node no
     # side can take and stops there, in both kernels, leaving the same labels,
-    # estimates and sizes (the failing node lifted out of its old side)
-    estimates = [0.5, 2.75, 0.0, 1.0, 7.0, 0.0, 1.0, 0.5, 0.0, 2.75, 0.0, 0.0]
+    # leans and sizes (the failing node lifted out of its old side)
+    leans = [0.5, -2.25, 0.0, 1.75, -7.0, 0.0]
     for start, sizes in (
         ([0, 1, -1, -1, 0, -1], (2, 2)),  # node 0 re-placed, then node 2 fails
         ([0, 1, -1, -1, 0, -1], (3, 2)),  # node 0 fails when refining
         ([1, 0, 1, -1, -1, 0], (2, 3)),  # side 1 claimed over capacity
         ([-1, -1, -1, -1, -1, -1], (2, 2)),  # the first fresh node fails
     ):
-        runs = _sweep_both([(0, 2), (0, 1), (2, 3), (1, 4), (5, 0)], start, estimates, 2,
-                           refine, sizes)
+        runs = _sweep_both([(0, 2), (0, 1), (2, 3), (1, 4), (5, 0)], start, leans, 2, refine,
+                           sizes)
         _assert_same_sweep(runs)
         assert isinstance(runs["native"][1], CapacityError), (start, sizes)
 
 
-def _csr_sweep(state, index, refine):
+def _csr_sweep(state, nbr0, nbr1, index, refine):
     """The chunk sweep as a plain loop over a ``build_adjacency`` CSR index,
-    counting visited and moved nodes: the reference for ``process_chunk``."""
+    counting visited and moved nodes: the reference for ``process_chunk``.
+    It keeps two estimates per node, side-0 and side-1 neighbours, in
+    ``nbr0`` and ``nbr1``, and decides by their order; the sweep's lean must
+    equal ``nbr1 - nbr0``.  ``state.lean`` is left as it was."""
     nodes, offsets, nbrs = (a.tolist() for a in index)
     visited = moved = 0
     for i, n in enumerate(nodes):
@@ -233,12 +237,12 @@ def _csr_sweep(state, index, refine):
         c0 = float(sum(state.parts[w] == 0 for w in nbrs[offsets[i] : offsets[i + 1]]))
         c1 = float(sum(state.parts[w] == 1 for w in nbrs[offsets[i] : offsets[i + 1]]))
         if old != -1:
-            c0, c1 = (state.nbr0[n] + c0) * 0.5, (state.nbr1[n] + c1) * 0.5
+            c0, c1 = (nbr0[n] + c0) * 0.5, (nbr1[n] + c1) * 0.5
             state.sizes[old] -= 1
-        b = assign(c0, c1, state.sizes, state.capacity)
+        b = assign(int(c0 < c1) - int(c1 < c0), state.sizes, state.capacity)
         moved += old != -1 and b != old
         state.sizes[b] += 1
-        state.parts[n], state.nbr0[n], state.nbr1[n] = b, c0, c1
+        state.parts[n], nbr0[n], nbr1[n] = b, c0, c1
     state.visited += visited
     state.moved += moved
 
@@ -289,16 +293,15 @@ def test_key_sweep_equals_the_csr_loop_property(layout, top_at, edges, loop_only
         assert (dtype is np.uint64, parts > 1) == (layout == "u64", layout == "split")
         index = model.build_adjacency((chunk_edges,), len(chunk_edges), top + 1)
 
-        def fresh():
-            state = PartitionState(num_nodes, 0)
-            state.parts[ids] = start
-            state.nbr0[ids], state.nbr1[ids] = estimates[:13], estimates[13:]
-            state.sizes = recount_sizes(state.parts)
-            state.capacity = max(state.sizes) + headroom
-            return state
+        nbr0, nbr1 = np.zeros(num_nodes), np.zeros(num_nodes)
+        nbr0[ids], nbr1[ids] = estimates[:13], estimates[13:]
 
         def sweep_twice(sweep):
-            state, error = fresh(), None
+            state, error = PartitionState(num_nodes, 0), None
+            state.parts[ids] = start
+            state.lean[:] = nbr1 - nbr0
+            state.sizes = recount_sizes(state.parts)
+            state.capacity = max(state.sizes) + headroom
             try:
                 for _ in range(2):
                     sweep(state)
@@ -306,15 +309,23 @@ def test_key_sweep_equals_the_csr_loop_property(layout, top_at, edges, loop_only
                 error = exc
             return state, error
 
-        want, want_error = sweep_twice(lambda state: _csr_sweep(state, index, refine))
+        want_nbr0, want_nbr1 = nbr0.copy(), nbr1.copy()
+        want, want_error = sweep_twice(
+            lambda state: _csr_sweep(state, want_nbr0, want_nbr1, index, refine))
         config = GremConfig(chunk_frac=1.0, refine=refine)
+        runs = {}
         for kernel in each_kernel(patch):
             chunk = EdgeChunk(1, chunk_edges)
             if traced:
                 assert chunk.nodes.tolist() == index[0].tolist(), kernel
             got, error = sweep_twice(lambda state: process_chunk(state, chunk, config))
             assert type(error) is type(want_error), kernel
-            _assert_same_state(got, want)
+            assert got.parts.tolist() == want.parts.tolist(), kernel
+            assert got.sizes == want.sizes, kernel
+            assert got.lean.tolist() == (want_nbr1 - want_nbr0).tolist(), kernel
+            assert (got.visited, got.moved) == (want.visited, want.moved), kernel
+            runs[kernel] = got
+        _assert_same_state(runs["native"], runs["python"])
 
 
 @pytest.mark.parametrize("passes", [1, 2])
@@ -347,16 +358,18 @@ def test_sweep_counts_equal_a_diff_of_labels(tmp_path, monkeypatch, passes):
 
 
 def test_assign_examples():
-    assert assign(2.5, 1.0, [3, 3], 4) == 0
-    assert assign(1.0, 1.0, [4, 3], 4) == 1
-    assert assign(0.0, 5.0, [2, 4], 4) == 0
-    assert assign(5.0, 0.0, [4, 2], 4) == 1
-    assert assign(1.0, 1.0, [2, 2], 4) == 0  # tie goes to partition 0
+    assert assign(-1.5, [3, 3], 4) == 0
+    assert assign(0.0, [4, 3], 4) == 1  # no lean: the smaller side
+    assert assign(5.0, [2, 4], 4) == 0  # side 1 full: the smaller side
+    assert assign(-5.0, [4, 2], 4) == 1
+    assert assign(0.0, [2, 2], 4) == 0  # tie goes to partition 0
+    assert assign(-0.0, [2, 2], 4) == 0
+    assert assign(0.25, [3, 2], 4) == 1
 
 
 def test_assign_both_full_is_an_error():
     with pytest.raises(CapacityError):
-        assign(1.0, 2.0, [4, 4], 4)
+        assign(1.0, [4, 4], 4)
 
 
 # ----------------------------------------------------------- process_chunk
@@ -364,16 +377,17 @@ def test_assign_both_full_is_an_error():
 
 def test_process_chunk_averages_and_keeps_majority(monkeypatch):
     for kernel in each_kernel(monkeypatch):
-        # node 0 previously in partition 0 with stored counts (4, 0); the chunk
-        # shows two neighbors in partition 1 -> averaged (2, 1) keeps it in 0.
+        # node 0 previously in partition 0 with stored counts (4, 0), lean -4;
+        # the chunk shows two neighbors in partition 1 (lean 2) -> averaged
+        # (2, 1), lean -1, keeps it in 0.
         state = PartitionState(5, capacity=3)
         state.parts[:] = [0, 1, 1, 0, -1]
         state.sizes = [2, 2]
-        state.nbr0[0], state.nbr1[0] = 4.0, 0.0
+        state.lean[0] = -4.0
         chunk = EdgeChunk(1, np.array([[0, 1], [0, 2]]))
         process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=True))
         assert state.parts[0] == 0, kernel
-        assert (state.nbr0[0], state.nbr1[0]) == (2.0, 1.0), kernel
+        assert state.lean[0] == -1.0, kernel
         assert state.sizes == recount_sizes(state.parts), kernel
 
 
@@ -382,11 +396,11 @@ def test_process_chunk_fixed_mode_skips_assigned(monkeypatch):
         state = PartitionState(5, capacity=3)
         state.parts[:] = [0, 1, 1, 0, -1]
         state.sizes = [2, 2]
-        state.nbr0[0], state.nbr1[0] = 4.0, 0.0
+        state.lean[0] = -4.0
         chunk = EdgeChunk(1, np.array([[0, 1], [0, 2]]))
         process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=False))
         assert state.parts.tolist() == [0, 1, 1, 0, -1], kernel
-        assert (state.nbr0[0], state.nbr1[0]) == (4.0, 0.0), kernel
+        assert state.lean[0] == -4.0, kernel
         assert state.sizes == [2, 2], kernel
 
 
@@ -399,7 +413,7 @@ def test_process_chunk_assigns_fresh_nodes_in_both_modes(monkeypatch):
             chunk = EdgeChunk(1, np.array([[2, 1], [2, 1], [3, 0]]))
             process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=refine))
             assert state.parts.tolist() == [0, 1, 1, 0], (kernel, refine)
-            assert (state.nbr0[2], state.nbr1[2]) == (0.0, 2.0), (kernel, refine)
+            assert state.lean[2] == 2.0, (kernel, refine)  # (c0, c1) = (0, 2)
             assert state.sizes == recount_sizes(state.parts) == [2, 2], (kernel, refine)
 
 
@@ -746,6 +760,20 @@ def test_partition_capacity_bound_with_slack(tmp_path):
         sizes = np.bincount(labels, minlength=4)
         assert int(sizes.max()) <= ceil((1 + slack) * num_nodes / 4)
         assert int(sizes.sum()) == num_nodes
+
+
+@pytest.mark.parametrize("bad", [{"capacity_slack": -0.5}, {"capacity_slack": float("nan")},
+                                 {"passes": 0}, {"chunk_edges": 10, "chunk_frac": 0.1}])
+def test_grem_config_rejects_bad_values(bad):
+    with pytest.raises(FormatError):
+        GremConfig(**bad)
+
+
+def test_default_capacity_is_at_most_the_node_count():
+    assert default_capacity(10) == 5
+    assert default_capacity(10, 0.1, 4) == 3  # ceil(2.75)
+    assert default_capacity(10, 1.0) == default_capacity(10, float("inf")) == 10
+    assert default_capacity(10, 1e308, 4) == 10
 
 
 def test_partition_rejects_bad_p(tmp_path):

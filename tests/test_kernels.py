@@ -71,15 +71,14 @@ def test_build_is_cached_by_source_hash(tmp_path, monkeypatch):
     # partition 1, the key 0 << 1 | 1 of width 2
     keys = np.array([1], dtype=np.uint32)
     parts = np.array([-1, 1], dtype=np.int8)
-    nbr0, nbr1 = np.zeros(2), np.zeros(2)
+    lean = np.zeros(2)
     tally = np.array([0, 1, 0, 0], dtype=np.int64)
     ptr = _kernels.ptr
     failed = sweep(1, ptr(keys, np.uint32, 1), 4, 1, 1, None, ptr(parts, np.int8, 2),
-                   ptr(nbr0, np.float64, 2), ptr(nbr1, np.float64, 2), ptr(tally, np.int64, 4),
-                   2, 1)
+                   ptr(lean, np.float64, 2), ptr(tally, np.int64, 4), 2, 1)
     assert failed == -1
     assert parts.tolist() == [1, 1] and tally.tolist() == [0, 2, 1, 0]
-    assert (nbr0[0], nbr1[0]) == (0.0, 1.0)
+    assert lean[0] == 1.0
 
 
 def test_build_removes_stale_libraries(tmp_path, monkeypatch):
@@ -174,12 +173,12 @@ def _bad_kernel_calls(tmp_path, monkeypatch):
         ("sweep", sweep(keys=chunk.keys.astype(np.int32))),
         ("sweep", sweep(keys=_strided(chunk.keys))),
         ("sweep", sweep(bounds=np.array([0, 4, 10], dtype=np.int32))),
-        ("sweep", sweep_state(nbr0=np.zeros(4, dtype=np.float32))),
+        ("sweep", sweep_state(lean=np.zeros(4, dtype=np.float32))),
         ("sweep", sweep_state(parts=_strided(np.full(4, -1, dtype=np.int8)))),
         ("bfs_grow", bfs_grow(offsets=offsets.astype(np.int32))),
         ("bfs_grow", bfs_grow(offsets=_strided(offsets))),
-        ("seed_counts", seed_counts(nbr1=np.zeros(4, dtype=np.float32))),
-        ("seed_counts", seed_counts(nbr0=_strided(np.zeros(4)))),
+        ("seed_counts", seed_counts(lean=np.zeros(4, dtype=np.float32))),
+        ("seed_counts", seed_counts(lean=_strided(np.zeros(4)))),
         ("comm_walk", comm_walk(np.array([1, 0, 2, 1, 3, 2], dtype=np.int32))),
         ("comm_walk", comm_walk(_strided(np.array([1, 0, 2, 1, 3, 2])))),
         ("pack_keys", pack_keys(np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.uint32))),

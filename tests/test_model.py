@@ -268,8 +268,19 @@ def test_partition_state_recount():
     state.parts[4] = 1
     state.sizes = [1, 2]
     assert recount_sizes(state.parts) == [1, 2]
-    assert (state.nbr0[2], state.nbr1[2]) == (0.0, 0.0)
+    assert state.lean[2] == 0.0
     assert state.labels_array().tolist() == [0, -1, -1, 1, 1]
+
+
+@pytest.mark.parametrize("num_nodes", [1, 1000])
+def test_partition_state_holds_nine_bytes_per_node(num_nodes):
+    # an int8 label and one float64 lean per node, and no other per-node array
+    state = PartitionState(num_nodes, capacity=num_nodes)
+    arrays = {name: getattr(state, name) for name in PartitionState.__slots__
+              if isinstance(getattr(state, name), np.ndarray)}
+    assert sorted(arrays) == ["lean", "parts"]
+    assert (state.parts.dtype, state.lean.dtype) == (np.int8, np.float64)
+    assert state.parts.nbytes + state.lean.nbytes == 9 * num_nodes
 
 
 def test_node_stats_validation():

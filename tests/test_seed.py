@@ -247,16 +247,16 @@ def test_seed_native_equals_python(edges, loops, repeats, headroom, passes):
         runs = {}
         for kernel in each_kernel(patch):
             state = _seeded_state(edges, 40, headroom, passes)
-            runs[kernel] = (state.parts.tolist(), state.nbr0.tolist(), state.nbr1.tolist(),
-                            state.sizes)
+            runs[kernel] = (state.parts.tolist(), state.lean.tobytes(), state.sizes)
     assert runs["native"] == runs["python"]
-    parts, nbr0, nbr1, sizes = runs["native"]
+    parts, lean, sizes = runs["native"]
+    lean = np.frombuffer(lean)
     assert sizes == [parts.count(0), parts.count(1)]
     for node in set(edges.ravel().tolist()):
         others = [v for u, v in edges.tolist() if u == node and v != node]
         others += [u for u, v in edges.tolist() if v == node and u != node]
-        assert (nbr0[node], nbr1[node]) == (sum(parts[w] == 0 for w in others),
-                                            sum(parts[w] == 1 for w in others))
+        c0, c1 = sum(parts[w] == 0 for w in others), sum(parts[w] == 1 for w in others)
+        assert lean[node] == c1 - c0
 
 
 def test_sparse_ids_seed_as_their_dense_ranks(monkeypatch):

@@ -100,6 +100,8 @@ def test_prob_correct_domain():
         prob_correct(4, 2, 0.0)
     with pytest.raises(FormatError):
         prob_correct(4, 2, 0.5, multiplier=0.5)
+    with pytest.raises(FormatError):
+        prob_correct(4, 2, 0.5, multiplier=float("nan"))
 
 
 # ------------------------------------------------------- compute_node_stats
