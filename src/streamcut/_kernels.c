@@ -3,13 +3,13 @@
  * tail, the traffic estimator's sampling walk, the streaming passes over
  * edge blocks and the cdf sums of the theory curve.
  *
- * Each function is a port of the Python code it replaces
+ * Each function but split_keys is a port of the Python code it replaces
  * (grem.process_chunk, seed._bfs_grow, grem._seed_chunk, the numpy twins in
- * model._pack_block, model._split_keys and model.adjacency_from_keys,
- * placement.estimate_comm, the numpy passes of grem.count_cuts,
- * grem._extract_induced, store.write_buckets, edgefile.external_shuffle,
- * theory.compute_node_stats and placement.select_replicated, and the
- * fallback of theory._curve_point) and must stay bit-identical to it:
+ * model._pack_block and model._adjacency_tail, placement.estimate_comm, the
+ * numpy passes of grem.count_cuts, grem._extract_induced,
+ * store.write_buckets, edgefile.external_shuffle, theory.compute_node_stats
+ * and placement.select_replicated, and the fallback of theory._curve_point)
+ * and must stay bit-identical to it:
  * neighbour counts are exact integers converted to double once, a node's
  * estimate (its side-1 count less its side-0 count) is averaged as
  * (old + fresh) * 0.5, sums run left to right, nodes are visited and
@@ -23,12 +23,14 @@
  *
  * The adjacency keys are shift-packed, src << shift | dst with
  * shift = bit_length(width - 1).  They are sorted as u32 up to width
- * 65,536, in one part.  Above that, where model.key_layout finds enough of
- * them for at most 64 parts (width 2**19), a key is its low 32 bits, in
- * parts split on its high 2 * shift - 32 bits; other keys are u64 while
- * shift <= 32 (width up to 2**32).  Wider ids are ranked to dense ones
- * first, in Python.  The builder's index, which four kernels read, is CSR:
- * `offsets` has one entry per node and one more, from 0, and node i's
+ * 65,536, as u64 above that while shift <= 32 (width up to 2**32), in one
+ * part.  Only model.build_adjacency, where model.key_layout finds enough of
+ * them for at most 64 parts (width 2**19), holds a key as its low 32 bits,
+ * in parts split on its high 2 * shift - 32 bits: split_keys, a
+ * compiled-only step with no Python twin, groups them, and the numpy build
+ * sorts one u64 part instead.  Wider ids are ranked to dense ones first,
+ * in Python.  The index build_adjacency returns, which three kernels read,
+ * is CSR: `offsets` has one entry per node and one more, from 0, and node i's
  * neighbours are nbrs[offsets[i]] to nbrs[offsets[i + 1] - 1].
  *
  * Every array arrives as a plain pointer; the Python callers check its
@@ -63,36 +65,34 @@ static inline double kept(const double *p, uint64_t keep)
  * and shift = bit_length(width - 1), so a key's high bits are its owner and
  * its low `shift` bits its neighbour.  Sorting them orders the index as
  * sorting src * width + dst would.  Keys are u64 (key_bytes == 8, shift
- * <= 32) or their low 32 bits (key_bytes == 4): the whole key while
- * width <= 65,536, else split_keys groups them by their high bits. */
+ * <= 32) or u32 (key_bytes == 4): the whole key while width <= 65,536,
+ * else, in the estimator's build only, its low 32 bits, which split_keys
+ * groups by their high bits. */
 static inline uint64_t key_at(const void *keys, int wide, int64_t k)
 {
     return wide ? ((const uint64_t *)keys)[k] : ((const uint32_t *)keys)[k];
 }
 
-/* The sweep over keys i to end - 1 of one part, whose bits above the low
- * 32 are `high`; tally as sweep takes it. */
-PASS int64_t sweep_part(const void *keys, int key_wide, int64_t i, int64_t end, uint64_t high,
-                        int64_t shift, int8_t *parts, double *lean, int64_t *tally, int64_t cap,
-                        uint64_t fixed)
+PASS int64_t sweep_body(int64_t m, const void *keys, int key_wide, int64_t shift, int8_t *parts,
+                        double *lean, int64_t *tally, int64_t cap, uint64_t fixed)
 {
     static const double scale[2] = {1.0, 0.5};
     uint64_t mask = ((uint64_t)1 << shift) - 1;
-    int64_t s0 = tally[0], s1 = tally[1], visited = 0, moved = 0, failed = -1;
-    uint64_t key = i < end ? key_at(keys, key_wide, i) : 0;
-    while (i < end) {
+    int64_t s0 = tally[0], s1 = tally[1], visited = 0, moved = 0, failed = -1, i = 0;
+    uint64_t key = m > 0 ? key_at(keys, key_wide, 0) : 0;
+    while (i < m) {
         /* the run of keys owned by n, from key on, is n's neighbour list:
          * keys up to last, its self-loops, read but counted for neither
-         * side, equal to self (both less the part's high bits) */
-        uint64_t n = (high | key) >> shift;
-        uint64_t base = (n << shift) - high, last = base + mask, self = base + n;
+         * side, equal to self */
+        uint64_t n = key >> shift;
+        uint64_t base = n << shift, last = base + mask, self = base + n;
         int64_t d = 0; /* side-1 neighbours less side-0 ones */
         for (;;) {
             if (key != self) {
                 int pw = parts[key & mask];
                 d += (pw == 1) - (pw == 0);
             }
-            if (++i == end)
+            if (++i == m)
                 break;
             key = key_at(keys, key_wide, i);
             if (key > last)
@@ -131,35 +131,35 @@ PASS int64_t sweep_part(const void *keys, int key_wide, int64_t i, int64_t end, 
     return failed;
 }
 
-/* One copy of the part sweep per key width, kept out of the loop over parts
- * so that the loop's own variables do not crowd the registers of the sweep */
-static __attribute__((noinline)) int64_t sweep_part32(
-    const void *keys, int64_t i, int64_t end, uint64_t high, int64_t shift, int8_t *parts,
-    double *lean, int64_t *tally, int64_t cap, uint64_t fixed)
+/* One copy of the sweep per key width, kept out of line: with both copies
+ * inlined into sweep's dispatch, GCC 12 at -O2 on x86-64 made the sweep of a
+ * sbm8-p8 chunk's u32 keys about 15% slower */
+static __attribute__((noinline)) int64_t sweep32(int64_t m, const void *keys, int64_t shift,
+                                                 int8_t *parts, double *lean, int64_t *tally,
+                                                 int64_t cap, uint64_t fixed)
 {
-    return sweep_part(keys, 0, i, end, high, shift, parts, lean, tally, cap, fixed);
+    return sweep_body(m, keys, 0, shift, parts, lean, tally, cap, fixed);
 }
 
-static __attribute__((noinline)) int64_t sweep_part64(
-    const void *keys, int64_t i, int64_t end, uint64_t high, int64_t shift, int8_t *parts,
-    double *lean, int64_t *tally, int64_t cap, uint64_t fixed)
+static __attribute__((noinline)) int64_t sweep64(int64_t m, const void *keys, int64_t shift,
+                                                 int8_t *parts, double *lean, int64_t *tally,
+                                                 int64_t cap, uint64_t fixed)
 {
-    return sweep_part(keys, 1, i, end, high, shift, parts, lean, tally, cap, fixed);
+    return sweep_body(m, keys, 1, shift, parts, lean, tally, cap, fixed);
 }
 
 /* Sweeps one chunk in place over parts/lean, straight off its m sorted
- * adjacency keys: key_bytes, shift, nparts and bounds as adjacency_tail
- * takes them (bounds NULL for one part).  Each run of keys with one owner
- * is that node's neighbour list, ascending, so nodes are visited in
- * ascending id order, one seen only in self-loops too, and count their
- * neighbours as they would over the CSR index.  Every id must index the
- * node state: the caller checks the chunk's width against the node count.
- * tally holds the two partition sizes, then two counters the sweep adds
- * to: the nodes it visited, a node skipped because refine is off included,
- * and the placed nodes whose label it changed.  Returns -1, or the id of
- * the node no partition could take: tally's sizes already have that node
- * lifted out, as in the Python loop, and its counters cover the nodes
- * before it.
+ * adjacency keys, one array of key_bytes (4 or 8) each, packed with shift:
+ * a chunk's keys are never split.  Each run of keys with one owner is that
+ * node's neighbour list, ascending, so nodes are visited in ascending id
+ * order, one seen only in self-loops too, and count their neighbours as
+ * they would over the CSR index.  Every id must index the node state: the
+ * caller checks the chunk's width against the node count.  tally holds the
+ * two partition sizes, then two counters the sweep adds to: the nodes it
+ * visited, a node skipped because refine is off included, and the placed
+ * nodes whose label it changed.  Returns -1, or the id of the node no
+ * partition could take: tally's sizes already have that node lifted out,
+ * as in the Python loop, and its counters cover the nodes before it.
  *
  * The decision is grem.assign, computed without branches: which side a
  * re-placed node takes is data-dependent and unpredictable (about a fifth
@@ -178,17 +178,11 @@ static __attribute__((noinline)) int64_t sweep_part64(
  * compiler splits it into two branches.  The sizes live in locals: a
  * store through the int8_t `parts` may alias any object, so the compiler
  * would reload them after every label written. */
-int64_t sweep(int64_t m, const void *keys, int64_t key_bytes, int64_t shift, int64_t nparts,
-              const int64_t *bounds, int8_t *parts, double *lean, int64_t *tally, int64_t cap,
-              int32_t refine)
+int64_t sweep(int64_t m, const void *keys, int64_t key_bytes, int64_t shift, int8_t *parts,
+              double *lean, int64_t *tally, int64_t cap, int32_t refine)
 {
-    int64_t failed = -1;
-    for (int64_t q = 0; q < nparts && failed < 0; q++) {
-        int64_t start = bounds ? bounds[q] : 0, end = bounds ? bounds[q + 1] : m;
-        failed = (key_bytes == 8 ? sweep_part64 : sweep_part32)(
-            keys, start, end, (uint64_t)q << 32, shift, parts, lean, tally, cap, refine == 0);
-    }
-    return failed;
+    return (key_bytes == 8 ? sweep64 : sweep32)(m, keys, shift, parts, lean, tally, cap,
+                                                 refine == 0);
 }
 
 /* Restart order of bfs_grow: chunk positions by degree, highest first,

@@ -14,11 +14,11 @@ CSR index ``(nodes, offsets, nbrs)``, node i's neighbours
 built from:
 
 * ``sweep`` -- the greedy chunk sweep of ``grem.process_chunk``, straight
-  off an ``EdgeChunk``'s sorted ``src << shift | dst`` keys, each run of one
-  owner a node's neighbour list; its decision (``grem.assign``) is computed
-  without branches, since which side a re-placed node takes is
-  unpredictable, and it branches only to leave when no side can take a
-  node; it reads and writes one estimate per node, its lean (side-1
+  off an ``EdgeChunk``'s one array of sorted ``src << shift | dst`` keys,
+  u32 or u64, each run of one owner a node's neighbour list; its decision
+  (``grem.assign``) is computed without branches, since which side a
+  re-placed node takes is unpredictable, and it branches only to leave
+  when no side can take a node; it reads and writes one estimate per node, its lean (side-1
   neighbours less side-0 ones), and adds the nodes it visited and moved to
   two counters;
 * ``bfs_grow`` -- the BFS-grow seed, its restart order (a counting sort on
@@ -31,7 +31,9 @@ built from:
 * ``split_keys`` -- groups u32 keys of widths above 65,536 by their high
   ``2 * shift - 32`` bits, so each part sorts as u32, where
   ``model.key_layout`` finds enough keys for at most 64 parts (width 2**19):
-  ``model._split_keys``;
+  ``model._split_keys``, in ``model.build_adjacency`` only.  It has no
+  Python twin: without the kernels the keys sort as one u64 part, which
+  numpy sorts faster than it splits them;
 * ``adjacency_tail`` -- the run split and self-loop removal after the key
   sort, part by part, branch-free, in ``model._adjacency_tail``;
 * ``comm_walk`` -- the sampling walk of ``placement.estimate_comm``;
@@ -66,13 +68,12 @@ folds into the int64 result at the end and every 2**32 - 1 rows before
 that, so no count wraps.
 
 Each is the loaded function, or ``None`` for all of them when no compiler
-is found or the build fails.  Each kernel's Python fallback, which gives
-bit-identical results, sits beside its one call: the edge passes' numpy
-twins in ``edgefile._label_block``, ``_extract_block``, ``_scatter_block``
+is found or the build fails.  Each kernel but ``split_keys`` has a Python
+fallback, which gives bit-identical results, beside its one call: the edge
+passes' numpy twins in ``edgefile._label_block``, ``_extract_block``, ``_scatter_block``
 and ``_endpoint_block``, the others in ``grem.process_chunk``,
 ``seed._bfs_grow``, ``grem._seed_chunk``, ``model._pack_block``,
-``model._split_keys``, ``model._adjacency_tail``,
-``placement.estimate_comm`` and
+``model._adjacency_tail``, ``placement.estimate_comm`` and
 ``theory._curve_point``.
 
 Every array goes to a kernel as a plain address through ``ptr``, which
@@ -155,7 +156,7 @@ def _load():
     # travels as a plain pointer (see ``ptr``)
     i64, p = ctypes.c_int64, ctypes.c_void_p
     signatures = {
-        "sweep": ([i64, p, i64, i64, i64, p, p, p, p, i64, ctypes.c_int32], i64),
+        "sweep": ([i64, p, i64, i64, p, p, p, i64, ctypes.c_int32], i64),
         "bfs_grow": ([i64, p, p, i64, i64, p], i64),
         "seed_counts": ([i64, p, p, p, p, p], None),
         "pack_keys": ([i64, p, i64, i64, i64, i64, p, p], i64),

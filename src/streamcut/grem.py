@@ -20,9 +20,10 @@ the greedy rule runs, so the capacity bound is never violated even when both
 partitions are exactly full.  The per-node decision is the inner loop of the
 algorithm, and on re-streamed chunks it is unpredictable, so the compiled
 sweep (``_kernels.sweep``) computes it without branches.  It reads the
-chunk's sorted adjacency keys, whose runs of one owner are the nodes'
-neighbour lists, so a swept chunk never builds its CSR index; ``assign`` and
-the Python loop in ``process_chunk``, over that index, are its reference.
+chunk's one array of sorted adjacency keys, whose runs of one owner are the
+nodes' neighbour lists, so a swept chunk never builds its CSR index;
+``assign`` and the Python loop in ``process_chunk``, over that index, are
+its reference.
 Both add the nodes they visit and the placed nodes whose label they change
 to the state's ``visited`` and ``moved`` counts.
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import ceil
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -85,6 +87,13 @@ class GremConfig:
     passes: int = 1
 
     def __post_init__(self):
+        kinds = {"passes": Integral, "chunk_edges": Integral, "chunk_frac": Real,
+                 "capacity_slack": Real}
+        for name, kind in kinds.items():
+            value = getattr(self, name)
+            if not (isinstance(value, kind) or value is None and name.startswith("chunk_")):
+                what = "an integer" if kind is Integral else "a real number"
+                raise FormatError(f"{name} must be {what}, got {value!r}")
         if self.chunk_edges is not None and self.chunk_frac is not None:
             raise FormatError("set chunk_edges or chunk_frac, not both")
         if not self.capacity_slack >= 0:  # NaN too
@@ -129,16 +138,15 @@ def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -
     the visited and moved counts (left as they were on a CapacityError)."""
     if chunk.width > state.num_nodes:
         raise FormatError(f"chunk node ids outside [0, {state.num_nodes})")
-    keys, bounds = chunk.keys, chunk.bounds
+    keys = chunk.keys
     if _kernels.sweep is not None and keys is not None:
         ptr, m, num_nodes = _kernels.ptr, keys.size, state.num_nodes
-        nparts = 1 if bounds is None else bounds.size - 1
         tally = np.array([*state.sizes, state.visited, state.moved], dtype=np.int64)
         failed = _kernels.sweep(
             m, ptr(keys, np.uint64 if keys.itemsize == 8 else np.uint32, m), keys.itemsize,
-            _key_shift(chunk.width), nparts, ptr(bounds, np.int64, nparts + 1),
-            ptr(state.parts, np.int8, num_nodes), ptr(state.lean, np.float64, num_nodes),
-            ptr(tally, np.int64, 4), state.capacity, config.refine)
+            _key_shift(chunk.width), ptr(state.parts, np.int8, num_nodes),
+            ptr(state.lean, np.float64, num_nodes), ptr(tally, np.int64, 4), state.capacity,
+            config.refine)
         tally = tally.tolist()
         state.sizes[:] = tally[:2]
         if failed >= 0:
@@ -204,15 +212,9 @@ def _seed_chunk(state: PartitionState, chunk: EdgeChunk) -> None:
 
 
 def _fill_unassigned(state: PartitionState) -> None:
-    parts = state.parts
-    sizes = state.sizes
-    cap = state.capacity
+    parts, sizes = state.parts, state.sizes
     for n in np.flatnonzero(parts == -1).tolist():
-        b = 0 if sizes[0] <= sizes[1] else 1
-        if sizes[b] >= cap:
-            b = 1 - b
-            if sizes[b] >= cap:
-                raise CapacityError("no partition has room for unassigned nodes")
+        b = assign(0.0, sizes, state.capacity)  # no lean: the smaller side, 0 on a tie
         parts[n] = b
         sizes[b] += 1
 

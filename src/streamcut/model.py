@@ -40,14 +40,19 @@ def packed_keys_fit(width: int) -> bool:
     return width <= 1 << 32
 
 
-# Keys of widths above 65,536 sort as u32 in parts only where that beats one
-# u64 sort.  Measured on a 2-vCPU VM, the whole build took 0.68-0.83 of its
-# u64 time at 37 and 64 parts with 0.5-4M keys, 0.84-0.95 at 171-245 parts
-# and 0.97-1.00 at 1,024, where the split's scatter is slow; with a few
-# hundred keys per part it took 1.1-1.9, the split and the per-part numpy
-# sort calls outweighing the narrower sort
+# The estimator's keys of widths above 65,536 sort as u32 in parts only where
+# that beats one u64 sort, and only under the compiled kernels.  Measured on
+# a 2-vCPU VM, the whole build took 0.68-0.83 of its u64 time at 37 and 64
+# parts with 0.5-4M keys, 0.84-0.95 at 171-245 parts and 0.97-1.00 at 1,024,
+# where the split's scatter is slow; with a few hundred keys per part it
+# took 1.1-1.9, the split and the per-part numpy sort calls outweighing the
+# narrower sort.  A chunk's keys are never split: no benchmark chunk is
+# wider than 65,536 ids, and on wider ones the split saved at most 15 % of
+# the build plus one sweep.  Numpy's split was 3.5 times slower than one
+# u64 sort
 _MAX_PARTS = 64  # width 2**19
 _MIN_PART_KEYS = 8192  # on average
+_U32_WIDTH = 1 << 16  # the widest ids whose whole packed keys fit in 32 bits
 _KEY_DTYPES = {4: np.uint32, 8: np.uint64}  # by itemsize
 
 
@@ -61,14 +66,17 @@ def key_layout(width: int, num_keys: int) -> tuple[int, type, int]:
     below ``width``, shift = ``_key_shift(width)``.
 
     The keys are u32, in one part, while width << shift <= 2**32 (width up to
-    65,536).  Above that a key is held as its low 32 bits, u32, in the part
-    its high ``2 * shift - 32`` bits name, when that makes at most 64 parts
-    (width up to 2**19) of 8,192 keys each on average; otherwise the keys
-    are u64, in one part.
+    65,536).  Above that, under the compiled kernels, a key is held as its
+    low 32 bits, u32, in the part its high ``2 * shift - 32`` bits name, when
+    that makes at most 64 parts (width up to 2**19) of 8,192 keys each on
+    average; otherwise the keys are u64, in one part.
     """
     shift = _key_shift(width)
-    parts = (max(width - 1, 0) << shift >> 32) + 1
-    if parts == 1 or (parts <= _MAX_PARTS and num_keys >= _MIN_PART_KEYS * parts):
+    if width <= _U32_WIDTH:
+        return shift, np.uint32, 1
+    parts = ((width - 1) << shift >> 32) + 1
+    if (parts <= _MAX_PARTS and num_keys >= _MIN_PART_KEYS * parts
+            and _kernels.kernel_name() == "native"):
         return shift, np.uint32, parts
     return shift, np.uint64, 1
 
@@ -85,10 +93,11 @@ def build_adjacency(blocks, num_edges: int, width: int) -> tuple[np.ndarray, ...
     ``src << shift | dst`` keys, shift = bit_length(width - 1), order the
     whole index: the order is that of ``src * width + dst``.  The keys sort
     as u32 in one sort while width << shift <= 2**32 (width up to 65,536);
-    above that, when there are enough of them (``key_layout``), in one sort
-    per part of keys sharing their high ``2 * shift - 32`` bits, at most 64
-    parts (width up to 2**19); else as u64 while shift <= 32.  Ids of 2**32
-    and above are gathered and ranked first.
+    above that, under the compiled kernels and when there are enough of them
+    (``key_layout``), in one sort per part of keys sharing their high
+    ``2 * shift - 32`` bits, at most 64 parts (width up to 2**19); else as
+    u64 while shift <= 32.  Ids of 2**32 and above are gathered and ranked
+    first.
     """
     if num_edges == 0:
         return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -111,8 +120,9 @@ def _pack_keys(blocks, num_edges: int,
 
     ``buffer`` holds 2 * num_edges int64 entries, the room the index's
     neighbour ids need; u64 keys are the whole of it, u32 keys its upper
-    half.  Keys of more than one part are packed into the lower half first
-    and ``_split_keys`` groups them into the upper half.
+    half.  Keys of more than one part, which only the compiled kernels
+    make, are packed into the lower half first and ``_split_keys`` groups
+    them into the upper half.
     """
     shift, dtype, parts = key_layout(width, 2 * num_edges)
     buf = np.empty(2 * num_edges, dtype=np.int64)
@@ -157,25 +167,18 @@ def _pack_block(block: np.ndarray, width: int, shift: int, fwd: np.ndarray,
 
 def _split_keys(fwd: np.ndarray, rev: np.ndarray, shift: int, parts: int,
                 keys: np.ndarray) -> np.ndarray:
-    """``_kernels.split_keys``: writes the u32 keys ``fwd`` and ``rev`` (row i's
-    two directions) to ``keys`` grouped by part, in no order within a part, and
-    returns the ``parts + 1`` part bounds.
+    """``_kernels.split_keys``, which ``key_layout`` asks for only when it is
+    loaded: writes the u32 keys ``fwd`` and ``rev`` (row i's two directions)
+    to ``keys`` grouped by part, in no order within a part, and returns the
+    ``parts + 1`` part bounds.
 
     A key's part is its owner's high ``2 * shift - 32`` bits, and its owner is
     the low ``shift`` bits of the row's other key.
     """
-    m = fwd.size
+    m, ptr = fwd.size, _kernels.ptr
     bounds = np.empty(parts + 1, dtype=np.int64)
-    if _kernels.split_keys is not None:
-        ptr = _kernels.ptr
-        _kernels.split_keys(m, ptr(fwd, np.uint32, m), ptr(rev, np.uint32, m), shift, parts,
-                            ptr(bounds, np.int64, parts + 1), ptr(keys, np.uint32, 2 * m))
-        return bounds
-    mask, low = (1 << shift) - 1, 32 - shift
-    part = np.concatenate([(rev & mask) >> low, (fwd & mask) >> low])
-    keys[:] = np.concatenate([fwd, rev])[np.argsort(part, kind="stable")]
-    bounds[0] = 0
-    np.cumsum(np.bincount(part, minlength=parts), out=bounds[1:])
+    _kernels.split_keys(m, ptr(fwd, np.uint32, m), ptr(rev, np.uint32, m), shift, parts,
+                        ptr(bounds, np.int64, parts + 1), ptr(keys, np.uint32, 2 * m))
     return bounds
 
 
@@ -183,19 +186,15 @@ def adjacency_from_keys(
     buf: np.ndarray, keys: np.ndarray, bounds: np.ndarray | None, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``build_adjacency`` index of the (buffer, keys, bounds) of
-    ``_pack_keys(..., width)``: ``_sort_keys``, then ``_adjacency_tail``."""
-    _sort_keys(keys, bounds)
-    return _adjacency_tail(buf, keys, bounds, width)
-
-
-def _sort_keys(keys: np.ndarray, bounds: np.ndarray | None) -> None:
-    """Sorts in place each part of ``keys`` that holds two or more keys."""
+    ``_pack_keys(..., width)``: sorts each part that holds two or more keys
+    in place, then ``_adjacency_tail``."""
     if bounds is None:
         keys.sort()
-        return
-    ends = bounds.tolist()
-    for q in np.flatnonzero(np.diff(bounds) > 1).tolist():
-        keys[ends[q] : ends[q + 1]].sort()
+    else:
+        ends = bounds.tolist()
+        for q in np.flatnonzero(np.diff(bounds) > 1).tolist():
+            keys[ends[q] : ends[q + 1]].sort()
+    return _adjacency_tail(buf, keys, bounds, width)
 
 
 def _adjacency_tail(
@@ -203,7 +202,8 @@ def _adjacency_tail(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The index of sorted ``_pack_keys(..., width)`` keys: ``buf`` is overwritten
     from its front with the neighbor ids, and ``nbrs`` is a view of that front,
-    so the keys in ``buf`` are spent."""
+    so the keys in ``buf`` are spent.  Split keys (``bounds`` not None) come
+    only with the compiled kernels."""
     parts, m = 1 if bounds is None else bounds.size - 1, keys.size
     shift, dtype = _key_shift(width), _KEY_DTYPES[keys.itemsize]
     if _kernels.adjacency_tail is not None:
@@ -217,9 +217,6 @@ def _adjacency_tail(
                                        ptr(bounds, np.int64, parts + 1), ptr(buf, np.int64, m),
                                        ptr(nodes, np.int64, slots), ptr(offsets, np.int64, slots))
         return nodes[:runs], offsets[: runs + 1], buf[: offsets[runs]]
-    if parts > 1:  # each key's part above its low 32 bits
-        high = np.repeat(np.arange(parts, dtype=np.uint64) << np.uint64(32), np.diff(bounds))
-        keys = np.bitwise_or(keys, high, dtype=np.uint64)
     owner = keys >> shift
     nbrs = np.bitwise_and(keys, (1 << shift) - 1, out=keys)
     # run starts of each owner, then the end of the last run
@@ -237,13 +234,12 @@ class EdgeChunk:
     """A contiguous in-memory slice of the edge list with a chunk-local adjacency index.
 
     ``edges`` is the block as read, at its stored id width, and ``width`` is
-    its largest id + 1 (0 when it is empty).  The index is held as the
-    sorted ``src << shift | dst`` keys of both directions of every edge, in
-    the layout ``key_layout(width, 2 * num_edges)`` gives: ``keys`` (u32 or
-    u64) and ``bounds`` (None for one part, else part q's keys are
-    ``keys[bounds[q]:bounds[q + 1]]``, each held as its low 32 bits).  Each
-    run of keys with one owner is a node's neighbor list, ascending, which
-    the compiled sweep reads directly.
+    its largest id + 1 (0 when it is empty).  The index is held as ``keys``,
+    one sorted array of the ``src << shift | dst`` keys of both directions
+    of every edge, exactly ``2 * num_edges`` of them: u32 while width <=
+    65,536, else u64, never split into parts as ``key_layout`` may split the
+    estimator's.  Each run of keys with one owner is a node's neighbor list,
+    ascending, which the compiled sweep reads directly.
 
     The CSR (``nodes``, ``offsets``, ``nbrs``) of ``build_adjacency`` is built
     from a copy of the keys when first read, for the seed chunk, the Python
@@ -256,17 +252,19 @@ class EdgeChunk:
     keys (``keys`` None) and holds the CSR from the start.
     """
 
-    __slots__ = ("chunk_index", "edges", "width", "keys", "bounds", "_csr")
+    __slots__ = ("chunk_index", "edges", "width", "keys", "_csr")
 
     def __init__(self, chunk_index: int, edges: np.ndarray):
         edges = np.asarray(edges).reshape(-1, 2)
         self.chunk_index = int(chunk_index)
         self.edges = edges
         self.width = width = int(edges.max()) + 1 if edges.size else 0
-        self.keys = self.bounds = self._csr = None
+        self.keys = self._csr = None
         if edges.size and packed_keys_fit(width):
-            _, self.keys, self.bounds = _pack_keys((edges,), edges.shape[0], width)
-            _sort_keys(self.keys, self.bounds)
+            m = edges.shape[0]
+            self.keys = keys = np.empty(2 * m, np.uint32 if width <= _U32_WIDTH else np.uint64)
+            _pack_block(edges, width, _key_shift(width), keys[:m], keys[m:])
+            keys.sort()
         else:
             if edges.size and edges.min() < 0:
                 raise ValueError(f"edge ids must lie in [0, {width})")
@@ -278,7 +276,7 @@ class EdgeChunk:
             buf = np.empty(m, dtype=np.int64)  # the tail spends the copy, not the keys
             keys = buf.view(self.keys.dtype)[-m:]
             keys[:] = self.keys
-            self._csr = _adjacency_tail(buf, keys, self.bounds, self.width)
+            self._csr = _adjacency_tail(buf, keys, None, self.width)
         return self._csr
 
     @property
@@ -308,7 +306,7 @@ class PartitionState:
     number of neighbors in partition 1 less the number in partition 0, whose
     sign is the side the node leans to; it stays 0 for nodes never seen in a
     processed chunk.  So the per-node state is 9 bytes.  ``capacity`` is the
-    maximum node count per partition.  ``visited`` and ``moved`` count, over
+    maximum node count per partition, at most ``num_nodes``.  ``visited`` and ``moved`` count, over
     every chunk swept (``grem.process_chunk``, not the seeded chunk), the
     nodes the sweep visited and the placed nodes whose label it changed.
     """
@@ -321,7 +319,9 @@ class PartitionState:
         self.parts = np.full(num_nodes, -1, dtype=np.int8)
         self.sizes: list[int] = [0, 0]
         self.lean = np.zeros(num_nodes, dtype=np.float64)
-        self.capacity = int(capacity)
+        # a side never holds more than every node: a larger capacity means the
+        # same, and stays within the kernels' int64
+        self.capacity = min(int(capacity), num_nodes)
         self.visited = 0
         self.moved = 0
 

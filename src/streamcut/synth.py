@@ -159,6 +159,7 @@ def write_graph(spec, path: str, fmt: str = BINARY) -> tuple[EdgeFile, np.ndarra
         writer.write(edges)
     if fmt == BINARY:
         return open_edge_file(path), labels
-    efile = convert(open_edge_file(source), path, fmt)
-    os.remove(source)
-    return efile, labels
+    try:
+        return convert(open_edge_file(source), path, fmt), labels
+    finally:
+        os.remove(source)

@@ -1,5 +1,6 @@
-/* Runs pack_keys, split_keys, adjacency_tail, sweep (over the sorted keys
- * of each layout, against the CSR loop, its capacity exit too), seed_counts
+/* Runs pack_keys, split_keys, adjacency_tail, sweep (over a chunk's one
+ * array of sorted u32 or u64 keys, against the CSR loop, its capacity exit
+ * too), seed_counts
  * and bfs_grow of src/streamcut/_kernels.c on edge cases,
  * comm_walk on a small graph with isolated ids, the edge passes label_pass,
  * extract_rows, scatter_rows and endpoint_counts on rows whose ids reach
@@ -10,9 +11,11 @@
  * of edgefile and theory.theory_curve),
  * so that a build with -fsanitize=address,undefined reports any access
  * outside them.  Prints "ok" and exits 0 when every case checks out.
+ * This file includes _kernels.c, so the compiler checks every call against
+ * the kernel's own definition:
  *
  *     cc -O1 -g -fsanitize=address,undefined -fno-sanitize-recover=all -ffp-contract=off \
- *        tests/kernels_sanitized.c src/streamcut/_kernels.c -lm -o driver && ./driver
+ *        tests/kernels_sanitized.c -lm -o checks && ./checks
  */
 #include <math.h>
 #include <stdint.h>
@@ -20,37 +23,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-int64_t pack_keys(int64_t m, const void *rows, int64_t id_bytes, int64_t width, int64_t shift,
-                  int64_t key_bytes, void *fwd, void *rev);
-void split_keys(int64_t m, const uint32_t *fwd, const uint32_t *rev, int64_t shift,
-                int64_t nparts, int64_t *bounds, uint32_t *keys);
-int64_t adjacency_tail(int64_t m, const void *keys, int64_t key_bytes, int64_t shift,
-                       int64_t nparts, const int64_t *bounds, int64_t *nbrs, int64_t *nodes,
-                       int64_t *offsets);
-int64_t sweep(int64_t m, const void *keys, int64_t key_bytes, int64_t shift, int64_t nparts,
-              const int64_t *bounds, int8_t *parts, double *lean, int64_t *tally, int64_t cap,
-              int32_t refine);
-void seed_counts(int64_t num, const int64_t *nodes, const int64_t *offsets, const int64_t *nbrs,
-                 const int8_t *parts, double *lean);
-int64_t bfs_grow(int64_t num, const int64_t *offsets, const int64_t *local,
-                 int64_t refinement_passes, int64_t capacity, int8_t *labels);
-typedef uint64_t (*next_uint64_t)(void *state);
-int64_t comm_walk(int64_t num_nodes, const int64_t *offsets, const int64_t *nbrs,
-                  const int64_t *node_worker, const uint8_t *replicated, int64_t num_seeds,
-                  const int64_t *fanouts, int64_t hops, next_uint64_t next, void *state,
-                  int64_t *counts);
-int64_t label_pass(int64_t m, const void *rows, int64_t id_bytes, const uint32_t *labels,
-                   int64_t p, int64_t *counts, int64_t *bucket, int64_t *cut);
-int64_t extract_rows(int64_t m, const void *rows, int64_t id_bytes, const int64_t *new_id,
-                     int64_t out_bytes, void *out, int64_t *kept);
-int64_t scatter_rows(int64_t m, const void *rows, int64_t id_bytes, const int64_t *bucket,
-                     int64_t nbuckets, int64_t *bounds, void *out);
-int64_t endpoint_counts(int64_t m, const void *rows, int64_t id_bytes, const uint32_t *labels,
-                        uint32_t *counts);
-void curve_point(int64_t npairs, const int64_t *lo, const int64_t *count, const int64_t *base,
-                 const double *lg_k0, const double *lg_k1, const double *log_denom,
-                 const double *table, double *probs, int64_t nnodes, const int64_t *k,
-                 const int64_t *k0, const int64_t *pair_of, double *total);
+#include "../src/streamcut/_kernels.c"
 
 static int failures = 0;
 
@@ -148,11 +121,12 @@ static int64_t csr_sweep(int64_t runs, const int64_t *nodes, const int64_t *offs
 }
 
 /* One chunk of m edges (ids[2i], ids[2i + 1]) below width, stored at
- * id_bytes: packs, splits, sorts and runs the tail over its keys, checks
- * the index against a brute-force count, and for widths small enough to
- * hold one entry of node state per id (u32 keys in one part and in split
- * parts, and u64 keys at width 2**19 + 1) sweeps its sorted keys against
- * the CSR loop, seeds its estimates and grows a seed bisection over it. */
+ * id_bytes: packs, splits, sorts and runs the tail over its keys as the
+ * estimator's build does, checks the index against a brute-force count,
+ * and for widths small enough to hold one entry of node state per id (up
+ * to 2**19 + 1) sweeps the keys as an EdgeChunk holds them, one sorted
+ * array of u32 keys up to width 65,536 and of u64 keys above, against the
+ * CSR loop, seeds its estimates and grows a seed bisection over it. */
 static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_bytes,
                      uint64_t width)
 {
@@ -193,15 +167,13 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
               (size_t)key_bytes, key_bytes == 8 ? cmp_u64 : cmp_u32);
     }
 
-    /* the sorted keys and bounds as an EdgeChunk keeps them, exactly sized,
-     * before the tail spends the buffer (bounds NULL for one part) */
-    void *sorted = exact((size_t)(2 * m), (size_t)key_bytes);
-    memcpy(sorted, keys, (size_t)(2 * m) * (size_t)key_bytes);
-    int64_t *sorted_bounds = NULL;
-    if (nparts > 1) {
-        sorted_bounds = exact((size_t)(nparts + 1), sizeof *sorted_bounds);
-        memcpy(sorted_bounds, bounds, (size_t)(nparts + 1) * sizeof *bounds);
-    }
+    /* the keys as an EdgeChunk holds them: one sorted array of exactly 2m,
+     * u32 while width <= 65,536, else u64, never split */
+    int64_t chunk_bytes = width <= 65536 ? 4 : 8;
+    void *sorted = exact((size_t)(2 * m), (size_t)chunk_bytes);
+    CHECK(pack_keys(m, rows, id_bytes, (int64_t)width, shift, chunk_bytes, sorted,
+                    (char *)sorted + (size_t)m * chunk_bytes) == 0, name);
+    qsort(sorted, (size_t)(2 * m), (size_t)chunk_bytes, chunk_bytes == 8 ? cmp_u64 : cmp_u32);
 
     /* nodes: one entry per possible run and a spare; offsets: one more per run */
     int64_t max_runs = (uint64_t)(2 * m) < width ? 2 * m : (int64_t)width;
@@ -261,8 +233,8 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
          * refinement off that skips them all, each equal to the loop's */
         for (int pass = 0; pass < 3; pass++) {
             int refine = pass < 2;
-            CHECK(sweep(2 * m, sorted, key_bytes, shift, nparts, sorted_bounds, parts, lean,
-                        tally, cap, refine) == -1, name);
+            CHECK(sweep(2 * m, sorted, chunk_bytes, shift, parts, lean, tally, cap, refine) == -1,
+                  name);
             CHECK(csr_sweep(runs, c_nodes, c_offsets, nbrs, ref_parts, ref_nbr0, ref_nbr1,
                             ref_sizes, cap, refine, &ref_visited, &ref_moved) == -1, name);
             CHECK(memcmp(parts, ref_parts, (size_t)width) == 0, name);
@@ -280,8 +252,8 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         double est = lean[c_nodes[0]];
         int64_t visited = tally[2], moved = tally[3];
         tally[0] = tally[1] = cap + 1;
-        CHECK(sweep(2 * m, sorted, key_bytes, shift, nparts, sorted_bounds, parts, lean, tally,
-                    cap, 1) == c_nodes[0], name);
+        CHECK(sweep(2 * m, sorted, chunk_bytes, shift, parts, lean, tally, cap, 1) == c_nodes[0],
+              name);
         CHECK(tally[first] == cap && tally[1 - first] == cap + 1, name);
         CHECK(tally[2] == visited && tally[3] == moved, name);
         CHECK(parts[c_nodes[0]] == first, name);
@@ -289,8 +261,8 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         /* and a fresh node, with refinement off */
         parts[c_nodes[0]] = -1;
         tally[0] = tally[1] = cap;
-        CHECK(sweep(2 * m, sorted, key_bytes, shift, nparts, sorted_bounds, parts, lean, tally,
-                    cap, 0) == c_nodes[0], name);
+        CHECK(sweep(2 * m, sorted, chunk_bytes, shift, parts, lean, tally, cap, 0) == c_nodes[0],
+              name);
         CHECK(tally[0] == cap && tally[1] == cap && parts[c_nodes[0]] == -1, name);
         CHECK(tally[2] == visited && tally[3] == moved, name);
         parts[c_nodes[0]] = (int8_t)first;
@@ -350,7 +322,6 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
     free(buf);
     free(bounds);
     free(sorted);
-    free(sorted_bounds);
     free(nodes);
     free(offsets);
 }

@@ -23,7 +23,7 @@ from streamcut import (
 )
 from streamcut import _kernels, grem, model
 from streamcut.grem import assign, default_capacity, process_chunk
-from streamcut.synth import CliqueUnionSpec, generate
+from streamcut.synth import CliqueUnionSpec, PathSpec, generate
 
 from helpers import (
     PROPERTY_SETTINGS,
@@ -247,12 +247,9 @@ def _csr_sweep(state, nbr0, nbr1, index, refine):
     state.moved += moved
 
 
-# (top id of a chunk, whether split parts need no minimum key count) per key
-# layout: u32 keys in one part; u32 keys split into 3 and 13 parts (widths
-# 65,537 and 200,000); u64 keys at those widths, where so few keys would make
-# too few per part
-_LAYOUTS = {"u32": [(40, False), (65_535, False)], "split": [(65_536, True), (199_999, True)],
-            "u64": [(65_536, False), (199_999, False)]}
+# top ids of a chunk per key layout: u32 keys up to width 65,536, u64 keys
+# above it (widths 65,537 and 200,000)
+_LAYOUTS = {"u32": [40, 65_535], "u64": [65_536, 199_999]}
 
 
 @PROPERTY_SETTINGS
@@ -270,7 +267,7 @@ _LAYOUTS = {"u32": [(40, False), (65_535, False)], "split": [(65_536, True), (19
     traced=st.booleans(),
 )
 # a node seen only in self-loops, placed: visited, its self-loops counted for neither side
-@example(layout="split", top_at=1, edges=[(0, 1), (0, 1), (1, 0)], loop_only=[10], anchor=0,
+@example(layout="u64", top_at=1, edges=[(0, 1), (0, 1), (1, 0)], loop_only=[10], anchor=0,
          spread=[i / 12 for i in range(12)], start=[0, 1] + [-1] * 8 + [1, -1, 0],
          estimates=[0.0] * 26, headroom=2, refine=True, traced=False)
 def test_key_sweep_equals_the_csr_loop_property(layout, top_at, edges, loop_only, anchor, spread,
@@ -280,17 +277,13 @@ def test_key_sweep_equals_the_csr_loop_property(layout, top_at, edges, loop_only
     # id 12 at the top: the sweep under both kernels, run twice, leaves the
     # labels, sizes, estimates and counts the CSR loop leaves, also after
     # the chunk's CSR was built first, as the benchmark's tracer builds it
-    top, split = _LAYOUTS[layout][top_at]
+    top = _LAYOUTS[layout][top_at]
     ids = sorted({int(f * top) for f in spread} | {top})
     ids += [top] * (13 - len(ids))  # ids drawn twice leave local ids that share one
     local = np.array(edges + [(n, n) for n in loop_only] + [edges[0], (anchor, 12)])
     chunk_edges = np.array(ids, dtype=np.int64)[local]
     num_nodes = top + 2
     with pytest.MonkeyPatch.context() as patch:
-        if split:
-            patch.setattr(model, "_MIN_PART_KEYS", 0)
-        shift, dtype, parts = model.key_layout(top + 1, 2 * len(chunk_edges))
-        assert (dtype is np.uint64, parts > 1) == (layout == "u64", layout == "split")
         index = model.build_adjacency((chunk_edges,), len(chunk_edges), top + 1)
 
         nbr0, nbr1 = np.zeros(num_nodes), np.zeros(num_nodes)
@@ -316,6 +309,7 @@ def test_key_sweep_equals_the_csr_loop_property(layout, top_at, edges, loop_only
         runs = {}
         for kernel in each_kernel(patch):
             chunk = EdgeChunk(1, chunk_edges)
+            assert chunk.keys.dtype == {"u32": np.uint32, "u64": np.uint64}[layout], kernel
             if traced:
                 assert chunk.nodes.tolist() == index[0].tolist(), kernel
             got, error = sweep_twice(lambda state: process_chunk(state, chunk, config))
@@ -575,6 +569,20 @@ def test_bisect_empty_edge_file(tmp_path, monkeypatch):
         assert report.cut_edges == 0, kernel
 
 
+def test_capacities_above_the_node_count_act_as_the_node_count(tmp_path, monkeypatch):
+    # a capacity past int64 reaches the kernels clamped, never wrapped (2**64 + 3
+    # would be 3, 2**70 would be 0)
+    edges, _ = generate(PathSpec(4))
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 4)
+    config = GremConfig(chunk_frac=0.5)
+    for kernel in each_kernel(monkeypatch):
+        want, _ = bisect(efile, config, capacity=4)
+        for capacity in (2**63, 2**64 + 3, 2**70):
+            got, _ = bisect(efile, config, capacity=capacity)
+            assert got.tolist() == want.tolist(), (kernel, capacity)
+        assert PartitionState(4, 2**70).capacity == 4
+
+
 def test_decay_two_weighted_average(tmp_path, monkeypatch):
     # node 0 appears in three chunks; stored estimate must follow the
     # halving recursion ((l1 + l2)/2 + l3)/2 verified against the interpreter
@@ -763,7 +771,9 @@ def test_partition_capacity_bound_with_slack(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [{"capacity_slack": -0.5}, {"capacity_slack": float("nan")},
-                                 {"passes": 0}, {"chunk_edges": 10, "chunk_frac": 0.1}])
+                                 {"passes": 0}, {"chunk_edges": 10, "chunk_frac": 0.1},
+                                 {"passes": 2.5}, {"chunk_edges": 2.5}, {"chunk_frac": "0.5"},
+                                 {"capacity_slack": "0.1"}, {"passes": None}])
 def test_grem_config_rejects_bad_values(bad):
     with pytest.raises(FormatError):
         GremConfig(**bad)

@@ -74,7 +74,7 @@ def test_build_is_cached_by_source_hash(tmp_path, monkeypatch):
     lean = np.zeros(2)
     tally = np.array([0, 1, 0, 0], dtype=np.int64)
     ptr = _kernels.ptr
-    failed = sweep(1, ptr(keys, np.uint32, 1), 4, 1, 1, None, ptr(parts, np.int8, 2),
+    failed = sweep(1, ptr(keys, np.uint32, 1), 4, 1, ptr(parts, np.int8, 2),
                    ptr(lean, np.float64, 2), ptr(tally, np.int64, 4), 2, 1)
     assert failed == -1
     assert parts.tolist() == [1, 1] and tally.tolist() == [0, 2, 1, 0]
@@ -116,9 +116,8 @@ def _strided(arr):
 
 
 def _chunk_with(chunk, **swap):
-    """A chunk whose sorted keys and their layout are those of ``chunk`` with some replaced."""
-    return SimpleNamespace(**{"width": chunk.width, "keys": chunk.keys, "bounds": chunk.bounds,
-                              **swap})
+    """A chunk whose width and sorted keys are those of ``chunk`` with some replaced."""
+    return SimpleNamespace(**{"width": chunk.width, "keys": chunk.keys, **swap})
 
 
 def _bad_kernel_calls(tmp_path, monkeypatch):
@@ -172,7 +171,6 @@ def _bad_kernel_calls(tmp_path, monkeypatch):
     return [
         ("sweep", sweep(keys=chunk.keys.astype(np.int32))),
         ("sweep", sweep(keys=_strided(chunk.keys))),
-        ("sweep", sweep(bounds=np.array([0, 4, 10], dtype=np.int32))),
         ("sweep", sweep_state(lean=np.zeros(4, dtype=np.float32))),
         ("sweep", sweep_state(parts=_strided(np.full(4, -1, dtype=np.int8)))),
         ("bfs_grow", bfs_grow(offsets=offsets.astype(np.int32))),
@@ -206,10 +204,10 @@ SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=
 
 
 def test_kernels_keep_their_buffer_contracts_under_sanitizers(tmp_path):
-    # pack_keys, split_keys, adjacency_tail, sweep (over the sorted keys of
-    # each layout, against a CSR loop), seed_counts and bfs_grow on the
-    # key-layout edge cases (split keys at widths 200,000 and 2**19 among
-    # them), comm_walk on a graph with isolated ids, the four edge
+    # pack_keys, split_keys, adjacency_tail, sweep (over a chunk's one array
+    # of sorted u32 or u64 keys, against a CSR loop), seed_counts and
+    # bfs_grow on the key-layout edge cases (split keys at widths 200,000 and
+    # 2**19 among them), comm_walk on a graph with isolated ids, the four edge
     # passes on rows whose ids reach num_nodes - 1 at both id widths, with
     # u32 labels and counters, and curve_point on a packed lgamma table,
     # every buffer sized exactly as the Python callers size it: an access
@@ -223,10 +221,11 @@ def test_kernels_keep_their_buffer_contracts_under_sanitizers(tmp_path):
                            capture_output=True, timeout=120)
     if built.returncode != 0 or subprocess.run([str(tmp_path / "probe")]).returncode != 0:
         pytest.skip("no address or undefined-behaviour sanitizer runtime")
-    driver = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels_sanitized.c")
-    built = subprocess.run([cc, *SANITIZE, driver, _kernels._SOURCE, "-lm", "-o",
-                            str(tmp_path / "driver")], capture_output=True, text=True, timeout=120)
+    source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels_sanitized.c")
+    # it includes _kernels.c, so every call is checked against its definition
+    built = subprocess.run([cc, *SANITIZE, source, "-lm", "-o", str(tmp_path / "checks")],
+                           capture_output=True, text=True, timeout=120)
     assert built.returncode == 0, built.stderr
-    run = subprocess.run([str(tmp_path / "driver")], capture_output=True, text=True, timeout=120)
+    run = subprocess.run([str(tmp_path / "checks")], capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "ok\n"

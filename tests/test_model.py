@@ -110,21 +110,25 @@ def test_adjacency_tail_native_equals_python_property(edges, loop_only, spare_wi
     assert all(a.tolist() == b.tolist() for a, b in zip(*runs["python"]))
 
 
-def test_key_layout_at_the_boundaries():
+def test_key_layout_at_the_boundaries(monkeypatch):
     many = 2**40  # keys enough for any part count
-    assert key_layout(1, 2) == (0, np.uint32, 1)
-    assert key_layout(65_536, 2) == (16, np.uint32, 1)  # the last width of one u32 part
-    assert key_layout(65_537, many) == (17, np.uint32, 3)  # src 65,536 alone in the third part
-    assert key_layout(200_000, many) == (18, np.uint32, 13)  # the last part partial
-    assert key_layout(2**19, many) == (19, np.uint32, 64)  # the last width of split keys
-    assert key_layout(2**19 + 1, many) == (20, np.uint64, 1)
-    assert key_layout(2**21, many) == (21, np.uint64, 1)
-    assert key_layout(2**32, many) == (32, np.uint64, 1)  # the last width of packed keys
-    # parts of fewer than 8,192 keys on average sort as one u64 sort
-    assert key_layout(200_000, 13 * 8192) == (18, np.uint32, 13)
-    assert key_layout(200_000, 13 * 8192 - 1) == (18, np.uint64, 1)
-    assert key_layout(2**19, 64 * 8192 - 1) == (19, np.uint64, 1)
-    assert key_layout(65_537, 2) == (17, np.uint64, 1)
+    for kernel in each_kernel(monkeypatch):
+        def split(shift, parts):  # split keys only under the compiled kernels
+            return (shift, np.uint32, parts) if kernel == "native" else (shift, np.uint64, 1)
+
+        assert key_layout(1, 2) == (0, np.uint32, 1)
+        assert key_layout(65_536, 2) == (16, np.uint32, 1)  # the last width of one u32 part
+        assert key_layout(65_537, many) == split(17, 3)  # src 65,536 alone in the third part
+        assert key_layout(200_000, many) == split(18, 13)  # the last part partial
+        assert key_layout(2**19, many) == split(19, 64)  # the last width of split keys
+        assert key_layout(2**19 + 1, many) == (20, np.uint64, 1)
+        assert key_layout(2**21, many) == (21, np.uint64, 1)
+        assert key_layout(2**32, many) == (32, np.uint64, 1)  # the last width of packed keys
+        # parts of fewer than 8,192 keys on average sort as one u64 sort
+        assert key_layout(200_000, 13 * 8192) == split(18, 13)
+        assert key_layout(200_000, 13 * 8192 - 1) == (18, np.uint64, 1)
+        assert key_layout(2**19, 64 * 8192 - 1) == (19, np.uint64, 1)
+        assert key_layout(65_537, 2) == (17, np.uint64, 1)
 
 
 # ids counted down from the top of each width: the last u32 width, the first
@@ -219,8 +223,8 @@ _SPLIT_WIDTHS = [65_536, 65_537, 200_000, 2**19, 2**21]
          loop_only=[0.5], split=0)
 def test_split_keys_equal_a_lexsort_property(monkeypatch, width, dtype, ids, loop_only, split):
     # duplicates, self-loops, self-loop-only nodes and empty parts, in two
-    # blocks at either stored width, under both kernels; every key count
-    # takes the split up to 64 parts
+    # blocks at either stored width, under both kernels; under the compiled
+    # ones every key count takes the split up to 64 parts
     monkeypatch.setattr(model, "_MIN_PART_KEYS", 0)
 
     def resolve(x):
@@ -242,22 +246,50 @@ def test_split_keys_equal_a_lexsort_property(monkeypatch, width, dtype, ids, loo
             assert got.tolist() == want.tolist(), kernel
 
 
+# the layout of 120,000 keys per width under the compiled kernels: enough
+# keys for 3 and 13 parts, not for 64 (2**19 is u64 keys), and above 2**19
+# u64 keys; numpy sorts every width above 65,536 as one u64 part
+_SPLIT_LAYOUTS = {65_536: (np.uint32, 1), 65_537: (np.uint32, 3), 200_000: (np.uint32, 13),
+                  2**19: (np.uint64, 1), 2**21: (np.uint64, 1)}
+
+
 @pytest.mark.parametrize("width", _SPLIT_WIDTHS)
 def test_split_keys_of_a_random_multigraph_equal_a_lexsort(monkeypatch, width):
-    # 60,000 edges over the whole width: enough keys for 13 parts, not for
-    # 64 (2**19 is u64 keys), and above 2**19 u64 keys
+    # 60,000 edges over the whole width, the one index whatever the layout
     rng = np.random.default_rng(width)
     edges = rng.integers(0, width, size=(60_000, 2))
     edges[::10, 1] = edges[::10, 0]
     edges[1::10] = edges[:-1:10]
-    shift, dtype, parts = key_layout(width, 120_000)
     for kernel in each_kernel(monkeypatch):
+        dtype, parts = _SPLIT_LAYOUTS[width]
+        if kernel == "python" and width > 65_536:
+            dtype, parts = np.uint64, 1
         buf, keys, bounds = _pack_keys((edges[:7000], edges[7000:]), edges.shape[0], width)
         assert keys.dtype == dtype, kernel
         assert (bounds is None) if parts == 1 else bounds.tolist()[::parts] == [0, 120_000]
         index = adjacency_from_keys(buf, keys, bounds, width)
         for got, want in zip(index, _lexsort_adjacency(edges)):
             assert got.tolist() == want.tolist(), kernel
+
+
+@pytest.mark.parametrize("width", [65_537, 2**19])
+def test_a_chunk_holds_one_sorted_array_of_u64_keys_above_width_65536(monkeypatch, width):
+    # even where the estimator's build would split the keys, a chunk packs
+    # exactly 2 * num_edges of them into one u64 array and sorts it
+    monkeypatch.setattr(model, "_MIN_PART_KEYS", 0)
+    rng = np.random.default_rng(width)
+    edges = rng.integers(0, width, size=(500, 2), dtype=np.uint32)
+    edges[0] = (width - 1, 0)
+    shift = (width - 1).bit_length()
+    src, dst = edges[:, 0].astype(np.uint64), edges[:, 1].astype(np.uint64)
+    want = np.sort(np.concatenate([src << shift | dst, dst << shift | src]))
+    for kernel in each_kernel(monkeypatch):
+        parts = {65_537: 3, 2**19: 64}[width] if kernel == "native" else 1
+        assert key_layout(width, 1000)[2] == parts, kernel
+        chunk = EdgeChunk(1, edges)
+        assert chunk.keys.dtype == np.uint64, kernel
+        assert chunk.keys.tolist() == want.tolist(), kernel
+        assert not hasattr(chunk, "bounds"), kernel
 
 
 def test_partition_state_recount():

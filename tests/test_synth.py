@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamcut import FormatError, count_cuts, generate
+from streamcut import FormatError, count_cuts, generate, synth
 from streamcut.synth import CliqueUnionSpec, PathSpec, SbmSpec, StarSpec, write_graph
 
 from helpers import make_edge_file
@@ -107,3 +107,13 @@ def test_write_graph_formats(tmp_path):
     text_file, _ = write_graph(PathSpec(3), str(tmp_path / "p.txt"), fmt="text")
     assert text_file.format == "text"
     assert (tmp_path / "p.txt").read_text() == "# nodes 3\n0 1\n1 2\n"
+
+
+def test_write_graph_leaves_nothing_when_the_text_conversion_fails(tmp_path, monkeypatch):
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(synth, "convert", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_graph(PathSpec(3), str(tmp_path / "p.txt"), fmt="text")
+    assert list(tmp_path.iterdir()) == []
