@@ -57,9 +57,10 @@ _Run = tuple[list[str], list[str], dict]
 
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
+    buffer = memoryview(bytearray(1 << 20))  # one buffer for every block
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+        while size := fh.readinto(buffer):
+            digest.update(buffer[:size])
     return digest.hexdigest()
 
 

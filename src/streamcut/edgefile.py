@@ -304,12 +304,17 @@ def iter_edge_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -
     """Yields (m, 2) arrays covering the file's edges in order, at the file's id
     width (u32 or u64, text files included), once their ids are checked.
 
-    It is the one id check on rows read from a file: the edge passes index
-    arrays of ``meta.num_nodes`` entries with its blocks' ids unchecked.
+    A yielded block is valid only until the next one is requested: binary
+    blocks are views of one buffer of ``min(block_edges, num_edges)`` rows,
+    which each block overwrites, so a caller that keeps rows past that copies
+    them.  It is the one id check on rows read from a file: the edge passes
+    index arrays of ``meta.num_nodes`` entries with its blocks' ids unchecked.
     Binary blocks are checked as read and yielded as stored, after the header
-    and size checks; text rows are parsed and checked before the cast to the
-    width, and a text file whose count departs from the one taken when it
-    was opened is a FormatError, raised before any row beyond that count.
+    and size checks; a payload that ends mid-block is a FormatError, and no
+    part of that block is yielded.  Text rows are parsed and checked before
+    the cast to the width, and a text file whose count departs from the one
+    taken when it was opened is a FormatError, raised before any row beyond
+    that count.
     """
     meta, path = efile.meta, efile.path
     dtype = _id_dtype(meta.node_id_width)
@@ -317,17 +322,18 @@ def iter_edge_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -
         if _read_binary_header(path) != meta:  # re-validate size before streaming
             raise FormatError(f"{path}: header changed since the file was opened")
         remaining = meta.num_edges
+        # one buffer for every block: fresh pages would fault in per block
+        buffer = np.empty((min(block_edges, remaining), 2), dtype=dtype)
         with open(path, "rb") as fh:
             fh.seek(_EDGE_HEADER.size)
             while remaining > 0:
-                take = min(block_edges, remaining)
-                raw = np.fromfile(fh, dtype=dtype, count=2 * take)
-                if raw.size != 2 * take:
+                block = buffer[: min(block_edges, remaining)]
+                # the buffered reader reads until the block is full or the file ends
+                if fh.readinto(block) != block.nbytes:
                     raise FormatError(f"{path}: truncated payload")
-                block = raw.reshape(-1, 2)
                 _check_ids(block, meta.num_nodes, path)
                 yield block
-                remaining -= take
+                remaining -= block.shape[0]
         return
 
     def rows(pairs: list[tuple[int, int]]) -> np.ndarray:
@@ -357,11 +363,14 @@ def iter_edge_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -
 
 
 def read_all_edges(efile: EdgeFile) -> np.ndarray:
-    """The file's edges as one (E, 2) array at the file's id width."""
-    blocks = list(iter_edge_blocks(efile))
-    if not blocks:
-        return np.empty((0, 2), dtype=_id_dtype(efile.meta.node_id_width))
-    return np.concatenate(blocks, axis=0)
+    """The file's edges as one fresh (E, 2) array at the file's id width, each
+    block copied into it before the next is read."""
+    edges = np.empty((efile.meta.num_edges, 2), dtype=_id_dtype(efile.meta.node_id_width))
+    pos = 0
+    for block in iter_edge_blocks(efile):
+        edges[pos : pos + block.shape[0]] = block
+        pos += block.shape[0]
+    return edges
 
 
 def convert(efile: EdgeFile, out_path: str, out_format: str) -> EdgeFile:
@@ -493,9 +502,11 @@ def stream_chunks(
 ) -> Iterator[EdgeChunk]:
     """Yields the file's edges as EdgeChunks in order.
 
-    A chunk is read only when it is requested, so at most the active chunk
-    and the one being read are resident; the meter, when given, accounts a
-    chunk from the moment it is read until the next chunk has been read.
+    A chunk is read only when it is requested, into the one block buffer of
+    ``iter_edge_blocks``, and built before the next is read, so it keeps
+    none of the rows: at most the active chunk's index and the rows being
+    read are resident.  The meter, when given, accounts a chunk from the
+    moment it is read until the next chunk has been read.
     """
     index = 0
     held = 0  # edges of the chunk handed out last

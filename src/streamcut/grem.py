@@ -75,7 +75,8 @@ class GremConfig:
     the edge list (default 10%).  ``capacity_slack`` is the relative headroom
     above perfect balance: each side may hold up to
     ceil((1 + slack) * num_nodes / 2) nodes, capped at num_nodes, so an
-    infinite slack sets no bound (``default_capacity``).  ``passes`` > 1
+    infinite slack sets no bound (``default_capacity``).  ``refine`` is a
+    bool, Python's or numpy's, held as Python's.  ``passes`` > 1
     re-streams the whole file; re-streamed chunks (chunk 0 included) are
     processed greedily, never re-seeded.
     """
@@ -94,6 +95,9 @@ class GremConfig:
             if not (isinstance(value, kind) or value is None and name.startswith("chunk_")):
                 what = "an integer" if kind is Integral else "a real number"
                 raise FormatError(f"{name} must be {what}, got {value!r}")
+        if not isinstance(self.refine, (bool, np.bool_)):
+            raise FormatError(f"refine must be a bool, got {self.refine!r}")
+        object.__setattr__(self, "refine", bool(self.refine))  # the kernels take a Python bool
         if self.chunk_edges is not None and self.chunk_frac is not None:
             raise FormatError("set chunk_edges or chunk_frac, not both")
         if not self.capacity_slack >= 0:  # NaN too

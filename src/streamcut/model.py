@@ -97,13 +97,16 @@ def build_adjacency(blocks, num_edges: int, width: int) -> tuple[np.ndarray, ...
     (``key_layout``), in one sort per part of keys sharing their high
     ``2 * shift - 32`` bits, at most 64 parts (width up to 2**19); else as
     u64 while shift <= 32.  Ids of 2**32 and above are gathered and ranked
-    first.
+    first.  Each block is read before the next is requested, so ``blocks``
+    may reuse one buffer, as ``iter_edge_blocks`` does.
     """
     if num_edges == 0:
         return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
     if packed_keys_fit(width):
         return adjacency_from_keys(*_pack_keys(blocks, num_edges, width), width)
-    ids, ranks = np.unique(np.concatenate(list(blocks)), return_inverse=True)
+    # each block copied as it comes: a block may be overwritten by the next
+    ids, ranks = np.unique(np.concatenate([np.array(block) for block in blocks]),
+                           return_inverse=True)
     packed = _pack_keys((ranks.reshape(-1, 2),), num_edges, ids.size)
     del ranks  # release before the sort
     nodes, offsets, nbrs = adjacency_from_keys(*packed, ids.size)
@@ -231,15 +234,17 @@ def _adjacency_tail(
 
 
 class EdgeChunk:
-    """A contiguous in-memory slice of the edge list with a chunk-local adjacency index.
+    """A contiguous slice of the edge list as a chunk-local adjacency index.
 
-    ``edges`` is the block as read, at its stored id width, and ``width`` is
-    its largest id + 1 (0 when it is empty).  The index is held as ``keys``,
-    one sorted array of the ``src << shift | dst`` keys of both directions
-    of every edge, exactly ``2 * num_edges`` of them: u32 while width <=
-    65,536, else u64, never split into parts as ``key_layout`` may split the
-    estimator's.  Each run of keys with one owner is a node's neighbor list,
-    ascending, which the compiled sweep reads directly.
+    The rows are read only while the chunk is built, so the block may be
+    overwritten once ``__init__`` returns, as ``iter_edge_blocks`` does;
+    ``num_edges`` is its row count and ``width`` its largest id + 1 (0 when
+    it is empty).  The index is held as ``keys``, one sorted array of the
+    ``src << shift | dst`` keys of both directions of every edge, exactly
+    ``2 * num_edges`` of them: u32 while width <= 65,536, else u64, never
+    split into parts as ``key_layout`` may split the estimator's.  Each run
+    of keys with one owner is a node's neighbor list, ascending, which the
+    compiled sweep reads directly.
 
     The CSR (``nodes``, ``offsets``, ``nbrs``) of ``build_adjacency`` is built
     from a copy of the keys when first read, for the seed chunk, the Python
@@ -252,12 +257,12 @@ class EdgeChunk:
     keys (``keys`` None) and holds the CSR from the start.
     """
 
-    __slots__ = ("chunk_index", "edges", "width", "keys", "_csr")
+    __slots__ = ("chunk_index", "num_edges", "width", "keys", "_csr")
 
     def __init__(self, chunk_index: int, edges: np.ndarray):
         edges = np.asarray(edges).reshape(-1, 2)
         self.chunk_index = int(chunk_index)
-        self.edges = edges
+        self.num_edges = edges.shape[0]
         self.width = width = int(edges.max()) + 1 if edges.size else 0
         self.keys = self._csr = None
         if edges.size and packed_keys_fit(width):
@@ -290,10 +295,6 @@ class EdgeChunk:
     @property
     def nbrs(self) -> np.ndarray:
         return self._index()[2]
-
-    @property
-    def num_edges(self) -> int:
-        return self.edges.shape[0]
 
 
 class PartitionState:

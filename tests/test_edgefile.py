@@ -12,6 +12,7 @@ import streamcut
 import streamcut.cli
 from streamcut import (
     ChunkPlan,
+    EdgeChunk,
     FormatError,
     ResidencyMeter,
     convert,
@@ -608,13 +609,17 @@ def test_chunk_plan_arithmetic():
 
 
 def test_stream_chunks_sizes_and_order(tmp_path):
+    # a chunk keeps no rows, so each is checked as it comes: it indexes the
+    # file's next three rows
     edges = np.column_stack([np.arange(7), np.arange(1, 8)]).astype(np.int64)
     efile = make_edge_file(tmp_path / "g.grpe", edges, 8)
-    chunks = list(stream_chunks(efile, ChunkPlan.plan(7, chunk_edges=3)))
-    assert [c.num_edges for c in chunks] == [3, 3, 1]
-    assert [c.chunk_index for c in chunks] == [0, 1, 2]
-    concat = np.concatenate([c.edges for c in chunks])
-    assert np.array_equal(concat, edges)
+    sizes = []
+    for i, chunk in enumerate(stream_chunks(efile, ChunkPlan.plan(7, chunk_edges=3))):
+        assert chunk.chunk_index == i
+        want = EdgeChunk(i, edges[3 * i : 3 * i + 3])
+        assert chunk.width == want.width and np.array_equal(chunk.keys, want.keys)
+        sizes.append(chunk.num_edges)
+    assert sizes == [3, 3, 1]
     single = list(stream_chunks(efile, ChunkPlan.plan(7, chunk_edges=7)))
     assert len(single) == 1 and single[0].num_edges == 7
 
@@ -633,6 +638,46 @@ def test_stream_chunks_truncated_file(tmp_path):
         fh.truncate(28 + 2 * 8)  # drop the last pair behind the header's back
     with pytest.raises(FormatError):
         list(stream_chunks(efile, ChunkPlan.plan(3, chunk_edges=2)))
+
+
+@pytest.mark.parametrize("width", [32, 64])
+def test_binary_blocks_are_views_of_one_buffer_holding_the_rows_as_yielded(tmp_path, width):
+    rng = np.random.default_rng(19)
+    num_nodes = 1000 if width == 32 else 2**40
+    edges = rng.integers(0, num_nodes, size=(10, 2))
+    efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes, width)
+    pos, previous = 0, None
+    for block in edgefile.iter_edge_blocks(efile, 4):
+        assert block.dtype == (np.uint32 if width == 32 else np.uint64)
+        assert block.tolist() == edges[pos : pos + 4].tolist()
+        assert previous is None or np.shares_memory(block, previous)
+        pos, previous = pos + block.shape[0], block
+    assert pos == 10
+
+
+def test_a_payload_ending_mid_block_yields_no_part_of_it(tmp_path):
+    # cut short behind the reader's back after the first block: the second,
+    # 32 KiB, is read past what the reader buffers and ends half way
+    edges = np.random.default_rng(20).integers(0, 1000, size=(3 * 4096, 2))
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 1000)
+    yielded = []
+    with pytest.raises(FormatError, match="truncated payload"):
+        for block in edgefile.iter_edge_blocks(efile, 4096):
+            yielded.append(block.copy())
+            with open(efile.path, "r+b") as fh:
+                fh.truncate(28 + 8 * 4096 * 3 // 2)
+    assert len(yielded) == 1 and yielded[0].tolist() == edges[:4096].tolist()
+
+
+@pytest.mark.parametrize("width", [32, 64])
+def test_read_all_edges_copies_every_block(tmp_path, monkeypatch, width):
+    edges = np.random.default_rng(21).integers(0, 1000, size=(10, 2))
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 1000, width)
+    reader = edgefile.iter_edge_blocks
+    monkeypatch.setattr(edgefile, "iter_edge_blocks", lambda ef: reader(ef, 3))
+    got = read_all_edges_of(efile)
+    assert got.dtype == (np.uint32 if width == 32 else np.uint64)
+    assert got.tolist() == edges.tolist()
 
 
 def test_stream_chunks_residency_bound(tmp_path):

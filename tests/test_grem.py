@@ -601,11 +601,13 @@ def test_decay_two_weighted_average(tmp_path, monkeypatch):
     for kernel in each_kernel(monkeypatch):
         state = PartitionState(num_nodes, cap)
         per_chunk_counts = []
-        for chunk in stream_chunks(efile, plan):
+        # a chunk keeps no rows: a second reader yields each chunk's rows beside it
+        for chunk, rows in zip(stream_chunks(efile, plan),
+                               grem.iter_edge_blocks(efile, plan.chunk_size)):
             if chunk.chunk_index == 0:
                 _seed_chunk(state, chunk)
             else:
-                before = count_node_neighbors(0, chunk.edges.tolist(), state.parts)
+                before = count_node_neighbors(0, rows.tolist(), state.parts)
                 process_chunk(state, chunk, config)
                 per_chunk_counts.append(before)
         # chunk-local counts for node 0 were averaged into the running estimate
@@ -773,10 +775,23 @@ def test_partition_capacity_bound_with_slack(tmp_path):
 @pytest.mark.parametrize("bad", [{"capacity_slack": -0.5}, {"capacity_slack": float("nan")},
                                  {"passes": 0}, {"chunk_edges": 10, "chunk_frac": 0.1},
                                  {"passes": 2.5}, {"chunk_edges": 2.5}, {"chunk_frac": "0.5"},
-                                 {"capacity_slack": "0.1"}, {"passes": None}])
-def test_grem_config_rejects_bad_values(bad):
-    with pytest.raises(FormatError):
-        GremConfig(**bad)
+                                 {"capacity_slack": "0.1"}, {"passes": None},
+                                 {"refine": "false"}, {"refine": None}, {"refine": 0},
+                                 {"refine": np.int8(1)}])
+def test_grem_config_rejects_bad_values(bad, monkeypatch):
+    for kernel in each_kernel(monkeypatch):
+        with pytest.raises(FormatError):
+            GremConfig(**bad)
+
+
+def test_numpy_bool_refine_bisects_as_the_python_bool(tmp_path, monkeypatch):
+    edges, _ = generate(PathSpec(40))
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 40)
+    for kernel in each_kernel(monkeypatch):
+        for refine in (True, False):
+            want, _ = bisect(efile, GremConfig(chunk_edges=5, refine=refine))
+            got, _ = bisect(efile, GremConfig(chunk_edges=5, refine=np.bool_(refine)))
+            assert got.tolist() == want.tolist(), (kernel, refine)
 
 
 def test_default_capacity_is_at_most_the_node_count():

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from streamcut import EdgeChunk, FormatError, GraphMeta, NodeStats, PartitionState
 from streamcut import model
+from streamcut.edgefile import iter_edge_blocks
 from streamcut.model import _pack_keys, adjacency_from_keys, build_adjacency, key_layout
 
-from helpers import PROPERTY_SETTINGS, each_kernel, recount_sizes
+from helpers import PROPERTY_SETTINGS, each_kernel, make_edge_file, recount_sizes
 
 
 def test_graph_meta_validation():
@@ -173,19 +174,32 @@ def test_shift_packed_keys_native_equal_numpy_property(monkeypatch, top, dtype, 
 
 
 def test_u64_block_beyond_the_packed_width_indexes_as_its_int64_twin(monkeypatch):
-    # a chunk keeps its block as read; u64 ids too wide for packed keys take
+    # a chunk reads a u64 block as it is; ids too wide for packed keys take
     # the rank path and must still give int64 arrays, equal to the twin's
     edges = np.array([[_WIDEST, 0], [_WIDEST + 7, _WIDEST], [5, 5], [2**40, 5], [0, _WIDEST],
                       [_WIDEST + 7, _WIDEST]])
     for kernel in each_kernel(monkeypatch):
         for block in (edges, edges % 1000):  # the rank path, then the packed keys
             wide, twin = EdgeChunk(0, block.astype(np.uint64)), EdgeChunk(0, block)
-            assert wide.edges.dtype == np.uint64
+            assert wide.num_edges == twin.num_edges == edges.shape[0]
             for a, b in zip((wide.nodes, wide.offsets, wide.nbrs),
                             (twin.nodes, twin.offsets, twin.nbrs)):
                 assert a.dtype == b.dtype == np.int64, kernel
                 assert a.tolist() == b.tolist(), kernel
             _check_against_rebuild(block.astype(np.uint64))
+
+
+def test_the_rank_path_copies_each_block_of_one_reused_buffer(tmp_path, monkeypatch):
+    # ids of 2**32 and above are ranked over every block at once, so the
+    # blocks of iter_edge_blocks, which share one buffer, are copied as they come
+    num_nodes = 2**41
+    edges = np.array([[2**40, 3], [5, 2**33], [3, 5], [2**40 + 1, 2**40], [7, 7], [2**33, 2**40]])
+    efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
+    for kernel in each_kernel(monkeypatch):
+        want = build_adjacency([b.copy() for b in iter_edge_blocks(efile, 2)], 6, num_nodes)
+        got = build_adjacency(iter_edge_blocks(efile, 2), 6, num_nodes)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want], kernel
+        assert got[0].tolist() == [3, 5, 7, 2**33, 2**40, 2**40 + 1], kernel
 
 
 def _lexsort_adjacency(edges):
