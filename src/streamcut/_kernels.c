@@ -420,7 +420,8 @@ done:
  * (id_bytes == 4) or 8-byte ids (id_bytes == 8), little-endian unsigned,
  * trusted as the header says.  They check only the labels, new ids and
  * bucket ids they read.  The bodies are inlined into one copy per id
- * width. */
+ * width.  scatter_rows copies rows as bytes and takes any row width, so
+ * feature records are grouped by it too. */
 
 static inline uint64_t id_at(const void *rows, int wide, int64_t k)
 {
@@ -503,10 +504,9 @@ int64_t extract_rows(int64_t m, const void *rows, int64_t id_bytes, const int64_
     return extract_rows_body(m, rows, 0, new_id, out_bytes, out, kept);
 }
 
-PASS int64_t scatter_rows_body(int64_t m, const void *rows, int wide, const int64_t *bucket,
+PASS int64_t scatter_rows_body(int64_t m, const void *rows, size_t row, const int64_t *bucket,
                                int64_t nbuckets, int64_t *bounds, void *out)
 {
-    size_t row = wide ? 16 : 8;
     memset(bounds, 0, (size_t)(nbuckets + 1) * sizeof *bounds);
     for (int64_t i = 0; i < m; i++) {
         if ((uint64_t)bucket[i] >= (uint64_t)nbuckets)
@@ -525,18 +525,22 @@ PASS int64_t scatter_rows_body(int64_t m, const void *rows, int wide, const int6
     return -1;
 }
 
-/* Stable counting scatter of m rows by bucket id: `out` gets the rows
- * grouped by bucket, in input order within a bucket, and `bounds`
- * (nbuckets + 1 entries) the start of each bucket's run followed by m.
- * The ids are copied, never indexed with.  Returns -1, or the position of
- * the first row with a bucket id outside [0, nbuckets) (`out` and `bounds`
- * are then incomplete). */
-int64_t scatter_rows(int64_t m, const void *rows, int64_t id_bytes, const int64_t *bucket,
+/* Stable counting scatter of m rows of row_bytes (>= 1) bytes each by
+ * bucket id: `out` gets the rows grouped by bucket, in input order within a
+ * bucket, and `bounds` (nbuckets + 1 entries) the start of each bucket's run
+ * followed by m.  A row is copied as bytes, never read: an edge row of two
+ * u32 or u64 ids (8 or 16 bytes, each copied with a constant size) or a
+ * fixed-width feature record.  Returns -1, or the position of the first row
+ * with a bucket id outside [0, nbuckets) (`out` and `bounds` are then
+ * incomplete). */
+int64_t scatter_rows(int64_t m, const void *rows, int64_t row_bytes, const int64_t *bucket,
                      int64_t nbuckets, int64_t *bounds, void *out)
 {
-    if (id_bytes == 8)
-        return scatter_rows_body(m, rows, 1, bucket, nbuckets, bounds, out);
-    return scatter_rows_body(m, rows, 0, bucket, nbuckets, bounds, out);
+    if (row_bytes == 16)
+        return scatter_rows_body(m, rows, 16, bucket, nbuckets, bounds, out);
+    if (row_bytes == 8)
+        return scatter_rows_body(m, rows, 8, bucket, nbuckets, bounds, out);
+    return scatter_rows_body(m, rows, (size_t)row_bytes, bucket, nbuckets, bounds, out);
 }
 
 PASS int64_t endpoint_counts_body(int64_t m, const void *rows, int wide, const uint32_t *labels,

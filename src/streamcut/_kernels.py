@@ -44,8 +44,10 @@ built from:
   bisection and writes them relabelled at the output id width:
   ``grem._extract_induced``;
 * ``scatter_rows`` -- a stable counting scatter of a block's rows by bucket
-  id: the write pass of ``store.write_buckets`` and the scatter pass of
-  ``edgefile.external_shuffle``;
+  id, each row copied as ``row_bytes`` bytes: 8 or 16 for an edge row of two
+  u32 or u64 ids, any width for a feature record; the write pass of
+  ``store.write_buckets``, the scatter pass of ``edgefile.external_shuffle``
+  and ``store.reorder_features``;
 * ``endpoint_counts`` -- per-node counts of non-self-loop endpoints, plain
   or split by the other endpoint's u32 side, added to u32 counters:
   ``placement.select_replicated`` and ``theory.compute_node_stats``;
@@ -54,7 +56,8 @@ built from:
   right, then the node total in node order.
 
 The four edge passes take blocks of 4- or 8-byte ids as
-``edgefile.iter_edge_blocks`` yields them.  Their precondition is that
+``edgefile.iter_edge_blocks`` yields them (``scatter_rows``, which never
+reads an id, also takes feature records).  Their precondition is that
 reader's check: every id is below the node count that sizes the per-node
 arrays, which they index unchecked.  They check only the labels, new ids
 and bucket ids they read, and return the first row they reject.  Labels
@@ -78,6 +81,8 @@ and ``_endpoint_block``, the others in ``grem.process_chunk``,
 
 Every array goes to a kernel as a plain address through ``ptr``, which
 checks its dtype, size and contiguity and raises ValueError otherwise.
+Each kernel refuses a call with any other number of arguments than its C
+function takes with TypeError: ctypes itself passes extra ones on unchecked.
 """
 
 from __future__ import annotations
@@ -172,7 +177,22 @@ def _load():
     for name, (argtypes, restype) in signatures.items():
         getattr(lib, name).argtypes = argtypes
         getattr(lib, name).restype = restype
-    return tuple(getattr(lib, name) for name in KERNELS)
+    return tuple(_arity_checked(getattr(lib, name)) for name in KERNELS)
+
+
+def _arity_checked(fn):
+    """``fn``, called only with exactly ``len(fn.argtypes)`` arguments; TypeError
+    otherwise, where ctypes would pass extra ones on to the C function.  The
+    call keeps ``fn``'s ``__name__`` and ``argtypes``."""
+    nargs = len(fn.argtypes)
+
+    def call(*args):
+        if len(args) != nargs:
+            raise TypeError(f"{fn.__name__}() takes {nargs} arguments ({len(args)} given)")
+        return fn(*args)
+
+    call.__name__, call.argtypes = fn.__name__, fn.argtypes
+    return call
 
 
 (sweep, bfs_grow, seed_counts, pack_keys, split_keys, adjacency_tail, comm_walk, label_pass,

@@ -23,7 +23,7 @@ import struct
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import count
-from math import ceil
+from math import ceil, prod
 from typing import Iterator
 
 import numpy as np
@@ -314,8 +314,11 @@ def iter_edge_blocks(efile: EdgeFile, block_edges: int = _DEFAULT_BLOCK_EDGES) -
     part of that block is yielded.  Text rows are parsed and checked before
     the cast to the width, and a text file whose count departs from the one
     taken when it was opened is a FormatError, raised before any row beyond
-    that count.
+    that count.  A ``block_edges`` below 1 is a ValueError, raised before
+    anything is read.
     """
+    if block_edges < 1:
+        raise ValueError(f"block_edges must be at least 1, got {block_edges}")
     meta, path = efile.meta, efile.path
     dtype = _id_dtype(meta.node_id_width)
     if efile.format == BINARY:
@@ -620,16 +623,21 @@ def _scatter_block(block: np.ndarray, bucket: np.ndarray, nbuckets: int,
                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``_kernels.scatter_rows`` over one block: (rows grouped by bucket, run bounds).
 
-    Every ``bucket`` id must lie in [0, nbuckets); bucket b's rows are
+    A row is one entry of ``block``'s first axis, moved as its bytes: an edge
+    row of two ids or a feature record of any width.  Every ``bucket`` id
+    must lie in [0, nbuckets); bucket b's rows are
     ``grouped[bounds[b]:bounds[b + 1]]``, in input order.  ``grouped`` is
     ``out`` when given, a buffer of the block's shape and dtype.
     """
-    rows = _rows(block)
+    rows = np.ascontiguousarray(block)
     grouped = np.empty_like(rows) if out is None else out
     bounds = np.zeros(nbuckets + 1, dtype=np.int64)
     ptr = _kernels.ptr
-    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, ptr(bucket, np.int64, rows.shape[0]),
-            nbuckets, ptr(bounds, np.int64, nbuckets + 1), ptr(grouped, rows.dtype, rows.size))
+    # not strides[0]: a one-row view keeps its parent's row stride
+    row_bytes = rows.itemsize * prod(rows.shape[1:])
+    args = (ptr(rows, rows.dtype, rows.size), row_bytes,
+            ptr(bucket, np.int64, rows.shape[0]), nbuckets, ptr(bounds, np.int64, nbuckets + 1),
+            ptr(grouped, rows.dtype, rows.size))
     if _kernels.scatter_rows is not None:
         bad = _kernels.scatter_rows(rows.shape[0], *args)
     else:

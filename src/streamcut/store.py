@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -40,6 +41,9 @@ BUCKET_MAGIC = b"GRPB"
 FEATURE_MAGIC = b"GRPF"
 _BUCKET_HEADER = struct.Struct("<4sIIIQ")
 _FEATURE_HEADER = struct.Struct("<4sIQI")
+# reorder_features' read block: its runs per partition stay long enough that
+# the interleaved pwrites cost little more than one sequential write
+_FEATURE_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -102,13 +106,7 @@ def write_buckets(
             fh.write(header)
             fh.truncate(_BUCKET_HEADER.size + int(counts.sum()) * pair)  # flushes the header
             for grouped, bounds in _bucket_groups(efile, labels, p):
-                data = memoryview(grouped).cast("B")
-                nonempty = np.flatnonzero(np.diff(bounds)).tolist()
-                bounds = bounds.tolist()
-                for b in nonempty:
-                    lo, hi = bounds[b] * pair, bounds[b + 1] * pair
-                    _pwrite_all(fh.fileno(), data[lo:hi], write_pos[b])
-                    write_pos[b] += hi - lo
+                _write_runs(fh.fileno(), grouped, bounds, write_pos)
         with open(tmp_index, "wb") as fh:
             _write_array(fh, sidecar)
     return BucketIndex(p, offsets.reshape(p, p), counts.reshape(p, p), width)
@@ -127,10 +125,19 @@ def _bucket_groups(efile: EdgeFile, labels: np.ndarray, p: int):
         yield _scatter_block(block, bucket[:m], p * p, grouped[:m])
 
 
-def _pwrite_all(fd: int, data: memoryview, offset: int) -> None:
-    while data:
-        written = os.pwrite(fd, data, offset)
-        data, offset = data[written:], offset + written
+def _write_runs(fd: int, grouped: np.ndarray, bounds: np.ndarray, write_pos: list[int]) -> None:
+    """Writes each nonempty run b of ``_scatter_block``'s ``grouped`` rows,
+    ``grouped[bounds[b]:bounds[b + 1]]``, with ``os.pwrite`` at byte offset
+    ``write_pos[b]`` of ``fd``, and moves that offset past it."""
+    data, row = memoryview(grouped).cast("B"), grouped.itemsize * prod(grouped.shape[1:])
+    nonempty = np.flatnonzero(np.diff(bounds)).tolist()
+    bounds = bounds.tolist()
+    for b in nonempty:
+        run, offset = data[bounds[b] * row : bounds[b + 1] * row], write_pos[b]
+        write_pos[b] += len(run)
+        while run:
+            written = os.pwrite(fd, run, offset)
+            run, offset = run[written:], offset + written
 
 
 def read_index(store_path: str) -> BucketIndex:
@@ -280,6 +287,13 @@ def reorder_features(
     extent per partition: ``num_parts`` of them, or the largest label + 1,
     at most the node count.  Both files are written under temporary names
     and renamed into place once both are complete.
+
+    The records are read front to back in blocks of about
+    ``_FEATURE_BLOCK_BYTES`` into one reused buffer; each block is grouped by
+    partition (``_scatter_block``) and each partition's run written at that
+    partition's running slot, so the stage holds two blocks and its per-node
+    arrays, whatever the file's size.  A file that comes up short while it is
+    read is a FormatError.
     """
     if record_width < 1:
         raise FormatError("record_width must be >= 1")
@@ -295,16 +309,27 @@ def reorder_features(
     order = np.argsort(labels.astype(np.min_scalar_type(p - 1)), kind="stable")
     permutation = np.empty(num_nodes, dtype=np.int64)
     permutation[order] = np.arange(num_nodes)
+    del order  # not held while the records stream
     counts = np.bincount(labels, minlength=p)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     extents = tuple((int(s), int(c)) for s, c in zip(starts, counts))
-
-    records = np.memmap(features_path, dtype=np.uint8, mode="r", shape=(num_nodes, record_width))
-    block = max(1, (1 << 24) // record_width)
     layout = FeatureLayout(record_width, permutation, extents)
+
+    rows = max(1, min(num_nodes, _FEATURE_BLOCK_BYTES // record_width))
+    records = np.empty((rows, record_width), dtype=np.uint8)
+    grouped = np.empty_like(records)
+    bucket = np.empty(rows, dtype=np.int64)
+    write_pos = (starts * record_width).tolist()
     with _replacing(out_path, out_path + ".layout") as (tmp_out, tmp_layout):
-        with open(tmp_out, "wb") as fh:
-            for lo in range(0, num_nodes, block):
-                fh.write(np.take(records, order[lo : lo + block], axis=0))
+        with open(features_path, "rb") as src, open(tmp_out, "wb") as fh:
+            for lo in range(0, num_nodes, rows):
+                m = min(rows, num_nodes - lo)
+                # the buffered reader reads until the block is full or the file ends
+                if src.readinto(records[:m]) != m * record_width:
+                    raise FormatError(f"{features_path}: shorter than its {num_nodes} records "
+                                      f"of {record_width} bytes")
+                bucket[:m] = labels[lo : lo + m]
+                _write_runs(fh.fileno(), *_scatter_block(records[:m], bucket[:m], p, grouped[:m]),
+                            write_pos)
         layout.save(tmp_layout)
     return layout

@@ -4,11 +4,12 @@
  * and bfs_grow of src/streamcut/_kernels.c on edge cases,
  * comm_walk on a small graph with isolated ids, the edge passes label_pass,
  * extract_rows, scatter_rows and endpoint_counts on rows whose ids reach
- * num_nodes - 1, and curve_point on small (k, k0) pairs, with every buffer
+ * num_nodes - 1, scatter_rows on feature records of 1, 3 and 128 bytes,
+ * and curve_point on small (k, k0) pairs, with every buffer
  * allocated at exactly the size the Python callers give it
  * (model._pack_keys, model._split_keys, model.adjacency_from_keys, grem.process_chunk,
  * grem._seed_chunk, seed._bfs_grow, placement.estimate_comm, the block passes
- * of edgefile and theory.theory_curve),
+ * of edgefile, store.reorder_features and theory.theory_curve),
  * so that a build with -fsanitize=address,undefined reports any access
  * outside them.  Prints "ok" and exits 0 when every case checks out.
  * This file includes _kernels.c, so the compiler checks every call against
@@ -403,7 +404,7 @@ static void run_passes(const char *name, int64_t m, int id_bytes, uint64_t num_n
     int64_t nbuckets = p * p;
     int64_t *bounds = exact((size_t)(nbuckets + 1), sizeof *bounds);
     void *grouped = exact(m ? (size_t)(2 * m) : 1, (size_t)id_bytes);
-    CHECK(scatter_rows(m, rows, id_bytes, bucket, nbuckets, bounds, grouped) == -1, name);
+    CHECK(scatter_rows(m, rows, 2 * id_bytes, bucket, nbuckets, bounds, grouped) == -1, name);
     CHECK(bounds[0] == 0 && bounds[nbuckets] == m, name);
     for (int64_t b = 0, at = 0; b < nbuckets; b++) {
         CHECK(bounds[b] == at, name);
@@ -478,7 +479,7 @@ static void run_passes(const char *name, int64_t m, int id_bytes, uint64_t num_n
         new_id[num_nodes - 1] = -2;
         CHECK(extract_rows(m, rows, id_bytes, new_id, id_bytes, grouped, cut) == 0, name);
         bucket[m - 1] = nbuckets;
-        CHECK(scatter_rows(m, rows, id_bytes, bucket, nbuckets, bounds, grouped) == m - 1, name);
+        CHECK(scatter_rows(m, rows, 2 * id_bytes, bucket, nbuckets, bounds, grouped) == m - 1, name);
     }
     free(rows);
     free(labels);
@@ -491,6 +492,44 @@ static void run_passes(const char *name, int64_t m, int id_bytes, uint64_t num_n
     free(grouped);
     free(degree);
     free(per_side);
+}
+
+/* scatter_rows over m feature records of row_bytes bytes, as
+ * store.reorder_features sizes its buffers: records, bucket ids and the
+ * output m rows each, bounds nbuckets + 1.  Checked against a per-bucket
+ * scan of the input, then made to reject a negative bucket id. */
+static void run_records(const char *name, int64_t m, int64_t row_bytes, int64_t nbuckets)
+{
+    size_t row = (size_t)row_bytes;
+    unsigned char *rows = exact(m ? (size_t)m : 1, row);
+    unsigned char *grouped = exact(m ? (size_t)m : 1, row);
+    int64_t *bucket = exact(m ? (size_t)m : 1, sizeof *bucket);
+    int64_t *bounds = exact((size_t)(nbuckets + 1), sizeof *bounds);
+    for (int64_t i = 0; i < m; i++) {
+        bucket[i] = (i * 5 + i / 3) % nbuckets;
+        for (size_t c = 0; c < row; c++)
+            rows[(size_t)i * row + c] = (unsigned char)(i * 31 + (int64_t)c);
+    }
+    CHECK(scatter_rows(m, rows, row_bytes, bucket, nbuckets, bounds, grouped) == -1, name);
+    CHECK(bounds[0] == 0 && bounds[nbuckets] == m, name);
+    for (int64_t b = 0, at = 0; b < nbuckets; b++) {
+        CHECK(bounds[b] == at, name);
+        for (int64_t i = 0; i < m; i++) {
+            if (bucket[i] != b)
+                continue;
+            CHECK(memcmp(grouped + (size_t)at * row, rows + (size_t)i * row, row) == 0, name);
+            at++;
+        }
+    }
+    if (m >= 1) {
+        bucket[m - 1] = -1;
+        CHECK(scatter_rows(m, rows, row_bytes, bucket, nbuckets, bounds, grouped) == m - 1,
+              name);
+    }
+    free(rows);
+    free(grouped);
+    free(bucket);
+    free(bounds);
 }
 
 /* C(n, r), exact in a double while n <= 40 */
@@ -765,6 +804,15 @@ int main(void)
                 run_passes("passes", 1, id_bytes, node_counts[c], p);
                 run_passes("passes", 200, id_bytes, node_counts[c], p);
             }
+    /* feature records: widths that are not an edge row's, one and several
+     * partitions, no record and one */
+    const int64_t record_bytes[] = {1, 3, 128};
+    for (size_t w = 0; w < sizeof record_bytes / sizeof record_bytes[0]; w++)
+        for (int64_t nbuckets = 1; nbuckets <= 16; nbuckets += 15) {
+            run_records("records", 0, record_bytes[w], nbuckets);
+            run_records("records", 1, record_bytes[w], nbuckets);
+            run_records("records", 100, record_bytes[w], nbuckets);
+        }
     /* the curve: one and two draws, all draws (no terms), and draws spread
      * over each pair's range; k0 = k, ties k0 = k - k0, and k up to 40 */
     static const int64_t curve_k[] = {1, 2, 2, 3, 5, 6, 7, 9, 12, 20, 33, 40, 40, 40};

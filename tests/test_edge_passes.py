@@ -3,7 +3,8 @@
 Each pass has one entry in ``edgefile`` that runs its kernel when loaded
 and its numpy twin otherwise: ``_label_block`` (``label_pass``) serves
 ``count_cuts`` and ``write_buckets``, ``_scatter_block`` (``scatter_rows``)
-serves ``write_buckets`` and ``external_shuffle``, and ``_endpoint_block``
+serves ``write_buckets``, ``external_shuffle`` and, over feature records of
+any width, ``reorder_features``, and ``_endpoint_block``
 (``endpoint_counts``) serves ``compute_node_stats`` and
 ``select_replicated``.  Each runs on blocks at the file's id width, 32- or
 64-bit, text files included, and the kernel must give what the twin gives,
@@ -470,6 +471,29 @@ def test_kernels_reject_labels_and_bucket_ids_out_of_their_range(tmp_path, monke
             edgefile._scatter_block(block, np.array([-1, 0]), 2)
         with pytest.raises(ValueError, match="row 1"):
             edgefile._scatter_block(block, np.array([0, 2]), 2)
+
+
+@pytest.mark.parametrize("row_bytes", [1, 3, 16, 128])
+def test_scatter_block_groups_rows_of_any_width_as_a_stable_argsort(monkeypatch, row_bytes):
+    # feature records go through the edge rows' scatter: a row is its bytes
+    rng = np.random.default_rng(row_bytes)
+    cases = []
+    for m, nbuckets in [(0, 3), (1, 1), (40, 1), (40, 7), (300, 300)]:
+        rows = rng.integers(0, 256, size=(m, row_bytes), dtype=np.uint8)
+        bucket = rng.integers(0, nbuckets, size=m) // 2 * 2 % nbuckets  # odd ids empty
+        cases.append((rows, bucket, nbuckets))
+    # one row of a strided view: numpy calls it contiguous, with its parent's
+    # row stride, which is not the row's width
+    cases.append((cases[3][0][::40], cases[3][1][:1], 7))
+    for kernel in each_kernel(monkeypatch):
+        for rows, bucket, nbuckets in cases:
+            order = np.argsort(bucket, kind="stable")
+            expected = np.concatenate([[0], np.cumsum(np.bincount(bucket, minlength=nbuckets))])
+            for out in (None, np.empty_like(rows)):
+                grouped, bounds = edgefile._scatter_block(rows, bucket, nbuckets, out)
+                assert out is None or grouped is out
+                assert grouped.tobytes() == rows[order].tobytes(), (kernel, rows.shape, nbuckets)
+                assert bounds.tolist() == expected.tolist(), (kernel, rows.shape, nbuckets)
 
 
 # ------------------------------------------------------------ u32 labels and counters

@@ -669,6 +669,21 @@ def test_a_payload_ending_mid_block_yields_no_part_of_it(tmp_path):
     assert len(yielded) == 1 and yielded[0].tolist() == edges[:4096].tolist()
 
 
+@pytest.mark.parametrize("block_edges", [0, -1])
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+def test_a_block_size_below_one_is_refused_before_reading(tmp_path, monkeypatch, fmt,
+                                                          block_edges):
+    # a binary file once yielded empty blocks forever at block size 0
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2]], 3)
+    if fmt == "text":
+        efile = convert(efile, str(tmp_path / "g.txt"), "text")
+    blocks = edgefile.iter_edge_blocks(efile, block_edges)
+    monkeypatch.setattr(edgefile, "open", lambda *a, **k: pytest.fail("read"), raising=False)
+    monkeypatch.setattr(edgefile, "_text_lines", lambda *a: pytest.fail("read"))
+    with pytest.raises(ValueError, match=f"block_edges must be at least 1, got {block_edges}"):
+        next(blocks)
+
+
 @pytest.mark.parametrize("width", [32, 64])
 def test_read_all_edges_copies_every_block(tmp_path, monkeypatch, width):
     edges = np.random.default_rng(21).integers(0, 1000, size=(10, 2))

@@ -81,6 +81,21 @@ def test_build_is_cached_by_source_hash(tmp_path, monkeypatch):
     assert lean[0] == 1.0
 
 
+def test_every_kernel_refuses_a_call_with_the_wrong_argument_count():
+    # ctypes checks only for too few arguments and passes extra ones on to C,
+    # where a stale call's arguments land shifted (a segmentation fault for
+    # an 11-argument sweep once it took 9)
+    if _kernels._compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    for name in _kernels.KERNELS:
+        kernel = getattr(_kernels, name)
+        nargs = len(kernel.argtypes)
+        for count in (nargs + 1, nargs - 1):
+            with pytest.raises(TypeError, match=rf"^{name}\(\) takes {nargs} arguments "
+                                                rf"\({count} given\)$"):
+                kernel(*[0] * count)
+
+
 def test_build_removes_stale_libraries(tmp_path, monkeypatch):
     if _kernels._compiler() is None:
         pytest.skip("no C compiler on PATH")
@@ -209,7 +224,8 @@ def test_kernels_keep_their_buffer_contracts_under_sanitizers(tmp_path):
     # bfs_grow on the key-layout edge cases (split keys at widths 200,000 and
     # 2**19 among them), comm_walk on a graph with isolated ids, the four edge
     # passes on rows whose ids reach num_nodes - 1 at both id widths, with
-    # u32 labels and counters, and curve_point on a packed lgamma table,
+    # u32 labels and counters, scatter_rows on feature records of 1, 3 and
+    # 128 bytes, and curve_point on a packed lgamma table,
     # every buffer sized exactly as the Python callers size it: an access
     # past one (such as a `nodes` without its spare entry) aborts
     cc = _kernels._compiler()

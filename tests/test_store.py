@@ -20,7 +20,7 @@ from streamcut import (
 )
 from streamcut.edgefile import read_all_edges
 
-from helpers import PROPERTY_SETTINGS, dir_bytes, make_edge_file, random_multigraph
+from helpers import PROPERTY_SETTINGS, dir_bytes, each_kernel, make_edge_file, random_multigraph
 
 
 class Crash(Exception):
@@ -251,6 +251,125 @@ def test_reorder_features_length_mismatch(tmp_path):
     feats.write_bytes(b"123")
     with pytest.raises(FormatError):
         reorder_features(str(feats), np.array([0, 1]), 2, str(tmp_path / "o.bin"))
+
+
+def _regrouped_reference(features_path, labels, width, num_parts):
+    """The grouped records and the ``.layout`` bytes, by a stable argsort and a gather."""
+    records = np.fromfile(features_path, dtype=np.uint8).reshape(-1, width)
+    order = np.argsort(labels, kind="stable")
+    permutation = np.empty(len(labels), dtype="<u8")
+    permutation[order] = np.arange(len(labels))
+    counts = np.bincount(labels, minlength=num_parts)
+    extents = np.column_stack([np.cumsum(counts) - counts, counts]).astype("<u8")
+    header = b"GRPF" + np.array([width], "<u4").tobytes() + \
+        np.array([len(labels)], "<u8").tobytes() + np.array([num_parts], "<u4").tobytes()
+    return records[order].tobytes(), header + permutation.tobytes() + extents.tobytes()
+
+
+def _features(tmp_path, num_nodes, width, seed=5):
+    feats = tmp_path / "f.bin"
+    rng = np.random.default_rng(seed)
+    feats.write_bytes(rng.integers(0, 256, size=num_nodes * width, dtype=np.uint8).tobytes())
+    return str(feats)
+
+
+@pytest.mark.parametrize("block", ["default", "few_records"])
+@pytest.mark.parametrize("parts", ["random", "declared_with_empty", "single"])
+@pytest.mark.parametrize("width", [1, 3, 128])
+def test_reorder_features_equals_a_numpy_reference(tmp_path, monkeypatch, width, parts, block):
+    num_nodes = 61
+    feats = _features(tmp_path, num_nodes, width)
+    rng = np.random.default_rng(width)
+    num_parts = None
+    if parts == "random":
+        labels, p = rng.integers(0, 5, size=num_nodes), 5
+        labels[0] = 4
+    elif parts == "declared_with_empty":  # parts 0, 2 and 6 to 8 hold no node
+        labels, num_parts = rng.choice([1, 3, 4, 5], size=num_nodes), 9
+        p = num_parts
+    else:
+        labels, p = np.zeros(num_nodes, dtype=np.int64), 1
+    if block == "few_records":  # blocks of 4 records end inside partitions' runs
+        monkeypatch.setattr(store_module, "_FEATURE_BLOCK_BYTES", 4 * width + width // 2)
+    grouped, layout_bytes = _regrouped_reference(feats, labels, width, p)
+    out = tmp_path / "grouped.bin"
+    for kernel in each_kernel(monkeypatch):
+        layout = reorder_features(feats, labels, width, str(out), num_parts)
+        assert out.read_bytes() == grouped, kernel
+        assert Path(str(out) + ".layout").read_bytes() == layout_bytes, kernel
+        assert len(layout.extents) == p
+
+
+def test_an_empty_features_file_regroups_to_an_empty_file(tmp_path, monkeypatch):
+    # no record and no label: one empty extent (the mapped reader refused
+    # an empty file with numpy's ValueError)
+    feats = tmp_path / "f.bin"
+    feats.write_bytes(b"")
+    out = tmp_path / "o.bin"
+    for kernel in each_kernel(monkeypatch):
+        layout = reorder_features(str(feats), np.zeros(0, dtype=np.int64), 4, str(out))
+        assert out.read_bytes() == b"" and layout.extents == ((0, 0),), kernel
+        reloaded = FeatureLayout.load(str(out) + ".layout")
+        assert reloaded.num_nodes == 0 and reloaded.extents == ((0, 0),)
+
+
+def test_reorder_features_maps_nothing(tmp_path, monkeypatch):
+    # the records are read in blocks, never mapped: a mapped file's pages
+    # would count in the process's resident set
+    import mmap
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mapped")
+
+    monkeypatch.setattr(np, "memmap", refuse)
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    feats = _features(tmp_path, 300, 16)
+    labels = np.random.default_rng(3).integers(0, 4, size=300)
+    grouped, layout_bytes = _regrouped_reference(feats, labels, 16, 4)
+    for kernel in each_kernel(monkeypatch):
+        reorder_features(feats, labels, 16, str(tmp_path / "o.bin"))
+        assert (tmp_path / "o.bin").read_bytes() == grouped, kernel
+        assert (tmp_path / "o.bin.layout").read_bytes() == layout_bytes, kernel
+
+
+def test_reorder_features_holds_blocks_not_the_file(tmp_path, monkeypatch):
+    # 2 MiB of records in 4 KiB blocks: what the stage allocates is its
+    # per-node arrays (under 40 B a node) and two blocks, never a buffer
+    # that grows with the file
+    import tracemalloc
+
+    num_nodes, width = 16_384, 128
+    feats = _features(tmp_path, num_nodes, width)
+    labels = np.random.default_rng(4).integers(0, 16, size=num_nodes)
+    monkeypatch.setattr(store_module, "_FEATURE_BLOCK_BYTES", 4096)
+    tracemalloc.start()
+    try:
+        reorder_features(feats, labels, width, str(tmp_path / "o.bin"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * num_nodes + 4 * 4096 + (64 << 10) < num_nodes * width // 2
+    grouped, _ = _regrouped_reference(feats, labels, width, 16)
+    assert (tmp_path / "o.bin").read_bytes() == grouped
+
+
+@pytest.mark.parametrize("block_records", [None, 7])  # short in the first block, or a later one
+def test_a_features_file_short_while_read_is_a_format_error(tmp_path, monkeypatch,
+                                                            block_records):
+    # the file shrinks between the size check and the read: the block read
+    # short is refused, and no output is left behind
+    num_nodes, width, short = 40, 3, 5
+    feats = _features(tmp_path, num_nodes - short, width)
+    if block_records is not None:
+        monkeypatch.setattr(store_module, "_FEATURE_BLOCK_BYTES", block_records * width)
+    real_getsize = store_module.os.path.getsize
+    monkeypatch.setattr(store_module.os.path, "getsize",
+                        lambda path: real_getsize(path) + short * width * (path == feats))
+    labels = np.random.default_rng(6).integers(0, 4, size=num_nodes)
+    for kernel in each_kernel(monkeypatch):
+        with pytest.raises(FormatError, match=rf"f\.bin: shorter than its {num_nodes} records"):
+            reorder_features(feats, labels, width, str(tmp_path / "o.bin"))
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["f.bin"], kernel
 
 
 @pytest.mark.parametrize("p", [2, 17, 300])  # bucket ids fit uint8, uint16, and neither
