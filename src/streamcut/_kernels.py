@@ -7,7 +7,7 @@ to a temporary file that is then renamed into place, so concurrent processes
 never load a half-written library; a successful build removes every other
 ``_kernels.*.so`` from the cache directory.
 
-The kernels, named in ``KERNELS``, each replace one Python loop;
+The kernels, named in ``KERNELS``, each run one inner loop;
 ``bfs_grow``, ``seed_counts`` and ``comm_walk`` read ``model.build_adjacency``'s
 CSR index ``(nodes, offsets, nbrs)``, node i's neighbours
 ``nbrs[offsets[i]:offsets[i + 1]]``, and ``sweep`` the sorted keys it is
@@ -31,9 +31,7 @@ built from:
 * ``split_keys`` -- groups u32 keys of widths above 65,536 by their high
   ``2 * shift - 32`` bits, so each part sorts as u32, where
   ``model.key_layout`` finds enough keys for at most 64 parts (width 2**19):
-  ``model._split_keys``, in ``model.build_adjacency`` only.  It has no
-  Python twin: without the kernels the keys sort as one u64 part, which
-  numpy sorts faster than it splits them;
+  ``model._split_keys``, in ``model.build_adjacency`` only;
 * ``adjacency_tail`` -- the run split and self-loop removal after the key
   sort, part by part, branch-free, in ``model._adjacency_tail``;
 * ``comm_walk`` -- the sampling walk of ``placement.estimate_comm``;
@@ -70,14 +68,11 @@ FormatError, any other a ValueError.  ``endpoint_counts`` adds into u32 counters
 folds into the int64 result at the end and every 2**32 - 1 rows before
 that, so no count wraps.
 
-Each is the loaded function, or ``None`` for all of them when no compiler
-is found or the build fails.  Each kernel but ``split_keys`` has a Python
-fallback, which gives bit-identical results, beside its one call: the edge
-passes' numpy twins in ``edgefile._label_block``, ``_extract_block``, ``_scatter_block``
-and ``_endpoint_block``, the others in ``grem.process_chunk``,
-``seed._bfs_grow``, ``grem._seed_chunk``, ``model._pack_block``,
-``model._adjacency_tail``, ``placement.estimate_comm`` and
-``theory._curve_point``.
+A C compiler is required: each kernel is the only implementation of its
+loop.  When the library cannot be built or loaded, importing this module,
+and so the package, raises ImportError saying why: no compiler on PATH, the
+compiler's exit status and the first lines of its stderr, or a cache
+directory that cannot be written.
 
 Every array goes to a kernel as a plain address through ``ptr``, which
 checks its dtype, size and contiguity and raises ValueError otherwise.
@@ -104,6 +99,7 @@ _CACHE = os.path.join(_DIR, "__pycache__")
 # no -ffast-math or -march=native, and no contraction into fused multiply-adds:
 # results stay bit-identical and the cache portable
 CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+_STDERR_LINES = 10  # of a failed build's stderr, quoted in its ImportError
 
 
 def _compiler() -> str | None:
@@ -115,21 +111,31 @@ def _compiler() -> str | None:
 
 
 def _build(source: bytes, target: str) -> None:
-    """Compiles ``source`` to ``target``; raises OSError or SubprocessError on failure."""
+    """Compiles ``source`` to ``target``; ImportError saying why it could not."""
     cc = _compiler()
     if cc is None:
-        raise FileNotFoundError("no C compiler on PATH")
-    os.makedirs(_CACHE, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix="_kernels.", suffix=".tmp", dir=_CACHE)
-    os.close(fd)
+        raise ImportError("streamcut needs a C compiler: no cc, gcc or clang on PATH")
     try:
-        subprocess.run([cc, *CFLAGS, "-x", "c", "-o", tmp, "-", "-lm"], input=source,
-                       capture_output=True, check=True, timeout=120)
-        os.chmod(tmp, 0o755)  # mkstemp made it private; other users load it too
-        os.replace(tmp, target)
+        os.makedirs(_CACHE, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix="_kernels.", suffix=".tmp", dir=_CACHE)
+        os.close(fd)
+    except OSError as exc:
+        raise ImportError(f"cannot write the kernel cache {_CACHE}: {exc}") from exc
+    try:
+        built = subprocess.run([cc, *CFLAGS, "-x", "c", "-o", tmp, "-", "-lm"], input=source,
+                               capture_output=True, timeout=120)
+        if built.returncode == 0:
+            os.chmod(tmp, 0o755)  # mkstemp made it private; other users load it too
+            os.replace(tmp, target)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise ImportError(f"cannot build the kernels into {_CACHE} with {cc}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    if built.returncode != 0:
+        stderr = "\n".join(built.stderr.decode(errors="replace").splitlines()[:_STDERR_LINES])
+        raise ImportError(f"the C compiler {cc} failed to build {_SOURCE} "
+                          f"(exit status {built.returncode}):\n{stderr}")
     # libraries built from earlier sources are never loaded again
     for name in os.listdir(_CACHE):
         path = os.path.join(_CACHE, name)
@@ -146,17 +152,17 @@ KERNELS = ("sweep", "bfs_grow", "seed_counts", "pack_keys", "split_keys", "adjac
 
 
 def _load():
-    """The kernels in ``KERNELS`` order, or a ``None`` for each."""
+    """The kernels in ``KERNELS`` order; ImportError when they cannot be built or loaded."""
+    with open(_SOURCE, "rb") as fh:
+        source = fh.read()
+    tag = " ".join((*CFLAGS, sys.platform, platform.machine())).encode()
+    target = os.path.join(_CACHE, f"_kernels.{hashlib.sha256(source + tag).hexdigest()[:16]}.so")
+    if not os.path.exists(target):
+        _build(source, target)
     try:
-        with open(_SOURCE, "rb") as fh:
-            source = fh.read()
-        tag = " ".join((*CFLAGS, sys.platform, platform.machine())).encode()
-        target = os.path.join(_CACHE, f"_kernels.{hashlib.sha256(source + tag).hexdigest()[:16]}.so")
-        if not os.path.exists(target):
-            _build(source, target)
         lib = ctypes.CDLL(target)
-    except (OSError, subprocess.SubprocessError):
-        return (None,) * len(KERNELS)
+    except OSError as exc:
+        raise ImportError(f"cannot load the compiled kernels {target}: {exc}") from exc
     # every array, the bit generator's next_uint64 and state_address included,
     # travels as a plain pointer (see ``ptr``)
     i64, p = ctypes.c_int64, ctypes.c_void_p
@@ -217,7 +223,3 @@ def ptr(arr: np.ndarray | None, dtype, size: int) -> int | None:
         return ctypes.addressof(ctypes.c_char.from_buffer(arr))
     return arr.ctypes.data
 
-
-def kernel_name() -> str:
-    """``"native"`` when every compiled kernel runs, ``"python"`` otherwise."""
-    return "native" if all(globals()[name] is not None for name in KERNELS) else "python"

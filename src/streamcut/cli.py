@@ -1,14 +1,13 @@
 """Command-line front end.
 
 Every command writes a JSON run manifest recording the flags, input content
-digests, output digests, wall time, peak resident memory and the kernel set
-that ran (``_kernels.kernel_name``), so runs are auditable and reproducible.
-Each ``cmd_*`` does its work and returns ``(inputs, outputs, report)``: the
-paths it read, the paths it wrote and its report dict.  ``main`` keeps the
-run protocol for all of them: it starts the clock once the flags are parsed,
-runs the command, writes the manifest, adds its path to the report as the
-last key ``"manifest"`` and prints the report.  Exit codes: 0 success, 2
-usage error, 3 data error, 4 I/O error.
+digests, output digests, wall time and peak resident memory, so runs are
+auditable and reproducible.  Each ``cmd_*`` does its work and returns
+``(inputs, outputs, report)``: the paths it read, the paths it wrote and its
+report dict.  ``main`` keeps the run protocol for all of them: it starts the
+clock once the flags are parsed, runs the command, writes the manifest, adds
+its path to the report as the last key ``"manifest"`` and prints the report.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import resource
 import sys
 import time
 
-from . import __version__, _kernels
+from . import __version__
 from .edgefile import (
     BINARY,
     TEXT,
@@ -69,7 +68,7 @@ def _peak_rss_bytes() -> int:
 
 
 def _write_manifest(
-    args, command: str, inputs: list[str], outputs: list[str], started: float, **extra
+    args, command: str, inputs: list[str], outputs: list[str], started: float
 ) -> str:
     config = {
         k: v
@@ -83,7 +82,6 @@ def _write_manifest(
         "outputs": {p: _sha256(p) for p in outputs},
         "wall_time_s": time.monotonic() - started,
         "peak_rss_bytes": _peak_rss_bytes(),
-        **extra,
     }
     path = args.manifest
     if path is None:
@@ -141,9 +139,7 @@ def cmd_partition(args) -> _Run:
             except OSError:
                 pass
     write_labels(args.out, labels, num_parts=args.parts)
-    return [args.edges], [args.out], {
-        **report.to_dict(), "kernel": _kernels.kernel_name(), "labels": args.out
-    }
+    return [args.edges], [args.out], {**report.to_dict(), "labels": args.out}
 
 
 def cmd_predict(args) -> _Run:
@@ -246,7 +242,6 @@ def cmd_comm_estimate(args) -> _Run:
     _write_text(args.out, comm_csv(counts))
     return [args.edges, args.labels, args.plan], [args.out], {
         "csv": args.out,
-        "kernel": _kernels.kernel_name(),
         "per_worker": [{"worker": w, "local": a, "remote": b} for w, (a, b) in enumerate(counts)],
     }
 
@@ -363,8 +358,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         inputs, outputs, report = args.func(args)
-        report["manifest"] = _write_manifest(args, args.command, inputs, outputs, started,
-                                             kernel=_kernels.kernel_name())
+        report["manifest"] = _write_manifest(args, args.command, inputs, outputs, started)
         _emit(args, report)
     except (StreamcutError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -531,20 +531,15 @@ def stream_chunks(
 
 
 # The edge passes over one block of ``iter_edge_blocks``, whose ids they trust.
-# Each runs its compiled kernel when loaded, else its numpy twin, with the same
-# result.  Both check the labels, new ids and bucket ids they read and report
-# the first row they reject, which ``_raise_rejected`` turns into an error.
+# Each runs its compiled kernel, which checks the labels, new ids and bucket
+# ids it reads and reports the first row it rejects, which ``_raise_rejected``
+# turns into an error.
 
 def _rows(block: np.ndarray) -> np.ndarray:
     rows = np.ascontiguousarray(block)
     if rows.ndim != 2 or rows.shape[1] != 2 or rows.dtype not in (np.uint32, np.uint64):
         raise ValueError(f"edge rows must be (m, 2) u32 or u64, got {rows.dtype} {rows.shape}")
     return rows
-
-
-def _first(rejected: np.ndarray) -> int:
-    """The position of the first true entry, or -1."""
-    return int(np.argmax(rejected)) if rejected.any() else -1
 
 
 def _raise_rejected(rows: np.ndarray, bad: int, labels: np.ndarray | None = None) -> None:
@@ -565,21 +560,9 @@ def _label_block(efile: EdgeFile, block: np.ndarray, labels: np.ndarray, cut: np
     endpoint labelled outside [0, p) is rejected.
     """
     rows, num_nodes, ptr = _rows(block), efile.meta.num_nodes, _kernels.ptr
-    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, ptr(labels, np.uint32, num_nodes), p,
-            ptr(counts, np.int64, p * p), ptr(bucket, np.int64, rows.shape[0]),
-            ptr(cut, np.int64, 1))
-    if _kernels.label_pass is not None:
-        bad = _kernels.label_pass(rows.shape[0], *args)
-    else:
-        l_src, l_dst = labels[rows[:, 0]], labels[rows[:, 1]]
-        bad = _first(np.maximum(l_src, l_dst) >= min(p, _UNASSIGNED_U32))
-        if bad < 0:
-            cut[0] += np.count_nonzero(l_src != l_dst)
-            ids = l_src.astype(np.int64) * p + l_dst
-            if counts is not None:
-                counts += np.bincount(ids, minlength=p * p)
-            if bucket is not None:
-                bucket[:] = ids
+    bad = _kernels.label_pass(rows.shape[0], ptr(rows, rows.dtype, rows.size), rows.itemsize,
+                              ptr(labels, np.uint32, num_nodes), p, ptr(counts, np.int64, p * p),
+                              ptr(bucket, np.int64, rows.shape[0]), ptr(cut, np.int64, 1))
     if bad >= 0:
         _raise_rejected(rows, bad, labels)
 
@@ -599,24 +582,12 @@ def _extract_block(efile: EdgeFile, block: np.ndarray, new_id: np.ndarray,
     new_id_ptr = ptr(new_id, np.int64, num_nodes)
     if _rows(out) is not out or out.shape[0] < rows.shape[0]:
         raise ValueError(f"extraction buffer must be contiguous and hold {rows.shape[0]} rows")
-    if _kernels.extract_rows is not None:
-        kept = np.zeros(1, dtype=np.int64)
-        bad = _kernels.extract_rows(rows.shape[0], ptr(rows, rows.dtype, rows.size), rows.itemsize,
-                                    new_id_ptr, out.itemsize, ptr(out, out.dtype, out.size),
-                                    ptr(kept, np.int64, 1))
-        kept = int(kept[0])
-    else:
-        ids = new_id[rows]
-        lowest = ids.min(axis=1)
-        bad = _first(lowest < -1)
-        kept = 0
-        if bad < 0:
-            ids = ids[lowest >= 0]
-            kept = ids.shape[0]
-            out[:kept] = ids
-    if bad >= 0:
+    kept = np.zeros(1, dtype=np.int64)
+    if _kernels.extract_rows(rows.shape[0], ptr(rows, rows.dtype, rows.size), rows.itemsize,
+                             new_id_ptr, out.itemsize, ptr(out, out.dtype, out.size),
+                             ptr(kept, np.int64, 1)) >= 0:
         raise FormatError("unlabeled endpoint encountered")
-    return out[:kept]
+    return out[: int(kept[0])]
 
 
 def _scatter_block(block: np.ndarray, bucket: np.ndarray, nbuckets: int,
@@ -635,18 +606,10 @@ def _scatter_block(block: np.ndarray, bucket: np.ndarray, nbuckets: int,
     ptr = _kernels.ptr
     # not strides[0]: a one-row view keeps its parent's row stride
     row_bytes = rows.itemsize * prod(rows.shape[1:])
-    args = (ptr(rows, rows.dtype, rows.size), row_bytes,
-            ptr(bucket, np.int64, rows.shape[0]), nbuckets, ptr(bounds, np.int64, nbuckets + 1),
-            ptr(grouped, rows.dtype, rows.size))
-    if _kernels.scatter_rows is not None:
-        bad = _kernels.scatter_rows(rows.shape[0], *args)
-    else:
-        bad = _first((bucket < 0) | (bucket >= nbuckets))
-        if bad < 0:
-            # narrowest dtype holding every bucket id: numpy radix-sorts keys of <= 16 bits
-            order = np.argsort(bucket.astype(np.min_scalar_type(nbuckets - 1)), kind="stable")
-            np.take(rows, order, axis=0, out=grouped)
-            np.cumsum(np.bincount(bucket, minlength=nbuckets), out=bounds[1:])
+    bad = _kernels.scatter_rows(rows.shape[0], ptr(rows, rows.dtype, rows.size), row_bytes,
+                                ptr(bucket, np.int64, rows.shape[0]), nbuckets,
+                                ptr(bounds, np.int64, nbuckets + 1),
+                                ptr(grouped, rows.dtype, rows.size))
     if bad >= 0:
         _raise_rejected(rows, bad)
     return grouped, bounds
@@ -665,24 +628,9 @@ def _endpoint_block(efile: EdgeFile, block: np.ndarray, counts: np.ndarray,
     if counts.size != (num_nodes if labels is None else 2 * num_nodes):
         raise ValueError("counts must have one entry per node, or two with labels")
     ptr = _kernels.ptr
-    args = (ptr(rows, rows.dtype, rows.size), rows.itemsize, ptr(labels, np.uint32, num_nodes),
-            ptr(counts, np.uint32, counts.size))
-    if _kernels.endpoint_counts is not None:
-        bad = _kernels.endpoint_counts(rows.shape[0], *args)
-    else:
-        src, dst = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
-        bad = -1
-        if labels is not None:
-            l_src, l_dst = labels[src], labels[dst]
-            bad = _first(np.maximum(l_src, l_dst) > 1)
-        if bad < 0:
-            keep = src != dst
-            src, dst = src[keep], dst[keep]
-            if labels is not None:
-                src, dst = 2 * src + l_dst[keep], 2 * dst + l_src[keep]
-            for ends in (src, dst):
-                np.add(counts, np.bincount(ends, minlength=counts.size), out=counts,
-                       casting="unsafe")
+    bad = _kernels.endpoint_counts(rows.shape[0], ptr(rows, rows.dtype, rows.size), rows.itemsize,
+                                   ptr(labels, np.uint32, num_nodes),
+                                   ptr(counts, np.uint32, counts.size))
     if bad >= 0:
         _raise_rejected(rows, bad, labels)
 

@@ -22,10 +22,9 @@ algorithm, and on re-streamed chunks it is unpredictable, so the compiled
 sweep (``_kernels.sweep``) computes it without branches.  It reads the
 chunk's one array of sorted adjacency keys, whose runs of one owner are the
 nodes' neighbour lists, so a swept chunk never builds its CSR index;
-``assign`` and the Python loop in ``process_chunk``, over that index, are
-its reference.
-Both add the nodes they visit and the placed nodes whose label they change
-to the state's ``visited`` and ``moved`` counts.
+``assign`` states its rule.  It adds the nodes it visits and the placed
+nodes whose label it changes to the state's ``visited`` and ``moved``
+counts.
 
 ``partition`` drives p-way partitioning (p a power of two) by recursive
 bisection over induced subgraph files: after each bisection one pass per
@@ -139,58 +138,31 @@ def assign(lean: float, sizes, capacity: int) -> int:
 
 def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -> PartitionState:
     """Sweeps one non-seed chunk, updating labels, sizes, stored estimates and
-    the visited and moved counts (left as they were on a CapacityError)."""
+    the visited and moved counts (left as they were on a CapacityError).
+
+    An empty chunk leaves the state as it was.  The sweep reads the chunk's
+    packed keys, so its ids must lie below 2**32: a FormatError otherwise,
+    which only a state of more than 2**32 nodes can meet.
+    """
     if chunk.width > state.num_nodes:
         raise FormatError(f"chunk node ids outside [0, {state.num_nodes})")
-    keys = chunk.keys
-    if _kernels.sweep is not None and keys is not None:
-        ptr, m, num_nodes = _kernels.ptr, keys.size, state.num_nodes
-        tally = np.array([*state.sizes, state.visited, state.moved], dtype=np.int64)
-        failed = _kernels.sweep(
-            m, ptr(keys, np.uint64 if keys.itemsize == 8 else np.uint32, m), keys.itemsize,
-            _key_shift(chunk.width), ptr(state.parts, np.int8, num_nodes),
-            ptr(state.lean, np.float64, num_nodes), ptr(tally, np.int64, 4), state.capacity,
-            config.refine)
-        tally = tally.tolist()
-        state.sizes[:] = tally[:2]
-        if failed >= 0:
-            raise CapacityError("both partitions at capacity; size accounting is broken")
-        state.visited, state.moved = tally[2:]
+    if chunk.width == 0:  # no edges
         return state
-
-    # memoryviews index to Python ints and floats, several times faster than
-    # numpy scalar indexing in this per-node loop
-    parts = memoryview(state.parts)
-    lean = memoryview(state.lean)
-    sizes = state.sizes
-    cap = state.capacity
-    refine = config.refine
-    o_list = chunk.offsets.tolist()
-    adj = chunk.nbrs.tolist()
-    visited = moved = 0
-
-    for i, n in enumerate(chunk.nodes.tolist()):
-        old = parts[n]
-        visited += 1
-        if old != -1 and not refine:
-            continue
-        est = 0.0
-        for w in adj[o_list[i] : o_list[i + 1]]:
-            pw = parts[w]
-            if pw == 1:
-                est += 1.0
-            elif pw == 0:
-                est -= 1.0
-        if old != -1:
-            est = (lean[n] + est) * 0.5
-            sizes[old] -= 1
-        b = assign(est, sizes, cap)
-        moved += old != -1 and b != old
-        sizes[b] += 1
-        parts[n] = b
-        lean[n] = est
-    state.visited += visited
-    state.moved += moved
+    keys = chunk.keys
+    if keys is None:
+        raise FormatError("a sweep needs node ids below 2**32")
+    ptr, m, num_nodes = _kernels.ptr, keys.size, state.num_nodes
+    tally = np.array([*state.sizes, state.visited, state.moved], dtype=np.int64)
+    failed = _kernels.sweep(
+        m, ptr(keys, np.uint64 if keys.itemsize == 8 else np.uint32, m), keys.itemsize,
+        _key_shift(chunk.width), ptr(state.parts, np.int8, num_nodes),
+        ptr(state.lean, np.float64, num_nodes), ptr(tally, np.int64, 4), state.capacity,
+        config.refine)
+    tally = tally.tolist()
+    state.sizes[:] = tally[:2]
+    if failed >= 0:
+        raise CapacityError("both partitions at capacity; size accounting is broken")
+    state.visited, state.moved = tally[2:]
     return state
 
 
@@ -200,19 +172,12 @@ def _seed_chunk(state: PartitionState, chunk: EdgeChunk) -> None:
     parts = state.parts
     parts[nodes] = labels
     state.sizes = [int(np.count_nonzero(parts == 0)), int(np.count_nonzero(parts == 1))]
-
     # neighbor estimates against the freshly seeded labels
-    if _kernels.seed_counts is not None:
-        ptr, num, num_nodes = _kernels.ptr, nodes.size, state.num_nodes
-        _kernels.seed_counts(
-            num, ptr(nodes, np.int64, num), ptr(offsets, np.int64, num + 1),
-            ptr(nbrs, np.int64, nbrs.size), ptr(parts, np.int8, num_nodes),
-            ptr(state.lean, np.float64, num_nodes))
-        return
-    adj_parts = parts[nbrs]
-    seg = np.repeat(np.arange(len(nodes)), np.diff(offsets))
-    state.lean[nodes] = (np.bincount(seg[adj_parts == 1], minlength=len(nodes))
-                         - np.bincount(seg[adj_parts == 0], minlength=len(nodes)))
+    ptr, num, num_nodes = _kernels.ptr, nodes.size, state.num_nodes
+    _kernels.seed_counts(
+        num, ptr(nodes, np.int64, num), ptr(offsets, np.int64, num + 1),
+        ptr(nbrs, np.int64, nbrs.size), ptr(parts, np.int8, num_nodes),
+        ptr(state.lean, np.float64, num_nodes))
 
 
 def _fill_unassigned(state: PartitionState) -> None:

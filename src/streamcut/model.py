@@ -41,15 +41,13 @@ def packed_keys_fit(width: int) -> bool:
 
 
 # The estimator's keys of widths above 65,536 sort as u32 in parts only where
-# that beats one u64 sort, and only under the compiled kernels.  Measured on
-# a 2-vCPU VM, the whole build took 0.68-0.83 of its u64 time at 37 and 64
-# parts with 0.5-4M keys, 0.84-0.95 at 171-245 parts and 0.97-1.00 at 1,024,
-# where the split's scatter is slow; with a few hundred keys per part it
-# took 1.1-1.9, the split and the per-part numpy sort calls outweighing the
-# narrower sort.  A chunk's keys are never split: no benchmark chunk is
-# wider than 65,536 ids, and on wider ones the split saved at most 15 % of
-# the build plus one sweep.  Numpy's split was 3.5 times slower than one
-# u64 sort
+# that beats one u64 sort.  Measured on a 2-vCPU VM, the whole build took
+# 0.68-0.83 of its u64 time at 37 and 64 parts with 0.5-4M keys, 0.84-0.95 at
+# 171-245 parts and 0.97-1.00 at 1,024, where the split's scatter is slow;
+# with a few hundred keys per part it took 1.1-1.9, the split and the
+# per-part numpy sort calls outweighing the narrower sort.  A chunk's keys
+# are never split: no benchmark chunk is wider than 65,536 ids, and on wider
+# ones the split saved at most 15 % of the build plus one sweep
 _MAX_PARTS = 64  # width 2**19
 _MIN_PART_KEYS = 8192  # on average
 _U32_WIDTH = 1 << 16  # the widest ids whose whole packed keys fit in 32 bits
@@ -66,17 +64,16 @@ def key_layout(width: int, num_keys: int) -> tuple[int, type, int]:
     below ``width``, shift = ``_key_shift(width)``.
 
     The keys are u32, in one part, while width << shift <= 2**32 (width up to
-    65,536).  Above that, under the compiled kernels, a key is held as its
-    low 32 bits, u32, in the part its high ``2 * shift - 32`` bits name, when
-    that makes at most 64 parts (width up to 2**19) of 8,192 keys each on
-    average; otherwise the keys are u64, in one part.
+    65,536).  Above that a key is held as its low 32 bits, u32, in the part
+    its high ``2 * shift - 32`` bits name, when that makes at most 64 parts
+    (width up to 2**19) of 8,192 keys each on average; otherwise the keys
+    are u64, in one part.
     """
     shift = _key_shift(width)
     if width <= _U32_WIDTH:
         return shift, np.uint32, 1
     parts = ((width - 1) << shift >> 32) + 1
-    if (parts <= _MAX_PARTS and num_keys >= _MIN_PART_KEYS * parts
-            and _kernels.kernel_name() == "native"):
+    if parts <= _MAX_PARTS and num_keys >= _MIN_PART_KEYS * parts:
         return shift, np.uint32, parts
     return shift, np.uint64, 1
 
@@ -93,8 +90,8 @@ def build_adjacency(blocks, num_edges: int, width: int) -> tuple[np.ndarray, ...
     ``src << shift | dst`` keys, shift = bit_length(width - 1), order the
     whole index: the order is that of ``src * width + dst``.  The keys sort
     as u32 in one sort while width << shift <= 2**32 (width up to 65,536);
-    above that, under the compiled kernels and when there are enough of them
-    (``key_layout``), in one sort per part of keys sharing their high
+    above that, when there are enough of them (``key_layout``), in one sort
+    per part of keys sharing their high
     ``2 * shift - 32`` bits, at most 64 parts (width up to 2**19); else as
     u64 while shift <= 32.  Ids of 2**32 and above are gathered and ranked
     first.  Each block is read before the next is requested, so ``blocks``
@@ -123,9 +120,8 @@ def _pack_keys(blocks, num_edges: int,
 
     ``buffer`` holds 2 * num_edges int64 entries, the room the index's
     neighbour ids need; u64 keys are the whole of it, u32 keys its upper
-    half.  Keys of more than one part, which only the compiled kernels
-    make, are packed into the lower half first and ``_split_keys`` groups
-    them into the upper half.
+    half.  Keys of more than one part are packed into the lower half first
+    and ``_split_keys`` groups them into the upper half.
     """
     shift, dtype, parts = key_layout(width, 2 * num_edges)
     buf = np.empty(2 * num_edges, dtype=np.int64)
@@ -151,28 +147,16 @@ def _pack_block(block: np.ndarray, width: int, shift: int, fwd: np.ndarray,
     rows = np.ascontiguousarray(block)
     if rows.dtype not in (np.uint32, np.uint64, np.int64):
         rows = rows.astype(np.int64)
-    m = rows.shape[0]
-    if _kernels.pack_keys is not None:
-        ptr = _kernels.ptr
-        bad = _kernels.pack_keys(m, ptr(rows, rows.dtype, 2 * m), rows.itemsize, width, shift,
-                                 fwd.itemsize, ptr(fwd, dtype, m), ptr(rev, dtype, m))
-    else:
-        bad = m and (int(rows.max()) >= width or int(rows.min()) < 0)
-        if not bad:
-            src, dst = rows[:, 0], rows[:, 1]
-            # computed at the key dtype: u32 keys keep the low 32 bits
-            for out, a, b in ((fwd, src, dst), (rev, dst, src)):
-                np.left_shift(a, shift, out=out, dtype=out.dtype, casting="unsafe")
-                np.bitwise_or(out, b, out=out, dtype=out.dtype, casting="unsafe")
-    if bad:
+    m, ptr = rows.shape[0], _kernels.ptr
+    if _kernels.pack_keys(m, ptr(rows, rows.dtype, 2 * m), rows.itemsize, width, shift,
+                          fwd.itemsize, ptr(fwd, dtype, m), ptr(rev, dtype, m)):
         raise ValueError(f"edge ids must lie in [0, {width})")
 
 
 def _split_keys(fwd: np.ndarray, rev: np.ndarray, shift: int, parts: int,
                 keys: np.ndarray) -> np.ndarray:
-    """``_kernels.split_keys``, which ``key_layout`` asks for only when it is
-    loaded: writes the u32 keys ``fwd`` and ``rev`` (row i's two directions)
-    to ``keys`` grouped by part, in no order within a part, and returns the
+    """``_kernels.split_keys``: writes the u32 keys ``fwd`` and ``rev`` (row i's
+    two directions) to ``keys`` grouped by part, in no order within a part, and returns the
     ``parts + 1`` part bounds.
 
     A key's part is its owner's high ``2 * shift - 32`` bits, and its owner is
@@ -205,32 +189,18 @@ def _adjacency_tail(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The index of sorted ``_pack_keys(..., width)`` keys: ``buf`` is overwritten
     from its front with the neighbor ids, and ``nbrs`` is a view of that front,
-    so the keys in ``buf`` are spent.  Split keys (``bounds`` not None) come
-    only with the compiled kernels."""
+    so the keys in ``buf`` are spent."""
     parts, m = 1 if bounds is None else bounds.size - 1, keys.size
-    shift, dtype = _key_shift(width), _KEY_DTYPES[keys.itemsize]
-    if _kernels.adjacency_tail is not None:
-        ptr = _kernels.ptr
-        # each run has a distinct owner and at least one key, and the tail
-        # writes each key's owner to the next run's slot: one past the last
-        slots = min(m, width) + 1
-        nodes = np.empty(slots, dtype=np.int64)
-        offsets = np.empty(slots, dtype=np.int64)
-        runs = _kernels.adjacency_tail(m, ptr(keys, dtype, m), keys.itemsize, shift, parts,
-                                       ptr(bounds, np.int64, parts + 1), ptr(buf, np.int64, m),
-                                       ptr(nodes, np.int64, slots), ptr(offsets, np.int64, slots))
-        return nodes[:runs], offsets[: runs + 1], buf[: offsets[runs]]
-    owner = keys >> shift
-    nbrs = np.bitwise_and(keys, (1 << shift) - 1, out=keys)
-    # run starts of each owner, then the end of the last run
-    runs = np.flatnonzero(np.concatenate([[True], owner[1:] != owner[:-1], [True]]))
-    nodes = owner[runs[:-1]].astype(np.int64)
-    loops = np.flatnonzero(owner == nbrs)
-    del owner  # release before the copy that drops self-loops
-    offsets = runs - np.searchsorted(loops, runs)
-    kept = np.delete(nbrs, loops)
-    buf[: kept.size] = kept
-    return nodes, offsets, buf[: kept.size]
+    shift, dtype, ptr = _key_shift(width), _KEY_DTYPES[keys.itemsize], _kernels.ptr
+    # each run has a distinct owner and at least one key, and the tail
+    # writes each key's owner to the next run's slot: one past the last
+    slots = min(m, width) + 1
+    nodes = np.empty(slots, dtype=np.int64)
+    offsets = np.empty(slots, dtype=np.int64)
+    runs = _kernels.adjacency_tail(m, ptr(keys, dtype, m), keys.itemsize, shift, parts,
+                                   ptr(bounds, np.int64, parts + 1), ptr(buf, np.int64, m),
+                                   ptr(nodes, np.int64, slots), ptr(offsets, np.int64, slots))
+    return nodes[:runs], offsets[: runs + 1], buf[: offsets[runs]]
 
 
 class EdgeChunk:
@@ -244,17 +214,18 @@ class EdgeChunk:
     ``2 * num_edges`` of them: u32 while width <= 65,536, else u64, never
     split into parts as ``key_layout`` may split the estimator's.  Each run
     of keys with one owner is a node's neighbor list, ascending, which the
-    compiled sweep reads directly.
+    sweep reads directly.
 
     The CSR (``nodes``, ``offsets``, ``nbrs``) of ``build_adjacency`` is built
-    from a copy of the keys when first read, for the seed chunk, the Python
-    sweep and other readers, and kept: ``nodes`` holds the sorted unique
+    from a copy of the keys when first read, for the seed chunk and other
+    readers, and kept: ``nodes`` holds the sorted unique
     endpoints (self-loop-only nodes included), both directions of every edge
     are indexed, duplicate edges count with multiplicity, self-loops are
     excluded, and neighbor lists are sorted ascending so traversals over
     them are deterministic.  An empty chunk, and one with ids of 2**32 and
     above (which only the rank path of ``build_adjacency`` indexes), has no
-    keys (``keys`` None) and holds the CSR from the start.
+    keys (``keys`` None) and holds the CSR from the start; a sweep leaves
+    the state as it was on the first and refuses the second.
     """
 
     __slots__ = ("chunk_index", "num_edges", "width", "keys", "_csr")

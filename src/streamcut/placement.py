@@ -106,11 +106,17 @@ def estimate_comm(
     replicated, remote otherwise.  Returns a list of (local, remote) per
     worker.
 
-    The sampler draws raw 64-bit words from
-    ``np.random.default_rng(rng_seed).bit_generator``: bounded integers by
-    Lemire's multiply-shift with rejection (``_bounded``), distinct picks by
-    Floyd's algorithm (``_floyd``), so the counts do not depend on
-    ``Generator.choice``.
+    The walk is ``_kernels.comm_walk``.  It draws raw 64-bit words from
+    ``np.random.default_rng(rng_seed).bit_generator``, so the counts do not
+    depend on ``Generator.choice``.  A uniform integer in [0, n) is the high
+    64 bits of ``word * n``, Lemire's multiply-shift, where a word whose low
+    64 bits fall below ``2**64 mod n`` is rejected and the next one tried.
+    ``f`` distinct positions of [0, d) come from Floyd's algorithm: for
+    j = d - f, ..., d - 1 it draws t in [0, j], takes t, or j when t was
+    already taken.  The seeds are every node when ``num_seeds`` is the node
+    count, else ``num_seeds`` positions of [0, num_nodes) drawn so, and the
+    picks from a frontier node's list are drawn so when it has more than
+    ``fanouts[h]`` entries.
     """
     num_nodes = efile.meta.num_nodes
     labels, _ = _check_labels(num_nodes, labels, plan.num_partitions)
@@ -142,79 +148,20 @@ def estimate_comm(
     if plan.replicated_nodes:
         replicated[list(plan.replicated_nodes)] = True
 
+    # held while the walk runs: ``raw`` holds only addresses into its state
     bit_generator = np.random.default_rng(rng_seed).bit_generator
+    raw, ptr = bit_generator.ctypes, _kernels.ptr
     counts = np.zeros((plan.num_workers, 2), dtype=np.int64)
-    if _kernels.comm_walk is not None:
-        raw, ptr = bit_generator.ctypes, _kernels.ptr
-        status = _kernels.comm_walk(
-            num_nodes, ptr(offsets, np.int64, num_nodes + 1), ptr(snbrs, np.int64, snbrs.size),
-            ptr(node_worker, np.int64, num_nodes), ptr(replicated, np.bool_, num_nodes),
-            num_seeds, ptr(fanouts, np.int64, fanouts.size), fanouts.size,
-            ctypes.cast(raw.next_uint64, ctypes.c_void_p), raw.state_address,
-            ptr(counts, np.int64, counts.size),
-        )
-        if status != 0:
-            raise MemoryError("estimate_comm: no memory for the sampling frontier")
-    else:
-        words = _raw_words(bit_generator)
-        seeds = range(num_nodes) if num_seeds == num_nodes else _floyd(words, num_nodes, num_seeds)
-        for s in seeds:
-            w = int(node_worker[s])
-            frontier = np.array([s], dtype=np.int64)
-            for fanout in fanouts.tolist():
-                if frontier.size == 0:
-                    break
-                picks = []
-                for lo, hi in zip(offsets[frontier].tolist(), offsets[frontier + 1].tolist()):
-                    if hi - lo > fanout:
-                        picks.append(snbrs[[lo + t for t in _floyd(words, hi - lo, fanout)]])
-                    else:
-                        picks.append(snbrs[lo:hi])
-                frontier = np.concatenate(picks)
-                local = int(np.count_nonzero(replicated[frontier] | (node_worker[frontier] == w)))
-                counts[w, 0] += local
-                counts[w, 1] += frontier.size - local
+    status = _kernels.comm_walk(
+        num_nodes, ptr(offsets, np.int64, num_nodes + 1), ptr(snbrs, np.int64, snbrs.size),
+        ptr(node_worker, np.int64, num_nodes), ptr(replicated, np.bool_, num_nodes),
+        num_seeds, ptr(fanouts, np.int64, fanouts.size), fanouts.size,
+        ctypes.cast(raw.next_uint64, ctypes.c_void_p), raw.state_address,
+        ptr(counts, np.int64, counts.size),
+    )
+    if status != 0:
+        raise MemoryError("estimate_comm: no memory for the sampling frontier")
     return [(int(a), int(b)) for a, b in counts]
-
-
-_LOW64 = (1 << 64) - 1
-
-
-def _raw_words(bit_generator):
-    """The bit generator's raw 64-bit output words, as Python ints, in order."""
-    while True:
-        yield from bit_generator.random_raw(1024).tolist()
-
-
-def _bounded(words, n: int) -> int:
-    """A uniform integer in [0, n), n >= 1: Lemire's multiply-shift with rejection.
-
-    The result is the high 64 bits of ``word * n``; a word whose low 64 bits
-    fall below ``2**64 mod n`` is rejected and the next one tried.
-    """
-    m = next(words) * n
-    if m & _LOW64 < n:
-        threshold = (1 << 64) % n
-        while m & _LOW64 < threshold:
-            m = next(words) * n
-    return m >> 64
-
-
-def _floyd(words, d: int, f: int) -> list[int]:
-    """``f`` distinct positions of [0, d), 0 < f < d, in Floyd's order.
-
-    For j = d - f, ..., d - 1 it draws t = ``_bounded(words, j + 1)`` and
-    appends t, or j when t was already taken.
-    """
-    picked: list[int] = []
-    taken: set[int] = set()
-    for j in range(d - f, d):
-        t = _bounded(words, j + 1)
-        if t in taken:
-            t = j
-        taken.add(t)
-        picked.append(t)
-    return picked
 
 
 def plan_to_text(plan: PlacementPlan) -> str:

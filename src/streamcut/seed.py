@@ -3,16 +3,14 @@
 ``bfs_grow`` grows one side by breadth-first search from the highest-degree
 chunk node, restarting from the highest-degree unpicked node whenever the
 queue runs dry, until it holds half the nodes, then runs a few boundary
-refinement passes (``REFINEMENT_PASSES``).  It is a pure function of
-(chunk contents, capacity).  The compiled kernel orders its restarts with a
-counting sort on degree; the Python fallback with a stable argsort, to the
-same order.
+refinement passes (``REFINEMENT_PASSES``): a boundary node moves when it
+has more neighbours on the other side than on its own and that side has
+room.  It is a pure function of (chunk contents, capacity).  The compiled
+kernel ``_kernels.bfs_grow`` runs all of it, and orders its restarts by
+degree, descending, with a counting sort that keeps ties in id order.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from math import ceil
 
 import numpy as np
 
@@ -57,69 +55,8 @@ def _local_positions(nodes: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
 def _bfs_grow(nodes, offsets, nbrs, refinement_passes: int, capacity: int) -> np.ndarray:
     n = len(nodes)
     local = _local_positions(nodes, nbrs)
-    if _kernels.bfs_grow is not None:
-        ptr, labels = _kernels.ptr, np.ones(n, dtype=np.int8)
-        if _kernels.bfs_grow(n, ptr(offsets, np.int64, n + 1), ptr(local, np.int64, local.size),
-                             refinement_passes, capacity, ptr(labels, np.int8, n)) < 0:
-            raise MemoryError("bfs_grow could not allocate its scratch arrays")
-        return labels
-
-    # BFS (re)starts go to the highest-degree unpicked node, lowest id on ties
-    restart_order = np.argsort(-np.diff(offsets), kind="stable")
-    target = ceil(n / 2)
-    local = local.tolist()
-    restart_order = restart_order.tolist()
-    offsets = offsets.tolist()
-
-    picked = [False] * n
-    count = 0
-    cursor = 0
-    queue: deque[int] = deque()
-    while count < target:
-        if not queue:
-            while picked[restart_order[cursor]]:
-                cursor += 1
-            best = restart_order[cursor]
-            queue.append(best)
-            picked[best] = True
-            count += 1
-            if count >= target:
-                break
-        v = queue.popleft()
-        for w in local[offsets[v] : offsets[v + 1]]:  # neighbor lists are ascending
-            if not picked[w]:
-                picked[w] = True
-                count += 1
-                queue.append(w)
-                if count >= target:
-                    break
-
-    labels = [1] * n
-    for i in range(n):
-        if picked[i]:
-            labels[i] = 0
-    sizes = [target, n - target]
-
-    for _ in range(refinement_passes):
-        moved = False
-        for i in range(n):
-            side = labels[i]
-            same = other = 0
-            for w in local[offsets[i] : offsets[i + 1]]:
-                if labels[w] == side:
-                    same += 1
-                else:
-                    other += 1
-            if other == 0:
-                continue  # not a boundary node
-            # move iff it strictly reduces the chunk-local cut and the
-            # receiving side has capacity
-            if other > same and sizes[1 - side] < capacity:
-                labels[i] = 1 - side
-                sizes[side] -= 1
-                sizes[1 - side] += 1
-                moved = True
-        if not moved:
-            break
-
-    return np.asarray(labels, dtype=np.int8)
+    ptr, labels = _kernels.ptr, np.ones(n, dtype=np.int8)
+    if _kernels.bfs_grow(n, ptr(offsets, np.int64, n + 1), ptr(local, np.int64, local.size),
+                         refinement_passes, capacity, ptr(labels, np.int8, n)) < 0:
+        raise MemoryError("bfs_grow could not allocate its scratch arrays")
+    return labels

@@ -234,7 +234,8 @@ class FeatureLayout:
                     FEATURE_MAGIC, self.record_width, self.num_nodes, len(self.extents)
                 )
             )
-            _write_array(fh, self.permutation.astype("<u8"))
+            # every slot is >= 0, so the i8 bytes are the u8 ones, without a copy
+            _write_array(fh, self.permutation.astype("<i8", copy=False).view("<u8"))
             _write_array(fh, np.asarray(self.extents, dtype="<u8"))
 
     @staticmethod

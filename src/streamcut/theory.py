@@ -27,7 +27,6 @@ from .model import NodeStats
 
 
 MAX_DEGREE = 2**32  # above it the log-gamma cdf is no longer accurate
-_CURVE_BLOCK = 1 << 16  # cdf terms evaluated per numpy batch in theory_curve
 
 
 @dataclass(frozen=True)
@@ -180,43 +179,21 @@ def _curve_point(lo: np.ndarray, count: np.ndarray, base: np.ndarray, lg_k0: np.
     the pair's log C(k, d); ``base`` (pairs, 4) places lgamma(j + 1),
     lgamma(k0 - j + 1), lgamma(d - j + 1) and lgamma(k - k0 - d + j + 1) at
     ``table[base[i, 0] + j]``, ``[base[i, 1] - j]``, ``[base[i, 2] - j]``
-    and ``[base[i, 3] + j]``.  ``_kernels.curve_point`` runs it when loaded.
-    Otherwise the terms of all pairs form one flat sequence, evaluated
-    ``_CURVE_BLOCK`` at a time: numpy forms each exponent with the scalar
-    code's operation order, ``math.exp`` turns it into a term, and the terms
-    of each pair are added left to right in Python.
+    and ``[base[i, 3] + j]``.  ``_kernels.curve_point`` forms each term's
+    exponent in ``hypergeom_pmf_cdf``'s operation order, adds each pair's
+    terms left to right and the node terms ``(k - k0) * p + k0 * (1 - p)``
+    left to right in node order.
     """
-    pairs, nodes = lo.size, k.size
-    if _kernels.curve_point is not None:
-        probs, total, ptr = np.empty(pairs), np.zeros(1), _kernels.ptr
-        _kernels.curve_point(
-            pairs, ptr(lo, np.int64, pairs), ptr(count, np.int64, pairs),
-            ptr(base, np.int64, 4 * pairs), ptr(lg_k0, np.float64, pairs),
-            ptr(lg_k1, np.float64, pairs), ptr(log_denom, np.float64, pairs),
-            ptr(table, np.float64, table.size), ptr(probs, np.float64, pairs), nodes,
-            ptr(k, np.int64, nodes), ptr(k0, np.int64, nodes), ptr(pair_of, np.int64, nodes),
-            ptr(total, np.float64, 1))
-        return float(total[0])
-    ends = np.cumsum(count)
-    terms = int(ends[-1]) if ends.size else 0
-    cdfs = [0.0] * pairs
-    for first in range(0, terms, _CURVE_BLOCK):
-        pos = np.arange(first, min(first + _CURVE_BLOCK, terms))
-        pair = np.searchsorted(ends, pos, side="right")
-        j = lo[pair] + (pos - (ends[pair] - count[pair]))
-        at = base[pair]
-        exponents = (
-            (lg_k0[pair] - table[at[:, 0] + j] - table[at[:, 1] - j])
-            + (lg_k1[pair] - table[at[:, 2] - j] - table[at[:, 3] + j])
-            - log_denom[pair]
-        )
-        for i, term in zip(pair.tolist(), map(exp, exponents.tolist())):
-            cdfs[i] += term
-    p = np.array([1.0 - cdf for cdf in cdfs], dtype=np.float64)[pair_of]
-    node_terms = (k - k0) * p + k0 * (1.0 - p)
-    # cumsum adds left to right, node by node, so the total does not depend on
-    # numpy's pairwise summation
-    return float(np.cumsum(node_terms)[-1]) if nodes else 0.0
+    pairs, nodes, ptr = lo.size, k.size, _kernels.ptr
+    probs, total = np.empty(pairs), np.zeros(1)
+    _kernels.curve_point(
+        pairs, ptr(lo, np.int64, pairs), ptr(count, np.int64, pairs),
+        ptr(base, np.int64, 4 * pairs), ptr(lg_k0, np.float64, pairs),
+        ptr(lg_k1, np.float64, pairs), ptr(log_denom, np.float64, pairs),
+        ptr(table, np.float64, table.size), ptr(probs, np.float64, pairs), nodes,
+        ptr(k, np.int64, nodes), ptr(k0, np.int64, nodes), ptr(pair_of, np.int64, nodes),
+        ptr(total, np.float64, 1))
+    return float(total[0])
 
 
 def compute_node_stats(efile: EdgeFile, labels: np.ndarray) -> NodeStats:

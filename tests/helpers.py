@@ -3,27 +3,14 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from streamcut import BinaryEdgeWriter, _kernels, open_edge_file
+from streamcut import BinaryEdgeWriter, open_edge_file
 
-# property tests: reproducible examples, no example database on disk; the
-# kernel choice made through monkeypatch holds for every example of a test
+# property tests: reproducible examples, no example database on disk; a
+# function-scoped fixture, such as tmp_path, serves every example of a test
 PROPERTY_SETTINGS = settings(
     max_examples=300, deadline=None, derandomize=True, database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-
-
-def each_kernel(monkeypatch):
-    """Runs a loop body under the compiled kernels, then under the Python loops.
-
-    Yields "native", then sets every loader handle to None and yields
-    "python".  The monkeypatch fixture restores the handles when the test
-    ends, however it ends.
-    """
-    yield "native"
-    for name in _kernels.KERNELS:
-        monkeypatch.setattr(_kernels, name, None)
-    yield "python"
 
 
 def make_edge_file(path, edges, num_nodes, node_id_width=None):
@@ -32,6 +19,27 @@ def make_edge_file(path, edges, num_nodes, node_id_width=None):
     with BinaryEdgeWriter(str(path), num_nodes, node_id_width) as writer:
         writer.write(edges)
     return open_edge_file(str(path))
+
+
+def reference_shuffle(edges, budget, rng_seed):
+    """The documented shuffle: one uniform bucket draw per edge in file order
+    (in blocks of the streaming size), stable grouping by bucket, then one
+    ``rng.permutation`` per bucket; a single permutation when all edges fit."""
+    rng = np.random.default_rng(rng_seed)
+    if len(edges) * 16 <= budget:
+        return edges[rng.permutation(len(edges))]
+    nbuckets = -(-len(edges) * 16 // (budget // 2))
+    block = max(1024, budget // 4 // 16)
+    ids = np.concatenate([
+        rng.integers(0, nbuckets, size=len(edges[lo : lo + block]))
+        for lo in range(0, len(edges), block)
+    ])
+    out = []
+    for b in range(nbuckets):
+        bucket = edges[ids == b]
+        assert len(bucket) * 16 <= budget  # no bucket is re-scattered
+        out.append(bucket[rng.permutation(len(bucket))])
+    return np.concatenate(out)
 
 
 def dir_bytes(path):

@@ -43,7 +43,7 @@ from streamcut.model import EdgeChunk
 from streamcut.synth import CliqueUnionSpec, PathSpec, SbmSpec, StarSpec, write_graph
 from streamcut.theory import draws_for
 
-from helpers import each_kernel, is_connected, majority_align, make_edge_file, random_multigraph
+from helpers import is_connected, majority_align, make_edge_file, random_multigraph
 from reference_interp import run_reference
 
 SLACK = 0.1  # capacity slack used by the partitioner runs of criteria 2 and 3
@@ -69,32 +69,29 @@ def _balance_hook(tag: str, capacity: int):
     return hook
 
 
-def test_c01_algorithm_fidelity(tmp_path, monkeypatch):
+def test_c01_algorithm_fidelity(tmp_path):
     with criterion(1, "algorithm fidelity vs reference interpreter"):
-        for kernel in each_kernel(monkeypatch):
-            rng = np.random.default_rng(2024)
-            for trial in range(50):
-                edges, num_nodes = random_multigraph(rng, max_nodes=60, max_edges=1000)
-                efile = make_edge_file(tmp_path / f"g{trial}.grpe", edges, num_nodes)
-                chunk_edges = int(rng.integers(1, len(edges) + 1))
-                refine = bool(rng.integers(0, 2)) or trial < 25  # mostly the refined path
-                passes = int(rng.integers(1, 3))
-                config = GremConfig(chunk_edges=chunk_edges, refine=refine, passes=passes)
-                cap = default_capacity(num_nodes)
-                labels, _ = bisect(
-                    efile, config, on_chunk=_balance_hook(f"c1/{kernel}/{trial}", cap)
-                )
+        rng = np.random.default_rng(2024)
+        for trial in range(50):
+            edges, num_nodes = random_multigraph(rng, max_nodes=60, max_edges=1000)
+            efile = make_edge_file(tmp_path / f"g{trial}.grpe", edges, num_nodes)
+            chunk_edges = int(rng.integers(1, len(edges) + 1))
+            refine = bool(rng.integers(0, 2)) or trial < 25  # mostly the refined path
+            passes = int(rng.integers(1, 3))
+            config = GremConfig(chunk_edges=chunk_edges, refine=refine, passes=passes)
+            cap = default_capacity(num_nodes)
+            labels, _ = bisect(efile, config, on_chunk=_balance_hook(f"c1/{trial}", cap))
 
-                def seed_fn(c_edges):
-                    chunk = EdgeChunk(0, np.asarray(c_edges, dtype=np.int64))
-                    seed_labels = seed_bisect(chunk, cap)
-                    return dict(zip(chunk.nodes.tolist(), (int(x) for x in seed_labels)))
+            def seed_fn(c_edges):
+                chunk = EdgeChunk(0, np.asarray(c_edges, dtype=np.int64))
+                seed_labels = seed_bisect(chunk, cap)
+                return dict(zip(chunk.nodes.tolist(), (int(x) for x in seed_labels)))
 
-                expected = run_reference(
-                    edges.tolist(), num_nodes, chunk_edges, cap, seed_fn,
-                    refine=refine, passes=passes,
-                )
-                assert labels.tolist() == expected, (kernel, trial, chunk_edges, refine, passes)
+            expected = run_reference(
+                edges.tolist(), num_nodes, chunk_edges, cap, seed_fn,
+                refine=refine, passes=passes,
+            )
+            assert labels.tolist() == expected, (trial, chunk_edges, refine, passes)
 
 
 def test_c02_refinement_benefit(tmp_path):

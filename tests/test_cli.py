@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import streamcut
-from streamcut import _kernels, cli, read_labels, write_labels
+from streamcut import cli, read_labels, write_labels
 from streamcut.cli import main
 from streamcut.placement import plan_assignment, plan_to_text
 from streamcut.synth import CliqueUnionSpec, write_graph
 
-from helpers import each_kernel, make_edge_file
+from helpers import make_edge_file
 
 
 def digest(path):
@@ -71,22 +71,19 @@ def test_manifest_write_failure_keeps_the_earlier_manifest(tmp_path, cliques, ca
     assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
 
 
-def test_partition_records_kernel(tmp_path, cliques, capsys, monkeypatch):
+def test_partition_records_kernel(tmp_path, cliques, capsys):
+    # the compiled kernels are the one implementation: neither the report nor
+    # the manifest names a kernel set
     efile, _ = cliques
-    runs = {}
-    for kernel in each_kernel(monkeypatch):
-        out_labels = tmp_path / f"{kernel}.grpl"
-        code, payload = run_json(
-            capsys, "partition", efile.path, "--out", out_labels, "--chunk-frac", "0.3"
-        )
-        assert code == 0
-        manifest = json.loads(Path(payload["manifest"]).read_text())
-        # "native" only where a C compiler built the kernels
-        expected = "native" if _kernels.sweep is not None else "python"
-        assert payload["kernel"] == manifest["kernel"] == expected
-        assert "kernel" not in manifest["config"]
-        runs[kernel] = digest(out_labels)
-    assert runs["native"] == runs["python"]
+    out_labels = tmp_path / "l.grpl"
+    code, payload = run_json(
+        capsys, "partition", efile.path, "--out", out_labels, "--chunk-frac", "0.3"
+    )
+    assert code == 0
+    manifest = json.loads(Path(payload["manifest"]).read_text())
+    assert "kernel" not in payload and "kernel" not in manifest
+    assert "kernel" not in manifest["config"]
+    assert manifest["outputs"] == {str(out_labels): digest(out_labels)}
 
 
 # one run of each command, from a directory holding g.grpe, its ground-truth
@@ -108,8 +105,8 @@ _RUNS = {
 
 @pytest.mark.parametrize("command", list(_RUNS))
 def test_every_command_keeps_the_run_protocol(tmp_path, cliques, capsys, monkeypatch, command):
-    # every run writes one manifest with the same keys, the kernel set included,
-    # and its report names that manifest last
+    # every run writes one manifest with the same keys, and its report names
+    # that manifest last
     _, truth = cliques
     monkeypatch.chdir(tmp_path)
     write_labels("truth.grpl", truth.astype(np.int64), num_parts=2)
@@ -124,12 +121,9 @@ def test_every_command_keeps_the_run_protocol(tmp_path, cliques, capsys, monkeyp
     assert code == 0
     assert sorted(payload) == sorted(keys)
     manifest = json.loads(Path(payload["manifest"]).read_text())
-    assert {"command", "config", "input_digests", "outputs", "wall_time_s", "peak_rss_bytes",
-            "kernel"} <= set(manifest)
+    assert set(manifest) == {"command", "config", "input_digests", "outputs", "wall_time_s",
+                             "peak_rss_bytes"}
     assert manifest["command"] == command
-    assert manifest["kernel"] == _kernels.kernel_name()
-    # only partition and comm-estimate report the kernel set as well
-    assert ("kernel" in payload) == (command in ("partition", "comm-estimate"))
 
 
 def test_partition_no_refine_single_chunk_identical(tmp_path, cliques, capsys):
@@ -346,21 +340,18 @@ def comm_inputs(tmp_path, cliques, capsys):
     return efile.path, ref, plan_path
 
 
-def test_comm_estimate_records_kernel(tmp_path, comm_inputs, capsys, monkeypatch):
-    runs = {}
-    for kernel in each_kernel(monkeypatch):
-        csv_path = tmp_path / f"{kernel}.csv"
-        code, payload = run_json(
-            capsys, "comm-estimate", *comm_inputs, "--out", csv_path, "--num-seeds", "8",
-            "--fanouts", "3,2",
-        )
-        assert code == 0
-        manifest = json.loads(Path(payload["manifest"]).read_text())
-        expected = "native" if _kernels.comm_walk is not None else "python"
-        assert payload["kernel"] == manifest["kernel"] == expected
-        assert "kernel" not in manifest["config"]
-        runs[kernel] = csv_path.read_text()
-    assert runs["native"] == runs["python"]
+def test_comm_estimate_records_kernel(tmp_path, comm_inputs, capsys):
+    # as for partition: no kernel set in the report or the manifest
+    csv_path = tmp_path / "comm.csv"
+    code, payload = run_json(
+        capsys, "comm-estimate", *comm_inputs, "--out", csv_path, "--num-seeds", "8",
+        "--fanouts", "3,2",
+    )
+    assert code == 0
+    manifest = json.loads(Path(payload["manifest"]).read_text())
+    assert "kernel" not in payload and "kernel" not in manifest
+    assert "kernel" not in manifest["config"]
+    assert manifest["outputs"] == {str(csv_path): digest(csv_path)}
 
 
 @pytest.mark.parametrize("fanouts", ["0", "3,0,2", ""])

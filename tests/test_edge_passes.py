@@ -1,14 +1,14 @@
-"""The streaming edge passes: compiled kernels against their numpy twins.
+"""The streaming edge passes: compiled kernels against plain-Python oracles.
 
-Each pass has one entry in ``edgefile`` that runs its kernel when loaded
-and its numpy twin otherwise: ``_label_block`` (``label_pass``) serves
-``count_cuts`` and ``write_buckets``, ``_scatter_block`` (``scatter_rows``)
-serves ``write_buckets``, ``external_shuffle`` and, over feature records of
-any width, ``reorder_features``, and ``_endpoint_block``
-(``endpoint_counts``) serves ``compute_node_stats`` and
-``select_replicated``.  Each runs on blocks at the file's id width, 32- or
-64-bit, text files included, and the kernel must give what the twin gives,
-errors included.
+Each pass has one entry in ``edgefile`` that runs its kernel:
+``_label_block`` (``label_pass``) serves ``count_cuts`` and
+``write_buckets``, ``_scatter_block`` (``scatter_rows``) serves
+``write_buckets``, ``external_shuffle`` and, over feature records of any
+width, ``reorder_features``, ``_extract_block`` (``extract_rows``) serves
+``grem._extract_induced``, and ``_endpoint_block`` (``endpoint_counts``)
+serves ``compute_node_stats`` and ``select_replicated``.  Each runs on
+blocks at the file's id width, 32- or 64-bit, text files included, and must
+give what a plain count over the edge list gives, errors included.
 """
 
 from pathlib import Path
@@ -37,7 +37,7 @@ from streamcut import (
 )
 from streamcut.edgefile import BINARY, IO_BLOCK, TEXT, convert, open_edge_file, read_all_edges
 
-from helpers import PROPERTY_SETTINGS, each_kernel, make_edge_file
+from helpers import PROPERTY_SETTINGS, brute_force_cut, make_edge_file, reference_shuffle
 
 
 def _multigraph(seed, num_nodes, num_edges):
@@ -51,19 +51,43 @@ def _multigraph(seed, num_nodes, num_edges):
 
 
 def _passes(efile, labels, p, budget, out_dir):
-    """Every output of the converted passes over one file, as comparable values."""
+    """Every output of the label and endpoint passes over one file, as comparable values."""
     store = str(out_dir / "b.grpb")
     index = write_buckets(efile, labels, store, p)
-    report = count_cuts(efile, labels, p)
     stats = compute_node_stats(efile, labels % 2)
     return {
-        "store": Path(store).read_bytes(),
-        "idx": Path(store + ".idx").read_bytes(),
-        "counts": index.counts.tolist(),
-        "report": report.to_dict(),
+        "payload": Path(store).read_bytes()[int(index.offsets[0, 0]):],
+        "counts": index.counts.ravel().tolist(),
+        "cut": count_cuts(efile, labels, p).cut_edges,
         "k": stats.k.tolist(),
         "k0": stats.k0.tolist(),
         "replicated": select_replicated(efile, budget).tolist(),
+    }
+
+
+def _plain_passes(edges, labels, p, budget, num_nodes, width):
+    """What ``_passes`` gives, by plain counts over the edge list: the rows
+    grouped by bucket in input order, the cut, each node's neighbours per
+    side (self-loops left out) and the ``budget`` highest-degree nodes, ties
+    to the lower id."""
+    edges, labels = edges.tolist(), labels.tolist()
+    bucket = [labels[u] * p + labels[v] for u, v in edges]
+    counts = [0] * (p * p)
+    side = [[0, 0] for _ in range(num_nodes)]
+    for (u, v), b in zip(edges, bucket):
+        counts[b] += 1
+        if u != v:
+            side[u][labels[v] % 2] += 1
+            side[v][labels[u] % 2] += 1
+    grouped = [edges[i] for i in sorted(range(len(edges)), key=bucket.__getitem__)]
+    degree = [a + b for a, b in side]
+    return {
+        "payload": np.array(grouped, dtype=f"<u{width // 8}").tobytes(),
+        "counts": counts,
+        "cut": brute_force_cut(edges, labels),
+        "k": degree,
+        "k0": [max(s) for s in side],
+        "replicated": sorted(sorted(range(num_nodes), key=lambda n: -degree[n])[:budget]),
     }
 
 
@@ -82,10 +106,8 @@ def test_label_and_endpoint_passes_native_equal_python(tmp_path, seed, num_nodes
     labels = rng.integers(0, p, size=num_nodes)
     budget = int(rng.integers(0, num_nodes + 1))
     efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes, width)
-    with pytest.MonkeyPatch.context() as patch:
-        runs = {kernel: _passes(efile, labels, p, budget, tmp_path)
-                for kernel in each_kernel(patch)}
-    assert runs["native"] == runs["python"]
+    want = _plain_passes(edges, labels, p, budget, num_nodes, width)
+    assert _passes(efile, labels, p, budget, tmp_path) == want
 
 
 @PROPERTY_SETTINGS
@@ -98,13 +120,8 @@ def test_label_and_endpoint_passes_native_equal_python(tmp_path, seed, num_nodes
 def test_shuffle_scatter_native_equals_python(tmp_path, seed, num_nodes, num_edges, width):
     edges = _multigraph(seed, num_nodes, num_edges)
     efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes, width)
-    out = tmp_path / "s.grpe"
-    with pytest.MonkeyPatch.context() as patch:
-        runs = {}
-        for kernel in each_kernel(patch):
-            external_shuffle(efile, str(out), IO_BLOCK, rng_seed=seed)
-            runs[kernel] = out.read_bytes()
-    assert runs["native"] == runs["python"]
+    out = external_shuffle(efile, str(tmp_path / "s.grpe"), IO_BLOCK, rng_seed=seed)
+    assert read_all_edges(out).tolist() == reference_shuffle(edges, IO_BLOCK, seed).tolist()
 
 
 def _induced(edges, labels, side):
@@ -114,19 +131,17 @@ def _induced(edges, labels, side):
             if labels[u] == side and labels[v] == side]
 
 
-def _extractions(efile, labels, out_dir, patch):
-    """The bytes of each side's induced-subgraph file, by kernel, each checked against
-    ``_induced``."""
-    runs = {}
-    for kernel in each_kernel(patch):
-        for side in (0, 1):
-            members = np.flatnonzero(labels == side)
-            out = out_dir / f"{kernel}{side}.grpe"
-            sub = grem._extract_induced(efile, labels, side, members, str(out))
-            assert sub.meta.num_nodes == members.size
-            assert read_all_edges(sub).tolist() == _induced(read_all_edges(efile), labels, side)
-            runs.setdefault(kernel, []).append(out.read_bytes())
-    return runs
+def _extractions(efile, labels, out_dir):
+    """The bytes of each side's induced-subgraph file, each checked against ``_induced``."""
+    files = []
+    for side in (0, 1):
+        members = np.flatnonzero(labels == side)
+        out = out_dir / f"{side}.grpe"
+        sub = grem._extract_induced(efile, labels, side, members, str(out))
+        assert sub.meta.num_nodes == members.size
+        assert read_all_edges(sub).tolist() == _induced(read_all_edges(efile), labels, side)
+        files.append(out.read_bytes())
+    return files
 
 
 @PROPERTY_SETTINGS
@@ -141,12 +156,10 @@ def test_extract_native_equals_python(tmp_path, seed, num_nodes, num_edges, widt
     labels = np.random.default_rng(seed + 1).integers(0, 2, size=num_nodes)
     labels[:2] = (0, 1)  # both sides have members
     efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes, width)
-    with pytest.MonkeyPatch.context() as patch:
-        runs = _extractions(efile, labels, tmp_path, patch)
-    assert runs["native"] == runs["python"]
+    _extractions(efile, labels, tmp_path)
 
 
-def test_extract_across_blocks_and_of_a_side_with_no_edge(tmp_path, monkeypatch):
+def test_extract_across_blocks_and_of_a_side_with_no_edge(tmp_path):
     # 300k rows span two reader blocks, the second shorter than the reused buffer
     edges = _multigraph(12, 300, 300_000)
     labels = np.random.default_rng(13).integers(0, 2, size=300)
@@ -154,16 +167,14 @@ def test_extract_across_blocks_and_of_a_side_with_no_edge(tmp_path, monkeypatch)
     bipartite = np.array([[0, 1], [3, 2], [4, 5], [5, 4], [1, 2]])
     for width in (32, 64):
         efile = make_edge_file(tmp_path / "g.grpe", edges, 300, width)
-        runs = _extractions(efile, labels, tmp_path, monkeypatch)
-        assert runs["native"] == runs["python"], width
+        _extractions(efile, labels, tmp_path)
         efile = make_edge_file(tmp_path / "b.grpe", bipartite, 6, width)
-        runs = _extractions(efile, np.arange(6) % 2, tmp_path, monkeypatch)
-        assert runs["native"] == runs["python"], width
-        assert {len(data) for data in runs["native"]} == {len(Path(efile.path).read_bytes())
-                                                         - bipartite.size * width // 8}
+        files = _extractions(efile, np.arange(6) % 2, tmp_path)
+        assert {len(data) for data in files} == {len(Path(efile.path).read_bytes())
+                                                 - bipartite.size * width // 8}
 
 
-def test_extract_block_writes_either_output_width(tmp_path, monkeypatch):
+def test_extract_block_writes_either_output_width(tmp_path):
     # an induced subgraph has fewer nodes than its parent, so partition never
     # writes 64-bit ids below a 32-bit file; the block pass takes both widths
     edges = _multigraph(14, 300, 5000)
@@ -172,17 +183,15 @@ def test_extract_block_writes_either_output_width(tmp_path, monkeypatch):
         efile = make_edge_file(tmp_path / "g.grpe", edges, 300, width)
         (block,) = edgefile.iter_edge_blocks(efile)
         for out_dtype in (np.uint32, np.uint64):
-            got = {}
-            for kernel in each_kernel(monkeypatch):
-                out = np.empty((5000, 2), dtype=out_dtype)
-                got[kernel] = edgefile._extract_block(efile, block, new_id, out).tolist()
+            out = np.empty((5000, 2), dtype=out_dtype)
             keep = (edges % 3 == 0).all(axis=1)
-            assert got["native"] == got["python"] == (edges[keep] // 3).tolist()
+            got = edgefile._extract_block(efile, block, new_id, out)
+            assert got.tolist() == (edges[keep] // 3).tolist()
 
 
 @pytest.mark.parametrize("width, bad", [(32, 999), (32, 2**32 - 1), (64, 2**63 + 5),
                                         (64, 2**64 - 1)])
-def test_extract_rejects_a_damaged_id(tmp_path, monkeypatch, width, bad):
+def test_extract_rejects_a_damaged_id(tmp_path, width, bad):
     # the bad id sits in the last row of the file's one block, behind a first
     # row with an unlabeled endpoint: the reader rejects the block before the
     # extraction pass sees any of its rows, and the intact file reaches the
@@ -196,11 +205,10 @@ def test_extract_rejects_a_damaged_id(tmp_path, monkeypatch, width, bad):
     labels[0] = -1
     members = np.flatnonzero(labels == 1)
     out = str(tmp_path / "o.grpe")
-    for kernel in each_kernel(monkeypatch):
-        with pytest.raises(FormatError, match=f"g.grpe: edge endpoint {bad} >= num_nodes 300$"):
-            grem._extract_induced(damaged, labels, 1, members, out)
-        with pytest.raises(FormatError, match="^unlabeled endpoint encountered$"):
-            grem._extract_induced(intact, labels, 1, members, out)
+    with pytest.raises(FormatError, match=f"g.grpe: edge endpoint {bad} >= num_nodes 300$"):
+        grem._extract_induced(damaged, labels, 1, members, out)
+    with pytest.raises(FormatError, match="^unlabeled endpoint encountered$"):
+        grem._extract_induced(intact, labels, 1, members, out)
 
 
 # ------------------------------------------------------------ 64-bit ids
@@ -211,7 +219,7 @@ def _twins(tmp_path, edges, num_nodes):
             for width in (32, 64)}
 
 
-def test_wide_id_files_give_what_their_u32_twins_give(tmp_path, monkeypatch):
+def test_wide_id_files_give_what_their_u32_twins_give(tmp_path):
     edges = _multigraph(5, 300, 5000)
     rng = np.random.default_rng(6)
     labels = rng.integers(0, 5, size=300)
@@ -220,38 +228,36 @@ def test_wide_id_files_give_what_their_u32_twins_give(tmp_path, monkeypatch):
     # the text twin streams 32-bit blocks through every pass, as its u32 twin does
     twins["text"] = convert(twins[32], str(tmp_path / "g.txt"), TEXT)
     plan = plan_assignment(5, 2, rng_seed=0)
-    for kernel in each_kernel(monkeypatch):
-        got = {}
-        for width, efile in twins.items():
-            store = str(tmp_path / f"b{width}.grpb")
-            index = write_buckets(efile, labels, store)
-            got[width] = (
-                index.counts.tolist(),
-                [read_bucket(store, i, j, index).tolist() for i in range(5) for j in range(5)],
-                count_cuts(efile, labels),
-                compute_node_stats(efile, labels % 2).k0.tolist(),
-                select_replicated(efile, 40).tolist(),
-                estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=1),
-                # the chunk path: blocks as stored into EdgeChunk and _extract_induced
-                bisect(efile, GremConfig())[0].tolist(),
-                partition(efile, 4, GremConfig(), str(tmp_path / "work"))[0].tolist(),
-            )
-            assert index.node_id_width == efile.meta.node_id_width, kernel
-        assert got[32] == got[64] == got["text"], kernel
+    got = {}
+    for width, efile in twins.items():
+        store = str(tmp_path / f"b{width}.grpb")
+        index = write_buckets(efile, labels, store)
+        got[width] = (
+            index.counts.tolist(),
+            [read_bucket(store, i, j, index).tolist() for i in range(5) for j in range(5)],
+            count_cuts(efile, labels),
+            compute_node_stats(efile, labels % 2).k0.tolist(),
+            select_replicated(efile, 40).tolist(),
+            estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=1),
+            # the chunk path: blocks as stored into EdgeChunk and _extract_induced
+            bisect(efile, GremConfig())[0].tolist(),
+            partition(efile, 4, GremConfig(), str(tmp_path / "work"))[0].tolist(),
+        )
+        assert index.node_id_width == efile.meta.node_id_width
+    assert got[32] == got[64] == got["text"]
 
 
 @pytest.mark.parametrize("budget", [IO_BLOCK, 1 << 20])  # scatter path, in-memory path
-def test_wide_id_shuffle_equals_its_u32_twin(tmp_path, monkeypatch, budget):
+def test_wide_id_shuffle_equals_its_u32_twin(tmp_path, budget):
     edges = _multigraph(7, 300, 20_000)
     twins = _twins(tmp_path, edges, 300)
-    for kernel in each_kernel(monkeypatch):
-        got = {}
-        for width, efile in twins.items():
-            out = external_shuffle(efile, str(tmp_path / f"s{width}.grpe"), budget, rng_seed=3)
-            assert out.meta.node_id_width == width
-            got[width] = read_all_edges(out)
-        assert np.array_equal(got[32], got[64]), kernel
-        assert sorted(map(tuple, got[64].tolist())) == sorted(map(tuple, edges.tolist()))
+    got = {}
+    for width, efile in twins.items():
+        out = external_shuffle(efile, str(tmp_path / f"s{width}.grpe"), budget, rng_seed=3)
+        assert out.meta.node_id_width == width
+        got[width] = read_all_edges(out)
+    assert np.array_equal(got[32], got[64])
+    assert sorted(map(tuple, got[64].tolist())) == sorted(map(tuple, edges.tolist()))
 
 
 # ------------------------------------------------------------ malformed input
@@ -282,7 +288,7 @@ def _poke(path, offset, value, nbytes):
 
 @pytest.mark.parametrize("width, bad", [(32, 999), (32, 2**32 - 1), (64, 999), (64, 2**63 + 5),
                                         (64, 2**64 - 1)])
-def test_out_of_range_id_is_a_format_error(tmp_path, tmp_path_factory, monkeypatch, width, bad):
+def test_out_of_range_id_is_a_format_error(tmp_path, tmp_path_factory, width, bad):
     # the bad id sits in the last row, behind a first row with an unlabeled
     # endpoint: the reader's id check, the only one, rejects the block before
     # any pass sees its rows, on the chunk path and in convert too
@@ -293,34 +299,32 @@ def test_out_of_range_id_is_a_format_error(tmp_path, tmp_path_factory, monkeypat
     labels = np.arange(300) % 2
     labels[0] = -1
     work = tmp_path_factory.mktemp("work")
-    for kernel in each_kernel(monkeypatch):
-        runs = {
-            **_converted(efile, labels, tmp_path),
-            "bisect": lambda: bisect(efile, GremConfig()),
-            "partition": lambda: partition(efile, 4, GremConfig(), str(work)),
-            "convert": lambda: convert(efile, str(tmp_path / "c.grpe"), BINARY),
-            "convert_text": lambda: convert(efile, str(tmp_path / "c.txt"), TEXT),
-        }
-        for name, run in runs.items():
-            with pytest.raises(FormatError, match=f"g.grpe: edge endpoint {bad} >= num_nodes 300$"):
-                run()  # never a numpy IndexError, nor a wrapped negative id
-            assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe"], (kernel, name)
-            assert not any(work.iterdir()), (kernel, name)
+    runs = {
+        **_converted(efile, labels, tmp_path),
+        "bisect": lambda: bisect(efile, GremConfig()),
+        "partition": lambda: partition(efile, 4, GremConfig(), str(work)),
+        "convert": lambda: convert(efile, str(tmp_path / "c.grpe"), BINARY),
+        "convert_text": lambda: convert(efile, str(tmp_path / "c.txt"), TEXT),
+    }
+    for name, run in runs.items():
+        with pytest.raises(FormatError, match=f"g.grpe: edge endpoint {bad} >= num_nodes 300$"):
+            run()  # never a numpy IndexError, nor a wrapped negative id
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe"], name
+        assert not any(work.iterdir()), name
 
 
-def test_unlabeled_endpoint_is_a_format_error(tmp_path, monkeypatch):
+def test_unlabeled_endpoint_is_a_format_error(tmp_path):
     edges = _multigraph(9, 300, 5000)
     edges[-1] = (299, 299)  # a self-loop: rejected too, though it counts nowhere
     labels = np.arange(300) % 2
     labels[299] = -1
     for width in (32, 64):
         efile = make_edge_file(tmp_path / "g.grpe", edges, 300, width)
-        for kernel in each_kernel(monkeypatch):
-            runs = _converted(efile, labels, tmp_path)
-            for name in ("count_cuts", "write_buckets", "node_stats"):
-                with pytest.raises(FormatError, match="^unlabeled endpoint encountered$"):
-                    runs[name]()
-            assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe"], kernel
+        runs = _converted(efile, labels, tmp_path)
+        for name in ("count_cuts", "write_buckets", "node_stats"):
+            with pytest.raises(FormatError, match="^unlabeled endpoint encountered$"):
+                runs[name]()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe"]
 
 
 def _label_entry_points(efile, out_dir):
@@ -354,48 +358,42 @@ _BAD_LABELS = {  # case: (labels, declared num_parts, message, entry points it d
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_LABELS))
-def test_each_label_entry_point_refuses_bad_labels_alike(tmp_path, monkeypatch, case):
+def test_each_label_entry_point_refuses_bad_labels_alike(tmp_path, case):
     # one check, _check_labels, for every caller: the same FormatError from
     # each, raised before any output or temporary is made
     labels, num_parts, message, skip = _BAD_LABELS[case]
     efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2], [2, 3], [4, 5], [5, 0]], 6)
     runs = _label_entry_points(efile, tmp_path)
-    for kernel in each_kernel(monkeypatch):
-        for name, run in runs.items():
-            if name in skip:
-                continue
-            with pytest.raises(FormatError, match=f"^{message}"):
-                run(labels, num_parts)
-            assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "g.grpe"], \
-                (kernel, name)
+    for name, run in runs.items():
+        if name in skip:
+            continue
+        with pytest.raises(FormatError, match=f"^{message}"):
+            run(labels, num_parts)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "g.grpe"], name
 
 
-def test_each_label_entry_point_takes_the_valid_labels(tmp_path, monkeypatch):
+def test_each_label_entry_point_takes_the_valid_labels(tmp_path):
     # each of the table's inputs departs from these labels in one point
     efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2], [2, 3], [4, 5], [5, 0]], 6)
-    for kernel in each_kernel(monkeypatch):
-        for name, run in _label_entry_points(efile, tmp_path).items():
-            run(_BISECTION, 2)
-            run(_BISECTION.astype(np.int32), 2)
+    for name, run in _label_entry_points(efile, tmp_path).items():
+        run(_BISECTION, 2)
+        run(_BISECTION.astype(np.int32), 2)
 
 
-def test_an_unassigned_label_is_refused_where_every_node_needs_a_part(tmp_path, monkeypatch):
+def test_an_unassigned_label_is_refused_where_every_node_needs_a_part(tmp_path):
     # grouped features and the traffic estimate place every node, even one no
     # edge touches; a label file may hold an unassigned node
     labels = np.array([0, 1, 0, 1, 0, 1, -1])  # node 6 is on no edge
     efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2], [2, 3], [4, 5], [5, 0]], 7)
     runs = _label_entry_points(efile, tmp_path)
-    for kernel in each_kernel(monkeypatch):
-        for name, message in (("reorder_features", "all nodes must be labeled"),
-                              ("estimate_comm", "labels must map every node to a planned "
-                                                "partition")):
-            with pytest.raises(FormatError, match=f"^{message}$"):
-                runs[name](labels, 2)
-            assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "g.grpe"], \
-                (kernel, name)
-    for kernel in each_kernel(monkeypatch):
-        for name in ("count_cuts", "write_buckets", "compute_node_stats", "write_labels"):
+    for name, message in (("reorder_features", "all nodes must be labeled"),
+                          ("estimate_comm", "labels must map every node to a planned "
+                                            "partition")):
+        with pytest.raises(FormatError, match=f"^{message}$"):
             runs[name](labels, 2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "g.grpe"], name
+    for name in ("count_cuts", "write_buckets", "compute_node_stats", "write_labels"):
+        runs[name](labels, 2)
 
 
 def _opened(tmp_path, edges, width):
@@ -409,7 +407,7 @@ def _opened(tmp_path, edges, width):
 
 @pytest.mark.parametrize("damage", ["truncated", "magic", "num_edges", "version", "flags",
                                     "grown", "shrunk", "non_ascii"])
-def test_damaged_file_is_a_format_error(tmp_path, monkeypatch, damage):
+def test_damaged_file_is_a_format_error(tmp_path, damage):
     edges = _multigraph(10, 300, 5000)
     labels = np.arange(300) % 2
     for width in (TEXT,) if damage in ("grown", "shrunk", "non_ascii") else (32, 64):
@@ -441,40 +439,38 @@ def test_damaged_file_is_a_format_error(tmp_path, monkeypatch, damage):
         else:
             _poke(efile.path, 4, 2, 4)
             message = "unsupported version 2"
-        for kernel in each_kernel(monkeypatch):
-            runs = {
-                **_converted(efile, labels, tmp_path),
-                "bisect": lambda: bisect(efile, GremConfig()),
-                "convert": lambda: convert(efile, str(tmp_path / "c.grpe"), BINARY),
-            }
-            for name, run in runs.items():
-                with pytest.raises(FormatError, match=message):
-                    run()
-                left = [p.name for p in tmp_path.iterdir()]
-                assert left == [Path(efile.path).name], (kernel, name)
+        runs = {
+            **_converted(efile, labels, tmp_path),
+            "bisect": lambda: bisect(efile, GremConfig()),
+            "convert": lambda: convert(efile, str(tmp_path / "c.grpe"), BINARY),
+        }
+        for name, run in runs.items():
+            with pytest.raises(FormatError, match=message):
+                run()
+            left = [p.name for p in tmp_path.iterdir()]
+            assert left == [Path(efile.path).name], name
 
 
-def test_kernels_reject_labels_and_bucket_ids_out_of_their_range(tmp_path, monkeypatch):
+def test_kernels_reject_labels_and_bucket_ids_out_of_their_range(tmp_path):
     # public callers never pass these (_check_labels bounds the labels by the
-    # pass's p, and compute_node_stats declares p = 2); the kernels and their
-    # twins refuse them rather than write outside their count arrays
+    # pass's p, and compute_node_stats declares p = 2); the kernels refuse
+    # them rather than write outside their count arrays
     efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2]], 3)
     (block,) = edgefile.iter_edge_blocks(efile)
     labels = np.array([0, 1, 2], dtype=np.uint32)  # made by hand: label 2 with p = 2
     cut = np.zeros(1, dtype=np.int64)
-    for _ in each_kernel(monkeypatch):
-        with pytest.raises(ValueError, match="row 1"):
-            edgefile._label_block(efile, block, labels, cut, 2, counts=np.zeros(4, dtype=np.int64))
-        with pytest.raises(ValueError, match="row 1"):
-            edgefile._endpoint_block(efile, block, np.zeros(6, dtype=np.uint32), labels)
-        with pytest.raises(ValueError, match="row 0"):
-            edgefile._scatter_block(block, np.array([-1, 0]), 2)
-        with pytest.raises(ValueError, match="row 1"):
-            edgefile._scatter_block(block, np.array([0, 2]), 2)
+    with pytest.raises(ValueError, match="row 1"):
+        edgefile._label_block(efile, block, labels, cut, 2, counts=np.zeros(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="row 1"):
+        edgefile._endpoint_block(efile, block, np.zeros(6, dtype=np.uint32), labels)
+    with pytest.raises(ValueError, match="row 0"):
+        edgefile._scatter_block(block, np.array([-1, 0]), 2)
+    with pytest.raises(ValueError, match="row 1"):
+        edgefile._scatter_block(block, np.array([0, 2]), 2)
 
 
 @pytest.mark.parametrize("row_bytes", [1, 3, 16, 128])
-def test_scatter_block_groups_rows_of_any_width_as_a_stable_argsort(monkeypatch, row_bytes):
+def test_scatter_block_groups_rows_of_any_width_as_a_stable_argsort(row_bytes):
     # feature records go through the edge rows' scatter: a row is its bytes
     rng = np.random.default_rng(row_bytes)
     cases = []
@@ -485,22 +481,21 @@ def test_scatter_block_groups_rows_of_any_width_as_a_stable_argsort(monkeypatch,
     # one row of a strided view: numpy calls it contiguous, with its parent's
     # row stride, which is not the row's width
     cases.append((cases[3][0][::40], cases[3][1][:1], 7))
-    for kernel in each_kernel(monkeypatch):
-        for rows, bucket, nbuckets in cases:
-            order = np.argsort(bucket, kind="stable")
-            expected = np.concatenate([[0], np.cumsum(np.bincount(bucket, minlength=nbuckets))])
-            for out in (None, np.empty_like(rows)):
-                grouped, bounds = edgefile._scatter_block(rows, bucket, nbuckets, out)
-                assert out is None or grouped is out
-                assert grouped.tobytes() == rows[order].tobytes(), (kernel, rows.shape, nbuckets)
-                assert bounds.tolist() == expected.tolist(), (kernel, rows.shape, nbuckets)
+    for rows, bucket, nbuckets in cases:
+        order = np.argsort(bucket, kind="stable")
+        expected = np.concatenate([[0], np.cumsum(np.bincount(bucket, minlength=nbuckets))])
+        for out in (None, np.empty_like(rows)):
+            grouped, bounds = edgefile._scatter_block(rows, bucket, nbuckets, out)
+            assert out is None or grouped is out
+            assert grouped.tobytes() == rows[order].tobytes(), (rows.shape, nbuckets)
+            assert bounds.tolist() == expected.tolist(), (rows.shape, nbuckets)
 
 
 # ------------------------------------------------------------ u32 labels and counters
 
 
 @pytest.mark.parametrize("bad", [-1, 0xFFFFFFFF, 2**32, 2**32 + 1, "p"])
-def test_a_label_outside_the_pass_range_is_never_narrowed_into_it(tmp_path, monkeypatch, bad):
+def test_a_label_outside_the_pass_range_is_never_narrowed_into_it(tmp_path, bad):
     # labels reach the passes as u32 only through _check_labels: a label
     # below 0 becomes 0xFFFFFFFF, which every pass rejects on a node an edge
     # touches; a label at or above the declared p (2 here, a bisection), or
@@ -517,44 +512,43 @@ def test_a_label_outside_the_pass_range_is_never_narrowed_into_it(tmp_path, monk
         efile = make_edge_file(tmp_path / "g.grpe", edges, 301, width)
         (block,) = edgefile.iter_edge_blocks(efile)
         store = str(tmp_path / "b.grpb")
-        for kernel in each_kernel(monkeypatch):
-            public = {
-                "count_cuts": lambda lab: count_cuts(efile, lab, p).cut_edges,
-                "write_buckets": lambda lab: write_buckets(efile, lab, store, p).counts.tolist(),
-                "node_stats": lambda lab: compute_node_stats(efile, lab).k0.tolist(),
-            }
+        public = {
+            "count_cuts": lambda lab: count_cuts(efile, lab, p).cut_edges,
+            "write_buckets": lambda lab: write_buckets(efile, lab, store, p).counts.tolist(),
+            "node_stats": lambda lab: compute_node_stats(efile, lab).k0.tolist(),
+        }
 
-            def label_block(lab):
-                cut, counts = np.zeros(1, dtype=np.int64), np.zeros(p * p, dtype=np.int64)
-                edgefile._label_block(efile, block, edgefile._check_labels(301, lab)[0], cut, p,
-                                      counts=counts)
-                return int(cut[0]), counts.tolist()
+        def label_block(lab):
+            cut, counts = np.zeros(1, dtype=np.int64), np.zeros(p * p, dtype=np.int64)
+            edgefile._label_block(efile, block, edgefile._check_labels(301, lab)[0], cut, p,
+                                  counts=counts)
+            return int(cut[0]), counts.tolist()
 
-            def endpoint_block(lab):
-                counts = np.zeros(2 * 301, dtype=np.uint32)
-                edgefile._endpoint_block(efile, block, counts, edgefile._check_labels(301, lab)[0])
-                return counts.tolist()
+        def endpoint_block(lab):
+            counts = np.zeros(2 * 301, dtype=np.uint32)
+            edgefile._endpoint_block(efile, block, counts, edgefile._check_labels(301, lab)[0])
+            return counts.tolist()
 
-            passes = {**public, "label_block": label_block, "endpoint_block": endpoint_block}
-            touched, untouched = labels.copy(), labels.copy()
-            touched[8], untouched[300] = bad, bad
-            for name, run in passes.items():
-                if bad < 0:
-                    with pytest.raises(FormatError, match="^unlabeled endpoint encountered$"):
-                        run(touched)
-                elif name in public or bad >= 0xFFFFFFFF:  # refused before any pass
-                    message = f"^label {bad} >= num_parts {p}$" if name in public \
-                        else f"^{bad + 1} parts do not fit a label file"
-                    with pytest.raises(FormatError, match=message):
-                        run(touched)
-                    with pytest.raises(FormatError, match=message):
-                        run(untouched)
-                    continue
-                else:
-                    with pytest.raises(ValueError, match="^row 0: "):
-                        run(touched)
-                assert run(untouched) == run(labels), (kernel, width, name)
-            assert not [f for f in tmp_path.iterdir() if ".tmp" in f.name], kernel
+        passes = {**public, "label_block": label_block, "endpoint_block": endpoint_block}
+        touched, untouched = labels.copy(), labels.copy()
+        touched[8], untouched[300] = bad, bad
+        for name, run in passes.items():
+            if bad < 0:
+                with pytest.raises(FormatError, match="^unlabeled endpoint encountered$"):
+                    run(touched)
+            elif name in public or bad >= 0xFFFFFFFF:  # refused before any pass
+                message = f"^label {bad} >= num_parts {p}$" if name in public \
+                    else f"^{bad + 1} parts do not fit a label file"
+                with pytest.raises(FormatError, match=message):
+                    run(touched)
+                with pytest.raises(FormatError, match=message):
+                    run(untouched)
+                continue
+            else:
+                with pytest.raises(ValueError, match="^row 0: "):
+                    run(touched)
+            assert run(untouched) == run(labels), (width, name)
+        assert not [f for f in tmp_path.iterdir() if ".tmp" in f.name]
 
 
 def test_check_labels_narrows_to_u32_or_refuses():
@@ -600,7 +594,7 @@ def test_check_labels_narrows_to_u32_or_refuses():
             edgefile._check_labels(3, odd)
 
 
-def test_a_stray_large_label_is_a_format_error(tmp_path, monkeypatch):
+def test_a_stray_large_label_is_a_format_error(tmp_path):
     # p inferred from one large label on a node no edge touches would size the
     # per-partition arrays by its value (a label of 2**20 once asked
     # write_buckets for 8 TiB): each entry point refuses it before any pass,
@@ -609,22 +603,21 @@ def test_a_stray_large_label_is_a_format_error(tmp_path, monkeypatch):
     feats = tmp_path / "f.bin"
     feats.write_bytes(bytes(range(40)))
     inputs = sorted(p.name for p in tmp_path.iterdir())
-    for kernel in each_kernel(monkeypatch):
-        for big in (2**20, 2**22):
-            labels = np.array([0, 0, 0, 1, 1, 0, 1, 0, 1, big])
-            runs = {
-                "count_cuts": lambda: count_cuts(efile, labels),
-                "write_buckets": lambda: write_buckets(efile, labels, str(tmp_path / "b.grpb")),
-                "reorder_features": lambda: reorder_features(str(feats), labels, 4,
-                                                             str(tmp_path / "o.bin")),
-                "write_labels": lambda: write_labels(str(tmp_path / "l.grpl"), labels),
-            }
-            for name, run in runs.items():
-                with pytest.raises(FormatError, match=f"^label {big} >= 10 nodes; declare"):
-                    run()
-                assert sorted(p.name for p in tmp_path.iterdir()) == inputs, (kernel, name)
-        # declared, the same labels are taken as they are
-        assert count_cuts(efile, labels, 2**22 + 1).partition_sizes[2**22] == 1, kernel
+    for big in (2**20, 2**22):
+        labels = np.array([0, 0, 0, 1, 1, 0, 1, 0, 1, big])
+        runs = {
+            "count_cuts": lambda: count_cuts(efile, labels),
+            "write_buckets": lambda: write_buckets(efile, labels, str(tmp_path / "b.grpb")),
+            "reorder_features": lambda: reorder_features(str(feats), labels, 4,
+                                                         str(tmp_path / "o.bin")),
+            "write_labels": lambda: write_labels(str(tmp_path / "l.grpl"), labels),
+        }
+        for name, run in runs.items():
+            with pytest.raises(FormatError, match=f"^label {big} >= 10 nodes; declare"):
+                run()
+            assert sorted(p.name for p in tmp_path.iterdir()) == inputs, name
+    # declared, the same labels are taken as they are
+    assert count_cuts(efile, labels, 2**22 + 1).partition_sizes[2**22] == 1
 
 
 def test_endpoint_counters_fold_without_changing_a_count(tmp_path, monkeypatch):
@@ -636,20 +629,19 @@ def test_endpoint_counters_fold_without_changing_a_count(tmp_path, monkeypatch):
     efile = make_edge_file(tmp_path / "g.grpe", edges, 300)
     reader, block_pass = edgefile.iter_edge_blocks, edgefile._endpoint_block
     monkeypatch.setattr(edgefile, "iter_edge_blocks", lambda ef: reader(ef, 64))
-    for kernel in each_kernel(monkeypatch):
-        want = (compute_node_stats(efile, labels).k0.tolist(),
-                select_replicated(efile, 40).tolist())
-        started = []
+    want = (compute_node_stats(efile, labels).k0.tolist(),
+            select_replicated(efile, 40).tolist())
+    started = []
 
-        def spy(efile, block, counts, *args):
-            started.append(int(counts.sum()))
-            block_pass(efile, block, counts, *args)
+    def spy(efile, block, counts, *args):
+        started.append(int(counts.sum()))
+        block_pass(efile, block, counts, *args)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(edgefile, "_FOLD_ROWS", 64)
-            patch.setattr(edgefile, "_endpoint_block", spy)
-            got = (compute_node_stats(efile, labels).k0.tolist(),
-                   select_replicated(efile, 40).tolist())
-        assert got == want, kernel
-        blocks = -(-5000 // 64)
-        assert started == [0] * (2 * blocks), kernel
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(edgefile, "_FOLD_ROWS", 64)
+        patch.setattr(edgefile, "_endpoint_block", spy)
+        got = (compute_node_stats(efile, labels).k0.tolist(),
+               select_replicated(efile, 40).tolist())
+    assert got == want
+    blocks = -(-5000 // 64)
+    assert started == [0] * (2 * blocks)

@@ -29,7 +29,7 @@ from streamcut import edgefile
 from streamcut.edgefile import IO_BLOCK, BinaryEdgeWriter
 from streamcut.edgefile import read_all_edges as read_all_edges_of
 
-from helpers import dir_bytes, each_kernel, make_edge_file
+from helpers import dir_bytes, make_edge_file, reference_shuffle
 
 
 class Crash(Exception):
@@ -77,7 +77,7 @@ def test_convert_empty_edge_list(tmp_path):
     assert out.meta.num_nodes == 5
 
 
-def test_an_emptied_edge_file_is_a_format_error(tmp_path, monkeypatch):
+def test_an_emptied_edge_file_is_a_format_error(tmp_path):
     # a binary edge file cut to zero bytes, as a power loss may leave one, is
     # never read as an empty text edge list: not when opened, nor by a pass
     # over the file as it was opened
@@ -85,15 +85,14 @@ def test_an_emptied_edge_file_is_a_format_error(tmp_path, monkeypatch):
     Path(efile.path).write_bytes(b"")
     labels = np.array([0, 1, 0])
     write_labels(str(tmp_path / "l.grpl"), labels)
-    for kernel in each_kernel(monkeypatch):
-        with pytest.raises(FormatError, match="g.grpe: empty file, not an edge list$"):
-            open_edge_file(efile.path)
-        for run in (lambda: read_all_edges_of(efile), lambda: count_cuts(efile, labels),
-                    lambda: write_buckets(efile, labels, str(tmp_path / "b.grpb")),
-                    lambda: convert(efile, str(tmp_path / "c.txt"), "text")):
-            with pytest.raises(FormatError, match="g.grpe: too short for a binary edge header"):
-                run()
-        assert streamcut.cli.main(["cut-stats", efile.path, str(tmp_path / "l.grpl")]) == 3
+    with pytest.raises(FormatError, match="g.grpe: empty file, not an edge list$"):
+        open_edge_file(efile.path)
+    for run in (lambda: read_all_edges_of(efile), lambda: count_cuts(efile, labels),
+                lambda: write_buckets(efile, labels, str(tmp_path / "b.grpb")),
+                lambda: convert(efile, str(tmp_path / "c.txt"), "text")):
+        with pytest.raises(FormatError, match="g.grpe: too short for a binary edge header"):
+            run()
+    assert streamcut.cli.main(["cut-stats", efile.path, str(tmp_path / "l.grpl")]) == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe", "l.grpl"]
 
 
@@ -233,27 +232,6 @@ def test_shuffle_scatter_path_preserves_multiset(tmp_path):
     assert not np.array_equal(shuffled, edges)
 
 
-def reference_shuffle(edges, budget, rng_seed):
-    """The documented shuffle: one uniform bucket draw per edge in file order
-    (in blocks of the streaming size), stable grouping by bucket, then one
-    ``rng.permutation`` per bucket; a single permutation when all edges fit."""
-    rng = np.random.default_rng(rng_seed)
-    if len(edges) * 16 <= budget:
-        return edges[rng.permutation(len(edges))]
-    nbuckets = -(-len(edges) * 16 // (budget // 2))
-    block = max(1024, budget // 4 // 16)
-    ids = np.concatenate([
-        rng.integers(0, nbuckets, size=len(edges[lo : lo + block]))
-        for lo in range(0, len(edges), block)
-    ])
-    out = []
-    for b in range(nbuckets):
-        bucket = edges[ids == b]
-        assert len(bucket) * 16 <= budget  # no bucket is re-scattered
-        out.append(bucket[rng.permutation(len(bucket))])
-    return np.concatenate(out)
-
-
 @pytest.mark.parametrize(
     "num_edges, budget",
     [(3000, 1 << 20), (5000, 1 << 16), (20000, 1 << 16)],  # in memory, 3 and 10 buckets
@@ -299,31 +277,30 @@ def test_shuffle_rescatters_a_bucket_above_the_budget(tmp_path, monkeypatch):
     edges = rng.integers(0, 400, size=(5000, 2))
     efile = make_edge_file(tmp_path / "g.grpe", edges, 400)
     out = tmp_path / "s.grpe"
-    for kernel in each_kernel(monkeypatch):
-        rigged = []
-        real_default_rng = np.random.default_rng
+    rigged = []
+    real_default_rng = np.random.default_rng
 
-        def default_rng(seed):
-            rigged.append(FirstScatterToBucketZero(real_default_rng(seed), rigged=5))
-            return rigged[-1]
+    def default_rng(seed):
+        rigged.append(FirstScatterToBucketZero(real_default_rng(seed), rigged=5))
+        return rigged[-1]
 
-        loads, left = [], []
-        real_read_all = edgefile.read_all_edges
+    loads, left = [], []
+    real_read_all = edgefile.read_all_edges
 
-        def read_all_edges(source):
-            loads.append(source.meta.num_edges)
-            left.append(sorted(p.name for p in tmp_path.iterdir() if ".scatter" in p.name))
-            return real_read_all(source)
+    def read_all_edges(source):
+        loads.append(source.meta.num_edges)
+        left.append(sorted(p.name for p in tmp_path.iterdir() if ".scatter" in p.name))
+        return real_read_all(source)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(edgefile.np.random, "default_rng", default_rng)
-            patch.setattr(edgefile, "read_all_edges", read_all_edges)
-            shuffled = read_all_edges_of(external_shuffle(efile, str(out), IO_BLOCK, 3))
-        assert rigged[0].rigged == 0 and rigged[0].integers_calls == 10, kernel  # 5 + 5 again
-        assert sorted(map(tuple, shuffled.tolist())) == sorted(map(tuple, edges.tolist()))
-        assert sum(loads) == 5000 and max(loads) * 16 <= IO_BLOCK, (kernel, loads)
-        assert left[-1] == ["s.grpe.scatter2"], kernel  # each temporary goes once it is used
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe", "s.grpe"], kernel
+    with monkeypatch.context() as patch:
+        patch.setattr(edgefile.np.random, "default_rng", default_rng)
+        patch.setattr(edgefile, "read_all_edges", read_all_edges)
+        shuffled = read_all_edges_of(external_shuffle(efile, str(out), IO_BLOCK, 3))
+    assert rigged[0].rigged == 0 and rigged[0].integers_calls == 10  # 5 + 5 again
+    assert sorted(map(tuple, shuffled.tolist())) == sorted(map(tuple, edges.tolist()))
+    assert sum(loads) == 5000 and max(loads) * 16 <= IO_BLOCK, loads
+    assert left[-1] == ["s.grpe.scatter2"]  # each temporary goes once it is used
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grpe", "s.grpe"]
 
 
 @pytest.mark.parametrize("budget", [1 << 16, 1 << 24])  # scatter path, in-memory path

@@ -21,14 +21,13 @@ from streamcut import (
     seed_bisect,
     write_labels,
 )
-from streamcut import _kernels, grem, model
+from streamcut import grem, model
 from streamcut.grem import assign, default_capacity, process_chunk
 from streamcut.synth import CliqueUnionSpec, PathSpec, generate
 
 from helpers import (
     PROPERTY_SETTINGS,
     brute_force_cut,
-    each_kernel,
     make_edge_file,
     random_multigraph,
     recount_sizes,
@@ -68,99 +67,111 @@ def _sweep_counts(node, edges, parts, refine=False):
     return float(state.lean[node])
 
 
-def test_process_chunk_neighbor_count_examples(monkeypatch):
-    for kernel in each_kernel(monkeypatch):
-        edges = [[0, 1], [0, 2], [2, 3]]
-        assert _sweep_counts(0, edges, [-1, 0, 1, 0]) == 0.0, kernel  # (c0, c1) = (1, 1)
-        # unassigned neighbors count for neither side
-        assert _sweep_counts(0, edges, [-1, 0, -1, 0]) == -1.0, kernel  # (1, 0)
-        assert _sweep_counts(0, edges, [-1, -1, 1, 0]) == 1.0, kernel  # (0, 1)
-        assert _sweep_counts(0, [[0, 1]], [-1, -1]) == 0.0, kernel  # (0, 0)
+def test_process_chunk_neighbor_count_examples():
+    edges = [[0, 1], [0, 2], [2, 3]]
+    assert _sweep_counts(0, edges, [-1, 0, 1, 0]) == 0.0  # (c0, c1) = (1, 1)
+    # unassigned neighbors count for neither side
+    assert _sweep_counts(0, edges, [-1, 0, -1, 0]) == -1.0  # (1, 0)
+    assert _sweep_counts(0, edges, [-1, -1, 1, 0]) == 1.0  # (0, 1)
+    assert _sweep_counts(0, [[0, 1]], [-1, -1]) == 0.0  # (0, 0)
 
 
-def test_process_chunk_absent_node_untouched(monkeypatch):
-    for kernel in each_kernel(monkeypatch):
-        state = PartitionState(10, capacity=10)
-        state.lean[9] = -2.0
-        chunk = EdgeChunk(1, np.array([[0, 1]]))
-        assert 9 not in chunk.nodes.tolist()
-        process_chunk(state, chunk, GremConfig(chunk_frac=1.0))
-        assert state.parts[9] == -1, kernel
-        assert state.lean[9] == -2.0, kernel
+def test_process_chunk_absent_node_untouched():
+    state = PartitionState(10, capacity=10)
+    state.lean[9] = -2.0
+    chunk = EdgeChunk(1, np.array([[0, 1]]))
+    assert 9 not in chunk.nodes.tolist()
+    process_chunk(state, chunk, GremConfig(chunk_frac=1.0))
+    assert state.parts[9] == -1
+    assert state.lean[9] == -2.0
 
 
-def test_process_chunk_duplicates_and_self_loops(monkeypatch):
-    for kernel in each_kernel(monkeypatch):
-        # duplicates count with multiplicity
-        assert _sweep_counts(0, [[0, 1], [0, 1], [1, 0]], [-1, 1]) == 3.0, kernel  # (0, 3)
-        # self-loops never count, even when the node is assigned while counting
-        loops = [[0, 0], [0, 0], [0, 1]]
-        assert _sweep_counts(0, loops, [0, 1], refine=True) == 0.5, kernel  # (0, 0.5)
-        assert _sweep_counts(0, [[0, 0], [0, 1]], [0, 0], refine=True) == -0.5, kernel
+def test_process_chunk_duplicates_and_self_loops():
+    # duplicates count with multiplicity
+    assert _sweep_counts(0, [[0, 1], [0, 1], [1, 0]], [-1, 1]) == 3.0  # (0, 3)
+    # self-loops never count, even when the node is assigned while counting
+    loops = [[0, 0], [0, 0], [0, 1]]
+    assert _sweep_counts(0, loops, [0, 1], refine=True) == 0.5  # (0, 0.5)
+    assert _sweep_counts(0, [[0, 0], [0, 1]], [0, 0], refine=True) == -0.5
 
 
-def test_process_chunk_counts_match_double_loop_oracle(monkeypatch):
-    for kernel in each_kernel(monkeypatch):
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            edges, num_nodes = random_multigraph(rng, max_nodes=20, max_edges=50)
-            chunk_nodes = EdgeChunk(1, edges).nodes.tolist()
-            for node in chunk_nodes:
-                parts = rng.integers(-1, 2, size=num_nodes).tolist()
-                for other in chunk_nodes:
-                    if other < node and parts[other] == -1:
-                        parts[other] = int(rng.integers(0, 2))
-                parts[node] = -1
-                c0, c1 = count_node_neighbors(node, edges.tolist(), parts)
-                assert _sweep_counts(node, edges, parts) == c1 - c0, kernel
-            # refinement path: the lowest chunk node, assigned, counted against live labels
+def test_process_chunk_counts_match_double_loop_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        edges, num_nodes = random_multigraph(rng, max_nodes=20, max_edges=50)
+        chunk_nodes = EdgeChunk(1, edges).nodes.tolist()
+        for node in chunk_nodes:
             parts = rng.integers(-1, 2, size=num_nodes).tolist()
-            node = chunk_nodes[0]
-            parts[node] = int(rng.integers(0, 2))
+            for other in chunk_nodes:
+                if other < node and parts[other] == -1:
+                    parts[other] = int(rng.integers(0, 2))
+            parts[node] = -1
             c0, c1 = count_node_neighbors(node, edges.tolist(), parts)
-            assert 2 * _sweep_counts(node, edges, parts, refine=True) == c1 - c0, kernel
+            assert _sweep_counts(node, edges, parts) == c1 - c0
+        # refinement path: the lowest chunk node, assigned, counted against live labels
+        parts = rng.integers(-1, 2, size=num_nodes).tolist()
+        node = chunk_nodes[0]
+        parts[node] = int(rng.integers(0, 2))
+        c0, c1 = count_node_neighbors(node, edges.tolist(), parts)
+        assert 2 * _sweep_counts(node, edges, parts, refine=True) == c1 - c0
 
 
-def test_process_chunk_rejects_ids_outside_state(monkeypatch):
-    for kernel in each_kernel(monkeypatch):
-        state = PartitionState(3, capacity=3)
-        with pytest.raises(FormatError):
-            process_chunk(state, EdgeChunk(1, np.array([[0, 3]])), GremConfig(chunk_frac=1.0))
-        assert state.parts.tolist() == [-1, -1, -1], kernel
+def test_process_chunk_rejects_ids_outside_state():
+    state = PartitionState(3, capacity=3)
+    with pytest.raises(FormatError):
+        process_chunk(state, EdgeChunk(1, np.array([[0, 3]])), GremConfig(chunk_frac=1.0))
+    assert state.parts.tolist() == [-1, -1, -1]
 
 
+def test_process_chunk_leaves_the_state_as_it_was_on_an_empty_chunk():
+    # an empty chunk holds no keys, only its empty CSR index
+    chunk = EdgeChunk(1, np.empty((0, 2), dtype=np.int64))
+    assert chunk.keys is None and chunk.nodes.size == 0
+    for refine in (True, False):
+        state = PartitionState(4, capacity=2)
+        state.parts[:] = [0, 1, -1, 1]
+        state.sizes = [1, 2]
+        state.lean[:] = [-1.0, 2.5, 0.0, 0.5]
+        state.visited, state.moved = 3, 1
+        assert process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=refine)) is state
+        assert state.parts.tolist() == [0, 1, -1, 1]
+        assert state.sizes == [1, 2]
+        assert state.lean.tolist() == [-1.0, 2.5, 0.0, 0.5]
+        assert (state.visited, state.moved) == (3, 1)
 
-def _sweep_both(edges, start, leans, capacity, refine, sizes=None):
-    """The states the native and the Python sweep leave from one start, and
-    the error each raised (None when it raised none)."""
-    chunk = EdgeChunk(1, np.array(edges, dtype=np.int64))
+
+def _sweep_and_oracle(edges, start, leans, capacity, refine, sizes=None):
+    """The (state, error) the sweep and its ``_csr_sweep`` oracle each leave
+    from one start, error None when none was raised; the oracle's state
+    carries its leans, ``nbr1 - nbr0``."""
+    chunk_edges = np.array(edges, dtype=np.int64)
+    index = model.build_adjacency((chunk_edges,), len(chunk_edges), len(start))
+    nbr0, nbr1 = np.zeros(len(start)), np.array(leans, dtype=np.float64)
     config = GremConfig(chunk_frac=1.0, refine=refine)
-    runs = {}
-    with pytest.MonkeyPatch.context() as patch:
-        for kernel in each_kernel(patch):
-            state = PartitionState(len(start), capacity)
-            state.parts[:] = start
-            state.sizes = list(sizes) if sizes is not None else recount_sizes(start)
-            state.lean[:] = leans
-            try:
-                process_chunk(state, chunk, config)
-                error = None
-            except CapacityError as exc:
-                error = exc
-            runs[kernel] = state, error
-    return runs
+
+    def run(sweep):
+        state = PartitionState(len(start), capacity)
+        state.parts[:] = start
+        state.sizes = list(sizes) if sizes is not None else recount_sizes(start)
+        state.lean[:] = leans
+        try:
+            sweep(state)
+        except CapacityError as exc:
+            return state, exc
+        return state, None
+
+    got = run(lambda state: process_chunk(state, EdgeChunk(1, chunk_edges), config))
+    want = run(lambda state: _csr_sweep(state, nbr0, nbr1, index, refine))
+    want[0].lean[:] = nbr1 - nbr0
+    return got, want
 
 
-def _assert_same_sweep(runs):
-    (native, native_error), (python, python_error) = runs["native"], runs["python"]
-    assert type(native_error) is type(python_error)
-    _assert_same_state(native, python)
-
-
-def _assert_same_state(a, b):
+def _assert_same_sweep(got, want):
+    (a, a_error), (b, b_error) = got, want
+    assert type(a_error) is type(b_error)
     assert a.parts.tolist() == b.parts.tolist()
     assert a.sizes == b.sizes
-    assert a.lean.tobytes() == b.lean.tobytes()
+    assert a.lean.tolist() == b.lean.tolist()
     assert (a.visited, a.moved) == (b.visited, b.moved)
 
 
@@ -195,19 +206,20 @@ _LEANS = [-7.0, -2.75, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.75, 7.0]
 @example(edges=[(0, 13), (0, 14), (0, 1)], start=[0] * 13 + [1] * 2 + [-1] * 10,
          estimates=[2.75] + [0.0] * 24, slack=0.0, refine=True)
 def test_process_chunk_native_equals_python_property(edges, start, estimates, slack, refine):
-    # from any start (some nodes placed, stored leans of any value) both
-    # sweeps leave the same labels, leans and sizes, bit for bit
-    runs = _sweep_both(edges, start, estimates, default_capacity(25, slack), refine)
-    _assert_same_sweep(runs)
-    assert runs["native"][1] is None
-    assert runs["python"][0].sizes == recount_sizes(runs["python"][0].parts)
+    # from any start (some nodes placed, stored leans of any value) the sweep
+    # leaves the labels, leans, sizes and counts of the plain-Python CSR loop
+    got, want = _sweep_and_oracle(edges, start, estimates, default_capacity(25, slack), refine)
+    _assert_same_sweep(got, want)
+    assert got[1] is None
+    assert got[0].sizes == recount_sizes(got[0].parts)
 
 
 @pytest.mark.parametrize("refine", [True, False])
 def test_process_chunk_capacity_error_native_equals_python(refine):
     # sizes claimed above the labels' own counts: the sweep reaches a node no
-    # side can take and stops there, in both kernels, leaving the same labels,
-    # leans and sizes (the failing node lifted out of its old side)
+    # side can take and stops there, as the plain-Python CSR loop does, leaving
+    # the same labels, leans and sizes (the failing node lifted out of its old
+    # side)
     leans = [0.5, -2.25, 0.0, 1.75, -7.0, 0.0]
     for start, sizes in (
         ([0, 1, -1, -1, 0, -1], (2, 2)),  # node 0 re-placed, then node 2 fails
@@ -215,10 +227,10 @@ def test_process_chunk_capacity_error_native_equals_python(refine):
         ([1, 0, 1, -1, -1, 0], (2, 3)),  # side 1 claimed over capacity
         ([-1, -1, -1, -1, -1, -1], (2, 2)),  # the first fresh node fails
     ):
-        runs = _sweep_both([(0, 2), (0, 1), (2, 3), (1, 4), (5, 0)], start, leans, 2, refine,
-                           sizes)
-        _assert_same_sweep(runs)
-        assert isinstance(runs["native"][1], CapacityError), (start, sizes)
+        got, want = _sweep_and_oracle([(0, 2), (0, 1), (2, 3), (1, 4), (5, 0)], start, leans, 2,
+                                      refine, sizes)
+        _assert_same_sweep(got, want)
+        assert isinstance(got[1], CapacityError), (start, sizes)
 
 
 def _csr_sweep(state, nbr0, nbr1, index, refine):
@@ -274,78 +286,67 @@ def test_key_sweep_equals_the_csr_loop_property(layout, top_at, edges, loop_only
                                                  start, estimates, headroom, refine, traced):
     # a multigraph with duplicates, self-loops and self-loop-only nodes over
     # 13 local ids spread over a width that selects each key layout, local
-    # id 12 at the top: the sweep under both kernels, run twice, leaves the
-    # labels, sizes, estimates and counts the CSR loop leaves, also after
-    # the chunk's CSR was built first, as the benchmark's tracer builds it
+    # id 12 at the top: the sweep, run twice, leaves the labels, sizes,
+    # estimates and counts the CSR loop leaves, also after the chunk's CSR
+    # was built first, as the benchmark's tracer builds it
     top = _LAYOUTS[layout][top_at]
     ids = sorted({int(f * top) for f in spread} | {top})
     ids += [top] * (13 - len(ids))  # ids drawn twice leave local ids that share one
     local = np.array(edges + [(n, n) for n in loop_only] + [edges[0], (anchor, 12)])
     chunk_edges = np.array(ids, dtype=np.int64)[local]
     num_nodes = top + 2
-    with pytest.MonkeyPatch.context() as patch:
-        index = model.build_adjacency((chunk_edges,), len(chunk_edges), top + 1)
+    index = model.build_adjacency((chunk_edges,), len(chunk_edges), top + 1)
 
-        nbr0, nbr1 = np.zeros(num_nodes), np.zeros(num_nodes)
-        nbr0[ids], nbr1[ids] = estimates[:13], estimates[13:]
+    nbr0, nbr1 = np.zeros(num_nodes), np.zeros(num_nodes)
+    nbr0[ids], nbr1[ids] = estimates[:13], estimates[13:]
 
-        def sweep_twice(sweep):
-            state, error = PartitionState(num_nodes, 0), None
-            state.parts[ids] = start
-            state.lean[:] = nbr1 - nbr0
-            state.sizes = recount_sizes(state.parts)
-            state.capacity = max(state.sizes) + headroom
-            try:
-                for _ in range(2):
-                    sweep(state)
-            except CapacityError as exc:
-                error = exc
-            return state, error
+    def sweep_twice(sweep):
+        state, error = PartitionState(num_nodes, 0), None
+        state.parts[ids] = start
+        state.lean[:] = nbr1 - nbr0
+        state.sizes = recount_sizes(state.parts)
+        state.capacity = max(state.sizes) + headroom
+        try:
+            for _ in range(2):
+                sweep(state)
+        except CapacityError as exc:
+            error = exc
+        return state, error
 
-        want_nbr0, want_nbr1 = nbr0.copy(), nbr1.copy()
-        want, want_error = sweep_twice(
-            lambda state: _csr_sweep(state, want_nbr0, want_nbr1, index, refine))
-        config = GremConfig(chunk_frac=1.0, refine=refine)
-        runs = {}
-        for kernel in each_kernel(patch):
-            chunk = EdgeChunk(1, chunk_edges)
-            assert chunk.keys.dtype == {"u32": np.uint32, "u64": np.uint64}[layout], kernel
-            if traced:
-                assert chunk.nodes.tolist() == index[0].tolist(), kernel
-            got, error = sweep_twice(lambda state: process_chunk(state, chunk, config))
-            assert type(error) is type(want_error), kernel
-            assert got.parts.tolist() == want.parts.tolist(), kernel
-            assert got.sizes == want.sizes, kernel
-            assert got.lean.tolist() == (want_nbr1 - want_nbr0).tolist(), kernel
-            assert (got.visited, got.moved) == (want.visited, want.moved), kernel
-            runs[kernel] = got
-        _assert_same_state(runs["native"], runs["python"])
+    want_nbr0, want_nbr1 = nbr0.copy(), nbr1.copy()
+    want = sweep_twice(lambda state: _csr_sweep(state, want_nbr0, want_nbr1, index, refine))
+    want[0].lean[:] = want_nbr1 - want_nbr0
+    config = GremConfig(chunk_frac=1.0, refine=refine)
+    chunk = EdgeChunk(1, chunk_edges)
+    assert chunk.keys.dtype == {"u32": np.uint32, "u64": np.uint64}[layout]
+    if traced:
+        assert chunk.nodes.tolist() == index[0].tolist()
+    _assert_same_sweep(sweep_twice(lambda state: process_chunk(state, chunk, config)), want)
 
 
 @pytest.mark.parametrize("passes", [1, 2])
-def test_sweep_counts_equal_a_diff_of_labels(tmp_path, monkeypatch, passes):
+def test_sweep_counts_equal_a_diff_of_labels(tmp_path, passes):
     # after each chunk, the visited count grows by the chunk's nodes and the
     # moved count by the placed nodes whose label changed; the seeded chunk
     # counts for neither
     edges, num_nodes = random_multigraph(np.random.default_rng(8), max_nodes=60, max_edges=500)
     efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
-    for kernel in each_kernel(monkeypatch):
-        for refine in (True, False):
-            config = GremConfig(chunk_edges=40, refine=refine, passes=passes)
-            chunk_nodes = [EdgeChunk(0, block).nodes for block in
-                           grem.iter_edge_blocks(efile, 40)] * passes
-            seen = []
-            grem.bisect(efile, config, on_chunk=lambda state: seen.append(
-                (state.parts.copy(), state.visited, state.moved)))
-            assert len(seen) == len(chunk_nodes)
-            assert seen[0][1:] == (0, 0), (kernel, refine)  # the seeded chunk
-            for (before, visited, moved), (after, now_visited, now_moved), nodes in zip(
-                    seen, seen[1:], chunk_nodes[1:]):
-                changed = (before[nodes] != -1) & (after[nodes] != before[nodes])
-                assert now_visited - visited == nodes.size, (kernel, refine)
-                assert now_moved - moved == int(changed.sum()), (kernel, refine)
-                assert (after != before).sum() == (before[nodes] != after[nodes]).sum()
-            assert seen[-1][2] > 0 or not refine, kernel
+    for refine in (True, False):
+        config = GremConfig(chunk_edges=40, refine=refine, passes=passes)
+        chunk_nodes = [EdgeChunk(0, block).nodes for block in
+                       grem.iter_edge_blocks(efile, 40)] * passes
+        seen = []
+        grem.bisect(efile, config, on_chunk=lambda state: seen.append(
+            (state.parts.copy(), state.visited, state.moved)))
+        assert len(seen) == len(chunk_nodes)
+        assert seen[0][1:] == (0, 0), refine  # the seeded chunk
+        for (before, visited, moved), (after, now_visited, now_moved), nodes in zip(
+                seen, seen[1:], chunk_nodes[1:]):
+            changed = (before[nodes] != -1) & (after[nodes] != before[nodes])
+            assert now_visited - visited == nodes.size, refine
+            assert now_moved - moved == int(changed.sum()), refine
+            assert (after != before).sum() == (before[nodes] != after[nodes]).sum()
+        assert seen[-1][2] > 0 or not refine
 
 
 # ------------------------------------------------------------------ assign
@@ -369,52 +370,46 @@ def test_assign_both_full_is_an_error():
 # ----------------------------------------------------------- process_chunk
 
 
-def test_process_chunk_averages_and_keeps_majority(monkeypatch):
-    for kernel in each_kernel(monkeypatch):
-        # node 0 previously in partition 0 with stored counts (4, 0), lean -4;
-        # the chunk shows two neighbors in partition 1 (lean 2) -> averaged
-        # (2, 1), lean -1, keeps it in 0.
-        state = PartitionState(5, capacity=3)
-        state.parts[:] = [0, 1, 1, 0, -1]
-        state.sizes = [2, 2]
-        state.lean[0] = -4.0
-        chunk = EdgeChunk(1, np.array([[0, 1], [0, 2]]))
-        process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=True))
-        assert state.parts[0] == 0, kernel
-        assert state.lean[0] == -1.0, kernel
-        assert state.sizes == recount_sizes(state.parts), kernel
+def test_process_chunk_averages_and_keeps_majority():
+    # node 0 previously in partition 0 with stored counts (4, 0), lean -4;
+    # the chunk shows two neighbors in partition 1 (lean 2) -> averaged
+    # (2, 1), lean -1, keeps it in 0.
+    state = PartitionState(5, capacity=3)
+    state.parts[:] = [0, 1, 1, 0, -1]
+    state.sizes = [2, 2]
+    state.lean[0] = -4.0
+    chunk = EdgeChunk(1, np.array([[0, 1], [0, 2]]))
+    process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=True))
+    assert state.parts[0] == 0
+    assert state.lean[0] == -1.0
+    assert state.sizes == recount_sizes(state.parts)
 
 
-def test_process_chunk_fixed_mode_skips_assigned(monkeypatch):
-    for kernel in each_kernel(monkeypatch):
-        state = PartitionState(5, capacity=3)
-        state.parts[:] = [0, 1, 1, 0, -1]
-        state.sizes = [2, 2]
-        state.lean[0] = -4.0
-        chunk = EdgeChunk(1, np.array([[0, 1], [0, 2]]))
-        process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=False))
-        assert state.parts.tolist() == [0, 1, 1, 0, -1], kernel
-        assert state.lean[0] == -4.0, kernel
-        assert state.sizes == [2, 2], kernel
+def test_process_chunk_fixed_mode_skips_assigned():
+    state = PartitionState(5, capacity=3)
+    state.parts[:] = [0, 1, 1, 0, -1]
+    state.sizes = [2, 2]
+    state.lean[0] = -4.0
+    chunk = EdgeChunk(1, np.array([[0, 1], [0, 2]]))
+    process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=False))
+    assert state.parts.tolist() == [0, 1, 1, 0, -1]
+    assert state.lean[0] == -4.0
+    assert state.sizes == [2, 2]
 
 
-def test_process_chunk_assigns_fresh_nodes_in_both_modes(monkeypatch):
-    for kernel in each_kernel(monkeypatch):
-        for refine in (True, False):
-            state = PartitionState(4, capacity=2)
-            state.parts[:] = [0, 1, -1, -1]
-            state.sizes = [1, 1]
-            chunk = EdgeChunk(1, np.array([[2, 1], [2, 1], [3, 0]]))
-            process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=refine))
-            assert state.parts.tolist() == [0, 1, 1, 0], (kernel, refine)
-            assert state.lean[2] == 2.0, (kernel, refine)  # (c0, c1) = (0, 2)
-            assert state.sizes == recount_sizes(state.parts) == [2, 2], (kernel, refine)
+def test_process_chunk_assigns_fresh_nodes_in_both_modes():
+    for refine in (True, False):
+        state = PartitionState(4, capacity=2)
+        state.parts[:] = [0, 1, -1, -1]
+        state.sizes = [1, 1]
+        chunk = EdgeChunk(1, np.array([[2, 1], [2, 1], [3, 0]]))
+        process_chunk(state, chunk, GremConfig(chunk_frac=1.0, refine=refine))
+        assert state.parts.tolist() == [0, 1, 1, 0], refine
+        assert state.lean[2] == 2.0, refine  # (c0, c1) = (0, 2)
+        assert state.sizes == recount_sizes(state.parts) == [2, 2], refine
 
 
-@pytest.mark.parametrize("kernel", ["native", "python"])
-def test_process_chunk_capacity_error(monkeypatch, kernel):
-    if kernel == "python":
-        monkeypatch.setattr(_kernels, "sweep", None)
+def test_process_chunk_capacity_error():
     # both sides full and a fresh node to place: the size accounting is broken
     state = PartitionState(4, capacity=1)
     state.parts[:] = [0, 1, -1, -1]
@@ -426,7 +421,7 @@ def test_process_chunk_capacity_error(monkeypatch, kernel):
     assert state.sizes == [1, 1]
 
 
-def test_three_chunk_hand_trace_matches_interpreter(tmp_path, monkeypatch):
+def test_three_chunk_hand_trace_matches_interpreter(tmp_path):
     edges = np.array(
         [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [2, 3], [0, 4], [1, 5]],
         dtype=np.int64,
@@ -434,72 +429,68 @@ def test_three_chunk_hand_trace_matches_interpreter(tmp_path, monkeypatch):
     num_nodes = 6
     cap = default_capacity(num_nodes)
     efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
-    for kernel in each_kernel(monkeypatch):
-        for refine in (True, False):
-            config = GremConfig(chunk_edges=3, refine=refine)
-            labels, _ = bisect(efile, config)
-            expected = run_reference(
-                edges.tolist(), num_nodes, 3, cap, library_seed_fn(num_nodes, cap), refine=refine
-            )
-            assert labels.tolist() == expected, (kernel, refine)
+    for refine in (True, False):
+        config = GremConfig(chunk_edges=3, refine=refine)
+        labels, _ = bisect(efile, config)
+        expected = run_reference(
+            edges.tolist(), num_nodes, 3, cap, library_seed_fn(num_nodes, cap), refine=refine
+        )
+        assert labels.tolist() == expected, refine
 
 
 # ------------------------------------------------------------------ bisect
 
 
-def test_bisect_two_cliques_full_chunk(tmp_path, monkeypatch):
+def test_bisect_two_cliques_full_chunk(tmp_path):
     edges, _ = generate(CliqueUnionSpec(2, 16, bridges=1))
     efile = make_edge_file(tmp_path / "g.grpe", edges, 32)
     shuffled = external_shuffle(efile, str(tmp_path / "s.grpe"), 1 << 22, rng_seed=5)
-    for kernel in each_kernel(monkeypatch):
-        labels, report = bisect(shuffled, GremConfig(chunk_frac=1.0))
-        assert report.cut_edges == 1, kernel
-        assert sorted(report.partition_sizes) == [16, 16], kernel
-        assert report.balance_ratio == 1.0, kernel
+    labels, report = bisect(shuffled, GremConfig(chunk_frac=1.0))
+    assert report.cut_edges == 1
+    assert sorted(report.partition_sizes) == [16, 16]
+    assert report.balance_ratio == 1.0
 
 
-def test_bisect_sizes_invariants(tmp_path, monkeypatch):
-    for kernel in each_kernel(monkeypatch):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            edges, num_nodes = random_multigraph(rng, max_nodes=30, max_edges=200)
-            efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
-            config = GremConfig(chunk_frac=0.25)
-            cap = default_capacity(num_nodes)
+def test_bisect_sizes_invariants(tmp_path):
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        edges, num_nodes = random_multigraph(rng, max_nodes=30, max_edges=200)
+        efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
+        config = GremConfig(chunk_frac=0.25)
+        cap = default_capacity(num_nodes)
 
-            def checkpoint(state):
-                assert state.sizes == recount_sizes(state.parts), kernel
-                assert state.sizes[0] <= cap and state.sizes[1] <= cap, kernel
+        def checkpoint(state):
+            assert state.sizes == recount_sizes(state.parts)
+            assert state.sizes[0] <= cap and state.sizes[1] <= cap
 
-            labels, report = bisect(efile, config, on_chunk=checkpoint)
-            sizes = np.bincount(labels, minlength=2)
-            assert sizes[0] <= cap and sizes[1] <= cap, kernel
-            assert int(sizes.sum()) == num_nodes, kernel
-            assert report.cut_edges == brute_force_cut(edges, labels), kernel
+        labels, report = bisect(efile, config, on_chunk=checkpoint)
+        sizes = np.bincount(labels, minlength=2)
+        assert sizes[0] <= cap and sizes[1] <= cap
+        assert int(sizes.sum()) == num_nodes
+        assert report.cut_edges == brute_force_cut(edges, labels)
 
 
-def test_bisect_matches_reference_on_random_graphs(tmp_path, monkeypatch):
-    for kernel in each_kernel(monkeypatch):
-        rng = np.random.default_rng(101)
-        for trial in range(12):
-            edges, num_nodes = random_multigraph(rng, max_nodes=25, max_edges=150)
-            efile = make_edge_file(tmp_path / f"g{trial}.grpe", edges, num_nodes)
-            chunk_edges = int(rng.integers(1, len(edges) + 1))
-            passes = int(rng.integers(1, 3))
-            refine = bool(rng.integers(0, 2))
-            config = GremConfig(chunk_edges=chunk_edges, refine=refine, passes=passes)
-            cap = default_capacity(num_nodes)
-            labels, _ = bisect(efile, config)
-            expected = run_reference(
-                edges.tolist(),
-                num_nodes,
-                chunk_edges,
-                cap,
-                library_seed_fn(num_nodes, cap),
-                refine=refine,
-                passes=passes,
-            )
-            assert labels.tolist() == expected, (kernel, trial, chunk_edges, refine, passes)
+def test_bisect_matches_reference_on_random_graphs(tmp_path):
+    rng = np.random.default_rng(101)
+    for trial in range(12):
+        edges, num_nodes = random_multigraph(rng, max_nodes=25, max_edges=150)
+        efile = make_edge_file(tmp_path / f"g{trial}.grpe", edges, num_nodes)
+        chunk_edges = int(rng.integers(1, len(edges) + 1))
+        passes = int(rng.integers(1, 3))
+        refine = bool(rng.integers(0, 2))
+        config = GremConfig(chunk_edges=chunk_edges, refine=refine, passes=passes)
+        cap = default_capacity(num_nodes)
+        labels, _ = bisect(efile, config)
+        expected = run_reference(
+            edges.tolist(),
+            num_nodes,
+            chunk_edges,
+            cap,
+            library_seed_fn(num_nodes, cap),
+            refine=refine,
+            passes=passes,
+        )
+        assert labels.tolist() == expected, (trial, chunk_edges, refine, passes)
 
 
 @st.composite
@@ -513,13 +504,9 @@ def _streaming_runs(draw):
     return edges, num_nodes, chunk_edges, slack, draw(st.integers(1, 3)), draw(st.booleans())
 
 
-@pytest.mark.parametrize("kernel", ["native", "python"])
 @PROPERTY_SETTINGS
 @given(run=_streaming_runs())
-def test_bisect_matches_reference_property(tmp_path, monkeypatch, kernel, run):
-    if kernel == "python":
-        monkeypatch.setattr(_kernels, "sweep", None)
-        monkeypatch.setattr(_kernels, "bfs_grow", None)
+def test_bisect_matches_reference_property(tmp_path, run):
     edges, num_nodes, chunk_edges, slack, passes, refine = run
     efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
     config = GremConfig(chunk_edges=chunk_edges, capacity_slack=slack, refine=refine, passes=passes)
@@ -530,60 +517,55 @@ def test_bisect_matches_reference_property(tmp_path, monkeypatch, kernel, run):
     assert labels.tolist() == expected
 
 
-def test_bisect_full_chunk_refine_equals_fixed(tmp_path, monkeypatch):
+def test_bisect_full_chunk_refine_equals_fixed(tmp_path):
     rng = np.random.default_rng(7)
     edges, num_nodes = random_multigraph(rng, max_nodes=30, max_edges=200)
     efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
-    for kernel in each_kernel(monkeypatch):
-        on_labels, _ = bisect(efile, GremConfig(chunk_frac=1.0, refine=True))
-        off_labels, _ = bisect(efile, GremConfig(chunk_frac=1.0, refine=False))
-        assert np.array_equal(on_labels, off_labels), kernel
+    on_labels, _ = bisect(efile, GremConfig(chunk_frac=1.0, refine=True))
+    off_labels, _ = bisect(efile, GremConfig(chunk_frac=1.0, refine=False))
+    assert np.array_equal(on_labels, off_labels)
 
 
-def test_bisect_deterministic(tmp_path, monkeypatch):
+def test_bisect_deterministic(tmp_path):
     rng = np.random.default_rng(8)
     edges, num_nodes = random_multigraph(rng)
     efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
     config = GremConfig(chunk_frac=0.2)
-    for kernel in each_kernel(monkeypatch):
-        a, _ = bisect(efile, config)
-        b, _ = bisect(efile, config)
-        assert np.array_equal(a, b), kernel
+    a, _ = bisect(efile, config)
+    b, _ = bisect(efile, config)
+    assert np.array_equal(a, b)
 
 
-def test_bisect_isolated_nodes_fill(tmp_path, monkeypatch):
+def test_bisect_isolated_nodes_fill(tmp_path):
     # nodes 4..9 never appear in any edge
     efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [2, 3]], 10)
-    for kernel in each_kernel(monkeypatch):
-        labels, report = bisect(efile, GremConfig(chunk_frac=1.0))
-        sizes = np.bincount(labels, minlength=2)
-        assert sizes.tolist() == [5, 5], kernel
-        assert sum(report.partition_sizes) == 10, kernel
+    labels, report = bisect(efile, GremConfig(chunk_frac=1.0))
+    sizes = np.bincount(labels, minlength=2)
+    assert sizes.tolist() == [5, 5]
+    assert sum(report.partition_sizes) == 10
 
 
-def test_bisect_empty_edge_file(tmp_path, monkeypatch):
+def test_bisect_empty_edge_file(tmp_path):
     efile = make_edge_file(tmp_path / "g.grpe", np.empty((0, 2)), 5)
-    for kernel in each_kernel(monkeypatch):
-        labels, report = bisect(efile, GremConfig(chunk_frac=0.5))
-        assert sorted(np.bincount(labels, minlength=2).tolist()) == [2, 3], kernel
-        assert report.cut_edges == 0, kernel
+    labels, report = bisect(efile, GremConfig(chunk_frac=0.5))
+    assert sorted(np.bincount(labels, minlength=2).tolist()) == [2, 3]
+    assert report.cut_edges == 0
 
 
-def test_capacities_above_the_node_count_act_as_the_node_count(tmp_path, monkeypatch):
+def test_capacities_above_the_node_count_act_as_the_node_count(tmp_path):
     # a capacity past int64 reaches the kernels clamped, never wrapped (2**64 + 3
     # would be 3, 2**70 would be 0)
     edges, _ = generate(PathSpec(4))
     efile = make_edge_file(tmp_path / "g.grpe", edges, 4)
     config = GremConfig(chunk_frac=0.5)
-    for kernel in each_kernel(monkeypatch):
-        want, _ = bisect(efile, config, capacity=4)
-        for capacity in (2**63, 2**64 + 3, 2**70):
-            got, _ = bisect(efile, config, capacity=capacity)
-            assert got.tolist() == want.tolist(), (kernel, capacity)
-        assert PartitionState(4, 2**70).capacity == 4
+    want, _ = bisect(efile, config, capacity=4)
+    for capacity in (2**63, 2**64 + 3, 2**70):
+        got, _ = bisect(efile, config, capacity=capacity)
+        assert got.tolist() == want.tolist(), capacity
+    assert PartitionState(4, 2**70).capacity == 4
 
 
-def test_decay_two_weighted_average(tmp_path, monkeypatch):
+def test_decay_two_weighted_average(tmp_path):
     # node 0 appears in three chunks; stored estimate must follow the
     # halving recursion ((l1 + l2)/2 + l3)/2 verified against the interpreter
     edges = np.array(
@@ -598,40 +580,38 @@ def test_decay_two_weighted_average(tmp_path, monkeypatch):
     from streamcut import stream_chunks
     from streamcut.grem import _seed_chunk
 
-    for kernel in each_kernel(monkeypatch):
-        state = PartitionState(num_nodes, cap)
-        per_chunk_counts = []
-        # a chunk keeps no rows: a second reader yields each chunk's rows beside it
-        for chunk, rows in zip(stream_chunks(efile, plan),
-                               grem.iter_edge_blocks(efile, plan.chunk_size)):
-            if chunk.chunk_index == 0:
-                _seed_chunk(state, chunk)
-            else:
-                before = count_node_neighbors(0, rows.tolist(), state.parts)
-                process_chunk(state, chunk, config)
-                per_chunk_counts.append(before)
-        # chunk-local counts for node 0 were averaged into the running estimate
-        # once per chunk after the first
-        expected = run_reference(
-            edges.tolist(), num_nodes, 3, cap, library_seed_fn(num_nodes, cap)
+    state = PartitionState(num_nodes, cap)
+    per_chunk_counts = []
+    # a chunk keeps no rows: a second reader yields each chunk's rows beside it
+    for chunk, rows in zip(stream_chunks(efile, plan),
+                           grem.iter_edge_blocks(efile, plan.chunk_size)):
+        if chunk.chunk_index == 0:
+            _seed_chunk(state, chunk)
+        else:
+            before = count_node_neighbors(0, rows.tolist(), state.parts)
+            process_chunk(state, chunk, config)
+            per_chunk_counts.append(before)
+    # chunk-local counts for node 0 were averaged into the running estimate
+    # once per chunk after the first
+    expected = run_reference(
+        edges.tolist(), num_nodes, 3, cap, library_seed_fn(num_nodes, cap)
+    )
+    assert state.parts.tolist() == expected
+    assert len(per_chunk_counts) == 2
+
+
+def test_fixed_greedy_matches_independent_baseline(tmp_path):
+    rng = np.random.default_rng(31)
+    for trial in range(20):
+        edges, num_nodes = random_multigraph(rng, max_nodes=40, max_edges=1000)
+        efile = make_edge_file(tmp_path / f"g{trial}.grpe", edges, num_nodes)
+        chunk_edges = int(rng.integers(1, len(edges) + 1))
+        cap = default_capacity(num_nodes)
+        labels, _ = bisect(efile, GremConfig(chunk_edges=chunk_edges, refine=False))
+        baseline = run_fixed_greedy(
+            edges.tolist(), num_nodes, chunk_edges, cap, library_seed_fn(num_nodes, cap)
         )
-        assert state.parts.tolist() == expected, kernel
-        assert len(per_chunk_counts) == 2
-
-
-def test_fixed_greedy_matches_independent_baseline(tmp_path, monkeypatch):
-    for kernel in each_kernel(monkeypatch):
-        rng = np.random.default_rng(31)
-        for trial in range(20):
-            edges, num_nodes = random_multigraph(rng, max_nodes=40, max_edges=1000)
-            efile = make_edge_file(tmp_path / f"g{trial}.grpe", edges, num_nodes)
-            chunk_edges = int(rng.integers(1, len(edges) + 1))
-            cap = default_capacity(num_nodes)
-            labels, _ = bisect(efile, GremConfig(chunk_edges=chunk_edges, refine=False))
-            baseline = run_fixed_greedy(
-                edges.tolist(), num_nodes, chunk_edges, cap, library_seed_fn(num_nodes, cap)
-            )
-            assert labels.tolist() == baseline, (kernel, trial)
+        assert labels.tolist() == baseline, trial
 
 
 # -------------------------------------------------------------- count_cuts
@@ -684,23 +664,22 @@ def test_partition_p2_equals_bisect(tmp_path):
     assert report.cut_edges == brute_force_cut(edges, direct)
 
 
-def test_partition_report_equals_a_recount(tmp_path, monkeypatch):
+def test_partition_report_equals_a_recount(tmp_path):
     # the report sums the bisections' cuts instead of recounting the final
     # labels; each final cut edge is cut by exactly one bisection
     rng = np.random.default_rng(19)
-    for kernel in each_kernel(monkeypatch):
-        for trial in range(12):
-            edges, used = random_multigraph(rng, max_nodes=60, max_edges=300)
-            num_nodes = used + int(rng.integers(0, 8))  # isolated nodes above the used ids
-            edges = np.concatenate([edges, edges[: int(rng.integers(0, 20))]])  # duplicates
-            efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
-            for p in (2, 4, 8):
-                config = GremConfig(chunk_frac=float(rng.choice([0.2, 0.5, 1.0])),
-                                    capacity_slack=0.25)
-                labels, report = partition(efile, p, config, str(tmp_path / "work"))
-                assert report.cut_edges == brute_force_cut(edges, labels), (kernel, trial, p)
-                assert report == count_cuts(efile, labels, p), (kernel, trial, p)
-                assert list(report.partition_sizes) == np.bincount(labels, minlength=p).tolist()
+    for trial in range(12):
+        edges, used = random_multigraph(rng, max_nodes=60, max_edges=300)
+        num_nodes = used + int(rng.integers(0, 8))  # isolated nodes above the used ids
+        edges = np.concatenate([edges, edges[: int(rng.integers(0, 20))]])  # duplicates
+        efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
+        for p in (2, 4, 8):
+            config = GremConfig(chunk_frac=float(rng.choice([0.2, 0.5, 1.0])),
+                                capacity_slack=0.25)
+            labels, report = partition(efile, p, config, str(tmp_path / "work"))
+            assert report.cut_edges == brute_force_cut(edges, labels), (trial, p)
+            assert report == count_cuts(efile, labels, p), (trial, p)
+            assert list(report.partition_sizes) == np.bincount(labels, minlength=p).tolist()
 
 
 def test_partition_four_cliques(tmp_path):
@@ -778,20 +757,18 @@ def test_partition_capacity_bound_with_slack(tmp_path):
                                  {"capacity_slack": "0.1"}, {"passes": None},
                                  {"refine": "false"}, {"refine": None}, {"refine": 0},
                                  {"refine": np.int8(1)}])
-def test_grem_config_rejects_bad_values(bad, monkeypatch):
-    for kernel in each_kernel(monkeypatch):
-        with pytest.raises(FormatError):
-            GremConfig(**bad)
+def test_grem_config_rejects_bad_values(bad):
+    with pytest.raises(FormatError):
+        GremConfig(**bad)
 
 
-def test_numpy_bool_refine_bisects_as_the_python_bool(tmp_path, monkeypatch):
+def test_numpy_bool_refine_bisects_as_the_python_bool(tmp_path):
     edges, _ = generate(PathSpec(40))
     efile = make_edge_file(tmp_path / "g.grpe", edges, 40)
-    for kernel in each_kernel(monkeypatch):
-        for refine in (True, False):
-            want, _ = bisect(efile, GremConfig(chunk_edges=5, refine=refine))
-            got, _ = bisect(efile, GremConfig(chunk_edges=5, refine=np.bool_(refine)))
-            assert got.tolist() == want.tolist(), (kernel, refine)
+    for refine in (True, False):
+        want, _ = bisect(efile, GremConfig(chunk_edges=5, refine=refine))
+        got, _ = bisect(efile, GremConfig(chunk_edges=5, refine=np.bool_(refine)))
+        assert got.tolist() == want.tolist(), refine
 
 
 def test_default_capacity_is_at_most_the_node_count():

@@ -8,7 +8,7 @@ from streamcut import model
 from streamcut.edgefile import iter_edge_blocks
 from streamcut.model import _pack_keys, adjacency_from_keys, build_adjacency, key_layout
 
-from helpers import PROPERTY_SETTINGS, each_kernel, make_edge_file, recount_sizes
+from helpers import PROPERTY_SETTINGS, make_edge_file, recount_sizes
 
 
 def test_graph_meta_validation():
@@ -43,41 +43,38 @@ def _check_against_rebuild(edges):
         assert nbrs[offsets[i] : offsets[i + 1]].tolist() == oracle[node]
 
 
-def test_chunk_adjacency_matches_rebuild(monkeypatch):
-    for kernel in each_kernel(monkeypatch):
-        rng = np.random.default_rng(11)
-        for trial in range(50):
-            n = int(rng.integers(2, 30))
-            m = int(rng.integers(1, 120))
-            edges = rng.integers(0, n, size=(m, 2)).astype(np.int64)
-            _check_against_rebuild(edges)
-            # ids >= 2**32 are too wide for packed keys and take the rank path
-            _check_against_rebuild(edges * (1 << 32) + trial)
-        # nodes that appear only in self-loops stay listed, with no neighbors
-        _check_against_rebuild(np.array([[5, 5], [1, 2], [7, 7], [7, 7], [2, 1]]))
-        _check_against_rebuild(np.array([[2**40, 2**40], [3, 2**40], [3, 3]]))
-        _check_against_rebuild(np.empty((0, 2), dtype=np.int64))
+def test_chunk_adjacency_matches_rebuild():
+    rng = np.random.default_rng(11)
+    for trial in range(50):
+        n = int(rng.integers(2, 30))
+        m = int(rng.integers(1, 120))
+        edges = rng.integers(0, n, size=(m, 2)).astype(np.int64)
+        _check_against_rebuild(edges)
+        # ids >= 2**32 are too wide for packed keys and take the rank path
+        _check_against_rebuild(edges * (1 << 32) + trial)
+    # nodes that appear only in self-loops stay listed, with no neighbors
+    _check_against_rebuild(np.array([[5, 5], [1, 2], [7, 7], [7, 7], [2, 1]]))
+    _check_against_rebuild(np.array([[2**40, 2**40], [3, 2**40], [3, 3]]))
+    _check_against_rebuild(np.empty((0, 2), dtype=np.int64))
 
 
-def test_chunk_adjacency_entry_count(monkeypatch):
-    for kernel in each_kernel(monkeypatch):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            edges = rng.integers(0, 12, size=(int(rng.integers(1, 60)), 2)).astype(np.int64)
-            chunk = EdgeChunk(0, edges)
-            non_loops = int((edges[:, 0] != edges[:, 1]).sum())
-            assert len(chunk.nbrs) == 2 * non_loops, kernel
-            assert int(np.diff(chunk.offsets).sum()) == 2 * non_loops, kernel
+def test_chunk_adjacency_entry_count():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        edges = rng.integers(0, 12, size=(int(rng.integers(1, 60)), 2)).astype(np.int64)
+        chunk = EdgeChunk(0, edges)
+        non_loops = int((edges[:, 0] != edges[:, 1]).sum())
+        assert len(chunk.nbrs) == 2 * non_loops
+        assert int(np.diff(chunk.offsets).sum()) == 2 * non_loops
 
 
-def test_chunk_absent_node_and_empty(monkeypatch):
-    for kernel in each_kernel(monkeypatch):
-        chunk = EdgeChunk(3, np.array([[0, 1]]))
-        assert 7 not in chunk.nodes.tolist()
-        empty = EdgeChunk(0, np.empty((0, 2)))
-        assert empty.nodes.size == 0
-        assert empty.num_edges == 0
-        assert empty.nbrs.size == 0 and empty.offsets.tolist() == [0]
+def test_chunk_absent_node_and_empty():
+    chunk = EdgeChunk(3, np.array([[0, 1]]))
+    assert 7 not in chunk.nodes.tolist()
+    empty = EdgeChunk(0, np.empty((0, 2)))
+    assert empty.nodes.size == 0
+    assert empty.num_edges == 0
+    assert empty.nbrs.size == 0 and empty.offsets.tolist() == [0]
 
 
 # the largest width whose src * width + dst keys, which the builder once
@@ -96,40 +93,34 @@ _WIDEST = 3_037_000_499
          loop_only=[], spare_width=0)
 def test_adjacency_tail_native_equals_python_property(edges, loop_only, spare_width):
     # duplicates, self-loops and self-loop-only nodes; any width above the
-    # largest id, whatever its key dtype and shift, must give the same index
+    # largest id, whatever its key dtype and shift, must give the index of a
+    # plain lexsort
     edges = np.array(edges + [(n, n) for n in loop_only], dtype=np.int64)
     width = int(edges.max()) + 1 + spare_width
-    with pytest.MonkeyPatch.context() as patch:
-        runs = {kernel: (adjacency_from_keys(*_pack_keys((edges,), edges.shape[0], width), width),
-                         build_adjacency((edges,), edges.shape[0], int(edges.max()) + 1))
-                for kernel in each_kernel(patch)}
-    for native, python in zip(runs["native"], runs["python"]):
-        assert len(native) == len(python) == 3
-        for a, b in zip(native, python):
-            assert a.dtype == b.dtype == np.int64
-            assert a.tolist() == b.tolist()
-    assert all(a.tolist() == b.tolist() for a, b in zip(*runs["python"]))
+    oracle = _lexsort_adjacency(edges)
+    for index in (adjacency_from_keys(*_pack_keys((edges,), edges.shape[0], width), width),
+                  build_adjacency((edges,), edges.shape[0], int(edges.max()) + 1)):
+        assert len(index) == 3
+        for got, want in zip(index, oracle):
+            assert got.dtype == np.int64
+            assert got.tolist() == want.tolist()
 
 
-def test_key_layout_at_the_boundaries(monkeypatch):
+def test_key_layout_at_the_boundaries():
     many = 2**40  # keys enough for any part count
-    for kernel in each_kernel(monkeypatch):
-        def split(shift, parts):  # split keys only under the compiled kernels
-            return (shift, np.uint32, parts) if kernel == "native" else (shift, np.uint64, 1)
-
-        assert key_layout(1, 2) == (0, np.uint32, 1)
-        assert key_layout(65_536, 2) == (16, np.uint32, 1)  # the last width of one u32 part
-        assert key_layout(65_537, many) == split(17, 3)  # src 65,536 alone in the third part
-        assert key_layout(200_000, many) == split(18, 13)  # the last part partial
-        assert key_layout(2**19, many) == split(19, 64)  # the last width of split keys
-        assert key_layout(2**19 + 1, many) == (20, np.uint64, 1)
-        assert key_layout(2**21, many) == (21, np.uint64, 1)
-        assert key_layout(2**32, many) == (32, np.uint64, 1)  # the last width of packed keys
-        # parts of fewer than 8,192 keys on average sort as one u64 sort
-        assert key_layout(200_000, 13 * 8192) == split(18, 13)
-        assert key_layout(200_000, 13 * 8192 - 1) == (18, np.uint64, 1)
-        assert key_layout(2**19, 64 * 8192 - 1) == (19, np.uint64, 1)
-        assert key_layout(65_537, 2) == (17, np.uint64, 1)
+    assert key_layout(1, 2) == (0, np.uint32, 1)
+    assert key_layout(65_536, 2) == (16, np.uint32, 1)  # the last width of one u32 part
+    assert key_layout(65_537, many) == (17, np.uint32, 3)  # src 65,536 alone in the third part
+    assert key_layout(200_000, many) == (18, np.uint32, 13)  # the last part partial
+    assert key_layout(2**19, many) == (19, np.uint32, 64)  # the last width of split keys
+    assert key_layout(2**19 + 1, many) == (20, np.uint64, 1)
+    assert key_layout(2**21, many) == (21, np.uint64, 1)
+    assert key_layout(2**32, many) == (32, np.uint64, 1)  # the last width of packed keys
+    # parts of fewer than 8,192 keys on average sort as one u64 sort
+    assert key_layout(200_000, 13 * 8192) == (18, np.uint32, 13)
+    assert key_layout(200_000, 13 * 8192 - 1) == (18, np.uint64, 1)
+    assert key_layout(2**19, 64 * 8192 - 1) == (19, np.uint64, 1)
+    assert key_layout(65_537, 2) == (17, np.uint64, 1)
 
 
 # ids counted down from the top of each width: the last u32 width, the first
@@ -152,54 +143,48 @@ _TOPS = [41, 65_536, 65_537, 2**32, 2**40 + 3]
 # the last run repeats: duplicate keys of the highest owner, then its self-loop
 @example(top=65_537, dtype=np.int64, pairs=[(0, 3), (0, 3), (1, 0), (0, 0)], loop_only=[], split=0)
 @example(top=2**40 + 3, dtype=np.uint64, pairs=[(0, 3), (0, 3), (0, 0)], loop_only=[16], split=2)
-def test_shift_packed_keys_native_equal_numpy_property(monkeypatch, top, dtype, pairs, loop_only,
-                                                        split):
-    # the compiled pack_keys and adjacency_tail against their numpy twins and
-    # a brute-force rebuild, over two blocks: duplicates, self-loops and
-    # self-loop-only nodes included
+def test_shift_packed_keys_native_equal_numpy_property(top, dtype, pairs, loop_only, split):
+    # the compiled pack_keys and adjacency_tail against a brute-force rebuild,
+    # over two blocks: duplicates, self-loops and self-loop-only nodes
+    # included
     if dtype is np.uint32 and top > 2**32:
         dtype = np.uint64
     offsets = np.array(pairs + [(n, n) for n in loop_only], dtype=np.int64)
     edges = (top - 1 - offsets).astype(dtype)
     blocks = (edges[:split], edges[split:])
-    runs = {kernel: build_adjacency(blocks, edges.shape[0], top)
-            for kernel in each_kernel(monkeypatch)}
+    nodes, offsets, nbrs = build_adjacency(blocks, edges.shape[0], top)
     oracle = _brute_adjacency(edges.astype(np.uint64))
-    for kernel, (nodes, offsets, nbrs) in runs.items():
-        assert all(a.dtype == np.int64 for a in (nodes, offsets, nbrs)), kernel
-        assert nodes.tolist() == sorted(oracle), kernel
-        lists = [nbrs[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
-        assert lists == [oracle[n] for n in sorted(oracle)], kernel
-    assert all(a.tolist() == b.tolist() for a, b in zip(runs["native"], runs["python"]))
+    assert all(a.dtype == np.int64 for a in (nodes, offsets, nbrs))
+    assert nodes.tolist() == sorted(oracle)
+    lists = [nbrs[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
+    assert lists == [oracle[n] for n in sorted(oracle)]
 
 
-def test_u64_block_beyond_the_packed_width_indexes_as_its_int64_twin(monkeypatch):
+def test_u64_block_beyond_the_packed_width_indexes_as_its_int64_twin():
     # a chunk reads a u64 block as it is; ids too wide for packed keys take
     # the rank path and must still give int64 arrays, equal to the twin's
     edges = np.array([[_WIDEST, 0], [_WIDEST + 7, _WIDEST], [5, 5], [2**40, 5], [0, _WIDEST],
                       [_WIDEST + 7, _WIDEST]])
-    for kernel in each_kernel(monkeypatch):
-        for block in (edges, edges % 1000):  # the rank path, then the packed keys
-            wide, twin = EdgeChunk(0, block.astype(np.uint64)), EdgeChunk(0, block)
-            assert wide.num_edges == twin.num_edges == edges.shape[0]
-            for a, b in zip((wide.nodes, wide.offsets, wide.nbrs),
-                            (twin.nodes, twin.offsets, twin.nbrs)):
-                assert a.dtype == b.dtype == np.int64, kernel
-                assert a.tolist() == b.tolist(), kernel
-            _check_against_rebuild(block.astype(np.uint64))
+    for block in (edges, edges % 1000):  # the rank path, then the packed keys
+        wide, twin = EdgeChunk(0, block.astype(np.uint64)), EdgeChunk(0, block)
+        assert wide.num_edges == twin.num_edges == edges.shape[0]
+        for a, b in zip((wide.nodes, wide.offsets, wide.nbrs),
+                        (twin.nodes, twin.offsets, twin.nbrs)):
+            assert a.dtype == b.dtype == np.int64
+            assert a.tolist() == b.tolist()
+        _check_against_rebuild(block.astype(np.uint64))
 
 
-def test_the_rank_path_copies_each_block_of_one_reused_buffer(tmp_path, monkeypatch):
+def test_the_rank_path_copies_each_block_of_one_reused_buffer(tmp_path):
     # ids of 2**32 and above are ranked over every block at once, so the
     # blocks of iter_edge_blocks, which share one buffer, are copied as they come
     num_nodes = 2**41
     edges = np.array([[2**40, 3], [5, 2**33], [3, 5], [2**40 + 1, 2**40], [7, 7], [2**33, 2**40]])
     efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
-    for kernel in each_kernel(monkeypatch):
-        want = build_adjacency([b.copy() for b in iter_edge_blocks(efile, 2)], 6, num_nodes)
-        got = build_adjacency(iter_edge_blocks(efile, 2), 6, num_nodes)
-        assert [a.tolist() for a in got] == [a.tolist() for a in want], kernel
-        assert got[0].tolist() == [3, 5, 7, 2**33, 2**40, 2**40 + 1], kernel
+    want = build_adjacency([b.copy() for b in iter_edge_blocks(efile, 2)], 6, num_nodes)
+    got = build_adjacency(iter_edge_blocks(efile, 2), 6, num_nodes)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    assert got[0].tolist() == [3, 5, 7, 2**33, 2**40, 2**40 + 1]
 
 
 def _lexsort_adjacency(edges):
@@ -237,8 +222,8 @@ _SPLIT_WIDTHS = [65_536, 65_537, 200_000, 2**19, 2**21]
          loop_only=[0.5], split=0)
 def test_split_keys_equal_a_lexsort_property(monkeypatch, width, dtype, ids, loop_only, split):
     # duplicates, self-loops, self-loop-only nodes and empty parts, in two
-    # blocks at either stored width, under both kernels; under the compiled
-    # ones every key count takes the split up to 64 parts
+    # blocks at either stored width; every key count takes the split up to 64
+    # parts
     monkeypatch.setattr(model, "_MIN_PART_KEYS", 0)
 
     def resolve(x):
@@ -253,37 +238,32 @@ def test_split_keys_equal_a_lexsort_property(monkeypatch, width, dtype, ids, loo
     pairs += [pairs[0]]  # a duplicate edge
     edges = np.array(pairs, dtype=dtype)
     oracle = _lexsort_adjacency(edges)
-    for kernel in each_kernel(monkeypatch):
-        index = build_adjacency((edges[:split], edges[split:]), edges.shape[0], width)
-        for got, want in zip(index, oracle):
-            assert got.dtype == np.int64, kernel
-            assert got.tolist() == want.tolist(), kernel
+    index = build_adjacency((edges[:split], edges[split:]), edges.shape[0], width)
+    for got, want in zip(index, oracle):
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
 
 
-# the layout of 120,000 keys per width under the compiled kernels: enough
-# keys for 3 and 13 parts, not for 64 (2**19 is u64 keys), and above 2**19
-# u64 keys; numpy sorts every width above 65,536 as one u64 part
+# the layout of 120,000 keys per width: enough keys for 3 and 13 parts, not
+# for 64 (2**19 is u64 keys), and above 2**19 u64 keys
 _SPLIT_LAYOUTS = {65_536: (np.uint32, 1), 65_537: (np.uint32, 3), 200_000: (np.uint32, 13),
                   2**19: (np.uint64, 1), 2**21: (np.uint64, 1)}
 
 
 @pytest.mark.parametrize("width", _SPLIT_WIDTHS)
-def test_split_keys_of_a_random_multigraph_equal_a_lexsort(monkeypatch, width):
+def test_split_keys_of_a_random_multigraph_equal_a_lexsort(width):
     # 60,000 edges over the whole width, the one index whatever the layout
     rng = np.random.default_rng(width)
     edges = rng.integers(0, width, size=(60_000, 2))
     edges[::10, 1] = edges[::10, 0]
     edges[1::10] = edges[:-1:10]
-    for kernel in each_kernel(monkeypatch):
-        dtype, parts = _SPLIT_LAYOUTS[width]
-        if kernel == "python" and width > 65_536:
-            dtype, parts = np.uint64, 1
-        buf, keys, bounds = _pack_keys((edges[:7000], edges[7000:]), edges.shape[0], width)
-        assert keys.dtype == dtype, kernel
-        assert (bounds is None) if parts == 1 else bounds.tolist()[::parts] == [0, 120_000]
-        index = adjacency_from_keys(buf, keys, bounds, width)
-        for got, want in zip(index, _lexsort_adjacency(edges)):
-            assert got.tolist() == want.tolist(), kernel
+    dtype, parts = _SPLIT_LAYOUTS[width]
+    buf, keys, bounds = _pack_keys((edges[:7000], edges[7000:]), edges.shape[0], width)
+    assert keys.dtype == dtype
+    assert (bounds is None) if parts == 1 else bounds.tolist()[::parts] == [0, 120_000]
+    index = adjacency_from_keys(buf, keys, bounds, width)
+    for got, want in zip(index, _lexsort_adjacency(edges)):
+        assert got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("width", [65_537, 2**19])
@@ -297,13 +277,12 @@ def test_a_chunk_holds_one_sorted_array_of_u64_keys_above_width_65536(monkeypatc
     shift = (width - 1).bit_length()
     src, dst = edges[:, 0].astype(np.uint64), edges[:, 1].astype(np.uint64)
     want = np.sort(np.concatenate([src << shift | dst, dst << shift | src]))
-    for kernel in each_kernel(monkeypatch):
-        parts = {65_537: 3, 2**19: 64}[width] if kernel == "native" else 1
-        assert key_layout(width, 1000)[2] == parts, kernel
-        chunk = EdgeChunk(1, edges)
-        assert chunk.keys.dtype == np.uint64, kernel
-        assert chunk.keys.tolist() == want.tolist(), kernel
-        assert not hasattr(chunk, "bounds"), kernel
+    parts = {65_537: 3, 2**19: 64}[width]
+    assert key_layout(width, 1000)[2] == parts
+    chunk = EdgeChunk(1, edges)
+    assert chunk.keys.dtype == np.uint64
+    assert chunk.keys.tolist() == want.tolist()
+    assert not hasattr(chunk, "bounds")
 
 
 def test_partition_state_recount():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from streamcut import _kernels, model, placement
+from streamcut import model, placement
 from streamcut import (
     FormatError,
     GremConfig,
@@ -24,7 +24,7 @@ from streamcut import (
 from streamcut.placement import comm_csv
 from streamcut.synth import CliqueUnionSpec, SbmSpec, StarSpec, generate
 
-from helpers import each_kernel, make_edge_file
+from helpers import make_edge_file
 
 
 def test_plan_examples():
@@ -260,7 +260,7 @@ def reference_estimate_comm(edges, num_nodes, labels, plan, fanouts, num_seeds, 
     return [tuple(c) for c in counts]
 
 
-def test_comm_equals_per_fetch_walk(tmp_path, monkeypatch):
+def test_comm_equals_per_fetch_walk(tmp_path):
     rng = np.random.default_rng(5)
     cases = []
     for case in range(18):
@@ -286,17 +286,16 @@ def test_comm_equals_per_fetch_walk(tmp_path, monkeypatch):
         if case % 5 == 0:
             num_seeds = num_nodes  # every node seeds: no seed words are drawn
         cases.append((case, edges, efile, num_nodes, labels, plan, fanouts, num_seeds))
-    for kernel in each_kernel(monkeypatch):
-        for case, edges, efile, num_nodes, labels, plan, fanouts, num_seeds in cases:
-            for rng_seed in range(4):
-                got = estimate_comm(efile, labels, plan, fanouts, num_seeds, rng_seed)
-                want = reference_estimate_comm(
-                    edges, num_nodes, labels, plan, fanouts, num_seeds, rng_seed
-                )
-                assert got == want, (kernel, case, rng_seed)
+    for case, edges, efile, num_nodes, labels, plan, fanouts, num_seeds in cases:
+        for rng_seed in range(4):
+            got = estimate_comm(efile, labels, plan, fanouts, num_seeds, rng_seed)
+            want = reference_estimate_comm(
+                edges, num_nodes, labels, plan, fanouts, num_seeds, rng_seed
+            )
+            assert got == want, (case, rng_seed)
 
 
-def test_comm_golden_counts(tmp_path, monkeypatch):
+def test_comm_golden_counts(tmp_path):
     # pins the sampler's output for fixed seeds: a change of the bit
     # generator's stream or of the sampler shows here, not only as drift
     edges = [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6],
@@ -305,16 +304,15 @@ def test_comm_golden_counts(tmp_path, monkeypatch):
     labels = np.array([0, 0, 1, 1, 2, 2, 3, 3, 0])
     plan = PlacementPlan(2, ((0, 2), (1, 3)), frozenset({5}))
     golden = {0: [(7, 5), (4, 2)], 3: [(7, 11), (4, 2)], 4: [(4, 8), (9, 3)]}
-    for kernel in each_kernel(monkeypatch):
-        for rng_seed, want in golden.items():
-            got = estimate_comm(efile, labels, plan, (2, 2), 4, rng_seed)
-            assert got == want, (kernel, rng_seed)
-            assert reference_estimate_comm(edges, 9, labels, plan, (2, 2), 4, rng_seed) == want
+    for rng_seed, want in golden.items():
+        got = estimate_comm(efile, labels, plan, (2, 2), 4, rng_seed)
+        assert got == want, rng_seed
+        assert reference_estimate_comm(edges, 9, labels, plan, (2, 2), 4, rng_seed) == want
 
 
 @pytest.mark.parametrize("degree,fanout", [(7, 3), (12, 10)])
 def test_comm_picks_every_position_with_probability_fanout_over_degree(
-    tmp_path, monkeypatch, degree, fanout
+    tmp_path, degree, fanout
 ):
     # disjoint stars: centre c lists its leaves c+1..c+degree in ascending
     # order, so leaf c+1+p is list position p.  Labels put that leaf of every
@@ -329,31 +327,30 @@ def test_comm_picks_every_position_with_probability_fanout_over_degree(
     plan = PlacementPlan(2, ((0,), (1,)))
     trials = stars * len(rng_seeds)
     q = fanout / degree
-    for kernel in each_kernel(monkeypatch):
-        picked = np.zeros(degree, dtype=np.int64)
-        for p in range(degree):
-            labels = np.zeros(stars * size, dtype=np.int64)
-            labels[centres + 1 + p] = 1
-            for rng_seed in rng_seeds:
-                # every node seeds once; leaf seeds take their one neighbour
-                counts = estimate_comm(efile, labels, plan, (fanout,), stars * size, rng_seed)
-                picked[p] += counts[0][1]
-        assert picked.sum() == trials * fanout, kernel
-        # a position's count is Binomial(trials, q); as one trial picks f
-        # distinct positions, the counts sum to trials * f and this sum of
-        # squares is chi-square with d - 1 degrees of freedom
-        stat = float(((picked - trials * q) ** 2).sum() / (trials * q * (1 - q)))
-        stat *= (degree - 1) / degree
-        critical = scipy.stats.chi2.ppf(0.999, df=degree - 1)
-        assert stat < critical, (kernel, picked.tolist(), stat)
+    picked = np.zeros(degree, dtype=np.int64)
+    for p in range(degree):
+        labels = np.zeros(stars * size, dtype=np.int64)
+        labels[centres + 1 + p] = 1
+        for rng_seed in rng_seeds:
+            # every node seeds once; leaf seeds take their one neighbour
+            counts = estimate_comm(efile, labels, plan, (fanout,), stars * size, rng_seed)
+            picked[p] += counts[0][1]
+    assert picked.sum() == trials * fanout
+    # a position's count is Binomial(trials, q); as one trial picks f
+    # distinct positions, the counts sum to trials * f and this sum of
+    # squares is chi-square with d - 1 degrees of freedom
+    stat = float(((picked - trials * q) ** 2).sum() / (trials * q * (1 - q)))
+    stat *= (degree - 1) / degree
+    critical = scipy.stats.chi2.ppf(0.999, df=degree - 1)
+    assert stat < critical, (picked.tolist(), stat)
 
 
 class ScriptedBitGenerator:
     """Stands in for a numpy bit generator: yields the given raw words, then zeros.
 
-    It offers what ``estimate_comm`` reads: ``ctypes.next_uint64`` and
-    ``ctypes.state_address`` for the compiled walk, ``random_raw`` for the
-    Python one.
+    It offers what the samplers read: ``ctypes.next_uint64`` and
+    ``ctypes.state_address`` for ``estimate_comm``'s compiled walk,
+    ``random_raw`` for ``reference_estimate_comm``.
     """
 
     def __init__(self, words):
@@ -362,10 +359,8 @@ class ScriptedBitGenerator:
         self._next = callback(lambda state: next(self._words))
         self.ctypes = SimpleNamespace(next_uint64=self._next, state_address=None)
 
-    def random_raw(self, size=None):
-        if size is None:
-            return next(self._words)
-        return np.array([next(self._words) for _ in range(size)], dtype=np.uint64)
+    def random_raw(self):
+        return next(self._words)
 
 
 def test_comm_bounded_draw_rejects_low_words(tmp_path, monkeypatch):
@@ -380,11 +375,10 @@ def test_comm_bounded_draw_rejects_low_words(tmp_path, monkeypatch):
     want = reference_estimate_comm([[0, 1], [0, 2], [0, 3]], 4, labels, plan, (2,), 4, None,
                                    ScriptedBitGenerator(words))
     assert want == [(4, 0), (0, 1)]
-    for kernel in each_kernel(monkeypatch):
-        fake = ScriptedBitGenerator(words)
-        monkeypatch.setattr(placement.np.random, "default_rng",
-                            lambda seed: SimpleNamespace(bit_generator=fake))
-        assert estimate_comm(efile, labels, plan, (2,), 4, 0) == want, kernel
+    fake = ScriptedBitGenerator(words)
+    monkeypatch.setattr(placement.np.random, "default_rng",
+                        lambda seed: SimpleNamespace(bit_generator=fake))
+    assert estimate_comm(efile, labels, plan, (2,), 4, 0) == want
 
 
 def test_comm_same_through_the_edge_list_path(tmp_path, monkeypatch):
@@ -396,19 +390,17 @@ def test_comm_same_through_the_edge_list_path(tmp_path, monkeypatch):
     labels = rng.integers(0, 4, size=100)
     plan = plan_assignment(4, 2, rng_seed=1)
     want = [estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=s) for s in range(3)]
-    for kernel in each_kernel(monkeypatch):
-        with monkeypatch.context() as patch:
-            patch.setattr(model, "packed_keys_fit", lambda width: False)
-            got = [estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=s) for s in range(3)]
-        assert got == want, kernel
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "packed_keys_fit", lambda width: False)
+        got = [estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=s) for s in range(3)]
+    assert got == want
 
 
-def test_comm_peak_memory_per_edge(tmp_path, monkeypatch):
+def test_comm_peak_memory_per_edge(tmp_path):
     # the index is built from one 2E array of packed keys (16 B/edge), filled
     # from the u32 blocks as stored (8 B/edge for this one-block file): no
     # int64 copy of the edge list, whole or per block, is held beside it.
-    # Measured 24.4 B/edge with the compiled tail, 36.4 with the numpy tail
-    # and its 2E owner array; each bound is that plus 10 %.
+    # Measured 24.4 B/edge; the bound is that plus 10 %.
     rng = np.random.default_rng(3)
     num_nodes, num_edges = 20_000, 200_000
     src = (rng.pareto(1.5, size=num_edges) * num_nodes / 50).astype(np.int64) % num_nodes
@@ -416,19 +408,18 @@ def test_comm_peak_memory_per_edge(tmp_path, monkeypatch):
     efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
     labels = rng.integers(0, 4, size=num_nodes)
     plan = plan_assignment(4, 2, rng_seed=0)
-    for _ in each_kernel(monkeypatch):
-        bound = 26.8 if _kernels.adjacency_tail is not None else 40.0
-        tracemalloc.start()
-        try:
-            estimate_comm(efile, labels, plan, num_seeds=8, rng_seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * num_edges, peak / num_edges
+    tracemalloc.start()
+    try:
+        estimate_comm(efile, labels, plan, num_seeds=8, rng_seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26.8 * num_edges, peak / num_edges
 
 
-def test_comm_native_equals_python_on_a_skewed_graph(tmp_path, monkeypatch):
-    # hubs of degree well above every fanout, so most frontier nodes sample
+def test_comm_native_equals_python_on_a_skewed_graph(tmp_path):
+    # hubs of degree well above every fanout, so most frontier nodes sample;
+    # the compiled walk against the plain-Python one
     rng = np.random.default_rng(21)
     num_nodes, num_edges = 3_000, 40_000
     src = (rng.pareto(1.2, size=num_edges) * 20).astype(np.int64) % num_nodes
@@ -437,7 +428,6 @@ def test_comm_native_equals_python_on_a_skewed_graph(tmp_path, monkeypatch):
     labels = rng.integers(0, 4, size=num_nodes)
     plan = plan_assignment(4, 2, rng_seed=3)
     plan = PlacementPlan(2, plan.assignment, frozenset(range(0, num_nodes, 97)))
-    runs = {}
-    for kernel in each_kernel(monkeypatch):
-        runs[kernel] = [estimate_comm(efile, labels, plan, (25, 10, 5), 16, s) for s in range(3)]
-    assert runs["native"] == runs["python"]
+    for rng_seed in range(3):
+        want = reference_estimate_comm(edges, num_nodes, labels, plan, (25, 10, 5), 16, rng_seed)
+        assert estimate_comm(efile, labels, plan, (25, 10, 5), 16, rng_seed) == want

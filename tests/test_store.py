@@ -20,7 +20,7 @@ from streamcut import (
 )
 from streamcut.edgefile import read_all_edges
 
-from helpers import PROPERTY_SETTINGS, dir_bytes, each_kernel, make_edge_file, random_multigraph
+from helpers import PROPERTY_SETTINGS, dir_bytes, make_edge_file, random_multigraph
 
 
 class Crash(Exception):
@@ -293,24 +293,22 @@ def test_reorder_features_equals_a_numpy_reference(tmp_path, monkeypatch, width,
         monkeypatch.setattr(store_module, "_FEATURE_BLOCK_BYTES", 4 * width + width // 2)
     grouped, layout_bytes = _regrouped_reference(feats, labels, width, p)
     out = tmp_path / "grouped.bin"
-    for kernel in each_kernel(monkeypatch):
-        layout = reorder_features(feats, labels, width, str(out), num_parts)
-        assert out.read_bytes() == grouped, kernel
-        assert Path(str(out) + ".layout").read_bytes() == layout_bytes, kernel
-        assert len(layout.extents) == p
+    layout = reorder_features(feats, labels, width, str(out), num_parts)
+    assert out.read_bytes() == grouped
+    assert Path(str(out) + ".layout").read_bytes() == layout_bytes
+    assert len(layout.extents) == p
 
 
-def test_an_empty_features_file_regroups_to_an_empty_file(tmp_path, monkeypatch):
+def test_an_empty_features_file_regroups_to_an_empty_file(tmp_path):
     # no record and no label: one empty extent (the mapped reader refused
     # an empty file with numpy's ValueError)
     feats = tmp_path / "f.bin"
     feats.write_bytes(b"")
     out = tmp_path / "o.bin"
-    for kernel in each_kernel(monkeypatch):
-        layout = reorder_features(str(feats), np.zeros(0, dtype=np.int64), 4, str(out))
-        assert out.read_bytes() == b"" and layout.extents == ((0, 0),), kernel
-        reloaded = FeatureLayout.load(str(out) + ".layout")
-        assert reloaded.num_nodes == 0 and reloaded.extents == ((0, 0),)
+    layout = reorder_features(str(feats), np.zeros(0, dtype=np.int64), 4, str(out))
+    assert out.read_bytes() == b"" and layout.extents == ((0, 0),)
+    reloaded = FeatureLayout.load(str(out) + ".layout")
+    assert reloaded.num_nodes == 0 and reloaded.extents == ((0, 0),)
 
 
 def test_reorder_features_maps_nothing(tmp_path, monkeypatch):
@@ -326,10 +324,9 @@ def test_reorder_features_maps_nothing(tmp_path, monkeypatch):
     feats = _features(tmp_path, 300, 16)
     labels = np.random.default_rng(3).integers(0, 4, size=300)
     grouped, layout_bytes = _regrouped_reference(feats, labels, 16, 4)
-    for kernel in each_kernel(monkeypatch):
-        reorder_features(feats, labels, 16, str(tmp_path / "o.bin"))
-        assert (tmp_path / "o.bin").read_bytes() == grouped, kernel
-        assert (tmp_path / "o.bin.layout").read_bytes() == layout_bytes, kernel
+    reorder_features(feats, labels, 16, str(tmp_path / "o.bin"))
+    assert (tmp_path / "o.bin").read_bytes() == grouped
+    assert (tmp_path / "o.bin.layout").read_bytes() == layout_bytes
 
 
 def test_reorder_features_holds_blocks_not_the_file(tmp_path, monkeypatch):
@@ -353,6 +350,26 @@ def test_reorder_features_holds_blocks_not_the_file(tmp_path, monkeypatch):
     assert (tmp_path / "o.bin").read_bytes() == grouped
 
 
+def test_layout_save_copies_no_permutation(tmp_path):
+    # every slot is >= 0, so the int64 permutation's bytes are the u64 ones
+    # the file holds: saving a 200,000-node layout (1.6 MB of slots) writes
+    # them as they are, with no u64 copy
+    import tracemalloc
+
+    num_nodes = 200_000
+    permutation = np.random.default_rng(9).permutation(num_nodes)
+    layout = FeatureLayout(16, permutation, ((0, num_nodes),))
+    path = str(tmp_path / "o.bin.layout")
+    tracemalloc.start()
+    try:
+        layout.save(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    assert FeatureLayout.load(path).permutation.tolist() == permutation.tolist()
+
+
 @pytest.mark.parametrize("block_records", [None, 7])  # short in the first block, or a later one
 def test_a_features_file_short_while_read_is_a_format_error(tmp_path, monkeypatch,
                                                             block_records):
@@ -366,10 +383,9 @@ def test_a_features_file_short_while_read_is_a_format_error(tmp_path, monkeypatc
     monkeypatch.setattr(store_module.os.path, "getsize",
                         lambda path: real_getsize(path) + short * width * (path == feats))
     labels = np.random.default_rng(6).integers(0, 4, size=num_nodes)
-    for kernel in each_kernel(monkeypatch):
-        with pytest.raises(FormatError, match=rf"f\.bin: shorter than its {num_nodes} records"):
-            reorder_features(feats, labels, width, str(tmp_path / "o.bin"))
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["f.bin"], kernel
+    with pytest.raises(FormatError, match=rf"f\.bin: shorter than its {num_nodes} records"):
+        reorder_features(feats, labels, width, str(tmp_path / "o.bin"))
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["f.bin"]
 
 
 @pytest.mark.parametrize("p", [2, 17, 300])  # bucket ids fit uint8, uint16, and neither

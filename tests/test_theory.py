@@ -15,28 +15,11 @@ from streamcut import (
     theory_curve,
 )
 from streamcut.model import NodeStats
-from streamcut import _kernels, theory
+from streamcut import theory
 from streamcut.synth import CliqueUnionSpec, SbmSpec, StarSpec, generate
 from streamcut.theory import curve_csv, draws_for
 
 from helpers import PROPERTY_SETTINGS, majority_align, make_edge_file
-
-
-@pytest.fixture
-def curve_kernels(monkeypatch):
-    """Iterates a test body under the compiled ``curve_point``, then with it
-    set to None, so that ``theory_curve`` runs its Python fallback.
-
-    The handle is restored when the loop ends, so each example of a property
-    test starts from the compiled kernel again.
-    """
-    def each():
-        yield "native"
-        with monkeypatch.context() as patch:
-            patch.setattr(_kernels, "curve_point", None)
-            yield "python"
-
-    return each
 
 
 def rational_pmf_cdf(k, k0, d, t):
@@ -150,7 +133,7 @@ def test_node_stats_rejects_non_bisection(tmp_path):
 # ----------------------------------------------------------- expected_cuts
 
 
-def test_expected_cuts_full_information_identity(tmp_path, curve_kernels):
+def test_expected_cuts_full_information_identity(tmp_path):
     rng = np.random.default_rng(6)
     edges = rng.integers(0, 30, size=(200, 2)).astype(np.int64)
     loops = edges[:, 0] == edges[:, 1]
@@ -162,20 +145,18 @@ def test_expected_cuts_full_information_identity(tmp_path, curve_kernels):
     from streamcut import count_cuts
 
     report = count_cuts(efile, labels)
-    for _ in curve_kernels():
-        point = expected_cuts(stats, 1.0)
-        assert point.expected_cuts == float((stats.k - stats.k0).sum())
-        assert point.expected_cuts == 2.0 * report.cut_edges
+    point = expected_cuts(stats, 1.0)
+    assert point.expected_cuts == float((stats.k - stats.k0).sum())
+    assert point.expected_cuts == 2.0 * report.cut_edges
 
 
-def test_expected_cuts_zero_cut_reference(tmp_path, curve_kernels):
+def test_expected_cuts_zero_cut_reference(tmp_path):
     edges, truth = generate(CliqueUnionSpec(2, 5, bridges=0))
     efile = make_edge_file(tmp_path / "g.grpe", edges, 10)
     stats = compute_node_stats(efile, truth.astype(np.int64))
-    for _ in curve_kernels():
-        point = expected_cuts(stats, 1.0)
-        assert point.expected_cuts == 0.0
-        assert point.expected_cut_fraction == 0.0
+    point = expected_cuts(stats, 1.0)
+    assert point.expected_cuts == 0.0
+    assert point.expected_cut_fraction == 0.0
 
 
 def mc_greedy_cut(stats, x, multiplier, trials, rng):
@@ -200,20 +181,19 @@ def mc_greedy_cut(stats, x, multiplier, trials, rng):
 
 
 @pytest.mark.parametrize("x", [0.05, 0.1, 0.2])
-def test_expected_cuts_matches_monte_carlo(tmp_path, curve_kernels, x):
+def test_expected_cuts_matches_monte_carlo(tmp_path, x):
     edges, truth = generate(SbmSpec(2, 40, p_in=0.25, p_out=0.05, rng_seed=9))
     efile = make_edge_file(tmp_path / "g.grpe", edges, 80)
     stats = compute_node_stats(efile, truth.astype(np.int64))
     rng = np.random.default_rng(1234)
     totals = mc_greedy_cut(stats, x, 1.0, trials=10_000, rng=rng)
     se = totals.std(ddof=1) / np.sqrt(len(totals))
-    for _ in curve_kernels():
-        point = expected_cuts(stats, x)
-        assert abs(totals.mean() - point.expected_cuts) <= 3 * max(se, 1e-9), (
-            totals.mean(),
-            point.expected_cuts,
-            se,
-        )
+    point = expected_cuts(stats, x)
+    assert abs(totals.mean() - point.expected_cuts) <= 3 * max(se, 1e-9), (
+        totals.mean(),
+        point.expected_cuts,
+        se,
+    )
 
 
 # ------------------------------------------------------------ theory_curve
@@ -225,47 +205,43 @@ def _demo_stats(tmp_path):
     return compute_node_stats(efile, truth.astype(np.int64))
 
 
-def test_curve_single_point(tmp_path, curve_kernels):
+def test_curve_single_point(tmp_path):
     stats = _demo_stats(tmp_path)
-    for _ in curve_kernels():
-        pts = theory_curve(stats, [1.0])
-        assert len(pts) == 1
-        assert pts[0].expected_cuts == expected_cuts(stats, 1.0).expected_cuts
-        assert theory_curve(stats, []) == []
+    pts = theory_curve(stats, [1.0])
+    assert len(pts) == 1
+    assert pts[0].expected_cuts == expected_cuts(stats, 1.0).expected_cuts
+    assert theory_curve(stats, []) == []
 
 
-def test_curve_refinement_dominance(tmp_path, curve_kernels):
+def test_curve_refinement_dominance(tmp_path):
     stats = _demo_stats(tmp_path)
     xs = [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0]
-    for _ in curve_kernels():
-        base = theory_curve(stats, xs, multiplier=1)
-        refined = theory_curve(stats, xs, multiplier=2)
-        for b, r in zip(base, refined):
-            assert r.expected_cuts <= b.expected_cuts
+    base = theory_curve(stats, xs, multiplier=1)
+    refined = theory_curve(stats, xs, multiplier=2)
+    for b, r in zip(base, refined):
+        assert r.expected_cuts <= b.expected_cuts
 
 
-def test_curve_monotone_for_majority_consistent_stats(tmp_path, curve_kernels):
+def test_curve_monotone_for_majority_consistent_stats(tmp_path):
     # every node strictly majority-sided: two cliques, no bridges
     edges, truth = generate(CliqueUnionSpec(2, 12, bridges=0))
     efile = make_edge_file(tmp_path / "mono.grpe", edges, 24)
     stats = compute_node_stats(efile, truth.astype(np.int64))
     assert np.all(2 * stats.k0 > stats.k)
     xs = np.linspace(0.05, 1.0, 20)
-    for _ in curve_kernels():
-        pts = theory_curve(stats, xs)
-        values = [p.expected_cuts for p in pts]
-        assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
+    pts = theory_curve(stats, xs)
+    values = [p.expected_cuts for p in pts]
+    assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
 
-def test_curve_csv_format(tmp_path, curve_kernels):
+def test_curve_csv_format(tmp_path):
     stats = _demo_stats(tmp_path)
-    for _ in curve_kernels():
-        pts = theory_curve(stats, [0.5, 1.0], multiplier=2)
-        text = curve_csv(pts, 2)
-        lines = text.strip().splitlines()
-        assert lines[0] == "x,expected_cuts,expected_cut_fraction,multiplier"
-        assert len(lines) == 3
-        assert lines[1].startswith("0.5,") and lines[1].endswith(",2")
+    pts = theory_curve(stats, [0.5, 1.0], multiplier=2)
+    text = curve_csv(pts, 2)
+    lines = text.strip().splitlines()
+    assert lines[0] == "x,expected_cuts,expected_cut_fraction,multiplier"
+    assert len(lines) == 3
+    assert lines[1].startswith("0.5,") and lines[1].endswith(",2")
 
 
 def per_node_expected_cuts(stats, x, multiplier):
@@ -290,48 +266,45 @@ def random_node_stats(rng, num_nodes, max_degree):
 
 
 @pytest.mark.parametrize("multiplier", [1.0, 2.0])
-def test_expected_cuts_equals_per_node_loop(curve_kernels, multiplier):
+def test_expected_cuts_equals_per_node_loop(multiplier):
     rng = np.random.default_rng(42)
     cases = [random_node_stats(rng, int(rng.integers(1, 300)), int(rng.integers(1, 60)))
              for _ in range(20)]
     cases.append(NodeStats(np.zeros(7, dtype=np.int64), np.zeros(7, dtype=np.int64)))
-    for _ in curve_kernels():
-        for stats in cases:
-            for x in (0.01, 0.05, 0.1, 0.37, 1.0):
-                point = expected_cuts(stats, x, multiplier)
-                want = per_node_expected_cuts(stats, x, multiplier)
-                assert point.expected_cuts == want
-                endpoints = stats.total_endpoints
-                assert point.expected_cut_fraction == (want / endpoints if endpoints else 0.0)
+    for stats in cases:
+        for x in (0.01, 0.05, 0.1, 0.37, 1.0):
+            point = expected_cuts(stats, x, multiplier)
+            want = per_node_expected_cuts(stats, x, multiplier)
+            assert point.expected_cuts == want
+            endpoints = stats.total_endpoints
+            assert point.expected_cut_fraction == (want / endpoints if endpoints else 0.0)
 
 
-def test_expected_cuts_large_degrees_equal_per_node_loop(curve_kernels):
+def test_expected_cuts_large_degrees_equal_per_node_loop():
     # degrees up to the 2**32 bound: (k, k0) pairs must stay distinct keys
     # (k * (max k + 1) + k0 would overflow int64); a tiny x keeps the draws,
     # and so the cdf loop, short
     k = np.array([2**32, 2**32 - 1, 2**32, 2**31 + 1, 2**32, 5, 0], dtype=np.int64)
     k0 = np.array([2**32, 2**31 + 1, 2**31, 2**31 + 1, 3 * 2**30, 3, 0], dtype=np.int64)
     stats = NodeStats(k, k0)
-    for _ in curve_kernels():
-        for x in (1e-9, 1.2e-9):
-            for multiplier in (1.0, 2.0):
-                assert expected_cuts(stats, x, multiplier).expected_cuts == (
-                    per_node_expected_cuts(stats, x, multiplier))
+    for x in (1e-9, 1.2e-9):
+        for multiplier in (1.0, 2.0):
+            assert expected_cuts(stats, x, multiplier).expected_cuts == (
+                per_node_expected_cuts(stats, x, multiplier))
 
 
 @pytest.mark.parametrize("degree", [2**32 + 1, 2**61])
-def test_degrees_above_bound_are_rejected(curve_kernels, degree):
+def test_degrees_above_bound_are_rejected(degree):
     # the log-gamma cdf loses all accuracy long before int64 runs out
     with pytest.raises(FormatError):
         prob_correct(degree, degree // 2 + 1, 1e-17)
     with pytest.raises(FormatError):
         hypergeom_pmf_cdf(degree, degree // 2, 1, 0)
     stats = NodeStats(np.array([3, degree]), np.array([2, degree // 2 + 1]))
-    for _ in curve_kernels():
-        with pytest.raises(FormatError):
-            theory_curve(stats, [1e-17])
-        with pytest.raises(FormatError):
-            expected_cuts(stats, 1e-17)
+    with pytest.raises(FormatError):
+        theory_curve(stats, [1e-17])
+    with pytest.raises(FormatError):
+        expected_cuts(stats, 1e-17)
     # the bound itself is accepted
     assert 0.0 <= prob_correct(2**32, 2**31, 1e-9) <= 1.0
 
@@ -376,20 +349,15 @@ def node_stats(draw):
     return NodeStats(np.array(k), np.array(k) - np.array(minority))
 
 
-@pytest.mark.parametrize("block", [5, 1 << 16])
 @PROPERTY_SETTINGS
 @example(stats=NodeStats(np.array([0, 4, 7, 7]), np.array([0, 4, 4, 7])),
          xs=[1.0, 0.5, 0.01], multiplier=2.0)
 @given(stats=node_stats(), xs=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4),
        multiplier=st.sampled_from([1.0, 2.0, 3.5]))
-def test_theory_curve_equals_per_node_loop_property(monkeypatch, curve_kernels, block, stats, xs,
-                                                    multiplier):
-    # a block of 5 terms splits the fallback's cdf sums of most pairs across batches
-    monkeypatch.setattr(theory, "_CURVE_BLOCK", block)
+def test_theory_curve_equals_per_node_loop_property(stats, xs, multiplier):
     endpoints = stats.total_endpoints
     wants = [per_node_expected_cuts(stats, x, multiplier) for x in xs]
-    for _ in curve_kernels():
-        points = theory_curve(stats, xs, multiplier)
-        for x, want, point in zip(xs, wants, points):
-            assert (point.x, point.expected_cuts) == (x, want)
-            assert point.expected_cut_fraction == (want / endpoints if endpoints else 0.0)
+    points = theory_curve(stats, xs, multiplier)
+    for x, want, point in zip(xs, wants, points):
+        assert (point.x, point.expected_cuts) == (x, want)
+        assert point.expected_cut_fraction == (want / endpoints if endpoints else 0.0)
