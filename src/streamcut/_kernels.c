@@ -3,13 +3,10 @@
  * tail, the traffic estimator's sampling walk, the streaming passes over
  * edge blocks and the cdf sums of the theory curve.
  *
- * Each function but split_keys is a port of the Python code it replaces
- * (grem.process_chunk, seed._bfs_grow, grem._seed_chunk, the numpy twins in
- * model._pack_block and model._adjacency_tail, placement.estimate_comm, the
- * numpy passes of grem.count_cuts, grem._extract_induced,
- * store.write_buckets, edgefile.external_shuffle, theory.compute_node_stats
- * and placement.select_replicated, and the fallback of theory._curve_point)
- * and must stay bit-identical to it:
+ * Each kernel is the only implementation of its loop.  The tests check the
+ * kernels against plain-Python oracles of the documented rules (the sweep,
+ * the seed, the adjacency index, the sampling walk, the edge passes and the
+ * theory curve) and require bit-identical results:
  * neighbour counts are exact integers converted to double once, a node's
  * estimate (its side-1 count less its side-0 count) is averaged as
  * (old + fresh) * 0.5, sums run left to right, nodes are visited and
@@ -26,10 +23,9 @@
  * 65,536, as u64 above that while shift <= 32 (width up to 2**32), in one
  * part.  Only model.build_adjacency, where model.key_layout finds enough of
  * them for at most 64 parts (width 2**19), holds a key as its low 32 bits,
- * in parts split on its high 2 * shift - 32 bits: split_keys, a
- * compiled-only step with no Python twin, groups them, and the numpy build
- * sorts one u64 part instead.  Wider ids are ranked to dense ones first,
- * in Python.  The index build_adjacency returns, which three kernels read,
+ * in parts split on its high 2 * shift - 32 bits, which split_keys groups.
+ * Every in-memory index takes ids below 2**32: model.check_id_width
+ * refuses wider ones.  The index build_adjacency returns, which three kernels read,
  * is CSR: `offsets` has one entry per node and one more, from 0, and node i's
  * neighbours are nbrs[offsets[i]] to nbrs[offsets[i + 1] - 1].
  *
@@ -201,12 +197,16 @@ static void restart_order(int64_t num, const int64_t *offsets, int64_t max_degre
         order[slot[max_degree - (offsets[i + 1] - offsets[i])]++] = i;
 }
 
-/* BFS grow over a chunk's CSR index, neighbours as local positions, then
- * boundary refinement.  `labels` must come in as all 1; picked nodes become
- * 0.  (Re)starts go to the highest-degree unpicked node, lowest position on
- * ties.  Returns 0, or -1 when scratch memory cannot be allocated. */
-int64_t bfs_grow(int64_t num, const int64_t *offsets, const int64_t *local,
-                 int64_t refinement_passes, int64_t capacity, int8_t *labels)
+/* BFS grow over a chunk's CSR index of num >= 1 nodes, ids below width,
+ * then boundary refinement.  `labels` must come in as all 1; picked nodes
+ * become 0.  (Re)starts go to the highest-degree unpicked node, lowest
+ * position on ties.  Neighbours are read as positions in `nodes` through a
+ * u32 rank over the width, malloc'd, not calloc'd: only the entries of
+ * chunk nodes are written and read (every neighbour is one), so only the
+ * pages that hold one are touched.  Returns 0, or -1 when scratch memory
+ * cannot be allocated. */
+int64_t bfs_grow(int64_t num, const int64_t *nodes, const int64_t *offsets, const int64_t *nbrs,
+                 int64_t width, int64_t refinement_passes, int64_t capacity, int8_t *labels)
 {
     int64_t max_degree = 0;
     for (int64_t i = 0; i < num; i++)
@@ -215,9 +215,15 @@ int64_t bfs_grow(int64_t num, const int64_t *offsets, const int64_t *local,
     int64_t *order = malloc((size_t)num * sizeof *order);
     int64_t *queue = malloc((size_t)num * sizeof *queue);  /* each node is queued at most once */
     int64_t *slot = calloc((size_t)max_degree + 2, sizeof *slot);
+    uint32_t *rank = malloc((size_t)width * sizeof *rank);
+    uint32_t *local = malloc(((size_t)offsets[num] + 1) * sizeof *local);  /* never malloc(0) */
     int64_t status = -1;
-    if (order == NULL || queue == NULL || slot == NULL)
+    if (order == NULL || queue == NULL || slot == NULL || rank == NULL || local == NULL)
         goto done;
+    for (int64_t i = 0; i < num; i++)
+        rank[nodes[i]] = (uint32_t)i;
+    for (int64_t j = 0; j < offsets[num]; j++)
+        local[j] = rank[nbrs[j]];
     restart_order(num, offsets, max_degree, slot, order);
 
     int64_t target = (num + 1) / 2;
@@ -273,6 +279,8 @@ done:
     free(order);
     free(queue);
     free(slot);
+    free(rank);
+    free(local);
     return status;
 }
 

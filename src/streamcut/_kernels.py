@@ -22,7 +22,8 @@ built from:
   neighbours less side-0 ones), and adds the nodes it visited and moved to
   two counters;
 * ``bfs_grow`` -- the BFS-grow seed, its restart order (a counting sort on
-  degree) and its refinement, ``seed._bfs_grow``;
+  degree) and its refinement, ``seed.seed_bisect``, over a u32 rank from id
+  to position whose pages are touched only where they hold a chunk node;
 * ``seed_counts`` -- the leans of the seeded chunk nodes,
   ``grem._seed_chunk``;
 * ``pack_keys`` -- the adjacency builder's keys, ``src << shift | dst`` in
@@ -168,7 +169,7 @@ def _load():
     i64, p = ctypes.c_int64, ctypes.c_void_p
     signatures = {
         "sweep": ([i64, p, i64, i64, p, p, p, i64, ctypes.c_int32], i64),
-        "bfs_grow": ([i64, p, p, i64, i64, p], i64),
+        "bfs_grow": ([i64, p, p, p, i64, i64, i64, p], i64),
         "seed_counts": ([i64, p, p, p, p, p], None),
         "pack_keys": ([i64, p, i64, i64, i64, i64, p, p], i64),
         "split_keys": ([i64, p, p, i64, i64, p, p], None),

@@ -62,7 +62,7 @@ from .edgefile import (
     stream_chunks,
 )
 from .errors import CapacityError, FormatError
-from .model import CutReport, EdgeChunk, PartitionState, _key_shift
+from .model import CutReport, EdgeChunk, PartitionState, _key_shift, check_id_width
 from .seed import seed_bisect
 
 
@@ -140,17 +140,11 @@ def process_chunk(state: PartitionState, chunk: EdgeChunk, config: GremConfig) -
     """Sweeps one non-seed chunk, updating labels, sizes, stored estimates and
     the visited and moved counts (left as they were on a CapacityError).
 
-    An empty chunk leaves the state as it was.  The sweep reads the chunk's
-    packed keys, so its ids must lie below 2**32: a FormatError otherwise,
-    which only a state of more than 2**32 nodes can meet.
+    An empty chunk, which holds no keys, leaves the state as it was.
     """
     if chunk.width > state.num_nodes:
         raise FormatError(f"chunk node ids outside [0, {state.num_nodes})")
-    if chunk.width == 0:  # no edges
-        return state
     keys = chunk.keys
-    if keys is None:
-        raise FormatError("a sweep needs node ids below 2**32")
     ptr, m, num_nodes = _kernels.ptr, keys.size, state.num_nodes
     tally = np.array([*state.sizes, state.visited, state.moved], dtype=np.int64)
     failed = _kernels.sweep(
@@ -201,7 +195,7 @@ def bisect(
     Nodes never seen in any chunk (isolated nodes) are appended round-robin
     to the smaller partition after streaming.  ``on_chunk(state)`` runs after
     every chunk, for instrumentation.  The report costs one more pass over
-    the file, ``count_cuts``.
+    the file, ``count_cuts``.  More than 2**32 nodes is a FormatError.
     """
     labels = _bisect_labels(efile, config, capacity=capacity, meter=meter, on_chunk=on_chunk)
     return labels, count_cuts(efile, labels)
@@ -218,6 +212,7 @@ def _bisect_labels(
     """The {0,1} labels of ``bisect``, without its cut-count pass."""
     meta = efile.meta
     num_nodes = meta.num_nodes
+    check_id_width(num_nodes)  # before the per-node state
     cap = capacity if capacity is not None else default_capacity(num_nodes, config.capacity_slack)
     if 2 * cap < num_nodes:
         raise CapacityError(f"capacity {cap} cannot hold {num_nodes} nodes across two parts")
@@ -308,8 +303,9 @@ def partition(
         raise FormatError(f"number of parts must be a power of two >= 2, got {p}")
     if p > 2**31:  # the label file holds labels below 0xFFFFFFFF
         raise FormatError(f"number of parts must be at most 2**31, got {p}")
-    os.makedirs(workdir, exist_ok=True)
     total_nodes = efile.meta.num_nodes
+    check_id_width(total_nodes)  # before the per-node labels
+    os.makedirs(workdir, exist_ok=True)
     final = np.full(total_nodes, -1, dtype=np.int32)
     cut = 0
 

@@ -35,9 +35,10 @@ def width_for(num_nodes: int) -> int:
     return 32 if num_nodes <= 2**32 else 64
 
 
-def packed_keys_fit(width: int) -> bool:
-    """Whether shift-packed keys of ids below ``width`` fit in 64 bits: width <= 2**32."""
-    return width <= 1 << 32
+def check_id_width(width: int) -> None:
+    """FormatError past 2**32 ids, the limit of every in-memory index."""
+    if width > 1 << 32:
+        raise FormatError(f"node ids must lie below 2**32, got ids up to {width - 1}")
 
 
 # The estimator's keys of widths above 65,536 sort as u32 in parts only where
@@ -93,22 +94,12 @@ def build_adjacency(blocks, num_edges: int, width: int) -> tuple[np.ndarray, ...
     above that, when there are enough of them (``key_layout``), in one sort
     per part of keys sharing their high
     ``2 * shift - 32`` bits, at most 64 parts (width up to 2**19); else as
-    u64 while shift <= 32.  Ids of 2**32 and above are gathered and ranked
-    first.  Each block is read before the next is requested, so ``blocks``
-    may reuse one buffer, as ``iter_edge_blocks`` does.
+    u64 while shift <= 32: a width above 2**32 is a FormatError.  Each block
+    is read before the next is requested, so ``blocks`` may reuse one
+    buffer, as ``iter_edge_blocks`` does.
     """
-    if num_edges == 0:
-        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if packed_keys_fit(width):
-        return adjacency_from_keys(*_pack_keys(blocks, num_edges, width), width)
-    # each block copied as it comes: a block may be overwritten by the next
-    ids, ranks = np.unique(np.concatenate([np.array(block) for block in blocks]),
-                           return_inverse=True)
-    packed = _pack_keys((ranks.reshape(-1, 2),), num_edges, ids.size)
-    del ranks  # release before the sort
-    nodes, offsets, nbrs = adjacency_from_keys(*packed, ids.size)
-    ids = ids.astype(np.int64)
-    return ids[nodes], offsets, ids[nbrs]
+    check_id_width(width)
+    return adjacency_from_keys(*_pack_keys(blocks, num_edges, width), width)
 
 
 def _pack_keys(blocks, num_edges: int,
@@ -143,6 +134,9 @@ def _pack_block(block: np.ndarray, width: int, shift: int, fwd: np.ndarray,
     """``_kernels.pack_keys`` over one (m, 2) block: row i's ``src << shift | dst`` key
     to ``fwd[i]``, its reverse's to ``rev[i]``, both u32 or both u64; ValueError for an
     id outside [0, width)."""
+    # the kernel compares ids unsigned: a negative width, that of a block of
+    # negative ids, would let every id through
+    width = max(width, 0)
     dtype = _KEY_DTYPES[fwd.itemsize]
     rows = np.ascontiguousarray(block)
     if rows.dtype not in (np.uint32, np.uint64, np.int64):
@@ -209,12 +203,13 @@ class EdgeChunk:
     The rows are read only while the chunk is built, so the block may be
     overwritten once ``__init__`` returns, as ``iter_edge_blocks`` does;
     ``num_edges`` is its row count and ``width`` its largest id + 1 (0 when
-    it is empty).  The index is held as ``keys``, one sorted array of the
-    ``src << shift | dst`` keys of both directions of every edge, exactly
-    ``2 * num_edges`` of them: u32 while width <= 65,536, else u64, never
-    split into parts as ``key_layout`` may split the estimator's.  Each run
-    of keys with one owner is a node's neighbor list, ascending, which the
-    sweep reads directly.
+    it is empty), at most 2**32: FormatError otherwise.  The index is held
+    as ``keys``, one sorted array of the ``src << shift | dst`` keys of both
+    directions of every edge, exactly ``2 * num_edges`` of them (none for
+    an empty chunk): u32 while width <= 65,536, else u64, never split into
+    parts as ``key_layout`` may split the estimator's.  Each run of keys
+    with one owner is a node's neighbor list, ascending, which the sweep
+    reads directly.
 
     The CSR (``nodes``, ``offsets``, ``nbrs``) of ``build_adjacency`` is built
     from a copy of the keys when first read, for the seed chunk and other
@@ -222,10 +217,7 @@ class EdgeChunk:
     endpoints (self-loop-only nodes included), both directions of every edge
     are indexed, duplicate edges count with multiplicity, self-loops are
     excluded, and neighbor lists are sorted ascending so traversals over
-    them are deterministic.  An empty chunk, and one with ids of 2**32 and
-    above (which only the rank path of ``build_adjacency`` indexes), has no
-    keys (``keys`` None) and holds the CSR from the start; a sweep leaves
-    the state as it was on the first and refuses the second.
+    them are deterministic.
     """
 
     __slots__ = ("chunk_index", "num_edges", "width", "keys", "_csr")
@@ -233,18 +225,13 @@ class EdgeChunk:
     def __init__(self, chunk_index: int, edges: np.ndarray):
         edges = np.asarray(edges).reshape(-1, 2)
         self.chunk_index = int(chunk_index)
-        self.num_edges = edges.shape[0]
+        self.num_edges = m = edges.shape[0]
         self.width = width = int(edges.max()) + 1 if edges.size else 0
-        self.keys = self._csr = None
-        if edges.size and packed_keys_fit(width):
-            m = edges.shape[0]
-            self.keys = keys = np.empty(2 * m, np.uint32 if width <= _U32_WIDTH else np.uint64)
-            _pack_block(edges, width, _key_shift(width), keys[:m], keys[m:])
-            keys.sort()
-        else:
-            if edges.size and edges.min() < 0:
-                raise ValueError(f"edge ids must lie in [0, {width})")
-            self._csr = build_adjacency((edges,), edges.shape[0], width)
+        check_id_width(width)
+        self.keys = keys = np.empty(2 * m, np.uint32 if width <= _U32_WIDTH else np.uint64)
+        _pack_block(edges, width, _key_shift(width), keys[:m], keys[m:])
+        keys.sort()
+        self._csr = None
 
     def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._csr is None:

@@ -8,7 +8,7 @@
  * and curve_point on small (k, k0) pairs, with every buffer
  * allocated at exactly the size the Python callers give it
  * (model._pack_keys, model._split_keys, model.adjacency_from_keys, grem.process_chunk,
- * grem._seed_chunk, seed._bfs_grow, placement.estimate_comm, the block passes
+ * grem._seed_chunk, seed.seed_bisect, placement.estimate_comm, the block passes
  * of edgefile, store.reorder_features and theory.theory_curve),
  * so that a build with -fsanitize=address,undefined reports any access
  * outside them.  Prints "ok" and exits 0 when every case checks out.
@@ -278,27 +278,16 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
             CHECK(lean[c_nodes[r]] == (double)(n1 - n0), name);
         }
 
-        /* seed._bfs_grow: the neighbours as positions in c_nodes, labels one
-         * per node; without refinement the grown side holds (runs + 1) / 2
+        /* seed.seed_bisect over the CSR of the runs, ids below the chunk's
+         * width, the largest node + 1, as EdgeChunk gives it: labels one per
+         * node; without refinement the grown side holds (runs + 1) / 2
          * nodes, and refinement keeps each side within the capacity */
-        int64_t *local = exact(num_nbrs ? (size_t)num_nbrs : 1, sizeof *local);
         int8_t *labels = exact((size_t)runs, sizeof *labels);
-        for (int64_t j = 0; j < num_nbrs; j++) {
-            int64_t lo = 0, hi = runs - 1;
-            while (lo < hi) {
-                int64_t at = (lo + hi) / 2;
-                if (c_nodes[at] < nbrs[j])
-                    lo = at + 1;
-                else
-                    hi = at;
-            }
-            CHECK(c_nodes[lo] == nbrs[j], name);
-            local[j] = lo;
-        }
         int64_t seed_cap = runs / 2 + 1;
         for (int64_t passes = 0; passes <= 2; passes += 2) {
             memset(labels, 1, (size_t)runs);
-            CHECK(bfs_grow(runs, c_offsets, local, passes, seed_cap, labels) == 0, name);
+            CHECK(bfs_grow(runs, c_nodes, c_offsets, nbrs, c_nodes[runs - 1] + 1, passes,
+                           seed_cap, labels) == 0, name);
             int64_t grown = 0;
             for (int64_t r = 0; r < runs; r++) {
                 CHECK(labels[r] == 0 || labels[r] == 1, name);
@@ -310,7 +299,6 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         free(c_nodes);
         free(c_offsets);
         free(nbrs);
-        free(local);
         free(labels);
         free(parts);
         free(ref_parts);
@@ -789,9 +777,15 @@ int main(void)
         for (int id_bytes = 4; id_bytes <= 8; id_bytes += 4)
             run_case("spread", spread, 8, id_bytes, widths[w]);
     }
-    /* rank rows: dense int64 ranks of ids >= 2**32, as the rank path packs them */
+    /* 8-byte rows of a few dense ids */
     static const uint64_t ranks[] = {0, 1, 1, 2, 2, 2, 3, 0, 4, 4};
     run_case("ranks", ranks, 5, 8, 5);
+    /* six nodes spread over ids far wider than the chunk: the seed's rank
+     * spans 2**19 ids for 6 nodes and 12 neighbour entries */
+    static const uint64_t sparse[] = {7, 300001, 300001, 524287, 524287, 7, 90000, 7,
+                                      131072, 90000, 7, 7, 444444, 131072};
+    for (int id_bytes = 4; id_bytes <= 8; id_bytes += 4)
+        run_case("sparse", sparse, 7, id_bytes, 1u << 19);
     /* one edge, one row per block split */
     static const uint64_t single[] = {3, 0};
     run_case("single", single, 1, 4, 4);

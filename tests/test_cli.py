@@ -484,3 +484,38 @@ def test_failed_extraction_leaves_no_partial_file(tmp_path):
     assert child.stdout.split() == ["exit", "4"], child.stderr
     # no partial subgraph, no temporary and no scratch directory
     assert [p.name for p in tmp_path.iterdir()] == ["g.grpe"]
+
+
+# A file that declares 2**32 + 1 nodes (one u64 edge, 44 bytes) is refused
+# by the library and the CLI before any per-node array is made.  The child
+# caps its address space at 2 GiB, so a regression fails on an allocation
+# of 4 GiB and more instead of touching it.
+_HUGE_CHILD = """
+import resource, sys
+from streamcut import FormatError, GremConfig, bisect, cli, open_edge_file, partition
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+edges, workdir, out = sys.argv[1:]
+efile = open_edge_file(edges)
+for call in (lambda: bisect(efile, GremConfig()), lambda: partition(efile, 4, GremConfig(), workdir)):
+    try:
+        call()
+    except FormatError as exc:
+        print("refused:", exc)
+print("exit", cli.main(["partition", edges, "--out", out]))
+"""
+
+
+def test_more_than_2_32_nodes_are_refused_before_any_per_node_array(tmp_path):
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 2**32]], 2**32 + 1)
+    assert os.path.getsize(efile.path) == 44
+    path = [str(Path(streamcut.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {name: value for name, value in os.environ.items() if name != "GREM_WORKDIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    child = subprocess.run([sys.executable, "-c", _HUGE_CHILD, efile.path,
+                            str(tmp_path / "work"), str(tmp_path / "l.grpl")],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    refused = "refused: node ids must lie below 2**32, got ids up to 4294967296"
+    assert child.stdout.splitlines() == [refused, refused, "exit 3"], child.stderr
+    assert child.stderr == "error: node ids must lie below 2**32, got ids up to 4294967296\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["g.grpe"]

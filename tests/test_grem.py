@@ -124,9 +124,9 @@ def test_process_chunk_rejects_ids_outside_state():
 
 
 def test_process_chunk_leaves_the_state_as_it_was_on_an_empty_chunk():
-    # an empty chunk holds no keys, only its empty CSR index
+    # an empty chunk holds an empty key array and an empty CSR index
     chunk = EdgeChunk(1, np.empty((0, 2), dtype=np.int64))
-    assert chunk.keys is None and chunk.nodes.size == 0
+    assert chunk.keys.size == 0 and chunk.nodes.size == 0
     for refine in (True, False):
         state = PartitionState(4, capacity=2)
         state.parts[:] = [0, 1, -1, 1]

@@ -150,8 +150,9 @@ def _bad_kernel_calls(tmp_path, monkeypatch):
         return lambda: grem._seed_chunk(state(**swap), chunk)
 
     def bfs_grow(**swap):
-        arrays = {"offsets": offsets, "nbrs": nbrs, **swap}
-        return lambda: seed._bfs_grow(nodes, arrays["offsets"], arrays["nbrs"], 1, 3)
+        fake = SimpleNamespace(**{"nodes": nodes, "offsets": offsets, "nbrs": nbrs,
+                                  "width": chunk.width, **swap})
+        return lambda: seed.seed_bisect(fake, 3)
 
     efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2], [2, 3]], 4)
     plan = placement.plan_assignment(2, 2, rng_seed=0)
@@ -183,6 +184,8 @@ def _bad_kernel_calls(tmp_path, monkeypatch):
         ("sweep", sweep_state(parts=_strided(np.full(4, -1, dtype=np.int8)))),
         ("bfs_grow", bfs_grow(offsets=offsets.astype(np.int32))),
         ("bfs_grow", bfs_grow(offsets=_strided(offsets))),
+        ("bfs_grow", bfs_grow(nodes=nodes.astype(np.uint32))),
+        ("bfs_grow", bfs_grow(nbrs=_strided(nbrs))),
         ("seed_counts", seed_counts(lean=np.zeros(4, dtype=np.float32))),
         ("seed_counts", seed_counts(lean=_strided(np.zeros(4)))),
         ("comm_walk", comm_walk(np.array([1, 0, 2, 1, 3, 2], dtype=np.int32))),

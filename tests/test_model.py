@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from streamcut import EdgeChunk, FormatError, GraphMeta, NodeStats, PartitionState
 from streamcut import model
-from streamcut.edgefile import iter_edge_blocks
 from streamcut.model import _pack_keys, adjacency_from_keys, build_adjacency, key_layout
 
-from helpers import PROPERTY_SETTINGS, make_edge_file, recount_sizes
+from helpers import PROPERTY_SETTINGS, recount_sizes
 
 
 def test_graph_meta_validation():
@@ -45,16 +44,13 @@ def _check_against_rebuild(edges):
 
 def test_chunk_adjacency_matches_rebuild():
     rng = np.random.default_rng(11)
-    for trial in range(50):
+    for _ in range(50):
         n = int(rng.integers(2, 30))
         m = int(rng.integers(1, 120))
         edges = rng.integers(0, n, size=(m, 2)).astype(np.int64)
         _check_against_rebuild(edges)
-        # ids >= 2**32 are too wide for packed keys and take the rank path
-        _check_against_rebuild(edges * (1 << 32) + trial)
     # nodes that appear only in self-loops stay listed, with no neighbors
     _check_against_rebuild(np.array([[5, 5], [1, 2], [7, 7], [7, 7], [2, 1]]))
-    _check_against_rebuild(np.array([[2**40, 2**40], [3, 2**40], [3, 3]]))
     _check_against_rebuild(np.empty((0, 2), dtype=np.int64))
 
 
@@ -124,9 +120,8 @@ def test_key_layout_at_the_boundaries():
 
 
 # ids counted down from the top of each width: the last u32 width, the first
-# u64 one, the last packed one (shift 32) and ids past it (the rank path,
-# whose int64 ranks are packed)
-_TOPS = [41, 65_536, 65_537, 2**32, 2**40 + 3]
+# u64 one and the last packed one (shift 32)
+_TOPS = [41, 65_536, 65_537, 2**32]
 
 
 @PROPERTY_SETTINGS
@@ -142,13 +137,10 @@ _TOPS = [41, 65_536, 65_537, 2**32, 2**40 + 3]
 @example(top=2**32, dtype=np.uint64, pairs=[(0, 1), (2, 3), (5, 4)], loop_only=[], split=2)
 # the last run repeats: duplicate keys of the highest owner, then its self-loop
 @example(top=65_537, dtype=np.int64, pairs=[(0, 3), (0, 3), (1, 0), (0, 0)], loop_only=[], split=0)
-@example(top=2**40 + 3, dtype=np.uint64, pairs=[(0, 3), (0, 3), (0, 0)], loop_only=[16], split=2)
 def test_shift_packed_keys_native_equal_numpy_property(top, dtype, pairs, loop_only, split):
     # the compiled pack_keys and adjacency_tail against a brute-force rebuild,
     # over two blocks: duplicates, self-loops and self-loop-only nodes
     # included
-    if dtype is np.uint32 and top > 2**32:
-        dtype = np.uint64
     offsets = np.array(pairs + [(n, n) for n in loop_only], dtype=np.int64)
     edges = (top - 1 - offsets).astype(dtype)
     blocks = (edges[:split], edges[split:])
@@ -160,12 +152,12 @@ def test_shift_packed_keys_native_equal_numpy_property(top, dtype, pairs, loop_o
     assert lists == [oracle[n] for n in sorted(oracle)]
 
 
-def test_u64_block_beyond_the_packed_width_indexes_as_its_int64_twin():
-    # a chunk reads a u64 block as it is; ids too wide for packed keys take
-    # the rank path and must still give int64 arrays, equal to the twin's
-    edges = np.array([[_WIDEST, 0], [_WIDEST + 7, _WIDEST], [5, 5], [2**40, 5], [0, _WIDEST],
+def test_u64_block_indexes_as_its_int64_twin():
+    # a chunk reads a u64 block as it is and must still give int64 arrays,
+    # equal to the twin's: u64 keys up to the widest id, u32 keys below 1000
+    edges = np.array([[_WIDEST, 0], [_WIDEST + 7, _WIDEST], [5, 5], [2**32 - 1, 5], [0, _WIDEST],
                       [_WIDEST + 7, _WIDEST]])
-    for block in (edges, edges % 1000):  # the rank path, then the packed keys
+    for block in (edges, edges % 1000):
         wide, twin = EdgeChunk(0, block.astype(np.uint64)), EdgeChunk(0, block)
         assert wide.num_edges == twin.num_edges == edges.shape[0]
         for a, b in zip((wide.nodes, wide.offsets, wide.nbrs),
@@ -175,16 +167,30 @@ def test_u64_block_beyond_the_packed_width_indexes_as_its_int64_twin():
         _check_against_rebuild(block.astype(np.uint64))
 
 
-def test_the_rank_path_copies_each_block_of_one_reused_buffer(tmp_path):
-    # ids of 2**32 and above are ranked over every block at once, so the
-    # blocks of iter_edge_blocks, which share one buffer, are copied as they come
-    num_nodes = 2**41
-    edges = np.array([[2**40, 3], [5, 2**33], [3, 5], [2**40 + 1, 2**40], [7, 7], [2**33, 2**40]])
-    efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes)
-    want = build_adjacency([b.copy() for b in iter_edge_blocks(efile, 2)], 6, num_nodes)
-    got = build_adjacency(iter_edge_blocks(efile, 2), 6, num_nodes)
-    assert [a.tolist() for a in got] == [a.tolist() for a in want]
-    assert got[0].tolist() == [3, 5, 7, 2**33, 2**40, 2**40 + 1]
+def test_every_index_holds_ids_below_2_32():
+    # an id of 2**32 - 1 packs as u64 keys of shift 32; one id more is refused
+    # by the chunk and by the builder alike
+    for dtype in (np.uint64, np.int64):
+        chunk = EdgeChunk(0, np.array([[2**32 - 1, 0]], dtype=dtype))
+        assert chunk.width == 2**32 and chunk.keys.dtype == np.uint64
+        assert chunk.keys.tolist() == [2**32 - 1, (2**32 - 1) << 32]
+        with pytest.raises(FormatError):
+            EdgeChunk(0, np.array([[2**32, 0]], dtype=dtype))
+    edges = np.array([[0, 1]], dtype=np.uint64)
+    assert [a.tolist() for a in build_adjacency((edges,), 1, 2**32)] == [[0, 1], [0, 1, 2], [1, 0]]
+    with pytest.raises(FormatError):
+        build_adjacency((edges,), 1, 2**32 + 1)
+
+
+def test_a_block_of_negative_ids_is_refused():
+    # its largest id + 1, the width, is negative or 0: every id lies outside
+    # [0, width)
+    for edges in ([[-5, -3]], [[-1, -1]], [[-70_000, -2]], [[-5, -3], [-2, -9]]):
+        for dtype in (np.int64, np.int32):
+            with pytest.raises(ValueError, match=r"edge ids must lie in \[0, "):
+                EdgeChunk(0, np.array(edges, dtype=dtype))
+    with pytest.raises(ValueError, match=r"edge ids must lie in \[0, 4\)"):
+        EdgeChunk(0, np.array([[-5, 3]]))
 
 
 def _lexsort_adjacency(edges):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from streamcut import model, placement
+from streamcut import placement
 from streamcut import (
     FormatError,
     GremConfig,
@@ -379,21 +379,6 @@ def test_comm_bounded_draw_rejects_low_words(tmp_path, monkeypatch):
     monkeypatch.setattr(placement.np.random, "default_rng",
                         lambda seed: SimpleNamespace(bit_generator=fake))
     assert estimate_comm(efile, labels, plan, (2,), 4, 0) == want
-
-
-def test_comm_same_through_the_edge_list_path(tmp_path, monkeypatch):
-    # the rank path, for ids of 2**32 and above, indexes the decoded edge list
-    # ranked to dense ids instead of packing the ids themselves
-    rng = np.random.default_rng(12)
-    edges = rng.integers(0, 80, size=(900, 2))
-    efile = make_edge_file(tmp_path / "g.grpe", edges, 100)
-    labels = rng.integers(0, 4, size=100)
-    plan = plan_assignment(4, 2, rng_seed=1)
-    want = [estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=s) for s in range(3)]
-    with monkeypatch.context() as patch:
-        patch.setattr(model, "packed_keys_fit", lambda width: False)
-        got = [estimate_comm(efile, labels, plan, num_seeds=20, rng_seed=s) for s in range(3)]
-    assert got == want
 
 
 def test_comm_peak_memory_per_edge(tmp_path):
