@@ -126,18 +126,8 @@ def _grem_config(args) -> GremConfig:
 
 def cmd_partition(args) -> _Run:
     efile = open_edge_file(args.edges)
-    workdir = args.workdir or os.environ.get("GREM_WORKDIR")
-    scratch = workdir is None
-    if scratch:
-        workdir = args.out + ".work"
-    try:
-        labels, report = partition(efile, args.parts, _grem_config(args), workdir)
-    finally:
-        if scratch:  # recursion temporaries are already gone; drop the dir too
-            try:
-                os.rmdir(workdir)
-            except OSError:
-                pass
+    workdir = args.workdir or os.path.dirname(os.path.abspath(args.out))
+    labels, report = partition(efile, args.parts, _grem_config(args), workdir)
     write_labels(args.out, labels, num_parts=args.parts)
     return [args.edges], [args.out], {**report.to_dict(), "labels": args.out}
 
@@ -273,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity-slack", type=float, default=0.0, dest="capacity_slack")
     p.add_argument("--passes", type=int, default=1, help="full sweeps over the edge file")
     p.add_argument("--workdir", default=None,
-                   help="scratch directory for recursion (default: $GREM_WORKDIR)")
+                   help="directory under which recursion makes its private scratch "
+                        "directory (default: the output's directory)")
     _add_common(p)
     p.set_defaults(func=cmd_partition)
 

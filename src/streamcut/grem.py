@@ -27,17 +27,16 @@ nodes whose label it changes to the state's ``visited`` and ``moved``
 counts.
 
 ``partition`` drives p-way partitioning (p a power of two) by recursive
-bisection over induced subgraph files: after each bisection one pass per
-side (``_extract_induced``) writes the edges with both endpoints on that
-side, relabelled to dense ids.  Its report adds up the bisections' own cut
-counts rather than re-reading the original file.  Only a leaf bisection
-runs a cut-count pass; a bisection that is split again cuts the edges that
-neither extraction keeps.
+bisection over induced subgraph files: after each bisection that is split
+again, one pass per side (``_extract_induced``) writes the edges with both
+endpoints on that side, relabelled to dense ids, into a scratch directory
+of the run's own.  Its report is one ``count_cuts`` over the input file.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import dataclass
 from math import ceil
 from numbers import Integral, Real
@@ -55,7 +54,6 @@ from .edgefile import (
     _cut_pass,
     _extract_block,
     _id_dtype,
-    _remove_if_present,
     _replacing,
     iter_edge_blocks,
     open_edge_file,
@@ -91,7 +89,8 @@ class GremConfig:
                  "capacity_slack": Real}
         for name, kind in kinds.items():
             value = getattr(self, name)
-            if not (isinstance(value, kind) or value is None and name.startswith("chunk_")):
+            if isinstance(value, bool) or not (
+                    isinstance(value, kind) or value is None and name.startswith("chunk_")):
                 what = "an integer" if kind is Integral else "a real number"
                 raise FormatError(f"{name} must be {what}, got {value!r}")
         if not isinstance(self.refine, (bool, np.bool_)):
@@ -236,22 +235,16 @@ def count_cuts(efile: EdgeFile, labels: np.ndarray, num_parts: int | None = None
     Sizes and balance are over ``num_parts`` partitions, or over the largest
     label + 1, at most the node count, when it is not given.
     """
-    labels, p = _check_labels(efile.meta.num_nodes, labels, num_parts)
-    return _report(efile, labels, p, _cut_pass(efile, labels, p))
-
-
-def _report(efile: EdgeFile, labels: np.ndarray, num_parts: int, cut: int) -> CutReport:
-    """The CutReport of ``cut`` edges cut under the u32 ``labels`` (as ``_check_labels``
-    returns them) over ``num_parts`` partitions."""
-    total = efile.meta.num_edges
-    sizes = np.bincount(labels[labels != _UNASSIGNED_U32], minlength=num_parts)
-    ideal = ceil(efile.meta.num_nodes / num_parts)
+    meta = efile.meta
+    labels, p = _check_labels(meta.num_nodes, labels, num_parts)
+    cut = _cut_pass(efile, labels, p)
+    sizes = np.bincount(labels[labels != _UNASSIGNED_U32], minlength=p)
     return CutReport(
-        total_edges=total,
+        total_edges=meta.num_edges,
         cut_edges=cut,
-        cut_fraction=cut / total if total else 0.0,
+        cut_fraction=cut / meta.num_edges if meta.num_edges else 0.0,
         partition_sizes=tuple(int(s) for s in sizes),
-        balance_ratio=float(sizes.max()) / ideal,
+        balance_ratio=float(sizes.max()) / ceil(meta.num_nodes / p),
     )
 
 
@@ -289,15 +282,12 @@ def partition(
     """Recursive p-way partitioning (p a power of two) via repeated bisection.
 
     Each recursion level bisects with capacity derived from the original node
-    count, so leaf partitions respect ceil((1 + slack) * num_nodes / p).  The
-    report charges cuts against the original edge file: its cut is the sum of
-    the bisections' cuts, since each final cut edge is cut by exactly one
-    bisection, the first to separate its endpoints, and extraction drops
-    exactly those edges from deeper files.  A leaf bisection counts its cut
-    with ``count_cuts``; a bisection that is split again takes it from the
-    two extraction passes, which see every edge anyway: with every node
-    labelled, an edge is either kept by one side or cut, so the cut is the
-    file's edges less the edges both sides keep.
+    count, so leaf partitions respect ceil((1 + slack) * num_nodes / p).  A
+    node's part is the path of sides that led to it, read as binary digits.
+    The subgraph files live in a temporary directory under ``workdir``
+    (created if missing), removed when the call returns or raises, so runs
+    that share ``workdir`` do not meet.  The report is ``count_cuts`` over
+    ``efile``.
     """
     if p < 2 or (p & (p - 1)) != 0:
         raise FormatError(f"number of parts must be a power of two >= 2, got {p}")
@@ -305,33 +295,24 @@ def partition(
         raise FormatError(f"number of parts must be at most 2**31, got {p}")
     total_nodes = efile.meta.num_nodes
     check_id_width(total_nodes)  # before the per-node labels
-    os.makedirs(workdir, exist_ok=True)
+    depth = p.bit_length() - 1
     final = np.full(total_nodes, -1, dtype=np.int32)
-    cut = 0
 
-    def recurse(file: EdgeFile, orig_ids: np.ndarray, p_level: int, level: int, leaf_base: int):
-        nonlocal cut
+    def recurse(file: EdgeFile, orig_ids: np.ndarray, level: int, prefix: int):
         cap = default_capacity(total_nodes, config.capacity_slack, 2 ** (level + 1))
-        if p_level == 2:
-            labels, report = bisect(file, config, capacity=cap)
-            cut += report.cut_edges
-            final[orig_ids[labels == 0]] = leaf_base
-            final[orig_ids[labels == 1]] = leaf_base + 1
-            return
         labels = _bisect_labels(file, config, capacity=cap)
-        cut += file.meta.num_edges  # less each side's kept edges, below
+        if level + 1 == depth:
+            final[orig_ids] = 2 * prefix + labels
+            return
         for side in (0, 1):
             members = np.flatnonzero(labels == side)
-            base = leaf_base + side * (p_level // 2)
-            if members.size == 0:
-                continue
-            sub_path = os.path.join(workdir, f"bisect_l{level + 1}_b{base}.grpe")
-            try:
+            if members.size:
+                sub_path = os.path.join(scratch, f"l{level + 1}_b{2 * prefix + side}.grpe")
                 sub_file = _extract_induced(file, labels, side, members, sub_path)
-                cut -= sub_file.meta.num_edges
-                recurse(sub_file, orig_ids[members], p_level // 2, level + 1, base)
-            finally:
-                _remove_if_present(sub_path)
+                recurse(sub_file, orig_ids[members], level + 1, 2 * prefix + side)
+                os.remove(sub_path)  # so the disk holds at most one subgraph per level
 
-    recurse(efile, np.arange(total_nodes, dtype=np.int64), p, 0, 0)
-    return final, _report(efile, _check_labels(total_nodes, final, p)[0], p, cut)
+    os.makedirs(workdir, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix="streamcut-partition-", dir=workdir) as scratch:
+        recurse(efile, np.arange(total_nodes, dtype=np.int64), 0, 0)
+    return final, count_cuts(efile, final, p)

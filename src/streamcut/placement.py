@@ -126,9 +126,10 @@ def estimate_comm(
         raise FormatError("cannot estimate traffic on an empty graph")
     if not 1 <= num_seeds <= num_nodes:
         raise FormatError(f"num_seeds must be in [1, {num_nodes}], got {num_seeds}")
-    fanouts = np.array([int(f) for f in fanouts], dtype=np.int64)
-    if fanouts.size == 0 or fanouts.min() < 1:
-        raise FormatError(f"fanouts must be one or more counts >= 1, got {fanouts.tolist()}")
+    fanouts = [int(f) for f in fanouts]
+    if not fanouts or not all(1 <= f < 2**63 for f in fanouts):  # before the int64 array
+        raise FormatError(f"fanouts must be one or more counts in [1, 2**63), got {fanouts}")
+    fanouts = np.array(fanouts, dtype=np.int64)
     for node in plan.replicated_nodes:
         if not 0 <= node < num_nodes:
             raise FormatError(f"replicated node {node} out of range")

@@ -354,7 +354,8 @@ def test_comm_estimate_records_kernel(tmp_path, comm_inputs, capsys):
     assert manifest["outputs"] == {str(csv_path): digest(csv_path)}
 
 
-@pytest.mark.parametrize("fanouts", ["0", "3,0,2", ""])
+@pytest.mark.parametrize("fanouts", ["0", "3,0,2", "", "99999999999999999999",
+                                     "-99999999999999999999"])
 def test_comm_estimate_bad_fanouts_is_a_data_error(tmp_path, comm_inputs, capsys, fanouts):
     out = tmp_path / "comm.csv"
     code = main([str(a) for a in ("comm-estimate", *comm_inputs, "--out", out,
@@ -448,17 +449,6 @@ def test_partition_text_input_and_chunk_edges(tmp_path, capsys):
     assert sorted(payload["partition_sizes"]) == [4, 4]
 
 
-def test_workdir_env_default(tmp_path, cliques, capsys, monkeypatch):
-    efile, _ = cliques
-    workdir = tmp_path / "scratch"
-    monkeypatch.setenv("GREM_WORKDIR", str(workdir))
-    out = tmp_path / "l.grpl"
-    code, _ = run_json(capsys, "partition", efile.path, "--out", out, "--parts", "4",
-                       "--chunk-frac", "0.5", "--capacity-slack", "0.5")
-    assert code == 0
-    assert workdir.is_dir()
-
-
 # Run in a child that lowers its own file-size limit to 50,000 bytes: the
 # 40,000-edge input (320,016 bytes) is already written, but the subgraph a
 # level-1 bisection extracts (about a quarter of the edges, some 80,000
@@ -475,8 +465,7 @@ def test_failed_extraction_leaves_no_partial_file(tmp_path):
     rng = np.random.default_rng(4)
     efile = make_edge_file(tmp_path / "g.grpe", rng.integers(0, 2000, size=(40_000, 2)), 2000)
     path = [str(Path(streamcut.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {name: value for name, value in os.environ.items() if name != "GREM_WORKDIR"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     child = subprocess.run([sys.executable, "-c", _EXTRACT_CHILD, "partition", efile.path,
                             "--parts", "4", "--out", str(tmp_path / "l.grpl")],
                            capture_output=True, text=True, env=env, timeout=120)
@@ -509,8 +498,7 @@ def test_more_than_2_32_nodes_are_refused_before_any_per_node_array(tmp_path):
     efile = make_edge_file(tmp_path / "g.grpe", [[0, 2**32]], 2**32 + 1)
     assert os.path.getsize(efile.path) == 44
     path = [str(Path(streamcut.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {name: value for name, value in os.environ.items() if name != "GREM_WORKDIR"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     child = subprocess.run([sys.executable, "-c", _HUGE_CHILD, efile.path,
                             str(tmp_path / "work"), str(tmp_path / "l.grpl")],
                            capture_output=True, text=True, env=env, timeout=120)

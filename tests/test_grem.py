@@ -665,8 +665,7 @@ def test_partition_p2_equals_bisect(tmp_path):
 
 
 def test_partition_report_equals_a_recount(tmp_path):
-    # the report sums the bisections' cuts instead of recounting the final
-    # labels; each final cut edge is cut by exactly one bisection
+    # the report counts the final labels' cut over the input file
     rng = np.random.default_rng(19)
     for trial in range(12):
         edges, used = random_multigraph(rng, max_nodes=60, max_edges=300)
@@ -695,8 +694,10 @@ def test_partition_four_cliques(tmp_path):
 
 
 def test_partition_work_dir_holds_only_the_induced_subgraphs(tmp_path, monkeypatch):
-    # every bisection below the top one reads the edge file extracted for it;
-    # the work directory never holds anything else, and ends empty
+    # every bisection below the top one reads the edge file extracted for it,
+    # in the run's own directory under the work directory, which holds nothing
+    # else; the report is one count over the input, and the work directory
+    # ends empty
     edges, _ = generate(CliqueUnionSpec(8, 6, bridges=4))
     efile = make_edge_file(tmp_path / "g.grpe", edges, 48)
     work = tmp_path / "work"
@@ -704,9 +705,12 @@ def test_partition_work_dir_holds_only_the_induced_subgraphs(tmp_path, monkeypat
     counted = []
     real_bisect_labels, real_count_cuts = grem._bisect_labels, grem.count_cuts
 
-    def listing_bisect_labels(*args, **kwargs):
-        listings.append(sorted(p.name for p in work.iterdir()))
-        return real_bisect_labels(*args, **kwargs)
+    def listing_bisect_labels(file, *args, **kwargs):
+        (private,) = work.iterdir()
+        names = sorted(p.name for p in private.iterdir())
+        assert file.path == efile.path or os.path.relpath(file.path, private) in names
+        listings.append((private, names))
+        return real_bisect_labels(file, *args, **kwargs)
 
     def counting_count_cuts(*args, **kwargs):
         counted.append(args[0].path)
@@ -716,15 +720,50 @@ def test_partition_work_dir_holds_only_the_induced_subgraphs(tmp_path, monkeypat
     monkeypatch.setattr(grem, "count_cuts", counting_count_cuts)
     partition(efile, 8, GremConfig(chunk_frac=0.5), str(work))
     assert len(listings) == 7
-    # only the 4 leaf bisections count their cut in a pass of their own; the
-    # 3 that are split again take it from their two extraction passes
-    assert sorted(os.path.basename(path) for path in counted) == [
-        "bisect_l2_b0.grpe", "bisect_l2_b2.grpe", "bisect_l2_b4.grpe", "bisect_l2_b6.grpe"]
-    assert {name for names in listings for name in names} == {
-        "bisect_l1_b0.grpe", "bisect_l1_b4.grpe",
-        "bisect_l2_b0.grpe", "bisect_l2_b2.grpe", "bisect_l2_b4.grpe", "bisect_l2_b6.grpe",
-    }
+    assert len({private for private, _ in listings}) == 1
+    # a subgraph file is removed once its side is partitioned: at most one per level
+    assert max(len(names) for _, names in listings) == 2
+    assert counted == [efile.path]
     assert list(work.iterdir()) == []
+
+
+def test_partition_runs_sharing_a_work_dir_do_not_meet(tmp_path, monkeypatch):
+    # run B starts and ends inside run A's first level-1 bisection, in the
+    # same work directory; each run returns the labels it returns alone
+    config = GremConfig(chunk_frac=0.5, capacity_slack=0.25)
+    files = []
+    for name, seed in (("a", 31), ("b", 32)):
+        edges, num_nodes = random_multigraph(np.random.default_rng(seed), 60, 300)
+        files.append(make_edge_file(tmp_path / f"{name}.grpe", edges, num_nodes))
+    solo = [partition(f, 8, config, str(tmp_path / "solo"))[0] for f in files]
+    work = str(tmp_path / "work")
+    real_bisect_labels = grem._bisect_labels
+    started, labels_b = [], []
+
+    def interleaving_bisect_labels(file, *args, **kwargs):
+        if file.path != files[0].path and not started:  # run A's first level-1 bisection
+            started.append(file.path)
+            labels_b.append(partition(files[1], 8, config, work)[0])
+        return real_bisect_labels(file, *args, **kwargs)
+
+    monkeypatch.setattr(grem, "_bisect_labels", interleaving_bisect_labels)
+    labels_a, _ = partition(files[0], 8, config, work)
+    assert len(labels_b) == 1
+    assert labels_a.tolist() == solo[0].tolist()
+    assert labels_b[0].tolist() == solo[1].tolist()
+    assert os.listdir(work) == []
+
+
+def test_partition_leaves_the_files_in_the_work_dir_alone(tmp_path):
+    work = tmp_path / "work"
+    work.mkdir()
+    kept = work / "bisect_l1_b0.grpe"
+    kept.write_bytes(b"not a scratch file")
+    edges, _ = generate(CliqueUnionSpec(4, 8, bridges=2))
+    efile = make_edge_file(tmp_path / "g.grpe", edges, 32)
+    partition(efile, 4, GremConfig(chunk_frac=0.5), str(work))
+    assert [p.name for p in work.iterdir()] == [kept.name]
+    assert kept.read_bytes() == b"not a scratch file"
 
 
 def test_partition_capacity_bound(tmp_path):
@@ -756,7 +795,9 @@ def test_partition_capacity_bound_with_slack(tmp_path):
                                  {"passes": 2.5}, {"chunk_edges": 2.5}, {"chunk_frac": "0.5"},
                                  {"capacity_slack": "0.1"}, {"passes": None},
                                  {"refine": "false"}, {"refine": None}, {"refine": 0},
-                                 {"refine": np.int8(1)}])
+                                 {"refine": np.int8(1)}, {"chunk_edges": True},
+                                 {"chunk_frac": True}, {"passes": True},
+                                 {"capacity_slack": False}])
 def test_grem_config_rejects_bad_values(bad):
     with pytest.raises(FormatError):
         GremConfig(**bad)
