@@ -426,8 +426,8 @@ done:
 
 /* The edge passes read blocks of (src, dst) rows as stored: 4-byte ids
  * (id_bytes == 4) or 8-byte ids (id_bytes == 8), little-endian unsigned,
- * trusted as the header says.  They check only the labels, new ids and
- * bucket ids they read.  The bodies are inlined into one copy per id
+ * trusted as the header says.  They check only the labels and bucket ids
+ * they read; extract_rows drops any row with a negative new id.  The bodies are inlined into one copy per id
  * width.  scatter_rows copies rows as bytes and takes any row width, so
  * feature records are grouped by it too. */
 
@@ -474,15 +474,11 @@ int64_t label_pass(int64_t m, const void *rows, int64_t id_bytes, const uint32_t
 }
 
 PASS int64_t extract_rows_body(int64_t m, const void *rows, int wide, const int64_t *new_id,
-                               int64_t out_bytes, void *out, int64_t *kept)
+                               int64_t out_bytes, void *out)
 {
-    int64_t k = 0, bad = -1;
+    int64_t k = 0;
     for (int64_t i = 0; i < m; i++) {
         int64_t a = new_id[id_at(rows, wide, 2 * i)], b = new_id[id_at(rows, wide, 2 * i + 1)];
-        if (a < -1 || b < -1) {
-            bad = i;
-            break;
-        }
         /* every row is written at k, and k moves past it only when both ends
          * are kept: no branch on a coin-flip condition */
         if (out_bytes == 8) {
@@ -494,22 +490,19 @@ PASS int64_t extract_rows_body(int64_t m, const void *rows, int wide, const int6
         }
         k += (a | b) >= 0;
     }
-    *kept = k;
-    return bad;
+    return k;
 }
 
 /* Keeps the m rows whose endpoints both have a new id and writes them, in
- * order, to `out` (room for m rows) as ids of out_bytes (4 or 8) bytes;
- * *kept gets the number of rows kept.  new_id[n] (one per node) is node n's
- * new id, -1 for a node whose rows are dropped, or below -1 for a node no
- * row may touch.  Returns -1, or the position of the first row with an
- * endpoint whose new_id is below -1 (the rows before it are written). */
+ * order, to `out` (room for m rows) as ids of out_bytes (4 or 8) bytes.
+ * new_id[n] (one per node) is node n's new id, or -1 for a node whose rows
+ * are dropped.  Returns the number of rows kept. */
 int64_t extract_rows(int64_t m, const void *rows, int64_t id_bytes, const int64_t *new_id,
-                     int64_t out_bytes, void *out, int64_t *kept)
+                     int64_t out_bytes, void *out)
 {
     if (id_bytes == 8)
-        return extract_rows_body(m, rows, 1, new_id, out_bytes, out, kept);
-    return extract_rows_body(m, rows, 0, new_id, out_bytes, out, kept);
+        return extract_rows_body(m, rows, 1, new_id, out_bytes, out);
+    return extract_rows_body(m, rows, 0, new_id, out_bytes, out);
 }
 
 PASS int64_t scatter_rows_body(int64_t m, const void *rows, size_t row, const int64_t *bucket,

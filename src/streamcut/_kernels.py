@@ -39,8 +39,8 @@ built from:
 * ``label_pass`` -- gathers both u32 labels of each edge of a block, tallies
   cut edges and optionally counts and writes p x p bucket ids:
   ``grem.count_cuts`` and both passes of ``store.write_buckets``;
-* ``extract_rows`` -- keeps the rows with both endpoints on one side of a
-  bisection and writes them relabelled at the output id width:
+* ``extract_rows`` -- keeps the rows whose endpoints both have a new id and
+  writes them relabelled at the output id width, returning how many:
   ``grem._extract_induced``;
 * ``scatter_rows`` -- a stable counting scatter of a block's rows by bucket
   id, each row copied as ``row_bytes`` bytes: 8 or 16 for an edge row of two
@@ -58,16 +58,16 @@ The four edge passes take blocks of 4- or 8-byte ids as
 ``edgefile.iter_edge_blocks`` yields them (``scatter_rows``, which never
 reads an id, also takes feature records).  Their precondition is that
 reader's check: every id is below the node count that sizes the per-node
-arrays, which they index unchecked.  They check only the labels, new ids
-and bucket ids they read, and return the first row they reject.  Labels
-reach ``label_pass`` and ``endpoint_counts`` as one u32 array, a label
-file's form, made once where they enter by ``edgefile._check_labels``:
-every label is below p (2 for a bisection), and an unassigned one is
-0xFFFFFFFF, which the passes reject like any label out of their range;
-``edgefile._raise_rejected`` makes a row with a 0xFFFFFFFF endpoint a
-FormatError, any other a ValueError.  ``endpoint_counts`` adds into u32 counters, which its caller
-folds into the int64 result at the end and every 2**32 - 1 rows before
-that, so no count wraps.
+arrays, which they index unchecked.  They check only the labels and bucket
+ids they read (``extract_rows`` reads neither) and return the first row they
+reject.  Labels reach ``label_pass`` and ``endpoint_counts`` as one u32
+array, a label file's form, made once where they enter by
+``edgefile._check_labels``: every label is below p (2 for a bisection), and
+an unassigned one is 0xFFFFFFFF, which the passes reject like any label out
+of their range; ``edgefile._raise_rejected`` makes a row with a 0xFFFFFFFF
+endpoint a FormatError, any other a ValueError.  ``endpoint_counts`` adds
+into u32 counters, which its caller folds into the int64 result at the end
+and every 2**32 - 1 rows before that, so no count wraps.
 
 A C compiler is required: each kernel is the only implementation of its
 loop.  When the library cannot be built or loaded, importing this module,
@@ -176,7 +176,7 @@ def _load():
         "adjacency_tail": ([i64, p, i64, i64, i64, p, p, p, p], i64),
         "comm_walk": ([i64, p, p, p, p, i64, p, i64, p, p, p], i64),
         "label_pass": ([i64, p, i64, p, i64, p, p, p], i64),
-        "extract_rows": ([i64, p, i64, p, i64, p, p], i64),
+        "extract_rows": ([i64, p, i64, p, i64, p], i64),
         "scatter_rows": ([i64, p, i64, p, i64, p, p], i64),
         "endpoint_counts": ([i64, p, i64, p, p], i64),
         "curve_point": ([i64, p, p, p, p, p, p, p, p, i64, p, p, p, p], None),

@@ -351,7 +351,7 @@ def main(argv=None) -> int:
         inputs, outputs, report = args.func(args)
         report["manifest"] = _write_manifest(args, args.command, inputs, outputs, started)
         _emit(args, report)
-    except (StreamcutError, ValueError) as exc:
+    except (StreamcutError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

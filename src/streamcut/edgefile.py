@@ -531,9 +531,9 @@ def stream_chunks(
 
 
 # The edge passes over one block of ``iter_edge_blocks``, whose ids they trust.
-# Each runs its compiled kernel, which checks the labels, new ids and bucket
-# ids it reads and reports the first row it rejects, which ``_raise_rejected``
-# turns into an error.
+# Each runs its compiled kernel, which checks the labels and bucket ids it
+# reads and reports the first row it rejects, which ``_raise_rejected`` turns
+# into an error; the extraction pass has nothing to reject.
 
 def _rows(block: np.ndarray) -> np.ndarray:
     rows = np.ascontiguousarray(block)
@@ -573,21 +573,17 @@ def _extract_block(efile: EdgeFile, block: np.ndarray, new_id: np.ndarray,
     have a new id, relabelled, written to the front of ``out`` and returned as
     a view of it.
 
-    ``new_id`` (int64, one per node) holds each kept node's new id, -1 for
-    a node whose rows are dropped, and -2 for a node no row may touch: one
-    labelled neither 0 nor 1.  ``out`` is a contiguous u32 or u64 buffer of
-    at least the block's shape.
+    ``new_id`` (int64, one per node) holds each kept node's new id and -1 for
+    a node whose rows are dropped.  ``out`` is a contiguous u32 or u64 buffer
+    of at least the block's shape.
     """
     rows, num_nodes, ptr = _rows(block), efile.meta.num_nodes, _kernels.ptr
-    new_id_ptr = ptr(new_id, np.int64, num_nodes)
     if _rows(out) is not out or out.shape[0] < rows.shape[0]:
         raise ValueError(f"extraction buffer must be contiguous and hold {rows.shape[0]} rows")
-    kept = np.zeros(1, dtype=np.int64)
-    if _kernels.extract_rows(rows.shape[0], ptr(rows, rows.dtype, rows.size), rows.itemsize,
-                             new_id_ptr, out.itemsize, ptr(out, out.dtype, out.size),
-                             ptr(kept, np.int64, 1)) >= 0:
-        raise FormatError("unlabeled endpoint encountered")
-    return out[: int(kept[0])]
+    kept = _kernels.extract_rows(rows.shape[0], ptr(rows, rows.dtype, rows.size), rows.itemsize,
+                                 ptr(new_id, np.int64, num_nodes), out.itemsize,
+                                 ptr(out, out.dtype, out.size))
+    return out[:kept]
 
 
 def _scatter_block(block: np.ndarray, bucket: np.ndarray, nbuckets: int,

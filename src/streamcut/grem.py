@@ -27,10 +27,10 @@ nodes whose label it changes to the state's ``visited`` and ``moved``
 counts.
 
 ``partition`` drives p-way partitioning (p a power of two) by recursive
-bisection over induced subgraph files: after each bisection that is split
-again, one pass per side (``_extract_induced``) writes the edges with both
-endpoints on that side, relabelled to dense ids, into a scratch directory
-of the run's own.  Its report is one ``count_cuts`` over the input file.
+bisection: each side of a bisection that is split again is written, as the
+edges with both endpoints on it relabelled to dense ids, to a scratch
+directory of the run's own (``_extract_induced``), and its split returns its
+labels.  The report is one ``count_cuts`` over the input file.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .edgefile import (
     _cut_pass,
     _extract_block,
     _id_dtype,
-    _replacing,
     iter_edge_blocks,
     open_edge_file,
     stream_chunks,
@@ -164,7 +163,7 @@ def _seed_chunk(state: PartitionState, chunk: EdgeChunk) -> None:
     nodes, offsets, nbrs = chunk.nodes, chunk.offsets, chunk.nbrs
     parts = state.parts
     parts[nodes] = labels
-    state.sizes = [int(np.count_nonzero(parts == 0)), int(np.count_nonzero(parts == 1))]
+    state.sizes = np.bincount(labels, minlength=2).tolist()  # every other node is unassigned
     # neighbor estimates against the freshly seeded labels
     ptr, num, num_nodes = _kernels.ptr, nodes.size, state.num_nodes
     _kernels.seed_counts(
@@ -173,12 +172,24 @@ def _seed_chunk(state: PartitionState, chunk: EdgeChunk) -> None:
         ptr(state.lean, np.float64, num_nodes))
 
 
+_FILL_BLOCK = 1 << 16  # nodes per step of _fill_unassigned, which bounds its index arrays
+
+
 def _fill_unassigned(state: PartitionState) -> None:
-    parts, sizes = state.parts, state.sizes
-    for n in np.flatnonzero(parts == -1).tolist():
-        b = assign(0.0, sizes, state.capacity)  # no lean: the smaller side, 0 on a tie
-        parts[n] = b
-        sizes[b] += 1
+    """Places the unassigned nodes in id order as ``assign`` with no lean does:
+    on the smaller side until the sides are level, then 0, 1, 0 ..."""
+    sizes = state.sizes  # with room for all: _bisect_labels checked 2 * capacity >= num_nodes
+    for start in range(0, state.num_nodes, _FILL_BLOCK):
+        parts = state.parts[start:start + _FILL_BLOCK]
+        todo = np.flatnonzero(parts == -1)
+        smaller = int(sizes[1] < sizes[0])
+        level = min(abs(sizes[0] - sizes[1]), todo.size)
+        parts[todo[:level]] = smaller
+        parts[todo[level::2]] = 0
+        parts[todo[level + 1::2]] = 1
+        sizes[smaller] += level
+        sizes[0] += (todo.size - level + 1) // 2
+        sizes[1] += (todo.size - level) // 2
 
 
 def bisect(
@@ -189,7 +200,7 @@ def bisect(
     meter: ResidencyMeter | None = None,
     on_chunk=None,
 ) -> tuple[np.ndarray, CutReport]:
-    """Streams the file once per pass and returns ({0,1} labels, CutReport).
+    """Streams the file once per pass and returns (int32 {0,1} labels, CutReport).
 
     Nodes never seen in any chunk (isolated nodes) are appended round-robin
     to the smaller partition after streaming.  ``on_chunk(state)`` runs after
@@ -197,7 +208,8 @@ def bisect(
     the file, ``count_cuts``.  More than 2**32 nodes is a FormatError.
     """
     labels = _bisect_labels(efile, config, capacity=capacity, meter=meter, on_chunk=on_chunk)
-    return labels, count_cuts(efile, labels)
+    report = count_cuts(efile, labels)  # before the int32 copy, which it does not need
+    return labels.astype(np.int32), report
 
 
 def _bisect_labels(
@@ -208,7 +220,7 @@ def _bisect_labels(
     meter: ResidencyMeter | None = None,
     on_chunk=None,
 ) -> np.ndarray:
-    """The {0,1} labels of ``bisect``, without its cut-count pass."""
+    """The {0,1} labels of ``bisect``, the state's int8 ``parts``, without its cut count."""
     meta = efile.meta
     num_nodes = meta.num_nodes
     check_id_width(num_nodes)  # before the per-node state
@@ -226,7 +238,7 @@ def _bisect_labels(
             if on_chunk is not None:
                 on_chunk(state)
     _fill_unassigned(state)
-    return state.labels_array()
+    return state.parts
 
 
 def count_cuts(efile: EdgeFile, labels: np.ndarray, num_parts: int | None = None) -> CutReport:
@@ -248,28 +260,24 @@ def count_cuts(efile: EdgeFile, labels: np.ndarray, num_parts: int | None = None
     )
 
 
-def _extract_induced(
-    efile: EdgeFile, labels: np.ndarray, side: int, members: np.ndarray, out_path: str
-) -> EdgeFile:
-    """Writes the subgraph induced by one side of a bisection into a dense-id edge file.
+def _extract_induced(efile: EdgeFile, keep: np.ndarray, out_path: str) -> EdgeFile:
+    """Writes the subgraph induced by the nodes of one side into a dense-id edge file.
 
-    ``members`` holds the nodes labelled ``side``, ascending; they become
-    nodes 0, 1, ... of the new file.  Cross edges are dropped; they are
-    already cut and carry no information for deeper bisections.  An edge
-    touching a node labelled neither 0 nor 1 is a FormatError.
-    ``_extract_block`` writes each block's kept edges, relabelled, into one
-    buffer at the output id width.  The file is written under a temporary
-    name and renamed into place, so a failed extraction leaves nothing.
+    ``keep`` is a bool mask, one entry per node, of the side's nodes; they
+    become nodes 0, 1, ... of the new file, in id order.  Edges with an
+    endpoint off the side are dropped; they are already cut and carry no
+    information for deeper bisections.  ``_extract_block`` writes each
+    block's kept edges, relabelled, into one buffer at the output id width.
     """
-    new_id = np.where(_check_labels(efile.meta.num_nodes, labels)[0] <= 1, -1, -2)
-    new_id[members] = np.arange(members.size, dtype=np.int64)
-    with _replacing(out_path) as (tmp_path,):
-        with BinaryEdgeWriter(tmp_path, int(members.size)) as writer:
-            out = np.empty((0, 2), dtype=_id_dtype(writer.width))
-            for block in iter_edge_blocks(efile):
-                if out.shape[0] < block.shape[0]:  # the first, largest block's buffer, reused
-                    out = np.empty((block.shape[0], 2), dtype=out.dtype)
-                writer.write(_extract_block(efile, block, new_id, out))
+    new_id = np.full(efile.meta.num_nodes, -1, dtype=np.int64)
+    count = int(np.count_nonzero(keep))
+    new_id[keep] = np.arange(count, dtype=np.int64)
+    with BinaryEdgeWriter(out_path, count) as writer:
+        out = np.empty((0, 2), dtype=_id_dtype(writer.width))
+        for block in iter_edge_blocks(efile):
+            if out.shape[0] < block.shape[0]:  # the first, largest block's buffer, reused
+                out = np.empty((block.shape[0], 2), dtype=out.dtype)
+            writer.write(_extract_block(efile, block, new_id, out))
     return open_edge_file(out_path)
 
 
@@ -283,36 +291,34 @@ def partition(
 
     Each recursion level bisects with capacity derived from the original node
     count, so leaf partitions respect ceil((1 + slack) * num_nodes / p).  A
-    node's part is the path of sides that led to it, read as binary digits.
-    The subgraph files live in a temporary directory under ``workdir``
-    (created if missing), removed when the call returns or raises, so runs
-    that share ``workdir`` do not meet.  The report is ``count_cuts`` over
-    ``efile``.
+    node's part is the path of sides that led to it, read as binary digits:
+    a split into ``parts`` labels side 1 ``parts // 2`` and adds each side's
+    own split.  The subgraph files live in a temporary directory under
+    ``workdir`` (created if missing), removed when the call returns or
+    raises, so runs that share ``workdir`` do not meet.  The labels are
+    int32; the report is ``count_cuts`` over ``efile``.
     """
     if p < 2 or (p & (p - 1)) != 0:
         raise FormatError(f"number of parts must be a power of two >= 2, got {p}")
     if p > 2**31:  # the label file holds labels below 0xFFFFFFFF
         raise FormatError(f"number of parts must be at most 2**31, got {p}")
     total_nodes = efile.meta.num_nodes
-    check_id_width(total_nodes)  # before the per-node labels
-    depth = p.bit_length() - 1
-    final = np.full(total_nodes, -1, dtype=np.int32)
+    check_id_width(total_nodes)  # before the scratch directory and any per-node array
 
-    def recurse(file: EdgeFile, orig_ids: np.ndarray, level: int, prefix: int):
-        cap = default_capacity(total_nodes, config.capacity_slack, 2 ** (level + 1))
-        labels = _bisect_labels(file, config, capacity=cap)
-        if level + 1 == depth:
-            final[orig_ids] = 2 * prefix + labels
-            return
-        for side in (0, 1):
-            members = np.flatnonzero(labels == side)
-            if members.size:
-                sub_path = os.path.join(scratch, f"l{level + 1}_b{2 * prefix + side}.grpe")
-                sub_file = _extract_induced(file, labels, side, members, sub_path)
-                recurse(sub_file, orig_ids[members], level + 1, 2 * prefix + side)
-                os.remove(sub_path)  # so the disk holds at most one subgraph per level
+    def split(file: EdgeFile, parts: int) -> np.ndarray:
+        cap = default_capacity(total_nodes, config.capacity_slack, 2 * p // parts)
+        sides = _bisect_labels(file, config, capacity=cap)
+        labels = np.multiply(sides, parts // 2, dtype=np.int32)
+        if parts > 2:
+            for side in (0, 1):
+                on_side = sides == side
+                if on_side.any():
+                    sub_path = os.path.join(scratch, f"p{parts}_s{side}.grpe")
+                    labels[on_side] += split(_extract_induced(file, on_side, sub_path), parts // 2)
+                    os.remove(sub_path)  # so the disk holds at most one subgraph per level
+        return labels
 
     os.makedirs(workdir, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="streamcut-partition-", dir=workdir) as scratch:
-        recurse(efile, np.arange(total_nodes, dtype=np.int64), 0, 0)
-    return final, count_cuts(efile, final, p)
+        labels = split(efile, p)
+    return labels, count_cuts(efile, labels, p)

@@ -288,9 +288,6 @@ class PartitionState:
     def num_nodes(self) -> int:
         return self.parts.shape[0]
 
-    def labels_array(self) -> np.ndarray:
-        return self.parts.astype(np.int32)
-
 
 @dataclass(frozen=True)
 class CutReport:

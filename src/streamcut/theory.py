@@ -225,6 +225,8 @@ def theory_curve(stats: NodeStats, xs, multiplier: float = 1.0) -> list[TheoryCu
     if len(stats) == 0:
         raise FormatError("empty node stats")
     xs = [float(x) for x in xs]
+    if not xs:
+        raise FormatError("chunk fractions must be one or more values in (0, 1], got []")
     for x in xs:
         _check_curve_args(x, multiplier)
     linked = stats.k > 0

@@ -507,3 +507,42 @@ def test_more_than_2_32_nodes_are_refused_before_any_per_node_array(tmp_path):
     assert child.stdout.splitlines() == [refused, refused, "exit 3"], child.stderr
     assert child.stderr == "error: node ids must lie below 2**32, got ids up to 4294967296\n"
     assert [p.name for p in tmp_path.iterdir()] == ["g.grpe"]
+
+
+# A label file that declares 2**20 parts asks `buckets` for a p x p count
+# table of 8 TiB.  The child caps its address space at 2 GiB, so a host that
+# overcommits never touches the memory.
+_TOO_BIG_CHILD = """
+import resource, sys
+from streamcut import cli
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+print("exit", cli.main(sys.argv[1:]))
+"""
+
+
+def test_an_input_too_large_for_memory_is_a_data_error(tmp_path):
+    efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 2]], 3)
+    labels = tmp_path / "big.grpl"
+    write_labels(str(labels), np.array([0, 1, 2]), num_parts=1 << 20)
+    path = [str(Path(streamcut.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    child = subprocess.run([sys.executable, "-c", _TOO_BIG_CHILD, "buckets", efile.path,
+                            str(labels), str(tmp_path / "out.grpb")],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["exit", "3"], child.stderr
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1, child.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.grpl", "g.grpe"]
+
+
+@pytest.mark.parametrize("xs", ["", ","])
+def test_predict_with_no_chunk_fraction_is_a_data_error(tmp_path, cliques, capsys, xs):
+    efile, truth = cliques
+    ref = tmp_path / "ref.grpl"
+    write_labels(str(ref), truth % 2, num_parts=2)
+    out = tmp_path / "curve.csv"
+    code = main(["predict", efile.path, str(ref), "--xs", xs, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: chunk fractions must be one or more values in (0, 1], got []\n")
+    assert not out.exists()

@@ -135,10 +135,9 @@ def _extractions(efile, labels, out_dir):
     """The bytes of each side's induced-subgraph file, each checked against ``_induced``."""
     files = []
     for side in (0, 1):
-        members = np.flatnonzero(labels == side)
         out = out_dir / f"{side}.grpe"
-        sub = grem._extract_induced(efile, labels, side, members, str(out))
-        assert sub.meta.num_nodes == members.size
+        sub = grem._extract_induced(efile, labels == side, str(out))
+        assert sub.meta.num_nodes == np.count_nonzero(labels == side)
         assert read_all_edges(sub).tolist() == _induced(read_all_edges(efile), labels, side)
         files.append(out.read_bytes())
     return files
@@ -192,23 +191,14 @@ def test_extract_block_writes_either_output_width(tmp_path):
 @pytest.mark.parametrize("width, bad", [(32, 999), (32, 2**32 - 1), (64, 2**63 + 5),
                                         (64, 2**64 - 1)])
 def test_extract_rejects_a_damaged_id(tmp_path, width, bad):
-    # the bad id sits in the last row of the file's one block, behind a first
-    # row with an unlabeled endpoint: the reader rejects the block before the
-    # extraction pass sees any of its rows, and the intact file reaches the
-    # pass, which rejects the unlabeled endpoint
+    # the bad id sits in the last row of the file's one block: the reader
+    # rejects the block before the extraction pass sees any of its rows
     edges = _multigraph(15, 300, 5000)
-    edges[0] = (0, 1)
-    intact = make_edge_file(tmp_path / "intact.grpe", edges, 300, width)
     damaged = make_edge_file(tmp_path / "g.grpe", edges, 300, width)
     _poke(damaged.path, -width // 8, bad, width // 8)
-    labels = np.arange(300) % 2
-    labels[0] = -1
-    members = np.flatnonzero(labels == 1)
     out = str(tmp_path / "o.grpe")
     with pytest.raises(FormatError, match=f"g.grpe: edge endpoint {bad} >= num_nodes 300$"):
-        grem._extract_induced(damaged, labels, 1, members, out)
-    with pytest.raises(FormatError, match="^unlabeled endpoint encountered$"):
-        grem._extract_induced(intact, labels, 1, members, out)
+        grem._extract_induced(damaged, np.arange(300) % 2 == 1, out)
 
 
 # ------------------------------------------------------------ 64-bit ids

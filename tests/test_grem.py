@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from math import ceil
 
 import numpy as np
@@ -545,6 +546,36 @@ def test_bisect_isolated_nodes_fill(tmp_path):
     assert sum(report.partition_sizes) == 10
 
 
+def _fill_node_by_node(parts, sizes, capacity):
+    """The fill as ``assign`` with no lean makes it, one unassigned node at a time."""
+    for n in np.flatnonzero(parts == -1).tolist():
+        side = assign(0.0, sizes, capacity)
+        parts[n] = side
+        sizes[side] += 1
+
+
+def test_fill_unassigned_places_nodes_as_assign_does(monkeypatch):
+    rng = np.random.default_rng(23)
+    # states as the streaming leaves them: each side within capacity, and room for every node
+    for block in (grem._FILL_BLOCK, 7):  # one step, and steps that split the nodes
+        monkeypatch.setattr(grem, "_FILL_BLOCK", block)
+        for trial in range(400):
+            num_nodes = int(rng.integers(1, 120))
+            capacity = int(rng.integers(-(-num_nodes // 2), num_nodes + 1))
+            s0 = int(rng.integers(0, min(capacity, num_nodes) + 1))
+            s1 = int(rng.integers(0, min(capacity, num_nodes - s0) + 1))
+            state = PartitionState(num_nodes, capacity)
+            order = rng.permutation(num_nodes)
+            state.parts[order[:s0]] = 0
+            state.parts[order[s0:s0 + s1]] = 1
+            state.sizes = [s0, s1]
+            want_parts, want_sizes = state.parts.copy(), [s0, s1]
+            _fill_node_by_node(want_parts, want_sizes, capacity)
+            grem._fill_unassigned(state)
+            assert state.parts.tolist() == want_parts.tolist(), (block, trial)
+            assert state.sizes == want_sizes == recount_sizes(state.parts), (block, trial)
+
+
 def test_bisect_empty_edge_file(tmp_path):
     efile = make_edge_file(tmp_path / "g.grpe", np.empty((0, 2)), 5)
     labels, report = bisect(efile, GremConfig(chunk_frac=0.5))
@@ -764,6 +795,45 @@ def test_partition_leaves_the_files_in_the_work_dir_alone(tmp_path):
     partition(efile, 4, GremConfig(chunk_frac=0.5), str(work))
     assert [p.name for p in work.iterdir()] == [kept.name]
     assert kept.read_bytes() == b"not a scratch file"
+
+
+def _peak_bytes(call):
+    """The tracemalloc peak of ``call()``, after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("base, bisection", [(100_000, "bisect"), (250_000, "_bisect_labels")])
+def test_partition_and_bisect_peaks_grow_by_few_bytes_per_node(tmp_path, base, bisection):
+    # The peak's growth per node, at a fixed 300,000 edges (above the
+    # reader's 2**18-row block) in chunks of 50,000, from n to 2n and 4n
+    # nodes.  The bisection's state is 9 B per node (an int8 part and a
+    # float64 lean); partition at p = 8 adds a level's int32 labels, its
+    # sides and side mask, and the extraction's int64 new ids.  The seed's
+    # u32 rank, 4 B per id below the seed chunk's width, is malloc'ed and
+    # freed inside the bfs_grow kernel, where tracemalloc does not see it.
+    # From 250,000 nodes up, a tenth to a half of the nodes are in no edge
+    # and _fill_unassigned places them; there count_cuts, which holds
+    # 16 B per node above its labels, sets bisect's peak, so the bisection
+    # is measured without its report.
+    config = GremConfig(chunk_edges=50_000, capacity_slack=0.1)
+    calls = {"partition": lambda f: partition(f, 8, config, str(tmp_path / "work")),
+             bisection: lambda f: getattr(grem, bisection)(f, config)}
+    bounds = {"partition": 17.0, bisection: 9.5}
+    rng = np.random.default_rng(5)
+    peaks = {name: [] for name in calls}
+    for n in (base, 2 * base, 4 * base):
+        efile = make_edge_file(tmp_path / f"g{n}.grpe", rng.integers(0, n, size=(300_000, 2)), n)
+        for name, call in calls.items():
+            peaks[name].append(_peak_bytes(lambda: call(efile)))
+    for name, (at_n, at_2n, at_4n) in peaks.items():
+        slopes = ((at_2n - at_n) / base, (at_4n - at_2n) / (2 * base))
+        assert max(slopes) <= bounds[name], (name, slopes)
 
 
 def test_partition_capacity_bound(tmp_path):

@@ -300,7 +300,7 @@ def test_partition_state_recount():
     state.sizes = [1, 2]
     assert recount_sizes(state.parts) == [1, 2]
     assert state.lean[2] == 0.0
-    assert state.labels_array().tolist() == [0, -1, -1, 1, 1]
+    assert state.parts.tolist() == [0, -1, -1, 1, 1]
 
 
 @pytest.mark.parametrize("num_nodes", [1, 1000])

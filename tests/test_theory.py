@@ -210,7 +210,8 @@ def test_curve_single_point(tmp_path):
     pts = theory_curve(stats, [1.0])
     assert len(pts) == 1
     assert pts[0].expected_cuts == expected_cuts(stats, 1.0).expected_cuts
-    assert theory_curve(stats, []) == []
+    with pytest.raises(FormatError, match=r"^chunk fractions must be one or more values"):
+        theory_curve(stats, [])
 
 
 def test_curve_refinement_dominance(tmp_path):
