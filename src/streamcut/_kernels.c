@@ -1,6 +1,6 @@
 /* Compiled inner loops: the greedy chunk sweep, the BFS-grow seed and its
- * neighbour estimates, the adjacency builder's key packing, split and
- * tail, the traffic estimator's sampling walk, the streaming passes over
+ * neighbour estimates, the adjacency builder's key packing and tail, the
+ * traffic estimator's sampling walk, the streaming passes over
  * edge blocks and the cdf sums of the theory curve.
  *
  * Each kernel is the only implementation of its loop.  The tests check the
@@ -23,11 +23,13 @@
  * 65,536, as u64 above that while shift <= 32 (width up to 2**32), in one
  * part.  Only model.build_adjacency, where model.key_layout finds enough of
  * them for at most 64 parts (width 2**19), holds a key as its low 32 bits,
- * in parts split on its high 2 * shift - 32 bits, which split_keys groups.
- * Every in-memory index takes ids below 2**32: model.check_id_width
- * refuses wider ones.  The index build_adjacency returns, which three kernels read,
- * is CSR: `offsets` has one entry per node and one more, from 0, and node i's
- * neighbours are nbrs[offsets[i]] to nbrs[offsets[i + 1] - 1].
+ * in parts on its high 2 * shift - 32 bits: pack_keys counts each part's
+ * keys on a first pass over the blocks and writes each key straight to its
+ * part's cursor on a second.  Every in-memory index takes ids below 2**32:
+ * model.check_id_width refuses wider ones.  The index build_adjacency
+ * returns, which three kernels read, is CSR: `offsets` (int64) has one
+ * entry per node and one more, from 0, and node i's neighbours are
+ * nbrs[offsets[i]] to nbrs[offsets[i + 1] - 1], u32 ids.
  *
  * Every array arrives as a plain pointer; the Python callers check its
  * dtype, size and contiguity (_kernels.ptr) and size every output as the
@@ -62,8 +64,8 @@ static inline double kept(const double *p, uint64_t keep)
  * its low `shift` bits its neighbour.  Sorting them orders the index as
  * sorting src * width + dst would.  Keys are u64 (key_bytes == 8, shift
  * <= 32) or u32 (key_bytes == 4): the whole key while width <= 65,536,
- * else, in the estimator's build only, its low 32 bits, which split_keys
- * groups by their high bits. */
+ * else, in the estimator's build only, its low 32 bits, grouped in parts by
+ * their high bits. */
 static inline uint64_t key_at(const void *keys, int wide, int64_t k)
 {
     return wide ? ((const uint64_t *)keys)[k] : ((const uint32_t *)keys)[k];
@@ -197,16 +199,17 @@ static void restart_order(int64_t num, const int64_t *offsets, int64_t max_degre
         order[slot[max_degree - (offsets[i + 1] - offsets[i])]++] = i;
 }
 
-/* BFS grow over a chunk's CSR index of num >= 1 nodes, ids below width,
- * then boundary refinement.  `labels` must come in as all 1; picked nodes
- * become 0.  (Re)starts go to the highest-degree unpicked node, lowest
+/* BFS grow over a chunk's CSR index of num >= 1 nodes, ids below width
+ * (u32 neighbour ids), then boundary refinement.  `labels` must come in as
+ * all 1; picked nodes become 0.  (Re)starts go to the highest-degree unpicked node, lowest
  * position on ties.  Neighbours are read as positions in `nodes` through a
  * u32 rank over the width, malloc'd, not calloc'd: only the entries of
  * chunk nodes are written and read (every neighbour is one), so only the
  * pages that hold one are touched.  Returns 0, or -1 when scratch memory
  * cannot be allocated. */
-int64_t bfs_grow(int64_t num, const int64_t *nodes, const int64_t *offsets, const int64_t *nbrs,
-                 int64_t width, int64_t refinement_passes, int64_t capacity, int8_t *labels)
+int64_t bfs_grow(int64_t num, const int64_t *nodes, const int64_t *offsets,
+                 const uint32_t *nbrs, int64_t width, int64_t refinement_passes,
+                 int64_t capacity, int8_t *labels)
 {
     int64_t max_degree = 0;
     for (int64_t i = 0; i < num; i++)
@@ -284,11 +287,11 @@ done:
     return status;
 }
 
-/* The neighbour estimates of a freshly seeded chunk's CSR index:
- * lean[nodes[i]] becomes the number of chunk neighbours of nodes[i] that
- * `parts` labels 1 less the number it labels 0. */
-void seed_counts(int64_t num, const int64_t *nodes, const int64_t *offsets, const int64_t *nbrs,
-                 const int8_t *parts, double *lean)
+/* The neighbour estimates of a freshly seeded chunk's CSR index (u32
+ * neighbour ids): lean[nodes[i]] becomes the number of chunk neighbours of
+ * nodes[i] that `parts` labels 1 less the number it labels 0. */
+void seed_counts(int64_t num, const int64_t *nodes, const int64_t *offsets,
+                 const uint32_t *nbrs, const int8_t *parts, double *lean)
 {
     for (int64_t i = 0; i < num; i++) {
         int64_t d = 0;
@@ -334,13 +337,14 @@ static void floyd(next_uint64_t next, void *state, int64_t d, int64_t f, int64_t
 }
 
 /* The sampling walk of placement.estimate_comm, over a CSR index of every
- * id, an isolated one's list empty.  Seeds are `num_seeds` distinct node
- * ids; per hop each frontier node contributes its whole neighbour list
- * when its degree is at most the fanout, else `fanout` picks, in order.
+ * id, an isolated one's list empty, its neighbour ids u32.  Seeds are
+ * `num_seeds` distinct node ids; per hop each frontier node contributes its
+ * whole neighbour list when its degree is at most the fanout, else
+ * `fanout` picks, in order.
  * Every fetched node adds one to counts[2w] (local: on the seed's worker
  * w, or replicated) or to counts[2w + 1] (remote).  Returns 0, or -1 when
  * scratch memory cannot be allocated. */
-int64_t comm_walk(int64_t num_nodes, const int64_t *offsets, const int64_t *nbrs,
+int64_t comm_walk(int64_t num_nodes, const int64_t *offsets, const uint32_t *nbrs,
                   const int64_t *node_worker, const uint8_t *replicated, int64_t num_seeds,
                   const int64_t *fanouts, int64_t hops, next_uint64_t next, void *state,
                   int64_t *counts)
@@ -391,7 +395,8 @@ int64_t comm_walk(int64_t num_nodes, const int64_t *offsets, const int64_t *nbrs
             for (int64_t i = 0; i < size; i++) {
                 int64_t lo = offsets[cur[i]], deg = offsets[cur[i] + 1] - lo;
                 if (deg <= fanout) {
-                    memcpy(nxt + out, nbrs + lo, (size_t)deg * sizeof *nxt);
+                    for (int64_t k = 0; k < deg; k++)
+                        nxt[out + k] = nbrs[lo + k];
                     out += deg;
                 } else {
                     floyd(next, state, deg, fanout, nxt + out, stamp, ++mark);
@@ -602,14 +607,61 @@ PASS int64_t pack_keys_body(int64_t m, const void *rows, int wide, uint64_t widt
     return bad;
 }
 
+/* The keys of split parts, u32, shift > 16: a key's part is its owner's
+ * high 2 * shift - 32 bits, the owner's bits from 32 - shift up.  With
+ * `keys` NULL each key adds one to cursors[part]; else it is written to
+ * keys[cursors[part]++] while that is below ends[part], and a row whose
+ * key finds its part full is rejected: the count pass sized the parts, and
+ * blocks that differ from the counted ones must not write past them. */
+PASS int64_t pack_parts_body(int64_t m, const void *rows, int wide, uint64_t width,
+                             int64_t shift, uint32_t *keys, int64_t *cursors,
+                             const int64_t *ends)
+{
+    int64_t low = 32 - shift, bad = 0;
+    for (int64_t i = 0; i < m; i++) {
+        uint64_t u = id_at(rows, wide, 2 * i), v = id_at(rows, wide, 2 * i + 1);
+        if ((u >= width) | (v >= width)) {
+            bad++;
+            continue;
+        }
+        uint64_t qu = u >> low, qv = v >> low;
+        if (keys == NULL) {
+            cursors[qu] += 1;
+            cursors[qv] += 1;
+            continue;
+        }
+        if (cursors[qu] >= ends[qu]) {
+            bad++;
+            continue;
+        }
+        keys[cursors[qu]++] = (uint32_t)(u << shift | v);
+        if (cursors[qv] >= ends[qv]) {
+            bad++;
+            continue;
+        }
+        keys[cursors[qv]++] = (uint32_t)(v << shift | u);
+    }
+    return bad;
+}
+
 /* Writes the keys of the m rows (ids of id_bytes, 4 or 8; int64 rows of
- * non-negative ids pass as 8) in both directions: row i's (src, dst) to
- * fwd[i] and (dst, src) to rev[i], of key_bytes each.  Returns the number
- * of ids at or above width; the keys are meaningless unless it is 0. */
+ * non-negative ids pass as 8) in both directions, (src, dst) and
+ * (dst, src), of key_bytes each.  Without `cursors`, row i's keys go to
+ * fwd[i] and rev[i].  With them (u32 keys of more than one part, shift >
+ * 16, cursors and ends one entry per part), each key goes to
+ * fwd[cursors[q]++], q its part, while that is below ends[q], and rev is
+ * unused; with fwd NULL too, the count pass, each key only adds one to
+ * cursors[q].  Returns the number of ids at or above width, plus, with
+ * cursors, the keys that found their part full (each of those rows is left
+ * out); the keys are meaningless unless it is 0. */
 int64_t pack_keys(int64_t m, const void *rows, int64_t id_bytes, int64_t width, int64_t shift,
-                  int64_t key_bytes, void *fwd, void *rev)
+                  int64_t key_bytes, void *fwd, void *rev, int64_t *cursors, const int64_t *ends)
 {
     int wide = id_bytes == 8, key_wide = key_bytes == 8;
+    if (cursors != NULL && wide)
+        return pack_parts_body(m, rows, 1, (uint64_t)width, shift, fwd, cursors, ends);
+    if (cursors != NULL)
+        return pack_parts_body(m, rows, 0, (uint64_t)width, shift, fwd, cursors, ends);
     if (wide && key_wide)
         return pack_keys_body(m, rows, 1, (uint64_t)width, shift, 1, fwd, rev);
     if (wide)
@@ -619,36 +671,8 @@ int64_t pack_keys(int64_t m, const void *rows, int64_t id_bytes, int64_t width, 
     return pack_keys_body(m, rows, 0, (uint64_t)width, shift, 0, fwd, rev);
 }
 
-/* Groups the 2m low-32-bit keys of pack_keys (row i's fwd[i] and rev[i],
- * shift > 16) by part, their high 2 * shift - 32 bits, into `keys`
- * (2m entries, not overlapping fwd or rev): bounds (nparts + 1 entries)
- * gets the start of each part's run followed by 2m.  A key's part is its
- * owner's high bits, and its owner is the low `shift` bits of its partner
- * key: fwd[i]'s owner is src, which rev[i] ends in.  Within a part the
- * keys are in no useful order; each part is sorted after. */
-void split_keys(int64_t m, const uint32_t *fwd, const uint32_t *rev, int64_t shift,
-                int64_t nparts, int64_t *bounds, uint32_t *keys)
-{
-    uint32_t mask = (uint32_t)(((uint64_t)1 << shift) - 1);
-    int64_t low = 32 - shift;  /* an owner's bits below its part */
-    memset(bounds, 0, (size_t)(nparts + 1) * sizeof *bounds);
-    for (int64_t i = 0; i < m; i++) {
-        bounds[((rev[i] & mask) >> low) + 1] += 1;
-        bounds[((fwd[i] & mask) >> low) + 1] += 1;
-    }
-    for (int64_t q = 1; q <= nparts; q++)
-        bounds[q] += bounds[q - 1];
-    /* bounds[q] is the cursor of part q; afterwards it is the end of q */
-    for (int64_t i = 0; i < m; i++) {
-        keys[bounds[(rev[i] & mask) >> low]++] = fwd[i];
-        keys[bounds[(fwd[i] & mask) >> low]++] = rev[i];
-    }
-    memmove(bounds + 1, bounds, (size_t)nparts * sizeof *bounds);
-    bounds[0] = 0;
-}
-
 PASS int64_t adjacency_tail_body(int64_t m, const void *keys, int key_wide, int64_t shift,
-                                 int64_t nparts, const int64_t *bounds, int64_t *nbrs,
+                                 int64_t nparts, const int64_t *bounds, uint32_t *nbrs,
                                  int64_t *nodes, int64_t *offsets)
 {
     uint64_t mask = ((uint64_t)1 << shift) - 1, owner = UINT64_MAX;  /* no key's owner */
@@ -665,7 +689,7 @@ PASS int64_t adjacency_tail_body(int64_t m, const void *keys, int key_wide, int6
             offsets[runs] = out;
             runs += src != owner;
             owner = src;
-            nbrs[out] = (int64_t)dst;
+            nbrs[out] = (uint32_t)dst;
             out += src != dst;
         }
     }
@@ -679,14 +703,14 @@ PASS int64_t adjacency_tail_body(int64_t m, const void *keys, int key_wide, int6
  * bounds may be NULL for one part [0, m): u64 keys, and u32 keys up to
  * width 65,536.  Writes each run's owner to `nodes` and its start to
  * `offsets`, and the neighbour ids, self-loops left out, in order to
- * `nbrs`.  `offsets` gets one more entry, the end of the last run, and
- * `nodes` one spare entry past the last run.  `nbrs` may share memory with `keys` (the builder's
- * one buffer): the write of neighbour `out` covers bytes 8 * out to
- * 8 * out + 8, out <= i, which key i + 1 and later never overlap when the
- * keys are either that buffer's entries or the u32 entries of its upper
- * half.  Returns the number of runs. */
+ * `nbrs`, u32: every id lies below 2**32.  `offsets` gets one more entry,
+ * the end of the last run, and `nodes` one spare entry past the last run.
+ * `nbrs` may start where `keys` does (the builder writes the neighbour ids
+ * over its sorted keys): the write of neighbour `out` covers bytes 4 * out
+ * to 4 * out + 4, out <= i, which key i + 1 and later, u32 or u64, never
+ * overlap.  Returns the number of runs. */
 int64_t adjacency_tail(int64_t m, const void *keys, int64_t key_bytes, int64_t shift,
-                       int64_t nparts, const int64_t *bounds, int64_t *nbrs, int64_t *nodes,
+                       int64_t nparts, const int64_t *bounds, uint32_t *nbrs, int64_t *nodes,
                        int64_t *offsets)
 {
     if (key_bytes == 8)

@@ -10,8 +10,8 @@ never load a half-written library; a successful build removes every other
 The kernels, named in ``KERNELS``, each run one inner loop;
 ``bfs_grow``, ``seed_counts`` and ``comm_walk`` read ``model.build_adjacency``'s
 CSR index ``(nodes, offsets, nbrs)``, node i's neighbours
-``nbrs[offsets[i]:offsets[i + 1]]``, and ``sweep`` the sorted keys it is
-built from:
+``nbrs[offsets[i]:offsets[i + 1]]``, int64 nodes and offsets and u32
+neighbour ids, and ``sweep`` the sorted keys it is built from:
 
 * ``sweep`` -- the greedy chunk sweep of ``grem.process_chunk``, straight
   off an ``EdgeChunk``'s one array of sorted ``src << shift | dst`` keys,
@@ -28,13 +28,14 @@ built from:
   ``grem._seed_chunk``;
 * ``pack_keys`` -- the adjacency builder's keys, ``src << shift | dst`` in
   both directions, u64 or their low 32 bits, from a block of u32 or u64
-  rows: ``model._pack_block``;
-* ``split_keys`` -- groups u32 keys of widths above 65,536 by their high
-  ``2 * shift - 32`` bits, so each part sorts as u32, where
-  ``model.key_layout`` finds enough keys for at most 64 parts (width 2**19):
-  ``model._split_keys``, in ``model.build_adjacency`` only;
+  rows: ``model._pack_block``.  Where ``model.key_layout`` splits u32 keys
+  of widths above 65,536 into parts on their high ``2 * shift - 32`` bits
+  (at most 64 parts, width 2**19; in ``model.build_adjacency`` only), it
+  counts each part's keys on a first pass and writes each key straight to
+  its part's cursor on a second, so each part sorts as u32;
 * ``adjacency_tail`` -- the run split and self-loop removal after the key
-  sort, part by part, branch-free, in ``model._adjacency_tail``;
+  sort, part by part, branch-free, writing the u32 neighbour ids over the
+  sorted keys, in ``model._adjacency_tail``;
 * ``comm_walk`` -- the sampling walk of ``placement.estimate_comm``;
 * ``label_pass`` -- gathers both u32 labels of each edge of a block, tallies
   cut edges and optionally counts and writes p x p bucket ids:
@@ -147,9 +148,8 @@ def _build(source: bytes, target: str) -> None:
                 pass
 
 
-KERNELS = ("sweep", "bfs_grow", "seed_counts", "pack_keys", "split_keys", "adjacency_tail",
-           "comm_walk", "label_pass", "extract_rows", "scatter_rows", "endpoint_counts",
-           "curve_point")
+KERNELS = ("sweep", "bfs_grow", "seed_counts", "pack_keys", "adjacency_tail", "comm_walk",
+           "label_pass", "extract_rows", "scatter_rows", "endpoint_counts", "curve_point")
 
 
 def _load():
@@ -171,8 +171,7 @@ def _load():
         "sweep": ([i64, p, i64, i64, p, p, p, i64, ctypes.c_int32], i64),
         "bfs_grow": ([i64, p, p, p, i64, i64, i64, p], i64),
         "seed_counts": ([i64, p, p, p, p, p], None),
-        "pack_keys": ([i64, p, i64, i64, i64, i64, p, p], i64),
-        "split_keys": ([i64, p, p, i64, i64, p, p], None),
+        "pack_keys": ([i64, p, i64, i64, i64, i64, p, p, p, p], i64),
         "adjacency_tail": ([i64, p, i64, i64, i64, p, p, p, p], i64),
         "comm_walk": ([i64, p, p, p, p, i64, p, i64, p, p, p], i64),
         "label_pass": ([i64, p, i64, p, i64, p, p, p], i64),
@@ -202,8 +201,8 @@ def _arity_checked(fn):
     return call
 
 
-(sweep, bfs_grow, seed_counts, pack_keys, split_keys, adjacency_tail, comm_walk, label_pass,
- extract_rows, scatter_rows, endpoint_counts, curve_point) = _load()
+(sweep, bfs_grow, seed_counts, pack_keys, adjacency_tail, comm_walk, label_pass, extract_rows,
+ scatter_rows, endpoint_counts, curve_point) = _load()
 
 
 def ptr(arr: np.ndarray | None, dtype, size: int) -> int | None:

@@ -168,7 +168,7 @@ def _seed_chunk(state: PartitionState, chunk: EdgeChunk) -> None:
     ptr, num, num_nodes = _kernels.ptr, nodes.size, state.num_nodes
     _kernels.seed_counts(
         num, ptr(nodes, np.int64, num), ptr(offsets, np.int64, num + 1),
-        ptr(nbrs, np.int64, nbrs.size), ptr(parts, np.int8, num_nodes),
+        ptr(nbrs, np.uint32, nbrs.size), ptr(parts, np.int8, num_nodes),
         ptr(state.lean, np.float64, num_nodes))
 
 
@@ -250,7 +250,14 @@ def count_cuts(efile: EdgeFile, labels: np.ndarray, num_parts: int | None = None
     meta = efile.meta
     labels, p = _check_labels(meta.num_nodes, labels, num_parts)
     cut = _cut_pass(efile, labels, p)
-    sizes = np.bincount(labels[labels != _UNASSIGNED_U32], minlength=p)
+    # counted in blocks, as _fill_unassigned places nodes, so the mask, the
+    # assigned labels and bincount's int64 cast of them stay bounded; a
+    # block spans at least p labels, so its p counts cost no more than its labels
+    sizes = np.zeros(p, dtype=np.int64)
+    step = max(_FILL_BLOCK, p)
+    for start in range(0, labels.size, step):
+        block = labels[start:start + step]
+        sizes += np.bincount(block[block != _UNASSIGNED_U32], minlength=p)
     return CutReport(
         total_edges=meta.num_edges,
         cut_edges=cut,

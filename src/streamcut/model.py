@@ -80,110 +80,118 @@ def key_layout(width: int, num_keys: int) -> tuple[int, type, int]:
 
 
 def build_adjacency(blocks, num_edges: int, width: int) -> tuple[np.ndarray, ...]:
-    """Symmetric int64 adjacency index as CSR (nodes, offsets, nbrs) of ``num_edges``
+    """Symmetric adjacency index as CSR (nodes, offsets, nbrs) of ``num_edges``
     edges, yielded by ``blocks`` as (m, 2) arrays of any integer id width, ids below ``width``.
 
     ``nodes`` holds the sorted unique endpoints, including nodes that appear
     only in self-loops; ``offsets`` has ``nodes.size + 1`` entries, from 0 to
     ``nbrs.size``, and ``nbrs[offsets[i]:offsets[i + 1]]`` are the neighbors
     of ``nodes[i]``, ascending, with duplicate edges kept and self-loops left
-    out.  Both directions of every edge are indexed.  Packed
-    ``src << shift | dst`` keys, shift = bit_length(width - 1), order the
-    whole index: the order is that of ``src * width + dst``.  The keys sort
-    as u32 in one sort while width << shift <= 2**32 (width up to 65,536);
-    above that, when there are enough of them (``key_layout``), in one sort
-    per part of keys sharing their high
-    ``2 * shift - 32`` bits, at most 64 parts (width up to 2**19); else as
-    u64 while shift <= 32: a width above 2**32 is a FormatError.  Each block
-    is read before the next is requested, so ``blocks`` may reuse one
-    buffer, as ``iter_edge_blocks`` does.
+    out.  Both directions of every edge are indexed.  ``nodes`` and
+    ``offsets`` are int64, ``nbrs`` u32.  Packed ``src << shift | dst`` keys,
+    shift = bit_length(width - 1), order the whole index: the order is that
+    of ``src * width + dst``.  The keys sort as u32 in one sort while
+    width << shift <= 2**32 (width up to 65,536); above that, when there are
+    enough of them (``key_layout``), in one sort per part of keys sharing
+    their high ``2 * shift - 32`` bits, at most 64 parts (width up to
+    2**19); else as u64 while shift <= 32: a width above 2**32 is a
+    FormatError.  ``blocks`` must be re-iterable, each iteration yielding
+    the same rows, since split keys read it twice (``_pack_keys``); a
+    one-shot iterator is a TypeError.  Each block is read before the next is
+    requested, so an iteration may reuse one buffer, as ``iter_edge_blocks``
+    does.
     """
     check_id_width(width)
-    return adjacency_from_keys(*_pack_keys(blocks, num_edges, width), width)
-
-
-def _pack_keys(blocks, num_edges: int,
-               width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(buffer, keys, bounds): both directions of every edge as
-    ``key_layout(width, 2 * num_edges)`` keys, filled block by block, with no
-    block outliving the fill; bounds is None for one part, else part q's keys
-    are ``keys[bounds[q]:bounds[q + 1]]``.
-
-    ``buffer`` holds 2 * num_edges int64 entries, the room the index's
-    neighbour ids need; u64 keys are the whole of it, u32 keys its upper
-    half.  Keys of more than one part are packed into the lower half first
-    and ``_split_keys`` groups them into the upper half.
-    """
-    shift, dtype, parts = key_layout(width, 2 * num_edges)
-    buf = np.empty(2 * num_edges, dtype=np.int64)
-    keys = buf.view(dtype)[-2 * num_edges:]
-    packed = keys if parts == 1 else buf.view(np.uint32)[: 2 * num_edges]
-    fwd, rev = packed[:num_edges], packed[num_edges:]
-    pos = 0
-    for block in blocks:
-        end = pos + block.shape[0]
-        _pack_block(block, width, shift, fwd[pos:end], rev[pos:end])
-        pos = end
-    if parts == 1:
-        return buf, keys, None
-    return buf, keys, _split_keys(fwd, rev, shift, parts, keys)
-
-
-def _pack_block(block: np.ndarray, width: int, shift: int, fwd: np.ndarray,
-                rev: np.ndarray) -> None:
-    """``_kernels.pack_keys`` over one (m, 2) block: row i's ``src << shift | dst`` key
-    to ``fwd[i]``, its reverse's to ``rev[i]``, both u32 or both u64; ValueError for an
-    id outside [0, width)."""
-    # the kernel compares ids unsigned: a negative width, that of a block of
-    # negative ids, would let every id through
-    width = max(width, 0)
-    dtype = _KEY_DTYPES[fwd.itemsize]
-    rows = np.ascontiguousarray(block)
-    if rows.dtype not in (np.uint32, np.uint64, np.int64):
-        rows = rows.astype(np.int64)
-    m, ptr = rows.shape[0], _kernels.ptr
-    if _kernels.pack_keys(m, ptr(rows, rows.dtype, 2 * m), rows.itemsize, width, shift,
-                          fwd.itemsize, ptr(fwd, dtype, m), ptr(rev, dtype, m)):
-        raise ValueError(f"edge ids must lie in [0, {width})")
-
-
-def _split_keys(fwd: np.ndarray, rev: np.ndarray, shift: int, parts: int,
-                keys: np.ndarray) -> np.ndarray:
-    """``_kernels.split_keys``: writes the u32 keys ``fwd`` and ``rev`` (row i's
-    two directions) to ``keys`` grouped by part, in no order within a part, and returns the
-    ``parts + 1`` part bounds.
-
-    A key's part is its owner's high ``2 * shift - 32`` bits, and its owner is
-    the low ``shift`` bits of the row's other key.
-    """
-    m, ptr = fwd.size, _kernels.ptr
-    bounds = np.empty(parts + 1, dtype=np.int64)
-    _kernels.split_keys(m, ptr(fwd, np.uint32, m), ptr(rev, np.uint32, m), shift, parts,
-                        ptr(bounds, np.int64, parts + 1), ptr(keys, np.uint32, 2 * m))
-    return bounds
-
-
-def adjacency_from_keys(
-    buf: np.ndarray, keys: np.ndarray, bounds: np.ndarray | None, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``build_adjacency`` index of the (buffer, keys, bounds) of
-    ``_pack_keys(..., width)``: sorts each part that holds two or more keys
-    in place, then ``_adjacency_tail``."""
+    if iter(blocks) is blocks:
+        raise TypeError("blocks must be re-iterable, not a one-shot iterator: "
+                        "split keys read them twice")
+    keys, bounds = _pack_keys(blocks, num_edges, width)
     if bounds is None:
         keys.sort()
     else:
         ends = bounds.tolist()
         for q in np.flatnonzero(np.diff(bounds) > 1).tolist():
             keys[ends[q] : ends[q + 1]].sort()
-    return _adjacency_tail(buf, keys, bounds, width)
+    return _adjacency_tail(keys, bounds, width)
 
 
-def _adjacency_tail(
-    buf: np.ndarray, keys: np.ndarray, bounds: np.ndarray | None, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index of sorted ``_pack_keys(..., width)`` keys: ``buf`` is overwritten
-    from its front with the neighbor ids, and ``nbrs`` is a view of that front,
-    so the keys in ``buf`` are spent."""
+def _pack_keys(blocks, num_edges: int, width: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(keys, bounds): both directions of every edge as ``key_layout(width,
+    2 * num_edges)`` keys, in one array of ``2 * num_edges``, filled block by
+    block, with no block outliving its pack; bounds is None for one part,
+    else part q's keys are ``keys[bounds[q]:bounds[q + 1]]``, in no order.
+
+    One part takes one pass over ``blocks``: row i's two keys go to i and
+    ``num_edges + i``.  More parts take two: the first counts each part's
+    keys, the second writes each key straight to its part's cursor.
+    ValueError when the blocks hold other than ``num_edges`` rows, or the
+    second pass other rows than the first.
+    """
+    shift, dtype, parts = key_layout(width, 2 * num_edges)
+    keys = np.empty(2 * num_edges, dtype=dtype)
+    if parts == 1:
+        fwd, rev = keys[:num_edges], keys[num_edges:]
+        pos = 0
+        for block in blocks:
+            end = pos + block.shape[0]
+            _pack_block(block, width, shift, fwd[pos:end], rev[pos:end])
+            pos = end
+        if pos != num_edges:
+            raise ValueError(f"blocks hold {pos} rows, not {num_edges}")
+        return keys, None
+    bounds = np.zeros(parts + 1, dtype=np.int64)
+    for block in blocks:
+        _pack_block(block, width, shift, None, None, bounds[1:])
+    np.cumsum(bounds, out=bounds)
+    if bounds[-1] != keys.size:
+        raise ValueError(f"blocks hold {bounds[-1] // 2} rows, not {num_edges}")
+    cursors = bounds[:-1].copy()
+    for block in blocks:
+        _pack_block(block, width, shift, keys, None, cursors, bounds[1:])
+    if not np.array_equal(cursors, bounds[1:]):
+        raise ValueError("blocks held other rows on the second pass than on the first")
+    return keys, bounds
+
+
+def _pack_block(block: np.ndarray, width: int, shift: int, fwd: np.ndarray | None,
+                rev: np.ndarray | None, cursors: np.ndarray | None = None,
+                ends: np.ndarray | None = None) -> None:
+    """``_kernels.pack_keys`` over one (m, 2) block: row i's ``src << shift | dst`` key
+    to ``fwd[i]``, its reverse's to ``rev[i]``, both u32 or both u64; ValueError for an
+    id outside [0, width).
+
+    With the int64 ``cursors`` of split u32 keys (``key_layout``'s parts),
+    each key goes instead to ``fwd[cursors[q]]``, q its part, and moves that
+    cursor on, while it is below ``ends[q]``; a row whose key finds its part
+    full is a ValueError too.  With ``fwd`` None as well, each key only adds
+    one to ``cursors[q]``: the count of each part's keys.
+    """
+    # the kernel compares ids unsigned: a negative width, that of a block of
+    # negative ids, would let every id through
+    width = max(width, 0)
+    rows = np.ascontiguousarray(block)
+    if rows.dtype not in (np.uint32, np.uint64, np.int64):
+        rows = rows.astype(np.int64)
+    m, ptr = rows.shape[0], _kernels.ptr
+    if cursors is None:
+        key_bytes = fwd.itemsize
+        fwd, rev = ptr(fwd, _KEY_DTYPES[key_bytes], m), ptr(rev, _KEY_DTYPES[key_bytes], m)
+    else:
+        parts, key_bytes = ((width - 1) << shift >> 32) + 1, 4
+        fwd = None if fwd is None else ptr(fwd, np.uint32, fwd.size)
+        cursors, ends = ptr(cursors, np.int64, parts), ptr(ends, np.int64, parts)
+    if _kernels.pack_keys(m, ptr(rows, rows.dtype, 2 * m), rows.itemsize, width, shift,
+                          key_bytes, fwd, rev, cursors, ends):
+        if ends is not None:
+            raise ValueError("a part holds more keys than the count pass found")
+        raise ValueError(f"edge ids must lie in [0, {width})")
+
+
+def _adjacency_tail(keys: np.ndarray, bounds: np.ndarray | None,
+                    width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index of sorted ``_pack_keys(..., width)`` keys: the u32 neighbor ids
+    are written over ``keys`` from its front, and ``nbrs`` is a view of that
+    front, so the keys are spent."""
     parts, m = 1 if bounds is None else bounds.size - 1, keys.size
     shift, dtype, ptr = _key_shift(width), _KEY_DTYPES[keys.itemsize], _kernels.ptr
     # each run has a distinct owner and at least one key, and the tail
@@ -191,10 +199,12 @@ def _adjacency_tail(
     slots = min(m, width) + 1
     nodes = np.empty(slots, dtype=np.int64)
     offsets = np.empty(slots, dtype=np.int64)
+    nbrs = keys.view(np.uint32)
     runs = _kernels.adjacency_tail(m, ptr(keys, dtype, m), keys.itemsize, shift, parts,
-                                   ptr(bounds, np.int64, parts + 1), ptr(buf, np.int64, m),
+                                   ptr(bounds, np.int64, parts + 1),
+                                   ptr(nbrs, np.uint32, nbrs.size),
                                    ptr(nodes, np.int64, slots), ptr(offsets, np.int64, slots))
-    return nodes[:runs], offsets[: runs + 1], buf[: offsets[runs]]
+    return nodes[:runs], offsets[: runs + 1], nbrs[: offsets[runs]]
 
 
 class EdgeChunk:
@@ -234,12 +244,8 @@ class EdgeChunk:
         self._csr = None
 
     def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._csr is None:
-            m = self.keys.size
-            buf = np.empty(m, dtype=np.int64)  # the tail spends the copy, not the keys
-            keys = buf.view(self.keys.dtype)[-m:]
-            keys[:] = self.keys
-            self._csr = _adjacency_tail(buf, keys, None, self.width)
+        if self._csr is None:  # the tail spends a copy of the keys, not the keys
+            self._csr = _adjacency_tail(self.keys.copy(), None, self.width)
         return self._csr
 
     @property

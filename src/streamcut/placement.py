@@ -87,6 +87,17 @@ def select_replicated(efile: EdgeFile, budget: int) -> np.ndarray:
     return np.sort(np.concatenate([above, ties]))
 
 
+class _EdgeBlocks:
+    """``efile``'s edge blocks, re-iterable as ``build_adjacency`` needs them:
+    each iteration is a fresh ``iter_edge_blocks`` pass."""
+
+    def __init__(self, efile: EdgeFile):
+        self.efile = efile
+
+    def __iter__(self):
+        return iter_edge_blocks(self.efile)
+
+
 def estimate_comm(
     efile: EdgeFile,
     labels: np.ndarray,
@@ -136,7 +147,7 @@ def estimate_comm(
 
     # desk-scale precondition: the whole edge list is indexed in memory
     nodes, node_offsets, snbrs = build_adjacency(
-        iter_edge_blocks(efile), efile.meta.num_edges, num_nodes)
+        _EdgeBlocks(efile), efile.meta.num_edges, num_nodes)
     # the index over every id: an isolated id's list is empty; written through a
     # view, so no ``nodes + 1`` copy joins the estimator's peak
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
@@ -154,7 +165,7 @@ def estimate_comm(
     raw, ptr = bit_generator.ctypes, _kernels.ptr
     counts = np.zeros((plan.num_workers, 2), dtype=np.int64)
     status = _kernels.comm_walk(
-        num_nodes, ptr(offsets, np.int64, num_nodes + 1), ptr(snbrs, np.int64, snbrs.size),
+        num_nodes, ptr(offsets, np.int64, num_nodes + 1), ptr(snbrs, np.uint32, snbrs.size),
         ptr(node_worker, np.int64, num_nodes), ptr(replicated, np.bool_, num_nodes),
         num_seeds, ptr(fanouts, np.int64, fanouts.size), fanouts.size,
         ctypes.cast(raw.next_uint64, ctypes.c_void_p), raw.state_address,

@@ -37,7 +37,7 @@ def seed_bisect(chunk: EdgeChunk, capacity: int) -> np.ndarray:
         raise CapacityError(f"capacity {capacity} infeasible for {n} chunk nodes")
     ptr, labels = _kernels.ptr, np.ones(n, dtype=np.int8)
     if _kernels.bfs_grow(n, ptr(nodes, np.int64, n), ptr(offsets, np.int64, n + 1),
-                         ptr(nbrs, np.int64, nbrs.size), chunk.width, REFINEMENT_PASSES,
+                         ptr(nbrs, np.uint32, nbrs.size), chunk.width, REFINEMENT_PASSES,
                          capacity, ptr(labels, np.int8, n)) < 0:
         raise MemoryError("bfs_grow could not allocate its scratch arrays")
     return labels

@@ -181,8 +181,10 @@ def read_index(store_path: str) -> BucketIndex:
 
 
 def read_bucket(store_path: str, i: int, j: int, index: BucketIndex | None = None) -> np.ndarray:
-    """Returns bucket (i, j) as an (m, 2) int64 array via one contiguous read;
-    FormatError for an id of a u64 store that int64 cannot hold."""
+    """Returns bucket (i, j) as an (m, 2) array via one contiguous read, at the
+    store's width: the u32 rows of a 32-bit store as read, with no copy, and
+    a 64-bit store's rows as int64; FormatError for an id of a u64 store
+    that int64 cannot hold."""
     if index is None:
         index = read_index(store_path)
     if not (0 <= i < index.p and 0 <= j < index.p):
@@ -193,7 +195,9 @@ def read_bucket(store_path: str, i: int, j: int, index: BucketIndex | None = Non
         raw = np.fromfile(fh, dtype=_id_dtype(index.node_id_width), count=2 * count)
     if raw.size != 2 * count:
         raise FormatError(f"{store_path}: index/file mismatch reading bucket ({i}, {j})")
-    if index.node_id_width == 64 and raw.size and int(raw.max()) >= 2**63:
+    if index.node_id_width == 32:
+        return raw.reshape(-1, 2)
+    if raw.size and int(raw.max()) >= 2**63:
         raise FormatError(f"{store_path}: bucket ({i}, {j}) holds id {int(raw.max())} >= 2**63")
     return raw.astype(np.int64).reshape(-1, 2)
 

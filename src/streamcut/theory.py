@@ -205,8 +205,10 @@ def compute_node_stats(efile: EdgeFile, labels: np.ndarray) -> NodeStats:
     num_nodes = efile.meta.num_nodes
     labels, _ = _check_labels(num_nodes, labels, num_parts=2)
     counts = _endpoint_pass(efile, labels)
-    per_side = counts.reshape(num_nodes, 2)
-    return NodeStats(per_side.sum(axis=1), per_side.max(axis=1))
+    # strided adds, not axis-1 reductions over (n, 2) rows, which numpy runs
+    # over twenty times slower
+    on0, on1 = counts[0::2], counts[1::2]
+    return NodeStats(on0 + on1, np.maximum(on0, on1))
 
 
 def expected_cuts(stats: NodeStats, x: float, multiplier: float = 1.0) -> TheoryCurvePoint:

@@ -1,13 +1,14 @@
-/* Runs pack_keys, split_keys, adjacency_tail, sweep (over a chunk's one
- * array of sorted u32 or u64 keys, against the CSR loop, its capacity exit
- * too), seed_counts
+/* Runs pack_keys (straight into split parts through their cursors, too),
+ * adjacency_tail (u32 neighbour ids written over the keys), sweep (over a
+ * chunk's one array of sorted u32 or u64 keys, against the CSR loop, its
+ * capacity exit too), seed_counts
  * and bfs_grow of src/streamcut/_kernels.c on edge cases,
  * comm_walk on a small graph with isolated ids, the edge passes label_pass,
  * extract_rows, scatter_rows and endpoint_counts on rows whose ids reach
  * num_nodes - 1, scatter_rows on feature records of 1, 3 and 128 bytes,
  * and curve_point on small (k, k0) pairs, with every buffer
  * allocated at exactly the size the Python callers give it
- * (model._pack_keys, model._split_keys, model.adjacency_from_keys, grem.process_chunk,
+ * (model._pack_keys, model._adjacency_tail, grem.process_chunk,
  * grem._seed_chunk, seed.seed_bisect, placement.estimate_comm, the block passes
  * of edgefile, store.reorder_features and theory.theory_curve),
  * so that a build with -fsanitize=address,undefined reports any access
@@ -78,7 +79,7 @@ static int64_t key_shift(uint64_t width)
  * *moved as the sweep adds to its counters.  Returns -1, or the id of the
  * node no side could take. */
 static int64_t csr_sweep(int64_t runs, const int64_t *nodes, const int64_t *offsets,
-                         const int64_t *nbrs, int8_t *parts, double *nbr0, double *nbr1,
+                         const uint32_t *nbrs, int8_t *parts, double *nbr0, double *nbr1,
                          int64_t *sizes, int64_t cap, int refine, int64_t *visited,
                          int64_t *moved)
 {
@@ -122,12 +123,13 @@ static int64_t csr_sweep(int64_t runs, const int64_t *nodes, const int64_t *offs
 }
 
 /* One chunk of m edges (ids[2i], ids[2i + 1]) below width, stored at
- * id_bytes: packs, splits, sorts and runs the tail over its keys as the
- * estimator's build does, checks the index against a brute-force count,
- * and for widths small enough to hold one entry of node state per id (up
- * to 2**19 + 1) sweeps the keys as an EdgeChunk holds them, one sorted
- * array of u32 keys up to width 65,536 and of u64 keys above, against the
- * CSR loop, seeds its estimates and grows a seed bisection over it. */
+ * id_bytes: packs (into parts through their cursors where the keys split),
+ * sorts and runs the tail over its keys as the estimator's build does,
+ * checks the index against a brute-force count, and for widths small
+ * enough to hold one entry of node state per id (up to 2**19 + 1) sweeps
+ * the keys as an EdgeChunk holds them, one sorted array of u32 keys up to
+ * width 65,536 and of u64 keys above, against the CSR loop, seeds its
+ * estimates and grows a seed bisection over it. */
 static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_bytes,
                      uint64_t width)
 {
@@ -141,30 +143,51 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         else
             ((uint64_t *)rows)[k] = ids[k];
     }
-    /* the builder's one buffer: 2m int64 entries; u64 keys fill it, u32 keys
-     * its upper half, packed there directly when they make one part, else
-     * packed into its lower half and split into the upper; the rows arrive
-     * in two blocks */
-    int64_t *buf = exact((size_t)(2 * m), sizeof *buf);
-    char *keys = key_bytes == 8 ? (char *)buf : (char *)buf + (size_t)(2 * m) * 4;
-    char *packed = nparts == 1 ? keys : (char *)buf;
-    int64_t half = m / 2, bad = 0;
-    bad += pack_keys(half, rows, id_bytes, (int64_t)width, shift, key_bytes, packed,
-                     packed + (size_t)m * key_bytes);
-    bad += pack_keys(m - half, (char *)rows + (size_t)(2 * half) * id_bytes, id_bytes,
-                     (int64_t)width, shift, key_bytes, packed + (size_t)half * key_bytes,
-                     packed + (size_t)(m + half) * key_bytes);
-    CHECK(bad == 0, name);
+    /* the builder's one array of 2m keys, the rows arriving in two blocks:
+     * one part's keys packed straight in, row i's at i and m + i; split u32
+     * keys counted per part on a first pass over the blocks and written
+     * through each part's cursor on a second, bounds[1..nparts] the count
+     * pass's counters, then the ends its cursors stop at */
+    void *keys = exact((size_t)(2 * m), (size_t)key_bytes);
     int64_t *bounds = exact((size_t)(nparts + 1), sizeof *bounds);
+    int64_t half = m / 2, bad = 0;
+    const char *second = (const char *)rows + (size_t)(2 * half) * id_bytes;
     bounds[0] = 0;
-    bounds[1] = 2 * m;
-    if (nparts > 1)
-        split_keys(m, (const uint32_t *)packed, (const uint32_t *)packed + m, shift, nparts,
-                   bounds, (uint32_t *)keys);
+    if (nparts == 1) {
+        char *fwd = keys, *rev = (char *)keys + (size_t)m * key_bytes;
+        bounds[1] = 2 * m;
+        bad += pack_keys(half, rows, id_bytes, (int64_t)width, shift, key_bytes, fwd, rev, NULL,
+                         NULL);
+        bad += pack_keys(m - half, second, id_bytes, (int64_t)width, shift, key_bytes,
+                         fwd + (size_t)half * key_bytes, rev + (size_t)half * key_bytes, NULL,
+                         NULL);
+    } else {
+        int64_t *cursors = exact((size_t)nparts, sizeof *cursors);
+        memset(bounds + 1, 0, (size_t)nparts * sizeof *bounds);
+        bad += pack_keys(half, rows, id_bytes, (int64_t)width, shift, 4, NULL, NULL, bounds + 1,
+                         NULL);
+        bad += pack_keys(m - half, second, id_bytes, (int64_t)width, shift, 4, NULL, NULL,
+                         bounds + 1, NULL);
+        for (int64_t q = 1; q <= nparts; q++)
+            bounds[q] += bounds[q - 1];
+        memcpy(cursors, bounds, (size_t)nparts * sizeof *cursors);
+        bad += pack_keys(half, rows, id_bytes, (int64_t)width, shift, 4, keys, NULL, cursors,
+                         bounds + 1);
+        bad += pack_keys(m - half, second, id_bytes, (int64_t)width, shift, 4, keys, NULL,
+                         cursors, bounds + 1);
+        for (int64_t q = 0; q < nparts; q++)
+            CHECK(cursors[q] == bounds[q + 1], name);
+        /* every part is full now: each row's first key is refused, and
+         * nothing is written past a part's end */
+        CHECK(pack_keys(m, rows, id_bytes, (int64_t)width, shift, 4, keys, NULL, cursors,
+                        bounds + 1) == m, name);
+        free(cursors);
+    }
+    CHECK(bad == 0, name);
     CHECK(bounds[0] == 0 && bounds[nparts] == 2 * m, name);
     for (int64_t q = 0; q < nparts; q++) {
         CHECK(bounds[q] <= bounds[q + 1], name);
-        qsort(keys + (size_t)bounds[q] * key_bytes, (size_t)(bounds[q + 1] - bounds[q]),
+        qsort((char *)keys + (size_t)bounds[q] * key_bytes, (size_t)(bounds[q + 1] - bounds[q]),
               (size_t)key_bytes, key_bytes == 8 ? cmp_u64 : cmp_u32);
     }
 
@@ -173,16 +196,18 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
     int64_t chunk_bytes = width <= 65536 ? 4 : 8;
     void *sorted = exact((size_t)(2 * m), (size_t)chunk_bytes);
     CHECK(pack_keys(m, rows, id_bytes, (int64_t)width, shift, chunk_bytes, sorted,
-                    (char *)sorted + (size_t)m * chunk_bytes) == 0, name);
+                    (char *)sorted + (size_t)m * chunk_bytes, NULL, NULL) == 0, name);
     qsort(sorted, (size_t)(2 * m), (size_t)chunk_bytes, chunk_bytes == 8 ? cmp_u64 : cmp_u32);
 
     /* nodes: one entry per possible run and a spare; offsets: one more per run */
     int64_t max_runs = (uint64_t)(2 * m) < width ? 2 * m : (int64_t)width;
     int64_t *nodes = exact((size_t)(max_runs + 1), sizeof *nodes);
     int64_t *offsets = exact((size_t)(max_runs + 1), sizeof *offsets);
-    /* one part goes without bounds, as the builder passes it */
+    /* one part goes without bounds, as the builder passes it; the u32
+     * neighbour ids are written over the keys, from their front */
+    uint32_t *nb = keys;
     int64_t runs = adjacency_tail(2 * m, keys, key_bytes, shift, nparts,
-                                  nparts == 1 ? NULL : bounds, buf, nodes, offsets);
+                                  nparts == 1 ? NULL : bounds, nb, nodes, offsets);
 
     int64_t loops = 0;
     for (int64_t i = 0; i < m; i++)
@@ -200,8 +225,8 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         CHECK(r == 0 || nodes[r] > nodes[r - 1], name);
         CHECK(offsets[r + 1] - offsets[r] == degree, name);
         for (int64_t j = offsets[r]; j < offsets[r + 1]; j++) {
-            CHECK(j == offsets[r] || buf[j] >= buf[j - 1], name);
-            CHECK(buf[j] != nodes[r] && (uint64_t)buf[j] < width, name);
+            CHECK(j == offsets[r] || nb[j] >= nb[j - 1], name);
+            CHECK(nb[j] != nodes[r] && nb[j] < width, name);
         }
     }
 
@@ -213,10 +238,10 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         int64_t num_nbrs = offsets[runs];
         int64_t *c_nodes = exact((size_t)runs, sizeof *c_nodes);
         int64_t *c_offsets = exact((size_t)runs + 1, sizeof *c_offsets);
-        int64_t *nbrs = exact(num_nbrs ? (size_t)num_nbrs : 1, sizeof *nbrs);
+        uint32_t *nbrs = exact(num_nbrs ? (size_t)num_nbrs : 1, sizeof *nbrs);
         memcpy(c_nodes, nodes, (size_t)runs * sizeof *nodes);
         memcpy(c_offsets, offsets, (size_t)(runs + 1) * sizeof *offsets);
-        memcpy(nbrs, buf, (size_t)num_nbrs * sizeof *nbrs);
+        memcpy(nbrs, nb, (size_t)num_nbrs * sizeof *nbrs);
         int8_t *parts = exact((size_t)width, sizeof *parts);
         int8_t *ref_parts = exact((size_t)width, sizeof *ref_parts);
         double *lean = exact((size_t)width, sizeof *lean);
@@ -308,7 +333,7 @@ static void run_case(const char *name, const uint64_t *ids, int64_t m, int id_by
         free(tally);
     }
     free(rows);
-    free(buf);
+    free(keys);
     free(bounds);
     free(sorted);
     free(nodes);
@@ -632,8 +657,8 @@ static uint64_t splitmix64(void *state)
 
 /* comm_walk over the whole-graph CSR index of placement.estimate_comm:
  * offsets num_nodes + 1, with an empty list for each isolated id, nbrs
- * exactly the endpoint count, node_worker and replicated one per node,
- * fanouts one per hop, counts two per worker.  Ids 0, 6 and 13 are
+ * (u32) exactly the endpoint count, node_worker and replicated one per
+ * node, fanouts one per hop, counts two per worker.  Ids 0, 6 and 13 are
  * isolated; node 3 has degree 7 and node 8 degree 16, above every fanout
  * and above the node count, so Floyd's picks run over list positions past
  * the node ids.  With every node seeding and one hop, each node fetches
@@ -658,12 +683,13 @@ static void run_walk(void)
     for (int64_t v = 0; v < NUM_NODES; v++)
         offsets[v + 1] += offsets[v];
     int64_t total = offsets[NUM_NODES];
-    int64_t *nbrs = exact((size_t)total, sizeof *nbrs), *fill = exact(NUM_NODES, sizeof *fill);
+    uint32_t *nbrs = exact((size_t)total, sizeof *nbrs);
+    int64_t *fill = exact(NUM_NODES, sizeof *fill);
     memcpy(fill, offsets, NUM_NODES * sizeof *fill);
     for (int64_t i = 0; i < m; i++)
         if (edges[i][0] != edges[i][1]) {
-            nbrs[fill[edges[i][0]]++] = edges[i][1];
-            nbrs[fill[edges[i][1]]++] = edges[i][0];
+            nbrs[fill[edges[i][0]]++] = (uint32_t)edges[i][1];
+            nbrs[fill[edges[i][1]]++] = (uint32_t)edges[i][0];
         }
     for (int64_t k = 0; k < dups; k++) {
         nbrs[fill[8]++] = 7;
@@ -673,7 +699,7 @@ static void run_walk(void)
     nbrs[fill[9]++] = 8;
     for (int64_t v = 0; v < NUM_NODES; v++) {
         CHECK(fill[v] == offsets[v + 1], "walk");
-        qsort(nbrs + offsets[v], (size_t)(offsets[v + 1] - offsets[v]), sizeof *nbrs, cmp_u64);
+        qsort(nbrs + offsets[v], (size_t)(offsets[v + 1] - offsets[v]), sizeof *nbrs, cmp_u32);
     }
     CHECK(offsets[0 + 1] == 0 && offsets[6 + 1] == offsets[6] && offsets[13] == total, "walk");
     CHECK(offsets[3 + 1] - offsets[3] == 7 && offsets[8 + 1] - offsets[8] == 16, "walk");

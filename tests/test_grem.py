@@ -818,9 +818,10 @@ def test_partition_and_bisect_peaks_grow_by_few_bytes_per_node(tmp_path, base, b
     # u32 rank, 4 B per id below the seed chunk's width, is malloc'ed and
     # freed inside the bfs_grow kernel, where tracemalloc does not see it.
     # From 250,000 nodes up, a tenth to a half of the nodes are in no edge
-    # and _fill_unassigned places them; there count_cuts, which holds
-    # 16 B per node above its labels, sets bisect's peak, so the bisection
-    # is measured without its report.
+    # and _fill_unassigned places them; the bisection is measured there
+    # without its report, count_cuts, which
+    # test_count_cuts_and_the_bisect_report_grow_by_few_bytes_per_node
+    # measures.
     config = GremConfig(chunk_edges=50_000, capacity_slack=0.1)
     calls = {"partition": lambda f: partition(f, 8, config, str(tmp_path / "work")),
              bisection: lambda f: getattr(grem, bisection)(f, config)}
@@ -831,6 +832,30 @@ def test_partition_and_bisect_peaks_grow_by_few_bytes_per_node(tmp_path, base, b
         efile = make_edge_file(tmp_path / f"g{n}.grpe", rng.integers(0, n, size=(300_000, 2)), n)
         for name, call in calls.items():
             peaks[name].append(_peak_bytes(lambda: call(efile)))
+    for name, (at_n, at_2n, at_4n) in peaks.items():
+        slopes = ((at_2n - at_n) / base, (at_4n - at_2n) / (2 * base))
+        assert max(slopes) <= bounds[name], (name, slopes)
+
+
+def test_count_cuts_and_the_bisect_report_grow_by_few_bytes_per_node(tmp_path):
+    # The sparse graph above: 300,000 edges over 250,000, 500,000 and
+    # 1,000,000 nodes.  count_cuts holds its u32 copy of the labels, 4 B per
+    # node, and _check_labels' mask of negative labels, 1 B, while that copy
+    # is made, and counts the partition sizes in blocks of 2**16 labels; it
+    # held 16 B per node when it counted them all at once.  So bisect, its
+    # report included, peaks at the bisection's 9 B state.
+    config = GremConfig(chunk_edges=50_000, capacity_slack=0.1)
+    calls = {"count_cuts": lambda f, labels: count_cuts(f, labels),
+             "bisect": lambda f, labels: bisect(f, config)}
+    bounds = {"count_cuts": 5.5, "bisect": 9.5}
+    rng = np.random.default_rng(5)
+    base = 250_000
+    peaks = {name: [] for name in calls}
+    for n in (base, 2 * base, 4 * base):
+        efile = make_edge_file(tmp_path / f"g{n}.grpe", rng.integers(0, n, size=(300_000, 2)), n)
+        labels = rng.integers(0, 8, size=n).astype(np.int32)
+        for name, call in calls.items():
+            peaks[name].append(_peak_bytes(lambda: call(efile, labels)))
     for name, (at_n, at_2n, at_4n) in peaks.items():
         slopes = ((at_2n - at_n) / base, (at_4n - at_2n) / (2 * base))
         assert max(slopes) <= bounds[name], (name, slopes)

@@ -170,13 +170,15 @@ def _bad_kernel_calls(tmp_path, monkeypatch):
     def pack_keys(fwd, rev):
         return lambda: model._pack_block(rows, 4, 2, fwd, rev)
 
-    def split(fwd, keys):
-        return lambda: model._split_keys(fwd, np.zeros(2, dtype=np.uint32), 17, 3, keys)
+    def pack_parts(keys, cursors, ends=None):
+        # width 65,537: u32 keys of shift 17 in three parts
+        return lambda: model._pack_block(rows, 65_537, 17, keys, None, cursors, ends)
 
-    def tail(buf, keys):
-        return lambda: model.adjacency_from_keys(buf, keys, None, 4)
+    def tail(keys):
+        return lambda: model._adjacency_tail(keys, None, 4)
 
     keys32 = np.zeros(4, dtype=np.uint32)
+    cursors, ends = np.array([0, 4, 4], dtype=np.int64), np.array([4, 4, 4], dtype=np.int64)
     return [
         ("sweep", sweep(keys=chunk.keys.astype(np.int32))),
         ("sweep", sweep(keys=_strided(chunk.keys))),
@@ -192,17 +194,20 @@ def _bad_kernel_calls(tmp_path, monkeypatch):
         ("comm_walk", comm_walk(_strided(np.array([1, 0, 2, 1, 3, 2])))),
         ("pack_keys", pack_keys(np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.uint32))),
         ("pack_keys", pack_keys(np.zeros(2, dtype=np.uint32), _strided(np.zeros(2, np.uint32)))),
-        ("split_keys", split(np.zeros(2, dtype=np.int32), np.zeros(4, dtype=np.uint32))),
-        ("split_keys", split(np.zeros(2, dtype=np.uint32), _strided(keys32))),
-        ("adjacency_tail", tail(np.zeros(4, dtype=np.uint64), keys32)),
-        ("adjacency_tail", tail(np.zeros(4, dtype=np.int64), _strided(keys32))),
+        ("pack_keys", pack_parts(None, np.zeros(3, dtype=np.int32))),
+        ("pack_keys", pack_parts(None, np.zeros(2, dtype=np.int64))),
+        ("pack_keys", pack_parts(np.zeros(4, dtype=np.int32), cursors.copy(), ends)),
+        ("pack_keys", pack_parts(_strided(keys32), cursors.copy(), ends)),
+        ("pack_keys", pack_parts(keys32, cursors.copy(), _strided(ends))),
+        ("adjacency_tail", tail(np.zeros(4, dtype=np.int64))),
+        ("adjacency_tail", tail(_strided(keys32))),
     ]
 
 
 def test_kernels_reject_arrays_of_the_wrong_dtype_or_layout(tmp_path, monkeypatch):
     calls = _bad_kernel_calls(tmp_path, monkeypatch)
     assert {name for name, _ in calls} == {"sweep", "bfs_grow", "seed_counts", "comm_walk",
-                                           "pack_keys", "split_keys", "adjacency_tail"}
+                                           "pack_keys", "adjacency_tail"}
     for name, call in calls:
         with pytest.raises(ValueError, match="kernel array must be contiguous"):
             call()
@@ -213,10 +218,11 @@ SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=
 
 
 def test_kernels_keep_their_buffer_contracts_under_sanitizers(tmp_path):
-    # pack_keys, split_keys, adjacency_tail, sweep (over a chunk's one array
-    # of sorted u32 or u64 keys, against a CSR loop), seed_counts and
-    # bfs_grow on the key-layout edge cases (split keys at widths 200,000 and
-    # 2**19 among them), comm_walk on a graph with isolated ids, the four edge
+    # pack_keys (into parts through their cursors, too), adjacency_tail (u32
+    # neighbour ids over the keys), sweep (over a chunk's one array of sorted
+    # u32 or u64 keys, against a CSR loop), seed_counts and bfs_grow on the
+    # key-layout edge cases (split keys at widths 200,000 and 2**19 among
+    # them), comm_walk on a graph with isolated ids, the four edge
     # passes on rows whose ids reach num_nodes - 1 at both id widths, with
     # u32 labels and counters, scatter_rows on feature records of 1, 3 and
     # 128 bytes, and curve_point on a packed lgamma table,

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from streamcut import EdgeChunk, FormatError, GraphMeta, NodeStats, PartitionState
 from streamcut import model
-from streamcut.model import _pack_keys, adjacency_from_keys, build_adjacency, key_layout
+from streamcut.model import _pack_keys, build_adjacency, key_layout
 
 from helpers import PROPERTY_SETTINGS, recount_sizes
 
@@ -35,7 +35,7 @@ def _check_against_rebuild(edges):
     chunk = EdgeChunk(0, edges)
     oracle = _brute_adjacency(edges)
     nodes, offsets, nbrs = chunk.nodes, chunk.offsets, chunk.nbrs
-    assert all(a.dtype == np.int64 for a in (nodes, offsets, nbrs))
+    assert (nodes.dtype, offsets.dtype, nbrs.dtype) == (np.int64, np.int64, np.uint32)
     assert offsets.size == nodes.size + 1 and offsets[0] == 0 and offsets[-1] == nbrs.size
     assert nodes.tolist() == sorted(oracle)
     for i, node in enumerate(nodes.tolist()):
@@ -92,13 +92,12 @@ def test_adjacency_tail_native_equals_python_property(edges, loop_only, spare_wi
     # largest id, whatever its key dtype and shift, must give the index of a
     # plain lexsort
     edges = np.array(edges + [(n, n) for n in loop_only], dtype=np.int64)
-    width = int(edges.max()) + 1 + spare_width
     oracle = _lexsort_adjacency(edges)
-    for index in (adjacency_from_keys(*_pack_keys((edges,), edges.shape[0], width), width),
-                  build_adjacency((edges,), edges.shape[0], int(edges.max()) + 1)):
+    for width in (int(edges.max()) + 1 + spare_width, int(edges.max()) + 1):
+        index = build_adjacency((edges,), edges.shape[0], width)
         assert len(index) == 3
+        assert [a.dtype for a in index] == [np.int64, np.int64, np.uint32]
         for got, want in zip(index, oracle):
-            assert got.dtype == np.int64
             assert got.tolist() == want.tolist()
 
 
@@ -146,15 +145,16 @@ def test_shift_packed_keys_native_equal_numpy_property(top, dtype, pairs, loop_o
     blocks = (edges[:split], edges[split:])
     nodes, offsets, nbrs = build_adjacency(blocks, edges.shape[0], top)
     oracle = _brute_adjacency(edges.astype(np.uint64))
-    assert all(a.dtype == np.int64 for a in (nodes, offsets, nbrs))
+    assert (nodes.dtype, offsets.dtype, nbrs.dtype) == (np.int64, np.int64, np.uint32)
     assert nodes.tolist() == sorted(oracle)
     lists = [nbrs[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
     assert lists == [oracle[n] for n in sorted(oracle)]
 
 
 def test_u64_block_indexes_as_its_int64_twin():
-    # a chunk reads a u64 block as it is and must still give int64 arrays,
-    # equal to the twin's: u64 keys up to the widest id, u32 keys below 1000
+    # a chunk reads a u64 block as it is and must still give the twin's
+    # arrays, int64 nodes and offsets and u32 neighbour ids: u64 keys up to
+    # the widest id, u32 keys below 1000
     edges = np.array([[_WIDEST, 0], [_WIDEST + 7, _WIDEST], [5, 5], [2**32 - 1, 5], [0, _WIDEST],
                       [_WIDEST + 7, _WIDEST]])
     for block in (edges, edges % 1000):
@@ -162,8 +162,9 @@ def test_u64_block_indexes_as_its_int64_twin():
         assert wide.num_edges == twin.num_edges == edges.shape[0]
         for a, b in zip((wide.nodes, wide.offsets, wide.nbrs),
                         (twin.nodes, twin.offsets, twin.nbrs)):
-            assert a.dtype == b.dtype == np.int64
+            assert a.dtype == b.dtype
             assert a.tolist() == b.tolist()
+        assert wide.nbrs.dtype == np.uint32
         _check_against_rebuild(block.astype(np.uint64))
 
 
@@ -210,6 +211,40 @@ def _lexsort_adjacency(edges):
 _SPLIT_WIDTHS = [65_536, 65_537, 200_000, 2**19, 2**21]
 
 
+def _parts_oracle(edges, width):
+    """The keys of ``key_layout``'s parts by a plain sort: (bounds, the sorted
+    u64 ``src << shift | dst`` keys of both directions)."""
+    shift = (width - 1).bit_length()
+    src = np.concatenate([edges[:, 0], edges[:, 1]]).astype(np.uint64)
+    dst = np.concatenate([edges[:, 1], edges[:, 0]]).astype(np.uint64)
+    keys = np.sort(src << np.uint64(shift) | dst)
+    parts = key_layout(width, keys.size)[2]
+    bounds = np.searchsorted(keys >> np.uint64(32), np.arange(parts + 1), side="left")
+    bounds[-1] = keys.size
+    return bounds, keys
+
+
+def _check_parts(edges, width, blocks):
+    """``_pack_keys`` over ``blocks`` against ``_parts_oracle``: part q holds
+    exactly the low 32 bits of the keys whose high bits are q (a single part
+    holds every key whole), and the index is the lexsort's."""
+    keys, bounds = _pack_keys(blocks, edges.shape[0], width)
+    want_bounds, want = _parts_oracle(edges, width)
+    if bounds is None:
+        assert want_bounds.size == 2
+        assert np.sort(keys).tolist() == want.tolist()
+    else:
+        assert keys.dtype == np.uint32
+        assert bounds.tolist() == want_bounds.tolist()
+        want &= np.uint64(0xFFFFFFFF)
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            assert np.sort(keys[a:b]).tolist() == want[a:b].tolist()
+    index = build_adjacency(blocks, edges.shape[0], width)
+    assert [a.dtype for a in index] == [np.int64, np.int64, np.uint32]
+    for got, want in zip(index, _lexsort_adjacency(edges)):
+        assert got.tolist() == want.tolist()
+
+
 @PROPERTY_SETTINGS
 @given(
     width=st.sampled_from(_SPLIT_WIDTHS),
@@ -229,7 +264,7 @@ _SPLIT_WIDTHS = [65_536, 65_537, 200_000, 2**19, 2**21]
 def test_split_keys_equal_a_lexsort_property(monkeypatch, width, dtype, ids, loop_only, split):
     # duplicates, self-loops, self-loop-only nodes and empty parts, in two
     # blocks at either stored width; every key count takes the split up to 64
-    # parts
+    # parts, and each key goes straight to its part's cursor
     monkeypatch.setattr(model, "_MIN_PART_KEYS", 0)
 
     def resolve(x):
@@ -243,11 +278,7 @@ def test_split_keys_equal_a_lexsort_property(monkeypatch, width, dtype, ids, loo
     pairs += [(int(f * width),) * 2 for f in loop_only]
     pairs += [pairs[0]]  # a duplicate edge
     edges = np.array(pairs, dtype=dtype)
-    oracle = _lexsort_adjacency(edges)
-    index = build_adjacency((edges[:split], edges[split:]), edges.shape[0], width)
-    for got, want in zip(index, oracle):
-        assert got.dtype == np.int64
-        assert got.tolist() == want.tolist()
+    _check_parts(edges, width, (edges[:split], edges[split:]))
 
 
 # the layout of 120,000 keys per width: enough keys for 3 and 13 parts, not
@@ -258,18 +289,49 @@ _SPLIT_LAYOUTS = {65_536: (np.uint32, 1), 65_537: (np.uint32, 3), 200_000: (np.u
 
 @pytest.mark.parametrize("width", _SPLIT_WIDTHS)
 def test_split_keys_of_a_random_multigraph_equal_a_lexsort(width):
-    # 60,000 edges over the whole width, the one index whatever the layout
+    # 60,000 edges over the whole width in three blocks, the one index
+    # whatever the layout
     rng = np.random.default_rng(width)
     edges = rng.integers(0, width, size=(60_000, 2))
     edges[::10, 1] = edges[::10, 0]
     edges[1::10] = edges[:-1:10]
     dtype, parts = _SPLIT_LAYOUTS[width]
-    buf, keys, bounds = _pack_keys((edges[:7000], edges[7000:]), edges.shape[0], width)
-    assert keys.dtype == dtype
-    assert (bounds is None) if parts == 1 else bounds.tolist()[::parts] == [0, 120_000]
-    index = adjacency_from_keys(buf, keys, bounds, width)
-    for got, want in zip(index, _lexsort_adjacency(edges)):
-        assert got.tolist() == want.tolist()
+    assert key_layout(width, 120_000)[1:] == (dtype, parts)
+    _check_parts(edges, width, (edges[:7000], edges[7000:30_000], edges[30_000:]))
+
+
+def test_split_keys_read_re_iterable_blocks_and_refuse_a_one_shot_iterator():
+    # 13 parts at n = 200,000: blocks in a tuple or a list are read twice,
+    # once to count each part's keys and once to pack them; a generator
+    # would come back empty on the second pass, so it is refused, and
+    # blocks that differ between the passes are refused, not packed past a
+    # part's end
+    rng = np.random.default_rng(8)
+    width, num_edges = 200_000, 60_000
+    edges = rng.integers(0, width, size=(num_edges, 2), dtype=np.uint32)
+    assert key_layout(width, 2 * num_edges)[2] == 13
+    want = _lexsort_adjacency(edges)
+    for blocks in ((edges[:25_000], edges[25_000:]), [edges]):
+        for got, oracle in zip(build_adjacency(blocks, num_edges, width), want):
+            assert got.tolist() == oracle.tolist()
+    for one_shot in ((block for block in (edges,)), iter((edges,))):
+        with pytest.raises(TypeError, match="re-iterable"):
+            build_adjacency(one_shot, num_edges, width)
+
+    class Drifting:
+        """Blocks whose second pass moves every row to the last part."""
+
+        def __init__(self):
+            self.passes = 0
+
+        def __iter__(self):
+            self.passes += 1
+            yield edges if self.passes == 1 else np.full_like(edges, width - 1)
+
+    with pytest.raises(ValueError, match="more keys than the count pass found"):
+        build_adjacency(Drifting(), num_edges, width)
+    with pytest.raises(ValueError, match="blocks hold 59999 rows, not 60000"):
+        build_adjacency((edges[1:],), num_edges, width)
 
 
 @pytest.mark.parametrize("width", [65_537, 2**19])

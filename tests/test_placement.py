@@ -382,10 +382,11 @@ def test_comm_bounded_draw_rejects_low_words(tmp_path, monkeypatch):
 
 
 def test_comm_peak_memory_per_edge(tmp_path):
-    # the index is built from one 2E array of packed keys (16 B/edge), filled
-    # from the u32 blocks as stored (8 B/edge for this one-block file): no
-    # int64 copy of the edge list, whole or per block, is held beside it.
-    # Measured 24.4 B/edge; the bound is that plus 10 %.
+    # the index is built from one 2E array of u32 packed keys (8 B/edge),
+    # filled from the u32 blocks as stored (8 B/edge for this one-block
+    # file), the neighbour ids written over the keys: no int64 copy of the
+    # edge list, whole or per block, is held beside it.  Measured 24.4 B/edge
+    # with the 16 B/edge keys of an int64 buffer; the bound is that plus 10 %.
     rng = np.random.default_rng(3)
     num_nodes, num_edges = 20_000, 200_000
     src = (rng.pareto(1.5, size=num_edges) * num_nodes / 50).astype(np.int64) % num_nodes
@@ -400,6 +401,30 @@ def test_comm_peak_memory_per_edge(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 26.8 * num_edges, peak / num_edges
+
+
+def test_comm_peak_grows_by_at_most_nine_bytes_per_edge(tmp_path):
+    # at n = 200,000 the keys split into 13 parts (key_layout), packed
+    # straight into one u32 array of 2E entries, 8 B per edge, over which the
+    # tail writes the u32 neighbour ids; the reader's block buffer and the
+    # per-node arrays do not grow with E.  An int64 index buffer grew by 16.
+    rng = np.random.default_rng(12)
+    num_nodes = 200_000
+    labels = rng.integers(0, 4, size=num_nodes)
+    plan = plan_assignment(4, 2, rng_seed=0)
+    peaks = []
+    for num_edges in (300_000, 600_000):
+        edges = rng.integers(0, num_nodes, size=(num_edges, 2))
+        efile = make_edge_file(tmp_path / f"g{num_edges}.grpe", edges, num_nodes)
+        estimate_comm(efile, labels, plan, num_seeds=8, rng_seed=0)  # warm-up
+        tracemalloc.start()
+        try:
+            estimate_comm(efile, labels, plan, num_seeds=8, rng_seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    slope = (peaks[1] - peaks[0]) / 300_000
+    assert slope <= 9.0, slope
 
 
 def test_comm_native_equals_python_on_a_skewed_graph(tmp_path):

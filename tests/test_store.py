@@ -98,6 +98,30 @@ def test_bucket_concatenation_is_payload(tmp_path):
         assert fh.read() == blob
 
 
+@pytest.mark.parametrize("width", [32, 64])
+def test_read_bucket_returns_rows_at_the_store_width(tmp_path, width):
+    # a 32-bit store's rows come back as the u32 that was read, with no
+    # int64 copy, and equal the stored bytes; a 64-bit store's as int64
+    rng = np.random.default_rng(width)
+    edges, num_nodes = random_multigraph(rng, max_nodes=40, max_edges=300)
+    labels = rng.integers(0, 3, size=num_nodes)
+    efile = make_edge_file(tmp_path / "g.grpe", edges, num_nodes, width)
+    store = str(tmp_path / "g.grpb")
+    index = write_buckets(efile, labels, store, 3)
+    payload = Path(store).read_bytes()
+    stored = np.dtype("<u4") if width == 32 else np.dtype("<u8")
+    for i in range(3):
+        for j in range(3):
+            rows = read_bucket(store, i, j, index)
+            assert rows.dtype == (np.uint32 if width == 32 else np.int64)
+            assert rows.shape == (int(index.counts[i, j]), 2)
+            start = int(index.offsets[i, j])
+            want = payload[start : start + rows.shape[0] * 2 * stored.itemsize]
+            assert rows.astype(stored).tobytes() == want
+            if width == 32:
+                assert rows.tobytes() == want
+
+
 def test_index_reload_and_mismatch_detection(tmp_path):
     efile = make_edge_file(tmp_path / "g.grpe", [[0, 1], [1, 0]], 2)
     store = str(tmp_path / "g.grpb")
